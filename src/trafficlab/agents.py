@@ -200,26 +200,58 @@ class FixedTimeAgent(Agent):
 
 
 class _ReplayBuffer:
-    """Fixed-capacity ring with O(1) random access."""
+    """Fixed-capacity ring of transitions held as one array per field.
 
-    def __init__(self, capacity: int):
+    The ``k``-th transition added (from 0) goes to slot ``k % capacity``,
+    so once the ring is full each new transition overwrites the oldest.
+    ``sample`` returns stacked batch arrays, ready for a regression step.
+
+    The arrays come from ``np.zeros``, whose pages the OS commits only as
+    they are written, so an unfilled ring costs little memory. That fails
+    for arrays of ``HUGE_PAGE_ARRAY_BYTES`` and more, for which numpy asks
+    the OS for huge pages: a first write then commits a whole 2 MB page.
+    So the arrays start at the most rows that keep ``obs`` under that size
+    and are grown to ``capacity`` only once those rows are full.
+    """
+
+    HUGE_PAGE_ARRAY_BYTES = 1 << 22
+
+    def __init__(self, capacity: int, obs_dim: int):
         self.capacity = capacity
-        self._items: list[Transition] = []
-        self._cursor = 0
+        self.added = 0
+        rows = min(capacity, (self.HUGE_PAGE_ARRAY_BYTES - 1) // (8 * obs_dim))
+        self.obs = np.zeros((rows, obs_dim))
+        self.actions = np.zeros(rows, dtype=np.intp)
+        self.rewards = np.zeros(rows)
+        self.next_obs = np.zeros((rows, obs_dim))
+        self.dones = np.zeros(rows)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self.added, self.capacity)
+
+    def _grow_to_capacity(self) -> None:
+        for name in ("obs", "actions", "rewards", "next_obs", "dones"):
+            old = getattr(self, name)
+            new = np.zeros((self.capacity,) + old.shape[1:], dtype=old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
 
     def add(self, item: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._cursor] = item
-            self._cursor = (self._cursor + 1) % self.capacity
+        i = self.added % self.capacity
+        if i == len(self.rewards):  # the first rows are full
+            self._grow_to_capacity()
+        self.obs[i] = item.obs
+        self.actions[i] = item.action
+        self.rewards[i] = item.reward
+        self.next_obs[i] = item.next_obs
+        self.dones[i] = 1.0 if item.done else 0.0
+        self.added += 1
 
-    def sample(self, rng: np.random.Generator, n: int) -> list[Transition]:
-        idx = rng.integers(0, len(self._items), size=n)
-        return [self._items[i] for i in idx]
+    def sample(self, rng: np.random.Generator, n: int):
+        """(obs, actions, rewards, next_obs, dones) of ``n`` uniform draws."""
+        idx = rng.integers(0, len(self), size=n)
+        return (self.obs[idx], self.actions[idx], self.rewards[idx],
+                self.next_obs[idx], self.dones[idx])
 
 
 class DqlAgent(Agent):
@@ -236,7 +268,7 @@ class DqlAgent(Agent):
         self.q_net = Mlp.create(sizes, acts, seed=config.seed)
         self.target_net = self.q_net.clone()
         self.optimizer = make_optimizer(config.optimizer, self.q_net)
-        self.replay = _ReplayBuffer(config.replay_capacity)
+        self.replay = _ReplayBuffer(config.replay_capacity, obs_dim)
         self.updates = 0
 
     def epsilon(self) -> float:
@@ -258,28 +290,33 @@ class DqlAgent(Agent):
         self.train_steps += len(transitions)
         if len(self.replay) < max(self.config.warmup, self.config.batch_size):
             return {}
-        batch = self.replay.sample(self._rng, self.config.batch_size)
-        loss = self.train_on_batch(batch)
+        loss = self._fit(*self.replay.sample(self._rng, self.config.batch_size))
         return {"loss": loss, "epsilon": self.epsilon()}
 
     def train_on_batch(self, batch: list[Transition]) -> float:
-        """One regression step of Q(s,a) toward r + gamma * max Q_target(s')."""
+        """One regression step on the given transitions (see ``_fit``)."""
         if not batch:
             raise ValueError("batch must be non-empty")
+        return self._fit(*_stack(batch))
+
+    def _fit(self, obs, actions, rewards, next_obs, dones) -> float:
+        """One regression step of Q(s,a) toward r + gamma * max Q_target(s')
+        on a stacked batch; returns the mean squared TD error."""
         cfg = self.config
-        obs, actions, rewards, next_obs, dones = _stack(batch)
+        n = len(actions)
         obs = obs * self._obs_scale
         next_obs = next_obs * self._obs_scale
         next_q = self.target_net(next_obs)
         targets = rewards + cfg.gamma * (1.0 - dones) * next_q.max(axis=1)
         q, cache = self.q_net.forward(obs)
-        picked = q[np.arange(len(batch)), actions]
+        rows = np.arange(n)
+        picked = q[rows, actions]
         td = picked - targets
         loss = float(np.mean(td * td))
         if not np.isfinite(loss):
             raise DivergenceError("q-learning loss became non-finite")
         dout = np.zeros_like(q)
-        dout[np.arange(len(batch)), actions] = 2.0 * td / len(batch)
+        dout[rows, actions] = 2.0 * td / n
         grads = self.q_net.backward(cache, dout)
         self.optimizer.step(self.q_net, grads.scaled(-1.0), cfg.q_lr)
         self.updates += 1
@@ -604,27 +641,6 @@ class AcktrAgent(_ActorCriticAgent):
     def _optimizers(self) -> dict:
         return {"actor": self.actor_optimizer, "critic": self.critic_optimizer,
                 "actor_stats": self.actor_stats, "critic_stats": self.critic_stats}
-
-
-# Spec-shaped functional entry points over the class methods.
-
-def dql_update(agent: DqlAgent, batch: list[Transition]) -> float:
-    return agent.train_on_batch(batch)
-
-
-def a2c_update(agent: A2cAgent, rollout: list[Transition]):
-    losses = agent.update(rollout)
-    return losses["actor_loss"], losses["critic_loss"]
-
-
-def ppo_update(agent: PpoAgent, rollout: list[Transition]):
-    losses = agent.update(rollout)
-    return losses["actor_loss"], losses["critic_loss"]
-
-
-def acktr_update(agent: AcktrAgent, rollout: list[Transition]):
-    losses = agent.update(rollout)
-    return losses["actor_loss"], losses["critic_loss"]
 
 
 _AGENT_CLASSES = {

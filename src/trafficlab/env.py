@@ -13,7 +13,7 @@ ones, which is all a controller could measure in the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -144,7 +144,8 @@ class TrafficSignalEnv:
     """
 
     def __init__(self, config: EnvConfig, seed: int | None = None):
-        self.config = config
+        # a SimConfig of its own: set_detection_rate writes into it
+        self.config = replace(config, sim=replace(config.sim))
         self._master = np.random.default_rng(
             config.sim.rng_seed if seed is None else seed)
         self._state: SimState | None = None
@@ -168,7 +169,8 @@ class TrafficSignalEnv:
         return build_observation(self._state, self.config)
 
     def set_detection_rate(self, rate: float) -> None:
-        """Adjust the detection probability applied to future spawns."""
+        """Adjust the detection probability applied to future spawns of
+        this env; the config it was built from is left as it was."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError("detection rate must lie in [0, 1]")
         self.config.sim.detection_rate = rate

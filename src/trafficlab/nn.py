@@ -1,9 +1,11 @@
 """Small dense networks with exact backprop, plain/adaptive gradient steps,
 and Kronecker-factored curvature for natural-gradient preconditioning.
 
-Everything is float64 numpy. Parameters flatten in a fixed order (per layer:
-weight matrix row-major, then bias), which the checkpoint format and the
-curvature code both rely on.
+Everything is float64 numpy. A network's parameters live in one flat
+vector, ``Mlp.params``, laid out per layer as the weight matrix row-major,
+then the bias; each layer's ``w`` and ``b`` are views into it, so an
+optimizer step is a few whole-vector operations and the checkpoint payload
+is the vector itself. Gradients use the same layout, with the same views.
 """
 
 from __future__ import annotations
@@ -54,12 +56,24 @@ def _apply_activation(name: str, s: np.ndarray) -> np.ndarray:
 
 
 def _activation_grad(name: str, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d activation / d pre-activation, elementwise (a = activation(s))."""
+    """d activation / d pre-activation, elementwise (a = activation(s)), for
+    tanh and relu; backward passes identity layers' gradients through."""
     if name == "tanh":
         return 1.0 - a * a
-    if name == "relu":
-        return (s > 0.0).astype(s.dtype)
-    return np.ones_like(s)
+    return (s > 0.0).astype(s.dtype)
+
+
+def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into ``flat``, laid out as
+    [w0 row-major, b0, w1, b1, ...] for weight shapes ``(out, in)``."""
+    ws, bs = [], []
+    off = 0
+    for out_dim, in_dim in shapes:
+        ws.append(flat[off:off + out_dim * in_dim].reshape(out_dim, in_dim))
+        off += out_dim * in_dim
+        bs.append(flat[off:off + out_dim])
+        off += out_dim
+    return ws, bs
 
 
 @dataclass
@@ -79,47 +93,69 @@ class ForwardCache:
     """Per-layer activations captured by forward(); backward() adds the
     per-sample pre-activation gradients the curvature stats feed on."""
 
-    def __init__(self, inputs: list[np.ndarray], pre_activations: list[np.ndarray]):
+    def __init__(self, inputs: list[np.ndarray], pre_activations: list[np.ndarray],
+                 output: np.ndarray):
         self.inputs = inputs              # inputs[l]: (B, in_l)
         self.pre_activations = pre_activations  # (B, out_l)
+        self.output = output              # (B, out_L), the last activation
         self.pre_grads: list[np.ndarray] | None = None
 
 
 class Gradients:
-    """Weight/bias gradients shaped like their source network."""
+    """Weight/bias gradients shaped like their source network: one flat
+    vector in the ``Mlp.params`` layout, with per-layer ``dw``/``db`` views."""
 
     def __init__(self, dw: list[np.ndarray], db: list[np.ndarray]):
-        self.dw = dw
-        self.db = db
+        flat = np.concatenate([part for w, b in zip(dw, db)
+                               for part in (np.ravel(w), np.ravel(b))])
+        self._bind(flat.astype(np.float64, copy=False), [np.shape(w) for w in dw])
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes) -> "Gradients":
+        """Gradients over ``flat`` itself (no copy), cut into ``shapes``."""
+        grads = cls.__new__(cls)
+        grads._bind(flat, shapes)
+        return grads
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        self.flat = flat
+        self.shapes = [tuple(shape) for shape in shapes]
+        self.dw, self.db = _layer_views(flat, self.shapes)
 
     def scaled(self, factor: float) -> "Gradients":
-        return Gradients([g * factor for g in self.dw], [g * factor for g in self.db])
+        return Gradients.from_flat(self.flat * factor, self.shapes)
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.dw, self.db):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self.flat.copy()
 
     def norm(self) -> float:
+        # per-layer partial sums: one flat dot product rounds differently
         return float(math.sqrt(sum(
             float(np.sum(w * w)) + float(np.sum(b * b))
             for w, b in zip(self.dw, self.db))))
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) and np.all(np.isfinite(b))
-                   for w, b in zip(self.dw, self.db))
+        return bool(np.isfinite(self.flat).all())
 
 
 class Mlp:
-    """Fixed-topology feed-forward net: affine layers plus activations."""
+    """Fixed-topology feed-forward net: affine layers plus activations.
+
+    The net copies the given layers' values into its own flat ``params``
+    vector and keeps layers whose ``w``/``b`` are views into it. Write
+    parameters in place (``layer.w[...] = ...``, ``set_flat``); rebinding
+    ``layer.w`` would cut that layer off from ``params`` and the optimizers.
+    """
 
     def __init__(self, layers: list[Layer], seed: int | None = None):
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.w.shape[1] != prev.w.shape[0]:
                 raise ValueError("adjacent layer dimensions are incompatible")
-        self.layers = layers
+        self.params = np.concatenate(
+            [part for l in layers for part in (l.w.ravel(), l.b)]
+        ).astype(np.float64, copy=False)
+        ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
+        self.layers = [Layer(w, b, l.activation) for w, b, l in zip(ws, bs, layers)]
         self.seed = seed
 
     @classmethod
@@ -153,8 +189,7 @@ class Mlp:
         return [layer.activation for layer in self.layers]
 
     def clone(self) -> "Mlp":
-        return Mlp([Layer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers],
-                   seed=self.seed)
+        return Mlp(self.layers, seed=self.seed)
 
     # -- forward / backward -------------------------------------------------
 
@@ -173,7 +208,7 @@ class Mlp:
             pre.append(s)
             a = _apply_activation(layer.activation, s)
         out = a[0] if squeeze else a
-        return out, ForwardCache(inputs, pre)
+        return out, ForwardCache(inputs, pre, a)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
@@ -190,49 +225,45 @@ class Mlp:
             g = g[None, :]
         if g.shape != cache.pre_activations[-1].shape:
             raise ValueError("output gradient shape does not match forward cache")
-        dw: list[np.ndarray] = [None] * len(self.layers)
-        db: list[np.ndarray] = [None] * len(self.layers)
-        pre_grads: list[np.ndarray] = [None] * len(self.layers)
+        n_layers = len(self.layers)
+        grads = Gradients.from_flat(np.empty(self.params.size),
+                                    [l.w.shape for l in self.layers])
+        pre_grads: list[np.ndarray] = [None] * n_layers
+        outputs = cache.inputs[1:] + [cache.output]  # post-activations
         da = g
-        for idx in range(len(self.layers) - 1, -1, -1):
+        for idx in range(n_layers - 1, -1, -1):
             layer = self.layers[idx]
-            s = cache.pre_activations[idx]
-            a_out = _apply_activation(layer.activation, s)
-            ds = da * _activation_grad(layer.activation, s, a_out)
+            if layer.activation == "identity":
+                ds = da  # times a unit derivative: the same values
+            else:
+                ds = da * _activation_grad(layer.activation,
+                                           cache.pre_activations[idx],
+                                           outputs[idx])
             pre_grads[idx] = ds
-            dw[idx] = ds.T @ cache.inputs[idx]
-            db[idx] = ds.sum(axis=0)
+            np.matmul(ds.T, cache.inputs[idx], out=grads.dw[idx])
+            ds.sum(axis=0, out=grads.db[idx])
             if idx > 0:
                 da = ds @ layer.w
         cache.pre_grads = pre_grads
-        return Gradients(dw, db)
+        return grads
 
     # -- flat parameter view --------------------------------------------------
 
     @property
     def num_params(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.layers)
+        return self.params.size
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for layer in self.layers:
-            parts.append(layer.w.ravel())
-            parts.append(layer.b)
-        return np.concatenate(parts)
+        """A copy of ``params``, safe to compare against later values."""
+        return self.params.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
+        """Overwrite ``params`` in place; layer views see the new values."""
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.num_params,):
+        if vec.shape != self.params.shape:
             raise ValueError(
                 f"flat vector has {vec.shape} entries, net needs {self.num_params}")
-        off = 0
-        for layer in self.layers:
-            n = layer.w.size
-            layer.w = vec[off:off + n].reshape(layer.w.shape).copy()
-            off += n
-            n = layer.b.size
-            layer.b = vec[off:off + n].copy()
-            off += n
+        self.params[...] = vec
 
     # -- persistence ----------------------------------------------------------
 
@@ -243,7 +274,7 @@ class Mlp:
             "activations": self.activations,
             "seed": self.seed,
         }).encode("utf-8")
-        params = self.flatten().astype("<f8").tobytes()
+        params = self.params.astype("<f8").tobytes()
         return _MAGIC + struct.pack("<II", _FORMAT_VERSION, len(header)) + header + params
 
     @classmethod
@@ -278,17 +309,12 @@ class Mlp:
         stop = start + n_params * 8
         if len(blob) < stop:
             raise CheckpointTruncatedError("parameter block cut short")
-        flat = np.frombuffer(blob[start:stop], dtype="<f8").astype(np.float64)
-        layers = []
-        off = 0
-        for (out_dim, in_dim), act in zip(shapes, activations):
-            w = flat[off:off + out_dim * in_dim].reshape(out_dim, in_dim).copy()
-            off += out_dim * in_dim
-            b = flat[off:off + out_dim].copy()
-            off += out_dim
-            layers.append(Layer(w=w, b=b, activation=act))
+        flat = np.frombuffer(blob[start:stop], dtype="<f8")
+        ws, bs = _layer_views(flat, shapes)
         try:
-            net = cls(layers, seed=seed)
+            # the net copies the views' values into a params vector of its own
+            net = cls([Layer(w=w, b=b, activation=act)
+                       for w, b, act in zip(ws, bs, activations)], seed=seed)
         except ValueError as exc:
             raise CheckpointShapeError(str(exc)) from exc
         return net, stop
@@ -318,9 +344,7 @@ class SgdOptimizer:
     def step(self, net: Mlp, direction: Gradients, learning_rate: float) -> None:
         if not direction.is_finite():
             raise DivergenceError("non-finite update direction")
-        for layer, dw, db in zip(net.layers, direction.dw, direction.db):
-            layer.w += learning_rate * dw
-            layer.b += learning_rate * db
+        net.params += learning_rate * direction.flat
 
     def state_arrays(self) -> list[np.ndarray]:
         return []
@@ -334,7 +358,11 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
-    """First/second-moment adaptive steps, ascent convention."""
+    """First/second-moment adaptive steps, ascent convention.
+
+    The moments ``m`` and ``v`` are flat vectors in the ``Mlp.params``
+    layout; their checkpoint form is per-layer views, all weights then all
+    biases."""
 
     kind = "adam"
 
@@ -344,36 +372,36 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(l.w) for l in net.layers] + \
-                 [np.zeros_like(l.b) for l in net.layers]
-        self.v = [np.zeros_like(arr) for arr in self.m]
-
-    def _moments(self, net: Mlp, direction: Gradients):
-        arrays = list(direction.dw) + list(direction.db)
-        targets = [l.w for l in net.layers] + [l.b for l in net.layers]
-        return arrays, targets
+        self.m = np.zeros(net.num_params)
+        self.v = np.zeros(net.num_params)
+        shapes = [l.w.shape for l in net.layers]
+        self._state_views = []
+        for flat in (self.m, self.v):
+            ws, bs = _layer_views(flat, shapes)
+            self._state_views += ws + bs
 
     def step(self, net: Mlp, direction: Gradients, learning_rate: float) -> None:
-        if not direction.is_finite():
+        g = direction.flat
+        if not np.isfinite(g).all():
             raise DivergenceError("non-finite update direction")
         self.t += 1
-        grads, targets = self._moments(net, direction)
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
-        for m, v, g, target in zip(self.m, self.v, grads, targets):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            target += learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * (g * g)
+        net.params += learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
     def state_arrays(self) -> list[np.ndarray]:
-        return self.m + self.v
+        """``m`` then ``v``, each as views [w0 .. wL, b0 .. bL]."""
+        return list(self._state_views)
 
     def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
-        if len(arrays) != len(self.m) + len(self.v):
+        if len(arrays) != len(self._state_views):
             raise CheckpointShapeError("adam state array count mismatch")
-        for dst, src in zip(self.m + self.v, arrays):
+        for dst, src in zip(self._state_views, arrays):
             if dst.shape != src.shape:
                 raise CheckpointShapeError("adam state shape mismatch")
             dst[...] = src
@@ -469,8 +497,7 @@ class KfacStats:
 
     def precondition(self, grads: Gradients) -> Gradients:
         """(S + damping I)^-1 G (A + damping I)^-1 per layer."""
-        out_w = []
-        out_b = []
+        out = Gradients.from_flat(np.empty_like(grads.flat), grads.shapes)
         for idx, (dw, db) in enumerate(zip(grads.dw, grads.db)):
             a_fac = self.a_factors[idx]
             s_fac = self.s_factors[idx]
@@ -478,10 +505,10 @@ class KfacStats:
                 block = np.concatenate([dw, db[:, None]], axis=1)
                 left = self._solve(s_fac, block)
                 solved = self._solve(a_fac, left.T).T
-                out_w.append(np.ascontiguousarray(solved[:, :-1]))
-                out_b.append(np.ascontiguousarray(solved[:, -1]))
+                out.dw[idx][...] = solved[:, :-1]
+                out.db[idx][...] = solved[:, -1]
             else:
                 left = self._solve(s_fac, dw)
-                out_w.append(self._solve(a_fac, left.T).T)
-                out_b.append(self._solve(s_fac, db))
-        return Gradients(out_w, out_b)
+                out.dw[idx][...] = self._solve(a_fac, left.T).T
+                out.db[idx][...] = self._solve(s_fac, db)
+        return out

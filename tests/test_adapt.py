@@ -226,3 +226,13 @@ def test_divergence_aborts_with_partial_timeline():
     assert "blow-up" in result.failure_message
     assert len(result.timeline) == 1  # diagnostic point at the failure
     assert result.timeline[0].step == 64
+
+
+def test_deployment_leaves_caller_config_untouched():
+    cfg = env_config("medium", 1.0)
+    deploy = DeploymentConfig(schedule=DetectionSchedule.ramp(0.0, 1.0, 300.0, 0.2),
+                              total_steps=300, update_period=None,
+                              instability_window=100)
+    result = run_deployment(fixed_time_agent(), cfg, deploy, seed=2)
+    assert result.timeline[-1].detection_rate == pytest.approx(0.2)
+    assert cfg.sim.detection_rate == 1.0

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,15 +15,12 @@ from trafficlab.agents import (
     PpoAgent,
     TabularQ,
     Transition,
-    a2c_update,
-    acktr_update,
+    _ReplayBuffer,
     agent_from_bytes,
     agent_to_bytes,
     compute_advantage,
-    dql_update,
     load_agent,
     make_agent,
-    ppo_update,
     save_agent,
 )
 from trafficlab.env import PHASE_TIME_SLOT
@@ -197,7 +197,7 @@ def test_dql_batch_update_hand_computed_linear_case():
     obs = np.array([1.0, 0.0, 2.0])
     batch = [Transition(obs, 0, 1.0, np.zeros(3), True)]
     q0 = float(w_before[0] @ obs + b_before[0])
-    loss = dql_update(agent, batch)
+    loss = agent.train_on_batch(batch)
     td = q0 - 1.0  # done: target is the raw reward
     assert loss == pytest.approx(td * td)
     np.testing.assert_allclose(
@@ -240,6 +240,80 @@ def test_dql_replay_warmup_and_target_sync():
     assert agent.updates == 2
     np.testing.assert_array_equal(agent.target_net.flatten(),
                                   agent.q_net.flatten())
+
+
+class ListReplay:
+    """The list-of-Transition ring the array ring replaced, kept as the
+    oracle for which transitions a seeded draw returns."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+        self.cursor = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def add(self, item):
+        if len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            self.items[self.cursor] = item
+            self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, rng, n):
+        idx = rng.integers(0, len(self.items), size=n)
+        return [self.items[i] for i in idx]
+
+
+@pytest.mark.parametrize("capacity, n_added, first_bytes", [
+    (5, 12, None),
+    (50, 120, 200),  # first rows hold 8 transitions, then grows
+])
+def test_replay_ring_slot_holds_latest_write(monkeypatch, capacity, n_added,
+                                             first_bytes):
+    if first_bytes is not None:
+        monkeypatch.setattr(_ReplayBuffer, "HUGE_PAGE_ARRAY_BYTES", first_bytes)
+    ring = _ReplayBuffer(capacity, 3)
+    assert len(ring.rewards) == (capacity if first_bytes is None else 8)
+    for k in range(n_added):
+        ring.add(Transition(np.full(3, float(k)), k % 2, float(k),
+                            np.full(3, -float(k)), k % 3 == 0))
+    assert len(ring) == capacity
+    for slot in range(capacity):
+        k = max(j for j in range(slot, n_added, capacity))
+        np.testing.assert_array_equal(ring.obs[slot], np.full(3, float(k)))
+        np.testing.assert_array_equal(ring.next_obs[slot], np.full(3, -float(k)))
+        assert ring.actions[slot] == k % 2
+        assert ring.rewards[slot] == float(k)
+        assert ring.dones[slot] == (1.0 if k % 3 == 0 else 0.0)
+
+
+def test_dql_update_losses_match_list_replay_oracle():
+    cfg = config_for("dql", warmup=8, batch_size=4, replay_capacity=16,
+                     target_sync_period=5, hidden_sizes=[6])
+    agent = DqlAgent(cfg, 4)
+    oracle = DqlAgent(cfg, 4)
+    ring = ListReplay(cfg.replay_capacity)
+    rng = np.random.default_rng(31)
+    losses, expected = [], []
+    for _ in range(60):
+        t = Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
+                       float(rng.normal()), rand_obs(rng, dim=4),
+                       bool(rng.random() < 0.2))
+        out = agent.update([t])
+        if "loss" in out:
+            losses.append(out["loss"])
+        ring.add(t)
+        if len(ring) >= cfg.warmup:
+            # same generator state, so the same sampled indices
+            expected.append(oracle.train_on_batch(
+                ring.sample(oracle._rng, cfg.batch_size)))
+    assert len(losses) == 60 - cfg.warmup + 1
+    assert losses == expected
+    np.testing.assert_array_equal(agent.q_net.params, oracle.q_net.params)
+    np.testing.assert_array_equal(agent.target_net.params,
+                                  oracle.target_net.params)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +371,7 @@ def test_a2c_positive_advantage_increases_action_probability():
     # large reward makes the advantage of action 0 strongly positive
     rollout = [Transition(obs, 0, 50.0, nxt, False)]
     p_before = agent.policy(obs)[0]
-    a2c_update(agent, rollout)
+    agent.update(rollout)
     p_after = agent.policy(obs)[0]
     assert p_after > p_before
 
@@ -322,7 +396,7 @@ def test_a2c_actor_gradient_matches_finite_differences():
 
     numeric = fd_gradient(surrogate, agent.actor)
     before = agent.actor.flatten()
-    a2c_update(agent, rollout)
+    agent.update(rollout)
     analytic = agent.actor.flatten() - before  # sgd with lr=1: step == gradient
     denom = np.maximum(np.abs(numeric), 1e-6)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -340,7 +414,7 @@ def test_ppo_objective_at_snapshot_policy_is_mean_advantage():
     nxt = np.stack([t.next_obs for t in rollout]) * agent._obs_scale
     v_next = agent.critic(nxt).ravel()
     adv = np.array([t.reward for t in rollout]) + cfg.gamma * v_next - v_now
-    actor_loss, _ = ppo_update(agent, rollout)
+    actor_loss = agent.update(rollout)["actor_loss"]
     assert actor_loss == pytest.approx(-float(np.mean(adv)), rel=1e-9)
 
 
@@ -358,7 +432,7 @@ def test_ppo_clipped_term_arithmetic():
     # store an old log-prob that makes the ratio exactly 1.5
     logp_now = log_softmax_ref(agent.actor(agent._scaled(obs)))[0]
     t = Transition(obs, 0, r, nxt, False, log_prob=float(logp_now - np.log(1.5)))
-    actor_loss, _ = ppo_update(agent, [t])
+    actor_loss = agent.update([t])["actor_loss"]
     assert actor_loss == pytest.approx(-min(1.5, 1.2), rel=1e-9)
 
 
@@ -390,7 +464,7 @@ def test_ppo_surrogate_gradient_matches_finite_differences():
 
     numeric = fd_gradient(clipped_surrogate, agent.actor)
     before = agent.actor.flatten()
-    ppo_update(agent, rollout)
+    agent.update(rollout)
     analytic = agent.actor.flatten() - before
     denom = np.maximum(np.abs(numeric), 1e-6)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -487,8 +561,8 @@ def test_acktr_with_identity_curvature_equals_a2c():
     np.testing.assert_array_equal(a2c.actor.flatten(), acktr.actor.flatten())
     rng = np.random.default_rng(7)
     rollout = make_transitions(rng, 16)
-    a2c_update(a2c, rollout)
-    acktr_update(acktr, rollout)
+    a2c.update(rollout)
+    acktr.update(rollout)
     assert np.max(np.abs(a2c.actor.flatten() - acktr.actor.flatten())) < 1e-12
     assert np.max(np.abs(a2c.critic.flatten() - acktr.critic.flatten())) < 1e-12
 
@@ -539,7 +613,7 @@ def test_acktr_single_layer_matches_dense_natural_gradient_oracle():
 
     w_before = agent.actor.layers[0].w.copy()
     b_before = agent.actor.layers[0].b.copy()
-    acktr_update(agent, rollout)
+    agent.update(rollout)
     np.testing.assert_allclose(agent.actor.layers[0].w - w_before,
                                expected_dw, rtol=1e-8, atol=1e-12)
     np.testing.assert_allclose(agent.actor.layers[0].b - b_before,
@@ -597,6 +671,41 @@ def test_save_load_round_trip_greedy_actions(tmp_path, algorithm):
     for obs in obs_batch:
         assert agent.act(obs) == loaded.act(obs)
     assert loaded.train_steps == agent.train_steps
+
+
+def agent_header(blob):
+    _, header_len = struct.unpack_from("<II", blob, 4)
+    return json.loads(blob[12:12 + header_len].decode("utf-8"))
+
+
+@pytest.mark.parametrize("algorithm", ["dql", "ppo", "a2c", "acktr"])
+def test_checkpoint_bytes_are_stable(tmp_path, algorithm):
+    agent = make_agent(config_for(algorithm, warmup=16, batch_size=8,
+                                  rollout_length=32, ppo_minibatch=16), OBS_DIM)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        assert agent.update(make_transitions(rng, 32))
+    blob = agent_to_bytes(agent)
+    assert agent_to_bytes(agent_from_bytes(blob)) == blob
+    path = tmp_path / "agent.ckpt"
+    save_agent(agent, path)
+    loaded = load_agent(path)
+    assert agent_to_bytes(loaded) == blob
+    for net in loaded._nets().values():
+        for layer in net.layers:
+            assert np.shares_memory(layer.w, net.params)
+            assert np.shares_memory(layer.b, net.params)
+    # Adam state blocks list m then v, each as [w0 .. wL, b0 .. bL]
+    nets = agent._nets()
+    optimizers = agent_header(blob)["optimizers"]
+    adam_blocks = [name for name, meta in optimizers.items()
+                   if meta["meta"]["kind"] == "adam"]
+    assert bool(adam_blocks) == (algorithm != "acktr")
+    for name in adam_blocks:
+        layers = nets[name].layers
+        moment = ([list(l.w.shape) for l in layers]
+                  + [list(l.b.shape) for l in layers])
+        assert optimizers[name]["array_shapes"] == moment + moment
 
 
 def test_loaded_agent_continues_exploration_stream_identically(tmp_path):

@@ -146,6 +146,33 @@ def test_backward_gradient_exactness_property_family():
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
 
+def test_backward_equals_per_layer_reference_bit_for_bit():
+    """Reusing forward's post-activations and writing into one flat vector
+    must give exactly what recomputing each activation gives."""
+    rng = np.random.default_rng(41)
+    net = Mlp.create([4, 6, 5, 3, 2], ["tanh", "relu", "tanh", "identity"], seed=41)
+    x = rng.normal(size=(7, 4))
+    out, cache = net.forward(x)
+    dout = rng.normal(size=out.shape)
+    grads = net.backward(cache, dout)
+    da = dout
+    for idx in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[idx]
+        s = cache.pre_activations[idx]
+        if layer.activation == "tanh":
+            a = np.tanh(s)
+            ds = da * (1.0 - a * a)
+        elif layer.activation == "relu":
+            ds = da * (s > 0.0).astype(s.dtype)
+        else:
+            ds = da * np.ones_like(s)
+        np.testing.assert_array_equal(cache.pre_grads[idx], ds)
+        np.testing.assert_array_equal(grads.dw[idx], ds.T @ cache.inputs[idx])
+        np.testing.assert_array_equal(grads.db[idx], ds.sum(axis=0))
+        da = ds @ layer.w
+    assert np.shares_memory(grads.dw[0], grads.flat)
+
+
 def test_backward_shape_mismatch_rejected():
     net = small_net()
     _, cache = net.forward(np.zeros(3))
@@ -166,6 +193,45 @@ def test_flatten_round_trip_is_identity():
     for a, b in zip(net.layers, clone.layers):
         np.testing.assert_array_equal(a.w, b.w)
         np.testing.assert_array_equal(a.b, b.b)
+
+
+def assert_views_aliased(net):
+    for layer in net.layers:
+        assert np.shares_memory(layer.w, net.params)
+        assert np.shares_memory(layer.b, net.params)
+    laid_out = np.concatenate([p for l in net.layers for p in (l.w.ravel(), l.b)])
+    np.testing.assert_array_equal(laid_out, net.params)
+
+
+def test_layer_views_stay_aliased_to_params():
+    net = small_net(seed=3, sizes=(3, 5, 2))
+    assert_views_aliased(net)
+    given = Layer(np.ones((2, 3)), np.zeros(2), "tanh")
+    built = Mlp([given])
+    assert_views_aliased(built)
+    assert not np.shares_memory(given.w, built.params)
+    clone = net.clone()
+    assert_views_aliased(clone)
+    assert not np.shares_memory(clone.params, net.params)
+    clone.set_flat(np.arange(clone.num_params, dtype=float))
+    assert_views_aliased(clone)
+    assert clone.layers[0].w[0, 1] == 1.0
+    assert_views_aliased(Mlp.from_bytes(net.to_bytes()))
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_optimizer_step_shows_in_next_forward(kind):
+    net = small_net(seed=5)
+    x = np.array([0.3, -0.2, 0.9])
+    out, cache = net.forward(x)
+    grads = net.backward(cache, np.ones(2))
+    make_optimizer(kind, net).step(net, grads, 0.1)
+    assert_views_aliased(net)
+    after = net(x)
+    assert not np.array_equal(after, out)
+    fresh = small_net(seed=99)
+    fresh.set_flat(net.params)
+    np.testing.assert_array_equal(fresh(x), after)
 
 
 def test_seeded_init_is_deterministic():
@@ -230,6 +296,42 @@ def test_adam_reduces_quadratic_loss():
         grads = Gradients([np.array([[2.0 * w]])], [np.array([0.0])])
         opt.step(net, grads.scaled(-1.0), 0.05)
     assert abs(net.layers[0].w[0, 0]) < 1e-3
+
+
+def test_flat_optimizer_steps_equal_per_layer_loop():
+    """Adam and SGD on the flat vector, bit for bit against the per-layer
+    update loop they replaced; Adam's state keeps its [w..., b...] order."""
+    rng = np.random.default_rng(13)
+    net = small_net(seed=13, sizes=(3, 6, 4, 2), activations=("tanh", "relu", "identity"))
+    sgd_net = net.clone()
+    adam, sgd = AdamOptimizer(net), SgdOptimizer(sgd_net)
+    ref = [l.w.copy() for l in net.layers] + [l.b.copy() for l in net.layers]
+    sgd_ref = [a.copy() for a in ref]
+    m = [np.zeros_like(a) for a in ref]
+    v = [np.zeros_like(a) for a in ref]
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    for t in range(1, 6):
+        dw = [rng.normal(size=l.w.shape) for l in net.layers]
+        db = [rng.normal(size=l.b.shape) for l in net.layers]
+        adam.step(net, Gradients(dw, db), lr)
+        sgd.step(sgd_net, Gradients(dw, db), lr)
+        bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for mi, vi, g, target, plain in zip(m, v, dw + db, ref, sgd_ref):
+            mi *= b1
+            mi += (1 - b1) * g
+            vi *= b2
+            vi += (1 - b2) * (g * g)
+            target += lr * (mi / bias1) / (np.sqrt(vi / bias2) + eps)
+            plain += lr * g
+    for got, want in zip([l.w for l in net.layers] + [l.b for l in net.layers], ref):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip([l.w for l in sgd_net.layers] + [l.b for l in sgd_net.layers],
+                         sgd_ref):
+        np.testing.assert_array_equal(got, want)
+    state = adam.state_arrays()
+    assert [a.shape for a in state] == [a.shape for a in m + v]
+    for got, want in zip(state, m + v):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_non_finite_direction_raises_divergence():
