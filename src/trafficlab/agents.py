@@ -205,41 +205,22 @@ class _ReplayBuffer:
     The ``k``-th transition added (from 0) goes to slot ``k % capacity``,
     so once the ring is full each new transition overwrites the oldest.
     ``sample`` returns stacked batch arrays, ready for a regression step.
-
-    The arrays come from ``np.zeros``, whose pages the OS commits only as
-    they are written, so an unfilled ring costs little memory. That fails
-    for arrays of ``HUGE_PAGE_ARRAY_BYTES`` and more, for which numpy asks
-    the OS for huge pages: a first write then commits a whole 2 MB page.
-    So the arrays start at the most rows that keep ``obs`` under that size
-    and are grown to ``capacity`` only once those rows are full.
     """
-
-    HUGE_PAGE_ARRAY_BYTES = 1 << 22
 
     def __init__(self, capacity: int, obs_dim: int):
         self.capacity = capacity
         self.added = 0
-        rows = min(capacity, (self.HUGE_PAGE_ARRAY_BYTES - 1) // (8 * obs_dim))
-        self.obs = np.zeros((rows, obs_dim))
-        self.actions = np.zeros(rows, dtype=np.intp)
-        self.rewards = np.zeros(rows)
-        self.next_obs = np.zeros((rows, obs_dim))
-        self.dones = np.zeros(rows)
+        self.obs = np.zeros((capacity, obs_dim))
+        self.actions = np.zeros(capacity, dtype=np.intp)
+        self.rewards = np.zeros(capacity)
+        self.next_obs = np.zeros((capacity, obs_dim))
+        self.dones = np.zeros(capacity)
 
     def __len__(self) -> int:
         return min(self.added, self.capacity)
 
-    def _grow_to_capacity(self) -> None:
-        for name in ("obs", "actions", "rewards", "next_obs", "dones"):
-            old = getattr(self, name)
-            new = np.zeros((self.capacity,) + old.shape[1:], dtype=old.dtype)
-            new[:len(old)] = old
-            setattr(self, name, new)
-
     def add(self, item: Transition) -> None:
         i = self.added % self.capacity
-        if i == len(self.rewards):  # the first rows are full
-            self._grow_to_capacity()
         self.obs[i] = item.obs
         self.actions[i] = item.action
         self.rewards[i] = item.reward

