@@ -6,14 +6,12 @@ from trafficlab.adapt import (
     DetectionSchedule,
     TimelinePoint,
     detect_instability,
-    detection_rate_at,
     run_deployment,
 )
 from trafficlab.agents import (
     Agent,
     AgentConfig,
     Transition,
-    compute_advantage,
     load_agent,
     make_agent,
     save_agent,

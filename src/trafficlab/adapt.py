@@ -48,10 +48,6 @@ class DetectionSchedule:
         raise AssertionError("unreachable")  # pragma: no cover
 
 
-def detection_rate_at(schedule: DetectionSchedule, t: float) -> float:
-    return schedule.rate_at(t)
-
-
 @dataclass
 class DeploymentConfig:
     schedule: DetectionSchedule
@@ -140,13 +136,7 @@ class _WindowAccumulator:
         dw, dn = wd - self._snap[0], nd - self._snap[1]
         uw, un = wu - self._snap[2], nu - self._snap[3]
         self._snap = (wd, nd, wu, nu)
-        for veh in state.iter_vehicles():
-            if veh.detected:
-                dw += veh.cumulative_wait
-                dn += 1
-            else:
-                uw += veh.cumulative_wait
-                un += 1
+        dw, dn, uw, un = state.add_onroad_waits(dw, dn, uw, un)
         wait_det = dw / dn if dn else None
         wait_undet = uw / un if un else None
         wait_all = (dw + uw) / (dn + un) if dn + un else None

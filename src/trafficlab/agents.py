@@ -2,9 +2,7 @@
 surrogate policy optimization, curvature-preconditioned actor-critic, and a
 fixed-time baseline, all behind one act/update interface.
 
-Policy nets emit two logits (keep, switch); critics emit one value. A
-tabular Q-learner is kept alongside the neural variant so the update rule
-can be checked against exact dynamic programming on tiny problems.
+Policy nets emit two logits (keep, switch); critics emit one value.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -96,7 +93,7 @@ class AgentConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.clip_epsilon <= 0:
             raise ValueError("clip_epsilon must be positive")
-        for name in ("actor_lr", "critic_lr", "q_lr"):
+        for name in ("actor_lr", "critic_lr", "q_lr", "replay_capacity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.rollout_length <= 0 or self.batch_size <= 0:
@@ -111,12 +108,6 @@ class Transition:
     next_obs: np.ndarray
     done: bool
     log_prob: float | None = None
-
-
-def compute_advantage(r_t: float, v_next: float, v_now: float,
-                      gamma: float, done: bool) -> float:
-    """One-step advantage: r + gamma * V(s') - V(s), no bootstrap at done."""
-    return r_t + (0.0 if done else gamma * v_next) - v_now
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -319,35 +310,12 @@ class DqlAgent(Agent):
         self.updates = state["updates"]
 
 
-class TabularQ:
-    """Exact tabular Q-learning update, used as the reference specialization
-    of the neural learner on small finite problems."""
-
-    def __init__(self, n_actions: int, gamma: float):
-        self.n_actions = n_actions
-        self.gamma = gamma
-        self.q: dict = defaultdict(float)
-
-    def value(self, state, action) -> float:
-        return self.q[(state, action)]
-
-    def best_value(self, state) -> float:
-        return max(self.q[(state, a)] for a in range(self.n_actions))
-
-    def best_action(self, state) -> int:
-        values = [self.q[(state, a)] for a in range(self.n_actions)]
-        return int(np.argmax(values))
-
-    def update(self, state, action, reward, next_state, alpha: float,
-               done: bool = False) -> float:
-        bootstrap = 0.0 if done else self.gamma * self.best_value(next_state)
-        key = (state, action)
-        self.q[key] += alpha * (reward + bootstrap - self.q[key])
-        return self.q[key]
-
-
 class _ActorCriticAgent(Agent):
-    """Shared machinery: softmax policy over two logits plus a value net."""
+    """Shared machinery: softmax policy over two logits plus a value net,
+    each with its own optimizer (``config.optimizer`` unless the class
+    fixes one)."""
+
+    optimizer_name: str | None = None
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
@@ -357,6 +325,9 @@ class _ActorCriticAgent(Agent):
                                 seed=config.seed)
         self.critic = Mlp.create([obs_dim] + hidden + [1], acts,
                                  seed=config.seed + 1)
+        optimizer = self.optimizer_name or config.optimizer
+        self.actor_optimizer = make_optimizer(optimizer, self.actor)
+        self.critic_optimizer = make_optimizer(optimizer, self.critic)
 
     @property
     def needs_rollout(self) -> int:
@@ -454,11 +425,6 @@ class A2cAgent(_ActorCriticAgent):
     """One-step advantage actor-critic: the actor ascends
     mean(log pi(a|s) * A), the critic regresses onto bootstrapped targets."""
 
-    def __init__(self, config: AgentConfig, obs_dim: int):
-        super().__init__(config, obs_dim)
-        self.actor_optimizer = make_optimizer(config.optimizer, self.actor)
-        self.critic_optimizer = make_optimizer(config.optimizer, self.critic)
-
     def update(self, transitions: list[Transition]) -> dict[str, float]:
         self.train_steps += len(transitions)
         obs, actions, targets, advantages = self._targets_and_advantages(transitions)
@@ -485,11 +451,6 @@ class PpoAgent(_ActorCriticAgent):
     ratio = pi_new(a|s) / pi_old(a|s); the ratio gradient is dropped
     wherever the clipped branch is the active minimum.
     """
-
-    def __init__(self, config: AgentConfig, obs_dim: int):
-        super().__init__(config, obs_dim)
-        self.actor_optimizer = make_optimizer(config.optimizer, self.actor)
-        self.critic_optimizer = make_optimizer(config.optimizer, self.critic)
 
     def update(self, transitions: list[Transition]) -> dict[str, float]:
         cfg = self.config
@@ -535,10 +496,10 @@ class AcktrAgent(_ActorCriticAgent):
     are preconditioned by the running factor inverses and the applied step
     is capped to a maximum parameter-space norm."""
 
+    optimizer_name = "sgd"
+
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
-        self.actor_optimizer = make_optimizer("sgd", self.actor)
-        self.critic_optimizer = make_optimizer("sgd", self.critic)
         self.actor_stats = KfacStats(self.actor, damping=config.kfac_damping,
                                      decay=config.kfac_decay,
                                      augment_bias=config.kfac_augment_bias)

@@ -53,10 +53,6 @@ def parse_schedule(raw: str) -> DetectionSchedule:
     return DetectionSchedule(points)
 
 
-def format_schedule(schedule: DetectionSchedule) -> str:
-    return ",".join(f"{t:g}:{r:g}" for t, r in schedule.breakpoints)
-
-
 @dataclass
 class ExperimentSpec:
     """One experiment's grid: algorithms x detection rates x seeds."""

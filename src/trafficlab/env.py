@@ -19,14 +19,13 @@ from enum import Enum
 import numpy as np
 
 from trafficlab.sim import (
-    APPROACHES,
     Command,
-    Metrics,
-    Phase,
+    RoadCensus,
     SimConfig,
     SimState,
     kinematics_step,
     metrics_snapshot,
+    road_census,
     signal_step,
     spawn_step,
 )
@@ -89,21 +88,19 @@ class EnvConfig:
         return BASE_OBSERVATION_SIZE + (1 if self.include_time_of_day else 0)
 
 
-def build_observation(state: SimState, config: EnvConfig) -> np.ndarray:
-    """Compact state vector; undetected vehicles are invisible to it."""
-    sim = config.sim
+def build_observation(state: SimState, config: EnvConfig,
+                      census: RoadCensus | None = None) -> np.ndarray:
+    """Compact state vector; undetected vehicles are invisible to it. The
+    road slots are read from ``census`` when given."""
+    if census is None:
+        census = road_census(state, config.sim)
     capacity = config.lane_capacity
+    lane_length = config.sim.lane_length
     obs = np.ones(config.observation_size)
-    for i, approach in enumerate(APPROACHES):
-        count = 0
-        nearest = None
-        for veh in state.lanes[approach]:
-            if veh.detected:
-                count += 1
-                if nearest is None:  # lanes are ordered front to back
-                    nearest = veh.position
+    for i, (count, nearest) in enumerate(zip(census.detected_counts,
+                                             census.nearest_detected)):
         obs[i] = min(count / capacity, 1.0)
-        obs[N_COUNT_SLOTS + i] = 1.0 if nearest is None else min(nearest / sim.lane_length, 1.0)
+        obs[N_COUNT_SLOTS + i] = 1.0 if nearest is None else min(nearest / lane_length, 1.0)
     obs[PHASE_TIME_SLOT] = state.signal.phase_elapsed
     obs[AMBER_SLOT] = 1.0 if state.signal.in_amber else 0.0
     obs[PHASE_SLOT] = float(int(state.signal.phase))
@@ -112,20 +109,18 @@ def build_observation(state: SimState, config: EnvConfig) -> np.ndarray:
     return obs
 
 
-def compute_reward(state: SimState) -> RewardBreakdown:
+def compute_reward(state: SimState,
+                   census: RoadCensus | None = None) -> RewardBreakdown:
     """Negative normalized speed deficit, split by detection class.
 
     Each vehicle contributes (vmax - v) / vmax; the partial reward sums
-    only detected contributions, so partial >= full always.
+    only detected contributions, so partial >= full always. The sums are
+    read from ``census`` when given.
     """
-    detected = 0.0
-    undetected = 0.0
-    for veh in state.iter_vehicles():
-        deficit = (veh.vmax - veh.speed) / veh.vmax
-        if veh.detected:
-            detected += deficit
-        else:
-            undetected += deficit
+    if census is None:
+        census = road_census(state, SimConfig())  # deficits need no config
+    detected = census.detected_deficit
+    undetected = census.undetected_deficit
     return RewardBreakdown(
         full=-(detected + undetected),
         partial=-detected,
@@ -185,14 +180,15 @@ class TrafficSignalEnv:
         signal_step(state, Command(int(action)), sim_cfg)
         spawn_step(state, sim_cfg)
         kinematics_step(state, sim_cfg)
-        breakdown = compute_reward(state)
+        census = road_census(state, sim_cfg)
+        breakdown = compute_reward(state, census)
         reward = breakdown.for_mode(self.config.reward_mode)
         self._done = state.clock >= self.config.episode_length - 1e-9
         info = {
             "reward_breakdown": breakdown,
-            "metrics": metrics_snapshot(state, sim_cfg),
+            "metrics": metrics_snapshot(state, sim_cfg, census),
         }
-        obs = build_observation(state, self.config)
+        obs = build_observation(state, self.config, census)
         return obs, reward, self._done, info
 
     @property

@@ -186,20 +186,9 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
             queue_total += sum(info["metrics"].queue_lengths.values())
             queue_samples += 1
         state = env.state
-        # census over every vehicle that entered: exited vehicles carry
-        # their final waits, vehicles still on the road their accrued ones,
-        # so a starved approach cannot hide from the average
-        ep_det = state.exited_wait_detected
-        ep_n_det = state.exited_n_detected
-        ep_undet = state.exited_wait_undetected
-        ep_n_undet = state.exited_n_undetected
-        for veh in state.iter_vehicles():
-            if veh.detected:
-                ep_det += veh.cumulative_wait
-                ep_n_det += 1
-            else:
-                ep_undet += veh.cumulative_wait
-                ep_n_undet += 1
+        ep_det, ep_n_det, ep_undet, ep_n_undet = state.add_onroad_waits(
+            state.exited_wait_detected, state.exited_n_detected,
+            state.exited_wait_undetected, state.exited_n_undetected)
         wait_det += ep_det
         n_det += ep_n_det
         wait_undet += ep_undet

@@ -180,10 +180,6 @@ class Mlp:
         return self.layers[0].w.shape[1]
 
     @property
-    def output_size(self) -> int:
-        return self.layers[-1].w.shape[0]
-
-    @property
     def sizes(self) -> list[int]:
         return [self.input_size] + [layer.w.shape[0] for layer in self.layers]
 
@@ -303,6 +299,9 @@ class Mlp:
             seed = header["seed"]
         except (ValueError, KeyError, UnicodeDecodeError) as exc:
             raise CheckpointFormatError(f"unreadable network header: {exc}") from exc
+        if len(activations) != len(shapes):
+            raise CheckpointShapeError(
+                f"{len(shapes)} layer shapes but {len(activations)} activations")
         n_params = sum(o * i + o for o, i in shapes)
         start = end + header_len
         stop = start + n_params * 8

@@ -14,7 +14,7 @@ cheap to create, so parallel experiments simply use one state each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -217,10 +217,60 @@ class SimState:
         for approach in APPROACHES:
             yield from self.lanes[approach]
 
-    @property
-    def vehicles(self) -> dict[int, Vehicle]:
-        """Id-keyed view of all vehicles currently on an approach."""
-        return {v.id: v for v in self.iter_vehicles()}
+    def add_onroad_waits(self, wait_det: float, n_det: int,
+                         wait_undet: float, n_undet: int):
+        """The given per-class wait totals and counts plus the accrued
+        waits of the vehicles still on the road, added front to back in
+        ``APPROACHES`` order. A mean over the result covers every vehicle
+        that entered, so a starved approach cannot hide from it."""
+        for veh in self.iter_vehicles():
+            if veh.detected:
+                wait_det += veh.cumulative_wait
+                n_det += 1
+            else:
+                wait_undet += veh.cumulative_wait
+                n_undet += 1
+        return wait_det, n_det, wait_undet, n_undet
+
+
+@dataclass(slots=True)
+class RoadCensus:
+    """Per-class sums of (vmax - v) / vmax over the road, and per approach
+    in ``APPROACHES`` order: detected vehicles, the position of the nearest
+    detected one (``None`` if none) and the queue below the wait speed."""
+
+    detected_deficit: float
+    undetected_deficit: float
+    detected_counts: list[int]
+    nearest_detected: list[float | None]
+    queue_lengths: list[int]
+
+
+def road_census(state: SimState, config: SimConfig) -> RoadCensus:
+    """Walk every lane once, front to back, in ``APPROACHES`` order; the
+    deficits are summed vehicle by vehicle in that order."""
+    threshold = config.wait_speed_threshold
+    detected = undetected = 0.0
+    counts, nearest, queues = [], [], []
+    for approach in APPROACHES:
+        count = queue = 0
+        near = None
+        for veh in state.lanes[approach]:
+            speed = veh.speed
+            if speed < threshold:
+                queue += 1
+            vmax = veh.vmax
+            if veh.detected:
+                if near is None:
+                    near = veh.position
+                count += 1
+                detected += (vmax - speed) / vmax
+            else:
+                undetected += (vmax - speed) / vmax
+        counts.append(count)
+        nearest.append(near)
+        queues.append(queue)
+    return RoadCensus(detected, undetected, counts, nearest, queues)
 
 
 def _braking_limited_speed(distance: float, decel: float, dt: float) -> float:
@@ -284,35 +334,54 @@ def kinematics_step(state: SimState, config: SimConfig) -> SimState:
     exits and its waiting time is booked into the per-class accumulators.
     """
     dt = config.time_step
-    accel = config.accel
-    decel = config.decel
+    accel_dt = config.accel * dt
+    # the terms of _braking_limited_speed, in its order of operations
+    neg_decel_dt = -config.decel * dt
+    decel_sq_dt_sq = config.decel * config.decel * dt * dt
+    two_decel = 2.0 * config.decel
     spacing = config.vehicle_length + config.min_gap
     threshold = config.wait_speed_threshold
-    for approach in APPROACHES:
-        lane = state.lanes[approach]
+    sig = state.signal
+    ns_green = not sig.in_amber and sig.phase == Phase.NS_GREEN
+    ew_green = not sig.in_amber and sig.phase == Phase.EW_GREEN
+    exited = state.exited_count
+    lanes = state.lanes
+    for approach, green in zip(APPROACHES, (ns_green, ns_green, ew_green, ew_green)):
+        lane = lanes[approach]
         if not lane:
             continue
-        green = state.signal.axis_has_green(approach.axis)
         survivors: list[Vehicle] = []
-        leader_new_pos: float | None = None
+        leader_new_pos = None
         for veh in lane:
-            budget = math.inf
-            if leader_new_pos is not None:
-                budget = veh.position - (leader_new_pos + spacing)
-            if not green:
-                budget = min(budget, veh.position)
-            new_speed = min(veh.vmax, veh.speed + accel * dt)
-            if budget != math.inf:
-                if budget < 0.0:
-                    budget = 0.0
-                new_speed = min(new_speed, _braking_limited_speed(budget, decel, dt))
-            new_pos = veh.position - new_speed * dt
-            if new_pos < veh.position - budget:
-                new_pos = veh.position - budget  # float-noise guard
+            pos = veh.position
+            new_speed = veh.speed + accel_dt
+            if not new_speed < veh.vmax:
+                new_speed = veh.vmax
+            if leader_new_pos is None and green:
+                new_pos = pos - new_speed * dt  # nothing ahead to stop for
+            else:
+                if leader_new_pos is None:
+                    budget = pos
+                else:
+                    budget = pos - (leader_new_pos + spacing)
+                    if not green and pos < budget:
+                        budget = pos
+                if budget > 0.0:
+                    cap = neg_decel_dt + math.sqrt(decel_sq_dt_sq + two_decel * budget)
+                    if cap < new_speed:
+                        new_speed = cap
+                else:
+                    if budget < 0.0:
+                        budget = 0.0
+                    if 0.0 < new_speed:
+                        new_speed = 0.0
+                new_pos = pos - new_speed * dt
+                if new_pos < pos - budget:
+                    new_pos = pos - budget  # float-noise guard
             veh.speed = new_speed
             leader_new_pos = new_pos
             if new_pos < 0.0:
-                state.exited_count += 1
+                exited += 1
                 if veh.detected:
                     state.exited_wait_detected += veh.cumulative_wait
                     state.exited_n_detected += 1
@@ -324,7 +393,8 @@ def kinematics_step(state: SimState, config: SimConfig) -> SimState:
                 if new_speed < threshold:
                     veh.cumulative_wait += dt
                 survivors.append(veh)
-        state.lanes[approach] = survivors
+        lanes[approach] = survivors
+    state.exited_count = exited
     state.clock += dt
     return state
 
@@ -354,9 +424,12 @@ def signal_step(state: SimState, command: Command, config: SimConfig) -> SimStat
     return state
 
 
-def metrics_snapshot(state: SimState, config: SimConfig) -> Metrics:
+def metrics_snapshot(state: SimState, config: SimConfig,
+                     census: RoadCensus | None = None) -> Metrics:
     """Mean waiting time per detection class over exited vehicles, plus
-    current per-approach queue lengths."""
+    current per-approach queue lengths, read from ``census`` when given."""
+    if census is None:
+        census = road_census(state, config)
     n_det = state.exited_n_detected
     n_undet = state.exited_n_undetected
     n_all = n_det + n_undet
@@ -366,10 +439,6 @@ def metrics_snapshot(state: SimState, config: SimConfig) -> Metrics:
         (state.exited_wait_detected + state.exited_wait_undetected) / n_all
         if n_all else None
     )
-    queues = {
-        a: sum(1 for v in state.lanes[a] if v.speed < config.wait_speed_threshold)
-        for a in APPROACHES
-    }
     return Metrics(
         wait_all=wait_all,
         wait_detected=wait_det,
@@ -377,5 +446,5 @@ def metrics_snapshot(state: SimState, config: SimConfig) -> Metrics:
         exited_all=n_all,
         exited_detected=n_det,
         exited_undetected=n_undet,
-        queue_lengths=queues,
+        queue_lengths=dict(zip(APPROACHES, census.queue_lengths)),
     )

@@ -1,0 +1,113 @@
+"""Per-vehicle reference versions of the env step's road walks.
+
+These are the plain loops the simulator used before its kinematics loop
+was hoisted and its reward, observation and queue passes were folded
+into one road census. Tests drive them in lockstep with the real step
+and require bit-identical results.
+"""
+
+import math
+
+import numpy as np
+
+from trafficlab.env import (
+    AMBER_SLOT,
+    N_COUNT_SLOTS,
+    PHASE_SLOT,
+    PHASE_TIME_SLOT,
+    TIME_OF_DAY_SLOT,
+)
+from trafficlab.sim import APPROACHES
+
+
+def braking_limited_speed(distance, decel, dt):
+    if distance <= 0.0:
+        return 0.0
+    return -decel * dt + math.sqrt(decel * decel * dt * dt + 2.0 * decel * distance)
+
+
+def kinematics_step(state, config):
+    dt = config.time_step
+    accel = config.accel
+    decel = config.decel
+    spacing = config.vehicle_length + config.min_gap
+    threshold = config.wait_speed_threshold
+    for approach in APPROACHES:
+        lane = state.lanes[approach]
+        if not lane:
+            continue
+        green = state.signal.axis_has_green(approach.axis)
+        survivors = []
+        leader_new_pos = None
+        for veh in lane:
+            budget = math.inf
+            if leader_new_pos is not None:
+                budget = veh.position - (leader_new_pos + spacing)
+            if not green:
+                budget = min(budget, veh.position)
+            new_speed = min(veh.vmax, veh.speed + accel * dt)
+            if budget != math.inf:
+                if budget < 0.0:
+                    budget = 0.0
+                new_speed = min(new_speed, braking_limited_speed(budget, decel, dt))
+            new_pos = veh.position - new_speed * dt
+            if new_pos < veh.position - budget:
+                new_pos = veh.position - budget
+            veh.speed = new_speed
+            leader_new_pos = new_pos
+            if new_pos < 0.0:
+                state.exited_count += 1
+                if veh.detected:
+                    state.exited_wait_detected += veh.cumulative_wait
+                    state.exited_n_detected += 1
+                else:
+                    state.exited_wait_undetected += veh.cumulative_wait
+                    state.exited_n_undetected += 1
+            else:
+                veh.position = new_pos
+                if new_speed < threshold:
+                    veh.cumulative_wait += dt
+                survivors.append(veh)
+        state.lanes[approach] = survivors
+    state.clock += dt
+    return state
+
+
+def reward_deficits(state):
+    """(detected, undetected) normalized speed-deficit sums."""
+    detected = 0.0
+    undetected = 0.0
+    for veh in state.iter_vehicles():
+        deficit = (veh.vmax - veh.speed) / veh.vmax
+        if veh.detected:
+            detected += deficit
+        else:
+            undetected += deficit
+    return detected, undetected
+
+
+def observation(state, config):
+    sim = config.sim
+    capacity = config.lane_capacity
+    obs = np.ones(config.observation_size)
+    for i, approach in enumerate(APPROACHES):
+        count = 0
+        nearest = None
+        for veh in state.lanes[approach]:
+            if veh.detected:
+                count += 1
+                if nearest is None:
+                    nearest = veh.position
+        obs[i] = min(count / capacity, 1.0)
+        obs[N_COUNT_SLOTS + i] = 1.0 if nearest is None else min(nearest / sim.lane_length, 1.0)
+    obs[PHASE_TIME_SLOT] = state.signal.phase_elapsed
+    obs[AMBER_SLOT] = 1.0 if state.signal.in_amber else 0.0
+    obs[PHASE_SLOT] = float(int(state.signal.phase))
+    if config.include_time_of_day:
+        obs[TIME_OF_DAY_SLOT] = (state.clock % config.day_length) / config.day_length
+    return obs
+
+
+def queue_lengths(state, config):
+    return [sum(1 for v in state.lanes[a] if v.speed < config.wait_speed_threshold)
+            for a in APPROACHES]

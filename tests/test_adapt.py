@@ -7,7 +7,6 @@ from trafficlab.adapt import (
     DeploymentConfig,
     DetectionSchedule,
     detect_instability,
-    detection_rate_at,
     run_deployment,
 )
 from trafficlab.agents import Agent, AgentConfig, make_agent
@@ -36,15 +35,15 @@ def fixed_time_agent(obs_dim=11):
 # ---------------------------------------------------------------------------
 
 def test_ramp_start_rate():
-    assert detection_rate_at(ramp(), 0.0) == pytest.approx(0.1)
+    assert ramp().rate_at(0.0) == pytest.approx(0.1)
 
 
 def test_ramp_end_rate():
-    assert detection_rate_at(ramp(), T_END) == pytest.approx(1.0)
+    assert ramp().rate_at(T_END) == pytest.approx(1.0)
 
 
 def test_ramp_midpoint_linear():
-    assert detection_rate_at(ramp(), T_END / 2) == pytest.approx(0.55)
+    assert ramp().rate_at(T_END / 2) == pytest.approx(0.55)
 
 
 def test_schedule_clamps_outside_span():

@@ -1,5 +1,6 @@
 import json
 import struct
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -13,12 +14,10 @@ from trafficlab.agents import (
     FixedTimeAgent,
     ObservationShapeError,
     PpoAgent,
-    TabularQ,
     Transition,
     _ReplayBuffer,
     agent_from_bytes,
     agent_to_bytes,
-    compute_advantage,
     load_agent,
     make_agent,
     save_agent,
@@ -137,6 +136,24 @@ def test_epsilon_schedule_linear_then_constant():
 # ---------------------------------------------------------------------------
 # tabular Q-learning against dynamic programming
 # ---------------------------------------------------------------------------
+
+class TabularQ:
+    """Exact tabular Q-learning update, the reference specialization of the
+    neural learner on small finite problems."""
+
+    def __init__(self, n_actions: int, gamma: float):
+        self.n_actions = n_actions
+        self.gamma = gamma
+        self.q: dict = defaultdict(float)
+
+    def update(self, state, action, reward, next_state, alpha: float,
+               done: bool = False) -> float:
+        best_next = max(self.q[(next_state, a)] for a in range(self.n_actions))
+        bootstrap = 0.0 if done else self.gamma * best_next
+        key = (state, action)
+        self.q[key] += alpha * (reward + bootstrap - self.q[key])
+        return self.q[key]
+
 
 MDP_NEXT = {(s, a): (s + 1 + a) % 3 for s in range(3) for a in range(2)}
 MDP_REWARD = {(0, 0): 1.0, (0, 1): 0.0, (1, 0): -0.5,
@@ -312,6 +329,18 @@ def test_dql_update_losses_match_list_replay_oracle():
 # ---------------------------------------------------------------------------
 # advantage arithmetic
 # ---------------------------------------------------------------------------
+
+def compute_advantage(r_t, v_next, v_now, gamma, done):
+    """The advantage ``_targets_and_advantages`` gives one transition from
+    an all-zero observation to an all-one one, under a critic that values
+    them ``v_now`` and ``v_next``."""
+    agent = make_agent(config_for("a2c", gamma=gamma), OBS_DIM)
+    agent.critic = lambda x: np.where(x[:, :1] == 0.0, v_now, v_next)
+    batch = [Transition(np.zeros(OBS_DIM), 0, r_t, np.ones(OBS_DIM), done)]
+    _, _, _, advantages = agent._targets_and_advantages(batch)
+    assert advantages.shape == (1,)
+    return advantages[0]
+
 
 def test_compute_advantage_substitution():
     assert compute_advantage(1.0, 0.5, 1.0, 0.9, False) == pytest.approx(0.45)
@@ -741,6 +770,12 @@ def test_algorithm_mismatch_reported_distinctly(tmp_path):
     save_agent(make_agent(config_for("dql"), OBS_DIM), path)
     with pytest.raises(AlgorithmMismatchError):
         load_agent(path, expected_algorithm="ppo")
+
+
+@pytest.mark.parametrize("capacity", [0, -3])
+def test_non_positive_replay_capacity_rejected(capacity):
+    with pytest.raises(ValueError, match="replay_capacity"):
+        config_for("dql", replay_capacity=capacity)
 
 
 def test_checkpoint_preserves_config_fields(tmp_path):

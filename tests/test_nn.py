@@ -4,6 +4,7 @@ import pytest
 from trafficlab.nn import (
     AdamOptimizer,
     CheckpointFormatError,
+    CheckpointShapeError,
     CheckpointTruncatedError,
     DivergenceError,
     Gradients,
@@ -512,6 +513,21 @@ def test_checkpoint_version_mismatch_rejected():
     blob[4:8] = _struct.pack("<I", 99)
     with pytest.raises(CheckpointFormatError, match="version"):
         Mlp.from_bytes(bytes(blob))
+
+
+def test_checkpoint_activation_count_mismatch_rejected():
+    import json
+    import struct as _struct
+    blob = small_net(seed=1).to_bytes()
+    header_len = _struct.unpack_from("<I", blob, 8)[0]
+    header = json.loads(blob[12:12 + header_len])
+    assert len(header["layer_shapes"]) == 2
+    header["activations"] = header["activations"][:1]
+    new_header = json.dumps(header).encode("utf-8")
+    forged = (blob[:8] + _struct.pack("<I", len(new_header)) + new_header
+              + blob[12 + header_len:])
+    with pytest.raises(CheckpointShapeError, match="activations"):
+        Mlp.from_bytes(forged)
 
 
 def test_checkpoint_corrupted_header_rejected():

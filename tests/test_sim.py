@@ -433,9 +433,11 @@ def test_approach_axis_mapping():
     assert Phase.NS_GREEN.opposite is Phase.EW_GREEN
 
 
-def test_vehicles_view_keyed_by_id():
+def test_lanes_hold_vehicles_by_approach():
     cfg = SimConfig(arrival_rate=0.0)
     state = SimState.initial(cfg)
     veh = make_vehicle(7, Approach.WEST, 30.0, 1.0, cfg)
     state.lanes[Approach.WEST].append(veh)
-    assert state.vehicles == {7: veh}
+    assert list(state.iter_vehicles()) == [veh]
+    assert state.lanes[Approach.WEST] == [veh]
+    assert state.vehicle_count() == 1
