@@ -16,10 +16,6 @@ import numpy as np
 
 from trafficlab.env import PHASE_TIME_SLOT
 from trafficlab.nn import (
-    AdamOptimizer,
-    CheckpointError,
-    CheckpointFormatError,
-    CheckpointTruncatedError,
     DivergenceError,
     Gradients,
     KfacStats,
@@ -29,14 +25,30 @@ from trafficlab.nn import (
 
 ALGORITHMS = ("dql", "a2c", "ppo", "acktr", "fixed_time")
 
-_AGENT_MAGIC = b"TLAG"
-_AGENT_FORMAT_VERSION = 1
+_MAGIC = b"TLAG"
+_FORMAT_VERSION = 2
 
 N_ACTIONS = 2
 
 
 class ObservationShapeError(ValueError):
     """Observation length does not match what the agent was built for."""
+
+
+class CheckpointError(RuntimeError):
+    """Base class for unreadable checkpoint files."""
+
+
+class CheckpointFormatError(CheckpointError):
+    pass
+
+
+class CheckpointTruncatedError(CheckpointError):
+    pass
+
+
+class CheckpointShapeError(CheckpointError):
+    pass
 
 
 class AlgorithmMismatchError(CheckpointError):
@@ -93,11 +105,13 @@ class AgentConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.clip_epsilon <= 0:
             raise ValueError("clip_epsilon must be positive")
-        for name in ("actor_lr", "critic_lr", "q_lr", "replay_capacity"):
+        for name in ("actor_lr", "critic_lr", "q_lr", "replay_capacity",
+                     "rollout_length", "batch_size", "target_sync_period",
+                     "ppo_epochs", "ppo_minibatch", "phase_time_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.rollout_length <= 0 or self.batch_size <= 0:
-            raise ValueError("rollout_length and batch_size must be positive")
+        if any(size <= 0 for size in self.hidden_sizes):
+            raise ValueError("hidden_sizes must be positive")
 
 
 @dataclass(slots=True)
@@ -174,9 +188,6 @@ class Agent:
 
     def _load_extra_state(self, state: dict) -> None:
         pass
-
-    def save(self, path) -> None:
-        save_agent(self, path)
 
 
 class FixedTimeAgent(Agent):
@@ -396,7 +407,7 @@ class _ActorCriticAgent(Agent):
         ``critic_epochs`` times so the value scale can be reached within a
         desk-scale update budget."""
         loss = 0.0
-        for _ in range(max(1, self.config.critic_epochs)):
+        for epoch in range(max(1, self.config.critic_epochs)):
             v, cache = self.critic.forward(obs)
             resid = v.ravel() - targets
             loss = float(np.mean(resid * resid))
@@ -404,9 +415,15 @@ class _ActorCriticAgent(Agent):
                 raise DivergenceError("critic loss became non-finite")
             grads = self.critic.backward(cache,
                                          (2.0 * resid / len(targets))[:, None])
-            self.critic_optimizer.step(self.critic, grads.scaled(-1.0),
-                                       self.config.critic_lr)
+            self.critic_optimizer.step(
+                self.critic, self._critic_direction(grads, cache, resid, epoch),
+                self.config.critic_lr)
         return loss
+
+    def _critic_direction(self, grads: Gradients, cache, resid,
+                          epoch: int) -> Gradients:
+        """The critic's step direction from its loss gradient: descent."""
+        return grads.scaled(-1.0)
 
     def _nets(self) -> dict[str, Mlp]:
         return {"actor": self.actor, "critic": self.critic}
@@ -438,10 +455,17 @@ class A2cAgent(_ActorCriticAgent):
         dlogits = self._actor_surrogate_grad(logp, pi, actions, advantages,
                                              len(transitions))
         grads = self.actor.backward(cache, dlogits)
-        self.actor_optimizer.step(self.actor, grads, self.config.actor_lr)
+        self.actor_optimizer.step(
+            self.actor, self._actor_direction(grads, cache, pi, actions),
+            self.config.actor_lr)
         critic_loss = self._critic_step(obs, targets)
         return {"actor_loss": -surrogate, "critic_loss": critic_loss,
                 "entropy": float(np.mean(-(pi * logp).sum(axis=1)))}
+
+    def _actor_direction(self, grads: Gradients, cache, pi,
+                         actions) -> Gradients:
+        """The actor's step direction from its surrogate gradient: ascent."""
+        return grads
 
 
 class PpoAgent(_ActorCriticAgent):
@@ -491,10 +515,11 @@ class PpoAgent(_ActorCriticAgent):
         return {"actor_loss": last_actor_loss, "critic_loss": last_critic_loss}
 
 
-class AcktrAgent(_ActorCriticAgent):
-    """Actor-critic with per-layer Kronecker-factored curvature: gradients
-    are preconditioned by the running factor inverses and the applied step
-    is capped to a maximum parameter-space norm."""
+class AcktrAgent(A2cAgent):
+    """Actor-critic with per-layer Kronecker-factored curvature: the A2C
+    update, with each gradient preconditioned by the running factor
+    inverses, scaled to the KL budget and capped to a maximum
+    parameter-space norm."""
 
     optimizer_name = "sgd"
 
@@ -506,6 +531,28 @@ class AcktrAgent(_ActorCriticAgent):
         self.critic_stats = KfacStats(self.critic, damping=config.kfac_damping,
                                       decay=config.kfac_decay,
                                       augment_bias=config.kfac_augment_bias)
+
+    def _actor_direction(self, grads, cache, pi, actions) -> Gradients:
+        onehot = np.zeros_like(pi)
+        onehot[np.arange(len(actions)), actions] = 1.0
+        # curvature pass: per-sample score-function gradients, unscaled
+        self.actor.backward(cache, onehot - pi)
+        self.actor_stats.update(cache.inputs, cache.pre_grads)
+        return self._natural(self.actor_stats, grads, self.config.actor_lr)
+
+    def _critic_direction(self, grads, cache, resid, epoch) -> Gradients:
+        if epoch == 0:  # refresh curvature once per rollout
+            self.critic.backward(cache, resid[:, None])
+            self.critic_stats.update(cache.inputs, cache.pre_grads)
+        return self._natural(self.critic_stats, grads.scaled(-1.0),
+                             self.config.critic_lr)
+
+    def _natural(self, stats: KfacStats, grads: Gradients,
+                 learning_rate: float) -> Gradients:
+        """Precondition, then scale to the KL budget, then cap."""
+        direction = self._kl_scaled(grads, stats.precondition(grads),
+                                    learning_rate)
+        return self._capped(direction, learning_rate)
 
     def _capped(self, direction: Gradients, learning_rate: float) -> Gradients:
         radius = self.config.trust_region_radius
@@ -538,48 +585,6 @@ class AcktrAgent(_ActorCriticAgent):
         scale = min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
         return nat.scaled(scale)
 
-    def update(self, transitions: list[Transition]) -> dict[str, float]:
-        cfg = self.config
-        self.train_steps += len(transitions)
-        obs, actions, targets, advantages = self._targets_and_advantages(transitions)
-        n = len(transitions)
-
-        logits, cache = self.actor.forward(obs)
-        logp = _log_softmax(logits)
-        pi = np.exp(logp)
-        onehot = np.zeros_like(pi)
-        onehot[np.arange(n), actions] = 1.0
-        # curvature pass: per-sample score-function gradients, unscaled
-        self.actor.backward(cache, onehot - pi)
-        self.actor_stats.update(cache.inputs, cache.pre_grads)
-        taken = logp[np.arange(n), actions]
-        surrogate = float(np.mean(taken * advantages))
-        if not np.isfinite(surrogate):
-            raise DivergenceError("actor surrogate became non-finite")
-        dlogits = self._actor_surrogate_grad(logp, pi, actions, advantages, n)
-        grads = self.actor.backward(cache, dlogits)
-        direction = self.actor_stats.precondition(grads)
-        direction = self._kl_scaled(grads, direction, cfg.actor_lr)
-        direction = self._capped(direction, cfg.actor_lr)
-        self.actor_optimizer.step(self.actor, direction, cfg.actor_lr)
-
-        critic_loss = 0.0
-        for inner in range(max(1, cfg.critic_epochs)):
-            v, vcache = self.critic.forward(obs)
-            resid = v.ravel() - targets
-            critic_loss = float(np.mean(resid * resid))
-            if not np.isfinite(critic_loss):
-                raise DivergenceError("critic loss became non-finite")
-            if inner == 0:  # refresh curvature once per rollout
-                self.critic.backward(vcache, resid[:, None])
-                self.critic_stats.update(vcache.inputs, vcache.pre_grads)
-            cgrads = self.critic.backward(vcache, (2.0 * resid / n)[:, None])
-            cdir = self.critic_stats.precondition(cgrads)
-            cdir = self._kl_scaled(cgrads, cdir, cfg.critic_lr).scaled(-1.0)
-            cdir = self._capped(cdir, cfg.critic_lr)
-            self.critic_optimizer.step(self.critic, cdir, cfg.critic_lr)
-        return {"actor_loss": -surrogate, "critic_loss": critic_loss}
-
     def _optimizers(self) -> dict:
         return {"actor": self.actor_optimizer, "critic": self.critic_optimizer,
                 "actor_stats": self.actor_stats, "critic_stats": self.critic_stats}
@@ -599,97 +604,111 @@ def make_agent(config: AgentConfig, obs_dim: int) -> Agent:
 
 
 # ---------------------------------------------------------------------------
-# agent checkpoints: agent header + network blocks + optimizer state blocks
+# agent checkpoints
 # ---------------------------------------------------------------------------
+#
+# Layout: b"TLAG", <II (format version, header length), a UTF-8 JSON header,
+# then one little-endian float64 payload. The header holds the algorithm,
+# obs_dim, the full config, each net's sizes, activations and seed, each
+# optimizer's meta and state-array shapes, the counters and the RNG state.
+# The payload is each net's ``params`` in ``_nets()`` order, then each
+# optimizer's ``state_arrays()`` in ``_optimizers()`` order.
 
 def agent_to_bytes(agent: Agent) -> bytes:
     nets = agent._nets()
-    optimizers = agent._optimizers() if hasattr(agent, "_optimizers") else {}
-    opt_meta = {}
-    opt_payload = b""
+    optimizers = agent._optimizers()
+    arrays = [net.params for net in nets.values()]
+    opt_header = {}
     for name, opt in optimizers.items():
-        arrays = opt.state_arrays()
-        opt_meta[name] = {
-            "meta": opt.state_meta(),
-            "array_sizes": [int(a.size) for a in arrays],
-            "array_shapes": [list(a.shape) for a in arrays],
-        }
-        for arr in arrays:
-            opt_payload += arr.astype("<f8").tobytes()
+        state = opt.state_arrays()
+        opt_header[name] = {"meta": opt.state_meta(),
+                            "shapes": [list(a.shape) for a in state]}
+        arrays += state
     header = json.dumps({
-        "format_version": _AGENT_FORMAT_VERSION,
         "algorithm": agent.algorithm,
         "obs_dim": agent.obs_dim,
         "config": asdict(agent.config),
-        "nets": list(nets.keys()),
-        "optimizers": opt_meta,
+        "nets": {name: {"sizes": net.sizes, "activations": net.activations,
+                        "seed": net.seed} for name, net in nets.items()},
+        "optimizers": opt_header,
         "extra_state": agent._extra_state(),
-        "rng_state": _rng_state_to_json(agent._rng),
-    }).encode("utf-8")
-    blob = _AGENT_MAGIC + struct.pack("<II", _AGENT_FORMAT_VERSION, len(header))
-    blob += header
-    for net in nets.values():
-        blob += net.to_bytes()
-    blob += opt_payload
-    return blob
-
-
-def _rng_state_to_json(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return json.loads(json.dumps(state, default=int))
+        "rng_state": agent._rng.bit_generator.state,
+    }, default=int).encode("utf-8")
+    payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+    return (_MAGIC + struct.pack("<II", _FORMAT_VERSION, len(header))
+            + header + payload)
 
 
 def agent_from_bytes(blob: bytes, expected_algorithm: str | None = None) -> Agent:
-    prefix = len(_AGENT_MAGIC) + 8
+    prefix = len(_MAGIC) + 8
     if len(blob) < prefix:
-        raise CheckpointTruncatedError("agent header cut short")
-    if blob[:len(_AGENT_MAGIC)] != _AGENT_MAGIC:
+        raise CheckpointTruncatedError("agent checkpoint prefix cut short")
+    if blob[:len(_MAGIC)] != _MAGIC:
         raise CheckpointFormatError("bad agent checkpoint magic bytes")
-    version, header_len = struct.unpack_from("<II", blob, len(_AGENT_MAGIC))
-    if version != _AGENT_FORMAT_VERSION:
-        raise CheckpointFormatError(f"unsupported agent format version {version}")
+    version, header_len = struct.unpack_from("<II", blob, len(_MAGIC))
+    if version != _FORMAT_VERSION:
+        raise CheckpointFormatError(
+            f"unsupported agent checkpoint version {version}; this build "
+            f"reads version {_FORMAT_VERSION} only")
     if len(blob) < prefix + header_len:
         raise CheckpointTruncatedError("agent header cut short")
     try:
         header = json.loads(blob[prefix:prefix + header_len].decode("utf-8"))
-        algorithm = header["algorithm"]
-        config = AgentConfig(**header["config"])
-        obs_dim = header["obs_dim"]
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise CheckpointFormatError(f"unreadable agent header: {exc}") from exc
+        return _restore(header, blob, prefix + header_len, expected_algorithm)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointFormatError(
+            f"unreadable agent header: {type(exc).__name__}: {exc}") from exc
+
+
+def _restore(header: dict, blob: bytes, offset: int,
+             expected_algorithm: str | None) -> Agent:
+    """Build the agent a parsed header describes and fill it from the
+    payload at ``offset``. A malformed header surfaces as a KeyError,
+    TypeError, ValueError or OverflowError, which the caller reports as a
+    format error."""
+    algorithm = header["algorithm"]
     if expected_algorithm is not None and algorithm != expected_algorithm:
         raise AlgorithmMismatchError(
             f"checkpoint holds {algorithm!r}, expected {expected_algorithm!r}")
-    agent = make_agent(config, obs_dim)
-    offset = prefix + header_len
-    nets = agent._nets()
-    if list(nets.keys()) != header["nets"]:
-        raise CheckpointFormatError("checkpoint net list does not match algorithm")
-    for name in header["nets"]:
-        net, offset = Mlp._parse(blob, offset)
-        target = nets[name]
-        if net.sizes != target.sizes or net.activations != target.activations:
-            raise CheckpointError(
-                f"net {name!r} shape mismatch: checkpoint {net.sizes} vs "
-                f"agent {target.sizes}")
-        target.set_flat(net.flatten())
-        target.seed = net.seed
-    for name, meta in header["optimizers"].items():
-        opt = agent._optimizers()[name]
-        arrays = []
-        for shape in meta["array_shapes"]:
-            count = int(np.prod(shape)) if shape else 1
-            stop = offset + count * 8
-            if len(blob) < stop:
-                raise CheckpointTruncatedError("optimizer state cut short")
-            arrays.append(np.frombuffer(blob[offset:stop], dtype="<f8")
-                          .reshape(shape).astype(np.float64))
-            offset = stop
-        opt.load_state_arrays(arrays)
-        if isinstance(opt, AdamOptimizer):
-            opt.t = meta["meta"].get("t", 0)
-    if offset != len(blob):
-        raise CheckpointFormatError("trailing bytes after agent checkpoint")
+    config = AgentConfig(**header["config"])
+    if config.algorithm != algorithm:
+        raise CheckpointFormatError("header algorithm disagrees with its config")
+    agent = make_agent(config, header["obs_dim"])
+    nets, optimizers = agent._nets(), agent._optimizers()
+    if list(header["nets"]) != list(nets):
+        raise CheckpointFormatError("checkpoint nets do not match the algorithm")
+    if list(header["optimizers"]) != list(optimizers):
+        raise CheckpointFormatError(
+            "checkpoint optimizers do not match the algorithm")
+    arrays = []  # the payload's destinations, in payload order
+    for name, net in nets.items():
+        spec = header["nets"][name]
+        if spec["sizes"] != net.sizes or spec["activations"] != net.activations:
+            raise CheckpointShapeError(
+                f"net {name!r}: checkpoint sizes {spec['sizes']} and activations "
+                f"{spec['activations']}, agent {net.sizes} and {net.activations}")
+        net.seed = spec["seed"]
+        arrays.append(net.params)
+    for name, opt in optimizers.items():
+        spec = header["optimizers"][name]
+        state = opt.state_arrays()
+        if (spec["meta"]["kind"] != opt.kind
+                or spec["shapes"] != [list(a.shape) for a in state]):
+            raise CheckpointShapeError(
+                f"optimizer {name!r}: checkpoint holds {spec['meta']['kind']} "
+                f"state of shapes {spec['shapes']}")
+        opt.load_state_meta(spec["meta"])
+        arrays += state
+    count = sum(a.size for a in arrays)
+    stop = offset + 8 * count
+    if len(blob) < stop:
+        raise CheckpointTruncatedError("checkpoint payload cut short")
+    if len(blob) > stop:
+        raise CheckpointFormatError("trailing bytes after checkpoint payload")
+    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+    for dst in arrays:
+        dst[...] = payload[:dst.size].reshape(dst.shape)
+        payload = payload[dst.size:]
     agent._load_extra_state(header["extra_state"])
     agent._rng.bit_generator.state = header["rng_state"]
     return agent

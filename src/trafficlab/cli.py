@@ -8,37 +8,37 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from trafficlab.agents import ObservationShapeError
-from trafficlab.config import ConfigBundle, load_config_file, parse_schedule
+from trafficlab.adapt import DeploymentConfig
+from trafficlab.agents import CheckpointError, ObservationShapeError
+from trafficlab.config import (
+    _COERCERS,
+    ConfigBundle,
+    ExperimentSpec,
+    load_config_file,
+)
 from trafficlab.harness import cmd_adapt, cmd_eval, cmd_sweep, cmd_train
-from trafficlab.nn import CheckpointError
 
-
-def _csv_ints(raw: str) -> list[int]:
-    return [int(p) for p in raw.split(",") if p.strip()]
-
-
-def _csv_floats(raw: str) -> list[float]:
-    return [float(p) for p in raw.split(",") if p.strip()]
-
-
-def _csv_strs(raw: str) -> list[str]:
-    return [p.strip() for p in raw.split(",") if p.strip()]
+_SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
+_DEPLOY_KEYS = {f.name for f in fields(DeploymentConfig)}
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    # each flag's dest is its config key; flags not given stay unset
     p.add_argument("--config", help="experiment config file (INI sections)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--algo", type=_csv_strs,
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    p.add_argument("--algo", dest="algorithms", type=_COERCERS["algorithms"],
                    help="comma-separated algorithm list")
-    p.add_argument("--rates", type=_csv_floats,
+    p.add_argument("--rates", type=_COERCERS["rates"],
                    help="comma-separated detection rates")
-    p.add_argument("--seed", type=_csv_ints,
+    p.add_argument("--seed", dest="seeds", type=_COERCERS["seeds"],
                    help="comma-separated seed list")
     p.add_argument("--scenario", help="flow preset: sparse, medium or dense")
-    p.add_argument("--steps", type=int, help="training steps per cell")
-    p.add_argument("--episodes", type=int, help="evaluation episodes")
+    p.add_argument("--steps", dest="train_steps", type=int,
+                   help="training steps per cell")
+    p.add_argument("--episodes", dest="eval_episodes", type=int,
+                   help="evaluation episodes")
     p.add_argument("--workers", type=int, help="parallel worker processes")
 
 
@@ -47,23 +47,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="trafficlab",
         description="Detection-limited traffic signal control experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = dict(argument_default=argparse.SUPPRESS)
 
-    p_train = sub.add_parser("train", help="train agents over the grid")
+    p_train = sub.add_parser("train", help="train agents over the grid", **grid)
     _add_grid_flags(p_train)
 
     p_sweep = sub.add_parser("sweep",
-                             help="evaluate trained agents per detection rate")
+                             help="evaluate trained agents per detection rate",
+                             **grid)
     _add_grid_flags(p_sweep)
     p_sweep.add_argument("--train-missing", action="store_true",
                          help="train cells whose checkpoint is absent")
 
     p_adapt = sub.add_parser("adapt",
-                             help="deploy agents on a drifting detection rate")
+                             help="deploy agents on a drifting detection rate",
+                             **grid)
     _add_grid_flags(p_adapt)
-    p_adapt.add_argument("--schedule",
+    p_adapt.add_argument("--schedule", type=_COERCERS["schedule"],
                          help="detection schedule as t0:r0,t1:r1,...")
     p_adapt.add_argument("--total-steps", type=int, dest="total_steps")
     p_adapt.add_argument("--update-period", dest="update_period",
+                         type=_COERCERS["update_period"],
                          help="steps between online updates, or 'none'")
     p_adapt.add_argument("--window", type=int, dest="instability_window")
     p_adapt.add_argument("--threshold", type=float,
@@ -71,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--config")
     p_eval.add_argument("--scenario", default="medium")
     p_eval.add_argument("--rate", type=float, default=1.0)
     p_eval.add_argument("--episodes", type=int, default=20)
@@ -81,33 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bundle(args) -> ConfigBundle:
-    if getattr(args, "config", None):
-        return load_config_file(args.config)
-    return ConfigBundle()
-
-
-def _spec_overrides(args) -> dict:
-    overrides = {}
-    mapping = [("out", "out_dir"), ("algo", "algorithms"), ("rates", "rates"),
-               ("seed", "seeds"), ("scenario", "scenario"),
-               ("steps", "train_steps"), ("episodes", "eval_episodes"),
-               ("workers", "workers")]
-    for flag, key in mapping:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "train_missing", False):
-        overrides["train_missing"] = True
-    return overrides
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    bundle = _bundle(args)
+    if args.command == "eval":
+        return _eval(args)
+    given = vars(args)
+    bundle = (load_config_file(args.config) if "config" in given
+              else ConfigBundle())
+    spec = bundle.experiment_spec(
+        **{k: v for k, v in given.items() if k in _SPEC_KEYS})
 
     if args.command == "train":
-        spec = bundle.experiment_spec(**_spec_overrides(args))
         results = cmd_train(spec, bundle.agent_overrides())
         failures = [r for r in results if r.error]
         for r in results:
@@ -116,7 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failures else 0
 
     if args.command == "sweep":
-        spec = bundle.experiment_spec(**_spec_overrides(args))
         records, results = cmd_sweep(spec, bundle.agent_overrides())
         failures = [r for r in results if r.error]
         for rec in records:
@@ -128,50 +114,36 @@ def main(argv: list[str] | None = None) -> int:
                   f"FAILED ({r.error})", file=sys.stderr)
         return 1 if failures else 0
 
-    if args.command == "adapt":
-        spec = bundle.experiment_spec(**_spec_overrides(args))
-        deploy_overrides = {}
-        if args.schedule:
-            deploy_overrides["schedule"] = parse_schedule(args.schedule)
-        for key in ("total_steps", "instability_window",
-                    "instability_threshold"):
-            value = getattr(args, key, None)
-            if value is not None:
-                deploy_overrides[key] = value
-        if args.update_period is not None:
-            deploy_overrides["update_period"] = (
-                None if args.update_period.lower() in {"none", "off"}
-                else int(args.update_period))
-        deploy = bundle.deployment_config(**deploy_overrides)
-        results = cmd_adapt(spec, deploy)
-        for r in results:
-            status = f"flags={r.instability_flags}"
-            if r.aborted:
-                status += f" ABORTED ({r.error})"
-            print(f"adapt {r.algorithm} s={r.seed}: {status}")
-        return 1 if any(r.error for r in results) else 0
+    deploy = bundle.deployment_config(
+        **{k: v for k, v in given.items() if k in _DEPLOY_KEYS})
+    results = cmd_adapt(spec, deploy)
+    for r in results:
+        status = f"flags={r.instability_flags}"
+        if r.aborted:
+            status += f" ABORTED ({r.error})"
+        print(f"adapt {r.algorithm} s={r.seed}: {status}")
+    return 1 if any(r.error for r in results) else 0
 
-    if args.command == "eval":
-        try:
-            stats = cmd_eval(
-                checkpoint=args.checkpoint, scenario=args.scenario,
-                detection_rate=args.rate, episodes=args.episodes,
-                seed=args.seed, include_time_of_day=args.time_of_day,
-                out_path=args.out)
-        except (CheckpointError, ObservationShapeError, OSError) as exc:
-            print(f"eval failed: {exc}", file=sys.stderr)
-            return 1
-        print(f"episodes: {stats.episodes}")
-        print(f"mean return: {stats.mean_return:.3f}")
-        for label, value in (("wait_all", stats.wait_all),
-                             ("wait_detected", stats.wait_detected),
-                             ("wait_undetected", stats.wait_undetected)):
-            print(f"{label}: {value:.3f}" if value is not None
-                  else f"{label}: n/a")
-        print(f"mean queue: {stats.mean_queue:.3f}")
-        return 0
 
-    raise AssertionError("unreachable")  # pragma: no cover
+def _eval(args) -> int:
+    try:
+        stats = cmd_eval(
+            checkpoint=args.checkpoint, scenario=args.scenario,
+            detection_rate=args.rate, episodes=args.episodes,
+            seed=args.seed, include_time_of_day=args.time_of_day,
+            out_path=args.out)
+    except (CheckpointError, ObservationShapeError, OSError) as exc:
+        print(f"eval failed: {exc}", file=sys.stderr)
+        return 1
+    print(f"episodes: {stats.episodes}")
+    print(f"mean return: {stats.mean_return:.3f}")
+    for label, value in (("wait_all", stats.wait_all),
+                         ("wait_detected", stats.wait_detected),
+                         ("wait_undetected", stats.wait_undetected)):
+        print(f"{label}: {value:.3f}" if value is not None
+              else f"{label}: n/a")
+    print(f"mean queue: {stats.mean_queue:.3f}")
+    return 0
 
 
 if __name__ == "__main__":

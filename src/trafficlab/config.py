@@ -4,9 +4,10 @@ Every dataclass field name doubles as a config key; CLI flags override
 file values, file values override dataclass defaults. Unknown keys are
 rejected so typos fail loudly.
 
-Sections: [sim] -> SimConfig, [env] -> EnvConfig extras, [agent] -> agent
-hyperparameter overrides, [deploy] -> DeploymentConfig, [experiment] ->
-ExperimentSpec.
+Sections: [agent] -> agent hyperparameter overrides, [deploy] ->
+DeploymentConfig, [experiment] -> ExperimentSpec. The road and the reward
+come from the experiment's scenario preset; there is no [sim] or [env]
+section.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass, field, fields
 
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
 from trafficlab.agents import AgentConfig
-from trafficlab.env import EnvConfig, RewardMode
-from trafficlab.sim import SimConfig
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -32,9 +31,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_list(raw: str, item):
-    items = [p.strip() for p in raw.split(",") if p.strip()]
-    return [item(p) for p in items]
+def _list_of(item):
+    """A parser of comma-separated ``item`` values; its name is what
+    argparse shows when a flag's value does not parse."""
+    def parse(raw: str) -> list:
+        return [item(p.strip()) for p in raw.split(",") if p.strip()]
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
 
 
 def parse_schedule(raw: str) -> DetectionSchedule:
@@ -86,11 +89,10 @@ class ExperimentSpec:
 
 
 _COERCERS = {
-    "algorithms": lambda raw: _parse_list(raw, str),
-    "rates": lambda raw: _parse_list(raw, float),
-    "seeds": lambda raw: _parse_list(raw, int),
-    "hidden_sizes": lambda raw: _parse_list(raw, int),
-    "reward_mode": lambda raw: RewardMode(raw.strip().lower()),
+    "algorithms": _list_of(str),
+    "rates": _list_of(float),
+    "seeds": _list_of(int),
+    "hidden_sizes": _list_of(int),
     "schedule": parse_schedule,
     "update_period": lambda raw: (None if raw.strip().lower() in {"none", "off"}
                                   else int(raw)),
@@ -121,18 +123,9 @@ def section_to_kwargs(cls, section: dict[str, str], section_name: str) -> dict:
 
 @dataclass
 class ConfigBundle:
-    sim: dict = field(default_factory=dict)
-    env: dict = field(default_factory=dict)
     agent: dict = field(default_factory=dict)
     deploy: dict = field(default_factory=dict)
     experiment: dict = field(default_factory=dict)
-
-    def sim_config(self, **overrides) -> SimConfig:
-        return SimConfig(**{**self.sim, **overrides})
-
-    def env_config(self, sim: SimConfig | None = None, **overrides) -> EnvConfig:
-        return EnvConfig(sim=sim or self.sim_config(),
-                         **{**self.env, **overrides})
 
     def agent_overrides(self, **overrides) -> dict:
         return {**self.agent, **overrides}
@@ -148,16 +141,10 @@ class ConfigBundle:
 
 
 _SECTION_TYPES = {
-    "sim": SimConfig,
-    "env": EnvConfig,
     "agent": AgentConfig,
     "deploy": DeploymentConfig,
     "experiment": ExperimentSpec,
 }
-
-# EnvConfig's nested sim comes from [sim]; it is not a key of [env].
-_EXCLUDED_KEYS = {"env": {"sim"}, "deploy": set(), "sim": set(),
-                  "agent": set(), "experiment": set()}
 
 
 def load_config_file(path) -> ConfigBundle:
@@ -168,13 +155,11 @@ def load_config_file(path) -> ConfigBundle:
     bundle = ConfigBundle()
     for section_name in parser.sections():
         if section_name not in _SECTION_TYPES:
-            raise ValueError(f"unknown config section [{section_name}]")
-        cls = _SECTION_TYPES[section_name]
-        raw = dict(parser.items(section_name))
-        for key in raw:
-            if key in _EXCLUDED_KEYS[section_name]:
-                raise ValueError(
-                    f"key {key!r} cannot be set in section [{section_name}]")
-        kwargs = section_to_kwargs(cls, raw, section_name)
+            raise ValueError(
+                f"unknown config section [{section_name}]; the sections are "
+                + ", ".join(f"[{name}]" for name in _SECTION_TYPES))
+        kwargs = section_to_kwargs(_SECTION_TYPES[section_name],
+                                   dict(parser.items(section_name)),
+                                   section_name)
         setattr(bundle, section_name, kwargs)
     return bundle

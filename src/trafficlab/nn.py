@@ -4,23 +4,24 @@ and Kronecker-factored curvature for natural-gradient preconditioning.
 Everything is float64 numpy. A network's parameters live in one flat
 vector, ``Mlp.params``, laid out per layer as the weight matrix row-major,
 then the bias; each layer's ``w`` and ``b`` are views into it, so an
-optimizer step is a few whole-vector operations and the checkpoint payload
-is the vector itself. Gradients use the same layout, with the same views.
+optimizer step is a few whole-vector operations. Gradients use the same
+layout, with the same views.
+
+This module has no file format of its own. An agent checkpoint (see
+``trafficlab.agents``) stores each net's ``params`` as is, and each
+optimizer's ``state_meta()`` and ``state_arrays()``: the arrays are the
+optimizer's live state, so a loader restores them by writing into them in
+place, then hands the meta back to ``load_state_meta``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 ACTIVATIONS = ("tanh", "relu", "identity")
-
-_MAGIC = b"TLNN"
-_FORMAT_VERSION = 1
 
 
 class DivergenceError(RuntimeError):
@@ -29,22 +30,6 @@ class DivergenceError(RuntimeError):
 
 class SingularCurvatureError(RuntimeError):
     """A curvature factor could not be inverted (no damping to rescue it)."""
-
-
-class CheckpointError(RuntimeError):
-    """Base class for unreadable checkpoint files."""
-
-
-class CheckpointFormatError(CheckpointError):
-    pass
-
-
-class CheckpointTruncatedError(CheckpointError):
-    pass
-
-
-class CheckpointShapeError(CheckpointError):
-    pass
 
 
 def _apply_activation(name: str, s: np.ndarray) -> np.ndarray:
@@ -260,72 +245,6 @@ class Mlp:
                 f"flat vector has {vec.shape} entries, net needs {self.num_params}")
         self.params[...] = vec
 
-    # -- persistence ----------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        header = json.dumps({
-            "format_version": _FORMAT_VERSION,
-            "layer_shapes": [list(l.w.shape) for l in self.layers],
-            "activations": self.activations,
-            "seed": self.seed,
-        }).encode("utf-8")
-        params = self.params.astype("<f8").tobytes()
-        return _MAGIC + struct.pack("<II", _FORMAT_VERSION, len(header)) + header + params
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Mlp":
-        net, used = cls._parse(blob)
-        if used != len(blob):
-            raise CheckpointFormatError("trailing bytes after network block")
-        return net
-
-    @classmethod
-    def _parse(cls, blob: bytes, offset: int = 0) -> tuple["Mlp", int]:
-        """Parse one serialized network; returns (net, end offset)."""
-        end = offset + len(_MAGIC) + 8
-        if len(blob) < end:
-            raise CheckpointTruncatedError("network block header cut short")
-        if blob[offset:offset + len(_MAGIC)] != _MAGIC:
-            raise CheckpointFormatError("bad network magic bytes")
-        version, header_len = struct.unpack_from("<II", blob, offset + len(_MAGIC))
-        if version != _FORMAT_VERSION:
-            raise CheckpointFormatError(f"unsupported network format version {version}")
-        if len(blob) < end + header_len:
-            raise CheckpointTruncatedError("network header cut short")
-        try:
-            header = json.loads(blob[end:end + header_len].decode("utf-8"))
-            shapes = [tuple(s) for s in header["layer_shapes"]]
-            activations = header["activations"]
-            seed = header["seed"]
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            raise CheckpointFormatError(f"unreadable network header: {exc}") from exc
-        if len(activations) != len(shapes):
-            raise CheckpointShapeError(
-                f"{len(shapes)} layer shapes but {len(activations)} activations")
-        n_params = sum(o * i + o for o, i in shapes)
-        start = end + header_len
-        stop = start + n_params * 8
-        if len(blob) < stop:
-            raise CheckpointTruncatedError("parameter block cut short")
-        flat = np.frombuffer(blob[start:stop], dtype="<f8")
-        ws, bs = _layer_views(flat, shapes)
-        try:
-            # the net copies the views' values into a params vector of its own
-            net = cls([Layer(w=w, b=b, activation=act)
-                       for w, b, act in zip(ws, bs, activations)], seed=seed)
-        except ValueError as exc:
-            raise CheckpointShapeError(str(exc)) from exc
-        return net, stop
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "Mlp":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
-
 
 # ---------------------------------------------------------------------------
 # optimizers
@@ -347,12 +266,11 @@ class SgdOptimizer:
     def state_arrays(self) -> list[np.ndarray]:
         return []
 
-    def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
-        if arrays:
-            raise CheckpointShapeError("sgd optimizer carries no state arrays")
-
     def state_meta(self) -> dict:
         return {"kind": self.kind}
+
+    def load_state_meta(self, meta: dict) -> None:
+        """Nothing to restore: the kind is all an SGD step carries."""
 
 
 class AdamOptimizer:
@@ -396,17 +314,14 @@ class AdamOptimizer:
         """``m`` then ``v``, each as views [w0 .. wL, b0 .. bL]."""
         return list(self._state_views)
 
-    def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
-        if len(arrays) != len(self._state_views):
-            raise CheckpointShapeError("adam state array count mismatch")
-        for dst, src in zip(self._state_views, arrays):
-            if dst.shape != src.shape:
-                raise CheckpointShapeError("adam state shape mismatch")
-            dst[...] = src
-
     def state_meta(self) -> dict:
         return {"kind": self.kind, "t": self.t, "beta1": self.beta1,
                 "beta2": self.beta2, "eps": self.eps}
+
+    def load_state_meta(self, meta: dict) -> None:
+        self.t = int(meta["t"])
+        self.beta1, self.beta2, self.eps = (
+            float(meta["beta1"]), float(meta["beta2"]), float(meta["eps"]))
 
 
 def make_optimizer(kind: str, net: Mlp) -> SgdOptimizer | AdamOptimizer:
@@ -430,6 +345,8 @@ class KfacStats:
     case activations gain a constant 1 and the bias column rides inside
     the weight block.
     """
+
+    kind = "kfac"
 
     def __init__(self, net: Mlp, damping: float = 1e-2, decay: float = 0.95,
                  augment_bias: bool = False):
@@ -469,19 +386,11 @@ class KfacStats:
     def state_arrays(self) -> list[np.ndarray]:
         return list(self.a_factors) + list(self.s_factors)
 
-    def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
-        n = len(self.a_factors)
-        if len(arrays) != 2 * n:
-            raise CheckpointShapeError("curvature state array count mismatch")
-        for dst_list, src_list in ((self.a_factors, arrays[:n]),
-                                   (self.s_factors, arrays[n:])):
-            for i, src in enumerate(src_list):
-                if dst_list[i].shape != src.shape:
-                    raise CheckpointShapeError("curvature factor shape mismatch")
-                dst_list[i] = src.copy()
-
     def state_meta(self) -> dict:
-        return {"kind": "kfac"}
+        return {"kind": self.kind}
+
+    def load_state_meta(self, meta: dict) -> None:
+        """Nothing to restore: damping and decay come from the config."""
 
     def _solve(self, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         mat = factor

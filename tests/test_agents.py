@@ -1,15 +1,23 @@
+import functools
 import json
 import struct
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficlab.agents import (
+    ALGORITHMS,
     A2cAgent,
     AcktrAgent,
     AgentConfig,
     AlgorithmMismatchError,
+    CheckpointError,
+    CheckpointFormatError,
+    CheckpointShapeError,
+    CheckpointTruncatedError,
     DqlAgent,
     FixedTimeAgent,
     ObservationShapeError,
@@ -23,7 +31,6 @@ from trafficlab.agents import (
     save_agent,
 )
 from trafficlab.env import PHASE_TIME_SLOT
-from trafficlab.nn import CheckpointError, CheckpointFormatError
 
 OBS_DIM = 11
 
@@ -727,7 +734,7 @@ def test_checkpoint_bytes_are_stable(tmp_path, algorithm):
         layers = nets[name].layers
         moment = ([list(l.w.shape) for l in layers]
                   + [list(l.b.shape) for l in layers])
-        assert optimizers[name]["array_shapes"] == moment + moment
+        assert optimizers[name]["shapes"] == moment + moment
 
 
 def test_loaded_agent_continues_exploration_stream_identically(tmp_path):
@@ -772,10 +779,180 @@ def test_algorithm_mismatch_reported_distinctly(tmp_path):
         load_agent(path, expected_algorithm="ppo")
 
 
-@pytest.mark.parametrize("capacity", [0, -3])
-def test_non_positive_replay_capacity_rejected(capacity):
-    with pytest.raises(ValueError, match="replay_capacity"):
-        config_for("dql", replay_capacity=capacity)
+@pytest.mark.parametrize("field, value", [
+    pytest.param("replay_capacity", 0, id="0"),
+    pytest.param("replay_capacity", -3, id="-3"),
+    pytest.param("phase_time_scale", 0.0, id="phase_time_scale"),
+    pytest.param("target_sync_period", 0, id="target_sync_period"),
+    pytest.param("ppo_minibatch", 0, id="ppo_minibatch"),
+    pytest.param("ppo_epochs", -1, id="ppo_epochs"),
+    pytest.param("hidden_sizes", [16, 0], id="hidden_sizes"),
+])
+def test_non_positive_replay_capacity_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        config_for("dql", **{field: value})
+
+
+# -- failure modes of the checkpoint container -------------------------------
+
+def forge_header(blob, edit):
+    """``blob`` with its header rewritten by ``edit`` (which mutates the
+    parsed header in place); the prefix's length field follows the edit."""
+    _, header_len = struct.unpack_from("<II", blob, 4)
+    header = agent_header(blob)
+    edit(header)
+    new_header = json.dumps(header).encode("utf-8")
+    return (blob[:8] + struct.pack("<I", len(new_header)) + new_header
+            + blob[12 + header_len:])
+
+
+def assert_views_aliased(net):
+    for layer in net.layers:
+        assert np.shares_memory(layer.w, net.params)
+        assert np.shares_memory(layer.b, net.params)
+    laid_out = np.concatenate([p for l in net.layers for p in (l.w.ravel(), l.b)])
+    np.testing.assert_array_equal(laid_out, net.params)
+
+
+def test_checkpoint_round_trip(tmp_path):
+    agent = make_agent(config_for("ppo", hidden_sizes=[6]), 4)
+    agent.update(make_transitions(np.random.default_rng(31), 8, dim=4))
+    path = tmp_path / "agent.ckpt"
+    save_agent(agent, path)
+    loaded = load_agent(path)
+    for name, net in agent._nets().items():
+        twin = loaded._nets()[name]
+        np.testing.assert_array_equal(twin.flatten(), net.flatten())
+        assert twin.activations == net.activations
+        assert twin.seed == net.seed
+        assert_views_aliased(twin)
+    for name, opt in agent._optimizers().items():
+        twin = loaded._optimizers()[name]
+        assert twin.state_meta() == opt.state_meta()
+        for a, b in zip(twin.state_arrays(), opt.state_arrays()):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_checkpoint_bad_magic_rejected():
+    blob = bytearray(agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM)))
+    blob[0] ^= 0xFF
+    with pytest.raises(CheckpointFormatError, match="magic"):
+        agent_from_bytes(bytes(blob))
+
+
+def test_checkpoint_truncation_rejected():
+    blob = agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM))
+    with pytest.raises(CheckpointTruncatedError):
+        agent_from_bytes(blob[:-4])
+
+
+def test_checkpoint_trailing_bytes_rejected():
+    blob = agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM))
+    with pytest.raises(CheckpointFormatError, match="trailing"):
+        agent_from_bytes(blob + bytes(8))
+
+
+@pytest.mark.parametrize("version", [1, 99])
+def test_checkpoint_version_mismatch_rejected(version):
+    blob = bytearray(agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM)))
+    blob[4:8] = struct.pack("<I", version)
+    with pytest.raises(CheckpointFormatError, match=f"version {version}"):
+        agent_from_bytes(bytes(blob))
+
+
+def test_checkpoint_activation_count_mismatch_rejected():
+    blob = agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM))
+
+    def drop_activation(header):
+        assert len(header["nets"]["actor"]["activations"]) == 3
+        header["nets"]["actor"]["activations"].pop()
+
+    with pytest.raises(CheckpointShapeError, match="activations"):
+        agent_from_bytes(forge_header(blob, drop_activation))
+
+
+def test_checkpoint_size_mismatch_rejected():
+    blob = agent_to_bytes(make_agent(config_for("ppo"), OBS_DIM))
+
+    def resize(header):
+        header["nets"]["critic"]["sizes"][1] += 1
+
+    with pytest.raises(CheckpointShapeError, match="critic"):
+        agent_from_bytes(forge_header(blob, resize))
+
+
+def test_checkpoint_optimizer_shape_mismatch_rejected():
+    blob = agent_to_bytes(make_agent(config_for("acktr"), OBS_DIM))
+
+    def reshape(header):
+        header["optimizers"]["critic_stats"]["shapes"][0] = [1, 1]
+
+    with pytest.raises(CheckpointShapeError, match="critic_stats"):
+        agent_from_bytes(forge_header(blob, reshape))
+
+
+def test_checkpoint_net_list_mismatch_rejected():
+    blob = agent_to_bytes(make_agent(config_for("dql"), OBS_DIM))
+
+    def rename(header):
+        header["nets"] = {"target" if k == "q" else k: v
+                          for k, v in header["nets"].items()}
+
+    with pytest.raises(CheckpointFormatError, match="nets"):
+        agent_from_bytes(forge_header(blob, rename))
+
+
+def test_checkpoint_corrupted_header_rejected():
+    blob = bytearray(agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM)))
+    blob[14] ^= 0xFF  # inside the JSON header
+    with pytest.raises(CheckpointFormatError):
+        agent_from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("key", ["nets", "optimizers", "extra_state", "rng_state"])
+def test_checkpoint_header_missing_key_rejected(key):
+    blob = agent_to_bytes(make_agent(config_for("ppo"), OBS_DIM))
+    with pytest.raises(CheckpointFormatError, match=key):
+        agent_from_bytes(forge_header(blob, lambda header: header.pop(key)))
+
+
+FUZZ_CONFIG = dict(hidden_sizes=[4], replay_capacity=16, warmup=4, batch_size=4,
+                   rollout_length=8, ppo_minibatch=4, target_sync_period=2,
+                   kl_budget=0.01)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_blob(algorithm):
+    """A small checkpoint of an agent that has taken a few updates."""
+    agent = make_agent(config_for(algorithm, **FUZZ_CONFIG), OBS_DIM)
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        agent.update(make_transitions(rng, 8))
+    return agent_to_bytes(agent)
+
+
+@settings(max_examples=150)
+@given(algorithm=st.sampled_from(ALGORITHMS), data=st.data())
+def test_fuzz_truncated_checkpoint_raises_truncated_error(algorithm, data):
+    blob = fuzz_blob(algorithm)
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    with pytest.raises(CheckpointTruncatedError):
+        agent_from_bytes(blob[:cut])
+
+
+@settings(max_examples=300)
+@given(algorithm=st.sampled_from(ALGORITHMS),
+       bits=st.lists(st.integers(min_value=0), min_size=1, max_size=3))
+def test_fuzz_bit_flipped_checkpoint_loads_or_raises_checkpoint_error(algorithm,
+                                                                      bits):
+    blob = bytearray(fuzz_blob(algorithm))
+    for bit in bits:
+        bit %= 8 * len(blob)
+        blob[bit // 8] ^= 1 << (bit % 8)
+    try:
+        agent_from_bytes(bytes(blob))
+    except CheckpointError:
+        pass
 
 
 def test_checkpoint_preserves_config_fields(tmp_path):

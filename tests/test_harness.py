@@ -7,6 +7,7 @@ import pytest
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
 from trafficlab.agents import ObservationShapeError, load_agent
 from trafficlab.charts import ChartError, Series, line_chart
+from trafficlab.cli import build_parser
 from trafficlab.cli import main as cli_main
 from trafficlab.config import (
     ConfigBundle,
@@ -110,16 +111,6 @@ def test_csv_floats_survive_exactly(tmp_path):
 # ---------------------------------------------------------------------------
 
 CONFIG_TEXT = """
-[sim]
-lane_length = 120
-arrival_rate = 0.05
-detection_rate = 0.8
-rng_seed = 7
-
-[env]
-episode_length = 600
-reward_mode = partial
-
 [agent]
 gamma = 0.9
 hidden_sizes = 32,32
@@ -144,13 +135,6 @@ def test_config_file_parsing(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(CONFIG_TEXT)
     bundle = load_config_file(path)
-    sim = bundle.sim_config()
-    assert sim.lane_length == 120.0
-    assert sim.detection_rate == 0.8
-    assert sim.rng_seed == 7
-    env = bundle.env_config()
-    assert env.episode_length == 600.0
-    assert env.sim.arrival_rate == 0.05
     agent = bundle.agent_overrides()
     assert agent == {"gamma": 0.9, "hidden_sizes": [32, 32]}
     deploy = bundle.deployment_config()
@@ -165,17 +149,30 @@ def test_config_file_parsing(tmp_path):
 
 def test_config_defaults_fill_unspecified_keys(tmp_path):
     path = tmp_path / "mini.ini"
-    path.write_text("[sim]\narrival_rate = 0.3\n")
-    sim = load_config_file(path).sim_config()
-    assert sim.arrival_rate == 0.3
-    assert sim.lane_length == 150.0  # default kept
-    assert sim.vmax_default == 13.89
+    path.write_text("[experiment]\nscenario = dense\n")
+    spec = load_config_file(path).experiment_spec()
+    assert spec.scenario == "dense"
+    assert spec.train_steps == 100_000  # default kept
+    assert spec.episode_length == 3600.0
 
 
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[sim]\nlane_lenth = 100\n")
-    with pytest.raises(ValueError, match="lane_lenth"):
+    path.write_text("[experiment]\nepisode_lenth = 100\n")
+    with pytest.raises(ValueError, match="episode_lenth"):
+        load_config_file(path)
+
+
+OLD_SECTIONS = {"sim": "arrival_rate = 0.5\nlane_length = 60\n",
+                "env": "reward_mode = full\n"}
+
+
+@pytest.mark.parametrize("section", sorted(OLD_SECTIONS))
+def test_config_rejects_sim_and_env_sections(tmp_path, section):
+    # no command reads them, so accepting them would silently drop the values
+    path = tmp_path / "old.ini"
+    path.write_text(f"[{section}]\n{OLD_SECTIONS[section]}")
+    with pytest.raises(ValueError, match=rf"\[{section}\]"):
         load_config_file(path)
 
 
@@ -194,6 +191,28 @@ def test_cli_flags_override_config(tmp_path):
     assert spec.scenario == "dense"
     assert spec.seeds == [9]
     assert spec.train_steps == 1000  # untouched file value
+
+
+def test_cli_flags_parse_with_the_config_coercers():
+    args = build_parser().parse_args(
+        ["adapt", "--algo", "ppo, a2c", "--rates", "0.25,0.5", "--seed", "1,2",
+         "--steps", "10", "--update-period", "none",
+         "--schedule", "0:0.1,100:1.0"])
+    assert args.algorithms == ["ppo", "a2c"]
+    assert args.rates == [0.25, 0.5]
+    assert args.seeds == [1, 2]
+    assert args.train_steps == 10
+    assert args.update_period is None
+    assert args.schedule.breakpoints == [(0.0, 0.1), (100.0, 1.0)]
+    assert not hasattr(args, "workers")  # flags not given leave file values
+    assert build_parser().parse_args(
+        ["adapt", "--update-period", "64"]).update_period == 64
+
+
+def test_cli_eval_has_no_config_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
+                  "--config", str(tmp_path / "exp.ini")])
 
 
 def test_schedule_string_round_trip():

@@ -3,9 +3,6 @@ import pytest
 
 from trafficlab.nn import (
     AdamOptimizer,
-    CheckpointFormatError,
-    CheckpointShapeError,
-    CheckpointTruncatedError,
     DivergenceError,
     Gradients,
     KfacStats,
@@ -217,7 +214,6 @@ def test_layer_views_stay_aliased_to_params():
     clone.set_flat(np.arange(clone.num_params, dtype=float))
     assert_views_aliased(clone)
     assert clone.layers[0].w[0, 1] == 1.0
-    assert_views_aliased(Mlp.from_bytes(net.to_bytes()))
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
@@ -477,61 +473,3 @@ def test_singular_factor_without_damping_raises():
     stats.a_factors[0] = np.zeros((2, 2))
     with pytest.raises(SingularCurvatureError):
         stats.precondition(grads_for(net, np.ones((2, 2))))
-
-
-# ---------------------------------------------------------------------------
-# checkpoint format
-# ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip(tmp_path):
-    net = small_net(seed=31, sizes=(4, 6, 2), activations=("tanh", "identity"))
-    path = tmp_path / "net.bin"
-    net.save(path)
-    loaded = Mlp.load(path)
-    np.testing.assert_array_equal(loaded.flatten(), net.flatten())
-    assert loaded.activations == net.activations
-    assert loaded.seed == net.seed
-
-
-def test_checkpoint_bad_magic_rejected(tmp_path):
-    net = small_net(seed=1)
-    blob = bytearray(net.to_bytes())
-    blob[0] ^= 0xFF
-    with pytest.raises(CheckpointFormatError):
-        Mlp.from_bytes(bytes(blob))
-
-
-def test_checkpoint_truncation_rejected():
-    blob = small_net(seed=1).to_bytes()
-    with pytest.raises(CheckpointTruncatedError):
-        Mlp.from_bytes(blob[:-4])
-
-
-def test_checkpoint_version_mismatch_rejected():
-    import struct as _struct
-    blob = bytearray(small_net(seed=1).to_bytes())
-    blob[4:8] = _struct.pack("<I", 99)
-    with pytest.raises(CheckpointFormatError, match="version"):
-        Mlp.from_bytes(bytes(blob))
-
-
-def test_checkpoint_activation_count_mismatch_rejected():
-    import json
-    import struct as _struct
-    blob = small_net(seed=1).to_bytes()
-    header_len = _struct.unpack_from("<I", blob, 8)[0]
-    header = json.loads(blob[12:12 + header_len])
-    assert len(header["layer_shapes"]) == 2
-    header["activations"] = header["activations"][:1]
-    new_header = json.dumps(header).encode("utf-8")
-    forged = (blob[:8] + _struct.pack("<I", len(new_header)) + new_header
-              + blob[12 + header_len:])
-    with pytest.raises(CheckpointShapeError, match="activations"):
-        Mlp.from_bytes(forged)
-
-
-def test_checkpoint_corrupted_header_rejected():
-    blob = bytearray(small_net(seed=1).to_bytes())
-    blob[14] ^= 0xFF  # inside the JSON header
-    with pytest.raises(CheckpointFormatError):
-        Mlp.from_bytes(bytes(blob))
