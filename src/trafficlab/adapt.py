@@ -186,7 +186,7 @@ def run_deployment(agent: Agent, env_config: EnvConfig,
                     agent.update(pending)
                 except DivergenceError as exc:
                     failure_step = step
-                    failure_message = str(exc)
+                    failure_message = f"{type(exc).__name__}: {exc}"
                 pending = []
         obs = next_obs
         if step % deploy.instability_window == 0 or failure_step is not None:

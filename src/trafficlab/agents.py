@@ -91,9 +91,11 @@ class AgentConfig:
     kfac_damping: float = 1e-2
     kfac_decay: float = 0.95
     kfac_augment_bias: bool = False
+    # cap on the parameter-space norm of each ACKTR step: >= 0, 0 freezes
+    # the nets, inf disables the cap
     trust_region_radius: float = 1.0
     # curvature-metric step budget: the applied step is scaled so that
-    # approximately step^T F step <= 2 * kl_budget (None disables)
+    # approximately step^T F step <= 2 * kl_budget; > 0, or None to disable
     kl_budget: float | None = None
     phase_time_scale: float = 60.0
     seed: int = 0
@@ -107,9 +109,15 @@ class AgentConfig:
             raise ValueError("clip_epsilon must be positive")
         for name in ("actor_lr", "critic_lr", "q_lr", "replay_capacity",
                      "rollout_length", "batch_size", "target_sync_period",
-                     "ppo_epochs", "ppo_minibatch", "phase_time_scale"):
+                     "ppo_epochs", "ppo_minibatch", "critic_epochs",
+                     "phase_time_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.trust_region_radius >= 0:
+            raise ValueError("trust_region_radius must be non-negative "
+                             "(inf disables the cap)")
+        if self.kl_budget is not None and not self.kl_budget > 0:
+            raise ValueError("kl_budget must be positive, or None to disable it")
         if any(size <= 0 for size in self.hidden_sizes):
             raise ValueError("hidden_sizes must be positive")
 
@@ -407,7 +415,7 @@ class _ActorCriticAgent(Agent):
         ``critic_epochs`` times so the value scale can be reached within a
         desk-scale update budget."""
         loss = 0.0
-        for epoch in range(max(1, self.config.critic_epochs)):
+        for epoch in range(self.config.critic_epochs):
             v, cache = self.critic.forward(obs)
             resid = v.ravel() - targets
             loss = float(np.mean(resid * resid))

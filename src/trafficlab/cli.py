@@ -1,7 +1,9 @@
 """Command-line front end: train / sweep / adapt / eval.
 
 Every flag mirrors a config-file key; flags override file values. Exit
-status is 0 only when every grid cell succeeded.
+status is 0 only when every grid cell succeeded; a config that cannot be
+read or holds a bad value is reported in one line before any cell runs,
+with exit status 2.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from trafficlab.config import (
     ExperimentSpec,
     load_config_file,
 )
-from trafficlab.harness import cmd_adapt, cmd_eval, cmd_sweep, cmd_train
+from trafficlab.harness import (
+    cmd_adapt,
+    cmd_eval,
+    cmd_sweep,
+    cmd_train,
+    default_agent_config,
+)
 
 _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
 _DEPLOY_KEYS = {f.name for f in fields(DeploymentConfig)}
@@ -84,18 +92,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "eval":
-        return _eval(args)
+def _resolve(args) -> tuple[ExperimentSpec, dict, DeploymentConfig | None]:
+    """The grid command's experiment spec, [agent] overrides and (for adapt)
+    deployment config, each built once so a bad value fails here."""
     given = vars(args)
     bundle = (load_config_file(args.config) if "config" in given
               else ConfigBundle())
     spec = bundle.experiment_spec(
         **{k: v for k, v in given.items() if k in _SPEC_KEYS})
+    if args.command == "adapt":
+        return spec, {}, bundle.deployment_config(
+            **{k: v for k, v in given.items() if k in _DEPLOY_KEYS})
+    overrides = bundle.agent_overrides()
+    for algorithm in spec.algorithms:
+        default_agent_config(algorithm, overrides=overrides)
+    return spec, overrides, None
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.command == "eval":
+        return _eval(args)
+    try:
+        spec, agent_overrides, deploy = _resolve(args)
+    except (OSError, ValueError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "train":
-        results = cmd_train(spec, bundle.agent_overrides())
+        results = cmd_train(spec, agent_overrides)
         failures = [r for r in results if r.error]
         for r in results:
             status = r.error or f"ok -> {r.checkpoint}"
@@ -103,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failures else 0
 
     if args.command == "sweep":
-        records, results = cmd_sweep(spec, bundle.agent_overrides())
+        records, results = cmd_sweep(spec, agent_overrides)
         failures = [r for r in results if r.error]
         for rec in records:
             print(f"sweep {rec.algorithm} r={rec.detection_rate:g} "
@@ -114,8 +139,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"FAILED ({r.error})", file=sys.stderr)
         return 1 if failures else 0
 
-    deploy = bundle.deployment_config(
-        **{k: v for k, v in given.items() if k in _DEPLOY_KEYS})
     results = cmd_adapt(spec, deploy)
     for r in results:
         status = f"flags={r.instability_flags}"

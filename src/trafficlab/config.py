@@ -117,7 +117,10 @@ def section_to_kwargs(cls, section: dict[str, str], section_name: str) -> dict:
     for key, raw in section.items():
         if key not in known:
             raise ValueError(f"unknown key {key!r} in section [{section_name}]")
-        kwargs[key] = _coerce(key, known[key], raw)
+        try:
+            kwargs[key] = _coerce(key, known[key], raw)
+        except ValueError as exc:
+            raise ValueError(f"[{section_name}] {key}: {exc}") from None
     return kwargs
 
 

@@ -30,7 +30,6 @@ from trafficlab.agents import (
 from trafficlab.charts import Series, write_chart
 from trafficlab.config import ExperimentSpec
 from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
-from trafficlab.nn import DivergenceError
 from trafficlab.sim import scenario_preset
 
 SWEEP_HEADER = ["algorithm", "scenario", "detection_rate", "seed",
@@ -327,6 +326,13 @@ class CellResult:
         return (self.algorithm, self.rate, self.seed)
 
 
+def _cell_error(exc: Exception) -> str:
+    """The one-line error of a failed grid cell: the exception type name,
+    then its message. A cell catches every ``Exception`` and reports it
+    this way, so one bad cell never ends the grid."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _train_cell(spec: ExperimentSpec, agent_overrides: dict,
                 cell: tuple[str, float, int]) -> CellResult:
     algorithm, rate, seed = cell
@@ -350,8 +356,8 @@ def _train_cell(spec: ExperimentSpec, agent_overrides: dict,
         write_curve_csv(os.path.join(
             curve_dir, f"train_{name[:-5]}.csv"), curve)
         return CellResult(algorithm, rate, seed, checkpoint=ckpt_path)
-    except DivergenceError as exc:
-        return CellResult(algorithm, rate, seed, error=f"diverged: {exc}")
+    except Exception as exc:
+        return CellResult(algorithm, rate, seed, error=_cell_error(exc))
 
 
 def _run_cells(worker, args_list: list, workers: int) -> list:
@@ -364,7 +370,7 @@ def _run_cells(worker, args_list: list, workers: int) -> list:
 
 def cmd_train(spec: ExperimentSpec,
               agent_overrides: dict | None = None) -> list[CellResult]:
-    """Train one agent per grid cell; divergent cells are recorded and the
+    """Train one agent per grid cell; failed cells are recorded and the
     rest continue."""
     cells = list(spec.cells())
     args = [(spec, agent_overrides or {}, cell) for cell in cells]
@@ -382,15 +388,13 @@ def _sweep_cell(spec: ExperimentSpec, agent_overrides: dict,
     algorithm, rate, seed = cell
     name = checkpoint_name(algorithm, spec.scenario, rate, seed)
     ckpt_path = os.path.join(spec.out_dir, "checkpoints", name)
-    if not os.path.exists(ckpt_path):
-        if spec.train_missing:
+    try:
+        if not os.path.exists(ckpt_path):
+            if not spec.train_missing:
+                raise FileNotFoundError(f"missing checkpoint {ckpt_path}")
             trained = _train_cell(spec, agent_overrides, cell)
             if trained.error:
                 return None, trained
-        else:
-            return None, CellResult(algorithm, rate, seed,
-                                    error=f"missing checkpoint {ckpt_path}")
-    try:
         agent = load_agent(ckpt_path, expected_algorithm=algorithm)
         env_cfg = build_env_config(spec.scenario, rate, seed + 10_000,
                                    episode_length=spec.episode_length)
@@ -402,8 +406,8 @@ def _sweep_cell(spec: ExperimentSpec, agent_overrides: dict,
             wait_detected=stats.wait_detected,
             wait_undetected=stats.wait_undetected, episodes=stats.episodes)
         return record, CellResult(algorithm, rate, seed, checkpoint=ckpt_path)
-    except (OSError, ValueError, RuntimeError) as exc:
-        return None, CellResult(algorithm, rate, seed, error=str(exc))
+    except Exception as exc:
+        return None, CellResult(algorithm, rate, seed, error=_cell_error(exc))
 
 
 def cmd_sweep(spec: ExperimentSpec,
@@ -506,10 +510,10 @@ def _adapt_cell(spec: ExperimentSpec, deploy: DeploymentConfig,
             instability_flags=result.instability_flags,
             aborted=result.aborted,
             error=result.failure_message if result.aborted else None)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except Exception as exc:
         return AdaptRunResult(algorithm=algorithm, seed=seed,
                               timeline_csv=None, instability_flags=0,
-                              aborted=True, error=str(exc))
+                              aborted=True, error=_cell_error(exc))
 
 
 def cmd_adapt(spec: ExperimentSpec, deploy: DeploymentConfig

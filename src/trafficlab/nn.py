@@ -12,6 +12,12 @@ This module has no file format of its own. An agent checkpoint (see
 optimizer's ``state_meta()`` and ``state_arrays()``: the arrays are the
 optimizer's live state, so a loader restores them by writing into them in
 place, then hands the meta back to ``load_state_meta``.
+
+``KfacStats`` keeps one damped inverse per Kronecker factor. ``update``
+marks them stale and the next ``precondition`` rebuilds them, so a factor
+is inverted once per curvature refresh, not once per preconditioned step.
+The inverses are derived state: a checkpoint holds only the factors, and a
+loaded agent rebuilds the inverses from them on its first step.
 """
 
 from __future__ import annotations
@@ -344,6 +350,13 @@ class KfacStats:
     Biases use the S factor alone unless ``augment_bias`` is set, in which
     case activations gain a constant 1 and the bias column rides inside
     the weight block.
+
+    The damped inverses are cached: ``update`` marks them stale, and the
+    next ``precondition`` rebuilds all of them from the factors. They are
+    not checkpointed; a new instance, such as the one a checkpoint loader
+    fills, has none until its first ``precondition``. Code that replaces a
+    factor directly must do so before the first ``precondition`` or
+    follow it with an ``update``.
     """
 
     kind = "kfac"
@@ -363,6 +376,7 @@ class KfacStats:
             in_dim = layer.w.shape[1] + (1 if augment_bias else 0)
             self.a_factors.append(np.eye(in_dim))
             self.s_factors.append(np.eye(layer.w.shape[0]))
+        self._inverses: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def update(self, activations: list[np.ndarray],
                pre_grads: list[np.ndarray]) -> None:
@@ -382,6 +396,7 @@ class KfacStats:
             # keep exact symmetry against float drift
             self.a_factors[idx] = 0.5 * (new_a + new_a.T)
             self.s_factors[idx] = 0.5 * (new_s + new_s.T)
+        self._inverses = None
 
     def state_arrays(self) -> list[np.ndarray]:
         return list(self.a_factors) + list(self.s_factors)
@@ -392,30 +407,31 @@ class KfacStats:
     def load_state_meta(self, meta: dict) -> None:
         """Nothing to restore: damping and decay come from the config."""
 
-    def _solve(self, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def _damped_inverse(self, factor: np.ndarray) -> np.ndarray:
         mat = factor
         if self.damping > 0:
             mat = factor + self.damping * np.eye(factor.shape[0])
         try:
-            return np.linalg.solve(mat, rhs)
+            return np.linalg.inv(mat)
         except np.linalg.LinAlgError as exc:
             raise SingularCurvatureError(
                 "curvature factor is singular and damping is zero") from exc
 
     def precondition(self, grads: Gradients) -> Gradients:
         """(S + damping I)^-1 G (A + damping I)^-1 per layer."""
+        if self._inverses is None:
+            self._inverses = [
+                (self._damped_inverse(a), self._damped_inverse(s))
+                for a, s in zip(self.a_factors, self.s_factors)]
         out = Gradients.from_flat(np.empty_like(grads.flat), grads.shapes)
         for idx, (dw, db) in enumerate(zip(grads.dw, grads.db)):
-            a_fac = self.a_factors[idx]
-            s_fac = self.s_factors[idx]
+            a_inv, s_inv = self._inverses[idx]
             if self.augment_bias:
                 block = np.concatenate([dw, db[:, None]], axis=1)
-                left = self._solve(s_fac, block)
-                solved = self._solve(a_fac, left.T).T
+                solved = s_inv @ block @ a_inv
                 out.dw[idx][...] = solved[:, :-1]
                 out.db[idx][...] = solved[:, -1]
             else:
-                left = self._solve(s_fac, dw)
-                out.dw[idx][...] = self._solve(a_fac, left.T).T
-                out.db[idx][...] = self._solve(s_fac, db)
+                out.dw[idx][...] = s_inv @ dw @ a_inv
+                out.db[idx][...] = s_inv @ db
         return out

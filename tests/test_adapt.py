@@ -222,7 +222,7 @@ def test_divergence_aborts_with_partial_timeline():
     result = run_deployment(agent, env_config(), deploy, seed=1)
     assert result.aborted
     assert result.failure_step == 64
-    assert "blow-up" in result.failure_message
+    assert result.failure_message == "DivergenceError: synthetic blow-up"
     assert len(result.timeline) == 1  # diagnostic point at the failure
     assert result.timeline[0].step == 64
 

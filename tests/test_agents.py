@@ -30,7 +30,10 @@ from trafficlab.agents import (
     make_agent,
     save_agent,
 )
-from trafficlab.env import PHASE_TIME_SLOT
+from kfac_oracle import solve_precondition, use_solve_preconditioner
+from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
+from trafficlab.harness import build_env_config, default_agent_config
+from trafficlab.nn import Gradients
 
 OBS_DIM = 11
 
@@ -682,6 +685,81 @@ def test_acktr_zero_advantages_fixed_point_with_kl_budget():
     np.testing.assert_array_equal(agent.actor.flatten(), before)
 
 
+@functools.lru_cache(maxsize=None)
+def env_rollouts(count, length=256, seed=4):
+    """``count`` consecutive rollouts of uniformly random actions on the
+    medium road: real observations, shared by every agent that takes them."""
+    env = TrafficSignalEnv(build_env_config("medium", 0.5, seed), seed=seed)
+    rng = np.random.default_rng(seed)
+    obs = env.reset()
+    rollouts = []
+    for _ in range(count):
+        batch = []
+        for _ in range(length):
+            action = int(rng.integers(2))
+            nxt, reward, done, _ = env.step(action)
+            batch.append(Transition(obs, action, reward, nxt, done))
+            obs = env.reset() if done else nxt
+        rollouts.append(tuple(batch))
+    return tuple(rollouts)
+
+
+def default_acktr(**overrides):
+    """ACKTR at the training defaults: 11 -> 64 -> 64 -> 2 (and -> 1)."""
+    return make_agent(default_agent_config("acktr", seed=6, overrides=overrides),
+                      OBS_DIM)
+
+
+def relative_gap(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("augment_bias", [False, True])
+def test_kfac_precondition_matches_solve_oracle_at_training_sizes(augment_bias):
+    agent = default_acktr(kfac_augment_bias=augment_bias)
+    for rollout in env_rollouts(4):
+        agent.update(list(rollout))
+    rng = np.random.default_rng(41)
+    for stats, net in ((agent.actor_stats, agent.actor),
+                       (agent.critic_stats, agent.critic)):
+        assert stats.damping == 1e-2
+        grads = Gradients([rng.normal(size=l.w.shape) for l in net.layers],
+                          [rng.normal(size=l.b.shape) for l in net.layers])
+        np.testing.assert_allclose(stats.precondition(grads).flat,
+                                   solve_precondition(stats, grads).flat,
+                                   rtol=1e-9)
+
+
+def test_acktr_cached_inverses_agree_with_solve_oracle_agent():
+    agent = default_acktr()
+    oracle = use_solve_preconditioner(default_acktr())
+    start = {name: net.flatten() for name, net in agent._nets().items()}
+    for done, rollout in enumerate(env_rollouts(10), start=1):
+        agent.update(list(rollout))
+        oracle.update(list(rollout))
+        if done in (1, 10):
+            for name, net in agent._nets().items():
+                expect = oracle._nets()[name].params
+                assert not np.array_equal(expect, start[name])
+                assert relative_gap(net.params, expect) <= 1e-12, (name, done)
+
+
+def test_acktr_resumes_bit_for_bit_from_a_mid_training_checkpoint():
+    agent = default_acktr()
+    rollouts = env_rollouts(4)
+    for rollout in rollouts[:3]:
+        agent.update(list(rollout))
+    resumed = agent_from_bytes(agent_to_bytes(agent))
+    agent.update(list(rollouts[3]))
+    resumed.update(list(rollouts[3]))
+    for name, net in agent._nets().items():
+        np.testing.assert_array_equal(resumed._nets()[name].params, net.params)
+    for name, opt in agent._optimizers().items():
+        for mine, theirs in zip(opt.state_arrays(),
+                                resumed._optimizers()[name].state_arrays()):
+            np.testing.assert_array_equal(theirs, mine)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -787,6 +865,13 @@ def test_algorithm_mismatch_reported_distinctly(tmp_path):
     pytest.param("ppo_minibatch", 0, id="ppo_minibatch"),
     pytest.param("ppo_epochs", -1, id="ppo_epochs"),
     pytest.param("hidden_sizes", [16, 0], id="hidden_sizes"),
+    pytest.param("critic_epochs", 0, id="critic_epochs"),
+    pytest.param("critic_epochs", -2, id="critic_epochs-negative"),
+    pytest.param("trust_region_radius", -1e-3, id="trust_region_radius"),
+    pytest.param("trust_region_radius", float("nan"),
+                 id="trust_region_radius-nan"),
+    pytest.param("kl_budget", 0.0, id="kl_budget"),
+    pytest.param("kl_budget", -1e-2, id="kl_budget-negative"),
 ])
 def test_non_positive_replay_capacity_rejected(field, value):
     with pytest.raises(ValueError, match=field):

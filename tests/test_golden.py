@@ -10,7 +10,11 @@ The second covers briefly trained dql, ppo, a2c and acktr agents: their
 net parameters, optimizer state, counters and RNG state, hashed without
 the checkpoint byte layout. They were recorded before the checkpoint
 format and the ACKTR update were rewritten, and must hold both for the
-live agents and for agents reloaded from a checkpoint.
+live agents and for agents reloaded from a checkpoint. The acktr entry
+was recorded again when K-FAC began caching its damped factor inverses:
+explicit inverses round differently from the LU solves they replaced
+(the parameters moved by under 1e-16 relative; the solve-based
+preconditioner in ``kfac_oracle.py`` still gives the earlier digest).
 """
 
 import hashlib
@@ -71,7 +75,7 @@ GOLDEN_TRAINED_AGENT_STATE = {
     "dql": "8902c286df2c5143428d2013aed016cbb17eb4c6564103cb66539f6112b885d4",
     "ppo": "61e928015a201311c90e6b64c7757b2ad41840e33179d87f336ebd0206ced9c0",
     "a2c": "8bf6e7be3952bb121e954db6757ef33660a4d7c7482cc3ddf31d5eda4335d407",
-    "acktr": "63e18abfc9cab8098a5131034cab1a2007ddfc2ff33829e9fc74618071ad8e8c",
+    "acktr": "5be99439d6ddb870362b3fe598f49152e0a1cd7bd9448e6a37c2c44a044f5f84",
 }
 
 _STATE_OVERRIDES = dict(hidden_sizes=[16, 16], rollout_length=64,

@@ -305,7 +305,7 @@ def test_sweep_missing_checkpoint_recorded_and_continues(tmp_path):
     records, results = cmd_sweep(spec)
     errors = [r for r in results if r.error]
     assert len(errors) == 1 and errors[0].algorithm == "ppo"
-    assert "missing checkpoint" in errors[0].error
+    assert errors[0].error.startswith("FileNotFoundError: missing checkpoint")
     assert len(records) == 1 and records[0].algorithm == "fixed_time"
 
 
@@ -347,6 +347,26 @@ def test_sweep_reproducible_byte_identical(tmp_path):
     assert run(tmp_path / "x") == run(tmp_path / "y")
 
 
+def test_every_cell_error_is_an_errored_row_naming_the_type(tmp_path):
+    # undamped ACKTR on a fresh batch: the logit S factor is exactly singular
+    singular = {**FAST_AGENT, "kfac_damping": 0.0, "kfac_decay": 0.0}
+    spec = tiny_spec(tmp_path, algorithms=["acktr", "fixed_time"],
+                     train_missing=True)
+    trained = cmd_train(spec, singular)
+    assert [r.algorithm for r in trained] == ["acktr", "fixed_time"]
+    assert trained[0].error.startswith("SingularCurvatureError: ")
+    assert trained[1].error is None
+    records, swept = cmd_sweep(spec, singular)
+    assert swept[0].error.startswith("SingularCurvatureError: ")
+    assert [r.algorithm for r in records] == ["fixed_time"]
+    deploy = DeploymentConfig(
+        schedule=DetectionSchedule.ramp(0.0, 0.5, 400.0, 1.0),
+        total_steps=400, update_period=None, instability_window=100)
+    adapted = cmd_adapt(spec, deploy)
+    assert adapted[0].error.startswith("FileNotFoundError: ")
+    assert adapted[1].error is None
+
+
 # ---------------------------------------------------------------------------
 # cmd_adapt
 # ---------------------------------------------------------------------------
@@ -375,7 +395,7 @@ def test_adapt_missing_checkpoint_reports_error(tmp_path):
     spec = tiny_spec(tmp_path, algorithms=["ppo"], rates=[0.5])
     results = cmd_adapt(spec, adapt_deploy())
     assert results[0].aborted
-    assert results[0].error is not None
+    assert results[0].error.startswith("FileNotFoundError")
 
 
 def test_adapt_timeline_reproducible(tmp_path):
@@ -447,6 +467,37 @@ def test_cli_train_sweep_adapt_eval_pipeline(tmp_path, capsys):
                      "--rate", "0.5", "--episodes", "1"]) == 0
     captured = capsys.readouterr()
     assert "wait_all" in captured.out
+
+
+BAD_CONFIGS = {
+    # file text (None: no file at all) -> the commands that read the value
+    "missing": (None, ["train", "sweep", "adapt"]),
+    "agent-type": ("[agent]\ngamma = fast\n", ["train", "sweep", "adapt"]),
+    "agent-range": ("[agent]\ngamma = 2\n", ["train", "sweep"]),
+    "experiment": ("[experiment]\nrates = 1.5\n", ["train", "sweep", "adapt"]),
+    "algorithm": ("[experiment]\nalgorithms = ppo,sarsa\n", ["train", "sweep"]),
+    "deploy": ("[deploy]\nschedule = 0:0.5\ntotal_steps = -5\n", ["adapt"]),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    pytest.param(case, command, id=f"{case}-{command}")
+    for case, (_, commands) in BAD_CONFIGS.items() for command in commands])
+def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, case, command):
+    text = BAD_CONFIGS[case][0]
+    ini = tmp_path / "exp.ini"
+    if text is not None:
+        ini.write_text(text)
+    out = tmp_path / "run"
+    rc = cli_main([command, "--config", str(ini), "--out", str(out),
+                   "--steps", "10", "--episodes", "1"])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    if case == "agent-type":
+        assert "[agent] gamma" in err
+    assert not out.exists()  # rejected before any cell ran
 
 
 def test_cli_sweep_missing_checkpoint_nonzero_exit(tmp_path):

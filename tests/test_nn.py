@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kfac_oracle import solve_precondition
 from trafficlab.nn import (
     AdamOptimizer,
     DivergenceError,
@@ -473,3 +474,27 @@ def test_singular_factor_without_damping_raises():
     stats.a_factors[0] = np.zeros((2, 2))
     with pytest.raises(SingularCurvatureError):
         stats.precondition(grads_for(net, np.ones((2, 2))))
+
+
+def test_update_after_precondition_refreshes_the_inverses():
+    rng = np.random.default_rng(31)
+    net = small_net(sizes=(3, 5, 2))
+    stats = KfacStats(net, damping=1e-2, decay=0.5)
+    grads = Gradients([rng.normal(size=l.w.shape) for l in net.layers],
+                      [rng.normal(size=l.b.shape) for l in net.layers])
+
+    def feed():
+        x = rng.normal(size=(8, 3))
+        _, cache = net.forward(x)
+        net.backward(cache, rng.normal(size=(8, 2)))
+        stats.update(cache.inputs, cache.pre_grads)
+
+    feed()
+    first = stats.precondition(grads).flatten()
+    np.testing.assert_allclose(first, solve_precondition(stats, grads).flat,
+                               rtol=1e-9)
+    feed()
+    second = stats.precondition(grads).flatten()
+    np.testing.assert_allclose(second, solve_precondition(stats, grads).flat,
+                               rtol=1e-9)
+    assert not np.allclose(first, second, rtol=1e-6)
