@@ -12,7 +12,6 @@ from statistics import median
 
 from trafficlab.agents import Agent, Transition
 from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
-from trafficlab.nn import DivergenceError
 
 
 @dataclass
@@ -152,8 +151,9 @@ def run_deployment(agent: Agent, env_config: EnvConfig,
     agent is updated online every ``update_period`` steps from the
     transitions gathered since the previous update, rewarded with the
     partial (detected-only) signal. A timeline point is recorded at every
-    ``instability_window`` boundary; a non-finite training loss aborts the
-    run and returns the timeline gathered so far.
+    ``instability_window`` boundary; an update that raises (a non-finite
+    loss, a singular curvature factor) aborts the run and returns the
+    timeline gathered so far.
     """
     sim_cfg = env_config.sim
     horizon = (deploy.total_steps + 1) * sim_cfg.time_step
@@ -184,7 +184,7 @@ def run_deployment(agent: Agent, env_config: EnvConfig,
             if len(pending) >= deploy.update_period:
                 try:
                     agent.update(pending)
-                except DivergenceError as exc:
+                except Exception as exc:  # the timeline so far is the result
                     failure_step = step
                     failure_message = f"{type(exc).__name__}: {exc}"
                 pending = []

@@ -174,9 +174,6 @@ class Agent:
                 f"expected observation of length {self.obs_dim}, got {obs.shape}")
         return obs
 
-    def _scaled(self, obs: np.ndarray) -> np.ndarray:
-        return obs * self._obs_scale
-
     def act(self, obs, explore: bool = False) -> int:
         raise NotImplementedError
 
@@ -272,8 +269,10 @@ class DqlAgent(Agent):
         obs = self._check_obs(obs)
         if explore and self._rng.random() < self.epsilon():
             return int(self._rng.integers(N_ACTIONS))
-        q = self.q_net(self._scaled(obs))
-        return int(np.argmax(q))
+        q0, q1 = self.q_net(obs * self._obs_scale).tolist()
+        if not (math.isfinite(q0) and math.isfinite(q1)):  # else an arbitrary action
+            raise DivergenceError(f"q-values are not finite: {q0}, {q1}")
+        return 0 if q0 >= q1 else 1  # argmax: a tie keeps the first
 
     def update(self, transitions: list[Transition]) -> dict[str, float]:
         for t in transitions:
@@ -283,12 +282,6 @@ class DqlAgent(Agent):
             return {}
         loss = self._fit(*self.replay.sample(self._rng, self.config.batch_size))
         return {"loss": loss, "epsilon": self.epsilon()}
-
-    def train_on_batch(self, batch: list[Transition]) -> float:
-        """One regression step on the given transitions (see ``_fit``)."""
-        if not batch:
-            raise ValueError("batch must be non-empty")
-        return self._fit(*_stack(batch))
 
     def _fit(self, obs, actions, rewards, next_obs, dones) -> float:
         """One regression step of Q(s,a) toward r + gamma * max Q_target(s')
@@ -363,9 +356,17 @@ class _ActorCriticAgent(Agent):
         return init + frac * (floor - init)
 
     def act(self, obs, explore: bool = False) -> int:
+        # A scalar head: _log_softmax on the two logits as Python floats,
+        # skipping numpy's per-call cost on 2-element arrays. np.exp and
+        # np.log run the array calls' ufunc loops, so results stay bit-equal
+        # to the array path; math.exp and math.log may round differently.
         obs = self._check_obs(obs)
-        logits = self.actor(self._scaled(obs))
-        logp = _log_softmax(logits)
+        l0, l1 = self.actor(obs * self._obs_scale).tolist()
+        if not (math.isfinite(l0) and math.isfinite(l1)):  # else an arbitrary action
+            raise DivergenceError(f"policy logits are not finite: {l0}, {l1}")
+        top = max(l0, l1)
+        z0, z1 = l0 - top, l1 - top
+        lse = np.log(np.exp(z0) + np.exp(z1))
         if explore:
             # a uniform floor keeps rare actions sampled even once the
             # policy has become confident
@@ -373,16 +374,11 @@ class _ActorCriticAgent(Agent):
             if floor and self._rng.random() < floor:
                 action = int(self._rng.integers(N_ACTIONS))
             else:
-                action = 0 if self._rng.random() < np.exp(logp[0]) else 1
+                action = 0 if self._rng.random() < np.exp(z0 - lse) else 1
         else:
-            action = int(np.argmax(logits))
-        self.last_logprob = float(logp[action])
+            action = 0 if l0 >= l1 else 1  # argmax: a tie keeps the first
+        self.last_logprob = float((z1 if action else z0) - lse)
         return action
-
-    def policy(self, obs) -> np.ndarray:
-        """Action distribution at one observation."""
-        obs = self._check_obs(obs)
-        return np.exp(_log_softmax(self.actor(self._scaled(obs))))
 
     def _targets_and_advantages(self, transitions: list[Transition]):
         cfg = self.config
@@ -564,12 +560,10 @@ class AcktrAgent(A2cAgent):
 
     def _capped(self, direction: Gradients, learning_rate: float) -> Gradients:
         radius = self.config.trust_region_radius
-        if radius is None or not np.isfinite(radius):
+        if not np.isfinite(radius):
             return direction
         step_norm = learning_rate * direction.norm()
         if step_norm > radius:
-            if radius == 0.0:
-                return direction.scaled(0.0)
             return direction.scaled(radius / step_norm)
         return direction
 
@@ -583,7 +577,7 @@ class AcktrAgent(A2cAgent):
         needed. Saturated directions (tiny Fisher) would otherwise blow up
         under the inverse."""
         delta = self.config.kl_budget
-        if delta is None or delta <= 0:
+        if delta is None:
             return nat
         quad = 0.0
         for gw, gb, nw, nb in zip(grads.dw, grads.db, nat.dw, nat.db):

@@ -5,7 +5,8 @@ Everything is float64 numpy. A network's parameters live in one flat
 vector, ``Mlp.params``, laid out per layer as the weight matrix row-major,
 then the bias; each layer's ``w`` and ``b`` are views into it, so an
 optimizer step is a few whole-vector operations. Gradients use the same
-layout, with the same views.
+layout, with the same views. A net has two forward passes: calling it is
+inference and keeps nothing, ``forward`` keeps the cache ``backward`` reads.
 
 This module has no file format of its own. An agent checkpoint (see
 ``trafficlab.agents``) stores each net's ``params`` as is, and each
@@ -139,6 +140,7 @@ class Mlp:
     vector and keeps layers whose ``w``/``b`` are views into it. Write
     parameters in place (``layer.w[...] = ...``, ``set_flat``); rebinding
     ``layer.w`` would cut that layer off from ``params`` and the optimizers.
+    ``net(x)`` is inference without a cache; ``forward`` feeds ``backward``.
     """
 
     def __init__(self, layers: list[Layer], seed: int | None = None):
@@ -201,7 +203,14 @@ class Mlp:
         return out, ForwardCache(inputs, pre, a)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        """The output at one sample or a batch, bit-equal to ``forward``'s."""
+        a = np.asarray(x, dtype=np.float64)
+        if a.shape[-1] != self.input_size:
+            raise ValueError(
+                f"input size {a.shape[-1]} does not match net input {self.input_size}")
+        for layer in self.layers:
+            a = _apply_activation(layer.activation, a @ layer.w.T + layer.b)
+        return a
 
     def backward(self, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:
         """Exact gradients of the scalar whose output gradient is supplied.

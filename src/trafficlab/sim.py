@@ -152,9 +152,6 @@ class SignalState:
     phase_elapsed: float = 0.0
     amber_elapsed: float = 0.0
 
-    def axis_has_green(self, axis: Axis) -> bool:
-        return not self.in_amber and self.phase.served_axis is axis
-
 
 @dataclass
 class Metrics:

@@ -20,6 +20,10 @@ from trafficlab.env import (
 from trafficlab.sim import APPROACHES
 
 
+def axis_has_green(signal, axis):
+    return not signal.in_amber and signal.phase.served_axis is axis
+
+
 def braking_limited_speed(distance, decel, dt):
     if distance <= 0.0:
         return 0.0
@@ -36,7 +40,7 @@ def kinematics_step(state, config):
         lane = state.lanes[approach]
         if not lane:
             continue
-        green = state.signal.axis_has_green(approach.axis)
+        green = axis_has_green(state.signal, approach.axis)
         survivors = []
         leader_new_pos = None
         for veh in lane:

@@ -227,6 +227,20 @@ def test_divergence_aborts_with_partial_timeline():
     assert result.timeline[0].step == 64
 
 
+def test_singular_curvature_aborts_with_partial_timeline():
+    # undamped, memoryless curvature: the actor's 2x2 output factor has
+    # rank one, so the first update cannot invert it
+    agent = make_agent(AgentConfig(algorithm="acktr", seed=0, kfac_damping=0.0,
+                                   kfac_decay=0.0), 11)
+    deploy = DeploymentConfig(schedule=ramp(), total_steps=400,
+                              update_period=64, instability_window=100)
+    result = run_deployment(agent, env_config(), deploy, seed=1)
+    assert result.aborted
+    assert result.failure_step == 64
+    assert result.failure_message.startswith("SingularCurvatureError: ")
+    assert [p.step for p in result.timeline] == [64]
+
+
 def test_deployment_leaves_caller_config_untouched():
     cfg = env_config("medium", 1.0)
     deploy = DeploymentConfig(schedule=DetectionSchedule.ramp(0.0, 1.0, 300.0, 0.2),

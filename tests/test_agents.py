@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import struct
 from collections import defaultdict
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from trafficlab.agents import (
     ALGORITHMS,
+    N_ACTIONS,
     A2cAgent,
     AcktrAgent,
     AgentConfig,
@@ -23,7 +25,9 @@ from trafficlab.agents import (
     ObservationShapeError,
     PpoAgent,
     Transition,
+    _log_softmax,
     _ReplayBuffer,
+    _stack,
     agent_from_bytes,
     agent_to_bytes,
     load_agent,
@@ -33,7 +37,7 @@ from trafficlab.agents import (
 from kfac_oracle import solve_precondition, use_solve_preconditioner
 from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config
-from trafficlab.nn import Gradients
+from trafficlab.nn import DivergenceError, Gradients
 
 OBS_DIM = 11
 
@@ -62,6 +66,36 @@ def make_transitions(rng, n, dim=OBS_DIM, reward_fn=None):
 def log_softmax_ref(logits):
     z = logits - logits.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def policy(agent, obs):
+    """An actor-critic agent's action distribution at one observation."""
+    return np.exp(log_softmax_ref(agent.actor(obs * agent._obs_scale)))
+
+
+def train_on_batch(agent, batch):
+    """One DQL regression step on the given transitions, stacked as a
+    replay draw is."""
+    return agent._fit(*_stack(batch))
+
+
+def array_act(agent, obs, explore=False):
+    """The actor-critic ``act`` before its scalar head: the same choice
+    made on numpy arrays through the cached forward pass. The oracle for
+    the actions, log-probs and generator draws of the scalar head."""
+    obs = agent._check_obs(obs)
+    logits = agent.actor.forward(obs * agent._obs_scale)[0]
+    logp = _log_softmax(logits)
+    if explore:
+        floor = agent.exploration_floor()
+        if floor and agent._rng.random() < floor:
+            action = int(agent._rng.integers(N_ACTIONS))
+        else:
+            action = 0 if agent._rng.random() < np.exp(logp[0]) else 1
+    else:
+        action = int(np.argmax(logits))
+    agent.last_logprob = float(logp[action])
+    return action
 
 
 def fd_gradient(fn, net, h=1e-5):
@@ -113,6 +147,43 @@ def test_uniform_policy_samples_half_half():
     switches = sum(agent.act(obs, explore=True) for _ in range(draws))
     sigma = np.sqrt(0.25 / draws)
     assert abs(switches / draws - 0.5) < 3 * sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(algorithm=st.sampled_from(["a2c", "ppo", "acktr"]),
+       seed=st.integers(0, 2**31 - 1),
+       weight_scale=st.sampled_from([0.0, 1e-3, 1.0, 8.0, 300.0]),
+       floor=st.sampled_from([0.0, 0.3]),
+       explore=st.booleans(),
+       observations=st.lists(
+           st.lists(st.floats(-1e3, 1e3), min_size=OBS_DIM, max_size=OBS_DIM),
+           min_size=1, max_size=8))
+def test_scalar_head_act_equals_array_oracle(algorithm, seed, weight_scale,
+                                             floor, explore, observations):
+    # scaled weights reach ties (0), saturated softmaxes and underflowing
+    # exp(z); equal seeds give both sides equal nets and generator states
+    cfg = config_for(algorithm, seed=seed, explore_floor=floor)
+    agent, oracle = make_agent(cfg, OBS_DIM), make_agent(cfg, OBS_DIM)
+    for net in (agent.actor, oracle.actor):
+        net.params *= weight_scale
+    for obs in observations:
+        obs = np.array(obs)
+        assert agent.act(obs, explore=explore) == array_act(oracle, obs, explore)
+        assert struct.pack("<d", agent.last_logprob) == \
+            struct.pack("<d", oracle.last_logprob)
+    assert agent._rng.bit_generator.state == oracle._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("explore", [False, True])
+@pytest.mark.parametrize("algorithm", ["dql", "a2c", "ppo", "acktr"])
+def test_act_rejects_non_finite_network_outputs(algorithm, explore):
+    # a NaN observation gives NaN outputs, which pick no meaningful action
+    agent = make_agent(config_for(algorithm, epsilon_start=0.0,
+                                  epsilon_end=0.0), OBS_DIM)
+    obs = np.full(OBS_DIM, 0.5)
+    obs[3] = math.nan
+    with pytest.raises(DivergenceError, match="not finite"):
+        agent.act(obs, explore=explore)
 
 
 def test_fixed_time_switches_at_green_threshold():
@@ -224,7 +295,7 @@ def test_dql_batch_update_hand_computed_linear_case():
     obs = np.array([1.0, 0.0, 2.0])
     batch = [Transition(obs, 0, 1.0, np.zeros(3), True)]
     q0 = float(w_before[0] @ obs + b_before[0])
-    loss = agent.train_on_batch(batch)
+    loss = train_on_batch(agent, batch)
     td = q0 - 1.0  # done: target is the raw reward
     assert loss == pytest.approx(td * td)
     np.testing.assert_allclose(
@@ -244,7 +315,7 @@ def test_dql_bootstrap_uses_target_net_max():
     agent.target_net = agent.q_net.clone()
     agent.target_net.layers[0].b[:] = [3.0, 7.0]
     batch = [Transition(np.zeros(2), 1, 1.0, np.zeros(2), False)]
-    loss = agent.train_on_batch(batch)
+    loss = train_on_batch(agent, batch)
     # target = 1 + 0.5 * 7 = 4.5, q = 0 -> loss 20.25
     assert loss == pytest.approx(4.5 ** 2)
 
@@ -327,8 +398,8 @@ def test_dql_update_losses_match_list_replay_oracle():
         ring.add(t)
         if len(ring) >= cfg.warmup:
             # same generator state, so the same sampled indices
-            expected.append(oracle.train_on_batch(
-                ring.sample(oracle._rng, cfg.batch_size)))
+            expected.append(train_on_batch(
+                oracle, ring.sample(oracle._rng, cfg.batch_size)))
     assert len(losses) == 60 - cfg.warmup + 1
     assert losses == expected
     np.testing.assert_array_equal(agent.q_net.params, oracle.q_net.params)
@@ -402,9 +473,9 @@ def test_a2c_positive_advantage_increases_action_probability():
     nxt = rand_obs(rng)
     # large reward makes the advantage of action 0 strongly positive
     rollout = [Transition(obs, 0, 50.0, nxt, False)]
-    p_before = agent.policy(obs)[0]
+    p_before = policy(agent, obs)[0]
     agent.update(rollout)
-    p_after = agent.policy(obs)[0]
+    p_after = policy(agent, obs)[0]
     assert p_after > p_before
 
 
@@ -458,11 +529,11 @@ def test_ppo_clipped_term_arithmetic():
     obs = rand_obs(rng)
     nxt = rand_obs(rng)
     # force advantage exactly 1
-    v_now = float(agent.critic(agent._scaled(obs))[0])
-    v_next = float(agent.critic(agent._scaled(nxt))[0])
+    v_now = float(agent.critic(obs * agent._obs_scale)[0])
+    v_next = float(agent.critic(nxt * agent._obs_scale)[0])
     r = 1.0 + v_now - cfg.gamma * v_next
     # store an old log-prob that makes the ratio exactly 1.5
-    logp_now = log_softmax_ref(agent.actor(agent._scaled(obs)))[0]
+    logp_now = log_softmax_ref(agent.actor(obs * agent._obs_scale))[0]
     t = Transition(obs, 0, r, nxt, False, log_prob=float(logp_now - np.log(1.5)))
     actor_loss = agent.update([t])["actor_loss"]
     assert actor_loss == pytest.approx(-min(1.5, 1.2), rel=1e-9)
@@ -519,7 +590,7 @@ def test_policy_stays_proper_distribution_after_updates():
         for _ in range(5):
             agent.update(make_transitions(rng, 32))
         for _ in range(20):
-            pi = agent.policy(rand_obs(rng))
+            pi = policy(agent, rand_obs(rng))
             assert abs(pi.sum() - 1.0) < 1e-9
             assert np.all(pi > 0.0)
 

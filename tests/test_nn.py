@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfac_oracle import solve_precondition
 from trafficlab.nn import (
+    ACTIVATIONS,
     AdamOptimizer,
     DivergenceError,
     Gradients,
@@ -78,6 +81,28 @@ def test_forward_matches_dense_algebra_oracle():
 def test_forward_rejects_wrong_input_size():
     with pytest.raises(ValueError, match="input size"):
         small_net().forward(np.zeros(5))
+
+
+@pytest.mark.parametrize("shape", [(5,), (2,), (4, 5)])
+def test_call_rejects_wrong_input_size(shape):
+    with pytest.raises(ValueError, match="input size"):
+        small_net()(np.zeros(shape))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([None, 1, 7]),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
+       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=3))
+def test_call_equals_forward_bit_for_bit(seed, batch, scale, activations):
+    rng = np.random.default_rng(seed)
+    sizes = [11] + [int(n) for n in rng.integers(1, 65, size=len(activations))]
+    net = Mlp.create(sizes, activations, seed=seed)
+    net.params += rng.normal(size=net.num_params)  # non-zero biases too
+    shape = (11,) if batch is None else (batch, 11)
+    x = scale * rng.normal(size=shape)
+    out, expected = net(x), net.forward(x)[0]
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_mismatched_layer_dims_rejected():

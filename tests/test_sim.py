@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficlab.sim import (
     APPROACHES,
@@ -398,6 +400,37 @@ def test_invariants_hold_on_random_episodes(preset):
     for seed in range(2):
         cfg = scenario_preset(preset, rng_seed=seed)
         run_checked_episode(cfg, steps=600, command_rng=cmd_rng)
+
+
+@st.composite
+def sim_configs(draw):
+    """Any valid config: geometry, dynamics, signal timing and rates."""
+    return SimConfig(
+        lane_length=draw(st.floats(5.0, 500.0)),
+        vehicle_length=draw(st.floats(1.0, 12.0)),
+        min_gap=draw(st.floats(0.1, 6.0)),
+        vmax_default=draw(st.floats(1.0, 40.0)),
+        accel=draw(st.floats(0.1, 6.0)),
+        decel=draw(st.floats(0.5, 10.0)),
+        amber_duration=draw(st.floats(0.5, 8.0)),
+        min_green=draw(st.floats(0.5, 30.0)),
+        time_step=draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0, 3.0])),
+        arrival_rate=draw(st.floats(0.0, 1.5)),
+        detection_rate=draw(st.floats(0.0, 1.0)),
+        wait_speed_threshold=draw(st.floats(0.01, 3.0)),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=sim_configs(), steps=st.integers(1, 300),
+       switch_prob=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       command_seed=st.integers(0, 2**32 - 1))
+def test_invariants_hold_on_random_valid_configs(config, steps, switch_prob,
+                                                 command_seed):
+    run_checked_episode(config, steps=steps,
+                        command_rng=random.Random(command_seed),
+                        switch_prob=switch_prob)
 
 
 def test_identical_seed_and_commands_reproduce_exactly():
