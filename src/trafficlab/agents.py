@@ -238,8 +238,11 @@ class _ReplayBuffer:
     def sample(self, rng: np.random.Generator, n: int):
         """(obs, actions, rewards, next_obs, dones) of ``n`` uniform draws."""
         idx = rng.integers(0, len(self), size=n)
-        return (self.obs[idx], self.actions[idx], self.rewards[idx],
-                self.next_obs[idx], self.dones[idx])
+        # take copies the same rows as indexing; for the 2-D fields it
+        # costs a third as much, for the 1-D ones indexing is cheaper
+        return (self.obs.take(idx, axis=0), self.actions[idx],
+                self.rewards[idx], self.next_obs.take(idx, axis=0),
+                self.dones[idx])
 
 
 class DqlAgent(Agent):
@@ -258,6 +261,7 @@ class DqlAgent(Agent):
         self.optimizer = make_optimizer(config.optimizer, self.q_net)
         self.replay = _ReplayBuffer(config.replay_capacity, obs_dim)
         self.updates = 0
+        self._rows = np.arange(config.batch_size)
 
     def epsilon(self) -> float:
         cfg = self.config
@@ -275,34 +279,48 @@ class DqlAgent(Agent):
         return 0 if q0 >= q1 else 1  # argmax: a tie keeps the first
 
     def update(self, transitions: list[Transition]) -> dict[str, float]:
+        """Add each transition to the replay, then take one gradient step
+        per transition once the replay is warm, however many transitions
+        one call brings. Returns the mean loss of the steps taken."""
+        cfg = self.config
+        warm = max(cfg.warmup, cfg.batch_size)
+        losses = []
         for t in transitions:
             self.replay.add(t)
-        self.train_steps += len(transitions)
-        if len(self.replay) < max(self.config.warmup, self.config.batch_size):
+            self.train_steps += 1
+            if len(self.replay) >= warm:
+                losses.append(self._fit(*self.replay.sample(self._rng,
+                                                            cfg.batch_size)))
+        if not losses:
             return {}
-        loss = self._fit(*self.replay.sample(self._rng, self.config.batch_size))
-        return {"loss": loss, "epsilon": self.epsilon()}
+        return {"loss": sum(losses) / len(losses), "epsilon": self.epsilon()}
 
     def _fit(self, obs, actions, rewards, next_obs, dones) -> float:
         """One regression step of Q(s,a) toward r + gamma * max Q_target(s')
-        on a stacked batch; returns the mean squared TD error."""
+        on a stacked batch of at most ``batch_size`` rows; returns the mean
+        squared TD error."""
         cfg = self.config
         n = len(actions)
         obs = obs * self._obs_scale
         next_obs = next_obs * self._obs_scale
-        next_q = self.target_net(next_obs)
-        targets = rewards + cfg.gamma * (1.0 - dones) * next_q.max(axis=1)
+        # r + (gamma * (1 - d)) * max Q', its products and sum commuted
+        targets = self.target_net(next_obs).max(axis=1)
+        targets *= cfg.gamma * (1.0 - dones)
+        targets += rewards
         q, cache = self.q_net.forward(obs)
-        rows = np.arange(n)
-        picked = q[rows, actions]
-        td = picked - targets
-        loss = float(np.mean(td * td))
-        if not np.isfinite(loss):
+        rows = self._rows[:n]
+        td = q[rows, actions]
+        td -= targets
+        loss = float((td * td).sum()) / n  # what np.mean computes
+        if not math.isfinite(loss):
             raise DivergenceError("q-learning loss became non-finite")
+        td *= 2.0
+        td /= n
         dout = np.zeros_like(q)
-        dout[rows, actions] = 2.0 * td / n
+        dout[rows, actions] = td
         grads = self.q_net.backward(cache, dout)
-        self.optimizer.step(self.q_net, grads.scaled(-1.0), cfg.q_lr)
+        grads.flat *= -1.0  # descent
+        self.optimizer.step(self.q_net, grads, cfg.q_lr)
         self.updates += 1
         if self.updates % cfg.target_sync_period == 0:
             self.target_net = self.q_net.clone()

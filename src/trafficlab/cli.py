@@ -44,7 +44,8 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated seed list")
     p.add_argument("--scenario", help="flow preset: sparse, medium or dense")
     p.add_argument("--steps", dest="train_steps", type=int,
-                   help="training steps per cell")
+                   help="training steps per cell (default: each "
+                        "algorithm's own budget)")
     p.add_argument("--episodes", dest="eval_episodes", type=int,
                    help="evaluation episodes")
     p.add_argument("--workers", type=int, help="parallel worker processes")

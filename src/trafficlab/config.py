@@ -16,7 +16,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
-from trafficlab.agents import AgentConfig
+from trafficlab.agents import ALGORITHMS, AgentConfig
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -56,16 +56,27 @@ def parse_schedule(raw: str) -> DetectionSchedule:
     return DetectionSchedule(points)
 
 
+# Training budget each algorithm needs to escape the never-switch basin
+# reliably across seeds (measured, not guessed).
+TRAIN_STEPS_BY_ALGORITHM = {"ppo": 100_000, "dql": 100_000,
+                            "a2c": 250_000, "acktr": 250_000,
+                            "fixed_time": 0}
+
+
 @dataclass
 class ExperimentSpec:
-    """One experiment's grid: algorithms x detection rates x seeds."""
+    """One experiment's grid: algorithms x detection rates x seeds.
+
+    ``train_steps`` set (by file or flag) applies to every algorithm;
+    left unset, each algorithm trains for its own budget in
+    ``TRAIN_STEPS_BY_ALGORITHM``."""
 
     name: str = "experiment"
     scenario: str = "medium"
     algorithms: list[str] = field(default_factory=lambda: ["ppo"])
     rates: list[float] = field(default_factory=lambda: [1.0])
     seeds: list[int] = field(default_factory=lambda: [0])
-    train_steps: int = 100_000
+    train_steps: int | None = None
     eval_episodes: int = 20
     episode_length: float = 3600.0
     out_dir: str = "results"
@@ -75,10 +86,19 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.algorithms:
             raise ValueError("algorithm list must be non-empty")
+        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise ValueError(f"unknown algorithms {unknown}")
         if not self.seeds:
             raise ValueError("seed list must be non-empty")
         if any(not 0.0 <= r <= 1.0 for r in self.rates):
             raise ValueError("detection rates must lie in [0, 1]")
+
+    def steps_for(self, algorithm: str) -> int:
+        """The training steps of one ``algorithm`` cell."""
+        if self.train_steps is not None:
+            return self.train_steps
+        return TRAIN_STEPS_BY_ALGORITHM[algorithm]
 
     def cells(self):
         """Deterministically ordered (algorithm, rate, seed) grid."""

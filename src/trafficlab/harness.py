@@ -28,7 +28,10 @@ from trafficlab.agents import (
     save_agent,
 )
 from trafficlab.charts import Series, write_chart
-from trafficlab.config import ExperimentSpec
+from trafficlab.config import (  # noqa: F401 (re-exports the budgets)
+    TRAIN_STEPS_BY_ALGORITHM,
+    ExperimentSpec,
+)
 from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
 from trafficlab.sim import scenario_preset
 
@@ -60,12 +63,6 @@ _ALGO_DEFAULTS: dict[str, dict] = {
                 target_sync_period=500),
     "fixed_time": dict(fixed_time_green=30.0),
 }
-
-# Training budget each algorithm needs to escape the never-switch basin
-# reliably across seeds (measured, not guessed).
-TRAIN_STEPS_BY_ALGORITHM = {"ppo": 100_000, "dql": 100_000,
-                            "a2c": 250_000, "acktr": 250_000,
-                            "fixed_time": 0}
 
 
 def default_agent_config(algorithm: str, seed: int = 0,
@@ -344,14 +341,15 @@ def _train_cell(spec: ExperimentSpec, agent_overrides: dict,
     name = checkpoint_name(algorithm, spec.scenario, rate, seed)
     ckpt_path = os.path.join(ckpt_dir, name)
     try:
+        steps = spec.steps_for(algorithm)
         agent_cfg = default_agent_config(
-            algorithm, seed=seed, train_steps_budget=spec.train_steps,
+            algorithm, seed=seed, train_steps_budget=steps,
             overrides=agent_overrides)
         env_cfg = build_env_config(spec.scenario, rate, seed,
                                    episode_length=spec.episode_length)
         agent = make_agent(agent_cfg, env_cfg.observation_size)
         env = TrafficSignalEnv(env_cfg, seed=seed)
-        curve = train_agent(agent, env, spec.train_steps)
+        curve = train_agent(agent, env, steps)
         save_agent(agent, ckpt_path)
         write_curve_csv(os.path.join(
             curve_dir, f"train_{name[:-5]}.csv"), curve)

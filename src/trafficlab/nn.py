@@ -7,6 +7,10 @@ then the bias; each layer's ``w`` and ``b`` are views into it, so an
 optimizer step is a few whole-vector operations. Gradients use the same
 layout, with the same views. A net has two forward passes: calling it is
 inference and keeps nothing, ``forward`` keeps the cache ``backward`` reads.
+In place, a pass writes only arrays it made or owns: both forwards add the
+bias into the fresh matmul result (calling also applies the activation
+there), ``backward`` writes no array of the cache or of its output
+gradient, and an Adam step writes ``m``, ``v``, ``params`` and its scratch.
 
 This module has no file format of its own. An agent checkpoint (see
 ``trafficlab.agents``) stores each net's ``params`` as is, and each
@@ -39,11 +43,15 @@ class SingularCurvatureError(RuntimeError):
     """A curvature factor could not be inverted (no damping to rescue it)."""
 
 
-def _apply_activation(name: str, s: np.ndarray) -> np.ndarray:
+def _apply_activation(name: str, s: np.ndarray,
+                      in_place: bool = False) -> np.ndarray:
+    """``activation(s)``: a new array, or ``s`` itself overwritten when
+    ``in_place`` is set."""
+    out = s if in_place else None
     if name == "tanh":
-        return np.tanh(s)
+        return np.tanh(s, out=out)
     if name == "relu":
-        return np.maximum(s, 0.0)
+        return np.maximum(s, 0.0, out=out)
     return s
 
 
@@ -52,7 +60,10 @@ def _activation_backward(name: str, da: np.ndarray, s: np.ndarray,
     """Gradient at the pre-activation ``s`` from the gradient ``da`` at the
     activation ``a = activation(s)``."""
     if name == "tanh":
-        return da * (1.0 - a * a)
+        ds = a * a  # (1 - a*a) * da in one array; a product commutes exactly
+        np.subtract(1.0, ds, out=ds)
+        ds *= da
+        return ds
     if name == "relu":
         return da * (s > 0.0).astype(s.dtype)
     return da
@@ -196,7 +207,8 @@ class Mlp:
         pre = []
         for layer in self.layers:
             inputs.append(a)
-            s = a @ layer.w.T + layer.b
+            s = a @ layer.w.T
+            s += layer.b
             pre.append(s)
             a = _apply_activation(layer.activation, s)
         out = a[0] if squeeze else a
@@ -209,7 +221,9 @@ class Mlp:
             raise ValueError(
                 f"input size {a.shape[-1]} does not match net input {self.input_size}")
         for layer in self.layers:
-            a = _apply_activation(layer.activation, a @ layer.w.T + layer.b)
+            a = a @ layer.w.T
+            a += layer.b
+            a = _apply_activation(layer.activation, a, in_place=True)
         return a
 
     def backward(self, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:
@@ -271,7 +285,7 @@ class SgdOptimizer:
     kind = "sgd"
 
     def __init__(self, net: Mlp):
-        self._shape_ref = net.sizes
+        """SGD keeps no state; it takes the net as every optimizer does."""
 
     def step(self, net: Mlp, direction: Gradients, learning_rate: float) -> None:
         if not direction.is_finite():
@@ -293,7 +307,8 @@ class AdamOptimizer:
 
     The moments ``m`` and ``v`` are flat vectors in the ``Mlp.params``
     layout; their checkpoint form is per-layer views, all weights then all
-    biases."""
+    biases. Two scratch vectors of the same size hold each step's
+    intermediates; they are derived state and are not checkpointed."""
 
     kind = "adam"
 
@@ -305,6 +320,7 @@ class AdamOptimizer:
         self.t = 0
         self.m = np.zeros(net.num_params)
         self.v = np.zeros(net.num_params)
+        self._scratch = (np.empty(net.num_params), np.empty(net.num_params))
         shapes = [l.w.shape for l in net.layers]
         self._state_views = []
         for flat in (self.m, self.v):
@@ -319,11 +335,24 @@ class AdamOptimizer:
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
         m, v = self.m, self.v
+        # params += lr * (m / bias1) / (sqrt(v / bias2) + eps), with the
+        # moment updates before it, each operation as in that expression
+        # (products commuted, which is exact) and written into scratch
+        step, denom = self._scratch
         m *= self.beta1
-        m += (1 - self.beta1) * g
+        np.multiply(g, 1 - self.beta1, out=step)
+        m += step
         v *= self.beta2
-        v += (1 - self.beta2) * (g * g)
-        net.params += learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        np.multiply(g, g, out=step)
+        step *= 1 - self.beta2
+        v += step
+        np.divide(m, bias1, out=step)
+        step *= learning_rate
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        net.params += step
 
     def state_arrays(self) -> list[np.ndarray]:
         """``m`` then ``v``, each as views [w0 .. wL, b0 .. bL]."""

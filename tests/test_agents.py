@@ -340,6 +340,32 @@ def test_dql_replay_warmup_and_target_sync():
                                   agent.q_net.flatten())
 
 
+def test_dql_takes_one_gradient_step_per_transition_once_warm():
+    cfg = config_for("dql", warmup=8, batch_size=4, hidden_sizes=[4])
+    agent = DqlAgent(cfg, 4)
+    rng = np.random.default_rng(2)
+
+    def batch(n):
+        return [Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
+                           float(rng.normal()), rand_obs(rng, dim=4), False)
+                for _ in range(n)]
+
+    calls = [batch(5), batch(6), batch(256)]
+    agent.update(calls[0])
+    assert agent.updates == 0  # 5 < warmup
+    agent.update(calls[1])  # warm from the 8th transition on
+    assert agent.updates == 4
+    agent.update(calls[2])
+    assert agent.updates == 4 + 256
+    assert agent.train_steps == 5 + 6 + 256
+    # the same steps as handing over one transition per call
+    single = DqlAgent(cfg, 4)
+    for t in [t for call in calls for t in call]:
+        single.update([t])
+    assert single.updates == agent.updates
+    np.testing.assert_array_equal(single.q_net.params, agent.q_net.params)
+
+
 class ListReplay:
     """The list-of-Transition ring the array ring replaced, kept as the
     oracle for which transitions a seeded draw returns."""

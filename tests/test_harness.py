@@ -7,9 +7,10 @@ import pytest
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
 from trafficlab.agents import ObservationShapeError, load_agent
 from trafficlab.charts import ChartError, Series, line_chart
-from trafficlab.cli import build_parser
+from trafficlab.cli import _resolve, build_parser
 from trafficlab.cli import main as cli_main
 from trafficlab.config import (
+    TRAIN_STEPS_BY_ALGORITHM,
     ConfigBundle,
     ExperimentSpec,
     load_config_file,
@@ -152,7 +153,8 @@ def test_config_defaults_fill_unspecified_keys(tmp_path):
     path.write_text("[experiment]\nscenario = dense\n")
     spec = load_config_file(path).experiment_spec()
     assert spec.scenario == "dense"
-    assert spec.train_steps == 100_000  # default kept
+    assert spec.train_steps is None  # default kept: each algorithm's budget
+    assert spec.steps_for("ppo") == 100_000
     assert spec.episode_length == 3600.0
 
 
@@ -222,6 +224,19 @@ def test_schedule_string_round_trip():
         parse_schedule("nonsense")
 
 
+def test_train_steps_default_to_each_algorithm_budget(tmp_path):
+    def resolved(*argv):
+        spec, _, _ = _resolve(build_parser().parse_args(["train", *argv]))
+        return {a: spec.steps_for(a) for a in spec.algorithms}
+
+    assert resolved("--algo", "a2c,dql") == {"a2c": 250_000, "dql": 100_000}
+    assert resolved("--algo", "a2c,dql", "--steps", "256") == {"a2c": 256,
+                                                               "dql": 256}
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nalgorithms = a2c\ntrain_steps = 300\n")
+    assert resolved("--config", str(ini)) == {"a2c": 300}
+
+
 # ---------------------------------------------------------------------------
 # cmd_train
 # ---------------------------------------------------------------------------
@@ -237,6 +252,16 @@ def test_train_zero_steps_emits_initial_checkpoint_and_empty_curve(tmp_path):
     curve = tmp_path / "curves" / f"train_{checkpoint_name('ppo', 'medium', 0.5, 0)[:-5]}.csv"
     header, rows = read_csv(curve)
     assert rows == []  # empty curve
+
+
+def test_train_cell_without_steps_trains_the_algorithm_budget(tmp_path,
+                                                              monkeypatch):
+    monkeypatch.setitem(TRAIN_STEPS_BY_ALGORITHM, "a2c", 128)
+    spec = tiny_spec(tmp_path, algorithms=["a2c"], train_steps=None)
+    results = cmd_train(spec, FAST_AGENT)
+    agent = load_agent(results[0].checkpoint, expected_algorithm="a2c")
+    assert agent.train_steps == 128
+    assert agent.config.train_steps_budget == 128
 
 
 def test_train_fixed_time_is_untrained_baseline(tmp_path):
@@ -475,7 +500,8 @@ BAD_CONFIGS = {
     "agent-type": ("[agent]\ngamma = fast\n", ["train", "sweep", "adapt"]),
     "agent-range": ("[agent]\ngamma = 2\n", ["train", "sweep"]),
     "experiment": ("[experiment]\nrates = 1.5\n", ["train", "sweep", "adapt"]),
-    "algorithm": ("[experiment]\nalgorithms = ppo,sarsa\n", ["train", "sweep"]),
+    "algorithm": ("[experiment]\nalgorithms = ppo,sarsa\n",
+                  ["train", "sweep", "adapt"]),
     "deploy": ("[deploy]\nschedule = 0:0.5\ntotal_steps = -5\n", ["adapt"]),
 }
 

@@ -43,6 +43,42 @@ def numeric_gradient(net, x, target, h=1e-5):
     return grad / (2 * h)
 
 
+def call_reference(net, x):
+    """``Mlp.__call__`` as it was before it worked in place: a new array
+    for each operation. The oracle for the in-place pass."""
+    a = np.asarray(x, dtype=np.float64)
+    for layer in net.layers:
+        s = a @ layer.w.T + layer.b
+        if layer.activation == "tanh":
+            a = np.tanh(s)
+        elif layer.activation == "relu":
+            a = np.maximum(s, 0.0)
+        else:
+            a = s
+    return a
+
+
+def adam_reference(params, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One ``AdamOptimizer.step`` as it was before its scratch buffers,
+    writing ``params``, ``m`` and ``v`` in place. The oracle for the
+    scratch-buffer step."""
+    bias1 = 1.0 - beta1 ** t
+    bias2 = 1.0 - beta2 ** t
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * (g * g)
+    params += lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
+def random_net(rng, activations, in_dim):
+    """A net of random hidden sizes with non-zero biases."""
+    sizes = [in_dim] + [int(n) for n in rng.integers(1, 65, size=len(activations))]
+    net = Mlp.create(sizes, activations, seed=int(rng.integers(2**32)))
+    net.params += rng.normal(size=net.num_params)
+    return net
+
+
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
@@ -95,14 +131,15 @@ def test_call_rejects_wrong_input_size(shape):
        activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=3))
 def test_call_equals_forward_bit_for_bit(seed, batch, scale, activations):
     rng = np.random.default_rng(seed)
-    sizes = [11] + [int(n) for n in rng.integers(1, 65, size=len(activations))]
-    net = Mlp.create(sizes, activations, seed=seed)
-    net.params += rng.normal(size=net.num_params)  # non-zero biases too
+    net = random_net(rng, activations, 11)
     shape = (11,) if batch is None else (batch, 11)
     x = scale * rng.normal(size=shape)
+    x_before = x.copy()
     out, expected = net(x), net.forward(x)[0]
     assert out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
+    assert out.tobytes() == call_reference(net, x).tobytes()
+    assert x.tobytes() == x_before.tobytes()  # the input is never written
 
 
 def test_mismatched_layer_dims_rejected():
@@ -195,6 +232,31 @@ def test_backward_equals_per_layer_reference_bit_for_bit():
         np.testing.assert_array_equal(grads.db[idx], ds.sum(axis=0))
         da = ds @ layer.w
     assert np.shares_memory(grads.dw[0], grads.flat)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 7]),
+       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=3))
+def test_repeated_backward_on_one_cache_is_pure(seed, batch, activations):
+    """ACKTR runs a second, curvature backward on the cache of the first:
+    both must see the cache forward left, and give equal results."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, activations, 5)
+    out, cache = net.forward(rng.normal(size=(batch, 5)))
+    snapshot = [a.copy() for a in cache.inputs + cache.pre_activations
+                + [cache.output]]
+    dout = rng.normal(size=out.shape)
+    dout_before = dout.copy()
+    first = net.backward(cache, dout)
+    first_pre_grads = cache.pre_grads
+    second = net.backward(cache, dout)
+    assert first.flat.tobytes() == second.flat.tobytes()
+    for a, b in zip(first_pre_grads, cache.pre_grads):
+        assert a.tobytes() == b.tobytes()
+    for now, before in zip(cache.inputs + cache.pre_activations + [cache.output],
+                           snapshot):
+        assert now.tobytes() == before.tobytes()
+    assert dout.tobytes() == dout_before.tobytes()
 
 
 def test_backward_shape_mismatch_rejected():
@@ -355,6 +417,32 @@ def test_flat_optimizer_steps_equal_per_layer_loop():
     assert [a.shape for a in state] == [a.shape for a in m + v]
     for got, want in zip(state, m + v):
         np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1),
+       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=3),
+       lr=st.sampled_from([0.0, 1e-4, 5e-4, 0.3]),
+       scale=st.sampled_from([0.0, 1e-6, 1.0, 1e3]))
+def test_adam_step_equals_reference_bit_for_bit(seed, activations, lr, scale):
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, activations, int(rng.integers(1, 20)))
+    adam = AdamOptimizer(net)
+    params, m, v = net.flatten(), np.zeros(net.num_params), np.zeros(net.num_params)
+    for t in range(1, 5):
+        g = scale * rng.normal(size=net.num_params)
+        direction = Gradients.from_flat(g.copy(), [l.w.shape for l in net.layers])
+        adam.step(net, direction, lr)
+        adam_reference(params, m, v, g, t, lr)
+        assert direction.flat.tobytes() == g.tobytes()
+        assert net.params.tobytes() == params.tobytes()
+        assert adam.m.tobytes() == m.tobytes()
+        assert adam.v.tobytes() == v.tobytes()
+    # the scratch vectors are not state: a checkpoint holds m and v only
+    state = adam.state_arrays()
+    assert sum(a.size for a in state) == 2 * net.num_params
+    assert all(np.shares_memory(a, adam.m) or np.shares_memory(a, adam.v)
+               for a in state)
 
 
 def test_non_finite_direction_raises_divergence():
