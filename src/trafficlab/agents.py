@@ -444,8 +444,10 @@ class _ActorCriticAgent(Agent):
 
     def _critic_direction(self, grads: Gradients, cache, resid,
                           epoch: int) -> Gradients:
-        """The critic's step direction from its loss gradient: descent."""
-        return grads.scaled(-1.0)
+        """The critic's step direction from its loss gradient: descent,
+        negated in place."""
+        grads.flat *= -1.0
+        return grads
 
     def _nets(self) -> dict[str, Mlp]:
         return {"actor": self.actor, "critic": self.critic}
@@ -566,8 +568,8 @@ class AcktrAgent(A2cAgent):
         if epoch == 0:  # refresh curvature once per rollout
             self.critic.backward(cache, resid[:, None])
             self.critic_stats.update(cache.inputs, cache.pre_grads)
-        return self._natural(self.critic_stats, grads.scaled(-1.0),
-                             self.config.critic_lr)
+        grads.flat *= -1.0  # descent
+        return self._natural(self.critic_stats, grads, self.config.critic_lr)
 
     def _natural(self, stats: KfacStats, grads: Gradients,
                  learning_rate: float) -> Gradients:

@@ -3,7 +3,7 @@
 Every flag mirrors a config-file key; flags override file values. Exit
 status is 0 only when every grid cell succeeded; a config that cannot be
 read or holds a bad value is reported in one line before any cell runs,
-with exit status 2.
+with exit status 2. ``eval`` reports a bad flag value the same way.
 """
 
 from __future__ import annotations
@@ -159,6 +159,9 @@ def _eval(args) -> int:
     except (CheckpointError, ObservationShapeError, OSError) as exc:
         print(f"eval failed: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a bad flag value
+        print(f"eval failed: {exc}", file=sys.stderr)
+        return 2
     print(f"episodes: {stats.episodes}")
     print(f"mean return: {stats.mean_return:.3f}")
     for label, value in (("wait_all", stats.wait_all),

@@ -93,6 +93,9 @@ class ExperimentSpec:
             raise ValueError("seed list must be non-empty")
         if any(not 0.0 <= r <= 1.0 for r in self.rates):
             raise ValueError("detection rates must lie in [0, 1]")
+        if self.eval_episodes < 1:
+            raise ValueError(f"eval_episodes must be at least 1, "
+                             f"got {self.eval_episodes}")
 
     def steps_for(self, algorithm: str) -> int:
         """The training steps of one ``algorithm`` cell."""

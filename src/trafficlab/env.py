@@ -9,6 +9,11 @@ optional time-of-day fraction. Only detected vehicles influence any slot.
 Rewards are the negative normalized speed deficits: the full variant sums
 over every vehicle on an approach, the partial variant only over detected
 ones, which is all a controller could measure in the field.
+
+``step`` returns ``info = {"reward_breakdown": RewardBreakdown, "census":
+RoadCensus}``: both rewards and the post-step road census the step already
+took. Waiting-time metrics are not computed per step; read them with
+``metrics_snapshot(env.state, env.config.sim)`` when they are needed.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from trafficlab.sim import (
     SimConfig,
     SimState,
     kinematics_step,
-    metrics_snapshot,
+    metrics_snapshot,  # noqa: F401 (re-exported with the other step stages)
     road_census,
     signal_step,
     spawn_step,
@@ -40,6 +45,7 @@ TIME_OF_DAY_SLOT = 11
 BASE_OBSERVATION_SIZE = 11
 
 Action = Command  # keep (0) / switch (1)
+_COMMANDS = {0: Command.KEEP, 1: Command.SWITCH}
 
 
 class RewardMode(Enum):
@@ -51,7 +57,7 @@ class EpisodeDoneError(RuntimeError):
     """Raised when step() is called on a finished episode."""
 
 
-@dataclass
+@dataclass(slots=True)
 class RewardBreakdown:
     """Full and partial rewards plus the per-class speed deficits behind them."""
 
@@ -96,17 +102,16 @@ def build_observation(state: SimState, config: EnvConfig,
         census = road_census(state, config.sim)
     capacity = config.lane_capacity
     lane_length = config.sim.lane_length
-    obs = np.ones(config.observation_size)
-    for i, (count, nearest) in enumerate(zip(census.detected_counts,
-                                             census.nearest_detected)):
-        obs[i] = min(count / capacity, 1.0)
-        obs[N_COUNT_SLOTS + i] = 1.0 if nearest is None else min(nearest / lane_length, 1.0)
-    obs[PHASE_TIME_SLOT] = state.signal.phase_elapsed
-    obs[AMBER_SLOT] = 1.0 if state.signal.in_amber else 0.0
-    obs[PHASE_SLOT] = float(int(state.signal.phase))
+    signal = state.signal
+    # slot order: counts, distances, phase time, amber, phase, time of day
+    slots = [min(count / capacity, 1.0) for count in census.detected_counts]
+    slots += [1.0 if nearest is None else min(nearest / lane_length, 1.0)
+              for nearest in census.nearest_detected]
+    slots += (signal.phase_elapsed, 1.0 if signal.in_amber else 0.0,
+              float(int(signal.phase)))
     if config.include_time_of_day:
-        obs[TIME_OF_DAY_SLOT] = (state.clock % config.day_length) / config.day_length
-    return obs
+        slots.append((state.clock % config.day_length) / config.day_length)
+    return np.array(slots, dtype=np.float64)
 
 
 def compute_reward(state: SimState,
@@ -172,24 +177,33 @@ class TrafficSignalEnv:
 
     def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
         """Apply the signal command, advance the world one step, reward the
-        post-step state. Raises EpisodeDoneError past the episode end."""
+        post-step state.
+
+        ``action`` is 0 (keep) or 1 (switch), as any value equal to one of
+        them; any other value raises ValueError, and EpisodeDoneError is
+        raised past the episode end. ``info`` holds ``reward_breakdown``
+        (the ``RewardBreakdown``) and ``census`` (the post-step
+        ``RoadCensus``); waiting times are read with ``metrics_snapshot``.
+        """
         if self._state is None or self._done:
             raise EpisodeDoneError("episode is finished; call reset() first")
+        try:
+            command = _COMMANDS[action]
+        except (KeyError, TypeError):
+            raise ValueError(f"action must be 0 (keep) or 1 (switch), "
+                             f"got {action!r}") from None
         sim_cfg = self.config.sim
         state = self._state
-        signal_step(state, Command(int(action)), sim_cfg)
+        signal_step(state, command, sim_cfg)
         spawn_step(state, sim_cfg)
         kinematics_step(state, sim_cfg)
         census = road_census(state, sim_cfg)
         breakdown = compute_reward(state, census)
         reward = breakdown.for_mode(self.config.reward_mode)
         self._done = state.clock >= self.config.episode_length - 1e-9
-        info = {
-            "reward_breakdown": breakdown,
-            "metrics": metrics_snapshot(state, sim_cfg, census),
-        }
         obs = build_observation(state, self.config, census)
-        return obs, reward, self._done, info
+        return obs, reward, self._done, {"reward_breakdown": breakdown,
+                                         "census": census}
 
     @property
     def done(self) -> bool:

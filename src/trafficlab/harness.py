@@ -33,7 +33,7 @@ from trafficlab.config import (  # noqa: F401 (re-exports the budgets)
     ExperimentSpec,
 )
 from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
-from trafficlab.sim import scenario_preset
+from trafficlab.sim import metrics_snapshot, scenario_preset
 
 SWEEP_HEADER = ["algorithm", "scenario", "detection_rate", "seed",
                 "wait_all", "wait_detected", "wait_undetected", "episodes"]
@@ -119,7 +119,7 @@ def train_agent(agent: Agent, env: TrafficSignalEnv,
     ep_index = 0
     for step in range(1, total_steps + 1):
         action = agent.act(obs, explore=True)
-        next_obs, reward, done, info = env.step(action)
+        next_obs, reward, done, _ = env.step(action)
         pending.append(Transition(obs, action, reward, next_obs, done,
                                   log_prob=agent.last_logprob))
         ep_return += reward
@@ -127,9 +127,8 @@ def train_agent(agent: Agent, env: TrafficSignalEnv,
             agent.update(pending)
             pending = []
         if done:
-            metrics = info["metrics"]
-            records.append(EpisodeRecord(ep_index, step, ep_return,
-                                         metrics.wait_all))
+            wait_all = metrics_snapshot(env.state, env.config.sim).wait_all
+            records.append(EpisodeRecord(ep_index, step, ep_return, wait_all))
             ep_index += 1
             ep_return = 0.0
             obs = env.reset()
@@ -159,6 +158,8 @@ class EvalStats:
 
 def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
                    seed: int = 0) -> EvalStats:
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
     env = TrafficSignalEnv(env_config, seed=seed)
     if agent.obs_dim != env.observation_size:
         raise ObservationShapeError(
@@ -179,7 +180,7 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
         while not done:
             obs, reward, done, info = env.step(agent.act(obs, explore=False))
             ep_return += reward
-            queue_total += sum(info["metrics"].queue_lengths.values())
+            queue_total += sum(info["census"].queue_lengths)
             queue_samples += 1
         state = env.state
         ep_det, ep_n_det, ep_undet, ep_n_undet = state.add_onroad_waits(
@@ -204,7 +205,7 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
         exited_all=n_all,
         exited_detected=n_det,
         exited_undetected=n_undet,
-        mean_queue=queue_total / queue_samples if queue_samples else 0.0,
+        mean_queue=queue_total / queue_samples,
     )
 
 

@@ -22,6 +22,7 @@ from trafficlab.sim import (
     SimConfig,
     SimState,
     Vehicle,
+    road_census,
     scenario_preset,
 )
 
@@ -276,6 +277,42 @@ def test_step_before_reset_raises():
     env = make_env()
     with pytest.raises(EpisodeDoneError):
         env.step(Action.KEEP)
+
+
+@pytest.mark.parametrize("action", [0.7, 2, -1, "1"], ids=repr)
+def test_step_rejects_an_action_other_than_keep_or_switch(action):
+    env = make_env(arrival_rate=0.5)
+    env.reset(seed=3)
+    with pytest.raises(ValueError, match=f"got {action!r}"):
+        env.step(action)
+    assert env.state.clock == 0.0  # the bad action advanced nothing
+
+
+@pytest.mark.parametrize("action, command",
+                         [(0, Action.KEEP), (1, Action.SWITCH),
+                          (np.int64(1), Action.SWITCH), (True, Action.SWITCH)],
+                         ids=repr)
+def test_step_accepts_keep_and_switch_values(action, command):
+    stepped, reference = make_env(arrival_rate=0.5), make_env(arrival_rate=0.5)
+    stepped.reset(seed=3)
+    reference.reset(seed=3)
+    for _ in range(8):  # past min_green, so a switch is taken
+        stepped.step(0)
+        reference.step(Action.KEEP)
+    obs, _, _, _ = stepped.step(action)
+    expected, _, _, _ = reference.step(command)
+    assert obs.tobytes() == expected.tobytes()
+
+
+def test_step_info_holds_the_reward_breakdown_and_the_road_census():
+    env = TrafficSignalEnv(EnvConfig(sim=scenario_preset(
+        "dense", detection_rate=0.5, rng_seed=4)), seed=4)
+    env.reset(seed=4)
+    for _ in range(30):
+        _, reward, _, info = env.step(Action.KEEP)
+    assert set(info) == {"reward_breakdown", "census"}
+    assert reward == info["reward_breakdown"].partial
+    assert info["census"] == road_census(env.state, env.config.sim)
 
 
 def test_observation_bounds_on_random_rollout():

@@ -1,10 +1,10 @@
 """Golden digests of seeded runs.
 
 The first covers a one-hour fixed-time rollout on the dense road: every
-observation's bytes, every reward breakdown, every metrics snapshot and
-the final counters and road. It was recorded before the kinematics loop
-and the road census were rewritten, so any change to a seeded number of
-the env step shows up here.
+observation's bytes, every reward breakdown, the metrics snapshot after
+every step and the final counters and road. It was recorded before the
+kinematics loop and the road census were rewritten, so any change to a
+seeded number of the env step shows up here.
 
 The second covers briefly trained dql, ppo, a2c and acktr agents: their
 net parameters, optimizer state, counters and RNG state, hashed without
@@ -32,7 +32,7 @@ from trafficlab.agents import (
 )
 from trafficlab.env import EnvConfig, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config, train_agent
-from trafficlab.sim import APPROACHES, scenario_preset
+from trafficlab.sim import APPROACHES, metrics_snapshot, scenario_preset
 
 GOLDEN_DENSE_FIXED_TIME = (
     "6adbc1866269f387f98e0eb9fc07802265c19a897632c06d440081ddc9f63f93"
@@ -48,7 +48,8 @@ def rollout_digest(steps: int = 3600, seed: int = 20) -> str:
     h.update(obs.tobytes())
     for _ in range(steps):
         obs, reward, done, info = env.step(agent.act(obs))
-        bd, m = info["reward_breakdown"], info["metrics"]
+        bd = info["reward_breakdown"]
+        m = metrics_snapshot(env.state, cfg.sim)
         h.update(obs.tobytes())
         h.update(repr((reward, done, bd.full, bd.partial, bd.detected_deficit,
                        bd.undetected_deficit, m.wait_all, m.wait_detected,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
-from trafficlab.agents import ObservationShapeError, load_agent
+from trafficlab.agents import ObservationShapeError, Transition, load_agent, make_agent
 from trafficlab.charts import ChartError, Series, line_chart
 from trafficlab.cli import _resolve, build_parser
 from trafficlab.cli import main as cli_main
@@ -16,20 +16,26 @@ from trafficlab.config import (
     load_config_file,
     parse_schedule,
 )
+from trafficlab.env import TrafficSignalEnv
 from trafficlab.harness import (
     SWEEP_HEADER,
     SweepRecord,
+    build_env_config,
     checkpoint_name,
     cmd_adapt,
     cmd_eval,
     cmd_sweep,
     cmd_train,
+    default_agent_config,
     emit_csv,
+    evaluate_agent,
     read_csv,
     read_sweep_csv,
     read_timeline_csv,
+    train_agent,
     write_sweep_csv,
 )
+from trafficlab.sim import metrics_snapshot
 
 # Tiny budgets: these tests exercise plumbing, not learning quality.
 TINY = dict(train_steps=300, eval_episodes=2, episode_length=120.0)
@@ -183,6 +189,12 @@ def test_config_rejects_unknown_section(tmp_path):
     path.write_text("[simulator]\nlane_length = 100\n")
     with pytest.raises(ValueError, match="simulator"):
         load_config_file(path)
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_spec_rejects_fewer_than_one_eval_episode(tmp_path, episodes):
+    with pytest.raises(ValueError, match="eval_episodes must be at least 1"):
+        tiny_spec(tmp_path, eval_episodes=episodes)
 
 
 def test_cli_flags_override_config(tmp_path):
@@ -448,6 +460,68 @@ def test_eval_same_seed_identical_metrics(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_evaluate_agent_rejects_fewer_than_one_episode(episodes):
+    cfg = build_env_config("medium", 0.5, 0, episode_length=120.0)
+    agent = make_agent(default_agent_config("fixed_time"),
+                       cfg.observation_size)
+    with pytest.raises(ValueError, match=f"episodes must be at least 1, "
+                                         f"got {episodes}"):
+        evaluate_agent(agent, cfg, episodes)
+
+
+def test_eval_mean_queue_equals_a_per_step_metrics_loop():
+    cfg = build_env_config("dense", 0.5, 6, episode_length=300.0)
+    agent = make_agent(default_agent_config("ppo", seed=6,
+                                            overrides=FAST_AGENT),
+                       cfg.observation_size)
+    stats = evaluate_agent(agent, cfg, episodes=2, seed=6)
+
+    env = TrafficSignalEnv(cfg, seed=6)
+    queue_total = 0.0
+    samples = 0
+    for _ in range(2):
+        obs, done = env.reset(), False
+        while not done:
+            obs, _, done, _ = env.step(agent.act(obs, explore=False))
+            queue_total += sum(metrics_snapshot(
+                env.state, cfg.sim).queue_lengths.values())
+            samples += 1
+    assert samples == 600
+    assert repr(stats.mean_queue) == repr(queue_total / samples)
+
+
+def test_train_mean_waits_equal_a_per_step_metrics_loop():
+    cfg = build_env_config("dense", 0.5, 8, episode_length=120.0)
+
+    def fresh_agent():
+        return make_agent(default_agent_config("ppo", seed=8,
+                                               overrides=FAST_AGENT),
+                          cfg.observation_size)
+
+    records = train_agent(fresh_agent(), TrafficSignalEnv(cfg, seed=8), 500)
+
+    agent, env = fresh_agent(), TrafficSignalEnv(cfg, seed=8)
+    obs = env.reset()
+    pending, waits = [], []
+    for _ in range(500):
+        action = agent.act(obs, explore=True)
+        next_obs, reward, done, _ = env.step(action)
+        wait = metrics_snapshot(env.state, cfg.sim).wait_all
+        pending.append(Transition(obs, action, reward, next_obs, done,
+                                  log_prob=agent.last_logprob))
+        if len(pending) >= agent.needs_rollout:
+            agent.update(pending)
+            pending = []
+        if done:
+            waits.append(wait)
+            obs = env.reset()
+        else:
+            obs = next_obs
+    assert len(waits) == 4
+    assert repr([r.mean_wait for r in records]) == repr(waits)
+
+
 def test_eval_observation_shape_mismatch_explicit(tmp_path):
     spec = tiny_spec(tmp_path, algorithms=["fixed_time"])
     ckpt = cmd_train(spec)[0].checkpoint
@@ -526,6 +600,17 @@ def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, case, command):
     assert not out.exists()  # rejected before any cell ran
 
 
+@pytest.mark.parametrize("command", ["train", "sweep", "adapt"])
+def test_cli_zero_eval_episodes_is_one_line_error(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    rc = cli_main([command, "--out", str(out), "--steps", "10",
+                   "--episodes", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"{command} failed: eval_episodes must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_cli_sweep_missing_checkpoint_nonzero_exit(tmp_path):
     out = str(tmp_path / "nothing")
     rc = cli_main(["sweep", "--out", out, "--algo", "ppo", "--rates", "0.5",
@@ -538,6 +623,19 @@ def test_cli_eval_bad_checkpoint_nonzero_exit(tmp_path, capsys):
     rc = cli_main(["eval", "--checkpoint", missing])
     assert rc == 1
     assert "eval failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--episodes", "0"], ["--rate", "1.5"],
+                                   ["--scenario", "rush"]], ids=" ".join)
+def test_cli_eval_bad_value_is_one_line_error(tmp_path, capsys, flags):
+    ckpt = cmd_train(tiny_spec(tmp_path, algorithms=["fixed_time"]))[0].checkpoint
+    capsys.readouterr()
+    rc = cli_main(["eval", "--checkpoint", ckpt, *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("eval failed: ")
 
 
 def test_workers_pool_matches_sequential(tmp_path):

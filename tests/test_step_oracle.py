@@ -12,6 +12,7 @@ from trafficlab.sim import (
     PRESET_ARRIVAL_RATES,
     Command,
     SimState,
+    metrics_snapshot,
     scenario_preset,
     signal_step,
     spawn_step,
@@ -84,7 +85,8 @@ def test_env_step_equals_per_vehicle_oracle(config, steps, switch_rate, seed):
                                            -(detected + undetected), -detected))
         assert repr(reward) == repr(bd.for_mode(config.reward_mode))
         assert obs.tobytes() == sim_oracle.observation(ref, config).tobytes()
-        metrics = info["metrics"]
+        assert info["census"].queue_lengths == sim_oracle.queue_lengths(ref, sim)
+        metrics = metrics_snapshot(env.state, sim)
         assert [metrics.queue_lengths[a] for a in APPROACHES] == \
             sim_oracle.queue_lengths(ref, sim)
         assert metrics.exited_all == ref.exited_count
