@@ -11,8 +11,10 @@ over every vehicle on an approach, the partial variant only over detected
 ones, which is all a controller could measure in the field.
 
 ``step`` returns ``info = {"reward_breakdown": RewardBreakdown, "census":
-RoadCensus}``: both rewards and the post-step road census the step already
-took. Waiting-time metrics are not computed per step; read them with
+RoadCensus}``: both rewards and the post-step road census that
+``kinematics_step`` took in its walk, from which the reward and the
+observation are read, so a step walks the road once. Waiting-time metrics
+are not computed per step; read them with
 ``metrics_snapshot(env.state, env.config.sim)`` when they are needed.
 """
 
@@ -86,10 +88,6 @@ class EnvConfig:
             raise ValueError("episode_length must be a multiple of time_step")
 
     @property
-    def lane_capacity(self) -> int:
-        return self.sim.lane_capacity
-
-    @property
     def observation_size(self) -> int:
         return BASE_OBSERVATION_SIZE + (1 if self.include_time_of_day else 0)
 
@@ -98,17 +96,25 @@ def build_observation(state: SimState, config: EnvConfig,
                       census: RoadCensus | None = None) -> np.ndarray:
     """Compact state vector; undetected vehicles are invisible to it. The
     road slots are read from ``census`` when given."""
+    sim = config.sim
     if census is None:
-        census = road_census(state, config.sim)
-    capacity = config.lane_capacity
-    lane_length = config.sim.lane_length
+        census = road_census(state, sim)
+    capacity = sim.lane_capacity
+    lane_length = sim.lane_length
     signal = state.signal
+    c0, c1, c2, c3 = census.detected_counts
+    d0, d1, d2, d3 = census.nearest_detected
     # slot order: counts, distances, phase time, amber, phase, time of day
-    slots = [min(count / capacity, 1.0) for count in census.detected_counts]
-    slots += [1.0 if nearest is None else min(nearest / lane_length, 1.0)
-              for nearest in census.nearest_detected]
-    slots += (signal.phase_elapsed, 1.0 if signal.in_amber else 0.0,
-              float(int(signal.phase)))
+    slots = [
+        min(c0 / capacity, 1.0), min(c1 / capacity, 1.0),
+        min(c2 / capacity, 1.0), min(c3 / capacity, 1.0),
+        1.0 if d0 is None else min(d0 / lane_length, 1.0),
+        1.0 if d1 is None else min(d1 / lane_length, 1.0),
+        1.0 if d2 is None else min(d2 / lane_length, 1.0),
+        1.0 if d3 is None else min(d3 / lane_length, 1.0),
+        signal.phase_elapsed, 1.0 if signal.in_amber else 0.0,
+        float(int(signal.phase)),
+    ]
     if config.include_time_of_day:
         slots.append((state.clock % config.day_length) / config.day_length)
     return np.array(slots, dtype=np.float64)
@@ -183,7 +189,9 @@ class TrafficSignalEnv:
         them; any other value raises ValueError, and EpisodeDoneError is
         raised past the episode end. ``info`` holds ``reward_breakdown``
         (the ``RewardBreakdown``) and ``census`` (the post-step
-        ``RoadCensus``); waiting times are read with ``metrics_snapshot``.
+        ``RoadCensus`` that ``kinematics_step`` returns, which the reward
+        and the observation read); waiting times are read with
+        ``metrics_snapshot``.
         """
         if self._state is None or self._done:
             raise EpisodeDoneError("episode is finished; call reset() first")
@@ -196,8 +204,7 @@ class TrafficSignalEnv:
         state = self._state
         signal_step(state, command, sim_cfg)
         spawn_step(state, sim_cfg)
-        kinematics_step(state, sim_cfg)
-        census = road_census(state, sim_cfg)
+        census = kinematics_step(state, sim_cfg)
         breakdown = compute_reward(state, census)
         reward = breakdown.for_mode(self.config.reward_mode)
         self._done = state.clock >= self.config.episode_length - 1e-9

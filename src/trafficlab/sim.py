@@ -6,15 +6,18 @@ with a configurable probability. The two-phase signal (plus amber
 transitions) is driven externally through keep/switch commands, one per
 time step.
 
-All step functions mutate the given :class:`SimState` in place and return
-it, so a driver can chain them. A state is strictly single-threaded but
-cheap to create, so parallel experiments simply use one state each.
+All step functions mutate the given :class:`SimState` in place.
+``signal_step`` and ``spawn_step`` return the state; ``kinematics_step``
+returns the post-step :class:`RoadCensus` it takes in the same walk, so
+a driver need not walk the road again. A state is strictly
+single-threaded but cheap to create, so parallel experiments simply use
+one state each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -96,11 +99,19 @@ class SimConfig:
             "min_gap", "amber_duration", "min_green", "time_step",
             "wait_speed_threshold",
         )
+        for name in positive + ("arrival_rate", "detection_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.arrival_rate < 0:
             raise ValueError("arrival_rate must be non-negative")
+        # spawn_step draws arrivals by numpy's Poisson method for a mean
+        # below 10; a lane admits at most one vehicle per step anyway
+        if self.arrival_rate * self.time_step >= 10.0:
+            raise ValueError("arrival_rate * time_step must be below 10 "
+                             "(mean arrivals per approach per step)")
         if not 0.0 <= self.detection_rate <= 1.0:
             raise ValueError("detection_rate must lie in [0, 1]")
 
@@ -170,9 +181,20 @@ class Metrics:
     queue_lengths: dict[Approach, int]
 
 
+UNIFORM_BLOCK = 256  # uniforms drawn from a state's rng per refill
+
+
 @dataclass
 class SimState:
-    """Complete mutable state of one simulation instance."""
+    """Complete mutable state of one simulation instance.
+
+    ``spawn_step`` takes its random draws from a stream of uniforms:
+    ``uniforms`` is the current block of ``UNIFORM_BLOCK`` values that
+    ``rng`` filled and ``uniform_index`` the next unused one (a new state
+    starts with no block and the index at ``UNIFORM_BLOCK``, so its first
+    draw fills one). ``rng`` thus runs up to one block ahead of the draws
+    used; nothing else may draw from it.
+    """
 
     clock: float
     signal: SignalState
@@ -187,6 +209,8 @@ class SimState:
     exited_n_undetected: int
     next_vehicle_id: int
     rng: np.random.Generator
+    uniforms: list[float] = field(repr=False)
+    uniform_index: int = field(repr=False)
 
     @classmethod
     def initial(cls, config: SimConfig, seed: int | None = None) -> "SimState":
@@ -205,6 +229,8 @@ class SimState:
             exited_n_undetected=0,
             next_vehicle_id=0,
             rng=np.random.default_rng(config.rng_seed if seed is None else seed),
+            uniforms=[],
+            uniform_index=UNIFORM_BLOCK,
         )
 
     def vehicle_count(self) -> int:
@@ -245,7 +271,13 @@ class RoadCensus:
 
 def road_census(state: SimState, config: SimConfig) -> RoadCensus:
     """Walk every lane once, front to back, in ``APPROACHES`` order; the
-    deficits are summed vehicle by vehicle in that order."""
+    deficits are summed vehicle by vehicle in that order.
+
+    ``kinematics_step`` returns this census for the road it has just
+    stepped; this walk serves a road that has not just stepped (a reset
+    state, and ``build_observation``, ``compute_reward`` and
+    ``metrics_snapshot`` called without a census).
+    """
     threshold = config.wait_speed_threshold
     detected = undetected = 0.0
     counts, nearest, queues = [], [], []
@@ -285,30 +317,59 @@ def spawn_step(state: SimState, config: SimConfig) -> SimState:
     (never dropped) and retry next step. The detected flag is drawn at the
     moment a vehicle actually enters, so a detection rate changed between
     steps applies to everything spawned afterwards.
+
+    Every draw is taken from the state's stream of uniforms (see
+    :class:`SimState`), refilled from ``state.rng`` a block at a time. An
+    arrival count is numpy's Poisson method for a mean below 10, written
+    out: multiply uniforms while the product exceeds ``exp(-mean)``; a
+    mean of 0 draws nothing. A detected flag is ``u < detection_rate``.
+    The values and their order are those of calling ``rng.poisson`` and
+    ``rng.random`` once per draw, but ``state.rng`` runs up to one block
+    ahead of the draws used, so nothing else may draw from it.
     """
-    rng = state.rng
     lam = config.arrival_rate * config.time_step
+    limit = math.exp(-lam)
+    lane_length = config.lane_length
+    vmax = config.vmax_default
+    detection_rate = config.detection_rate
     entry_margin = config.vehicle_length + config.min_gap
+    uniforms = state.uniforms
+    i = state.uniform_index
     for approach in APPROACHES:
-        arrivals = state.pending[approach] + int(rng.poisson(lam))
+        arrivals = state.pending[approach]
+        if lam != 0.0:
+            product = 1.0
+            while True:
+                if i == UNIFORM_BLOCK:
+                    uniforms = state.uniforms = state.rng.random(UNIFORM_BLOCK).tolist()
+                    i = 0
+                product *= uniforms[i]
+                i += 1
+                if not product > limit:
+                    break
+                arrivals += 1
         lane = state.lanes[approach]
         while arrivals > 0:
             if lane:
                 rear = lane[-1]
-                if config.lane_length - rear.position < entry_margin:
+                if lane_length - rear.position < entry_margin:
                     break  # entrance occupied; retry next step
-                headroom = config.lane_length - rear.position - entry_margin
-                speed = min(config.vmax_default,
-                            _braking_limited_speed(headroom, config.decel, config.time_step))
+                headroom = lane_length - rear.position - entry_margin
+                speed = min(vmax, _braking_limited_speed(headroom, config.decel,
+                                                         config.time_step))
             else:
-                speed = config.vmax_default
-            detected = rng.random() < config.detection_rate
+                speed = vmax
+            if i == UNIFORM_BLOCK:
+                uniforms = state.uniforms = state.rng.random(UNIFORM_BLOCK).tolist()
+                i = 0
+            detected = uniforms[i] < detection_rate
+            i += 1
             lane.append(Vehicle(
                 id=state.next_vehicle_id,
                 approach=approach,
-                position=config.lane_length,
+                position=lane_length,
                 speed=speed,
-                vmax=config.vmax_default,
+                vmax=vmax,
                 detected=detected,
                 spawn_time=state.clock,
             ))
@@ -318,17 +379,27 @@ def spawn_step(state: SimState, config: SimConfig) -> SimState:
                 state.spawned_detected_count += 1
             arrivals -= 1
         state.pending[approach] = arrivals
+    state.uniform_index = i
     return state
 
 
-def kinematics_step(state: SimState, config: SimConfig) -> SimState:
-    """Advance every vehicle by one time step and advance the clock.
+def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
+    """Advance every vehicle by one time step and advance the clock; return
+    the post-step road census taken in the same walk.
 
     Front-to-back per lane: each vehicle accelerates toward its own vmax,
     capped by the speed that still lets it stop before its obstacle (the
     leader's rear plus the minimum gap, or the stop line when its axis does
     not have green). A vehicle whose new position crosses the stop line
     exits and its waiting time is booked into the per-class accumulators.
+
+    The exits of a lane are always its front vehicles: a follower of a
+    vehicle that stays ends at least ``spacing`` behind that vehicle's new
+    position (which is not negative) or where it stood, so it stays too.
+    They are removed with one slice deletion. The returned
+    :class:`RoadCensus` equals ``road_census`` of the stepped state: the
+    staying vehicles are visited in its order and its sums are added in
+    its order.
     """
     dt = config.time_step
     accel_dt = config.accel * dt
@@ -341,19 +412,20 @@ def kinematics_step(state: SimState, config: SimConfig) -> SimState:
     sig = state.signal
     ns_green = not sig.in_amber and sig.phase == Phase.NS_GREEN
     ew_green = not sig.in_amber and sig.phase == Phase.EW_GREEN
-    exited = state.exited_count
+    detected_deficit = undetected_deficit = 0.0
+    counts, nearest, queues = [], [], []
     lanes = state.lanes
     for approach, green in zip(APPROACHES, (ns_green, ns_green, ew_green, ew_green)):
         lane = lanes[approach]
-        if not lane:
-            continue
-        survivors: list[Vehicle] = []
+        exits = count = queue = 0
+        near = None
         leader_new_pos = None
         for veh in lane:
             pos = veh.position
+            vmax = veh.vmax
             new_speed = veh.speed + accel_dt
-            if not new_speed < veh.vmax:
-                new_speed = veh.vmax
+            if not new_speed < vmax:
+                new_speed = vmax
             if leader_new_pos is None and green:
                 new_pos = pos - new_speed * dt  # nothing ahead to stop for
             else:
@@ -378,22 +450,33 @@ def kinematics_step(state: SimState, config: SimConfig) -> SimState:
             veh.speed = new_speed
             leader_new_pos = new_pos
             if new_pos < 0.0:
-                exited += 1
+                exits += 1
                 if veh.detected:
                     state.exited_wait_detected += veh.cumulative_wait
                     state.exited_n_detected += 1
                 else:
                     state.exited_wait_undetected += veh.cumulative_wait
                     state.exited_n_undetected += 1
+                continue
+            veh.position = new_pos
+            if new_speed < threshold:
+                veh.cumulative_wait += dt
+                queue += 1
+            if veh.detected:
+                if near is None:
+                    near = new_pos
+                count += 1
+                detected_deficit += (vmax - new_speed) / vmax
             else:
-                veh.position = new_pos
-                if new_speed < threshold:
-                    veh.cumulative_wait += dt
-                survivors.append(veh)
-        lanes[approach] = survivors
-    state.exited_count = exited
+                undetected_deficit += (vmax - new_speed) / vmax
+        if exits:
+            del lane[:exits]
+            state.exited_count += exits
+        counts.append(count)
+        nearest.append(near)
+        queues.append(queue)
     state.clock += dt
-    return state
+    return RoadCensus(detected_deficit, undetected_deficit, counts, nearest, queues)
 
 
 def signal_step(state: SimState, command: Command, config: SimConfig) -> SimState:

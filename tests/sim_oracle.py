@@ -1,9 +1,10 @@
-"""Per-vehicle reference versions of the env step's road walks.
+"""Per-vehicle reference versions of the env step's road walks and draws.
 
 These are the plain loops the simulator used before its kinematics loop
-was hoisted and its reward, observation and queue passes were folded
-into one road census. Tests drive them in lockstep with the real step
-and require bit-identical results.
+was hoisted, its reward, observation and queue passes were folded into
+one road census, and its spawn draws were taken from a block-filled
+stream of uniforms. Tests drive them in lockstep with the real step and
+require bit-identical results.
 """
 
 import math
@@ -17,7 +18,7 @@ from trafficlab.env import (
     PHASE_TIME_SLOT,
     TIME_OF_DAY_SLOT,
 )
-from trafficlab.sim import APPROACHES
+from trafficlab.sim import APPROACHES, Vehicle
 
 
 def axis_has_green(signal, axis):
@@ -28,6 +29,44 @@ def braking_limited_speed(distance, decel, dt):
     if distance <= 0.0:
         return 0.0
     return -decel * dt + math.sqrt(decel * decel * dt * dt + 2.0 * decel * distance)
+
+
+def spawn_step(state, config):
+    """Spawn with one ``rng.poisson`` call per approach and one
+    ``rng.random`` call per entering vehicle."""
+    rng = state.rng
+    lam = config.arrival_rate * config.time_step
+    entry_margin = config.vehicle_length + config.min_gap
+    for approach in APPROACHES:
+        arrivals = state.pending[approach] + int(rng.poisson(lam))
+        lane = state.lanes[approach]
+        while arrivals > 0:
+            if lane:
+                rear = lane[-1]
+                if config.lane_length - rear.position < entry_margin:
+                    break
+                headroom = config.lane_length - rear.position - entry_margin
+                speed = min(config.vmax_default,
+                            braking_limited_speed(headroom, config.decel, config.time_step))
+            else:
+                speed = config.vmax_default
+            detected = rng.random() < config.detection_rate
+            lane.append(Vehicle(
+                id=state.next_vehicle_id,
+                approach=approach,
+                position=config.lane_length,
+                speed=speed,
+                vmax=config.vmax_default,
+                detected=detected,
+                spawn_time=state.clock,
+            ))
+            state.next_vehicle_id += 1
+            state.spawned_count += 1
+            if detected:
+                state.spawned_detected_count += 1
+            arrivals -= 1
+        state.pending[approach] = arrivals
+    return state
 
 
 def kinematics_step(state, config):
@@ -92,7 +131,7 @@ def reward_deficits(state):
 
 def observation(state, config):
     sim = config.sim
-    capacity = config.lane_capacity
+    capacity = sim.lane_capacity
     obs = np.ones(config.observation_size)
     for i, approach in enumerate(APPROACHES):
         count = 0

@@ -1,5 +1,6 @@
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,11 +288,11 @@ def test_train_fixed_time_is_untrained_baseline(tmp_path):
 def test_train_two_seeds_give_distinct_reproducible_checkpoints(tmp_path):
     spec = tiny_spec(tmp_path / "a", seeds=[0, 1])
     results = cmd_train(spec, FAST_AGENT)
-    blobs = [open(r.checkpoint, "rb").read() for r in results]
+    blobs = [Path(r.checkpoint).read_bytes() for r in results]
     assert blobs[0] != blobs[1]
     spec2 = tiny_spec(tmp_path / "b", seeds=[0, 1])
     results2 = cmd_train(spec2, FAST_AGENT)
-    blobs2 = [open(r.checkpoint, "rb").read() for r in results2]
+    blobs2 = [Path(r.checkpoint).read_bytes() for r in results2]
     assert blobs == blobs2
 
 
@@ -440,7 +441,7 @@ def test_adapt_timeline_reproducible(tmp_path):
         spec = tiny_spec(where, algorithms=["fixed_time"], rates=[0.5])
         cmd_train(spec)
         res = cmd_adapt(spec, adapt_deploy())
-        return open(res[0].timeline_csv, "rb").read()
+        return Path(res[0].timeline_csv).read_bytes()
 
     assert run(tmp_path / "m") == run(tmp_path / "n")
 
@@ -646,4 +647,4 @@ def test_workers_pool_matches_sequential(tmp_path):
     res_seq = cmd_train(spec_seq)
     res_par = cmd_train(spec_par)
     for a, b in zip(res_seq, res_par):
-        assert open(a.checkpoint, "rb").read() == open(b.checkpoint, "rb").read()
+        assert Path(a.checkpoint).read_bytes() == Path(b.checkpoint).read_bytes()

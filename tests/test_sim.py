@@ -114,6 +114,31 @@ def test_config_validation():
         SimConfig(arrival_rate=-0.1)
 
 
+FLOAT_FIELDS = ("lane_length", "vmax_default", "accel", "decel",
+                "vehicle_length", "min_gap", "amber_duration", "min_green",
+                "time_step", "arrival_rate", "detection_rate",
+                "wait_speed_threshold")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_config_value_rejected_by_name(name, value):
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("arrival_rate, time_step", [
+    (10.0, 1.0), (5.0, 2.0), (25.0, 0.5), (1e6, 1.0)])
+def test_arrival_rate_per_step_of_ten_or_more_rejected(arrival_rate, time_step):
+    with pytest.raises(ValueError, match="arrival_rate.*time_step"):
+        SimConfig(arrival_rate=arrival_rate, time_step=time_step)
+
+
+def test_arrival_rate_per_step_just_below_ten_accepted():
+    SimConfig(arrival_rate=math.nextafter(10.0, 0.0), time_step=1.0)
+    SimConfig(arrival_rate=4.9, time_step=2.0)
+
+
 def test_lane_capacity_default_geometry():
     assert SimConfig().lane_capacity == 20
 

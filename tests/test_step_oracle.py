@@ -1,8 +1,11 @@
 """The env step against the per-vehicle reference loops, bit for bit,
-over random valid configs and random keep/switch commands."""
+over random valid configs and random keep/switch commands, and the spawn
+stream against one generator call per draw."""
 
+import math
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import sim_oracle
@@ -10,9 +13,13 @@ from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
 from trafficlab.sim import (
     APPROACHES,
     PRESET_ARRIVAL_RATES,
+    UNIFORM_BLOCK,
     Command,
+    SimConfig,
     SimState,
+    Vehicle,
     metrics_snapshot,
+    road_census,
     scenario_preset,
     signal_step,
     spawn_step,
@@ -72,7 +79,7 @@ def test_env_step_equals_per_vehicle_oracle(config, steps, switch_rate, seed):
     for command in commands:
         obs, reward, _, info = env.step(command)
         signal_step(ref, Command(command), sim)
-        spawn_step(ref, sim)
+        sim_oracle.spawn_step(ref, sim)
         sim_oracle.kinematics_step(ref, sim)
 
         # repr tells -0.0 from 0.0, which == does not
@@ -86,7 +93,65 @@ def test_env_step_equals_per_vehicle_oracle(config, steps, switch_rate, seed):
         assert repr(reward) == repr(bd.for_mode(config.reward_mode))
         assert obs.tobytes() == sim_oracle.observation(ref, config).tobytes()
         assert info["census"].queue_lengths == sim_oracle.queue_lengths(ref, sim)
+        assert repr(info["census"]) == repr(road_census(env.state, sim))
         metrics = metrics_snapshot(env.state, sim)
         assert [metrics.queue_lengths[a] for a in APPROACHES] == \
             sim_oracle.queue_lengths(ref, sim)
         assert metrics.exited_all == ref.exited_count
+
+
+def next_draws(state, n):
+    """The next ``n`` uniforms of the state's spawn stream."""
+    rest = state.uniforms[state.uniform_index:][:n]
+    return rest + state.rng.random(n - len(rest)).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_max=True),
+                     st.floats(9.0, 10.0, exclude_max=True)),
+       steps=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                st.lists(st.booleans(), min_size=4, max_size=4)),
+                      min_size=1, max_size=80),
+       seed=st.integers(0, 2**32 - 1))
+def test_spawn_stream_equals_one_generator_call_per_draw(lam, steps, seed):
+    sim = SimConfig(arrival_rate=lam, time_step=1.0, rng_seed=seed)
+    state = SimState.initial(sim)
+    ref = SimState.initial(sim)
+    for rate, blocked in steps:
+        sim.detection_rate = rate  # changed between steps
+        for s in (state, ref):
+            for approach, block in zip(APPROACHES, blocked):
+                # an empty lane admits one vehicle; a blocked one none
+                s.lanes[approach] = [] if not block else [Vehicle(
+                    id=-1, approach=approach, position=sim.lane_length,
+                    speed=0.0, vmax=sim.vmax_default, detected=False,
+                    spawn_time=0.0)]
+        spawn_step(state, sim)
+        sim_oracle.spawn_step(ref, sim)
+        assert repr(road(state)) == repr(road(ref))
+        assert repr(counters(state)) == repr(counters(ref))
+    # the stream stands where the per-call generator stands
+    n = UNIFORM_BLOCK + 44
+    assert next_draws(state, n) == ref.rng.random(n).tolist()
+
+
+def test_spawn_stream_breaks_ties_as_numpy():
+    # the first uniform equals exp(-mean), which ends the count at 0; the
+    # second equals the detection rate, which leaves the entrant undetected
+    seed = 0
+    u0, u1 = np.random.default_rng(seed).random(2).tolist()
+    lam = -math.log(u0)
+    assert math.exp(-lam) == u0
+    sim = SimConfig(arrival_rate=lam, detection_rate=u1, rng_seed=seed)
+    state = SimState.initial(sim)
+    ref = SimState.initial(sim)
+    for s in (state, ref):
+        s.pending[APPROACHES[0]] = 1
+    spawn_step(state, sim)
+    sim_oracle.spawn_step(ref, sim)
+    assert repr(road(state)) == repr(road(ref))
+    assert repr(counters(state)) == repr(counters(ref))
+    north = state.lanes[APPROACHES[0]]
+    assert len(north) == 1 and not north[0].detected
+    assert state.pending[APPROACHES[0]] == 0
+    assert next_draws(state, 8) == ref.rng.random(8).tolist()
