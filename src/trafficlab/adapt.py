@@ -2,16 +2,19 @@
 never-reset episode while the vehicle detection rate drifts along a
 piecewise-linear schedule, updating the agent online from partial rewards
 and watching the waiting-time series for catastrophic updates.
+
+Its steps come from ``agents.rollout``, as training's do, so a deployed
+agent gathers transitions and is updated exactly as in training.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from statistics import median
 
-from trafficlab.agents import Agent, Transition
+from trafficlab.agents import Agent, rollout
 from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
+from trafficlab.sim import class_means
 
 
 @dataclass
@@ -63,6 +66,10 @@ class DeploymentConfig:
             raise ValueError("instability_threshold must exceed 1")
         if self.instability_window <= 0:
             raise ValueError("instability_window must be positive")
+        for name in ("update_period", "instability_history"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -113,35 +120,6 @@ def detect_instability(values: list[float | None], threshold: float,
     return flags
 
 
-class _WindowAccumulator:
-    """Per-window waiting-time means out of the sim's cumulative counters.
-
-    A window's mean covers vehicles that exited during the window plus the
-    accrued waits of vehicles still on the road at the boundary; a
-    controller that starves an approach therefore shows a spike instead of
-    quietly dropping those vehicles from the average.
-    """
-
-    def __init__(self, state):
-        self._snap = self._take(state)
-
-    @staticmethod
-    def _take(state):
-        return (state.exited_wait_detected, state.exited_n_detected,
-                state.exited_wait_undetected, state.exited_n_undetected)
-
-    def window_means(self, state):
-        wd, nd, wu, nu = self._take(state)
-        dw, dn = wd - self._snap[0], nd - self._snap[1]
-        uw, un = wu - self._snap[2], nu - self._snap[3]
-        self._snap = (wd, nd, wu, nu)
-        dw, dn, uw, un = state.add_onroad_waits(dw, dn, uw, un)
-        wait_det = dw / dn if dn else None
-        wait_undet = uw / un if un else None
-        wait_all = (dw + uw) / (dn + un) if dn + un else None
-        return wait_all, wait_det, wait_undet
-
-
 def run_deployment(agent: Agent, env_config: EnvConfig,
                    deploy: DeploymentConfig, seed: int = 0) -> DeploymentResult:
     """Deploy a trained agent under a drifting detection rate.
@@ -155,45 +133,40 @@ def run_deployment(agent: Agent, env_config: EnvConfig,
     loss, a singular curvature factor) aborts the run and returns the
     timeline gathered so far.
     """
-    sim_cfg = env_config.sim
-    horizon = (deploy.total_steps + 1) * sim_cfg.time_step
-    run_cfg = EnvConfig(
-        sim=sim_cfg,
-        reward_mode=RewardMode.PARTIAL,
-        episode_length=max(horizon, sim_cfg.time_step),
-        include_time_of_day=env_config.include_time_of_day,
-        day_length=env_config.day_length,
-    )
-    env = TrafficSignalEnv(run_cfg, seed=seed)
-    obs = env.reset(seed=seed)
+    time_step = env_config.sim.time_step
+    horizon = (deploy.total_steps + 1) * time_step
+    env = TrafficSignalEnv(replace(
+        env_config, reward_mode=RewardMode.PARTIAL,
+        episode_length=max(horizon, time_step)), seed=seed)
+    batch = (deploy.update_period or 0) if agent.needs_rollout else 0
+    steps = rollout(agent, env, batch, obs=env.reset(seed=seed))
+    seen = (0.0, 0, 0.0, 0)  # exit totals at the last window boundary
     timeline: list[TimelinePoint] = []
-    window = _WindowAccumulator(env.state)
-    pending: list[Transition] = []
     failure_step = None
     failure_message = None
-    updates_enabled = (deploy.update_period is not None
-                       and deploy.update_period > 0
-                       and agent.needs_rollout > 0)
     for step in range(1, deploy.total_steps + 1):
         env.set_detection_rate(deploy.schedule.rate_at(env.state.clock))
-        action = agent.act(obs, explore=True)
-        next_obs, reward, _, _ = env.step(action)
-        if updates_enabled:
-            pending.append(Transition(obs, action, reward, next_obs, False,
-                                      log_prob=agent.last_logprob))
-            if len(pending) >= deploy.update_period:
-                try:
-                    agent.update(pending)
-                except Exception as exc:  # the timeline so far is the result
-                    failure_step = step
-                    failure_message = f"{type(exc).__name__}: {exc}"
-                pending = []
-        obs = next_obs
+        _, _, _, full = next(steps)
+        if full:
+            try:
+                agent.update(full)
+            except Exception as exc:  # the timeline so far is the result
+                failure_step = step
+                failure_message = f"{type(exc).__name__}: {exc}"
         if step % deploy.instability_window == 0 or failure_step is not None:
-            wait_all, wait_det, wait_undet = window.window_means(env.state)
+            # a window's means cover the vehicles that exited in it plus the
+            # accrued waits of those still on the road, so a starved
+            # approach shows a spike instead of dropping out of the mean
+            state = env.state
+            exited = (state.exited_wait_detected, state.exited_n_detected,
+                      state.exited_wait_undetected, state.exited_n_undetected)
+            wait_all, wait_det, wait_undet = class_means(
+                *state.add_onroad_waits(
+                    *(now - then for now, then in zip(exited, seen))))
+            seen = exited
             timeline.append(TimelinePoint(
                 step=step,
-                detection_rate=deploy.schedule.rate_at(env.state.clock),
+                detection_rate=deploy.schedule.rate_at(state.clock),
                 wait_all=wait_all,
                 wait_detected=wait_det,
                 wait_undetected=wait_undet,

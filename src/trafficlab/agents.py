@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from trafficlab.env import PHASE_TIME_SLOT
+from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.nn import (
     DivergenceError,
     Gradients,
@@ -130,6 +131,34 @@ class Transition:
     next_obs: np.ndarray
     done: bool
     log_prob: float | None = None
+
+
+def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
+            explore: bool = True, obs: np.ndarray | None = None
+            ) -> Iterator[tuple[float, bool, dict, list[Transition] | None]]:
+    """The one act -> step loop of training, evaluation and deployment.
+
+    Each step yields ``(reward, done, info, full)``. With ``batch > 0``
+    the step's ``Transition`` is gathered, and ``full`` is the list of the
+    last ``batch`` of them once it fills, else ``None``; the caller hands
+    it to ``agent.update``. The env is reset first when ``obs`` is None
+    and before the step after each episode end, so the caller can read
+    the finished episode's state when ``done`` is yielded.
+    """
+    pending: list[Transition] = []
+    while True:
+        if obs is None:
+            obs = env.reset()
+        action = agent.act(obs, explore=explore)
+        next_obs, reward, done, info = env.step(action)
+        full = None
+        if batch:
+            pending.append(Transition(obs, action, reward, next_obs, done,
+                                      log_prob=agent.last_logprob))
+            if len(pending) >= batch:
+                full, pending = pending, []
+        obs = None if done else next_obs
+        yield reward, done, info, full
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

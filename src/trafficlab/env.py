@@ -20,6 +20,7 @@ are not computed per step; read them with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -81,8 +82,11 @@ class EnvConfig:
     day_length: float = 86_400.0
 
     def __post_init__(self) -> None:
-        if self.episode_length <= 0:
-            raise ValueError("episode_length must be positive")
+        for name in ("episode_length", "day_length"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}")
         steps = self.episode_length / self.sim.time_step
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("episode_length must be a multiple of time_step")
@@ -93,12 +97,10 @@ class EnvConfig:
 
 
 def build_observation(state: SimState, config: EnvConfig,
-                      census: RoadCensus | None = None) -> np.ndarray:
+                      census: RoadCensus) -> np.ndarray:
     """Compact state vector; undetected vehicles are invisible to it. The
-    road slots are read from ``census`` when given."""
+    road slots are read from ``census``, the census of ``state``."""
     sim = config.sim
-    if census is None:
-        census = road_census(state, sim)
     capacity = sim.lane_capacity
     lane_length = sim.lane_length
     signal = state.signal
@@ -120,16 +122,13 @@ def build_observation(state: SimState, config: EnvConfig,
     return np.array(slots, dtype=np.float64)
 
 
-def compute_reward(state: SimState,
-                   census: RoadCensus | None = None) -> RewardBreakdown:
+def compute_reward(census: RoadCensus) -> RewardBreakdown:
     """Negative normalized speed deficit, split by detection class.
 
     Each vehicle contributes (vmax - v) / vmax; the partial reward sums
     only detected contributions, so partial >= full always. The sums are
-    read from ``census`` when given.
+    read from the road's ``census``.
     """
-    if census is None:
-        census = road_census(state, SimConfig())  # deficits need no config
     detected = census.detected_deficit
     undetected = census.undetected_deficit
     return RewardBreakdown(
@@ -172,7 +171,8 @@ class TrafficSignalEnv:
             seed = int(self._master.integers(0, 2**63))
         self._state = SimState.initial(self.config.sim, seed=seed)
         self._done = False
-        return build_observation(self._state, self.config)
+        return build_observation(self._state, self.config,
+                                 road_census(self._state, self.config.sim))
 
     def set_detection_rate(self, rate: float) -> None:
         """Adjust the detection probability applied to future spawns of
@@ -205,7 +205,7 @@ class TrafficSignalEnv:
         signal_step(state, command, sim_cfg)
         spawn_step(state, sim_cfg)
         census = kinematics_step(state, sim_cfg)
-        breakdown = compute_reward(state, census)
+        breakdown = compute_reward(census)
         reward = breakdown.for_mode(self.config.reward_mode)
         self._done = state.clock >= self.config.episode_length - 1e-9
         obs = build_observation(state, self.config, census)

@@ -2,6 +2,9 @@
 rate, seed) grid, detection-rate sweeps, deployment/adaptation runs,
 single-checkpoint evaluation, and CSV/SVG report emission.
 
+``train_agent``, ``evaluate_agent`` and ``adapt.run_deployment`` step
+through ``agents.rollout`` and hand its full batches to ``agent.update``.
+
 Each grid cell is self-contained and seeded, so cells can run in any
 order or in a worker pool; outputs are sorted by cell key before writing,
 which keeps every CSV byte-reproducible.
@@ -22,9 +25,9 @@ from trafficlab.agents import (
     Agent,
     AgentConfig,
     ObservationShapeError,
-    Transition,
     load_agent,
     make_agent,
+    rollout,
     save_agent,
 )
 from trafficlab.charts import Series, write_chart
@@ -33,7 +36,7 @@ from trafficlab.config import (  # noqa: F401 (re-exports the budgets)
     ExperimentSpec,
 )
 from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
-from trafficlab.sim import metrics_snapshot, scenario_preset
+from trafficlab.sim import class_means, metrics_snapshot, scenario_preset
 
 SWEEP_HEADER = ["algorithm", "scenario", "detection_rate", "seed",
                 "wait_all", "wait_detected", "wait_undetected", "episodes"]
@@ -107,33 +110,25 @@ def train_agent(agent: Agent, env: TrafficSignalEnv,
                 total_steps: int) -> list[EpisodeRecord]:
     """Drive the env for total_steps, feeding the agent its rollouts.
 
-    Returns one record per completed episode. Agents that never update
+    Returns one record per completed episode; an episode that ends on the
+    last step is recorded and left as it ended. Agents that never update
     (fixed-time) skip the loop entirely.
     """
     records: list[EpisodeRecord] = []
     if total_steps <= 0 or agent.needs_rollout == 0:
         return records
-    obs = env.reset()
-    pending: list[Transition] = []
     ep_return = 0.0
-    ep_index = 0
-    for step in range(1, total_steps + 1):
-        action = agent.act(obs, explore=True)
-        next_obs, reward, done, _ = env.step(action)
-        pending.append(Transition(obs, action, reward, next_obs, done,
-                                  log_prob=agent.last_logprob))
+    steps = rollout(agent, env, agent.needs_rollout)
+    for step, (reward, done, _, batch) in zip(range(1, total_steps + 1),
+                                               steps):
         ep_return += reward
-        if len(pending) >= agent.needs_rollout:
-            agent.update(pending)
-            pending = []
+        if batch:
+            agent.update(batch)
         if done:
             wait_all = metrics_snapshot(env.state, env.config.sim).wait_all
-            records.append(EpisodeRecord(ep_index, step, ep_return, wait_all))
-            ep_index += 1
+            records.append(EpisodeRecord(len(records), step, ep_return,
+                                         wait_all))
             ep_return = 0.0
-            obs = env.reset()
-        else:
-            obs = next_obs
     return records
 
 
@@ -165,44 +160,39 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
         raise ObservationShapeError(
             f"checkpoint expects observations of length {agent.obs_dim}, "
             f"environment emits {env.observation_size}")
-    wait_det = 0.0
-    n_det = 0
-    wait_undet = 0.0
-    n_undet = 0
+    totals = (0.0, 0, 0.0, 0)  # per-class wait sums and vehicle counts
     returns = []
     per_episode_wait = []
     queue_total = 0.0
     queue_samples = 0
-    for _ in range(episodes):
-        obs = env.reset()
-        done = False
-        ep_return = 0.0
-        while not done:
-            obs, reward, done, info = env.step(agent.act(obs, explore=False))
-            ep_return += reward
-            queue_total += sum(info["census"].queue_lengths)
-            queue_samples += 1
+    ep_return = 0.0
+    for reward, done, info, _ in rollout(agent, env, explore=False):
+        ep_return += reward
+        queue_total += sum(info["census"].queue_lengths)
+        queue_samples += 1
+        if not done:
+            continue
         state = env.state
-        ep_det, ep_n_det, ep_undet, ep_n_undet = state.add_onroad_waits(
+        episode = state.add_onroad_waits(
             state.exited_wait_detected, state.exited_n_detected,
             state.exited_wait_undetected, state.exited_n_undetected)
-        wait_det += ep_det
-        n_det += ep_n_det
-        wait_undet += ep_undet
-        n_undet += ep_n_undet
+        totals = tuple(a + b for a, b in zip(totals, episode))
+        per_episode_wait.append(class_means(*episode)[0])
         returns.append(ep_return)
-        n_ep = ep_n_det + ep_n_undet
-        per_episode_wait.append((ep_det + ep_undet) / n_ep if n_ep else None)
-    n_all = n_det + n_undet
+        ep_return = 0.0
+        if len(returns) == episodes:
+            break
+    _, n_det, _, n_undet = totals
+    wait_all, wait_detected, wait_undetected = class_means(*totals)
     waits = [w for w in per_episode_wait if w is not None]
     return EvalStats(
         episodes=episodes,
         mean_return=float(np.mean(returns)),
-        wait_all=(wait_det + wait_undet) / n_all if n_all else None,
-        wait_detected=wait_det / n_det if n_det else None,
-        wait_undetected=wait_undet / n_undet if n_undet else None,
+        wait_all=wait_all,
+        wait_detected=wait_detected,
+        wait_undetected=wait_undetected,
         wait_all_std=float(np.std(waits)) if len(waits) > 1 else None,
-        exited_all=n_all,
+        exited_all=n_det + n_undet,
         exited_detected=n_det,
         exited_undetected=n_undet,
         mean_queue=queue_total / queue_samples,

@@ -275,8 +275,7 @@ def road_census(state: SimState, config: SimConfig) -> RoadCensus:
 
     ``kinematics_step`` returns this census for the road it has just
     stepped; this walk serves a road that has not just stepped (a reset
-    state, and ``build_observation``, ``compute_reward`` and
-    ``metrics_snapshot`` called without a census).
+    state, and ``metrics_snapshot`` called without a census).
     """
     threshold = config.wait_speed_threshold
     detected = undetected = 0.0
@@ -504,6 +503,16 @@ def signal_step(state: SimState, command: Command, config: SimConfig) -> SimStat
     return state
 
 
+def class_means(wait_det: float, n_det: int, wait_undet: float,
+                n_undet: int) -> tuple[float | None, ...]:
+    """The (all, detected, undetected) mean waits of per-class wait totals
+    and vehicle counts; a mean over no vehicles is ``None``."""
+    n_all = n_det + n_undet
+    return ((wait_det + wait_undet) / n_all if n_all else None,
+            wait_det / n_det if n_det else None,
+            wait_undet / n_undet if n_undet else None)
+
+
 def metrics_snapshot(state: SimState, config: SimConfig,
                      census: RoadCensus | None = None) -> Metrics:
     """Mean waiting time per detection class over exited vehicles, plus
@@ -512,18 +521,14 @@ def metrics_snapshot(state: SimState, config: SimConfig,
         census = road_census(state, config)
     n_det = state.exited_n_detected
     n_undet = state.exited_n_undetected
-    n_all = n_det + n_undet
-    wait_det = state.exited_wait_detected / n_det if n_det else None
-    wait_undet = state.exited_wait_undetected / n_undet if n_undet else None
-    wait_all = (
-        (state.exited_wait_detected + state.exited_wait_undetected) / n_all
-        if n_all else None
-    )
+    wait_all, wait_det, wait_undet = class_means(
+        state.exited_wait_detected, n_det, state.exited_wait_undetected,
+        n_undet)
     return Metrics(
         wait_all=wait_all,
         wait_detected=wait_det,
         wait_undetected=wait_undet,
-        exited_all=n_all,
+        exited_all=n_det + n_undet,
         exited_detected=n_det,
         exited_undetected=n_undet,
         queue_lengths=dict(zip(APPROACHES, census.queue_lengths)),

@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from deployment_reference import reference_deployment
 from trafficlab.adapt import (
     DeploymentConfig,
     DetectionSchedule,
     detect_instability,
     run_deployment,
 )
-from trafficlab.agents import Agent, AgentConfig, make_agent
+from trafficlab.agents import (
+    Agent,
+    AgentConfig,
+    PpoAgent,
+    agent_to_bytes,
+    make_agent,
+)
 from trafficlab.env import EnvConfig
 from trafficlab.nn import DivergenceError
 from trafficlab.sim import SimConfig, scenario_preset
@@ -78,6 +85,20 @@ def test_deployment_config_validation():
         DeploymentConfig(schedule=ramp(), instability_threshold=1.0)
     with pytest.raises(ValueError):
         DeploymentConfig(schedule=ramp(), total_steps=-1)
+
+
+@pytest.mark.parametrize("name", ["update_period", "instability_history"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_deployment_config_rejects_counts_below_one_by_name(name, value):
+    # update_period 0 used to freeze the agent silently; instability_history
+    # 0 meant the whole history, and a negative one failed after the run
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        DeploymentConfig(schedule=ramp(), **{name: value})
+
+
+def test_deployment_config_accepts_none_update_period_and_counts_of_one():
+    DeploymentConfig(schedule=ramp(), update_period=None)
+    DeploymentConfig(schedule=ramp(), update_period=1, instability_history=1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,3 +270,57 @@ def test_deployment_leaves_caller_config_untouched():
     result = run_deployment(fixed_time_agent(), cfg, deploy, seed=2)
     assert result.timeline[-1].detection_rate == pytest.approx(0.2)
     assert cfg.sim.detection_rate == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the rollout driver against the reference deployment loop
+# ---------------------------------------------------------------------------
+
+SMALL = dict(seed=3, hidden_sizes=[16, 16])
+
+
+class FailsOnThirdUpdate(PpoAgent):
+    updates = 0
+
+    def update(self, transitions):
+        self.updates += 1
+        if self.updates == 3:
+            raise DivergenceError("third update")
+        return super().update(transitions)
+
+
+DEPLOY_CASES = {
+    # name -> (agent factory, obs size, update_period, include_time_of_day)
+    "ppo": (lambda n: make_agent(AgentConfig(algorithm="ppo", **SMALL), n),
+            11, 128, False),
+    "acktr": (lambda n: make_agent(AgentConfig(algorithm="acktr", **SMALL), n),
+              11, 128, False),
+    "dql": (lambda n: make_agent(AgentConfig(
+        algorithm="dql", warmup=300, batch_size=32, **SMALL), n), 11, 96, False),
+    "ppo-time-of-day": (lambda n: make_agent(
+        AgentConfig(algorithm="ppo", **SMALL), n), 12, 128, True),
+    "ppo-frozen": (lambda n: make_agent(AgentConfig(algorithm="ppo", **SMALL), n),
+                   11, None, False),
+    "ppo-update-raises": (lambda n: FailsOnThirdUpdate(
+        AgentConfig(algorithm="ppo", **SMALL), n), 11, 128, False),
+}
+
+
+@pytest.mark.parametrize("case", DEPLOY_CASES)
+def test_deployment_equals_the_reference_loop_bit_for_bit(case):
+    make, obs_size, period, time_of_day = DEPLOY_CASES[case]
+    sim = scenario_preset("medium", detection_rate=1.0, rng_seed=6)
+    cfg = EnvConfig(sim=sim, include_time_of_day=time_of_day,
+                    day_length=900.0)
+    deploy = DeploymentConfig(schedule=ramp(), total_steps=1200,
+                              update_period=period, instability_window=200,
+                              instability_threshold=1.5)
+    agent, ref_agent = make(obs_size), make(obs_size)
+    got = run_deployment(agent, cfg, deploy, seed=8)
+    want = reference_deployment(ref_agent, cfg, deploy, seed=8)
+    # timeline points, flags, failure and spawn counts
+    assert repr(got) == repr(want)
+    assert agent_to_bytes(agent) == agent_to_bytes(ref_agent)
+    assert got.aborted == (case == "ppo-update-raises")
+    if got.aborted:
+        assert got.failure_step == 3 * period

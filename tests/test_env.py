@@ -99,7 +99,8 @@ def test_build_observation_single_detected_vehicle():
     env = make_env()
     env.reset(seed=0)
     put_vehicle(env.state, Approach.NORTH, 30.0, 5.0, detected=True)
-    obs = build_observation(env.state, env.config)
+    obs = build_observation(env.state, env.config,
+                            road_census(env.state, env.config.sim))
     assert obs[Approach.NORTH] == pytest.approx(1 / 20)
     assert obs[4 + Approach.NORTH] == pytest.approx(30.0 / 150.0)
     # other approaches untouched
@@ -111,7 +112,8 @@ def test_undetected_vehicle_invisible_in_observation():
     env = make_env()
     empty = env.reset(seed=0)
     put_vehicle(env.state, Approach.SOUTH, 10.0, 0.0, detected=False)
-    obs = build_observation(env.state, env.config)
+    obs = build_observation(env.state, env.config,
+                            road_census(env.state, env.config.sim))
     np.testing.assert_array_equal(obs, empty)
 
 
@@ -120,7 +122,8 @@ def test_count_slot_clamped_at_capacity():
     env.reset(seed=0)
     for i in range(25):
         put_vehicle(env.state, Approach.WEST, 2.0 + i * 5.0, 1.0, detected=True)
-    obs = build_observation(env.state, env.config)
+    obs = build_observation(env.state, env.config,
+                            road_census(env.state, env.config.sim))
     assert obs[Approach.WEST] == 1.0
 
 
@@ -129,7 +132,8 @@ def test_distance_slot_uses_nearest_detected():
     env.reset(seed=0)
     put_vehicle(env.state, Approach.NORTH, 45.0, 3.0, detected=False)
     put_vehicle(env.state, Approach.NORTH, 75.0, 3.0, detected=True)
-    obs = build_observation(env.state, env.config)
+    obs = build_observation(env.state, env.config,
+                            road_census(env.state, env.config.sim))
     assert obs[4 + Approach.NORTH] == pytest.approx(0.5)
     assert obs[Approach.NORTH] == pytest.approx(1 / 20)
 
@@ -176,7 +180,7 @@ def test_all_vehicles_at_vmax_zero_deficit():
     env.reset(seed=0)
     put_vehicle(env.state, Approach.NORTH, 100.0, 13.89, detected=True)
     put_vehicle(env.state, Approach.SOUTH, 100.0, 13.89, detected=False)
-    bd = compute_reward(env.state)
+    bd = compute_reward(road_census(env.state, env.config.sim))
     assert bd.full == 0.0 and bd.partial == 0.0
 
 
@@ -194,7 +198,7 @@ def test_compute_reward_matches_brute_force_oracle():
                 rng.uniform(0, 13.89),
                 detected=rng.random() < 0.5,
             )
-        bd = compute_reward(state)
+        bd = compute_reward(road_census(state, cfg))
         # independent per-vehicle summation
         full = 0.0
         partial = 0.0
@@ -239,12 +243,14 @@ def test_detection_blindness_of_observation_and_partial_reward():
     env.reset(seed=0)
     put_vehicle(env.state, Approach.NORTH, 60.0, 4.0, detected=True)
     ghost = put_vehicle(env.state, Approach.NORTH, 100.0, 2.0, detected=False)
-    obs_before = build_observation(env.state, env.config)
-    partial_before = compute_reward(env.state).partial
+    census = road_census(env.state, env.config.sim)
+    obs_before = build_observation(env.state, env.config, census)
+    partial_before = compute_reward(census).partial
     ghost.position = 80.0
     ghost.speed = 9.0
-    obs_after = build_observation(env.state, env.config)
-    partial_after = compute_reward(env.state).partial
+    census = road_census(env.state, env.config.sim)
+    obs_after = build_observation(env.state, env.config, census)
+    partial_after = compute_reward(census).partial
     np.testing.assert_array_equal(obs_before, obs_after)
     assert partial_before == partial_after
 
@@ -334,6 +340,19 @@ def test_observation_bounds_on_random_rollout():
 def test_episode_length_must_be_step_multiple():
     with pytest.raises(ValueError):
         EnvConfig(sim=SimConfig(), episode_length=100.5)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_episode_length_rejected_by_name(value):
+    with pytest.raises(ValueError, match="^episode_length must be finite"):
+        EnvConfig(sim=SimConfig(), episode_length=value)
+
+
+@pytest.mark.parametrize("value", [0.0, -5.0, float("inf"), float("nan")])
+def test_bad_day_length_rejected_by_name(value):
+    # 0.0 used to raise ZeroDivisionError from reset, nan gave a NaN slot
+    with pytest.raises(ValueError, match="^day_length must be finite"):
+        EnvConfig(sim=SimConfig(), include_time_of_day=True, day_length=value)
 
 
 def test_set_detection_rate_validates_and_applies():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
-from trafficlab.agents import ObservationShapeError, Transition, load_agent, make_agent
+from trafficlab.agents import (
+    FixedTimeAgent,
+    ObservationShapeError,
+    Transition,
+    load_agent,
+    make_agent,
+)
 from trafficlab.charts import ChartError, Series, line_chart
 from trafficlab.cli import _resolve, build_parser
 from trafficlab.cli import main as cli_main
@@ -504,10 +510,11 @@ def test_train_mean_waits_equal_a_per_step_metrics_loop():
 
     agent, env = fresh_agent(), TrafficSignalEnv(cfg, seed=8)
     obs = env.reset()
-    pending, waits = [], []
+    pending, waits, returns, ep_return = [], [], [], 0.0
     for _ in range(500):
         action = agent.act(obs, explore=True)
         next_obs, reward, done, _ = env.step(action)
+        ep_return += reward
         wait = metrics_snapshot(env.state, cfg.sim).wait_all
         pending.append(Transition(obs, action, reward, next_obs, done,
                                   log_prob=agent.last_logprob))
@@ -516,11 +523,45 @@ def test_train_mean_waits_equal_a_per_step_metrics_loop():
             pending = []
         if done:
             waits.append(wait)
+            returns.append(ep_return)
+            ep_return = 0.0
             obs = env.reset()
         else:
             obs = next_obs
     assert len(waits) == 4
     assert repr([r.mean_wait for r in records]) == repr(waits)
+    assert repr([r.episode_return for r in records]) == repr(returns)
+
+
+def test_train_whose_last_step_ends_an_episode_records_it_and_stops():
+    cfg = build_env_config("medium", 0.5, 3, episode_length=120.0)
+    agent = make_agent(default_agent_config("ppo", seed=3,
+                                            overrides=FAST_AGENT),
+                       cfg.observation_size)
+    env = TrafficSignalEnv(cfg, seed=3)
+    records = train_agent(agent, env, 360)
+    assert [(r.episode, r.end_step) for r in records] == [
+        (0, 120), (1, 240), (2, 360)]
+    assert records[-1].mean_wait == metrics_snapshot(env.state,
+                                                     cfg.sim).wait_all
+    assert env.done  # the finished episode is left as it ended
+    assert agent.train_steps > 0
+
+
+def test_evaluate_agent_runs_exactly_the_episodes_asked_for():
+    class CountingAgent(FixedTimeAgent):
+        acts = 0
+
+        def act(self, obs, explore=False):
+            self.acts += 1
+            return super().act(obs, explore)
+
+    cfg = build_env_config("medium", 0.5, 4, episode_length=120.0)
+    agent = CountingAgent(default_agent_config("fixed_time"),
+                          cfg.observation_size)
+    stats = evaluate_agent(agent, cfg, episodes=3, seed=4)
+    assert stats.episodes == 3
+    assert agent.acts == 3 * 120
 
 
 def test_eval_observation_shape_mismatch_explicit(tmp_path):
@@ -609,6 +650,16 @@ def test_cli_zero_eval_episodes_is_one_line_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"{command} failed: eval_episodes must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+def test_cli_adapt_update_period_below_one_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli_main(["adapt", "--out", str(out), "--schedule", "0:1,100:0.5",
+                   "--update-period", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "adapt failed: update_period must be at least 1, got 0\n"
     assert not out.exists()
 
 
