@@ -9,6 +9,8 @@ agent gathers transitions and is updated exactly as in training.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
 from statistics import median
 
@@ -27,6 +29,11 @@ class DetectionSchedule:
     def __post_init__(self) -> None:
         if not self.breakpoints:
             raise ValueError("schedule needs at least one breakpoint")
+        for t, r in self.breakpoints:
+            if not math.isfinite(t):
+                raise ValueError(f"breakpoint times must be finite, got {t!r}")
+            if not math.isfinite(r):
+                raise ValueError(f"breakpoint rates must be finite, got {r!r}")
         times = [t for t, _ in self.breakpoints]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("breakpoint times must be strictly increasing")
@@ -60,16 +67,24 @@ class DeploymentConfig:
     instability_history: int = 8  # timeline points behind the rolling median
 
     def __post_init__(self) -> None:
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be non-negative")
+        for name, least in (("total_steps", 0), ("update_period", 1),
+                            ("instability_window", 1),
+                            ("instability_history", 1)):
+            value = getattr(self, name)
+            if value is None and name == "update_period":
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not math.isfinite(self.instability_threshold):
+            raise ValueError(f"instability_threshold must be finite, got "
+                             f"{self.instability_threshold!r}")
         if self.instability_threshold <= 1.0:
             raise ValueError("instability_threshold must exceed 1")
-        if self.instability_window <= 0:
-            raise ValueError("instability_window must be positive")
-        for name in ("update_period", "instability_history"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass

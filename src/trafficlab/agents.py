@@ -134,9 +134,13 @@ class Transition:
 
 
 def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
-            explore: bool = True, obs: np.ndarray | None = None
+            obs: np.ndarray | None = None
             ) -> Iterator[tuple[float, bool, dict, list[Transition] | None]]:
-    """The one act -> step loop of training, evaluation and deployment.
+    """The one exploring act -> step loop of training and deployment.
+
+    Greedy evaluation does not come through here: ``evaluate_agent`` steps
+    its episodes side by side and picks their actions together with
+    ``Agent.greedy_actions``.
 
     Each step yields ``(reward, done, info, full)``. With ``batch > 0``
     the step's ``Transition`` is gathered, and ``full`` is the list of the
@@ -149,7 +153,7 @@ def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
     while True:
         if obs is None:
             obs = env.reset()
-        action = agent.act(obs, explore=explore)
+        action = agent.act(obs, explore=True)
         next_obs, reward, done, info = env.step(action)
         full = None
         if batch:
@@ -206,6 +210,35 @@ class Agent:
     def act(self, obs, explore: bool = False) -> int:
         raise NotImplementedError
 
+    def greedy_actions(self, obs) -> list[int]:
+        """The greedy action at each row of ``obs``, a stack of
+        observations of shape ``(E, obs_dim)``: entry ``k`` equals
+        ``act(obs[k], explore=False)``. Draws and stores nothing."""
+        raise NotImplementedError
+
+    def _check_rows(self, obs) -> np.ndarray:
+        obs = np.asarray(obs, dtype=np.float64)
+        if obs.ndim != 2 or obs.shape[1] != self.obs_dim:
+            raise ObservationShapeError(
+                f"expected observations of length {self.obs_dim} stacked in "
+                f"rows, got {obs.shape}")
+        return obs
+
+    def _argmax_rows(self, net: Mlp, obs, what: str) -> list[int]:
+        """Argmax of ``net``'s two outputs at each row of ``obs``, run as
+        one call on a stack of single rows (see ``Mlp.__call__``), so
+        each row's outputs are bit-equal to those of a one-row call and
+        are compared as ``act`` compares them."""
+        x = self._check_rows(obs) * self._obs_scale
+        # a lone row takes the 1-D call, which is cheaper than a stack of one
+        out = net(x[0])[None] if len(x) == 1 else net(x[:, None, :])[:, 0]
+        actions = []
+        for v0, v1 in out.tolist():
+            if not (math.isfinite(v0) and math.isfinite(v1)):  # else an arbitrary action
+                raise DivergenceError(f"{what} are not finite: {v0}, {v1}")
+            actions.append(0 if v0 >= v1 else 1)  # argmax: a tie keeps the first
+        return actions
+
     def update(self, transitions: list[Transition]) -> dict[str, float]:
         return {}
 
@@ -233,6 +266,11 @@ class FixedTimeAgent(Agent):
     def act(self, obs, explore: bool = False) -> int:
         obs = self._check_obs(obs)
         return 1 if obs[PHASE_TIME_SLOT] >= self.config.fixed_time_green else 0
+
+    def greedy_actions(self, obs) -> list[int]:
+        green = self.config.fixed_time_green
+        return [1 if t >= green else 0
+                for t in self._check_rows(obs)[:, PHASE_TIME_SLOT].tolist()]
 
 
 class _ReplayBuffer:
@@ -306,6 +344,9 @@ class DqlAgent(Agent):
         if not (math.isfinite(q0) and math.isfinite(q1)):  # else an arbitrary action
             raise DivergenceError(f"q-values are not finite: {q0}, {q1}")
         return 0 if q0 >= q1 else 1  # argmax: a tie keeps the first
+
+    def greedy_actions(self, obs) -> list[int]:
+        return self._argmax_rows(self.q_net, obs, "q-values")
 
     def update(self, transitions: list[Transition]) -> dict[str, float]:
         """Add each transition to the replay, then take one gradient step
@@ -426,6 +467,9 @@ class _ActorCriticAgent(Agent):
             action = 0 if l0 >= l1 else 1  # argmax: a tie keeps the first
         self.last_logprob = float((z1 if action else z0) - lse)
         return action
+
+    def greedy_actions(self, obs) -> list[int]:
+        return self._argmax_rows(self.actor, obs, "policy logits")
 
     def _targets_and_advantages(self, transitions: list[Transition]):
         cfg = self.config

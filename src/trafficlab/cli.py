@@ -2,8 +2,9 @@
 
 Every flag mirrors a config-file key; flags override file values. Exit
 status is 0 only when every grid cell succeeded; a config that cannot be
-read or holds a bad value is reported in one line before any cell runs,
-with exit status 2. ``eval`` reports a bad flag value the same way.
+read or holds a bad value, or a flag value that does not parse, is
+reported in one line before any cell runs, with exit status 2. ``eval``
+reports a bad flag value the same way.
 """
 
 from __future__ import annotations
@@ -32,15 +33,29 @@ _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
 _DEPLOY_KEYS = {f.name for f in fields(DeploymentConfig)}
 
 
+def _flag_type(name: str):
+    """The config coercer of key ``name`` as a flag type: a value it
+    rejects fails the parse with the coercer's own message."""
+    coerce = _COERCERS[name]
+
+    def parse(raw: str):
+        try:
+            return coerce(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     # each flag's dest is its config key; flags not given stay unset
     p.add_argument("--config", help="experiment config file (INI sections)")
     p.add_argument("--out", dest="out_dir", help="output directory")
-    p.add_argument("--algo", dest="algorithms", type=_COERCERS["algorithms"],
+    p.add_argument("--algo", dest="algorithms", type=_flag_type("algorithms"),
                    help="comma-separated algorithm list")
-    p.add_argument("--rates", type=_COERCERS["rates"],
+    p.add_argument("--rates", type=_flag_type("rates"),
                    help="comma-separated detection rates")
-    p.add_argument("--seed", dest="seeds", type=_COERCERS["seeds"],
+    p.add_argument("--seed", dest="seeds", type=_flag_type("seeds"),
                    help="comma-separated seed list")
     p.add_argument("--scenario", help="flow preset: sparse, medium or dense")
     p.add_argument("--steps", dest="train_steps", type=int,
@@ -54,9 +69,10 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trafficlab",
-        description="Detection-limited traffic signal control experiments.")
+        description="Detection-limited traffic signal control experiments.",
+        exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    grid = dict(argument_default=argparse.SUPPRESS)
+    grid = dict(argument_default=argparse.SUPPRESS, exit_on_error=False)
 
     p_train = sub.add_parser("train", help="train agents over the grid", **grid)
     _add_grid_flags(p_train)
@@ -72,17 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
                              help="deploy agents on a drifting detection rate",
                              **grid)
     _add_grid_flags(p_adapt)
-    p_adapt.add_argument("--schedule", type=_COERCERS["schedule"],
+    p_adapt.add_argument("--schedule", type=_flag_type("schedule"),
                          help="detection schedule as t0:r0,t1:r1,...")
     p_adapt.add_argument("--total-steps", type=int, dest="total_steps")
     p_adapt.add_argument("--update-period", dest="update_period",
-                         type=_COERCERS["update_period"],
+                         type=_flag_type("update_period"),
                          help="steps between online updates, or 'none'")
     p_adapt.add_argument("--window", type=int, dest="instability_window")
     p_adapt.add_argument("--threshold", type=float,
                          dest="instability_threshold")
 
-    p_eval = sub.add_parser("eval", help="evaluate one checkpoint")
+    p_eval = sub.add_parser("eval", help="evaluate one checkpoint",
+                            exit_on_error=False)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--scenario", default="medium")
     p_eval.add_argument("--rate", type=float, default=1.0)
@@ -111,7 +128,11 @@ def _resolve(args) -> tuple[ExperimentSpec, dict, DeploymentConfig | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:  # a flag value that does not parse
+        print(f"trafficlab: error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "eval":
         return _eval(args)
     try:

@@ -215,7 +215,16 @@ class Mlp:
         return out, ForwardCache(inputs, pre, a)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The output at one sample or a batch, bit-equal to ``forward``'s."""
+        """The output at one sample or a batch, bit-equal to ``forward``'s.
+
+        ``x`` may also be a stack of single rows, shape ``(E, 1, n)``: row
+        ``k`` of the ``(E, 1, out)`` result is then bit-equal to
+        ``self(x[k, 0])``, as numpy multiplies each one-row matrix of the
+        stack the way it multiplies a 1-D sample (the test suite checks
+        this on the build it runs on). A 2-D batch ``(E, n)`` is not: its
+        product takes a matrix-matrix BLAS kernel, which may round
+        differently from ``E`` one-sample calls.
+        """
         a = np.asarray(x, dtype=np.float64)
         if a.shape[-1] != self.input_size:
             raise ValueError(

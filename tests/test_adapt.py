@@ -80,6 +80,20 @@ def test_schedule_validation():
         DetectionSchedule([(0.0, 1.5)])
 
 
+@pytest.mark.parametrize("breakpoints, field", [
+    ([(math.nan, 0.5), (100.0, 1.0)], "time"),
+    ([(0.0, 0.5), (math.inf, 1.0)], "time"),
+    ([(-math.inf, 0.5)], "time"),
+    ([(0.0, math.nan)], "rate"),
+    ([(0.0, 0.5), (100.0, -math.inf)], "rate"),
+])
+def test_schedule_rejects_non_finite_breakpoints_by_name(breakpoints, field):
+    # a NaN time passed the ordering check and rate_at then raised a stray
+    # AssertionError("unreachable")
+    with pytest.raises(ValueError, match=f"^breakpoint {field}s must be finite"):
+        DetectionSchedule(breakpoints)
+
+
 def test_deployment_config_validation():
     with pytest.raises(ValueError):
         DeploymentConfig(schedule=ramp(), instability_threshold=1.0)
@@ -94,6 +108,25 @@ def test_deployment_config_rejects_counts_below_one_by_name(name, value):
     # 0 meant the whole history, and a negative one failed after the run
     with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
         DeploymentConfig(schedule=ramp(), **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("total_steps", math.nan), ("total_steps", 10.0),
+    ("update_period", 2.5), ("instability_window", math.nan),
+    ("instability_window", 2.5), ("instability_history", math.inf),
+])
+def test_deployment_config_rejects_non_integer_counts_by_name(name, value):
+    # a NaN window gave an empty timeline, a NaN total_steps failed later
+    # naming episode_length, and a fractional window was taken as it was
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        DeploymentConfig(schedule=ramp(), **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_deployment_config_rejects_non_finite_threshold_by_name(value):
+    # with a NaN threshold no point was ever flagged
+    with pytest.raises(ValueError, match="^instability_threshold must be finite"):
+        DeploymentConfig(schedule=ramp(), instability_threshold=value)
 
 
 def test_deployment_config_accepts_none_update_period_and_counts_of_one():

@@ -186,6 +186,45 @@ def test_act_rejects_non_finite_network_outputs(algorithm, explore):
         agent.act(obs, explore=explore)
 
 
+@settings(max_examples=100, deadline=None)
+@given(algorithm=st.sampled_from(ALGORITHMS),
+       seed=st.integers(0, 2**31 - 1),
+       weight_scale=st.sampled_from([0.0, 1e-3, 1.0, 8.0, 300.0]),
+       observations=st.lists(
+           st.lists(st.floats(-1e3, 1e3), min_size=OBS_DIM, max_size=OBS_DIM),
+           min_size=1, max_size=8))
+def test_greedy_actions_equal_greedy_act_row_by_row(algorithm, seed,
+                                                    weight_scale, observations):
+    # a zero scale makes every row a tie, which keeps the first action
+    agent = make_agent(config_for(algorithm, seed=seed), OBS_DIM)
+    for net in agent._nets().values():
+        net.params *= weight_scale
+    obs = np.array(observations)
+    rng_state = agent._rng.bit_generator.state
+    got = agent.greedy_actions(obs)
+    assert agent._rng.bit_generator.state == rng_state
+    assert agent.last_logprob is None
+    assert got == [agent.act(row, explore=False) for row in obs]
+    assert all(type(action) is int for action in got)
+
+
+@pytest.mark.parametrize("algorithm", ["dql", "a2c", "ppo", "acktr"])
+def test_greedy_actions_reject_non_finite_network_outputs(algorithm):
+    agent = make_agent(config_for(algorithm), OBS_DIM)
+    obs = np.full((3, OBS_DIM), 0.5)
+    obs[1, 3] = math.nan
+    with pytest.raises(DivergenceError, match="not finite: nan, nan"):
+        agent.greedy_actions(obs)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("shape", [(OBS_DIM,), (2, OBS_DIM + 1), (2, 1, OBS_DIM)])
+def test_greedy_actions_reject_anything_but_a_stack_of_rows(algorithm, shape):
+    agent = make_agent(config_for(algorithm), OBS_DIM)
+    with pytest.raises(ObservationShapeError, match="stacked in rows"):
+        agent.greedy_actions(np.zeros(shape))
+
+
 def test_fixed_time_switches_at_green_threshold():
     agent = FixedTimeAgent(config_for("fixed_time", fixed_time_green=30.0), OBS_DIM)
     obs = np.zeros(OBS_DIM)

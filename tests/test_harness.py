@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eval_reference import reference_evaluation
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
 from trafficlab.agents import (
+    ALGORITHMS,
     FixedTimeAgent,
     ObservationShapeError,
     Transition,
@@ -42,6 +44,7 @@ from trafficlab.harness import (
     train_agent,
     write_sweep_csv,
 )
+from trafficlab.nn import Mlp
 from trafficlab.sim import metrics_snapshot
 
 # Tiny budgets: these tests exercise plumbing, not learning quality.
@@ -548,13 +551,65 @@ def test_train_whose_last_step_ends_an_episode_records_it_and_stops():
     assert agent.train_steps > 0
 
 
+def greedy_agent(algorithm, obs_size):
+    """A seeded agent whose nets are perturbed, so that its greedy policy
+    takes both actions."""
+    agent = make_agent(default_agent_config(
+        algorithm, seed=5, overrides={"hidden_sizes": [16, 16]}), obs_size)
+    rng = np.random.default_rng(5)
+    for net in vars(agent).values():
+        if isinstance(net, Mlp):
+            net.params += rng.normal(size=net.params.size)
+    return agent
+
+
+@pytest.mark.parametrize("time_of_day", [False, True], ids=["base", "tod"])
+@pytest.mark.parametrize("episodes", [1, 3])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_lockstep_evaluation_equals_the_sequential_reference(
+        algorithm, episodes, time_of_day):
+    cfg = build_env_config("dense", 0.5, 7, episode_length=120.0,
+                           include_time_of_day=time_of_day)
+    got = evaluate_agent(greedy_agent(algorithm, cfg.observation_size), cfg,
+                         episodes, seed=7)
+    want, actions = reference_evaluation(
+        greedy_agent(algorithm, cfg.observation_size), cfg, episodes, seed=7)
+    assert repr(got) == repr(want)
+    assert set(actions) == {0, 1}
+
+
+def test_evaluate_agent_builds_every_env_before_the_first_step(monkeypatch):
+    events = []
+    init, step = TrafficSignalEnv.__init__, TrafficSignalEnv.step
+
+    def recording_init(env, *args, **kwargs):
+        init(env, *args, **kwargs)
+        events.append(("init", env))
+
+    def recording_step(env, action):
+        events.append(("step", env))
+        return step(env, action)
+
+    monkeypatch.setattr(TrafficSignalEnv, "__init__", recording_init)
+    monkeypatch.setattr(TrafficSignalEnv, "step", recording_step)
+    cfg = build_env_config("medium", 0.5, 2, episode_length=30.0)
+    agent = make_agent(default_agent_config("ppo"), cfg.observation_size)
+    evaluate_agent(agent, cfg, episodes=4, seed=2)
+    kinds = [kind for kind, _ in events]
+    first_step = kinds.index("step")
+    assert kinds[:first_step] == ["init"] * 4
+    assert "init" not in kinds[first_step:]
+    built = [id(env) for kind, env in events if kind == "init"]
+    assert [id(env) for _, env in events[first_step:]] == built * 30
+
+
 def test_evaluate_agent_runs_exactly_the_episodes_asked_for():
     class CountingAgent(FixedTimeAgent):
         acts = 0
 
-        def act(self, obs, explore=False):
-            self.acts += 1
-            return super().act(obs, explore)
+        def greedy_actions(self, obs):
+            self.acts += len(obs)
+            return super().greedy_actions(obs)
 
     cfg = build_env_config("medium", 0.5, 4, episode_length=120.0)
     agent = CountingAgent(default_agent_config("fixed_time"),
@@ -660,6 +715,16 @@ def test_cli_adapt_update_period_below_one_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "adapt failed: update_period must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+def test_cli_adapt_non_finite_schedule_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli_main(["adapt", "--out", str(out), "--schedule", "nan:0.5,100:1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("trafficlab: error: argument --schedule: breakpoint times "
+                   "must be finite, got nan\n")
     assert not out.exists()
 
 

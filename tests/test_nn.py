@@ -142,6 +142,24 @@ def test_call_equals_forward_bit_for_bit(seed, batch, scale, activations):
     assert x.tobytes() == x_before.tobytes()  # the input is never written
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 64),
+       in_dim=st.integers(1, 16),
+       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=4))
+def test_call_on_stacked_rows_equals_one_row_calls_bit_for_bit(
+        seed, rows, in_dim, activations):
+    # greedy evaluation runs all its episodes' observations as one (E, 1, n)
+    # stack and relies on each row's output equalling the 1-D call's; a 2-D
+    # (E, n) batch may take another BLAS kernel and round differently
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, activations, in_dim)
+    x = rng.normal(size=(rows, in_dim))
+    out = net(x[:, None, :])
+    assert out.shape == (rows, 1, net.sizes[-1])
+    for k in range(rows):
+        assert out[k, 0].tobytes() == net(x[k]).tobytes()
+
+
 def test_mismatched_layer_dims_rejected():
     with pytest.raises(ValueError, match="incompatible"):
         Mlp([
