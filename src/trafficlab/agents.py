@@ -211,29 +211,24 @@ class Agent:
         raise NotImplementedError
 
     def greedy_actions(self, obs) -> list[int]:
-        """The greedy action at each row of ``obs``, a stack of
-        observations of shape ``(E, obs_dim)``: entry ``k`` equals
-        ``act(obs[k], explore=False)``. Draws and stores nothing."""
+        """The greedy action for each observation in ``obs``, a sequence
+        of ``E`` of them (a list of 1-D arrays or an ``(E, obs_dim)``
+        array): entry ``k`` equals ``act(obs[k], explore=False)``. Draws
+        and stores nothing."""
         raise NotImplementedError
 
-    def _check_rows(self, obs) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.ndim != 2 or obs.shape[1] != self.obs_dim:
+    def _argmax_rows(self, net: Mlp, obs, what: str) -> list[int]:
+        """Argmax of ``net``'s two outputs for each observation in
+        ``obs``, run as one call on a stack of single rows (see
+        ``Mlp.__call__``), so each row's outputs are bit-equal to those of
+        a one-row call and are compared as ``act`` compares them."""
+        x = np.asarray(obs, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.obs_dim:
             raise ObservationShapeError(
                 f"expected observations of length {self.obs_dim} stacked in "
-                f"rows, got {obs.shape}")
-        return obs
-
-    def _argmax_rows(self, net: Mlp, obs, what: str) -> list[int]:
-        """Argmax of ``net``'s two outputs at each row of ``obs``, run as
-        one call on a stack of single rows (see ``Mlp.__call__``), so
-        each row's outputs are bit-equal to those of a one-row call and
-        are compared as ``act`` compares them."""
-        x = self._check_rows(obs) * self._obs_scale
-        # a lone row takes the 1-D call, which is cheaper than a stack of one
-        out = net(x[0])[None] if len(x) == 1 else net(x[:, None, :])[:, 0]
+                f"rows, got {x.shape}")
         actions = []
-        for v0, v1 in out.tolist():
+        for v0, v1 in net((x * self._obs_scale)[:, None, :])[:, 0].tolist():
             if not (math.isfinite(v0) and math.isfinite(v1)):  # else an arbitrary action
                 raise DivergenceError(f"{what} are not finite: {v0}, {v1}")
             actions.append(0 if v0 >= v1 else 1)  # argmax: a tie keeps the first
@@ -269,8 +264,8 @@ class FixedTimeAgent(Agent):
 
     def greedy_actions(self, obs) -> list[int]:
         green = self.config.fixed_time_green
-        return [1 if t >= green else 0
-                for t in self._check_rows(obs)[:, PHASE_TIME_SLOT].tolist()]
+        return [1 if self._check_obs(row)[PHASE_TIME_SLOT] >= green else 0
+                for row in obs]
 
 
 class _ReplayBuffer:

@@ -21,6 +21,7 @@ are not computed per step; read them with
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -139,6 +140,14 @@ def compute_reward(census: RoadCensus) -> RewardBreakdown:
     )
 
 
+def episode_seeds(seed: int) -> Iterator[int]:
+    """The episode seeds, in order, that ``reset()`` draws from the
+    master stream of an env built with ``seed``."""
+    master = np.random.default_rng(seed)
+    while True:
+        yield int(master.integers(0, 2**63))
+
+
 class TrafficSignalEnv:
     """Keep/switch control environment over one simulated intersection.
 
@@ -151,7 +160,7 @@ class TrafficSignalEnv:
     def __init__(self, config: EnvConfig, seed: int | None = None):
         # a SimConfig of its own: set_detection_rate writes into it
         self.config = replace(config, sim=replace(config.sim))
-        self._master = np.random.default_rng(
+        self._seeds = episode_seeds(
             config.sim.rng_seed if seed is None else seed)
         self._state: SimState | None = None
         self._done = True
@@ -168,7 +177,7 @@ class TrafficSignalEnv:
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is None:
-            seed = int(self._master.integers(0, 2**63))
+            seed = next(self._seeds)
         self._state = SimState.initial(self.config.sim, seed=seed)
         self._done = False
         return build_observation(self._state, self.config,

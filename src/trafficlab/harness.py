@@ -38,7 +38,12 @@ from trafficlab.config import (  # noqa: F401 (re-exports the budgets)
     TRAIN_STEPS_BY_ALGORITHM,
     ExperimentSpec,
 )
-from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
+from trafficlab.env import (
+    EnvConfig,
+    RewardMode,
+    TrafficSignalEnv,
+    episode_seeds,
+)
 from trafficlab.sim import class_means, metrics_snapshot, scenario_preset
 
 SWEEP_HEADER = ["algorithm", "scenario", "detection_rate", "seed",
@@ -159,15 +164,15 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
     """Greedy evaluation over ``episodes`` fresh episodes, run in lockstep.
 
     Episode ``k`` gets an env of its own, reset with the ``k``-th seed of
-    ``np.random.default_rng(seed)``: the seed that ``reset()`` of one env
-    built with ``seed`` draws for its ``k``-th episode. Every env is built
-    and reset before the first step. Each tick then picks all the envs'
+    ``episode_seeds(seed)``: the seed that ``reset()`` of one env built
+    with ``seed`` draws for its ``k``-th episode. Every env is built and
+    reset before the first step. Each tick then picks all the envs'
     actions with one ``agent.greedy_actions`` call and steps each env once,
     in episode order; returns and waits are added in episode order, so the
     stats equal those of playing the episodes one after another. Each env
     holds its own road, so the heap grows with ``episodes``, by about
     20 KB each on the medium preset (a 20-episode evaluation peaks near
-    420 KB of traced allocations).
+    410 KB of traced allocations).
     """
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
@@ -175,10 +180,8 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
         raise ObservationShapeError(
             f"checkpoint expects observations of length {agent.obs_dim}, "
             f"environment emits {env_config.observation_size}")
-    envs = [TrafficSignalEnv(env_config, seed=seed) for _ in range(episodes)]
-    seeds = np.random.default_rng(seed)
-    obs = np.stack([env.reset(seed=int(seeds.integers(0, 2**63)))
-                    for env in envs])
+    envs = [TrafficSignalEnv(env_config) for _ in range(episodes)]
+    obs = [env.reset(seed=s) for env, s in zip(envs, episode_seeds(seed))]
     returns = [0.0] * episodes
     queue_total = 0  # integer queue lengths: exact in any order
     ticks = 0

@@ -15,6 +15,7 @@ from trafficlab.env import (
     TrafficSignalEnv,
     build_observation,
     compute_reward,
+    episode_seeds,
 )
 from trafficlab.sim import (
     Approach,
@@ -93,6 +94,18 @@ def test_unseeded_resets_vary_but_master_seed_reproduces():
     env2.reset()
     again = [env2.step(0)[1] for _ in range(50)]
     assert first == again
+
+
+def test_episode_seeds_are_the_seeds_unseeded_resets_draw():
+    env = make_env(arrival_rate=0.2, seed=9)
+    seeded = make_env(arrival_rate=0.2, seed=123)
+    for _, seed in zip(range(3), episode_seeds(9)):
+        np.testing.assert_array_equal(env.reset(), seeded.reset(seed=seed))
+        drawn = [env.step(1) for _ in range(40)]
+        again = [seeded.step(1) for _ in range(40)]
+        assert [r for _, r, _, _ in drawn] == [r for _, r, _, _ in again]
+        assert env.state.rng.bit_generator.state == \
+            seeded.state.rng.bit_generator.state
 
 
 def test_build_observation_single_detected_vehicle():
