@@ -20,7 +20,6 @@ from trafficlab.env import (
     Action,
     EnvConfig,
     RewardBreakdown,
-    RewardMode,
     TrafficSignalEnv,
     build_observation,
     compute_reward,

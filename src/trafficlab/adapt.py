@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from statistics import median
 
 from trafficlab.agents import Agent, rollout
-from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
+from trafficlab.env import EnvConfig, TrafficSignalEnv
 from trafficlab.sim import class_means
 
 
@@ -151,8 +151,7 @@ def run_deployment(agent: Agent, env_config: EnvConfig,
     time_step = env_config.sim.time_step
     horizon = (deploy.total_steps + 1) * time_step
     env = TrafficSignalEnv(replace(
-        env_config, reward_mode=RewardMode.PARTIAL,
-        episode_length=max(horizon, time_step)), seed=seed)
+        env_config, episode_length=max(horizon, time_step)), seed=seed)
     batch = (deploy.update_period or 0) if agent.needs_rollout else 0
     steps = rollout(agent, env, batch, obs=env.reset(seed=seed))
     seen = (0.0, 0, 0.0, 0)  # exit totals at the last window boundary

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, fields
 
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
 from trafficlab.agents import ALGORITHMS, AgentConfig
+from trafficlab.env import EnvConfig
+from trafficlab.sim import scenario_preset
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -84,6 +86,9 @@ class ExperimentSpec:
     train_missing: bool = False
 
     def __post_init__(self) -> None:
+        # every cell's env config but rate and seed: a bad one fails here
+        EnvConfig(sim=scenario_preset(self.scenario),
+                  episode_length=self.episode_length)
         if not self.algorithms:
             raise ValueError("algorithm list must be non-empty")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
@@ -96,6 +101,11 @@ class ExperimentSpec:
         if self.eval_episodes < 1:
             raise ValueError(f"eval_episodes must be at least 1, "
                              f"got {self.eval_episodes}")
+        if self.train_steps is not None and self.train_steps < 0:
+            raise ValueError(f"train_steps must be non-negative, "
+                             f"got {self.train_steps}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def steps_for(self, algorithm: str) -> int:
         """The training steps of one ``algorithm`` cell."""

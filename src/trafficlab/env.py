@@ -6,16 +6,15 @@ detected vehicle (normalized by lane length, 1.0 when none), the raw phase
 timer in seconds, an amber indicator, the integer phase index, and an
 optional time-of-day fraction. Only detected vehicles influence any slot.
 
-Rewards are the negative normalized speed deficits: the full variant sums
-over every vehicle on an approach, the partial variant only over detected
-ones, which is all a controller could measure in the field.
+The reward is the negative normalized speed deficit of the detected
+vehicles only, which is all a controller could measure in the field.
 
 ``step`` returns ``info = {"reward_breakdown": RewardBreakdown, "census":
-RoadCensus}``: both rewards and the post-step road census that
-``kinematics_step`` took in its walk, from which the reward and the
-observation are read, so a step walks the road once. Waiting-time metrics
-are not computed per step; read them with
-``metrics_snapshot(env.state, env.config.sim)`` when they are needed.
+RoadCensus}``: the reward beside the full one over every vehicle (a
+diagnostic), and the post-step road census that ``kinematics_step`` took
+in its walk, from which the reward and the observation are read, so a
+step walks the road once. Waiting times are not computed per step: read
+them with ``metrics_snapshot(env.state, env.config.sim)``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -52,11 +50,6 @@ Action = Command  # keep (0) / switch (1)
 _COMMANDS = {0: Command.KEEP, 1: Command.SWITCH}
 
 
-class RewardMode(Enum):
-    FULL = "full"
-    PARTIAL = "partial"
-
-
 class EpisodeDoneError(RuntimeError):
     """Raised when step() is called on a finished episode."""
 
@@ -70,14 +63,10 @@ class RewardBreakdown:
     detected_deficit: float
     undetected_deficit: float
 
-    def for_mode(self, mode: RewardMode) -> float:
-        return self.partial if mode is RewardMode.PARTIAL else self.full
-
 
 @dataclass
 class EnvConfig:
     sim: SimConfig = field(default_factory=SimConfig)
-    reward_mode: RewardMode = RewardMode.PARTIAL
     episode_length: float = 3600.0
     include_time_of_day: bool = False
     day_length: float = 86_400.0
@@ -215,11 +204,10 @@ class TrafficSignalEnv:
         spawn_step(state, sim_cfg)
         census = kinematics_step(state, sim_cfg)
         breakdown = compute_reward(census)
-        reward = breakdown.for_mode(self.config.reward_mode)
         self._done = state.clock >= self.config.episode_length - 1e-9
         obs = build_observation(state, self.config, census)
-        return obs, reward, self._done, {"reward_breakdown": breakdown,
-                                         "census": census}
+        return obs, breakdown.partial, self._done, {
+            "reward_breakdown": breakdown, "census": census}
 
     @property
     def done(self) -> bool:

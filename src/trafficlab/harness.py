@@ -40,7 +40,6 @@ from trafficlab.config import (  # noqa: F401 (re-exports the budgets)
 )
 from trafficlab.env import (
     EnvConfig,
-    RewardMode,
     TrafficSignalEnv,
     episode_seeds,
 )
@@ -92,8 +91,7 @@ def build_env_config(scenario: str, detection_rate: float, seed: int,
                      include_time_of_day: bool = False) -> EnvConfig:
     sim = scenario_preset(scenario, detection_rate=detection_rate,
                           rng_seed=seed)
-    return EnvConfig(sim=sim, reward_mode=RewardMode.PARTIAL,
-                     episode_length=episode_length,
+    return EnvConfig(sim=sim, episode_length=episode_length,
                      include_time_of_day=include_time_of_day)
 
 

@@ -387,18 +387,23 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     the post-step road census taken in the same walk.
 
     Front-to-back per lane: each vehicle accelerates toward its own vmax,
-    capped by the speed that still lets it stop before its obstacle (the
-    leader's rear plus the minimum gap, or the stop line when its axis does
-    not have green). A vehicle whose new position crosses the stop line
-    exits and its waiting time is booked into the per-class accumulators.
+    capped by the speed that still lets it stop within its budget, the room
+    to its leader's new rear plus the minimum gap, and without green at
+    most the room to the stop line. The front vehicle's leader stands at
+    ``-spacing`` without green (a budget of ``pos``) and at ``-inf`` with
+    it. A vehicle whose new position crosses the stop line exits and its
+    waiting time is booked into the per-class accumulators. A vehicle with
+    no positive budget (most of a red queue) takes a short branch with the
+    full update's values: speed 0.0, position ``pos - 0.0 * dt == pos``
+    (not negative, so it stays), a wait step (the threshold is positive)
+    and a deficit of ``(vmax - 0.0) / vmax == 1.0``.
 
     The exits of a lane are always its front vehicles: a follower of a
     vehicle that stays ends at least ``spacing`` behind that vehicle's new
     position (which is not negative) or where it stood, so it stays too.
     They are removed with one slice deletion. The returned
     :class:`RoadCensus` equals ``road_census`` of the stepped state: the
-    staying vehicles are visited in its order and its sums are added in
-    its order.
+    staying vehicles are visited, and its sums added, in its order.
     """
     dt = config.time_step
     accel_dt = config.accel * dt
@@ -418,34 +423,35 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
         lane = lanes[approach]
         exits = count = queue = 0
         near = None
-        leader_new_pos = None
+        leader_new_pos = -math.inf if green else -spacing
         for veh in lane:
             pos = veh.position
+            budget = pos - (leader_new_pos + spacing)
+            if not green and pos < budget:
+                budget = pos
+            if not budget > 0.0:  # stopped where it stands
+                veh.speed = 0.0
+                veh.cumulative_wait += dt
+                queue += 1
+                leader_new_pos = pos
+                if veh.detected:
+                    if near is None:
+                        near = pos
+                    count += 1
+                    detected_deficit += 1.0
+                else:
+                    undetected_deficit += 1.0
+                continue
             vmax = veh.vmax
             new_speed = veh.speed + accel_dt
             if not new_speed < vmax:
                 new_speed = vmax
-            if leader_new_pos is None and green:
-                new_pos = pos - new_speed * dt  # nothing ahead to stop for
-            else:
-                if leader_new_pos is None:
-                    budget = pos
-                else:
-                    budget = pos - (leader_new_pos + spacing)
-                    if not green and pos < budget:
-                        budget = pos
-                if budget > 0.0:
-                    cap = neg_decel_dt + math.sqrt(decel_sq_dt_sq + two_decel * budget)
-                    if cap < new_speed:
-                        new_speed = cap
-                else:
-                    if budget < 0.0:
-                        budget = 0.0
-                    if 0.0 < new_speed:
-                        new_speed = 0.0
-                new_pos = pos - new_speed * dt
-                if new_pos < pos - budget:
-                    new_pos = pos - budget  # float-noise guard
+            cap = neg_decel_dt + math.sqrt(decel_sq_dt_sq + two_decel * budget)
+            if cap < new_speed:
+                new_speed = cap
+            new_pos = pos - new_speed * dt
+            if new_pos < pos - budget:
+                new_pos = pos - budget  # float-noise guard
             veh.speed = new_speed
             leader_new_pos = new_pos
             if new_pos < 0.0:

@@ -14,7 +14,7 @@ from trafficlab.adapt import (
     detect_instability,
 )
 from trafficlab.agents import Agent, Transition
-from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
+from trafficlab.env import EnvConfig, TrafficSignalEnv
 
 
 class WindowAccumulator:
@@ -48,7 +48,6 @@ def reference_deployment(agent: Agent, env_config: EnvConfig,
     horizon = (deploy.total_steps + 1) * sim_cfg.time_step
     run_cfg = EnvConfig(
         sim=sim_cfg,
-        reward_mode=RewardMode.PARTIAL,
         episode_length=max(horizon, sim_cfg.time_step),
         include_time_of_day=env_config.include_time_of_day,
         day_length=env_config.day_length,

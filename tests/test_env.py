@@ -11,7 +11,6 @@ from trafficlab.env import (
     EpisodeDoneError,
     PHASE_SLOT,
     PHASE_TIME_SLOT,
-    RewardMode,
     TrafficSignalEnv,
     build_observation,
     compute_reward,
@@ -156,17 +155,16 @@ def test_distance_slot_uses_nearest_detected():
 # ---------------------------------------------------------------------------
 
 def test_empty_intersection_step_reward_zero_both_modes():
-    for mode in RewardMode:
-        env = make_env(reward_mode=mode)
-        env.reset(seed=0)
-        _, reward, _, info = env.step(Action.KEEP)
-        assert reward == 0.0
-        bd = info["reward_breakdown"]
-        assert bd.full == 0.0 and bd.partial == 0.0
+    env = make_env()
+    env.reset(seed=0)
+    _, reward, _, info = env.step(Action.KEEP)
+    assert reward == 0.0
+    bd = info["reward_breakdown"]
+    assert bd.full == 0.0 and bd.partial == 0.0
 
 
 def test_single_stopped_detected_vehicle_partial_reward_is_minus_one():
-    env = make_env(reward_mode=RewardMode.PARTIAL)
+    env = make_env()
     env.reset(seed=0)
     # EAST faces red under NS green: a stopped vehicle at the line stays put
     put_vehicle(env.state, Approach.EAST, 0.0, 0.0, detected=True)

@@ -1,3 +1,4 @@
+import math
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -205,6 +206,26 @@ def test_config_rejects_unknown_section(tmp_path):
 def test_spec_rejects_fewer_than_one_eval_episode(tmp_path, episodes):
     with pytest.raises(ValueError, match="eval_episodes must be at least 1"):
         tiny_spec(tmp_path, eval_episodes=episodes)
+
+
+SCENARIO_ERROR = ("unknown scenario preset 'bogus'; expected one of "
+                  "['dense', 'medium', 'sparse']")
+LENGTH_ERROR = "episode_length must be finite and positive, got "
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("train_steps", -5, "train_steps must be non-negative, got -5"),
+    ("workers", 0, "workers must be at least 1, got 0"),
+    ("episode_length", 0.0, LENGTH_ERROR + "0.0"),
+    ("episode_length", -3.0, LENGTH_ERROR + "-3.0"),
+    ("episode_length", math.nan, LENGTH_ERROR + "nan"),
+    ("episode_length", math.inf, LENGTH_ERROR + "inf"),
+    ("scenario", "bogus", SCENARIO_ERROR),
+])
+def test_spec_rejects_bad_grid_value_by_name(tmp_path, name, value, message):
+    with pytest.raises(ValueError) as info:
+        tiny_spec(tmp_path, **{name: value})
+    assert str(info.value) == message
 
 
 def test_cli_flags_override_config(tmp_path):
@@ -674,6 +695,10 @@ BAD_CONFIGS = {
     "algorithm": ("[experiment]\nalgorithms = ppo,sarsa\n",
                   ["train", "sweep", "adapt"]),
     "deploy": ("[deploy]\nschedule = 0:0.5\ntotal_steps = -5\n", ["adapt"]),
+    "episode-length": ("[experiment]\nepisode_length = nan\n",
+                       ["train", "sweep", "adapt"]),
+    "episode-steps": ("[experiment]\nepisode_length = 100.5\n",
+                      ["train", "sweep", "adapt"]),
 }
 
 
@@ -705,6 +730,23 @@ def test_cli_zero_eval_episodes_is_one_line_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"{command} failed: eval_episodes must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "-5"], "train_steps must be non-negative, got -5"),
+    (["--workers", "-3"], "workers must be at least 1, got -3"),
+    (["--scenario", "bogus"], SCENARIO_ERROR),
+], ids=["steps", "workers", "scenario"])
+@pytest.mark.parametrize("command", ["train", "sweep", "adapt"])
+def test_cli_bad_grid_value_is_one_line_error(tmp_path, capsys, command, flags,
+                                              message):
+    out = tmp_path / "run"
+    schedule = ["--schedule", "0:1,100:0.5"] if command == "adapt" else []
+    rc = cli_main([command, "--out", str(out), *schedule, *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"{command} failed: {message}\n"
     assert not out.exists()
 
 

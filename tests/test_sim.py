@@ -17,6 +17,7 @@ from trafficlab.sim import (
     Vehicle,
     kinematics_step,
     metrics_snapshot,
+    road_census,
     scenario_preset,
     signal_step,
     spawn_step,
@@ -279,6 +280,29 @@ def test_follower_keeps_min_gap_behind_leader():
     assert leader.speed == 0.0 and follower.speed == 0.0
     rest_gap = follower.position - (leader.position + cfg.vehicle_length)
     assert abs(rest_gap - cfg.min_gap) < 1e-6
+
+
+def test_red_queue_at_exact_spacing_stands_still_and_waits():
+    # the front vehicle on the stop line, each follower exactly one spacing
+    # behind: every budget is 0.0, so no vehicle may move
+    cfg = SimConfig(arrival_rate=0.0)
+    spacing = cfg.vehicle_length + cfg.min_gap
+    state = SimState.initial(cfg)
+    state.signal.phase = Phase.EW_GREEN  # NS sees red
+    lane = state.lanes[Approach.NORTH]
+    for i in range(5):
+        lane.append(make_vehicle(i, Approach.NORTH, i * spacing, 0.0, cfg,
+                                 detected=i % 2 == 1, wait=3.0))
+    state.spawned_count = 5
+    census = kinematics_step(state, cfg)
+    assert [(v.position, v.speed, v.cumulative_wait) for v in lane] == \
+        [(i * spacing, 0.0, 3.0 + cfg.time_step) for i in range(5)]
+    assert state.exited_count == 0
+    assert census.queue_lengths[Approach.NORTH] == 5
+    assert census.detected_counts[Approach.NORTH] == 2
+    assert census.nearest_detected[Approach.NORTH] == spacing
+    assert (census.detected_deficit, census.undetected_deficit) == (2.0, 3.0)
+    assert repr(census) == repr(road_census(state, cfg))
 
 
 def test_amber_blocks_crossing():

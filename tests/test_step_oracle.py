@@ -6,10 +6,11 @@ import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sim_oracle
-from trafficlab.env import EnvConfig, RewardMode, TrafficSignalEnv
+from trafficlab.env import EnvConfig, TrafficSignalEnv
 from trafficlab.sim import (
     APPROACHES,
     PRESET_ARRIVAL_RATES,
@@ -18,6 +19,7 @@ from trafficlab.sim import (
     SimConfig,
     SimState,
     Vehicle,
+    kinematics_step,
     metrics_snapshot,
     road_census,
     scenario_preset,
@@ -55,7 +57,6 @@ def env_configs(draw):
     )
     return EnvConfig(
         sim=sim,
-        reward_mode=draw(st.sampled_from(list(RewardMode))),
         episode_length=1000 * time_step,
         include_time_of_day=draw(st.booleans()),
         day_length=draw(st.sampled_from([60.0, 86_400.0])),
@@ -90,7 +91,7 @@ def test_env_step_equals_per_vehicle_oracle(config, steps, switch_rate, seed):
         assert repr((bd.detected_deficit, bd.undetected_deficit, bd.full,
                      bd.partial)) == repr((detected, undetected,
                                            -(detected + undetected), -detected))
-        assert repr(reward) == repr(bd.for_mode(config.reward_mode))
+        assert repr(reward) == repr(bd.partial)
         assert obs.tobytes() == sim_oracle.observation(ref, config).tobytes()
         assert info["census"].queue_lengths == sim_oracle.queue_lengths(ref, sim)
         assert repr(info["census"]) == repr(road_census(env.state, sim))
@@ -98,6 +99,41 @@ def test_env_step_equals_per_vehicle_oracle(config, steps, switch_rate, seed):
         assert [metrics.queue_lengths[a] for a in APPROACHES] == \
             sim_oracle.queue_lengths(ref, sim)
         assert metrics.exited_all == ref.exited_count
+
+
+def never_switch(signal):
+    return Command.KEEP
+
+
+def fixed_time_30s(signal):
+    return (Command.SWITCH if not signal.in_amber and signal.phase_elapsed >= 30.0
+            else Command.KEEP)
+
+
+@pytest.mark.parametrize("policy", [never_switch, fixed_time_30s])
+def test_dense_queues_step_as_the_oracle_and_stand_still(policy):
+    # red queues on the dense preset leave most vehicles no room to move,
+    # which kinematics_step handles in its stopped branch
+    sim = scenario_preset("dense", detection_rate=0.5, rng_seed=7)
+    state = SimState.initial(sim)
+    ref = SimState.initial(sim)
+    held = 0
+    for _ in range(1200):
+        before = {v.id: v.position for v in state.iter_vehicles()}
+        command = policy(state.signal)
+        signal_step(state, command, sim)
+        spawn_step(state, sim)
+        census = kinematics_step(state, sim)
+        signal_step(ref, command, sim)
+        sim_oracle.spawn_step(ref, sim)
+        sim_oracle.kinematics_step(ref, sim)
+
+        assert repr(road(state)) == repr(road(ref))
+        assert repr(counters(state)) == repr(counters(ref))
+        assert repr(census) == repr(road_census(ref, sim))
+        held += sum(1 for v in state.iter_vehicles()
+                    if v.speed == 0.0 and before.get(v.id) == v.position)
+    assert held > 0
 
 
 def next_draws(state, n):
