@@ -96,7 +96,8 @@ class AgentConfig:
     # the nets, inf disables the cap
     trust_region_radius: float = 1.0
     # curvature-metric step budget: the applied step is scaled so that
-    # approximately step^T F step <= 2 * kl_budget; > 0, or None to disable
+    # approximately step^T F step <= 2 * kl_budget; finite and > 0, or None
+    # to disable
     kl_budget: float | None = None
     phase_time_scale: float = 60.0
     seed: int = 0
@@ -104,14 +105,26 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name, value in vars(self).items():
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and name != "trust_region_radius"):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("epsilon_start", "epsilon_end", "explore_floor",
+                     "explore_floor_init", "kfac_decay"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        for name in ("exploration_fraction", "train_steps_budget",
+                     "entropy_coef", "warmup", "fixed_time_green",
+                     "kfac_damping"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.clip_epsilon <= 0:
-            raise ValueError("clip_epsilon must be positive")
-        for name in ("actor_lr", "critic_lr", "q_lr", "replay_capacity",
-                     "rollout_length", "batch_size", "target_sync_period",
-                     "ppo_epochs", "ppo_minibatch", "critic_epochs",
-                     "phase_time_scale"):
+        for name in ("actor_lr", "critic_lr", "q_lr", "clip_epsilon",
+                     "replay_capacity", "rollout_length", "batch_size",
+                     "target_sync_period", "ppo_epochs", "ppo_minibatch",
+                     "critic_epochs", "phase_time_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not self.trust_region_radius >= 0:
@@ -158,7 +171,7 @@ def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
         full = None
         if batch:
             pending.append(Transition(obs, action, reward, next_obs, done,
-                                      log_prob=agent.last_logprob))
+                                      agent.last_logprob))
             if len(pending) >= batch:
                 full, pending = pending, []
         obs = None if done else next_obs
@@ -217,16 +230,26 @@ class Agent:
         and stores nothing."""
         raise NotImplementedError
 
+    def _check_rows(self, obs) -> np.ndarray:
+        """``obs``, a stack of observations, as one ``(E, obs_dim)`` float
+        array; a ragged stack or a row of another length is an
+        ``ObservationShapeError``."""
+        expected = (f"expected observations of length {self.obs_dim} "
+                    f"stacked in rows")
+        try:
+            x = np.asarray(obs, dtype=np.float64)
+        except ValueError as exc:  # say, rows of unequal length
+            raise ObservationShapeError(f"{expected}: {exc}") from None
+        if x.ndim != 2 or x.shape[1] != self.obs_dim:
+            raise ObservationShapeError(f"{expected}, got {x.shape}")
+        return x
+
     def _argmax_rows(self, net: Mlp, obs, what: str) -> list[int]:
         """Argmax of ``net``'s two outputs for each observation in
         ``obs``, run as one call on a stack of single rows (see
         ``Mlp.__call__``), so each row's outputs are bit-equal to those of
         a one-row call and are compared as ``act`` compares them."""
-        x = np.asarray(obs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.obs_dim:
-            raise ObservationShapeError(
-                f"expected observations of length {self.obs_dim} stacked in "
-                f"rows, got {x.shape}")
+        x = self._check_rows(obs)
         actions = []
         for v0, v1 in net((x * self._obs_scale)[:, None, :])[:, 0].tolist():
             if not (math.isfinite(v0) and math.isfinite(v1)):  # else an arbitrary action
@@ -264,8 +287,8 @@ class FixedTimeAgent(Agent):
 
     def greedy_actions(self, obs) -> list[int]:
         green = self.config.fixed_time_green
-        return [1 if self._check_obs(row)[PHASE_TIME_SLOT] >= green else 0
-                for row in obs]
+        return [1 if t >= green else 0
+                for t in self._check_rows(obs)[:, PHASE_TIME_SLOT].tolist()]
 
 
 class _ReplayBuffer:

@@ -96,16 +96,21 @@ def build_observation(state: SimState, config: EnvConfig,
     signal = state.signal
     c0, c1, c2, c3 = census.detected_counts
     d0, d1, d2, d3 = census.nearest_detected
-    # slot order: counts, distances, phase time, amber, phase, time of day
+    # slot order: counts, distances, phase time, amber, phase, time of day.
+    # Each ratio slot is min(ratio, 1.0): that is 1.0 when the numerator
+    # exceeds the positive denominator and the ratio itself otherwise, as
+    # division rounds monotonically.
     slots = [
-        min(c0 / capacity, 1.0), min(c1 / capacity, 1.0),
-        min(c2 / capacity, 1.0), min(c3 / capacity, 1.0),
-        1.0 if d0 is None else min(d0 / lane_length, 1.0),
-        1.0 if d1 is None else min(d1 / lane_length, 1.0),
-        1.0 if d2 is None else min(d2 / lane_length, 1.0),
-        1.0 if d3 is None else min(d3 / lane_length, 1.0),
+        1.0 if c0 > capacity else c0 / capacity,
+        1.0 if c1 > capacity else c1 / capacity,
+        1.0 if c2 > capacity else c2 / capacity,
+        1.0 if c3 > capacity else c3 / capacity,
+        1.0 if d0 is None or d0 > lane_length else d0 / lane_length,
+        1.0 if d1 is None or d1 > lane_length else d1 / lane_length,
+        1.0 if d2 is None or d2 > lane_length else d2 / lane_length,
+        1.0 if d3 is None or d3 > lane_length else d3 / lane_length,
         signal.phase_elapsed, 1.0 if signal.in_amber else 0.0,
-        float(int(signal.phase)),
+        float(signal.phase),
     ]
     if config.include_time_of_day:
         slots.append((state.clock % config.day_length) / config.day_length)
@@ -121,12 +126,9 @@ def compute_reward(census: RoadCensus) -> RewardBreakdown:
     """
     detected = census.detected_deficit
     undetected = census.undetected_deficit
-    return RewardBreakdown(
-        full=-(detected + undetected),
-        partial=-detected,
-        detected_deficit=detected,
-        undetected_deficit=undetected,
-    )
+    # full, partial, detected_deficit, undetected_deficit
+    return RewardBreakdown(-(detected + undetected), -detected, detected,
+                           undetected)
 
 
 def episode_seeds(seed: int) -> Iterator[int]:

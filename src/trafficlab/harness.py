@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,6 +369,11 @@ def _train_cell(spec: ExperimentSpec, agent_overrides: dict,
 def _run_cells(worker, args_list: list, workers: int) -> list:
     if workers <= 1 or len(args_list) <= 1:
         return [worker(*args) for args in args_list]
+    # imported here: the pool machinery (multiprocessing and its helpers)
+    # costs every import of this module about 15 ms, and only a run with
+    # several workers needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, *args) for args in args_list]
         return [f.result() for f in futures]

@@ -7,10 +7,27 @@ then the bias; each layer's ``w`` and ``b`` are views into it, so an
 optimizer step is a few whole-vector operations. Gradients use the same
 layout, with the same views. A net has two forward passes: calling it is
 inference and keeps nothing, ``forward`` keeps the cache ``backward`` reads.
-In place, a pass writes only arrays it made or owns: both forwards add the
-bias into the fresh matmul result (calling also applies the activation
-there), ``backward`` writes no array of the cache or of its output
-gradient, and an Adam step writes ``m``, ``v``, ``params`` and its scratch.
+Both run from a per-layer plan built once with the net (weight, its
+transpose, bias, activation function). In place, a pass writes only arrays
+it made or owns: both forwards add the bias into the fresh matmul result
+(calling also applies the activation there), ``backward`` writes no array
+of the cache or of its output gradient, and an Adam step writes ``m``,
+``v``, ``params`` and its scratch.
+
+Inference takes three input shapes, and keeps one equality for each:
+
+- one sample, 1-D ``(n,)``: ``w.dot(a)`` per layer, the BLAS
+  matrix-vector kernel that ``a @ w.T`` also reaches, without the matmul
+  dispatch; bit-equal to ``a @ w.T`` and to ``forward`` of the one row;
+- a batch, 2-D ``(B, n)``: ``a @ w.T``, bit-equal to ``forward`` of the
+  same batch, but not to ``B`` one-sample calls, as its product takes a
+  matrix-matrix kernel that may round differently;
+- a stack of single rows, ``(E, 1, n)``: ``a @ w.T`` again; numpy
+  multiplies each one-row matrix of the stack the way it multiplies a
+  1-D sample, so row ``k`` of the ``(E, 1, out)`` result is bit-equal to
+  the one-sample call on ``x[k, 0]``, for every ``E``.
+
+The test suite checks these equalities on the BLAS build it runs on.
 
 This module has no file format of its own. An agent checkpoint (see
 ``trafficlab.agents``) stores each net's ``params`` as is, and each
@@ -43,16 +60,13 @@ class SingularCurvatureError(RuntimeError):
     """A curvature factor could not be inverted (no damping to rescue it)."""
 
 
-def _apply_activation(name: str, s: np.ndarray,
-                      in_place: bool = False) -> np.ndarray:
-    """``activation(s)``: a new array, or ``s`` itself overwritten when
-    ``in_place`` is set."""
-    out = s if in_place else None
-    if name == "tanh":
-        return np.tanh(s, out=out)
-    if name == "relu":
-        return np.maximum(s, 0.0, out=out)
-    return s
+def _relu(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(s, 0.0, out=out)
+
+
+# each activation as a function of the pre-activation that writes into
+# ``out`` when given, as a ufunc does; None for the identity
+_ACTIVATION_FUNCS = {"tanh": np.tanh, "relu": _relu, "identity": None}
 
 
 def _activation_backward(name: str, da: np.ndarray, s: np.ndarray,
@@ -150,7 +164,8 @@ class Mlp:
     The net copies the given layers' values into its own flat ``params``
     vector and keeps layers whose ``w``/``b`` are views into it. Write
     parameters in place (``layer.w[...] = ...``, ``set_flat``); rebinding
-    ``layer.w`` would cut that layer off from ``params`` and the optimizers.
+    ``layer.w`` would cut that layer off from ``params``, the optimizers and
+    the plan both passes run from.
     ``net(x)`` is inference without a cache; ``forward`` feeds ``backward``.
     """
 
@@ -164,6 +179,11 @@ class Mlp:
         ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
         self.layers = [Layer(w, b, l.activation) for w, b, l in zip(ws, bs, layers)]
         self.seed = seed
+        self.input_size = ws[0].shape[1]
+        # per layer, what every pass reads: the weight and its transpose
+        # (views into params), the bias view and the activation function
+        self._plan = [(l.w, l.w.T, l.b, _ACTIVATION_FUNCS[l.activation])
+                      for l in self.layers]
 
     @classmethod
     def create(cls, sizes: list[int], activations: list[str], seed: int) -> "Mlp":
@@ -178,10 +198,6 @@ class Mlp:
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
             layers.append(Layer(w=w, b=np.zeros(fan_out), activation=act))
         return cls(layers, seed=seed)
-
-    @property
-    def input_size(self) -> int:
-        return self.layers[0].w.shape[1]
 
     @property
     def sizes(self) -> list[int]:
@@ -205,34 +221,29 @@ class Mlp:
                 f"input size {a.shape[1]} does not match net input {self.input_size}")
         inputs = []
         pre = []
-        for layer in self.layers:
+        for _, wt, b, act in self._plan:
             inputs.append(a)
-            s = a @ layer.w.T
-            s += layer.b
+            s = a @ wt
+            s += b
             pre.append(s)
-            a = _apply_activation(layer.activation, s)
+            a = s if act is None else act(s)
         out = a[0] if squeeze else a
         return out, ForwardCache(inputs, pre, a)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The output at one sample or a batch, bit-equal to ``forward``'s.
-
-        ``x`` may also be a stack of single rows, shape ``(E, 1, n)``: row
-        ``k`` of the ``(E, 1, out)`` result is then bit-equal to
-        ``self(x[k, 0])``, as numpy multiplies each one-row matrix of the
-        stack the way it multiplies a 1-D sample (the test suite checks
-        this on the build it runs on). A 2-D batch ``(E, n)`` is not: its
-        product takes a matrix-matrix BLAS kernel, which may round
-        differently from ``E`` one-sample calls.
-        """
+        """The output at one sample ``(n,)``, a batch ``(B, n)`` or a
+        stack of single rows ``(E, 1, n)``; the module docstring names the
+        bit-equality each one keeps."""
         a = np.asarray(x, dtype=np.float64)
         if a.shape[-1] != self.input_size:
             raise ValueError(
                 f"input size {a.shape[-1]} does not match net input {self.input_size}")
-        for layer in self.layers:
-            a = a @ layer.w.T
-            a += layer.b
-            a = _apply_activation(layer.activation, a, in_place=True)
+        one = a.ndim == 1
+        for w, wt, b, act in self._plan:
+            a = w.dot(a) if one else a @ wt
+            a += b
+            if act is not None:
+                act(a, out=a)
         return a
 
     def backward(self, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:

@@ -363,15 +363,8 @@ def spawn_step(state: SimState, config: SimConfig) -> SimState:
                 i = 0
             detected = uniforms[i] < detection_rate
             i += 1
-            lane.append(Vehicle(
-                id=state.next_vehicle_id,
-                approach=approach,
-                position=lane_length,
-                speed=speed,
-                vmax=vmax,
-                detected=detected,
-                spawn_time=state.clock,
-            ))
+            lane.append(Vehicle(state.next_vehicle_id, approach, lane_length,
+                                speed, vmax, detected, state.clock))
             state.next_vehicle_id += 1
             state.spawned_count += 1
             if detected:

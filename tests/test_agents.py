@@ -225,6 +225,19 @@ def test_greedy_actions_reject_anything_but_a_stack_of_rows(algorithm, shape):
         agent.greedy_actions(np.zeros(shape))
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("rows", [
+    pytest.param([OBS_DIM, OBS_DIM + 1], id="ragged"),
+    pytest.param([OBS_DIM + 1, OBS_DIM + 1], id="wide"),
+    pytest.param([OBS_DIM - 1], id="narrow"),
+])
+def test_greedy_actions_reject_a_list_of_bad_rows(algorithm, rows):
+    # evaluate_agent hands over a list of 1-D observations, not one array
+    agent = make_agent(config_for(algorithm), OBS_DIM)
+    with pytest.raises(ObservationShapeError, match=f"length {OBS_DIM}"):
+        agent.greedy_actions([np.zeros(n) for n in rows])
+
+
 def test_fixed_time_switches_at_green_threshold():
     agent = FixedTimeAgent(config_for("fixed_time", fixed_time_green=30.0), OBS_DIM)
     obs = np.zeros(OBS_DIM)
@@ -1012,6 +1025,43 @@ def test_algorithm_mismatch_reported_distinctly(tmp_path):
 def test_non_positive_replay_capacity_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         config_for("dql", **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("actor_lr", math.nan),
+    ("critic_lr", math.inf),
+    ("q_lr", math.inf),
+    ("clip_epsilon", math.inf),
+    ("entropy_coef", math.nan),
+    ("fixed_time_green", math.nan),
+    ("kl_budget", math.inf),
+    ("kfac_damping", math.nan),
+    ("epsilon_start", 1.5),
+    ("epsilon_end", -0.1),
+    ("explore_floor", 2.0),
+    ("explore_floor_init", -0.5),
+    ("kfac_decay", 1.5),
+    ("exploration_fraction", -1.0),
+    ("train_steps_budget", -100),
+    ("entropy_coef", -0.01),
+    ("warmup", -1),
+    ("fixed_time_green", -5.0),
+    ("kfac_damping", -1e-3),
+])
+def test_agent_config_rejects_bad_values_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        config_for("ppo", **{field: value})
+
+
+def test_agent_config_accepts_the_edges_of_each_range():
+    # inf disables the trust-region cap; probabilities may be 0 or 1; a
+    # zero warm-up, entropy bonus, green time, budget or exploration span
+    # is valid
+    config_for("acktr", trust_region_radius=math.inf, epsilon_start=1.0,
+               epsilon_end=0.0, explore_floor=0.0, explore_floor_init=1.0,
+               kfac_decay=1.0, kfac_damping=0.0, exploration_fraction=0.0,
+               entropy_coef=0.0, warmup=0, fixed_time_green=0.0,
+               train_steps_budget=0)
 
 
 # -- failure modes of the checkpoint container -------------------------------

@@ -691,6 +691,7 @@ BAD_CONFIGS = {
     "missing": (None, ["train", "sweep", "adapt"]),
     "agent-type": ("[agent]\ngamma = fast\n", ["train", "sweep", "adapt"]),
     "agent-range": ("[agent]\ngamma = 2\n", ["train", "sweep"]),
+    "agent-nan": ("[agent]\nactor_lr = nan\n", ["train", "sweep"]),
     "experiment": ("[experiment]\nrates = 1.5\n", ["train", "sweep", "adapt"]),
     "algorithm": ("[experiment]\nalgorithms = ppo,sarsa\n",
                   ["train", "sweep", "adapt"]),

@@ -1,17 +1,22 @@
-"""Every name a ``trafficlab`` module imports is used in that module.
+"""Every name a ``trafficlab`` module imports is used in that module, and
+importing the package's modules stays cheap.
 
-``__init__.py`` only re-exports and is not checked. A name a module
-imports for others to read (say, a name the benchmark looks up there)
-is marked ``# noqa: F401`` on its import line and is exempt.
+A name a module imports for others to read (say, a name the benchmark
+looks up there) is marked ``# noqa: F401`` on its import line and is
+exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trafficlab"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "trafficlab"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +48,15 @@ def test_unused_import_check_sees_plain_from_and_exempt_imports():
               "from re import sub  # noqa: F401 (re-exported)\n"
               "print(os.path.sep, loads)\n")
     assert unused_imports(source) == ["dumps (line 3)", "math (line 1)"]
+
+
+def test_importing_the_harness_loads_no_process_pool():
+    # the pool is imported by the multi-worker run that uses it, so a
+    # single-worker command does not pay for multiprocessing at start-up
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, trafficlab.harness; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

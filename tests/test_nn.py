@@ -142,6 +142,25 @@ def test_call_equals_forward_bit_for_bit(seed, batch, scale, activations):
     assert x.tobytes() == x_before.tobytes()  # the input is never written
 
 
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), in_dim=st.integers(1, 80),
+       x_scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e4]),
+       w_scale=st.sampled_from([1e-3, 1.0, 8.0, 300.0]),
+       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=4))
+def test_one_sample_call_equals_one_row_forward_and_matmul_bit_for_bit(
+        seed, in_dim, x_scale, w_scale, activations):
+    # a 1-D sample takes w.dot(a) per layer, the kernel a @ w.T reaches
+    # for a vector; act relies on it agreeing with the one-row forward
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, activations, in_dim)
+    net.params *= w_scale
+    x = x_scale * rng.normal(size=in_dim)
+    out = net(x)
+    assert out.shape == (net.sizes[-1],)
+    assert out.tobytes() == net.forward(x[None, :])[0][0].tobytes()
+    assert out.tobytes() == call_reference(net, x).tobytes()
+
+
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 64),
        in_dim=st.integers(1, 16),
