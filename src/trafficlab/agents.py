@@ -178,16 +178,37 @@ def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
         yield reward, done, info, full
 
 
+# row ``a`` is the one-hot row of action ``a``
+_ONE_HOT = np.eye(N_ACTIONS)
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    """Log-probabilities over the last axis of two logits, max-shifted.
+    The maximum and the exp sum of the two columns are ufuncs, bit-equal
+    to the axis reductions they replace: a max reduction of two values is
+    ``np.maximum`` of them, and an axis sum adds its terms to 0.0, which
+    leaves the sum of two exps (never -0.0) as ``e0 + e1`` has it."""
+    top = np.maximum(logits[..., 0], logits[..., 1])
+    z = logits - top[..., None]
+    e = np.exp(z)
+    z -= np.log(e[..., 0] + e[..., 1])[..., None]
+    return z
+
+
+def _entropy(pi: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    """-sum(pi * log pi) of each row of two probabilities. The columns are
+    added by one ufunc, bit-equal to the axis sum, which adds them to 0.0:
+    the two differ only where both terms are -0.0, and the likelier
+    action's term never is (its log-probability is +0.0 or negative)."""
+    terms = pi * logp
+    return -(terms[:, 0] + terms[:, 1])
 
 
 def _stack(transitions: list[Transition]):
-    obs = np.stack([t.obs for t in transitions])
+    obs = np.array([t.obs for t in transitions])
     actions = np.array([t.action for t in transitions], dtype=np.intp)
     rewards = np.array([t.reward for t in transitions])
-    next_obs = np.stack([t.next_obs for t in transitions])
+    next_obs = np.array([t.next_obs for t in transitions])
     dones = np.array([1.0 if t.done else 0.0 for t in transitions])
     return obs, actions, rewards, next_obs, dones
 
@@ -501,33 +522,33 @@ class _ActorCriticAgent(Agent):
         if cfg.center_advantages and len(advantages) > 1:
             # batch-mean baseline: keeps the estimator unbiased while
             # removing the shared offset that otherwise swamps the
-            # state-conditional signal
-            advantages = advantages - advantages.mean()
+            # state-conditional signal (the mean as np.mean computes it)
+            advantages = advantages - advantages.sum() / len(advantages)
         return obs, actions, targets, advantages
 
-    def _actor_surrogate_grad(self, logp, pi, actions, coeff, batch_size):
-        """d/d logits of mean(coeff * log pi(a)) plus the entropy bonus."""
-        onehot = np.zeros_like(pi)
-        onehot[np.arange(len(actions)), actions] = 1.0
-        grad = coeff[:, None] * (onehot - pi)
+    def _actor_surrogate_grad(self, logp, pi, score, coeff, entropy):
+        """d/d logits of mean(coeff * log pi(a)) plus the entropy bonus,
+        from ``score``, the rows ``onehot(a) - pi``, and each row's
+        ``entropy`` (read only with a non-zero ``entropy_coef``)."""
+        grad = coeff[:, None] * score
         if self.config.entropy_coef:
-            entropy = -(pi * logp).sum(axis=1, keepdims=True)
-            grad += self.config.entropy_coef * (-pi * (logp + entropy))
-        return grad / batch_size
+            grad += self.config.entropy_coef * (-pi * (logp + entropy[:, None]))
+        grad /= len(coeff)
+        return grad
 
     def _critic_step(self, obs, targets) -> float:
         """Descend the squared error toward fixed targets; repeated
         ``critic_epochs`` times so the value scale can be reached within a
         desk-scale update budget."""
+        n = len(targets)
         loss = 0.0
         for epoch in range(self.config.critic_epochs):
             v, cache = self.critic.forward(obs)
             resid = v.ravel() - targets
-            loss = float(np.mean(resid * resid))
-            if not np.isfinite(loss):
+            loss = float((resid * resid).sum()) / n  # what np.mean computes
+            if not math.isfinite(loss):
                 raise DivergenceError("critic loss became non-finite")
-            grads = self.critic.backward(cache,
-                                         (2.0 * resid / len(targets))[:, None])
+            grads = self.critic.backward(cache, (2.0 * resid / n)[:, None])
             self.critic_optimizer.step(
                 self.critic, self._critic_direction(grads, cache, resid, epoch),
                 self.config.critic_lr)
@@ -558,28 +579,34 @@ class A2cAgent(_ActorCriticAgent):
     mean(log pi(a|s) * A), the critic regresses onto bootstrapped targets."""
 
     def update(self, transitions: list[Transition]) -> dict[str, float]:
-        self.train_steps += len(transitions)
+        if not transitions:
+            return {}
+        n = len(transitions)
+        self.train_steps += n
         obs, actions, targets, advantages = self._targets_and_advantages(transitions)
         logits, cache = self.actor.forward(obs)
         logp = _log_softmax(logits)
         pi = np.exp(logp)
-        taken = logp[np.arange(len(actions)), actions]
-        surrogate = float(np.mean(taken * advantages))
-        if not np.isfinite(surrogate):
+        taken = logp[np.arange(n), actions]
+        taken *= advantages
+        surrogate = float(taken.sum()) / n  # what np.mean computes
+        if not math.isfinite(surrogate):
             raise DivergenceError("actor surrogate became non-finite")
-        dlogits = self._actor_surrogate_grad(logp, pi, actions, advantages,
-                                             len(transitions))
+        entropy = _entropy(pi, logp)
+        score = _ONE_HOT[actions] - pi
+        dlogits = self._actor_surrogate_grad(logp, pi, score, advantages,
+                                             entropy)
         grads = self.actor.backward(cache, dlogits)
         self.actor_optimizer.step(
-            self.actor, self._actor_direction(grads, cache, pi, actions),
+            self.actor, self._actor_direction(grads, cache, score),
             self.config.actor_lr)
         critic_loss = self._critic_step(obs, targets)
         return {"actor_loss": -surrogate, "critic_loss": critic_loss,
-                "entropy": float(np.mean(-(pi * logp).sum(axis=1)))}
+                "entropy": float(entropy.sum()) / n}
 
-    def _actor_direction(self, grads: Gradients, cache, pi,
-                         actions) -> Gradients:
-        """The actor's step direction from its surrogate gradient: ascent."""
+    def _actor_direction(self, grads: Gradients, cache, score) -> Gradients:
+        """The actor's step direction from its surrogate gradient: ascent.
+        ``score`` holds the rows ``onehot(a) - pi`` of the batch."""
         return grads
 
 
@@ -592,41 +619,51 @@ class PpoAgent(_ActorCriticAgent):
     """
 
     def update(self, transitions: list[Transition]) -> dict[str, float]:
+        if not transitions:
+            return {}
         cfg = self.config
-        self.train_steps += len(transitions)
+        n = len(transitions)
+        self.train_steps += n
         obs, actions, targets, advantages = self._targets_and_advantages(transitions)
         if all(t.log_prob is not None for t in transitions):
             old_logp = np.array([t.log_prob for t in transitions])
         else:  # rollout collected without recording; the policy is unchanged
             logits = self.actor(obs)
-            old_logp = _log_softmax(logits)[np.arange(len(actions)), actions]
-        n = len(transitions)
+            old_logp = _log_softmax(logits)[np.arange(n), actions]
+        low, high = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
         last_actor_loss = 0.0
         last_critic_loss = 0.0
         for _ in range(cfg.ppo_epochs):
             perm = self._rng.permutation(n)
             for start in range(0, n, cfg.ppo_minibatch):
                 mb = perm[start:start + cfg.ppo_minibatch]
-                logits, cache = self.actor.forward(obs[mb])
+                m = len(mb)
+                mb_obs = obs[mb]
+                mb_actions = actions[mb]
+                logits, cache = self.actor.forward(mb_obs)
                 logp = _log_softmax(logits)
                 pi = np.exp(logp)
-                taken = logp[np.arange(len(mb)), actions[mb]]
-                ratio = np.exp(taken - old_logp[mb])
+                ratio = logp[np.arange(m), mb_actions]
+                ratio -= old_logp[mb]
+                np.exp(ratio, out=ratio)
                 adv = advantages[mb]
                 unclipped = ratio * adv
-                clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon,
-                                  1.0 + cfg.clip_epsilon) * adv
-                objective = float(np.mean(np.minimum(unclipped, clipped)))
-                if not np.isfinite(objective):
+                # np.clip(ratio, low, high) * adv, as np.clip computes it
+                clipped = np.maximum(ratio, low)
+                np.minimum(clipped, high, out=clipped)
+                clipped *= adv
+                objective = float(np.minimum(unclipped, clipped).sum()) / m
+                if not math.isfinite(objective):
                     raise DivergenceError("clipped surrogate became non-finite")
                 # ratio gradient only where the unclipped branch is active
                 coeff = np.where(unclipped <= clipped, adv * ratio, 0.0)
-                dlogits = self._actor_surrogate_grad(logp, pi, actions[mb],
-                                                     coeff, len(mb))
+                entropy = _entropy(pi, logp) if cfg.entropy_coef else None
+                dlogits = self._actor_surrogate_grad(
+                    logp, pi, _ONE_HOT[mb_actions] - pi, coeff, entropy)
                 grads = self.actor.backward(cache, dlogits)
                 self.actor_optimizer.step(self.actor, grads, cfg.actor_lr)
                 last_actor_loss = -objective
-                last_critic_loss = self._critic_step(obs[mb], targets[mb])
+                last_critic_loss = self._critic_step(mb_obs, targets[mb])
         return {"actor_loss": last_actor_loss, "critic_loss": last_critic_loss}
 
 
@@ -634,7 +671,15 @@ class AcktrAgent(A2cAgent):
     """Actor-critic with per-layer Kronecker-factored curvature: the A2C
     update, with each gradient preconditioned by the running factor
     inverses, scaled to the KL budget and capped to a maximum
-    parameter-space norm."""
+    parameter-space norm.
+
+    The factors are refreshed once per update for each net, from the
+    actor's score rows ``onehot(a) - pi`` and the critic's residuals of
+    its first epoch. A refresh reads only the layer inputs and the
+    pre-activation gradients, so it runs ``Mlp.pre_activation_grads``, the
+    chain of ``backward`` without its weight and bias products. Both
+    scalings write into the fresh preconditioned vector; the raw gradient
+    is only read."""
 
     optimizer_name = "sgd"
 
@@ -647,35 +692,38 @@ class AcktrAgent(A2cAgent):
                                       decay=config.kfac_decay,
                                       augment_bias=config.kfac_augment_bias)
 
-    def _actor_direction(self, grads, cache, pi, actions) -> Gradients:
-        onehot = np.zeros_like(pi)
-        onehot[np.arange(len(actions)), actions] = 1.0
-        # curvature pass: per-sample score-function gradients, unscaled
-        self.actor.backward(cache, onehot - pi)
-        self.actor_stats.update(cache.inputs, cache.pre_grads)
+    def _actor_direction(self, grads, cache, score) -> Gradients:
+        # curvature pass: per-sample score-function gradients, unscaled;
+        # the factors read only the pre-activation gradients
+        self.actor_stats.update(cache.inputs,
+                                self.actor.pre_activation_grads(cache, score))
         return self._natural(self.actor_stats, grads, self.config.actor_lr)
 
     def _critic_direction(self, grads, cache, resid, epoch) -> Gradients:
         if epoch == 0:  # refresh curvature once per rollout
-            self.critic.backward(cache, resid[:, None])
-            self.critic_stats.update(cache.inputs, cache.pre_grads)
+            self.critic_stats.update(
+                cache.inputs, self.critic.pre_activation_grads(cache, resid[:, None]))
         grads.flat *= -1.0  # descent
         return self._natural(self.critic_stats, grads, self.config.critic_lr)
 
     def _natural(self, stats: KfacStats, grads: Gradients,
                  learning_rate: float) -> Gradients:
-        """Precondition, then scale to the KL budget, then cap."""
+        """Precondition, then scale to the KL budget, then cap. Both
+        scalings write into the fresh preconditioned vector; ``grads`` is
+        only read."""
         direction = self._kl_scaled(grads, stats.precondition(grads),
                                     learning_rate)
         return self._capped(direction, learning_rate)
 
     def _capped(self, direction: Gradients, learning_rate: float) -> Gradients:
+        """``direction``, scaled in place so that its step stays within
+        the trust-region radius."""
         radius = self.config.trust_region_radius
-        if not np.isfinite(radius):
+        if not math.isfinite(radius):
             return direction
         step_norm = learning_rate * direction.norm()
         if step_norm > radius:
-            return direction.scaled(radius / step_norm)
+            direction.flat *= radius / step_norm
         return direction
 
     def _kl_scaled(self, grads: Gradients, nat: Gradients,
@@ -690,13 +738,11 @@ class AcktrAgent(A2cAgent):
         delta = self.config.kl_budget
         if delta is None:
             return nat
-        quad = 0.0
-        for gw, gb, nw, nb in zip(grads.dw, grads.db, nat.dw, nat.db):
-            quad += float(np.sum(gw * nw)) + float(np.sum(gb * nb))
+        quad = grads.layer_sums(grads.flat * nat.flat)
         if quad <= 0:
             return nat
-        scale = min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
-        return nat.scaled(scale)
+        nat.flat *= min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
+        return nat
 
     def _optimizers(self) -> dict:
         return {"actor": self.actor_optimizer, "critic": self.critic_optimizer,

@@ -80,6 +80,9 @@ class EnvConfig:
         steps = self.episode_length / self.sim.time_step
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("episode_length must be a multiple of time_step")
+        # read by every observation, so taken once from the geometry the
+        # config is built with (an env builds a config of its own)
+        self._lane_capacity = self.sim.lane_capacity
 
     @property
     def observation_size(self) -> int:
@@ -90,9 +93,8 @@ def build_observation(state: SimState, config: EnvConfig,
                       census: RoadCensus) -> np.ndarray:
     """Compact state vector; undetected vehicles are invisible to it. The
     road slots are read from ``census``, the census of ``state``."""
-    sim = config.sim
-    capacity = sim.lane_capacity
-    lane_length = sim.lane_length
+    capacity = config._lane_capacity
+    lane_length = config.sim.lane_length
     signal = state.signal
     c0, c1, c2, c3 = census.detected_counts
     d0, d1, d2, d3 = census.nearest_detected
@@ -145,7 +147,9 @@ class TrafficSignalEnv:
     One instance is single-threaded; build one per worker for parallel
     rollouts. ``reset(seed=...)`` reproduces an episode exactly; ``reset()``
     draws the next episode seed from a master stream so training sees
-    varied but reproducible episodes.
+    varied but reproducible episodes. The env keeps a copy of its config,
+    and the lane capacity the observation reads is taken from it once;
+    ``set_detection_rate`` is the one change the copy takes afterwards.
     """
 
     def __init__(self, config: EnvConfig, seed: int | None = None):

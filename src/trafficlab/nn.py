@@ -8,11 +8,16 @@ optimizer step is a few whole-vector operations. Gradients use the same
 layout, with the same views. A net has two forward passes: calling it is
 inference and keeps nothing, ``forward`` keeps the cache ``backward`` reads.
 Both run from a per-layer plan built once with the net (weight, its
-transpose, bias, activation function). In place, a pass writes only arrays
-it made or owns: both forwards add the bias into the fresh matmul result
-(calling also applies the activation there), ``backward`` writes no array
-of the cache or of its output gradient, and an Adam step writes ``m``,
-``v``, ``params`` and its scratch.
+transpose, bias, activation function). ``backward`` is two parts: the
+chain of per-sample pre-activation gradients from the output back to the
+first layer (``pre_activation_grads``, which leaves them on the cache),
+then each layer's weight and bias products, written into the flat
+gradient. Curvature stats read only the chain, so a curvature refresh
+runs the chain alone. In place, a pass writes only arrays it made or
+owns: both forwards add the bias into the fresh matmul result (calling
+also applies the activation there), neither part of ``backward`` writes
+an array of the cache or of its output gradient, and an Adam step writes
+``m``, ``v``, ``params`` and its scratch.
 
 Inference takes three input shapes, and keeps one equality for each:
 
@@ -38,6 +43,7 @@ place, then hands the meta back to ``load_state_meta``.
 ``KfacStats`` keeps one damped inverse per Kronecker factor. ``update``
 marks them stale and the next ``precondition`` rebuilds them, so a factor
 is inverted once per curvature refresh, not once per preconditioned step.
+``precondition`` writes each layer's products into a fresh output vector.
 The inverses are derived state: a checkpoint holds only the factors, and a
 loaded agent rebuilds the inverses from them on its first step.
 """
@@ -110,8 +116,9 @@ class Layer:
 
 
 class ForwardCache:
-    """Per-layer activations captured by forward(); backward() adds the
-    per-sample pre-activation gradients the curvature stats feed on."""
+    """Per-layer activations captured by forward(); backward() and
+    pre_activation_grads() add the per-sample pre-activation gradients the
+    curvature stats feed on."""
 
     def __init__(self, inputs: list[np.ndarray], pre_activations: list[np.ndarray],
                  output: np.ndarray):
@@ -142,17 +149,25 @@ class Gradients:
         self.shapes = [tuple(shape) for shape in shapes]
         self.dw, self.db = _layer_views(flat, self.shapes)
 
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients.from_flat(self.flat * factor, self.shapes)
-
     def flatten(self) -> np.ndarray:
         return self.flat.copy()
 
+    def layer_sums(self, values: np.ndarray) -> float:
+        """The sum of ``values``, a flat vector in this layout, taken as
+        each layer's weight sum plus its bias sum, added layer by layer
+        from 0.0; each slice sums as the 2-D layer array would."""
+        total = 0.0
+        start = 0
+        for out_dim, in_dim in self.shapes:
+            mid = start + out_dim * in_dim
+            stop = mid + out_dim
+            total += float(values[start:mid].sum()) + float(values[mid:stop].sum())
+            start = stop
+        return total
+
     def norm(self) -> float:
         # per-layer partial sums: one flat dot product rounds differently
-        return float(math.sqrt(sum(
-            float(np.sum(w * w)) + float(np.sum(b * b))
-            for w, b in zip(self.dw, self.db))))
+        return math.sqrt(self.layer_sums(self.flat * self.flat))
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -250,17 +265,34 @@ class Mlp:
         """Exact gradients of the scalar whose output gradient is supplied.
 
         ``output_grad`` carries any loss scaling (e.g. 1/B for a mean), so
-        the returned gradients sum over the batch. The per-sample
-        pre-activation gradients are left on the cache for curvature stats.
+        the returned gradients sum over the batch. This is the chain of
+        ``pre_activation_grads``, which leaves the per-sample
+        pre-activation gradients on the cache for curvature stats, then
+        each layer's weight and bias products.
         """
+        # the flat gradient is allocated ahead of the chain's temporaries:
+        # allocated after them, it left a heap layout on which each A2C
+        # update took about 380 more minor page faults
+        grads = Gradients.from_flat(np.empty(self.params.size),
+                                    [l.w.shape for l in self.layers])
+        pre_grads = self.pre_activation_grads(cache, output_grad)
+        for ds, a, dw, db in zip(pre_grads, cache.inputs, grads.dw, grads.db):
+            np.dot(ds.T, a, out=dw)  # the gemm of ds.T @ a, into the view
+            ds.sum(axis=0, out=db)
+        return grads
+
+    def pre_activation_grads(self, cache: ForwardCache,
+                             output_grad: np.ndarray) -> list[np.ndarray]:
+        """The per-sample gradients at each layer's pre-activation, from
+        the output gradient back to the first layer, without the weight
+        and bias products ``backward`` adds; also left on the cache as
+        ``cache.pre_grads``. Curvature stats read nothing else of a pass."""
         g = np.asarray(output_grad, dtype=np.float64)
         if g.ndim == 1:
             g = g[None, :]
         if g.shape != cache.pre_activations[-1].shape:
             raise ValueError("output gradient shape does not match forward cache")
         n_layers = len(self.layers)
-        grads = Gradients.from_flat(np.empty(self.params.size),
-                                    [l.w.shape for l in self.layers])
         pre_grads: list[np.ndarray] = [None] * n_layers
         outputs = cache.inputs[1:] + [cache.output]  # post-activations
         da = g
@@ -269,12 +301,10 @@ class Mlp:
             ds = _activation_backward(layer.activation, da,
                                       cache.pre_activations[idx], outputs[idx])
             pre_grads[idx] = ds
-            np.matmul(ds.T, cache.inputs[idx], out=grads.dw[idx])
-            ds.sum(axis=0, out=grads.db[idx])
             if idx > 0:
                 da = ds @ layer.w
         cache.pre_grads = pre_grads
-        return grads
+        return pre_grads
 
     # -- flat parameter view --------------------------------------------------
 
@@ -490,6 +520,8 @@ class KfacStats:
                 out.dw[idx][...] = solved[:, :-1]
                 out.db[idx][...] = solved[:, -1]
             else:
-                out.dw[idx][...] = s_inv @ dw @ a_inv
-                out.db[idx][...] = s_inv @ db
+                # np.dot writes into a view as fast as it multiplies;
+                # np.matmul with out= is slower than a copy at these sizes
+                np.dot(s_inv @ dw, a_inv, out=out.dw[idx])
+                np.dot(s_inv, db, out=out.db[idx])
         return out

@@ -397,6 +397,13 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     They are removed with one slice deletion. The returned
     :class:`RoadCensus` equals ``road_census`` of the stepped state: the
     staying vehicles are visited, and its sums added, in its order.
+
+    Every vehicle on the road must stand at a position of at least 0, as
+    in every state the simulator builds (``tests/invariant_checks.py``
+    checks it on simulated states). The short branch relies on it: it
+    keeps a vehicle where it stands, so a hand-placed vehicle at a
+    negative position with no budget would stay on the road instead of
+    exiting.
     """
     dt = config.time_step
     accel_dt = config.accel * dt

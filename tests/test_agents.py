@@ -25,7 +25,9 @@ from trafficlab.agents import (
     ObservationShapeError,
     PpoAgent,
     Transition,
+    _entropy,
     _log_softmax,
+    _ONE_HOT,
     _ReplayBuffer,
     _stack,
     agent_from_bytes,
@@ -517,6 +519,73 @@ def test_compute_advantage_calibrated_critic_is_zero():
 
 
 # ---------------------------------------------------------------------------
+# two-column policy math against the axis-reduction forms
+# ---------------------------------------------------------------------------
+
+def entropy_ref(pi, logp):
+    return -(pi * logp).sum(axis=1)
+
+
+def surrogate_grad_ref(logp, pi, actions, coeff, batch_size, entropy_coef):
+    """``_actor_surrogate_grad`` as it was: one-hot rows written by
+    index and the entropy taken by an axis sum."""
+    onehot = np.zeros_like(pi)
+    onehot[np.arange(len(actions)), actions] = 1.0
+    grad = coeff[:, None] * (onehot - pi)
+    if entropy_coef:
+        entropy = -(pi * logp).sum(axis=1, keepdims=True)
+        grad += entropy_coef * (-pi * (logp + entropy))
+    return grad / batch_size
+
+
+_LOGIT = st.one_of(st.floats(-1e307, 1e307), st.floats(-60.0, 60.0),
+                   st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+_GAP = st.floats(745.0, 1e4)
+_LOGIT_PAIRS = st.one_of(
+    st.tuples(_LOGIT, _LOGIT),
+    _LOGIT.map(lambda x: (x, x)),  # tied
+    st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]),
+    # saturated: one probability underflows to 0.0 and the other is 1.0
+    st.tuples(st.floats(-1e4, 1e4), _GAP).map(lambda t: (t[0], t[0] - t[1])),
+    st.tuples(st.floats(-1e4, 1e4), _GAP).map(lambda t: (t[0] - t[1], t[0])),
+)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(_LOGIT_PAIRS, min_size=1, max_size=70), data=st.data(),
+       entropy_coef=st.sampled_from([0.0, 0.01, 0.02, 3.0]))
+def test_two_column_policy_math_equals_the_axis_reductions(pairs, data,
+                                                          entropy_coef):
+    """The log-softmax, entropy and surrogate gradient of the updates,
+    bit for bit (the sign of every zero included) against the forms with
+    axis reductions, over tied, saturated and large-magnitude logits."""
+    logits = np.array(pairs, dtype=np.float64)
+    n = len(logits)
+    logp = _log_softmax(logits)
+    assert same_bits(logp, log_softmax_ref(logits))
+    for row in logits:  # a lone pair, as a 1-D array
+        assert same_bits(_log_softmax(row), log_softmax_ref(row))
+    pi = np.exp(logp)
+    entropy = _entropy(pi, logp)
+    assert same_bits(entropy, entropy_ref(pi, logp))
+    actions = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                          max_size=n)), dtype=np.intp)
+    coeff = np.array(data.draw(st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+        min_size=n, max_size=n)))
+    agent = make_agent(config_for("a2c", entropy_coef=entropy_coef), OBS_DIM)
+    score = _ONE_HOT[actions] - pi
+    got = agent._actor_surrogate_grad(logp, pi, score, coeff, entropy)
+    assert same_bits(got, surrogate_grad_ref(logp, pi, actions, coeff, n,
+                                             entropy_coef))
+
+
+# ---------------------------------------------------------------------------
 # actor-critic updates
 # ---------------------------------------------------------------------------
 
@@ -541,6 +610,18 @@ def test_zero_advantages_leave_actor_bit_unchanged(algorithm):
     before = agent.actor.flatten()
     agent.update(rollout)
     np.testing.assert_array_equal(agent.actor.flatten(), before)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_empty_batch_update_is_a_no_op(algorithm):
+    """``update([])`` returns no stats and leaves the counters, the
+    generator, the nets and the optimizer state as they were, for every
+    controller; each learner has taken one real update first."""
+    agent = make_agent(config_for(algorithm, warmup=8, batch_size=8), OBS_DIM)
+    agent.update(make_transitions(np.random.default_rng(2), 16))
+    before = agent_to_bytes(agent)
+    assert agent.update([]) == {}
+    assert agent_to_bytes(agent) == before
 
 
 def test_a2c_positive_advantage_increases_action_probability():
@@ -832,6 +913,57 @@ def test_acktr_zero_advantages_fixed_point_with_kl_budget():
     before = agent.actor.flatten()
     agent.update(rollout)
     np.testing.assert_array_equal(agent.actor.flatten(), before)
+
+
+def natural_reference(agent, stats, grads, learning_rate):
+    """``AcktrAgent._natural`` as it was: the KL quad and the step norm
+    summed per 2-D layer array, and each scaling a new vector."""
+    nat = stats.precondition(grads)
+    delta = agent.config.kl_budget
+    if delta is not None:
+        quad = 0.0
+        for gw, gb, nw, nb in zip(grads.dw, grads.db, nat.dw, nat.db):
+            quad += float(np.sum(gw * nw)) + float(np.sum(gb * nb))
+        if quad > 0:
+            scale = min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
+            nat = Gradients.from_flat(nat.flat * scale, nat.shapes)
+    radius = agent.config.trust_region_radius
+    if math.isfinite(radius):
+        step_norm = learning_rate * math.sqrt(sum(
+            float(np.sum(w * w)) + float(np.sum(b * b))
+            for w, b in zip(nat.dw, nat.db)))
+        if step_norm > radius:
+            nat = Gradients.from_flat(nat.flat * (radius / step_norm), nat.shapes)
+    return nat
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kl_budget=st.sampled_from([None, 1e-12, 1e-2, 1e3]),
+       radius=st.sampled_from([math.inf, 0.0, 1e-6, 1.0]),
+       augment_bias=st.booleans(),
+       learning_rate=st.sampled_from([1e-3, 0.25]))
+def test_acktr_natural_scales_a_fresh_vector_as_the_copying_form_did(
+        seed, kl_budget, radius, augment_bias, learning_rate):
+    """``_natural`` never writes into the raw gradient it is given, its
+    result shares no memory with it, and the in-place KL and trust-region
+    scalings give the vector the copying form gave, bit for bit."""
+    agent = AcktrAgent(config_for("acktr", seed=seed % 1000, kl_budget=kl_budget,
+                                  trust_region_radius=radius,
+                                  kfac_augment_bias=augment_bias,
+                                  hidden_sizes=[8, 5]), OBS_DIM)
+    rng = np.random.default_rng(seed)
+    agent.update(make_transitions(rng, 24))  # factors other than identity
+    for stats, net in ((agent.actor_stats, agent.actor),
+                       (agent.critic_stats, agent.critic)):
+        grads = Gradients([rng.normal(size=l.w.shape) for l in net.layers],
+                          [rng.normal(size=l.b.shape) for l in net.layers])
+        raw = grads.flat.tobytes()
+        got = agent._natural(stats, grads, learning_rate)
+        assert grads.flat.tobytes() == raw
+        assert not np.shares_memory(got.flat, grads.flat)
+        assert got.flat.tobytes() == natural_reference(
+            agent, stats, grads, learning_rate).flat.tobytes()
 
 
 @functools.lru_cache(maxsize=None)

@@ -139,6 +139,27 @@ def test_count_slot_clamped_at_capacity():
     assert obs[Approach.WEST] == 1.0
 
 
+def test_envs_of_different_lane_geometry_each_read_their_own_capacity():
+    """The capacity is taken once per env config, and every count slot
+    equals the count divided by its own env's lane capacity."""
+    sims = [SimConfig(arrival_rate=0.0),
+            SimConfig(arrival_rate=0.0, lane_length=75.0),
+            SimConfig(arrival_rate=0.0, vehicle_length=2.5, min_gap=0.5)]
+    envs = [TrafficSignalEnv(EnvConfig(sim=sim), seed=0) for sim in sims]
+    assert [sim.lane_capacity for sim in sims] == [20, 10, 50]
+    for env, sim in zip(envs, sims):
+        env.reset(seed=0)
+        for i in range(7):
+            put_vehicle(env.state, Approach.EAST, 1.0 + 7.5 * i, 0.0, detected=True)
+    for env, sim in zip(envs, sims):
+        obs = build_observation(env.state, env.config,
+                                road_census(env.state, env.config.sim))
+        assert obs[Approach.EAST] == 7 / sim.lane_capacity
+        obs, _, _, _ = env.step(Action.KEEP)
+        assert obs[Approach.EAST] == (len(env.state.lanes[Approach.EAST])
+                                      / sim.lane_capacity)
+
+
 def test_distance_slot_uses_nearest_detected():
     env = make_env()
     env.reset(seed=0)

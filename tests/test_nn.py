@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,6 +303,60 @@ def test_backward_shape_mismatch_rejected():
     _, cache = net.forward(np.zeros(3))
     with pytest.raises(ValueError, match="output gradient"):
         net.backward(cache, np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="output gradient"):
+        net.pre_activation_grads(cache, np.zeros((2, 5)))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 300),
+       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=4))
+def test_pre_activation_chain_leaves_what_backward_leaves(seed, batch, activations):
+    """The chain alone (what a curvature refresh runs) leaves on the cache
+    the pre-activation gradients ``backward`` leaves, bit for bit, and
+    writes nothing forward or the caller made."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, activations, int(rng.integers(1, 20)))
+    out, cache = net.forward(rng.normal(size=(batch, net.input_size)))
+    dout = rng.normal(size=out.shape) * rng.choice([1e-6, 1.0, 1e6])
+    snapshot = [a.tobytes() for a in cache.inputs + cache.pre_activations
+                + [cache.output, dout]]
+    chain = net.pre_activation_grads(cache, dout)
+    assert chain is cache.pre_grads
+    chain = [ds.copy() for ds in chain]
+    net.backward(cache, dout)
+    assert len(cache.pre_grads) == len(chain) == len(net.layers)
+    for mine, full in zip(chain, cache.pre_grads):
+        assert mine.shape == full.shape
+        assert mine.tobytes() == full.tobytes()
+    assert snapshot == [a.tobytes() for a in cache.inputs + cache.pre_activations
+                        + [cache.output, dout]]
+
+
+def per_layer_sums_reference(grads, other):
+    """The per-layer 2-D sums the flat slice sums replaced: sum over the
+    layers of sum(dw * other_dw) + sum(db * other_db)."""
+    return sum(float(np.sum(gw * ow)) + float(np.sum(gb * ob))
+               for gw, gb, ow, ob in zip(grads.dw, grads.db, other.dw, other.db))
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1),
+       widths=st.lists(st.integers(1, 90), min_size=2, max_size=5),
+       scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]))
+def test_norm_and_quad_from_slice_sums_equal_per_layer_2d_sums(seed, widths, scale):
+    """``Gradients.norm`` and the KL quad ``grads.layer_sums(g * nat)``
+    sum one elementwise product slice by slice; each slice sums to what
+    the 2-D layer array summed to, so both equal the per-layer forms."""
+    rng = np.random.default_rng(seed)
+    shapes = list(zip(widths[1:], widths[:-1]))
+    size = sum(o * i + o for o, i in shapes)
+    grads = Gradients.from_flat(rng.normal(size=size) * scale, shapes)
+    nat = Gradients.from_flat(rng.normal(size=size) * scale, shapes)
+    # repr is exact for floats, the sign of a zero included
+    norm = math.sqrt(per_layer_sums_reference(grads, grads))
+    assert repr(grads.norm()) == repr(norm)
+    assert (repr(grads.layer_sums(grads.flat * nat.flat))
+            == repr(per_layer_sums_reference(grads, nat)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +437,8 @@ def test_sgd_quadratic_descent_arithmetic():
     # f(w) = w^2 from w=1: gradient 2, descent step 0.1 -> 0.8
     net = Mlp([Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
     grads = Gradients([np.array([[2.0]])], [np.array([0.0])])
-    SgdOptimizer(net).step(net, grads.scaled(-1.0), 0.1)
+    grads.flat *= -1.0  # descent
+    SgdOptimizer(net).step(net, grads, 0.1)
     assert net.layers[0].w[0, 0] == pytest.approx(0.8)
 
 
@@ -395,7 +452,8 @@ def test_sgd_monotone_decrease_on_convex_quadratic():
         w = net.layers[0].w[0, 0]
         losses.append(0.5 * c * w * w)
         grads = Gradients([np.array([[c * w]])], [np.array([0.0])])
-        opt.step(net, grads.scaled(-1.0), 0.2)  # 0.2 < 2/c = 0.5
+        grads.flat *= -1.0  # descent
+        opt.step(net, grads, 0.2)  # 0.2 < 2/c = 0.5
     assert all(b < a or a == 0 for a, b in zip(losses, losses[1:]))
 
 
@@ -416,7 +474,8 @@ def test_adam_reduces_quadratic_loss():
     for _ in range(400):
         w = net.layers[0].w[0, 0]
         grads = Gradients([np.array([[2.0 * w]])], [np.array([0.0])])
-        opt.step(net, grads.scaled(-1.0), 0.05)
+        grads.flat *= -1.0  # descent
+        opt.step(net, grads, 0.05)
     assert abs(net.layers[0].w[0, 0]) < 1e-3
 
 
