@@ -218,6 +218,7 @@ class Agent:
     transitions to hand to update() at a time (0 = never updates)."""
 
     needs_rollout = 0
+    counters: tuple[str, ...] = ()  # the int attributes a checkpoint keeps
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         self.config = config
@@ -290,17 +291,16 @@ class Agent:
         return {}
 
     def _extra_state(self) -> dict:
-        return {}
+        return {name: getattr(self, name) for name in self.counters}
 
     def _load_extra_state(self, state: dict) -> None:
-        pass
+        for name in self.counters:
+            setattr(self, name, state[name])
 
 
 class FixedTimeAgent(Agent):
     """Non-adaptive baseline: request a switch whenever the current phase
     has lasted the configured green time."""
-
-    needs_rollout = 0
 
     def act(self, obs, explore: bool = False) -> int:
         obs = self._check_obs(obs)
@@ -357,6 +357,7 @@ class DqlAgent(Agent):
     training budget, then holds."""
 
     needs_rollout = 1
+    counters = ("train_steps", "updates")
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
@@ -441,13 +442,6 @@ class DqlAgent(Agent):
     def _optimizers(self) -> dict:
         return {"q": self.optimizer}
 
-    def _extra_state(self) -> dict:
-        return {"train_steps": self.train_steps, "updates": self.updates}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self.train_steps = state["train_steps"]
-        self.updates = state["updates"]
-
 
 class _ActorCriticAgent(Agent):
     """Shared machinery: softmax policy over two logits plus a value net,
@@ -455,6 +449,7 @@ class _ActorCriticAgent(Agent):
     fixes one)."""
 
     optimizer_name: str | None = None
+    counters = ("train_steps",)
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
@@ -566,12 +561,6 @@ class _ActorCriticAgent(Agent):
 
     def _optimizers(self) -> dict:
         return {"actor": self.actor_optimizer, "critic": self.critic_optimizer}
-
-    def _extra_state(self) -> dict:
-        return {"train_steps": self.train_steps}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self.train_steps = state["train_steps"]
 
 
 class A2cAgent(_ActorCriticAgent):

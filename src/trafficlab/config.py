@@ -42,20 +42,25 @@ def _list_of(item):
     return parse
 
 
+def _breakpoint(chunk: str) -> tuple[float, float]:
+    try:
+        t, r = chunk.split(":")
+        return float(t), float(r)
+    except ValueError:
+        raise ValueError(
+            f"bad schedule element {chunk!r}; expected time:rate") from None
+
+
 def parse_schedule(raw: str) -> DetectionSchedule:
     """``t0:r0,t1:r1,...`` pairs in simulated seconds."""
-    points = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            t, r = chunk.split(":")
-            points.append((float(t), float(r)))
-        except ValueError:
-            raise ValueError(
-                f"bad schedule element {chunk!r}; expected time:rate") from None
-    return DetectionSchedule(points)
+    return DetectionSchedule(_list_of(_breakpoint)(raw))
+
+
+def checkpoint_name(algorithm: str, scenario: str, rate: float,
+                    seed: int) -> str:
+    """The checkpoint file name of one grid cell; its curve and its sweep
+    row are named after it too."""
+    return f"{algorithm}_{scenario}_r{rate:.2f}_s{seed}.ckpt"
 
 
 # Training budget each algorithm needs to escape the never-switch basin
@@ -71,7 +76,9 @@ class ExperimentSpec:
 
     ``train_steps`` set (by file or flag) applies to every algorithm;
     left unset, each algorithm trains for its own budget in
-    ``TRAIN_STEPS_BY_ALGORITHM``."""
+    ``TRAIN_STEPS_BY_ALGORITHM``. Every cell must have a checkpoint name
+    of its own, so no list may repeat a value and no two rates may round
+    to one name."""
 
     name: str = "experiment"
     scenario: str = "medium"
@@ -89,15 +96,28 @@ class ExperimentSpec:
         # every cell's env config but rate and seed: a bad one fails here
         EnvConfig(sim=scenario_preset(self.scenario),
                   episode_length=self.episode_length)
-        if not self.algorithms:
-            raise ValueError("algorithm list must be non-empty")
+        for name in ("algorithms", "rates", "seeds"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} lists {repeated[0]!r} more than once")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}")
-        if not self.seeds:
-            raise ValueError("seed list must be non-empty")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
         if any(not 0.0 <= r <= 1.0 for r in self.rates):
             raise ValueError("detection rates must lie in [0, 1]")
+        names = {}
+        for rate in self.rates:
+            name = checkpoint_name(self.algorithms[0], self.scenario, rate,
+                                   self.seeds[0])
+            if name in names:
+                raise ValueError(f"rates {names[name]!r} and {rate!r} share "
+                                 f"the checkpoint name {name}")
+            names[name] = rate
         if self.eval_episodes < 1:
             raise ValueError(f"eval_episodes must be at least 1, "
                              f"got {self.eval_episodes}")
@@ -185,17 +205,23 @@ _SECTION_TYPES = {
 
 def load_config_file(path) -> ConfigBundle:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser.items(name))
+                    for name in parser.sections()}
+    except configparser.Error as exc:
+        # no section header, a repeated key or section, or a lone "%" (a
+        # value is interpolated as it is read)
+        raise ValueError(f"config file {path} is malformed: "
+                         + " ".join(str(exc).split())) from None
     if not read:
         raise FileNotFoundError(f"config file {path} not found")
     bundle = ConfigBundle()
-    for section_name in parser.sections():
+    for section_name, section in sections.items():
         if section_name not in _SECTION_TYPES:
             raise ValueError(
                 f"unknown config section [{section_name}]; the sections are "
                 + ", ".join(f"[{name}]" for name in _SECTION_TYPES))
-        kwargs = section_to_kwargs(_SECTION_TYPES[section_name],
-                                   dict(parser.items(section_name)),
-                                   section_name)
-        setattr(bundle, section_name, kwargs)
+        setattr(bundle, section_name, section_to_kwargs(
+            _SECTION_TYPES[section_name], section, section_name))
     return bundle

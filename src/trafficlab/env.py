@@ -13,8 +13,9 @@ vehicles only, which is all a controller could measure in the field.
 RoadCensus}``: the reward beside the full one over every vehicle (a
 diagnostic), and the post-step road census that ``kinematics_step`` took
 in its walk, from which the reward and the observation are read, so a
-step walks the road once. Waiting times are not computed per step: read
-them with ``metrics_snapshot(env.state, env.config.sim)``.
+step walks the road once. ``reset`` walks no road: a new state's road is
+empty, so its observation reads the empty-road census. Waiting times are
+not computed per step: read them with ``metrics_snapshot(env.state)``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from trafficlab.sim import (
     SimState,
     kinematics_step,
     metrics_snapshot,  # noqa: F401 (re-exported with the other step stages)
-    road_census,
     signal_step,
     spawn_step,
 )
@@ -46,8 +46,9 @@ PHASE_SLOT = 10
 TIME_OF_DAY_SLOT = 11
 BASE_OBSERVATION_SIZE = 11
 
-Action = Command  # keep (0) / switch (1)
 _COMMANDS = {0: Command.KEEP, 1: Command.SWITCH}
+# the census of an empty road, which every reset state has; only read
+_EMPTY_CENSUS = RoadCensus(0.0, 0.0, [0] * 4, [None] * 4, [0] * 4)
 
 
 class EpisodeDoneError(RuntimeError):
@@ -161,10 +162,6 @@ class TrafficSignalEnv:
         self._done = True
 
     @property
-    def observation_size(self) -> int:
-        return self.config.observation_size
-
-    @property
     def state(self) -> SimState:
         if self._state is None:
             raise RuntimeError("reset() must be called before accessing state")
@@ -175,8 +172,7 @@ class TrafficSignalEnv:
             seed = next(self._seeds)
         self._state = SimState.initial(self.config.sim, seed=seed)
         self._done = False
-        return build_observation(self._state, self.config,
-                                 road_census(self._state, self.config.sim))
+        return build_observation(self._state, self.config, _EMPTY_CENSUS)
 
     def set_detection_rate(self, rate: float) -> None:
         """Adjust the detection probability applied to future spawns of
@@ -194,8 +190,8 @@ class TrafficSignalEnv:
         raised past the episode end. ``info`` holds ``reward_breakdown``
         (the ``RewardBreakdown``) and ``census`` (the post-step
         ``RoadCensus`` that ``kinematics_step`` returns, which the reward
-        and the observation read); waiting times are read with
-        ``metrics_snapshot``.
+        and the observation read, so the step walks the road once);
+        waiting times are read with ``metrics_snapshot(env.state)``.
         """
         if self._state is None or self._done:
             raise EpisodeDoneError("episode is finished; call reset() first")
@@ -214,7 +210,3 @@ class TrafficSignalEnv:
         obs = build_observation(state, self.config, census)
         return obs, breakdown.partial, self._done, {
             "reward_breakdown": breakdown, "census": census}
-
-    @property
-    def done(self) -> bool:
-        return self._done

@@ -22,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trafficlab.adapt import DeploymentConfig, DeploymentResult, run_deployment
+from trafficlab.adapt import (
+    DeploymentConfig,
+    DeploymentResult,
+    TimelinePoint,
+    run_deployment,
+)
 from trafficlab.agents import (
     Agent,
     AgentConfig,
@@ -36,6 +41,7 @@ from trafficlab.charts import Series, write_chart
 from trafficlab.config import (  # noqa: F401 (re-exports the budgets)
     TRAIN_STEPS_BY_ALGORITHM,
     ExperimentSpec,
+    checkpoint_name,
 )
 from trafficlab.env import (
     EnvConfig,
@@ -94,11 +100,6 @@ def build_env_config(scenario: str, detection_rate: float, seed: int,
                      include_time_of_day=include_time_of_day)
 
 
-def checkpoint_name(algorithm: str, scenario: str, rate: float,
-                    seed: int) -> str:
-    return f"{algorithm}_{scenario}_r{rate:.2f}_s{seed}.ckpt"
-
-
 # ---------------------------------------------------------------------------
 # training and evaluation drivers
 # ---------------------------------------------------------------------------
@@ -130,9 +131,8 @@ def train_agent(agent: Agent, env: TrafficSignalEnv,
         if batch:
             agent.update(batch)
         if done:
-            wait_all = metrics_snapshot(env.state, env.config.sim).wait_all
             records.append(EpisodeRecord(len(records), step, ep_return,
-                                         wait_all))
+                                         metrics_snapshot(env.state).wait_all))
             ep_return = 0.0
     return records
 
@@ -297,17 +297,6 @@ def write_timeline_csv(path, result: DeploymentResult) -> None:
     emit_csv(path, TIMELINE_HEADER, rows)
 
 
-def read_timeline_csv(path) -> list[dict]:
-    header, rows = read_csv(path)
-    if header != TIMELINE_HEADER:
-        raise ValueError(f"unexpected timeline CSV header {header}")
-    return [dict(
-        step=int(r[0]), detection_rate=float(r[1]), wait_all=_opt_float(r[2]),
-        wait_detected=_opt_float(r[3]), wait_undetected=_opt_float(r[4]),
-        instability_flag=r[5] == "1",
-    ) for r in rows]
-
-
 def write_curve_csv(path, records: list[EpisodeRecord]) -> None:
     rows = [[r.episode, r.end_step, r.episode_return, r.mean_wait]
             for r in records]
@@ -325,10 +314,6 @@ class CellResult:
     seed: int
     checkpoint: str | None = None
     error: str | None = None
-
-    @property
-    def key(self):
-        return (self.algorithm, self.rate, self.seed)
 
 
 def _cell_error(exc: Exception) -> str:
@@ -500,6 +485,7 @@ class AdaptRunResult:
     instability_flags: int
     aborted: bool
     error: str | None = None
+    timeline: list[TimelinePoint] | None = None  # what timeline_csv holds
 
 
 def _adapt_cell(spec: ExperimentSpec, deploy: DeploymentConfig,
@@ -520,7 +506,8 @@ def _adapt_cell(spec: ExperimentSpec, deploy: DeploymentConfig,
             algorithm=algorithm, seed=seed, timeline_csv=csv_path,
             instability_flags=result.instability_flags,
             aborted=result.aborted,
-            error=result.failure_message if result.aborted else None)
+            error=result.failure_message if result.aborted else None,
+            timeline=result.timeline)
     except Exception as exc:
         return AdaptRunResult(algorithm=algorithm, seed=seed,
                               timeline_csv=None, instability_flags=0,
@@ -547,15 +534,18 @@ def cmd_adapt(spec: ExperimentSpec, deploy: DeploymentConfig
 
 def _write_adapt_chart(spec: ExperimentSpec,
                        results: list[AdaptRunResult]) -> None:
+    """One series per algorithm: each step's mean ``wait_all`` over the
+    seeds' timelines, skipping windows with no exits. The timelines are
+    read in memory; their CSV round trip is exact."""
     series = []
     for algorithm in spec.algorithms:
         per_step: dict[int, list[float]] = {}
         for res in results:
-            if res.algorithm != algorithm or res.timeline_csv is None:
+            if res.algorithm != algorithm or res.timeline is None:
                 continue
-            for row in read_timeline_csv(res.timeline_csv):
-                if row["wait_all"] is not None:
-                    per_step.setdefault(row["step"], []).append(row["wait_all"])
+            for point in res.timeline:
+                if point.wait_all is not None:
+                    per_step.setdefault(point.step, []).append(point.wait_all)
         if per_step:
             xs = sorted(per_step)
             series.append(Series(

@@ -10,14 +10,16 @@ inference and keeps nothing, ``forward`` keeps the cache ``backward`` reads.
 Both run from a per-layer plan built once with the net (weight, its
 transpose, bias, activation function). ``backward`` is two parts: the
 chain of per-sample pre-activation gradients from the output back to the
-first layer (``pre_activation_grads``, which leaves them on the cache),
-then each layer's weight and bias products, written into the flat
-gradient. Curvature stats read only the chain, so a curvature refresh
-runs the chain alone. In place, a pass writes only arrays it made or
-owns: both forwards add the bias into the fresh matmul result (calling
-also applies the activation there), neither part of ``backward`` writes
-an array of the cache or of its output gradient, and an Adam step writes
-``m``, ``v``, ``params`` and its scratch.
+first layer (``pre_activation_grads``, which returns them and leaves the
+cache as it was), then each layer's weight and bias products, written
+into the flat gradient. Curvature stats read only the chain, so a
+curvature refresh runs the chain alone. ``Gradients`` has one
+constructor, over a flat vector it cuts into layer views without a copy.
+In place, a pass writes only arrays it made or owns: both forwards add
+the bias into the fresh matmul result (calling also applies the
+activation there), neither part of ``backward`` writes an array of the
+cache or of its output gradient, and an Adam step writes ``m``, ``v``,
+``params`` and its scratch.
 
 Inference takes three input shapes, and keeps one equality for each:
 
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu", "identity")
+ACTIVATIONS = ("tanh", "identity")
 
 
 class DivergenceError(RuntimeError):
@@ -66,26 +68,19 @@ class SingularCurvatureError(RuntimeError):
     """A curvature factor could not be inverted (no damping to rescue it)."""
 
 
-def _relu(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(s, 0.0, out=out)
-
-
 # each activation as a function of the pre-activation that writes into
 # ``out`` when given, as a ufunc does; None for the identity
-_ACTIVATION_FUNCS = {"tanh": np.tanh, "relu": _relu, "identity": None}
+_ACTIVATION_FUNCS = {"tanh": np.tanh, "identity": None}
 
 
-def _activation_backward(name: str, da: np.ndarray, s: np.ndarray,
-                         a: np.ndarray) -> np.ndarray:
-    """Gradient at the pre-activation ``s`` from the gradient ``da`` at the
-    activation ``a = activation(s)``."""
+def _activation_backward(name: str, da: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gradient at the pre-activation from the gradient ``da`` at the
+    activation ``a``."""
     if name == "tanh":
         ds = a * a  # (1 - a*a) * da in one array; a product commutes exactly
         np.subtract(1.0, ds, out=ds)
         ds *= da
         return ds
-    if name == "relu":
-        return da * (s > 0.0).astype(s.dtype)
     return da
 
 
@@ -116,41 +111,23 @@ class Layer:
 
 
 class ForwardCache:
-    """Per-layer activations captured by forward(); backward() and
-    pre_activation_grads() add the per-sample pre-activation gradients the
-    curvature stats feed on."""
+    """Each layer's input and the net's output, captured by forward(); the
+    activation gradients need no pre-activation."""
 
-    def __init__(self, inputs: list[np.ndarray], pre_activations: list[np.ndarray],
-                 output: np.ndarray):
+    def __init__(self, inputs: list[np.ndarray], output: np.ndarray):
         self.inputs = inputs              # inputs[l]: (B, in_l)
-        self.pre_activations = pre_activations  # (B, out_l)
         self.output = output              # (B, out_L), the last activation
-        self.pre_grads: list[np.ndarray] | None = None
 
 
 class Gradients:
     """Weight/bias gradients shaped like their source network: one flat
-    vector in the ``Mlp.params`` layout, with per-layer ``dw``/``db`` views."""
+    vector in the ``Mlp.params`` layout, with per-layer ``dw``/``db`` views.
+    Built over ``flat`` itself (no copy), cut into weight ``shapes``."""
 
-    def __init__(self, dw: list[np.ndarray], db: list[np.ndarray]):
-        flat = np.concatenate([part for w, b in zip(dw, db)
-                               for part in (np.ravel(w), np.ravel(b))])
-        self._bind(flat.astype(np.float64, copy=False), [np.shape(w) for w in dw])
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes) -> "Gradients":
-        """Gradients over ``flat`` itself (no copy), cut into ``shapes``."""
-        grads = cls.__new__(cls)
-        grads._bind(flat, shapes)
-        return grads
-
-    def _bind(self, flat: np.ndarray, shapes) -> None:
+    def __init__(self, flat: np.ndarray, shapes):
         self.flat = flat
         self.shapes = [tuple(shape) for shape in shapes]
         self.dw, self.db = _layer_views(flat, self.shapes)
-
-    def flatten(self) -> np.ndarray:
-        return self.flat.copy()
 
     def layer_sums(self, values: np.ndarray) -> float:
         """The sum of ``values``, a flat vector in this layout, taken as
@@ -178,9 +155,9 @@ class Mlp:
 
     The net copies the given layers' values into its own flat ``params``
     vector and keeps layers whose ``w``/``b`` are views into it. Write
-    parameters in place (``layer.w[...] = ...``, ``set_flat``); rebinding
-    ``layer.w`` would cut that layer off from ``params``, the optimizers and
-    the plan both passes run from.
+    parameters in place (``layer.w[...] = ...``, ``params[...] = ...``);
+    rebinding ``layer.w`` would cut that layer off from ``params``, the
+    optimizers and the plan both passes run from.
     ``net(x)`` is inference without a cache; ``forward`` feeds ``backward``.
     """
 
@@ -235,15 +212,13 @@ class Mlp:
             raise ValueError(
                 f"input size {a.shape[1]} does not match net input {self.input_size}")
         inputs = []
-        pre = []
         for _, wt, b, act in self._plan:
             inputs.append(a)
             s = a @ wt
             s += b
-            pre.append(s)
             a = s if act is None else act(s)
         out = a[0] if squeeze else a
-        return out, ForwardCache(inputs, pre, a)
+        return out, ForwardCache(inputs, a)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The output at one sample ``(n,)``, a batch ``(B, n)`` or a
@@ -266,16 +241,16 @@ class Mlp:
 
         ``output_grad`` carries any loss scaling (e.g. 1/B for a mean), so
         the returned gradients sum over the batch. This is the chain of
-        ``pre_activation_grads``, which leaves the per-sample
-        pre-activation gradients on the cache for curvature stats, then
-        each layer's weight and bias products.
+        ``pre_activation_grads``, then each layer's weight and bias
+        products.
         """
-        # the flat gradient is allocated ahead of the chain's temporaries:
-        # allocated after them, it left a heap layout on which each A2C
-        # update took about 380 more minor page faults
-        grads = Gradients.from_flat(np.empty(self.params.size),
-                                    [l.w.shape for l in self.layers])
+        # the flat gradient is allocated after the chain, which is freed on
+        # return: allocated ahead of it, each A2C update took about 360
+        # more minor page faults (glibc trims and regrows the heap around
+        # the 128 KiB temporaries of a 256-row batch)
         pre_grads = self.pre_activation_grads(cache, output_grad)
+        grads = Gradients(np.empty(self.params.size),
+                          [l.w.shape for l in self.layers])
         for ds, a, dw, db in zip(pre_grads, cache.inputs, grads.dw, grads.db):
             np.dot(ds.T, a, out=dw)  # the gemm of ds.T @ a, into the view
             ds.sum(axis=0, out=db)
@@ -285,12 +260,12 @@ class Mlp:
                              output_grad: np.ndarray) -> list[np.ndarray]:
         """The per-sample gradients at each layer's pre-activation, from
         the output gradient back to the first layer, without the weight
-        and bias products ``backward`` adds; also left on the cache as
-        ``cache.pre_grads``. Curvature stats read nothing else of a pass."""
+        and bias products ``backward`` adds; the cache is only read.
+        Curvature stats read nothing else of a pass."""
         g = np.asarray(output_grad, dtype=np.float64)
         if g.ndim == 1:
             g = g[None, :]
-        if g.shape != cache.pre_activations[-1].shape:
+        if g.shape != cache.output.shape:
             raise ValueError("output gradient shape does not match forward cache")
         n_layers = len(self.layers)
         pre_grads: list[np.ndarray] = [None] * n_layers
@@ -298,31 +273,15 @@ class Mlp:
         da = g
         for idx in range(n_layers - 1, -1, -1):
             layer = self.layers[idx]
-            ds = _activation_backward(layer.activation, da,
-                                      cache.pre_activations[idx], outputs[idx])
+            ds = _activation_backward(layer.activation, da, outputs[idx])
             pre_grads[idx] = ds
             if idx > 0:
                 da = ds @ layer.w
-        cache.pre_grads = pre_grads
         return pre_grads
-
-    # -- flat parameter view --------------------------------------------------
-
-    @property
-    def num_params(self) -> int:
-        return self.params.size
 
     def flatten(self) -> np.ndarray:
         """A copy of ``params``, safe to compare against later values."""
         return self.params.copy()
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        """Overwrite ``params`` in place; layer views see the new values."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != self.params.shape:
-            raise ValueError(
-                f"flat vector has {vec.shape} entries, net needs {self.num_params}")
-        self.params[...] = vec
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +327,10 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = np.zeros(net.num_params)
-        self.v = np.zeros(net.num_params)
-        self._scratch = (np.empty(net.num_params), np.empty(net.num_params))
+        size = net.params.size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
         shapes = [l.w.shape for l in net.layers]
         self._state_views = []
         for flat in (self.m, self.v):
@@ -511,7 +471,7 @@ class KfacStats:
             self._inverses = [
                 (self._damped_inverse(a), self._damped_inverse(s))
                 for a, s in zip(self.a_factors, self.s_factors)]
-        out = Gradients.from_flat(np.empty_like(grads.flat), grads.shapes)
+        out = Gradients(np.empty_like(grads.flat), grads.shapes)
         for idx, (dw, db) in enumerate(zip(grads.dw, grads.db)):
             a_inv, s_inv = self._inverses[idx]
             if self.augment_bias:

@@ -8,8 +8,9 @@ time step.
 
 All step functions mutate the given :class:`SimState` in place.
 ``signal_step`` and ``spawn_step`` return the state; ``kinematics_step``
-returns the post-step :class:`RoadCensus` it takes in the same walk, so
-a driver need not walk the road again. A state is strictly
+returns the post-step :class:`RoadCensus` it takes in the same walk. No
+other function here walks the road for a census: a reset road is empty,
+and ``metrics_snapshot`` reads only the exit totals. A state is strictly
 single-threaded but cheap to create, so parallel experiments simply use
 one state each.
 """
@@ -23,11 +24,6 @@ from enum import IntEnum
 import numpy as np
 
 
-class Axis(IntEnum):
-    NS = 0
-    EW = 1
-
-
 class Approach(IntEnum):
     """One incoming road of the intersection."""
 
@@ -36,10 +32,6 @@ class Approach(IntEnum):
     EAST = 2
     WEST = 3
 
-    @property
-    def axis(self) -> Axis:
-        return Axis.NS if self in (Approach.NORTH, Approach.SOUTH) else Axis.EW
-
 
 APPROACHES = (Approach.NORTH, Approach.SOUTH, Approach.EAST, Approach.WEST)
 
@@ -47,10 +39,6 @@ APPROACHES = (Approach.NORTH, Approach.SOUTH, Approach.EAST, Approach.WEST)
 class Phase(IntEnum):
     NS_GREEN = 0
     EW_GREEN = 1
-
-    @property
-    def served_axis(self) -> Axis:
-        return Axis.NS if self is Phase.NS_GREEN else Axis.EW
 
     @property
     def opposite(self) -> "Phase":
@@ -91,9 +79,6 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         positive = (
             "lane_length", "vmax_default", "accel", "decel", "vehicle_length",
             "min_gap", "amber_duration", "min_green", "time_step",
@@ -169,7 +154,6 @@ class Metrics:
     """Per-class waiting-time snapshot over exited vehicles.
 
     Means are ``None`` while the corresponding class has no exits yet.
-    Queue lengths count vehicles currently below the wait speed threshold.
     """
 
     wait_all: float | None
@@ -178,7 +162,6 @@ class Metrics:
     exited_all: int
     exited_detected: int
     exited_undetected: int
-    queue_lengths: dict[Approach, int]
 
 
 UNIFORM_BLOCK = 256  # uniforms drawn from a state's rng per refill
@@ -267,38 +250,6 @@ class RoadCensus:
     detected_counts: list[int]
     nearest_detected: list[float | None]
     queue_lengths: list[int]
-
-
-def road_census(state: SimState, config: SimConfig) -> RoadCensus:
-    """Walk every lane once, front to back, in ``APPROACHES`` order; the
-    deficits are summed vehicle by vehicle in that order.
-
-    ``kinematics_step`` returns this census for the road it has just
-    stepped; this walk serves a road that has not just stepped (a reset
-    state, and ``metrics_snapshot`` called without a census).
-    """
-    threshold = config.wait_speed_threshold
-    detected = undetected = 0.0
-    counts, nearest, queues = [], [], []
-    for approach in APPROACHES:
-        count = queue = 0
-        near = None
-        for veh in state.lanes[approach]:
-            speed = veh.speed
-            if speed < threshold:
-                queue += 1
-            vmax = veh.vmax
-            if veh.detected:
-                if near is None:
-                    near = veh.position
-                count += 1
-                detected += (vmax - speed) / vmax
-            else:
-                undetected += (vmax - speed) / vmax
-        counts.append(count)
-        nearest.append(near)
-        queues.append(queue)
-    return RoadCensus(detected, undetected, counts, nearest, queues)
 
 
 def _braking_limited_speed(distance: float, decel: float, dt: float) -> float:
@@ -395,8 +346,9 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     vehicle that stays ends at least ``spacing`` behind that vehicle's new
     position (which is not negative) or where it stood, so it stays too.
     They are removed with one slice deletion. The returned
-    :class:`RoadCensus` equals ``road_census`` of the stepped state: the
-    staying vehicles are visited, and its sums added, in its order.
+    :class:`RoadCensus` covers the staying vehicles, visited front to back
+    in ``APPROACHES`` order; its deficits are summed vehicle by vehicle in
+    that order.
 
     Every vehicle on the road must stand at a position of at least 0, as
     in every state the simulator builds (``tests/invariant_checks.py``
@@ -519,12 +471,9 @@ def class_means(wait_det: float, n_det: int, wait_undet: float,
             wait_undet / n_undet if n_undet else None)
 
 
-def metrics_snapshot(state: SimState, config: SimConfig,
-                     census: RoadCensus | None = None) -> Metrics:
-    """Mean waiting time per detection class over exited vehicles, plus
-    current per-approach queue lengths, read from ``census`` when given."""
-    if census is None:
-        census = road_census(state, config)
+def metrics_snapshot(state: SimState) -> Metrics:
+    """Mean waiting time per detection class over exited vehicles, read
+    from the state's exit totals (the road is not walked)."""
     n_det = state.exited_n_detected
     n_undet = state.exited_n_undetected
     wait_all, wait_det, wait_undet = class_means(
@@ -537,5 +486,4 @@ def metrics_snapshot(state: SimState, config: SimConfig,
         exited_all=n_det + n_undet,
         exited_detected=n_det,
         exited_undetected=n_undet,
-        queue_lengths=dict(zip(APPROACHES, census.queue_lengths)),
     )

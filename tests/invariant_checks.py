@@ -5,7 +5,7 @@ episodes with random commands and calls the checker after every composite
 step.
 """
 
-from sim_oracle import axis_has_green
+from sim_oracle import approach_axis, axis_has_green
 from trafficlab.sim import (
     APPROACHES,
     Command,
@@ -73,7 +73,7 @@ def run_checked_episode(
                 detected_at_spawn[veh.id] = veh.detected
         before = {a: [v.id for v in state.lanes[a]] for a in APPROACHES}
         green = {
-            a: axis_has_green(state.signal, a.axis) for a in APPROACHES
+            a: axis_has_green(state.signal, approach_axis(a)) for a in APPROACHES
         }
         kinematics_step(state, config)
         for approach in APPROACHES:

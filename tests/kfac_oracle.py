@@ -4,6 +4,9 @@ This is how ``KfacStats.precondition`` worked before it kept one damped
 inverse per Kronecker factor: every call builds ``factor + damping I``
 afresh and runs ``np.linalg.solve`` on it, once per factor and right-hand
 side. Tests hold the cached-inverse preconditioner to it.
+
+``gradients_of`` builds ``Gradients`` from per-layer arrays, as the
+concatenating constructor that the flat one replaced did.
 """
 
 import functools
@@ -11,6 +14,15 @@ import functools
 import numpy as np
 
 from trafficlab.nn import Gradients, KfacStats, SingularCurvatureError
+
+
+def gradients_of(dw, db) -> Gradients:
+    """Gradients over a fresh flat vector of the layers' ``dw`` and ``db``
+    in the ``Mlp.params`` layout."""
+    flat = np.concatenate([part for w, b in zip(dw, db)
+                           for part in (np.ravel(w), np.ravel(b))])
+    return Gradients(flat.astype(np.float64, copy=False),
+                     [np.shape(w) for w in dw])
 
 
 def _solve(stats: KfacStats, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -26,7 +38,7 @@ def _solve(stats: KfacStats, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def solve_precondition(stats: KfacStats, grads: Gradients) -> Gradients:
     """(S + damping I)^-1 G (A + damping I)^-1 per layer, by solves."""
-    out = Gradients.from_flat(np.empty_like(grads.flat), grads.shapes)
+    out = Gradients(np.empty_like(grads.flat), grads.shapes)
     for idx, (dw, db) in enumerate(zip(grads.dw, grads.db)):
         a_fac = stats.a_factors[idx]
         s_fac = stats.s_factors[idx]

@@ -4,7 +4,8 @@ These are the plain loops the simulator used before its kinematics loop
 was hoisted, its reward, observation and queue passes were folded into
 one road census, and its spawn draws were taken from a block-filled
 stream of uniforms. Tests drive them in lockstep with the real step and
-require bit-identical results.
+require bit-identical results. ``road_census`` is the one census walker:
+the simulator takes its census inside ``kinematics_step`` only.
 """
 
 import math
@@ -18,11 +19,49 @@ from trafficlab.env import (
     PHASE_TIME_SLOT,
     TIME_OF_DAY_SLOT,
 )
-from trafficlab.sim import APPROACHES, Vehicle
+from trafficlab.sim import APPROACHES, Approach, Phase, RoadCensus, Vehicle
+
+NS, EW = "ns", "ew"  # the two axes of the intersection
+
+
+def approach_axis(approach):
+    return NS if approach in (Approach.NORTH, Approach.SOUTH) else EW
+
+
+def served_axis(phase):
+    return NS if phase is Phase.NS_GREEN else EW
 
 
 def axis_has_green(signal, axis):
-    return not signal.in_amber and signal.phase.served_axis is axis
+    return not signal.in_amber and served_axis(signal.phase) == axis
+
+
+def road_census(state, config):
+    """Walk every lane once, front to back, in ``APPROACHES`` order; the
+    deficits are summed vehicle by vehicle in that order. Equals the
+    census ``kinematics_step`` returns for the road it has just stepped."""
+    threshold = config.wait_speed_threshold
+    detected = undetected = 0.0
+    counts, nearest, queues = [], [], []
+    for approach in APPROACHES:
+        count = queue = 0
+        near = None
+        for veh in state.lanes[approach]:
+            speed = veh.speed
+            if speed < threshold:
+                queue += 1
+            vmax = veh.vmax
+            if veh.detected:
+                if near is None:
+                    near = veh.position
+                count += 1
+                detected += (vmax - speed) / vmax
+            else:
+                undetected += (vmax - speed) / vmax
+        counts.append(count)
+        nearest.append(near)
+        queues.append(queue)
+    return RoadCensus(detected, undetected, counts, nearest, queues)
 
 
 def braking_limited_speed(distance, decel, dt):
@@ -79,7 +118,7 @@ def kinematics_step(state, config):
         lane = state.lanes[approach]
         if not lane:
             continue
-        green = axis_has_green(state.signal, approach.axis)
+        green = axis_has_green(state.signal, approach_axis(approach))
         survivors = []
         leader_new_pos = None
         for veh in lane:

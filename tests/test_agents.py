@@ -36,7 +36,11 @@ from trafficlab.agents import (
     make_agent,
     save_agent,
 )
-from kfac_oracle import solve_precondition, use_solve_preconditioner
+from kfac_oracle import (
+    gradients_of,
+    solve_precondition,
+    use_solve_preconditioner,
+)
 from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config
 from trafficlab.nn import DivergenceError, Gradients
@@ -108,9 +112,9 @@ def fd_gradient(fn, net, h=1e-5):
         up, down = flat.copy(), flat.copy()
         up[i] += h
         down[i] -= h
-        probe.set_flat(up)
+        probe.params[...] = up
         f_up = fn(probe)
-        probe.set_flat(down)
+        probe.params[...] = down
         f_down = fn(probe)
         grad[i] = (f_up - f_down) / (2 * h)
     return grad
@@ -926,14 +930,14 @@ def natural_reference(agent, stats, grads, learning_rate):
             quad += float(np.sum(gw * nw)) + float(np.sum(gb * nb))
         if quad > 0:
             scale = min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
-            nat = Gradients.from_flat(nat.flat * scale, nat.shapes)
+            nat = Gradients(nat.flat * scale, nat.shapes)
     radius = agent.config.trust_region_radius
     if math.isfinite(radius):
         step_norm = learning_rate * math.sqrt(sum(
             float(np.sum(w * w)) + float(np.sum(b * b))
             for w, b in zip(nat.dw, nat.db)))
         if step_norm > radius:
-            nat = Gradients.from_flat(nat.flat * (radius / step_norm), nat.shapes)
+            nat = Gradients(nat.flat * (radius / step_norm), nat.shapes)
     return nat
 
 
@@ -956,8 +960,8 @@ def test_acktr_natural_scales_a_fresh_vector_as_the_copying_form_did(
     agent.update(make_transitions(rng, 24))  # factors other than identity
     for stats, net in ((agent.actor_stats, agent.actor),
                        (agent.critic_stats, agent.critic)):
-        grads = Gradients([rng.normal(size=l.w.shape) for l in net.layers],
-                          [rng.normal(size=l.b.shape) for l in net.layers])
+        grads = gradients_of([rng.normal(size=l.w.shape) for l in net.layers],
+                             [rng.normal(size=l.b.shape) for l in net.layers])
         raw = grads.flat.tobytes()
         got = agent._natural(stats, grads, learning_rate)
         assert grads.flat.tobytes() == raw
@@ -1004,8 +1008,8 @@ def test_kfac_precondition_matches_solve_oracle_at_training_sizes(augment_bias):
     for stats, net in ((agent.actor_stats, agent.actor),
                        (agent.critic_stats, agent.critic)):
         assert stats.damping == 1e-2
-        grads = Gradients([rng.normal(size=l.w.shape) for l in net.layers],
-                          [rng.normal(size=l.b.shape) for l in net.layers])
+        grads = gradients_of([rng.normal(size=l.w.shape) for l in net.layers],
+                             [rng.normal(size=l.b.shape) for l in net.layers])
         np.testing.assert_allclose(stats.precondition(grads).flat,
                                    solve_precondition(stats, grads).flat,
                                    rtol=1e-9)
@@ -1272,6 +1276,17 @@ def test_checkpoint_activation_count_mismatch_rejected():
 
     with pytest.raises(CheckpointShapeError, match="activations"):
         agent_from_bytes(forge_header(blob, drop_activation))
+
+
+def test_checkpoint_naming_a_relu_net_rejected():
+    # relu is no activation of this build, and no agent builds one
+    blob = agent_to_bytes(make_agent(config_for("dql"), OBS_DIM))
+
+    def to_relu(header):
+        header["nets"]["q"]["activations"][0] = "relu"
+
+    with pytest.raises(CheckpointShapeError, match="relu"):
+        agent_from_bytes(forge_header(blob, to_relu))
 
 
 def test_checkpoint_size_mismatch_rejected():

@@ -6,7 +6,6 @@ import pytest
 from trafficlab.env import (
     AMBER_SLOT,
     BASE_OBSERVATION_SIZE,
-    Action,
     EnvConfig,
     EpisodeDoneError,
     PHASE_SLOT,
@@ -18,13 +17,14 @@ from trafficlab.env import (
 )
 from trafficlab.sim import (
     Approach,
+    Command,
     Phase,
     SimConfig,
     SimState,
     Vehicle,
-    road_census,
     scenario_preset,
 )
+from sim_oracle import road_census
 
 
 def make_env(arrival_rate=0.0, detection_rate=1.0, seed=0, **env_kwargs):
@@ -58,6 +58,9 @@ def test_reset_empty_intersection_observation():
     assert obs[PHASE_TIME_SLOT] == 0.0
     assert obs[AMBER_SLOT] == 0.0
     assert obs[PHASE_SLOT] == float(int(Phase.NS_GREEN))
+    # reset reads a constant empty-road census in place of a road walk
+    assert obs.tobytes() == build_observation(
+        env.state, env.config, road_census(env.state, env.config.sim)).tobytes()
 
 
 def test_observation_length_with_time_of_day():
@@ -155,7 +158,7 @@ def test_envs_of_different_lane_geometry_each_read_their_own_capacity():
         obs = build_observation(env.state, env.config,
                                 road_census(env.state, env.config.sim))
         assert obs[Approach.EAST] == 7 / sim.lane_capacity
-        obs, _, _, _ = env.step(Action.KEEP)
+        obs, _, _, _ = env.step(Command.KEEP)
         assert obs[Approach.EAST] == (len(env.state.lanes[Approach.EAST])
                                       / sim.lane_capacity)
 
@@ -178,7 +181,7 @@ def test_distance_slot_uses_nearest_detected():
 def test_empty_intersection_step_reward_zero_both_modes():
     env = make_env()
     env.reset(seed=0)
-    _, reward, _, info = env.step(Action.KEEP)
+    _, reward, _, info = env.step(Command.KEEP)
     assert reward == 0.0
     bd = info["reward_breakdown"]
     assert bd.full == 0.0 and bd.partial == 0.0
@@ -189,7 +192,7 @@ def test_single_stopped_detected_vehicle_partial_reward_is_minus_one():
     env.reset(seed=0)
     # EAST faces red under NS green: a stopped vehicle at the line stays put
     put_vehicle(env.state, Approach.EAST, 0.0, 0.0, detected=True)
-    _, reward, _, _ = env.step(Action.KEEP)
+    _, reward, _, _ = env.step(Command.KEEP)
     assert reward == -1.0
 
 
@@ -200,7 +203,7 @@ def test_mixed_class_rewards_hand_evaluated():
     # after one step this vehicle accelerates to exactly vmax/2
     put_vehicle(env.state, Approach.NORTH, 140.0, vmax / 2 - 2.0, detected=True)
     put_vehicle(env.state, Approach.EAST, 0.0, 0.0, detected=False)
-    _, reward, _, info = env.step(Action.KEEP)
+    _, reward, _, info = env.step(Command.KEEP)
     bd = info["reward_breakdown"]
     assert bd.partial == pytest.approx(-0.5)
     assert bd.full == pytest.approx(-1.5)
@@ -297,7 +300,7 @@ def test_episode_runs_exactly_episode_length_steps():
     steps = 0
     done = False
     while not done:
-        _, _, done, _ = env.step(Action.KEEP)
+        _, _, done, _ = env.step(Command.KEEP)
         steps += 1
     assert steps == 120
 
@@ -306,15 +309,15 @@ def test_step_after_done_raises():
     env = make_env(episode_length=5.0)
     env.reset(seed=0)
     for _ in range(5):
-        env.step(Action.KEEP)
+        env.step(Command.KEEP)
     with pytest.raises(EpisodeDoneError):
-        env.step(Action.KEEP)
+        env.step(Command.KEEP)
 
 
 def test_step_before_reset_raises():
     env = make_env()
     with pytest.raises(EpisodeDoneError):
-        env.step(Action.KEEP)
+        env.step(Command.KEEP)
 
 
 @pytest.mark.parametrize("action", [0.7, 2, -1, "1"], ids=repr)
@@ -327,8 +330,8 @@ def test_step_rejects_an_action_other_than_keep_or_switch(action):
 
 
 @pytest.mark.parametrize("action, command",
-                         [(0, Action.KEEP), (1, Action.SWITCH),
-                          (np.int64(1), Action.SWITCH), (True, Action.SWITCH)],
+                         [(0, Command.KEEP), (1, Command.SWITCH),
+                          (np.int64(1), Command.SWITCH), (True, Command.SWITCH)],
                          ids=repr)
 def test_step_accepts_keep_and_switch_values(action, command):
     stepped, reference = make_env(arrival_rate=0.5), make_env(arrival_rate=0.5)
@@ -336,7 +339,7 @@ def test_step_accepts_keep_and_switch_values(action, command):
     reference.reset(seed=3)
     for _ in range(8):  # past min_green, so a switch is taken
         stepped.step(0)
-        reference.step(Action.KEEP)
+        reference.step(Command.KEEP)
     obs, _, _, _ = stepped.step(action)
     expected, _, _, _ = reference.step(command)
     assert obs.tobytes() == expected.tobytes()
@@ -347,7 +350,7 @@ def test_step_info_holds_the_reward_breakdown_and_the_road_census():
         "dense", detection_rate=0.5, rng_seed=4)), seed=4)
     env.reset(seed=4)
     for _ in range(30):
-        _, reward, _, info = env.step(Action.KEEP)
+        _, reward, _, info = env.step(Command.KEEP)
     assert set(info) == {"reward_breakdown", "census"}
     assert reward == info["reward_breakdown"].partial
     assert info["census"] == road_census(env.state, env.config.sim)
@@ -394,7 +397,7 @@ def test_set_detection_rate_validates_and_applies():
         env.set_detection_rate(1.5)
     env.set_detection_rate(1.0)
     for _ in range(50):
-        env.step(Action.KEEP)
+        env.step(Command.KEEP)
     st = env.state
     assert st.spawned_count > 0
     assert st.spawned_detected_count == st.spawned_count

@@ -1,10 +1,11 @@
 """Golden digests of seeded runs.
 
 The first covers a one-hour fixed-time rollout on the dense road: every
-observation's bytes, every reward breakdown, the metrics snapshot after
-every step and the final counters and road. It was recorded before the
-kinematics loop and the road census were rewritten, so any change to a
-seeded number of the env step shows up here.
+observation's bytes, every reward breakdown, the metrics snapshot and the
+census's queue lengths after every step, and the final counters and road.
+It was recorded before the kinematics loop and the road census were
+rewritten, so any change to a seeded number of the env step shows up
+here.
 
 The second covers briefly trained dql, ppo, a2c and acktr agents: their
 net parameters, optimizer state, counters and RNG state, hashed without
@@ -49,13 +50,13 @@ def rollout_digest(steps: int = 3600, seed: int = 20) -> str:
     for _ in range(steps):
         obs, reward, done, info = env.step(agent.act(obs))
         bd = info["reward_breakdown"]
-        m = metrics_snapshot(env.state, cfg.sim)
+        m = metrics_snapshot(env.state)
         h.update(obs.tobytes())
         h.update(repr((reward, done, bd.full, bd.partial, bd.detected_deficit,
                        bd.undetected_deficit, m.wait_all, m.wait_detected,
                        m.wait_undetected, m.exited_all, m.exited_detected,
                        m.exited_undetected,
-                       [m.queue_lengths[a] for a in APPROACHES])).encode())
+                       info["census"].queue_lengths)).encode())
     s = env.state
     h.update(repr((s.clock, s.spawned_count, s.spawned_detected_count,
                    s.exited_count, s.exited_wait_detected, s.exited_n_detected,

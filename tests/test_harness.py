@@ -26,7 +26,7 @@ from trafficlab.config import (
     load_config_file,
     parse_schedule,
 )
-from trafficlab.env import TrafficSignalEnv
+from trafficlab.env import EpisodeDoneError, TrafficSignalEnv
 from trafficlab.harness import (
     SWEEP_HEADER,
     SweepRecord,
@@ -41,12 +41,12 @@ from trafficlab.harness import (
     evaluate_agent,
     read_csv,
     read_sweep_csv,
-    read_timeline_csv,
     train_agent,
     write_sweep_csv,
 )
 from trafficlab.nn import Mlp
 from trafficlab.sim import metrics_snapshot
+from sim_oracle import road_census
 
 # Tiny budgets: these tests exercise plumbing, not learning quality.
 TINY = dict(train_steps=300, eval_episodes=2, episode_length=120.0)
@@ -452,9 +452,10 @@ def test_adapt_runs_and_emits_timelines(tmp_path):
     assert len(results) == 1
     res = results[0]
     assert not res.aborted
-    rows = read_timeline_csv(res.timeline_csv)
+    _, rows = read_csv(res.timeline_csv)
     assert len(rows) == 4  # 800 steps / 200 window
-    assert rows[0]["step"] == 200
+    assert rows[0][0] == "200"
+    assert [p.step for p in res.timeline] == [200, 400, 600, 800]
     assert (tmp_path / "adapt_summary.csv").exists()
     assert (tmp_path / "adapt_medium.svg").exists()
 
@@ -464,6 +465,42 @@ def test_adapt_missing_checkpoint_reports_error(tmp_path):
     results = cmd_adapt(spec, adapt_deploy())
     assert results[0].aborted
     assert results[0].error.startswith("FileNotFoundError")
+
+
+def test_adapt_chart_equals_one_drawn_from_the_timeline_csvs(tmp_path):
+    spec = tiny_spec(tmp_path, scenario="sparse",
+                     algorithms=["fixed_time", "ppo"], seeds=[0, 1])
+    cmd_train(spec, FAST_AGENT)
+    deploy = DeploymentConfig(
+        schedule=DetectionSchedule.ramp(0.0, 0.5, 300.0, 1.0),
+        total_steps=300, update_period=None, instability_window=5)
+    results = cmd_adapt(spec, deploy)
+    assert [(r.algorithm, r.seed, r.error) for r in results] == [
+        ("fixed_time", 0, None), ("fixed_time", 1, None),
+        ("ppo", 0, None), ("ppo", 1, None)]
+    # the chart as drawn from the CSVs before it was drawn in memory
+    series = []
+    empty_windows = 0
+    for algorithm in spec.algorithms:
+        per_step = {}
+        for res in results:
+            if res.algorithm != algorithm:
+                continue
+            header, rows = read_csv(res.timeline_csv)
+            wait_col = header.index("wait_all")
+            for row in rows:
+                if row[wait_col] == "":
+                    empty_windows += 1
+                else:
+                    per_step.setdefault(int(row[0]), []).append(
+                        float(row[wait_col]))
+        xs = sorted(per_step)
+        series.append(Series(label=algorithm, xs=[float(x) for x in xs],
+                             ys=[float(np.mean(per_step[x])) for x in xs]))
+    assert empty_windows > 0  # a window with no exits has a None wait
+    expected = line_chart(series, title="deployment on sparse",
+                          x_label="step", y_label="mean waiting time (s)")
+    assert (tmp_path / "adapt_sparse.svg").read_bytes() == expected.encode()
 
 
 def test_adapt_timeline_reproducible(tmp_path):
@@ -515,8 +552,7 @@ def test_eval_mean_queue_equals_a_per_step_metrics_loop():
         obs, done = env.reset(), False
         while not done:
             obs, _, done, _ = env.step(agent.act(obs, explore=False))
-            queue_total += sum(metrics_snapshot(
-                env.state, cfg.sim).queue_lengths.values())
+            queue_total += sum(road_census(env.state, cfg.sim).queue_lengths)
             samples += 1
     assert samples == 600
     assert repr(stats.mean_queue) == repr(queue_total / samples)
@@ -539,7 +575,7 @@ def test_train_mean_waits_equal_a_per_step_metrics_loop():
         action = agent.act(obs, explore=True)
         next_obs, reward, done, _ = env.step(action)
         ep_return += reward
-        wait = metrics_snapshot(env.state, cfg.sim).wait_all
+        wait = metrics_snapshot(env.state).wait_all
         pending.append(Transition(obs, action, reward, next_obs, done,
                                   log_prob=agent.last_logprob))
         if len(pending) >= agent.needs_rollout:
@@ -566,9 +602,9 @@ def test_train_whose_last_step_ends_an_episode_records_it_and_stops():
     records = train_agent(agent, env, 360)
     assert [(r.episode, r.end_step) for r in records] == [
         (0, 120), (1, 240), (2, 360)]
-    assert records[-1].mean_wait == metrics_snapshot(env.state,
-                                                     cfg.sim).wait_all
-    assert env.done  # the finished episode is left as it ended
+    assert records[-1].mean_wait == metrics_snapshot(env.state).wait_all
+    with pytest.raises(EpisodeDoneError):  # left as it ended
+        env.step(0)
     assert agent.train_steps > 0
 
 
@@ -700,6 +736,10 @@ BAD_CONFIGS = {
                        ["train", "sweep", "adapt"]),
     "episode-steps": ("[experiment]\nepisode_length = 100.5\n",
                       ["train", "sweep", "adapt"]),
+    "no-section": ("rates = 0.5\n", ["train", "sweep", "adapt"]),
+    "repeated-key": ("[experiment]\nrates = 0.5\nrates = 0.7\n",
+                     ["train", "sweep", "adapt"]),
+    "stray-percent": ("[experiment]\nname = 50%\n", ["train", "sweep", "adapt"]),
 }
 
 
@@ -715,11 +755,13 @@ def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, case, command):
     rc = cli_main([command, "--config", str(ini), "--out", str(out),
                    "--steps", "10", "--episodes", "1"])
     err = capsys.readouterr().err
-    assert rc != 0
+    assert rc == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     if case == "agent-type":
         assert "[agent] gamma" in err
+    if case in ("no-section", "repeated-key", "stray-percent"):
+        assert f"config file {ini} is malformed: " in err
     assert not out.exists()  # rejected before any cell ran
 
 
@@ -738,7 +780,15 @@ def test_cli_zero_eval_episodes_is_one_line_error(tmp_path, capsys, command):
     (["--steps", "-5"], "train_steps must be non-negative, got -5"),
     (["--workers", "-3"], "workers must be at least 1, got -3"),
     (["--scenario", "bogus"], SCENARIO_ERROR),
-], ids=["steps", "workers", "scenario"])
+    (["--rates", ","], "rates must be non-empty"),
+    (["--algo", "ppo,a2c,ppo"], "algorithms lists 'ppo' more than once"),
+    (["--rates", "0.5,0.50"], "rates lists 0.5 more than once"),
+    (["--seed", "0,0"], "seeds lists 0 more than once"),
+    (["--rates", "0.501,0.504"], "rates 0.501 and 0.504 share the "
+                                 "checkpoint name ppo_medium_r0.50_s0.ckpt"),
+    (["--seed", "-1"], "seeds must be non-negative, got [-1]"),
+], ids=["steps", "workers", "scenario", "no-rates", "repeated-algo",
+        "repeated-rate", "repeated-seed", "rate-name", "negative-seed"])
 @pytest.mark.parametrize("command", ["train", "sweep", "adapt"])
 def test_cli_bad_grid_value_is_one_line_error(tmp_path, capsys, command, flags,
                                               message):

@@ -1,4 +1,5 @@
-"""Every name a ``trafficlab`` module imports is used in that module, and
+"""Every name a ``trafficlab`` module imports is used in that module,
+every member it defines is reached from ``src/`` or ``benchmarks/``, and
 importing the package's modules stays cheap.
 
 A name a module imports for others to read (say, a name the benchmark
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 PACKAGE = SRC / "trafficlab"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -48,6 +50,69 @@ def test_unused_import_check_sees_plain_from_and_exempt_imports():
               "from re import sub  # noqa: F401 (re-exported)\n"
               "print(os.path.sep, loads)\n")
     assert unused_imports(source) == ["dumps (line 3)", "math (line 1)"]
+
+
+def _mentions(tree) -> list[str]:
+    """Every name, attribute and string constant in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append(node.value)
+    return found
+
+
+def unreached_members(package_sources: dict[str, str],
+                      reader_sources: list[str]) -> list[str]:
+    """``module:name`` of each function, method, property or class that
+    the package defines and whose name appears nowhere in the package or
+    the readers outside its own definition. Dunders are exempt."""
+    trees = {module: ast.parse(text) for module, text in package_sources.items()}
+    mentions: dict[str, int] = {}
+    for tree in [*trees.values(), *map(ast.parse, reader_sources)]:
+        for name in _mentions(tree):
+            mentions[name] = mentions.get(name, 0) + 1
+    unreached = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if mentions.get(name, 0) == _mentions(node).count(name):
+                unreached.append(f"{module}:{name}")
+    return sorted(unreached)
+
+
+def test_every_member_is_reached_from_src_or_benchmarks():
+    """A member that no module of the package and no benchmark file names
+    serves only the tests, and belongs with them. The check matches names
+    only, so it cannot flag a member that shares its name with a used one
+    (a ``flatten`` method beside another class's ``flatten`` that the
+    benchmark calls, say)."""
+    package = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "benchmarks").rglob("*.py"))]
+    assert unreached_members(package, readers) == []
+
+
+def test_reachability_check_sees_methods_properties_and_strings():
+    package = {"m.py": (
+        "class A:\n"
+        "    def __init__(self): self.go()\n"
+        "    def go(self): return self.spare\n"
+        "    @property\n"
+        "    def spare(self): return 1\n"
+        "    def loop(self): return self.loop()\n"
+        "def named(): pass\n"
+        "def lone(): pass\n")}
+    readers = ["TABLE = {'named': 1}\nA()\n"]
+    assert unreached_members(package, readers) == ["m.py:lone", "m.py:loop"]
 
 
 def test_importing_the_harness_loads_no_process_pool():

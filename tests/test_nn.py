@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfac_oracle import solve_precondition
+from kfac_oracle import gradients_of, solve_precondition
 from trafficlab.nn import (
     ACTIVATIONS,
     AdamOptimizer,
@@ -39,7 +39,7 @@ def numeric_gradient(net, x, target, h=1e-5):
         for sign in (1.0, -1.0):
             bumped = flat.copy()
             bumped[i] += sign * h
-            probe.set_flat(bumped)
+            probe.params[...] = bumped
             loss, _, _ = loss_and_grad(probe, x, target)
             grad[i] += sign * loss
     return grad / (2 * h)
@@ -51,12 +51,7 @@ def call_reference(net, x):
     a = np.asarray(x, dtype=np.float64)
     for layer in net.layers:
         s = a @ layer.w.T + layer.b
-        if layer.activation == "tanh":
-            a = np.tanh(s)
-        elif layer.activation == "relu":
-            a = np.maximum(s, 0.0)
-        else:
-            a = s
+        a = np.tanh(s) if layer.activation == "tanh" else s
     return a
 
 
@@ -77,7 +72,7 @@ def random_net(rng, activations, in_dim):
     """A net of random hidden sizes with non-zero biases."""
     sizes = [in_dim] + [int(n) for n in rng.integers(1, 65, size=len(activations))]
     net = Mlp.create(sizes, activations, seed=int(rng.integers(2**32)))
-    net.params += rng.normal(size=net.num_params)
+    net.params += rng.normal(size=net.params.size)
     return net
 
 
@@ -100,19 +95,14 @@ def test_single_affine_layer_arithmetic():
 
 def test_forward_matches_dense_algebra_oracle():
     rng = np.random.default_rng(5)
-    net = small_net(seed=1, sizes=(4, 5, 3, 2), activations=("tanh", "relu", "identity"))
+    net = small_net(seed=1, sizes=(4, 5, 3, 2), activations=("tanh", "tanh", "identity"))
     x = rng.normal(size=(6, 4))
     out, _ = net.forward(x)
     # independent composition with explicit matrix products
     a = x
     for layer in net.layers:
         s = np.einsum("bi,oi->bo", a, layer.w) + layer.b
-        if layer.activation == "tanh":
-            a = np.tanh(s)
-        elif layer.activation == "relu":
-            a = np.where(s > 0, s, 0.0)
-        else:
-            a = s
+        a = np.tanh(s) if layer.activation == "tanh" else s
     np.testing.assert_allclose(out, a, rtol=0, atol=1e-12)
 
 
@@ -181,6 +171,11 @@ def test_call_on_stacked_rows_equals_one_row_calls_bit_for_bit(
         assert out[k, 0].tobytes() == net(x[k]).tobytes()
 
 
+def test_unknown_activation_rejected():
+    with pytest.raises(ValueError, match="unknown activation 'relu'"):
+        Mlp.create([3, 2], ["relu"], seed=0)
+
+
 def test_mismatched_layer_dims_rejected():
     with pytest.raises(ValueError, match="incompatible"):
         Mlp([
@@ -212,7 +207,7 @@ def test_zero_output_gradient_gives_zero_gradients():
 
 @pytest.mark.parametrize("activations", [
     ("tanh", "identity"),
-    ("relu", "identity"),
+    ("identity", "tanh", "identity"),
     ("tanh", "tanh", "identity"),
     ("identity", "identity"),
 ])
@@ -223,7 +218,7 @@ def test_backward_matches_finite_differences(activations):
     x = rng.normal(size=(5, 3))
     target = rng.normal(size=(5, 2))
     _, dout, cache = loss_and_grad(net, x, target)
-    analytic = net.backward(cache, dout).flatten()
+    analytic = net.backward(cache, dout).flat
     numeric = numeric_gradient(net, x, target)
     denom = np.maximum(np.abs(numeric), 1e-8)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -234,13 +229,12 @@ def test_backward_gradient_exactness_property_family():
     for trial in range(15):
         depth = int(rng.integers(1, 4))
         sizes = [int(rng.integers(1, 5)) for _ in range(depth + 1)]
-        acts = [str(rng.choice(["tanh", "relu", "identity"])) for _ in range(depth)]
+        acts = [str(rng.choice(["tanh", "identity"])) for _ in range(depth)]
         net = Mlp.create(sizes, acts, seed=trial)
-        # nudge off relu kinks so the numeric derivative is clean
-        x = rng.normal(size=(3, sizes[0])) + 0.1
+        x = rng.normal(size=(3, sizes[0]))
         target = rng.normal(size=(3, sizes[-1]))
         _, dout, cache = loss_and_grad(net, x, target)
-        analytic = net.backward(cache, dout).flatten()
+        analytic = net.backward(cache, dout).flat
         numeric = numeric_gradient(net, x, target)
         denom = np.maximum(np.abs(numeric), 1e-6)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -250,23 +244,23 @@ def test_backward_equals_per_layer_reference_bit_for_bit():
     """Reusing forward's post-activations and writing into one flat vector
     must give exactly what recomputing each activation gives."""
     rng = np.random.default_rng(41)
-    net = Mlp.create([4, 6, 5, 3, 2], ["tanh", "relu", "tanh", "identity"], seed=41)
+    net = Mlp.create([4, 6, 5, 3, 2], ["tanh", "identity", "tanh", "identity"],
+                     seed=41)
     x = rng.normal(size=(7, 4))
     out, cache = net.forward(x)
     dout = rng.normal(size=out.shape)
     grads = net.backward(cache, dout)
+    chain = net.pre_activation_grads(cache, dout)
     da = dout
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        s = cache.pre_activations[idx]
+        s = cache.inputs[idx] @ layer.w.T + layer.b  # as forward computed it
         if layer.activation == "tanh":
             a = np.tanh(s)
             ds = da * (1.0 - a * a)
-        elif layer.activation == "relu":
-            ds = da * (s > 0.0).astype(s.dtype)
         else:
             ds = da * np.ones_like(s)
-        np.testing.assert_array_equal(cache.pre_grads[idx], ds)
+        np.testing.assert_array_equal(chain[idx], ds)
         np.testing.assert_array_equal(grads.dw[idx], ds.T @ cache.inputs[idx])
         np.testing.assert_array_equal(grads.db[idx], ds.sum(axis=0))
         da = ds @ layer.w
@@ -282,18 +276,16 @@ def test_repeated_backward_on_one_cache_is_pure(seed, batch, activations):
     rng = np.random.default_rng(seed)
     net = random_net(rng, activations, 5)
     out, cache = net.forward(rng.normal(size=(batch, 5)))
-    snapshot = [a.copy() for a in cache.inputs + cache.pre_activations
-                + [cache.output]]
+    snapshot = [a.copy() for a in cache.inputs + [cache.output]]
     dout = rng.normal(size=out.shape)
     dout_before = dout.copy()
     first = net.backward(cache, dout)
-    first_pre_grads = cache.pre_grads
+    first_chain = net.pre_activation_grads(cache, dout)
     second = net.backward(cache, dout)
     assert first.flat.tobytes() == second.flat.tobytes()
-    for a, b in zip(first_pre_grads, cache.pre_grads):
+    for a, b in zip(first_chain, net.pre_activation_grads(cache, dout)):
         assert a.tobytes() == b.tobytes()
-    for now, before in zip(cache.inputs + cache.pre_activations + [cache.output],
-                           snapshot):
+    for now, before in zip(cache.inputs + [cache.output], snapshot):
         assert now.tobytes() == before.tobytes()
     assert dout.tobytes() == dout_before.tobytes()
 
@@ -311,25 +303,22 @@ def test_backward_shape_mismatch_rejected():
 @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 300),
        activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=4))
 def test_pre_activation_chain_leaves_what_backward_leaves(seed, batch, activations):
-    """The chain alone (what a curvature refresh runs) leaves on the cache
-    the pre-activation gradients ``backward`` leaves, bit for bit, and
-    writes nothing forward or the caller made."""
+    """The chain alone (what a curvature refresh runs) gives the
+    pre-activation gradients ``backward`` builds its products from, bit for
+    bit, and writes nothing forward or the caller made."""
     rng = np.random.default_rng(seed)
     net = random_net(rng, activations, int(rng.integers(1, 20)))
     out, cache = net.forward(rng.normal(size=(batch, net.input_size)))
     dout = rng.normal(size=out.shape) * rng.choice([1e-6, 1.0, 1e6])
-    snapshot = [a.tobytes() for a in cache.inputs + cache.pre_activations
-                + [cache.output, dout]]
+    snapshot = [a.tobytes() for a in cache.inputs + [cache.output, dout]]
     chain = net.pre_activation_grads(cache, dout)
-    assert chain is cache.pre_grads
-    chain = [ds.copy() for ds in chain]
-    net.backward(cache, dout)
-    assert len(cache.pre_grads) == len(chain) == len(net.layers)
-    for mine, full in zip(chain, cache.pre_grads):
-        assert mine.shape == full.shape
-        assert mine.tobytes() == full.tobytes()
-    assert snapshot == [a.tobytes() for a in cache.inputs + cache.pre_activations
-                        + [cache.output, dout]]
+    grads = net.backward(cache, dout)
+    assert len(chain) == len(net.layers)
+    for ds, a, dw, db in zip(chain, cache.inputs, grads.dw, grads.db):
+        assert ds.shape == (batch, dw.shape[0])
+        assert dw.tobytes() == np.dot(ds.T, a).tobytes()
+        assert db.tobytes() == ds.sum(axis=0).tobytes()
+    assert snapshot == [a.tobytes() for a in cache.inputs + [cache.output, dout]]
 
 
 def per_layer_sums_reference(grads, other):
@@ -350,8 +339,8 @@ def test_norm_and_quad_from_slice_sums_equal_per_layer_2d_sums(seed, widths, sca
     rng = np.random.default_rng(seed)
     shapes = list(zip(widths[1:], widths[:-1]))
     size = sum(o * i + o for o, i in shapes)
-    grads = Gradients.from_flat(rng.normal(size=size) * scale, shapes)
-    nat = Gradients.from_flat(rng.normal(size=size) * scale, shapes)
+    grads = Gradients(rng.normal(size=size) * scale, shapes)
+    nat = Gradients(rng.normal(size=size) * scale, shapes)
     # repr is exact for floats, the sign of a zero included
     norm = math.sqrt(per_layer_sums_reference(grads, grads))
     assert repr(grads.norm()) == repr(norm)
@@ -364,10 +353,10 @@ def test_norm_and_quad_from_slice_sums_equal_per_layer_2d_sums(seed, widths, sca
 # ---------------------------------------------------------------------------
 
 def test_flatten_round_trip_is_identity():
-    net = small_net(seed=9, sizes=(5, 7, 3), activations=("relu", "identity"))
+    net = small_net(seed=9, sizes=(5, 7, 3), activations=("tanh", "identity"))
     flat = net.flatten()
     clone = net.clone()
-    clone.set_flat(flat)
+    clone.params[...] = flat
     np.testing.assert_array_equal(clone.flatten(), flat)
     for a, b in zip(net.layers, clone.layers):
         np.testing.assert_array_equal(a.w, b.w)
@@ -392,7 +381,7 @@ def test_layer_views_stay_aliased_to_params():
     clone = net.clone()
     assert_views_aliased(clone)
     assert not np.shares_memory(clone.params, net.params)
-    clone.set_flat(np.arange(clone.num_params, dtype=float))
+    clone.params[...] = np.arange(clone.params.size, dtype=float)
     assert_views_aliased(clone)
     assert clone.layers[0].w[0, 1] == 1.0
 
@@ -408,7 +397,7 @@ def test_optimizer_step_shows_in_next_forward(kind):
     after = net(x)
     assert not np.array_equal(after, out)
     fresh = small_net(seed=99)
-    fresh.set_flat(net.params)
+    fresh.params[...] = net.params
     np.testing.assert_array_equal(fresh(x), after)
 
 
@@ -436,7 +425,7 @@ def test_zero_learning_rate_leaves_net_unchanged():
 def test_sgd_quadratic_descent_arithmetic():
     # f(w) = w^2 from w=1: gradient 2, descent step 0.1 -> 0.8
     net = Mlp([Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
-    grads = Gradients([np.array([[2.0]])], [np.array([0.0])])
+    grads = gradients_of([np.array([[2.0]])], [np.array([0.0])])
     grads.flat *= -1.0  # descent
     SgdOptimizer(net).step(net, grads, 0.1)
     assert net.layers[0].w[0, 0] == pytest.approx(0.8)
@@ -451,7 +440,7 @@ def test_sgd_monotone_decrease_on_convex_quadratic():
     for _ in range(50):
         w = net.layers[0].w[0, 0]
         losses.append(0.5 * c * w * w)
-        grads = Gradients([np.array([[c * w]])], [np.array([0.0])])
+        grads = gradients_of([np.array([[c * w]])], [np.array([0.0])])
         grads.flat *= -1.0  # descent
         opt.step(net, grads, 0.2)  # 0.2 < 2/c = 0.5
     assert all(b < a or a == 0 for a, b in zip(losses, losses[1:]))
@@ -461,7 +450,7 @@ def test_adam_zero_gradient_is_a_fixed_point():
     net = small_net(seed=6)
     before = net.flatten()
     opt = AdamOptimizer(net)
-    zeros = Gradients([np.zeros_like(l.w) for l in net.layers],
+    zeros = gradients_of([np.zeros_like(l.w) for l in net.layers],
                       [np.zeros_like(l.b) for l in net.layers])
     for _ in range(3):
         opt.step(net, zeros, 0.1)
@@ -473,7 +462,7 @@ def test_adam_reduces_quadratic_loss():
     opt = AdamOptimizer(net)
     for _ in range(400):
         w = net.layers[0].w[0, 0]
-        grads = Gradients([np.array([[2.0 * w]])], [np.array([0.0])])
+        grads = gradients_of([np.array([[2.0 * w]])], [np.array([0.0])])
         grads.flat *= -1.0  # descent
         opt.step(net, grads, 0.05)
     assert abs(net.layers[0].w[0, 0]) < 1e-3
@@ -483,7 +472,7 @@ def test_flat_optimizer_steps_equal_per_layer_loop():
     """Adam and SGD on the flat vector, bit for bit against the per-layer
     update loop they replaced; Adam's state keeps its [w..., b...] order."""
     rng = np.random.default_rng(13)
-    net = small_net(seed=13, sizes=(3, 6, 4, 2), activations=("tanh", "relu", "identity"))
+    net = small_net(seed=13, sizes=(3, 6, 4, 2), activations=("tanh", "tanh", "identity"))
     sgd_net = net.clone()
     adam, sgd = AdamOptimizer(net), SgdOptimizer(sgd_net)
     ref = [l.w.copy() for l in net.layers] + [l.b.copy() for l in net.layers]
@@ -494,8 +483,8 @@ def test_flat_optimizer_steps_equal_per_layer_loop():
     for t in range(1, 6):
         dw = [rng.normal(size=l.w.shape) for l in net.layers]
         db = [rng.normal(size=l.b.shape) for l in net.layers]
-        adam.step(net, Gradients(dw, db), lr)
-        sgd.step(sgd_net, Gradients(dw, db), lr)
+        adam.step(net, gradients_of(dw, db), lr)
+        sgd.step(sgd_net, gradients_of(dw, db), lr)
         bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         for mi, vi, g, target, plain in zip(m, v, dw + db, ref, sgd_ref):
             mi *= b1
@@ -524,10 +513,10 @@ def test_adam_step_equals_reference_bit_for_bit(seed, activations, lr, scale):
     rng = np.random.default_rng(seed)
     net = random_net(rng, activations, int(rng.integers(1, 20)))
     adam = AdamOptimizer(net)
-    params, m, v = net.flatten(), np.zeros(net.num_params), np.zeros(net.num_params)
+    params, m, v = net.flatten(), np.zeros(net.params.size), np.zeros(net.params.size)
     for t in range(1, 5):
-        g = scale * rng.normal(size=net.num_params)
-        direction = Gradients.from_flat(g.copy(), [l.w.shape for l in net.layers])
+        g = scale * rng.normal(size=net.params.size)
+        direction = Gradients(g.copy(), [l.w.shape for l in net.layers])
         adam.step(net, direction, lr)
         adam_reference(params, m, v, g, t, lr)
         assert direction.flat.tobytes() == g.tobytes()
@@ -536,14 +525,14 @@ def test_adam_step_equals_reference_bit_for_bit(seed, activations, lr, scale):
         assert adam.v.tobytes() == v.tobytes()
     # the scratch vectors are not state: a checkpoint holds m and v only
     state = adam.state_arrays()
-    assert sum(a.size for a in state) == 2 * net.num_params
+    assert sum(a.size for a in state) == 2 * net.params.size
     assert all(np.shares_memory(a, adam.m) or np.shares_memory(a, adam.v)
                for a in state)
 
 
 def test_non_finite_direction_raises_divergence():
     net = small_net(seed=8)
-    bad = Gradients([np.full_like(l.w, np.nan) for l in net.layers],
+    bad = gradients_of([np.full_like(l.w, np.nan) for l in net.layers],
                     [np.zeros_like(l.b) for l in net.layers])
     with pytest.raises(DivergenceError):
         SgdOptimizer(net).step(net, bad, 0.1)
@@ -602,7 +591,7 @@ def test_stats_stay_symmetric_psd_after_update_sequences():
 # ---------------------------------------------------------------------------
 
 def grads_for(net, dw):
-    return Gradients([np.asarray(dw, dtype=float)],
+    return gradients_of([np.asarray(dw, dtype=float)],
                      [np.zeros(net.layers[0].w.shape[0])])
 
 
@@ -654,7 +643,7 @@ def test_bias_preconditioned_by_s_factor_alone():
     net = one_layer_net(3, 2)
     stats = KfacStats(net, damping=0.0)
     stats.s_factors[0] = 4.0 * np.eye(2)
-    grads = Gradients([np.zeros((2, 3))], [np.array([2.0, 4.0])])
+    grads = gradients_of([np.zeros((2, 3))], [np.array([2.0, 4.0])])
     out = stats.precondition(grads)
     np.testing.assert_allclose(out.db[0], np.array([0.5, 1.0]))
 
@@ -668,7 +657,7 @@ def test_augmented_bias_mode_matches_dense_oracle():
     stats.update([acts], [ds])
     g_w = rng.normal(size=(2, 3))
     g_b = rng.normal(size=2)
-    out = stats.precondition(Gradients([g_w], [g_b]))
+    out = stats.precondition(gradients_of([g_w], [g_b]))
     block = np.concatenate([g_w, g_b[:, None]], axis=1)
     a_d = stats.a_factors[0] + 1e-2 * np.eye(4)
     s_d = stats.s_factors[0] + 1e-2 * np.eye(2)
@@ -689,21 +678,21 @@ def test_update_after_precondition_refreshes_the_inverses():
     rng = np.random.default_rng(31)
     net = small_net(sizes=(3, 5, 2))
     stats = KfacStats(net, damping=1e-2, decay=0.5)
-    grads = Gradients([rng.normal(size=l.w.shape) for l in net.layers],
+    grads = gradients_of([rng.normal(size=l.w.shape) for l in net.layers],
                       [rng.normal(size=l.b.shape) for l in net.layers])
 
     def feed():
         x = rng.normal(size=(8, 3))
         _, cache = net.forward(x)
-        net.backward(cache, rng.normal(size=(8, 2)))
-        stats.update(cache.inputs, cache.pre_grads)
+        stats.update(cache.inputs,
+                     net.pre_activation_grads(cache, rng.normal(size=(8, 2))))
 
     feed()
-    first = stats.precondition(grads).flatten()
+    first = stats.precondition(grads).flat
     np.testing.assert_allclose(first, solve_precondition(stats, grads).flat,
                                rtol=1e-9)
     feed()
-    second = stats.precondition(grads).flatten()
+    second = stats.precondition(grads).flat
     np.testing.assert_allclose(second, solve_precondition(stats, grads).flat,
                                rtol=1e-9)
     assert not np.allclose(first, second, rtol=1e-6)

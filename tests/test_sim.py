@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from trafficlab.sim import (
     APPROACHES,
     Approach,
-    Axis,
     Command,
     Phase,
     SimConfig,
@@ -17,12 +16,12 @@ from trafficlab.sim import (
     Vehicle,
     kinematics_step,
     metrics_snapshot,
-    road_census,
     scenario_preset,
     signal_step,
     spawn_step,
 )
 from invariant_checks import run_checked_episode
+from sim_oracle import EW, NS, approach_axis, road_census, served_axis
 
 
 def make_vehicle(vid, approach, position, speed, cfg, detected=True, wait=0.0):
@@ -388,12 +387,11 @@ def test_full_cycle_returns_to_start_phase():
 def test_metrics_empty_state_has_null_means():
     cfg = SimConfig()
     state = SimState.initial(cfg)
-    m = metrics_snapshot(state, cfg)
+    m = metrics_snapshot(state)
     assert m.wait_all is None
     assert m.wait_detected is None
     assert m.wait_undetected is None
     assert m.exited_all == 0
-    assert all(q == 0 for q in m.queue_lengths.values())
 
 
 def test_metrics_hand_built_two_exits():
@@ -403,7 +401,7 @@ def test_metrics_hand_built_two_exits():
     state.exited_n_detected = 2
     state.exited_count = 2
     state.spawned_count = 2
-    m = metrics_snapshot(state, cfg)
+    m = metrics_snapshot(state)
     assert m.wait_detected == pytest.approx(5.0)
     assert m.wait_all == pytest.approx(5.0)
     assert m.wait_undetected is None
@@ -419,7 +417,7 @@ def test_metrics_full_detection_classes_coincide():
         signal_step(state, cmd, cfg)
         spawn_step(state, cfg)
         kinematics_step(state, cfg)
-    m = metrics_snapshot(state, cfg)
+    m = metrics_snapshot(state)
     assert m.exited_undetected == 0
     assert m.wait_undetected is None
     assert m.wait_all == m.wait_detected
@@ -434,9 +432,9 @@ def test_queue_lengths_count_stopped_vehicles():
     state.lanes[Approach.NORTH].append(
         make_vehicle(1, Approach.NORTH, 80.0, cfg.vmax_default, cfg))
     state.spawned_count = 2
-    m = metrics_snapshot(state, cfg)
-    assert m.queue_lengths[Approach.NORTH] == 1
-    assert m.queue_lengths[Approach.EAST] == 0
+    queues = road_census(state, cfg).queue_lengths
+    assert queues[APPROACHES.index(Approach.NORTH)] == 1
+    assert queues[APPROACHES.index(Approach.EAST)] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +505,12 @@ def test_identical_seed_and_commands_reproduce_exactly():
 
 
 def test_approach_axis_mapping():
-    assert Approach.NORTH.axis is Axis.NS
-    assert Approach.SOUTH.axis is Axis.NS
-    assert Approach.EAST.axis is Axis.EW
-    assert Approach.WEST.axis is Axis.EW
-    assert Phase.NS_GREEN.served_axis is Axis.NS
+    assert approach_axis(Approach.NORTH) == NS
+    assert approach_axis(Approach.SOUTH) == NS
+    assert approach_axis(Approach.EAST) == EW
+    assert approach_axis(Approach.WEST) == EW
+    assert served_axis(Phase.NS_GREEN) == NS
+    assert served_axis(Phase.EW_GREEN) == EW
     assert Phase.NS_GREEN.opposite is Phase.EW_GREEN
 
 
