@@ -17,17 +17,18 @@ import numpy as np
 
 from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.nn import (
+    AdamOptimizer,
     DivergenceError,
     Gradients,
     KfacStats,
     Mlp,
-    make_optimizer,
+    SgdOptimizer,
 )
 
 ALGORITHMS = ("dql", "a2c", "ppo", "acktr", "fixed_time")
 
 _MAGIC = b"TLAG"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 N_ACTIONS = 2
 
@@ -76,11 +77,9 @@ class AgentConfig:
     ppo_minibatch: int = 64
     critic_epochs: int = 1
     center_advantages: bool = False
-    # uniform mixing into training-time action sampling; decays linearly
-    # from the init value to the final one over exploration_fraction of the
-    # training budget (same shape as the q-learning epsilon schedule)
+    # uniform mixing into the actor-critic learners' training-time action
+    # sampling
     explore_floor: float = 0.0
-    explore_floor_init: float | None = None
     replay_capacity: int = 50_000
     batch_size: int = 64
     warmup: int = 1_000
@@ -88,10 +87,8 @@ class AgentConfig:
     fixed_time_green: float = 30.0
     entropy_coef: float = 0.01
     hidden_sizes: list[int] = field(default_factory=lambda: [64, 64])
-    optimizer: str = "adam"
     kfac_damping: float = 1e-2
     kfac_decay: float = 0.95
-    kfac_augment_bias: bool = False
     # cap on the parameter-space norm of each ACKTR step: >= 0, 0 freezes
     # the nets, inf disables the cap
     trust_region_radius: float = 1.0
@@ -110,9 +107,9 @@ class AgentConfig:
                     and name != "trust_region_radius"):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("epsilon_start", "epsilon_end", "explore_floor",
-                     "explore_floor_init", "kfac_decay"):
+                     "kfac_decay"):
             value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
+            if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         for name in ("exploration_fraction", "train_steps_budget",
                      "entropy_coef", "warmup", "fixed_time_green",
@@ -365,7 +362,7 @@ class DqlAgent(Agent):
         acts = ["tanh"] * len(config.hidden_sizes) + ["identity"]
         self.q_net = Mlp.create(sizes, acts, seed=config.seed)
         self.target_net = self.q_net.clone()
-        self.optimizer = make_optimizer(config.optimizer, self.q_net)
+        self.optimizer = AdamOptimizer(self.q_net)
         self.replay = _ReplayBuffer(config.replay_capacity, obs_dim)
         self.updates = 0
         self._rows = np.arange(config.batch_size)
@@ -445,10 +442,9 @@ class DqlAgent(Agent):
 
 class _ActorCriticAgent(Agent):
     """Shared machinery: softmax policy over two logits plus a value net,
-    each with its own optimizer (``config.optimizer`` unless the class
-    fixes one)."""
+    each with its own optimizer of the class's ``optimizer_class``."""
 
-    optimizer_name: str | None = None
+    optimizer_class: type = AdamOptimizer
     counters = ("train_steps",)
 
     def __init__(self, config: AgentConfig, obs_dim: int):
@@ -459,23 +455,12 @@ class _ActorCriticAgent(Agent):
                                 seed=config.seed)
         self.critic = Mlp.create([obs_dim] + hidden + [1], acts,
                                  seed=config.seed + 1)
-        optimizer = self.optimizer_name or config.optimizer
-        self.actor_optimizer = make_optimizer(optimizer, self.actor)
-        self.critic_optimizer = make_optimizer(optimizer, self.critic)
+        self.actor_optimizer = self.optimizer_class(self.actor)
+        self.critic_optimizer = self.optimizer_class(self.critic)
 
     @property
     def needs_rollout(self) -> int:
         return self.config.rollout_length
-
-    def exploration_floor(self) -> float:
-        cfg = self.config
-        floor = cfg.explore_floor
-        init = cfg.explore_floor_init
-        if init is None or init <= floor:
-            return floor
-        horizon = max(1, int(cfg.train_steps_budget * cfg.exploration_fraction))
-        frac = min(1.0, self.train_steps / horizon)
-        return init + frac * (floor - init)
 
     def act(self, obs, explore: bool = False) -> int:
         # A scalar head: _log_softmax on the two logits as Python floats,
@@ -492,7 +477,7 @@ class _ActorCriticAgent(Agent):
         if explore:
             # a uniform floor keeps rare actions sampled even once the
             # policy has become confident
-            floor = self.exploration_floor()
+            floor = self.config.explore_floor
             if floor and self._rng.random() < floor:
                 action = int(self._rng.integers(N_ACTIONS))
             else:
@@ -610,15 +595,14 @@ class PpoAgent(_ActorCriticAgent):
     def update(self, transitions: list[Transition]) -> dict[str, float]:
         if not transitions:
             return {}
+        if any(t.log_prob is None for t in transitions):
+            raise ValueError("a PPO update needs the log-probability of each "
+                             "action taken, which rollout records")
         cfg = self.config
         n = len(transitions)
         self.train_steps += n
         obs, actions, targets, advantages = self._targets_and_advantages(transitions)
-        if all(t.log_prob is not None for t in transitions):
-            old_logp = np.array([t.log_prob for t in transitions])
-        else:  # rollout collected without recording; the policy is unchanged
-            logits = self.actor(obs)
-            old_logp = _log_softmax(logits)[np.arange(n), actions]
+        old_logp = np.array([t.log_prob for t in transitions])
         low, high = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
         last_actor_loss = 0.0
         last_critic_loss = 0.0
@@ -670,16 +654,14 @@ class AcktrAgent(A2cAgent):
     scalings write into the fresh preconditioned vector; the raw gradient
     is only read."""
 
-    optimizer_name = "sgd"
+    optimizer_class = SgdOptimizer
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
         self.actor_stats = KfacStats(self.actor, damping=config.kfac_damping,
-                                     decay=config.kfac_decay,
-                                     augment_bias=config.kfac_augment_bias)
+                                     decay=config.kfac_decay)
         self.critic_stats = KfacStats(self.critic, damping=config.kfac_damping,
-                                      decay=config.kfac_decay,
-                                      augment_bias=config.kfac_augment_bias)
+                                      decay=config.kfac_decay)
 
     def _actor_direction(self, grads, cache, score) -> Gradients:
         # curvature pass: per-sample score-function gradients, unscaled;
@@ -813,7 +795,8 @@ def _restore(header: dict, blob: bytes, offset: int,
     """Build the agent a parsed header describes and fill it from the
     payload at ``offset``. A malformed header surfaces as a KeyError,
     TypeError, ValueError or OverflowError, which the caller reports as a
-    format error."""
+    format error. A payload value that is not finite is a format error
+    too: training raises before it could save one."""
     algorithm = header["algorithm"]
     if expected_algorithm is not None and algorithm != expected_algorithm:
         raise AlgorithmMismatchError(
@@ -854,6 +837,9 @@ def _restore(header: dict, blob: bytes, offset: int,
     if len(blob) > stop:
         raise CheckpointFormatError("trailing bytes after checkpoint payload")
     payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+    if not np.isfinite(payload).all():
+        raise CheckpointFormatError("checkpoint payload holds a value that is "
+                                    "not finite")
     for dst in arrays:
         dst[...] = payload[:dst.size].reshape(dst.shape)
         payload = payload[dst.size:]

@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--rate", type=float, default=1.0)
     p_eval.add_argument("--episodes", type=int, default=20)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--time-of-day", action="store_true")
     p_eval.add_argument("--out", help="JSON metrics output path")
     return parser
 
@@ -175,8 +174,7 @@ def _eval(args) -> int:
         stats = cmd_eval(
             checkpoint=args.checkpoint, scenario=args.scenario,
             detection_rate=args.rate, episodes=args.episodes,
-            seed=args.seed, include_time_of_day=args.time_of_day,
-            out_path=args.out)
+            seed=args.seed, out_path=args.out)
     except (CheckpointError, ObservationShapeError, OSError) as exc:
         print(f"eval failed: {exc}", file=sys.stderr)
         return 1

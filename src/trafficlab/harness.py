@@ -92,12 +92,10 @@ def default_agent_config(algorithm: str, seed: int = 0,
 
 
 def build_env_config(scenario: str, detection_rate: float, seed: int,
-                     episode_length: float = 3600.0,
-                     include_time_of_day: bool = False) -> EnvConfig:
+                     episode_length: float = 3600.0) -> EnvConfig:
     sim = scenario_preset(scenario, detection_rate=detection_rate,
                           rng_seed=seed)
-    return EnvConfig(sim=sim, episode_length=episode_length,
-                     include_time_of_day=include_time_of_day)
+    return EnvConfig(sim=sim, episode_length=episode_length)
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +561,12 @@ def _write_adapt_chart(spec: ExperimentSpec,
 
 def cmd_eval(checkpoint: str, scenario: str, detection_rate: float,
              episodes: int, seed: int = 0, episode_length: float = 3600.0,
-             include_time_of_day: bool = False,
              out_path: str | None = None) -> EvalStats:
     """Greedy evaluation of one checkpoint; raises ObservationShapeError if
     the checkpoint and environment disagree on the observation layout."""
     agent = load_agent(checkpoint)
     env_cfg = build_env_config(scenario, detection_rate, seed,
-                               episode_length=episode_length,
-                               include_time_of_day=include_time_of_day)
+                               episode_length=episode_length)
     stats = evaluate_agent(agent, env_cfg, episodes, seed=seed)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

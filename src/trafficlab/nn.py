@@ -320,12 +320,11 @@ class AdamOptimizer:
     intermediates; they are derived state and are not checkpointed."""
 
     kind = "adam"
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
 
-    def __init__(self, net: Mlp, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, net: Mlp):
         self.t = 0
         size = net.params.size
         self.m = np.zeros(size)
@@ -342,25 +341,25 @@ class AdamOptimizer:
             raise DivergenceError("non-finite update direction")
         g = direction.flat
         self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        bias1 = 1.0 - self.BETA1 ** self.t
+        bias2 = 1.0 - self.BETA2 ** self.t
         m, v = self.m, self.v
         # params += lr * (m / bias1) / (sqrt(v / bias2) + eps), with the
         # moment updates before it, each operation as in that expression
         # (products commuted, which is exact) and written into scratch
         step, denom = self._scratch
-        m *= self.beta1
-        np.multiply(g, 1 - self.beta1, out=step)
+        m *= self.BETA1
+        np.multiply(g, 1 - self.BETA1, out=step)
         m += step
-        v *= self.beta2
+        v *= self.BETA2
         np.multiply(g, g, out=step)
-        step *= 1 - self.beta2
+        step *= 1 - self.BETA2
         v += step
         np.divide(m, bias1, out=step)
         step *= learning_rate
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += self.EPS
         step /= denom
         net.params += step
 
@@ -369,21 +368,10 @@ class AdamOptimizer:
         return list(self._state_views)
 
     def state_meta(self) -> dict:
-        return {"kind": self.kind, "t": self.t, "beta1": self.beta1,
-                "beta2": self.beta2, "eps": self.eps}
+        return {"kind": self.kind, "t": self.t}
 
     def load_state_meta(self, meta: dict) -> None:
         self.t = int(meta["t"])
-        self.beta1, self.beta2, self.eps = (
-            float(meta["beta1"]), float(meta["beta2"]), float(meta["eps"]))
-
-
-def make_optimizer(kind: str, net: Mlp) -> SgdOptimizer | AdamOptimizer:
-    if kind == "sgd":
-        return SgdOptimizer(net)
-    if kind == "adam":
-        return AdamOptimizer(net)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +383,7 @@ class KfacStats:
 
     Preconditioning applies (S + damping I)^-1 G (A + damping I)^-1 per
     layer, the Kronecker realization of the inverse-curvature product.
-    Biases use the S factor alone unless ``augment_bias`` is set, in which
-    case activations gain a constant 1 and the bias column rides inside
-    the weight block.
+    Biases use the S factor alone.
 
     The damped inverses are cached: ``update`` marks them stale, and the
     next ``precondition`` rebuilds all of them from the factors. They are
@@ -409,21 +395,15 @@ class KfacStats:
 
     kind = "kfac"
 
-    def __init__(self, net: Mlp, damping: float = 1e-2, decay: float = 0.95,
-                 augment_bias: bool = False):
+    def __init__(self, net: Mlp, damping: float = 1e-2, decay: float = 0.95):
         if damping < 0:
             raise ValueError("damping must be non-negative")
         if not 0.0 <= decay <= 1.0:
             raise ValueError("decay must lie in [0, 1]")
         self.damping = damping
         self.decay = decay
-        self.augment_bias = augment_bias
-        self.a_factors = []
-        self.s_factors = []
-        for layer in net.layers:
-            in_dim = layer.w.shape[1] + (1 if augment_bias else 0)
-            self.a_factors.append(np.eye(in_dim))
-            self.s_factors.append(np.eye(layer.w.shape[0]))
+        self.a_factors = [np.eye(layer.w.shape[1]) for layer in net.layers]
+        self.s_factors = [np.eye(layer.w.shape[0]) for layer in net.layers]
         self._inverses: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def update(self, activations: list[np.ndarray],
@@ -437,8 +417,6 @@ class KfacStats:
             a = np.atleast_2d(a)
             ds = np.atleast_2d(ds)
             batch = a.shape[0]
-            if self.augment_bias:
-                a = np.concatenate([a, np.ones((batch, 1))], axis=1)
             new_a = d * self.a_factors[idx] + (1 - d) * (a.T @ a) / batch
             new_s = d * self.s_factors[idx] + (1 - d) * (ds.T @ ds) / batch
             # keep exact symmetry against float drift
@@ -474,14 +452,8 @@ class KfacStats:
         out = Gradients(np.empty_like(grads.flat), grads.shapes)
         for idx, (dw, db) in enumerate(zip(grads.dw, grads.db)):
             a_inv, s_inv = self._inverses[idx]
-            if self.augment_bias:
-                block = np.concatenate([dw, db[:, None]], axis=1)
-                solved = s_inv @ block @ a_inv
-                out.dw[idx][...] = solved[:, :-1]
-                out.db[idx][...] = solved[:, -1]
-            else:
-                # np.dot writes into a view as fast as it multiplies;
-                # np.matmul with out= is slower than a copy at these sizes
-                np.dot(s_inv @ dw, a_inv, out=out.dw[idx])
-                np.dot(s_inv, db, out=out.db[idx])
+            # np.dot writes into a view as fast as it multiplies;
+            # np.matmul with out= is slower than a copy at these sizes
+            np.dot(s_inv @ dw, a_inv, out=out.dw[idx])
+            np.dot(s_inv, db, out=out.db[idx])
         return out

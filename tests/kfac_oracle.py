@@ -42,16 +42,9 @@ def solve_precondition(stats: KfacStats, grads: Gradients) -> Gradients:
     for idx, (dw, db) in enumerate(zip(grads.dw, grads.db)):
         a_fac = stats.a_factors[idx]
         s_fac = stats.s_factors[idx]
-        if stats.augment_bias:
-            block = np.concatenate([dw, db[:, None]], axis=1)
-            left = _solve(stats, s_fac, block)
-            solved = _solve(stats, a_fac, left.T).T
-            out.dw[idx][...] = solved[:, :-1]
-            out.db[idx][...] = solved[:, -1]
-        else:
-            left = _solve(stats, s_fac, dw)
-            out.dw[idx][...] = _solve(stats, a_fac, left.T).T
-            out.db[idx][...] = _solve(stats, s_fac, db)
+        left = _solve(stats, s_fac, dw)
+        out.dw[idx][...] = _solve(stats, a_fac, left.T).T
+        out.db[idx][...] = _solve(stats, s_fac, db)
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -43,7 +44,7 @@ from kfac_oracle import (
 )
 from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config
-from trafficlab.nn import DivergenceError, Gradients
+from trafficlab.nn import DivergenceError, Gradients, SgdOptimizer
 
 OBS_DIM = 11
 
@@ -67,6 +68,33 @@ def make_transitions(rng, n, dim=OBS_DIM, reward_fn=None):
         r = float(rng.normal()) if reward_fn is None else reward_fn(obs, action)
         out.append(Transition(obs, action, r, nxt, False))
     return out
+
+
+def recorded(agent, transitions):
+    """``transitions`` as ``rollout`` would hand them to ``agent``: for
+    PPO, copies that carry each action's log-probability under the current
+    policy, computed over the stacked batch as PPO's update once did for a
+    batch that recorded none, so the update's numbers are those it gave
+    then; any other agent reads no log-probability and gets them as they
+    are."""
+    if not isinstance(agent, PpoAgent):
+        return transitions
+    obs = np.array([t.obs for t in transitions]) * agent._obs_scale
+    actions = np.array([t.action for t in transitions], dtype=np.intp)
+    logp = _log_softmax(agent.actor(obs))[np.arange(len(actions)), actions]
+    return [dataclasses.replace(t, log_prob=float(lp))
+            for t, lp in zip(transitions, logp)]
+
+
+def with_sgd(agent):
+    """``agent`` with a plain gradient step in place of each of its
+    optimizers, so that a step is the learning rate times the gradient."""
+    if isinstance(agent, DqlAgent):
+        agent.optimizer = SgdOptimizer(agent.q_net)
+    else:
+        agent.actor_optimizer = SgdOptimizer(agent.actor)
+        agent.critic_optimizer = SgdOptimizer(agent.critic)
+    return agent
 
 
 def log_softmax_ref(logits):
@@ -93,7 +121,7 @@ def array_act(agent, obs, explore=False):
     logits = agent.actor.forward(obs * agent._obs_scale)[0]
     logp = _log_softmax(logits)
     if explore:
-        floor = agent.exploration_floor()
+        floor = agent.config.explore_floor
         if floor and agent._rng.random() < floor:
             action = int(agent._rng.integers(N_ACTIONS))
         else:
@@ -345,9 +373,8 @@ def test_tabular_converges_to_value_iteration_oracle():
 # ---------------------------------------------------------------------------
 
 def test_dql_batch_update_hand_computed_linear_case():
-    cfg = config_for("dql", hidden_sizes=[], optimizer="sgd", q_lr=0.1,
-                     gamma=0.9)
-    agent = DqlAgent(cfg, 3)
+    cfg = config_for("dql", hidden_sizes=[], q_lr=0.1, gamma=0.9)
+    agent = with_sgd(DqlAgent(cfg, 3))
     w_before = agent.q_net.layers[0].w.copy()
     b_before = agent.q_net.layers[0].b.copy()
     obs = np.array([1.0, 0.0, 2.0])
@@ -365,9 +392,8 @@ def test_dql_batch_update_hand_computed_linear_case():
 
 
 def test_dql_bootstrap_uses_target_net_max():
-    cfg = config_for("dql", hidden_sizes=[], optimizer="sgd", q_lr=1e-12,
-                     gamma=0.5)
-    agent = DqlAgent(cfg, 2)
+    cfg = config_for("dql", hidden_sizes=[], q_lr=1e-12, gamma=0.5)
+    agent = with_sgd(DqlAgent(cfg, 2))
     agent.q_net.layers[0].w[:] = 0.0
     agent.q_net.layers[0].b[:] = 0.0
     agent.target_net = agent.q_net.clone()
@@ -610,7 +636,7 @@ def test_zero_advantages_leave_actor_bit_unchanged(algorithm):
     cfg = config_for(algorithm, entropy_coef=0.0)
     agent = make_agent(cfg, OBS_DIM)
     rng = np.random.default_rng(1)
-    rollout = zero_advantage_rollout(agent, rng)
+    rollout = recorded(agent, zero_advantage_rollout(agent, rng))
     before = agent.actor.flatten()
     agent.update(rollout)
     np.testing.assert_array_equal(agent.actor.flatten(), before)
@@ -622,15 +648,15 @@ def test_empty_batch_update_is_a_no_op(algorithm):
     generator, the nets and the optimizer state as they were, for every
     controller; each learner has taken one real update first."""
     agent = make_agent(config_for(algorithm, warmup=8, batch_size=8), OBS_DIM)
-    agent.update(make_transitions(np.random.default_rng(2), 16))
+    agent.update(recorded(agent, make_transitions(np.random.default_rng(2), 16)))
     before = agent_to_bytes(agent)
     assert agent.update([]) == {}
     assert agent_to_bytes(agent) == before
 
 
 def test_a2c_positive_advantage_increases_action_probability():
-    cfg = config_for("a2c", optimizer="sgd", actor_lr=0.05, entropy_coef=0.0)
-    agent = A2cAgent(cfg, OBS_DIM)
+    cfg = config_for("a2c", actor_lr=0.05, entropy_coef=0.0)
+    agent = with_sgd(A2cAgent(cfg, OBS_DIM))
     rng = np.random.default_rng(5)
     obs = rand_obs(rng)
     nxt = rand_obs(rng)
@@ -643,9 +669,8 @@ def test_a2c_positive_advantage_increases_action_probability():
 
 
 def test_a2c_actor_gradient_matches_finite_differences():
-    cfg = config_for("a2c", optimizer="sgd", actor_lr=1.0, entropy_coef=0.0,
-                     hidden_sizes=[4])
-    agent = A2cAgent(cfg, 5)
+    cfg = config_for("a2c", actor_lr=1.0, entropy_coef=0.0, hidden_sizes=[4])
+    agent = with_sgd(A2cAgent(cfg, 5))
     rng = np.random.default_rng(9)
     rollout = make_transitions(rng, 6, dim=5)
     obs = np.stack([t.obs for t in rollout]) * agent._obs_scale
@@ -669,11 +694,11 @@ def test_a2c_actor_gradient_matches_finite_differences():
 
 
 def test_ppo_objective_at_snapshot_policy_is_mean_advantage():
-    cfg = config_for("ppo", ppo_epochs=1, ppo_minibatch=64, optimizer="sgd",
-                     actor_lr=1e-9, entropy_coef=0.0)
-    agent = PpoAgent(cfg, OBS_DIM)
+    cfg = config_for("ppo", ppo_epochs=1, ppo_minibatch=64, actor_lr=1e-9,
+                     entropy_coef=0.0)
+    agent = with_sgd(PpoAgent(cfg, OBS_DIM))
     rng = np.random.default_rng(2)
-    rollout = make_transitions(rng, 8)
+    rollout = recorded(agent, make_transitions(rng, 8))
     obs = np.stack([t.obs for t in rollout]) * agent._obs_scale
     actions = np.array([t.action for t in rollout])
     v_now = agent.critic(obs).ravel()
@@ -685,9 +710,9 @@ def test_ppo_objective_at_snapshot_policy_is_mean_advantage():
 
 
 def test_ppo_clipped_term_arithmetic():
-    cfg = config_for("ppo", ppo_epochs=1, ppo_minibatch=8, optimizer="sgd",
-                     actor_lr=1e-12, clip_epsilon=0.2, entropy_coef=0.0)
-    agent = PpoAgent(cfg, OBS_DIM)
+    cfg = config_for("ppo", ppo_epochs=1, ppo_minibatch=8, actor_lr=1e-12,
+                     clip_epsilon=0.2, entropy_coef=0.0)
+    agent = with_sgd(PpoAgent(cfg, OBS_DIM))
     rng = np.random.default_rng(4)
     obs = rand_obs(rng)
     nxt = rand_obs(rng)
@@ -703,10 +728,9 @@ def test_ppo_clipped_term_arithmetic():
 
 
 def test_ppo_surrogate_gradient_matches_finite_differences():
-    cfg = config_for("ppo", ppo_epochs=1, ppo_minibatch=64, optimizer="sgd",
-                     actor_lr=1.0, clip_epsilon=0.2, entropy_coef=0.0,
-                     hidden_sizes=[4])
-    agent = PpoAgent(cfg, 5)
+    cfg = config_for("ppo", ppo_epochs=1, ppo_minibatch=64, actor_lr=1.0,
+                     clip_epsilon=0.2, entropy_coef=0.0, hidden_sizes=[4])
+    agent = with_sgd(PpoAgent(cfg, 5))
     rng = np.random.default_rng(11)
     rollout = make_transitions(rng, 8, dim=5)
     obs = np.stack([t.obs for t in rollout]) * agent._obs_scale
@@ -736,6 +760,18 @@ def test_ppo_surrogate_gradient_matches_finite_differences():
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
 
+def test_ppo_update_without_recorded_log_probs_raises():
+    """PPO's ratio needs the log-probability each action had under the
+    policy that took it, which ``rollout`` records; a batch without them
+    is refused before the agent changes."""
+    agent = PpoAgent(config_for("ppo"), OBS_DIM)
+    batch = make_transitions(np.random.default_rng(2), 8)
+    before = agent_to_bytes(agent)
+    with pytest.raises(ValueError, match=r"PPO .*rollout"):
+        agent.update(batch)
+    assert agent_to_bytes(agent) == before
+
+
 def test_ppo_per_step_term_respects_clip_bound():
     eps = 0.2
     rng = np.random.default_rng(8)
@@ -751,25 +787,11 @@ def test_policy_stays_proper_distribution_after_updates():
     for algorithm in ("a2c", "ppo", "acktr"):
         agent = make_agent(config_for(algorithm), OBS_DIM)
         for _ in range(5):
-            agent.update(make_transitions(rng, 32))
+            agent.update(recorded(agent, make_transitions(rng, 32)))
         for _ in range(20):
             pi = policy(agent, rand_obs(rng))
             assert abs(pi.sum() - 1.0) < 1e-9
             assert np.all(pi > 0.0)
-
-
-def test_exploration_floor_schedule():
-    cfg = config_for("a2c", explore_floor=0.05, explore_floor_init=0.25,
-                     train_steps_budget=1000, exploration_fraction=0.2)
-    agent = A2cAgent(cfg, OBS_DIM)
-    assert agent.exploration_floor() == pytest.approx(0.25)
-    agent.train_steps = 100
-    assert agent.exploration_floor() == pytest.approx(0.15)
-    agent.train_steps = 500
-    assert agent.exploration_floor() == pytest.approx(0.05)
-    constant = A2cAgent(config_for("a2c", explore_floor=0.05), OBS_DIM)
-    constant.train_steps = 10_000
-    assert constant.exploration_floor() == 0.05
 
 
 def test_exploration_floor_keeps_rare_action_sampled():
@@ -783,9 +805,8 @@ def test_exploration_floor_keeps_rare_action_sampled():
 
 
 def test_centered_advantages_remove_shared_offset():
-    cfg = config_for("a2c", center_advantages=True, entropy_coef=0.0,
-                     optimizer="sgd")
-    agent = A2cAgent(cfg, OBS_DIM)
+    cfg = config_for("a2c", center_advantages=True, entropy_coef=0.0)
+    agent = with_sgd(A2cAgent(cfg, OBS_DIM))
     rng = np.random.default_rng(3)
     obs = rand_obs(rng, n=8)
     nxt = rand_obs(rng, n=8)
@@ -820,7 +841,7 @@ def test_more_critic_epochs_fit_targets_closer():
 
 def test_acktr_with_identity_curvature_equals_a2c():
     shared = dict(seed=12, entropy_coef=0.01, actor_lr=0.01, critic_lr=0.02)
-    a2c = A2cAgent(config_for("a2c", optimizer="sgd", **shared), OBS_DIM)
+    a2c = with_sgd(A2cAgent(config_for("a2c", **shared), OBS_DIM))
     acktr = AcktrAgent(config_for("acktr", kfac_decay=1.0, kfac_damping=0.0,
                                   trust_region_radius=float("inf"), **shared),
                        OBS_DIM)
@@ -945,16 +966,14 @@ def natural_reference(agent, stats, grads, learning_rate):
 @given(seed=st.integers(0, 2**32 - 1),
        kl_budget=st.sampled_from([None, 1e-12, 1e-2, 1e3]),
        radius=st.sampled_from([math.inf, 0.0, 1e-6, 1.0]),
-       augment_bias=st.booleans(),
        learning_rate=st.sampled_from([1e-3, 0.25]))
 def test_acktr_natural_scales_a_fresh_vector_as_the_copying_form_did(
-        seed, kl_budget, radius, augment_bias, learning_rate):
+        seed, kl_budget, radius, learning_rate):
     """``_natural`` never writes into the raw gradient it is given, its
     result shares no memory with it, and the in-place KL and trust-region
     scalings give the vector the copying form gave, bit for bit."""
     agent = AcktrAgent(config_for("acktr", seed=seed % 1000, kl_budget=kl_budget,
                                   trust_region_radius=radius,
-                                  kfac_augment_bias=augment_bias,
                                   hidden_sizes=[8, 5]), OBS_DIM)
     rng = np.random.default_rng(seed)
     agent.update(make_transitions(rng, 24))  # factors other than identity
@@ -999,9 +1018,8 @@ def relative_gap(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-@pytest.mark.parametrize("augment_bias", [False, True])
-def test_kfac_precondition_matches_solve_oracle_at_training_sizes(augment_bias):
-    agent = default_acktr(kfac_augment_bias=augment_bias)
+def test_kfac_precondition_matches_solve_oracle_at_training_sizes():
+    agent = default_acktr()
     for rollout in env_rollouts(4):
         agent.update(list(rollout))
     rng = np.random.default_rng(41)
@@ -1055,7 +1073,8 @@ def test_save_load_round_trip_greedy_actions(tmp_path, algorithm):
     rng = np.random.default_rng(17)
     if algorithm != "fixed_time":
         for _ in range(3):
-            agent.update(make_transitions(rng, max(agent.needs_rollout, 8)))
+            agent.update(recorded(agent, make_transitions(
+                rng, max(agent.needs_rollout, 8))))
     path = tmp_path / f"{algorithm}.ckpt"
     save_agent(agent, path)
     loaded = load_agent(path, expected_algorithm=algorithm)
@@ -1076,7 +1095,7 @@ def test_checkpoint_bytes_are_stable(tmp_path, algorithm):
                                   rollout_length=32, ppo_minibatch=16), OBS_DIM)
     rng = np.random.default_rng(29)
     for _ in range(3):
-        assert agent.update(make_transitions(rng, 32))
+        assert agent.update(recorded(agent, make_transitions(rng, 32)))
     blob = agent_to_bytes(agent)
     assert agent_to_bytes(agent_from_bytes(blob)) == blob
     path = tmp_path / "agent.ckpt"
@@ -1175,7 +1194,6 @@ def test_non_positive_replay_capacity_rejected(field, value):
     ("epsilon_start", 1.5),
     ("epsilon_end", -0.1),
     ("explore_floor", 2.0),
-    ("explore_floor_init", -0.5),
     ("kfac_decay", 1.5),
     ("exploration_fraction", -1.0),
     ("train_steps_budget", -100),
@@ -1194,8 +1212,7 @@ def test_agent_config_accepts_the_edges_of_each_range():
     # zero warm-up, entropy bonus, green time, budget or exploration span
     # is valid
     config_for("acktr", trust_region_radius=math.inf, epsilon_start=1.0,
-               epsilon_end=0.0, explore_floor=0.0, explore_floor_init=1.0,
-               kfac_decay=1.0, kfac_damping=0.0, exploration_fraction=0.0,
+               epsilon_end=0.0, explore_floor=1.0, kfac_decay=1.0, kfac_damping=0.0, exploration_fraction=0.0,
                entropy_coef=0.0, warmup=0, fixed_time_green=0.0,
                train_steps_budget=0)
 
@@ -1223,7 +1240,8 @@ def assert_views_aliased(net):
 
 def test_checkpoint_round_trip(tmp_path):
     agent = make_agent(config_for("ppo", hidden_sizes=[6]), 4)
-    agent.update(make_transitions(np.random.default_rng(31), 8, dim=4))
+    agent.update(recorded(agent, make_transitions(np.random.default_rng(31),
+                                                  8, dim=4)))
     path = tmp_path / "agent.ckpt"
     save_agent(agent, path)
     loaded = load_agent(path)
@@ -1259,12 +1277,44 @@ def test_checkpoint_trailing_bytes_rejected():
         agent_from_bytes(blob + bytes(8))
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_checkpoint_version_mismatch_rejected(version):
     blob = bytearray(agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM)))
     blob[4:8] = struct.pack("<I", version)
     with pytest.raises(CheckpointFormatError, match=f"version {version}"):
         agent_from_bytes(bytes(blob))
+
+
+NON_FINITE_SLOTS = {
+    "ppo-actor": ("ppo", lambda agent: agent.actor.params),
+    "ppo-critic-adam": ("ppo", lambda agent: agent.critic_optimizer.v),
+    "acktr-factor": ("acktr", lambda agent: agent.actor_stats.a_factors[0]),
+    "dql-target": ("dql", lambda agent: agent.target_net.params),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", NON_FINITE_SLOTS)
+def test_checkpoint_with_a_non_finite_value_rejected(slot, value):
+    algorithm, array_of = NON_FINITE_SLOTS[slot]
+    agent = make_agent(config_for(algorithm), OBS_DIM)
+    array_of(agent).flat[0] = value
+    with pytest.raises(CheckpointFormatError, match="not finite"):
+        agent_from_bytes(agent_to_bytes(agent))
+
+
+def test_checkpoint_header_holds_the_config_fields_and_adams_step_count():
+    agent = make_agent(config_for("ppo"), OBS_DIM)
+    agent.update(recorded(agent, make_transitions(np.random.default_rng(4), 8)))
+    header = agent_header(agent_to_bytes(agent))
+    assert list(header["config"]) == [
+        f.name for f in dataclasses.fields(AgentConfig)]
+    assert len(header["config"]) == 29
+    assert not {"optimizer", "kfac_augment_bias",
+                "explore_floor_init"} & set(header["config"])
+    # Adam's constants are the class's: the meta keeps the step count only
+    for name in ("actor", "critic"):
+        assert header["optimizers"][name]["meta"] == {"kind": "adam", "t": 4}
 
 
 def test_checkpoint_activation_count_mismatch_rejected():
@@ -1345,7 +1395,7 @@ def fuzz_blob(algorithm):
     agent = make_agent(config_for(algorithm, **FUZZ_CONFIG), OBS_DIM)
     rng = np.random.default_rng(37)
     for _ in range(3):
-        agent.update(make_transitions(rng, 8))
+        agent.update(recorded(agent, make_transitions(rng, 8)))
     return agent_to_bytes(agent)
 
 

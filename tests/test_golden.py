@@ -16,6 +16,12 @@ was recorded again when K-FAC began caching its damped factor inverses:
 explicit inverses round differently from the LU solves they replaced
 (the parameters moved by under 1e-16 relative; the solve-based
 preconditioner in ``kfac_oracle.py`` still gives the earlier digest).
+All four were recorded again when ``AgentConfig`` lost its ``optimizer``,
+``kfac_augment_bias`` and ``explore_floor_init`` fields and Adam's
+constants left its meta: the digest hashes the config dict and each
+optimizer's meta. The digests of the parent code, taken with those keys
+left out of the hashed dicts, equal the new ones: every parameter,
+optimizer array, counter and random state stayed bit-identical.
 """
 
 import hashlib
@@ -74,10 +80,10 @@ def test_dense_fixed_time_rollout_matches_golden_digest():
 # -- trained agent state -------------------------------------------------------
 
 GOLDEN_TRAINED_AGENT_STATE = {
-    "dql": "8902c286df2c5143428d2013aed016cbb17eb4c6564103cb66539f6112b885d4",
-    "ppo": "61e928015a201311c90e6b64c7757b2ad41840e33179d87f336ebd0206ced9c0",
-    "a2c": "8bf6e7be3952bb121e954db6757ef33660a4d7c7482cc3ddf31d5eda4335d407",
-    "acktr": "5be99439d6ddb870362b3fe598f49152e0a1cd7bd9448e6a37c2c44a044f5f84",
+    "dql": "a05dd6dd0fe2b0df92de795f1d5004f43269039fc276b37c4dfc8899409ef724",
+    "ppo": "269e52715f1beddee0f86ac4f247cb151b7749aa6c374b1ce33fd1dce159d04c",
+    "a2c": "59a1600c2ad784e74d24d556bd353e2a5cafc09924b1a455933430c3d16eafd6",
+    "acktr": "437aed4497a77910a1346baab666ceaea4364525f2285389ace106feb85207ac",
 }
 
 _STATE_OVERRIDES = dict(hidden_sizes=[16, 16], rollout_length=64,

@@ -15,6 +15,7 @@ from trafficlab.agents import (
     Transition,
     load_agent,
     make_agent,
+    save_agent,
 )
 from trafficlab.charts import ChartError, Series, line_chart
 from trafficlab.cli import _resolve, build_parser
@@ -26,7 +27,7 @@ from trafficlab.config import (
     load_config_file,
     parse_schedule,
 )
-from trafficlab.env import EpisodeDoneError, TrafficSignalEnv
+from trafficlab.env import EnvConfig, EpisodeDoneError, TrafficSignalEnv
 from trafficlab.harness import (
     SWEEP_HEADER,
     SweepRecord,
@@ -45,7 +46,7 @@ from trafficlab.harness import (
     write_sweep_csv,
 )
 from trafficlab.nn import Mlp
-from trafficlab.sim import metrics_snapshot
+from trafficlab.sim import metrics_snapshot, scenario_preset
 from sim_oracle import road_census
 
 # Tiny budgets: these tests exercise plumbing, not learning quality.
@@ -258,6 +259,51 @@ def test_cli_eval_has_no_config_flag(tmp_path):
     with pytest.raises(SystemExit):
         cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
                   "--config", str(tmp_path / "exp.ini")])
+
+
+def test_cli_eval_has_no_time_of_day_flag(tmp_path):
+    # no command trains an agent on the time-of-day slot
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
+                  "--time-of-day"])
+    assert exc.value.code == 2
+
+
+def nan_checkpoint(path):
+    """Save at ``path`` a PPO agent on the base observation whose first
+    actor weight is NaN."""
+    agent = make_agent(default_agent_config("ppo", overrides=FAST_AGENT),
+                       build_env_config("medium", 0.5, 0).observation_size)
+    agent.actor.params[0] = math.nan
+    save_agent(agent, path)
+
+
+def test_cli_eval_of_a_non_finite_checkpoint_is_one_line_error(tmp_path,
+                                                               capsys):
+    path = tmp_path / "nan.ckpt"
+    nan_checkpoint(path)
+    rc = cli_main(["eval", "--checkpoint", str(path), "--episodes", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("eval failed: ")
+    assert "not finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "adapt"])
+def test_grid_cell_of_a_non_finite_checkpoint_reports_a_checkpoint_error(
+        tmp_path, command):
+    spec = tiny_spec(tmp_path)
+    os.makedirs(tmp_path / "checkpoints")
+    nan_checkpoint(tmp_path / "checkpoints" / checkpoint_name(
+        "ppo", "medium", 0.5, 0))
+    if command == "sweep":
+        _, results = cmd_sweep(spec)
+    else:
+        results = cmd_adapt(spec, DeploymentConfig(
+            schedule=DetectionSchedule([(0.0, 0.5)]), total_steps=64))
+    assert [r.error.split(":")[0] for r in results] == ["CheckpointFormatError"]
+    assert "not finite" in results[0].error
 
 
 def test_schedule_string_round_trip():
@@ -625,8 +671,8 @@ def greedy_agent(algorithm, obs_size):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_lockstep_evaluation_equals_the_sequential_reference(
         algorithm, episodes, time_of_day):
-    cfg = build_env_config("dense", 0.5, 7, episode_length=120.0,
-                           include_time_of_day=time_of_day)
+    cfg = EnvConfig(sim=scenario_preset("dense", detection_rate=0.5, rng_seed=7),
+                    episode_length=120.0, include_time_of_day=time_of_day)
     got = evaluate_agent(greedy_agent(algorithm, cfg.observation_size), cfg,
                          episodes, seed=7)
     want, actions = reference_evaluation(
@@ -677,11 +723,14 @@ def test_evaluate_agent_runs_exactly_the_episodes_asked_for():
 
 
 def test_eval_observation_shape_mismatch_explicit(tmp_path):
-    spec = tiny_spec(tmp_path, algorithms=["fixed_time"])
-    ckpt = cmd_train(spec)[0].checkpoint
+    # an agent built for the time-of-day slot meets the base observation
+    cfg = EnvConfig(sim=scenario_preset("medium"), include_time_of_day=True)
+    ckpt = tmp_path / "tod.ckpt"
+    save_agent(make_agent(default_agent_config("fixed_time"),
+                          cfg.observation_size), ckpt)
     with pytest.raises(ObservationShapeError, match="length"):
-        cmd_eval(ckpt, "medium", 0.5, episodes=1, seed=0,
-                 episode_length=120.0, include_time_of_day=True)
+        cmd_eval(str(ckpt), "medium", 0.5, episodes=1, seed=0,
+                 episode_length=120.0)
 
 
 def test_eval_writes_json_metrics(tmp_path):
@@ -740,7 +789,14 @@ BAD_CONFIGS = {
     "repeated-key": ("[experiment]\nrates = 0.5\nrates = 0.7\n",
                      ["train", "sweep", "adapt"]),
     "stray-percent": ("[experiment]\nname = 50%\n", ["train", "sweep", "adapt"]),
+    # keys of options that were removed
+    "optimizer": ("[agent]\noptimizer = adam\n", ["train", "sweep", "adapt"]),
+    "kfac_augment_bias": ("[agent]\nkfac_augment_bias = false\n",
+                          ["train", "sweep", "adapt"]),
+    "explore_floor_init": ("[agent]\nexplore_floor_init = 0.25\n",
+                           ["train", "sweep", "adapt"]),
 }
+REMOVED_AGENT_KEYS = ("optimizer", "kfac_augment_bias", "explore_floor_init")
 
 
 @pytest.mark.parametrize("case, command", [
@@ -762,6 +818,8 @@ def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, case, command):
         assert "[agent] gamma" in err
     if case in ("no-section", "repeated-key", "stray-percent"):
         assert f"config file {ini} is malformed: " in err
+    if case in REMOVED_AGENT_KEYS:
+        assert f"unknown key {case!r} in section [agent]" in err
     assert not out.exists()  # rejected before any cell ran
 
 
