@@ -28,7 +28,7 @@ from trafficlab.nn import (
 ALGORITHMS = ("dql", "a2c", "ppo", "acktr", "fixed_time")
 
 _MAGIC = b"TLAG"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 N_ACTIONS = 2
 
@@ -46,10 +46,6 @@ class CheckpointFormatError(CheckpointError):
 
 
 class CheckpointTruncatedError(CheckpointError):
-    pass
-
-
-class CheckpointShapeError(CheckpointError):
     pass
 
 
@@ -215,7 +211,6 @@ class Agent:
     transitions to hand to update() at a time (0 = never updates)."""
 
     needs_rollout = 0
-    counters: tuple[str, ...] = ()  # the int attributes a checkpoint keeps
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         self.config = config
@@ -287,12 +282,14 @@ class Agent:
     def _optimizers(self) -> dict:
         return {}
 
-    def _extra_state(self) -> dict:
-        return {name: getattr(self, name) for name in self.counters}
-
-    def _load_extra_state(self, state: dict) -> None:
-        for name in self.counters:
-            setattr(self, name, state[name])
+    def _counter_slots(self) -> list[tuple[str, object, str]]:
+        """``(key, owner, attribute)`` of each int a checkpoint keeps: the
+        agent's ``train_steps`` and each Adam optimizer's step count."""
+        slots = [("train_steps", self, "train_steps")]
+        for name, opt in self._optimizers().items():
+            if isinstance(opt, AdamOptimizer):
+                slots.append((f"{name}.t", opt, "t"))
+        return slots
 
 
 class FixedTimeAgent(Agent):
@@ -354,7 +351,6 @@ class DqlAgent(Agent):
     training budget, then holds."""
 
     needs_rollout = 1
-    counters = ("train_steps", "updates")
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
@@ -364,7 +360,6 @@ class DqlAgent(Agent):
         self.target_net = self.q_net.clone()
         self.optimizer = AdamOptimizer(self.q_net)
         self.replay = _ReplayBuffer(config.replay_capacity, obs_dim)
-        self.updates = 0
         self._rows = np.arange(config.batch_size)
 
     def epsilon(self) -> float:
@@ -428,8 +423,7 @@ class DqlAgent(Agent):
         grads = self.q_net.backward(cache, dout)
         grads.flat *= -1.0  # descent
         self.optimizer.step(self.q_net, grads, cfg.q_lr)
-        self.updates += 1
-        if self.updates % cfg.target_sync_period == 0:
+        if self.optimizer.t % cfg.target_sync_period == 0:
             self.target_net = self.q_net.clone()
         return loss
 
@@ -445,7 +439,6 @@ class _ActorCriticAgent(Agent):
     each with its own optimizer of the class's ``optimizer_class``."""
 
     optimizer_class: type = AdamOptimizer
-    counters = ("train_steps",)
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
@@ -738,33 +731,30 @@ def make_agent(config: AgentConfig, obs_dim: int) -> Agent:
 # ---------------------------------------------------------------------------
 #
 # Layout: b"TLAG", <II (format version, header length), a UTF-8 JSON header,
-# then one little-endian float64 payload. The header holds the algorithm,
-# obs_dim, the full config, each net's sizes, activations and seed, each
-# optimizer's meta and state-array shapes, the counters and the RNG state.
-# The payload is each net's ``params`` in ``_nets()`` order, then each
-# optimizer's ``state_arrays()`` in ``_optimizers()`` order.
+# then one little-endian float64 payload. The header holds only what
+# ``make_agent`` cannot rebuild: obs_dim, the full config, the counters
+# (``_counter_slots``) and the RNG state. The agent that ``make_agent``
+# builds from the first two sets the payload's layout: each net's
+# ``params`` in ``_nets()`` order, then each optimizer's
+# ``state_arrays()`` in ``_optimizers()`` order.
+
+def _payload_arrays(agent: Agent) -> list[np.ndarray]:
+    arrays = [net.params for net in agent._nets().values()]
+    for opt in agent._optimizers().values():
+        arrays += opt.state_arrays()
+    return arrays
+
 
 def agent_to_bytes(agent: Agent) -> bytes:
-    nets = agent._nets()
-    optimizers = agent._optimizers()
-    arrays = [net.params for net in nets.values()]
-    opt_header = {}
-    for name, opt in optimizers.items():
-        state = opt.state_arrays()
-        opt_header[name] = {"meta": opt.state_meta(),
-                            "shapes": [list(a.shape) for a in state]}
-        arrays += state
     header = json.dumps({
-        "algorithm": agent.algorithm,
         "obs_dim": agent.obs_dim,
         "config": asdict(agent.config),
-        "nets": {name: {"sizes": net.sizes, "activations": net.activations,
-                        "seed": net.seed} for name, net in nets.items()},
-        "optimizers": opt_header,
-        "extra_state": agent._extra_state(),
+        "counters": {key: getattr(owner, attr)
+                     for key, owner, attr in agent._counter_slots()},
         "rng_state": agent._rng.bit_generator.state,
     }, default=int).encode("utf-8")
-    payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+    payload = b"".join(np.asarray(a, dtype="<f8").tobytes()
+                       for a in _payload_arrays(agent))
     return (_MAGIC + struct.pack("<II", _FORMAT_VERSION, len(header))
             + header + payload)
 
@@ -792,50 +782,28 @@ def agent_from_bytes(blob: bytes, expected_algorithm: str | None = None) -> Agen
 
 def _restore(header: dict, blob: bytes, offset: int,
              expected_algorithm: str | None) -> Agent:
-    """Build the agent a parsed header describes and fill it from the
-    payload at ``offset``. A malformed header surfaces as a KeyError,
+    """Build the agent of the header's config and obs_dim and fill it from
+    the payload at ``offset``. A malformed header surfaces as a KeyError,
     TypeError, ValueError or OverflowError, which the caller reports as a
-    format error. A payload value that is not finite is a format error
-    too: training raises before it could save one."""
-    algorithm = header["algorithm"]
-    if expected_algorithm is not None and algorithm != expected_algorithm:
-        raise AlgorithmMismatchError(
-            f"checkpoint holds {algorithm!r}, expected {expected_algorithm!r}")
+    format error. A payload whose length does not fit the built agent, a
+    payload value that is not finite (training raises before it could
+    save one) and a counter that is not a non-negative int are format
+    errors too."""
     config = AgentConfig(**header["config"])
-    if config.algorithm != algorithm:
-        raise CheckpointFormatError("header algorithm disagrees with its config")
+    if expected_algorithm is not None and config.algorithm != expected_algorithm:
+        raise AlgorithmMismatchError(
+            f"checkpoint holds {config.algorithm!r}, expected "
+            f"{expected_algorithm!r}")
     agent = make_agent(config, header["obs_dim"])
-    nets, optimizers = agent._nets(), agent._optimizers()
-    if list(header["nets"]) != list(nets):
-        raise CheckpointFormatError("checkpoint nets do not match the algorithm")
-    if list(header["optimizers"]) != list(optimizers):
-        raise CheckpointFormatError(
-            "checkpoint optimizers do not match the algorithm")
-    arrays = []  # the payload's destinations, in payload order
-    for name, net in nets.items():
-        spec = header["nets"][name]
-        if spec["sizes"] != net.sizes or spec["activations"] != net.activations:
-            raise CheckpointShapeError(
-                f"net {name!r}: checkpoint sizes {spec['sizes']} and activations "
-                f"{spec['activations']}, agent {net.sizes} and {net.activations}")
-        net.seed = spec["seed"]
-        arrays.append(net.params)
-    for name, opt in optimizers.items():
-        spec = header["optimizers"][name]
-        state = opt.state_arrays()
-        if (spec["meta"]["kind"] != opt.kind
-                or spec["shapes"] != [list(a.shape) for a in state]):
-            raise CheckpointShapeError(
-                f"optimizer {name!r}: checkpoint holds {spec['meta']['kind']} "
-                f"state of shapes {spec['shapes']}")
-        opt.load_state_meta(spec["meta"])
-        arrays += state
+    arrays = _payload_arrays(agent)  # the payload's destinations, in order
     count = sum(a.size for a in arrays)
-    stop = offset + 8 * count
-    if len(blob) < stop:
-        raise CheckpointTruncatedError("checkpoint payload cut short")
-    if len(blob) > stop:
-        raise CheckpointFormatError("trailing bytes after checkpoint payload")
+    sizes = (f"the agent its config builds holds {count} values, the "
+             f"payload {(len(blob) - offset) / 8:.15g}")
+    if len(blob) < offset + 8 * count:
+        raise CheckpointTruncatedError(f"checkpoint payload cut short: {sizes}")
+    if len(blob) > offset + 8 * count:
+        raise CheckpointFormatError(
+            f"trailing bytes after checkpoint payload: {sizes}")
     payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
     if not np.isfinite(payload).all():
         raise CheckpointFormatError("checkpoint payload holds a value that is "
@@ -843,7 +811,19 @@ def _restore(header: dict, blob: bytes, offset: int,
     for dst in arrays:
         dst[...] = payload[:dst.size].reshape(dst.shape)
         payload = payload[dst.size:]
-    agent._load_extra_state(header["extra_state"])
+    counters = header["counters"]
+    slots = agent._counter_slots()
+    keys = sorted(key for key, _, _ in slots)
+    if sorted(counters) != keys:
+        raise CheckpointFormatError(
+            f"checkpoint counters {sorted(counters)}, expected {keys}")
+    for key, owner, attr in slots:
+        value = counters[key]
+        if type(value) is not int or value < 0:  # a bool is no count
+            raise CheckpointFormatError(
+                f"checkpoint counter {key!r} must be a non-negative int, "
+                f"got {value!r}")
+        setattr(owner, attr, value)
     agent._rng.bit_generator.state = header["rng_state"]
     return agent
 

@@ -48,7 +48,7 @@ from trafficlab.env import (
     TrafficSignalEnv,
     episode_seeds,
 )
-from trafficlab.sim import class_means, metrics_snapshot, scenario_preset
+from trafficlab.sim import class_means, scenario_preset
 
 SWEEP_HEADER = ["algorithm", "scenario", "detection_rate", "seed",
                 "wait_all", "wait_detected", "wait_undetected", "episodes"]
@@ -110,13 +110,24 @@ class EpisodeRecord:
     mean_wait: float | None
 
 
+def _entered_waits(state) -> tuple:
+    """Per-class wait totals and counts of every vehicle that entered: the
+    exit totals plus the vehicles still on the road."""
+    return state.add_onroad_waits(
+        state.exited_wait_detected, state.exited_n_detected,
+        state.exited_wait_undetected, state.exited_n_undetected)
+
+
 def train_agent(agent: Agent, env: TrafficSignalEnv,
                 total_steps: int) -> list[EpisodeRecord]:
     """Drive the env for total_steps, feeding the agent its rollouts.
 
     Returns one record per completed episode; an episode that ends on the
-    last step is recorded and left as it ended. Agents that never update
-    (fixed-time) skip the loop entirely.
+    last step is recorded and left as it ended. A record's ``mean_wait``
+    counts the vehicles still on the road at the episode's end beside
+    those that exited, as evaluation does, so a starved approach shows
+    in the curve. Agents that never update (fixed-time) skip the loop
+    entirely.
     """
     records: list[EpisodeRecord] = []
     if total_steps <= 0 or agent.needs_rollout == 0:
@@ -129,8 +140,8 @@ def train_agent(agent: Agent, env: TrafficSignalEnv,
         if batch:
             agent.update(batch)
         if done:
-            records.append(EpisodeRecord(len(records), step, ep_return,
-                                         metrics_snapshot(env.state).wait_all))
+            wait = class_means(*_entered_waits(env.state))[0]
+            records.append(EpisodeRecord(len(records), step, ep_return, wait))
             ep_return = 0.0
     return records
 
@@ -191,10 +202,7 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
     totals = (0.0, 0, 0.0, 0)  # per-class wait sums and vehicle counts
     per_episode_wait = []
     for env in envs:
-        state = env.state
-        episode = state.add_onroad_waits(
-            state.exited_wait_detected, state.exited_n_detected,
-            state.exited_wait_undetected, state.exited_n_undetected)
+        episode = _entered_waits(env.state)
         totals = tuple(a + b for a, b in zip(totals, episode))
         per_episode_wait.append(class_means(*episode)[0])
     _, n_det, _, n_undet = totals

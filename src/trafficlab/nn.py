@@ -38,9 +38,8 @@ The test suite checks these equalities on the BLAS build it runs on.
 
 This module has no file format of its own. An agent checkpoint (see
 ``trafficlab.agents``) stores each net's ``params`` as is, and each
-optimizer's ``state_meta()`` and ``state_arrays()``: the arrays are the
-optimizer's live state, so a loader restores them by writing into them in
-place, then hands the meta back to ``load_state_meta``.
+optimizer's ``state_arrays()``: the arrays are the optimizer's live state,
+so a loader restores them by writing into them in place.
 
 ``KfacStats`` keeps one damped inverse per Kronecker factor. ``update``
 marks them stale and the next ``precondition`` rebuilds them, so a factor
@@ -161,7 +160,7 @@ class Mlp:
     ``net(x)`` is inference without a cache; ``forward`` feeds ``backward``.
     """
 
-    def __init__(self, layers: list[Layer], seed: int | None = None):
+    def __init__(self, layers: list[Layer]):
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.w.shape[1] != prev.w.shape[0]:
                 raise ValueError("adjacent layer dimensions are incompatible")
@@ -170,7 +169,6 @@ class Mlp:
         ).astype(np.float64, copy=False)
         ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
         self.layers = [Layer(w, b, l.activation) for w, b, l in zip(ws, bs, layers)]
-        self.seed = seed
         self.input_size = ws[0].shape[1]
         # per layer, what every pass reads: the weight and its transpose
         # (views into params), the bias view and the activation function
@@ -189,18 +187,10 @@ class Mlp:
             bound = 1.0 / math.sqrt(fan_in)
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
             layers.append(Layer(w=w, b=np.zeros(fan_out), activation=act))
-        return cls(layers, seed=seed)
-
-    @property
-    def sizes(self) -> list[int]:
-        return [self.input_size] + [layer.w.shape[0] for layer in self.layers]
-
-    @property
-    def activations(self) -> list[str]:
-        return [layer.activation for layer in self.layers]
+        return cls(layers)
 
     def clone(self) -> "Mlp":
-        return Mlp(self.layers, seed=self.seed)
+        return Mlp(self.layers)
 
     # -- forward / backward -------------------------------------------------
 
@@ -291,8 +281,6 @@ class Mlp:
 class SgdOptimizer:
     """W <- W + lr * direction (ascent; callers negate for descent)."""
 
-    kind = "sgd"
-
     def __init__(self, net: Mlp):
         """SGD keeps no state; it takes the net as every optimizer does."""
 
@@ -304,12 +292,6 @@ class SgdOptimizer:
     def state_arrays(self) -> list[np.ndarray]:
         return []
 
-    def state_meta(self) -> dict:
-        return {"kind": self.kind}
-
-    def load_state_meta(self, meta: dict) -> None:
-        """Nothing to restore: the kind is all an SGD step carries."""
-
 
 class AdamOptimizer:
     """First/second-moment adaptive steps, ascent convention.
@@ -317,9 +299,9 @@ class AdamOptimizer:
     The moments ``m`` and ``v`` are flat vectors in the ``Mlp.params``
     layout; their checkpoint form is per-layer views, all weights then all
     biases. Two scratch vectors of the same size hold each step's
-    intermediates; they are derived state and are not checkpointed."""
+    intermediates; they are derived state and are not checkpointed. The
+    step count ``t`` is checkpointed among the agent's counters."""
 
-    kind = "adam"
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
@@ -367,12 +349,6 @@ class AdamOptimizer:
         """``m`` then ``v``, each as views [w0 .. wL, b0 .. bL]."""
         return list(self._state_views)
 
-    def state_meta(self) -> dict:
-        return {"kind": self.kind, "t": self.t}
-
-    def load_state_meta(self, meta: dict) -> None:
-        self.t = int(meta["t"])
-
 
 # ---------------------------------------------------------------------------
 # Kronecker-factored curvature
@@ -392,8 +368,6 @@ class KfacStats:
     factor directly must do so before the first ``precondition`` or
     follow it with an ``update``.
     """
-
-    kind = "kfac"
 
     def __init__(self, net: Mlp, damping: float = 1e-2, decay: float = 0.95):
         if damping < 0:
@@ -426,12 +400,6 @@ class KfacStats:
 
     def state_arrays(self) -> list[np.ndarray]:
         return list(self.a_factors) + list(self.s_factors)
-
-    def state_meta(self) -> dict:
-        return {"kind": self.kind}
-
-    def load_state_meta(self, meta: dict) -> None:
-        """Nothing to restore: damping and decay come from the config."""
 
     def _damped_inverse(self, factor: np.ndarray) -> np.ndarray:
         mat = factor

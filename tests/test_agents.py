@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import json
@@ -19,7 +20,6 @@ from trafficlab.agents import (
     AlgorithmMismatchError,
     CheckpointError,
     CheckpointFormatError,
-    CheckpointShapeError,
     CheckpointTruncatedError,
     DqlAgent,
     FixedTimeAgent,
@@ -44,7 +44,13 @@ from kfac_oracle import (
 )
 from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config
-from trafficlab.nn import DivergenceError, Gradients, SgdOptimizer
+from trafficlab.nn import (
+    AdamOptimizer,
+    DivergenceError,
+    Gradients,
+    KfacStats,
+    SgdOptimizer,
+)
 
 OBS_DIM = 11
 
@@ -86,11 +92,24 @@ def recorded(agent, transitions):
             for t, lp in zip(transitions, logp)]
 
 
+class CountingSgd(SgdOptimizer):
+    """A plain gradient step that counts its steps in ``t``, as Adam does:
+    DQL syncs its target net on its optimizer's step count."""
+
+    def __init__(self, net):
+        super().__init__(net)
+        self.t = 0
+
+    def step(self, net, direction, learning_rate):
+        self.t += 1
+        super().step(net, direction, learning_rate)
+
+
 def with_sgd(agent):
     """``agent`` with a plain gradient step in place of each of its
     optimizers, so that a step is the learning rate times the gradient."""
     if isinstance(agent, DqlAgent):
-        agent.optimizer = SgdOptimizer(agent.q_net)
+        agent.optimizer = CountingSgd(agent.q_net)
     else:
         agent.actor_optimizer = SgdOptimizer(agent.actor)
         agent.critic_optimizer = SgdOptimizer(agent.critic)
@@ -416,10 +435,10 @@ def test_dql_replay_warmup_and_target_sync():
     out = agent.update([Transition(rand_obs(rng, dim=4), 1, 1.0,
                                    rand_obs(rng, dim=4), False)])
     assert "loss" in out
-    assert agent.updates == 1
+    assert agent.optimizer.t == 1
     agent.update([Transition(rand_obs(rng, dim=4), 0, 0.5,
                              rand_obs(rng, dim=4), False)])
-    assert agent.updates == 2
+    assert agent.optimizer.t == 2
     np.testing.assert_array_equal(agent.target_net.flatten(),
                                   agent.q_net.flatten())
 
@@ -436,17 +455,17 @@ def test_dql_takes_one_gradient_step_per_transition_once_warm():
 
     calls = [batch(5), batch(6), batch(256)]
     agent.update(calls[0])
-    assert agent.updates == 0  # 5 < warmup
+    assert agent.optimizer.t == 0  # 5 < warmup
     agent.update(calls[1])  # warm from the 8th transition on
-    assert agent.updates == 4
+    assert agent.optimizer.t == 4
     agent.update(calls[2])
-    assert agent.updates == 4 + 256
+    assert agent.optimizer.t == 4 + 256
     assert agent.train_steps == 5 + 6 + 256
     # the same steps as handing over one transition per call
     single = DqlAgent(cfg, 4)
     for t in [t for call in calls for t in call]:
         single.update([t])
-    assert single.updates == agent.updates
+    assert single.optimizer.t == agent.optimizer.t
     np.testing.assert_array_equal(single.q_net.params, agent.q_net.params)
 
 
@@ -1063,6 +1082,28 @@ def test_acktr_resumes_bit_for_bit_from_a_mid_training_checkpoint():
             np.testing.assert_array_equal(theirs, mine)
 
 
+def test_dql_resumed_from_a_checkpoint_syncs_its_target_on_the_same_steps():
+    # the target sync reads Adam's step count, which the counters restore
+    cfg = config_for("dql", warmup=8, batch_size=4, target_sync_period=3,
+                     hidden_sizes=[4])
+    agent = DqlAgent(cfg, 4)
+    rng = np.random.default_rng(6)
+    transitions = [Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
+                              float(rng.normal()), rand_obs(rng, dim=4), False)
+                   for _ in range(16)]
+    agent.update(transitions[:10])
+    assert agent.optimizer.t == 3
+    resumed = agent_from_bytes(agent_to_bytes(agent))
+    assert resumed.optimizer.t == 3
+    resumed.replay = copy.deepcopy(agent.replay)  # no checkpoint holds it
+    for twin in (agent, resumed):
+        twin.update(transitions[10:])
+    assert resumed.optimizer.t == agent.optimizer.t == 9
+    for name, net in agent._nets().items():
+        np.testing.assert_array_equal(resumed._nets()[name].params, net.params)
+    np.testing.assert_array_equal(agent.target_net.params, agent.q_net.params)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -1089,6 +1130,23 @@ def agent_header(blob):
     return json.loads(blob[12:12 + header_len].decode("utf-8"))
 
 
+def laid_out_payload(agent):
+    """The payload as the checkpoint layout spells it out: each net's
+    parameters, then each optimizer's state; Adam's is ``m`` then ``v``,
+    each as [w0 .. wL, b0 .. bL], and K-FAC's the A then the S factors."""
+    nets = agent._nets()
+    parts = [net.params for net in nets.values()]
+    for name, opt in agent._optimizers().items():
+        if isinstance(opt, AdamOptimizer):
+            shapes = [l.w.shape for l in nets[name].layers]
+            for flat in (opt.m, opt.v):
+                moment = Gradients(flat, shapes)
+                parts += [w.ravel() for w in moment.dw] + moment.db
+        elif isinstance(opt, KfacStats):
+            parts += [f.ravel() for f in opt.a_factors + opt.s_factors]
+    return np.concatenate(parts)
+
+
 @pytest.mark.parametrize("algorithm", ["dql", "ppo", "a2c", "acktr"])
 def test_checkpoint_bytes_are_stable(tmp_path, algorithm):
     agent = make_agent(config_for(algorithm, warmup=16, batch_size=8,
@@ -1106,17 +1164,13 @@ def test_checkpoint_bytes_are_stable(tmp_path, algorithm):
         for layer in net.layers:
             assert np.shares_memory(layer.w, net.params)
             assert np.shares_memory(layer.b, net.params)
-    # Adam state blocks list m then v, each as [w0 .. wL, b0 .. bL]
-    nets = agent._nets()
-    optimizers = agent_header(blob)["optimizers"]
-    adam_blocks = [name for name, meta in optimizers.items()
-                   if meta["meta"]["kind"] == "adam"]
-    assert bool(adam_blocks) == (algorithm != "acktr")
-    for name in adam_blocks:
-        layers = nets[name].layers
-        moment = ([list(l.w.shape) for l in layers]
-                  + [list(l.b.shape) for l in layers])
-        assert optimizers[name]["shapes"] == moment + moment
+    adam = [opt for opt in agent._optimizers().values()
+            if isinstance(opt, AdamOptimizer)]
+    assert bool(adam) == (algorithm != "acktr")
+    assert all(opt.t > 0 for opt in adam)
+    _, header_len = struct.unpack_from("<II", blob, 4)
+    payload = np.frombuffer(blob, dtype="<f8", offset=12 + header_len)
+    np.testing.assert_array_equal(payload, laid_out_payload(agent))
 
 
 def test_loaded_agent_continues_exploration_stream_identically(tmp_path):
@@ -1248,12 +1302,12 @@ def test_checkpoint_round_trip(tmp_path):
     for name, net in agent._nets().items():
         twin = loaded._nets()[name]
         np.testing.assert_array_equal(twin.flatten(), net.flatten())
-        assert twin.activations == net.activations
-        assert twin.seed == net.seed
+        assert [l.activation for l in twin.layers] == [
+            l.activation for l in net.layers]
         assert_views_aliased(twin)
     for name, opt in agent._optimizers().items():
         twin = loaded._optimizers()[name]
-        assert twin.state_meta() == opt.state_meta()
+        assert twin.t == opt.t == 4
         for a, b in zip(twin.state_arrays(), opt.state_arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -1277,7 +1331,7 @@ def test_checkpoint_trailing_bytes_rejected():
         agent_from_bytes(blob + bytes(8))
 
 
-@pytest.mark.parametrize("version", [1, 2, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 99])
 def test_checkpoint_version_mismatch_rejected(version):
     blob = bytearray(agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM)))
     blob[4:8] = struct.pack("<I", version)
@@ -1307,67 +1361,106 @@ def test_checkpoint_header_holds_the_config_fields_and_adams_step_count():
     agent = make_agent(config_for("ppo"), OBS_DIM)
     agent.update(recorded(agent, make_transitions(np.random.default_rng(4), 8)))
     header = agent_header(agent_to_bytes(agent))
+    # only what make_agent cannot rebuild from the config and obs_dim
+    assert list(header) == ["obs_dim", "config", "counters", "rng_state"]
     assert list(header["config"]) == [
         f.name for f in dataclasses.fields(AgentConfig)]
     assert len(header["config"]) == 29
-    assert not {"optimizer", "kfac_augment_bias",
-                "explore_floor_init"} & set(header["config"])
-    # Adam's constants are the class's: the meta keeps the step count only
-    for name in ("actor", "critic"):
-        assert header["optimizers"][name]["meta"] == {"kind": "adam", "t": 4}
+    # each Adam optimizer's step count sits beside the agent's
+    assert header["counters"] == {"train_steps": 8, "actor.t": 4,
+                                  "critic.t": 4}
+
+
+def payload_values(blob):
+    _, header_len = struct.unpack_from("<II", blob, 4)
+    return (len(blob) - 12 - header_len) // 8
 
 
 def test_checkpoint_activation_count_mismatch_rejected():
+    # one hidden layer fewer: one activation fewer per net, and fewer
+    # values than the payload holds
     blob = agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM))
+    fewer = make_agent(config_for("a2c", hidden_sizes=[64]), OBS_DIM)
+    expected = payload_values(agent_to_bytes(fewer))
 
-    def drop_activation(header):
-        assert len(header["nets"]["actor"]["activations"]) == 3
-        header["nets"]["actor"]["activations"].pop()
+    def drop_layer(header):
+        assert header["config"]["hidden_sizes"] == [64, 64]
+        header["config"]["hidden_sizes"].pop()
 
-    with pytest.raises(CheckpointShapeError, match="activations"):
-        agent_from_bytes(forge_header(blob, drop_activation))
-
-
-def test_checkpoint_naming_a_relu_net_rejected():
-    # relu is no activation of this build, and no agent builds one
-    blob = agent_to_bytes(make_agent(config_for("dql"), OBS_DIM))
-
-    def to_relu(header):
-        header["nets"]["q"]["activations"][0] = "relu"
-
-    with pytest.raises(CheckpointShapeError, match="relu"):
-        agent_from_bytes(forge_header(blob, to_relu))
+    with pytest.raises(CheckpointFormatError,
+                       match=f"trailing bytes.* {expected} values, the "
+                             f"payload {payload_values(blob)}"):
+        agent_from_bytes(forge_header(blob, drop_layer))
 
 
 def test_checkpoint_size_mismatch_rejected():
+    # a hidden layer one unit wider needs more values than the payload holds
     blob = agent_to_bytes(make_agent(config_for("ppo"), OBS_DIM))
+    wider = make_agent(config_for("ppo", hidden_sizes=[64, 65]), OBS_DIM)
+    expected = payload_values(agent_to_bytes(wider))
 
     def resize(header):
-        header["nets"]["critic"]["sizes"][1] += 1
+        header["config"]["hidden_sizes"][1] += 1
 
-    with pytest.raises(CheckpointShapeError, match="critic"):
+    with pytest.raises(CheckpointTruncatedError,
+                       match=f"cut short.* {expected} values, the "
+                             f"payload {payload_values(blob)}"):
         agent_from_bytes(forge_header(blob, resize))
 
 
 def test_checkpoint_optimizer_shape_mismatch_rejected():
+    # ACKTR's curvature factors where A2C keeps Adam moments: the config
+    # sets the optimizers, and theirs hold fewer values
     blob = agent_to_bytes(make_agent(config_for("acktr"), OBS_DIM))
 
-    def reshape(header):
-        header["optimizers"]["critic_stats"]["shapes"][0] = [1, 1]
+    def relabel(header):
+        header["config"]["algorithm"] = "a2c"
 
-    with pytest.raises(CheckpointShapeError, match="critic_stats"):
-        agent_from_bytes(forge_header(blob, reshape))
+    with pytest.raises(CheckpointFormatError, match="trailing bytes"):
+        agent_from_bytes(forge_header(blob, relabel))
 
 
 def test_checkpoint_net_list_mismatch_rejected():
+    # a DQL checkpoint relabelled PPO: the config sets the nets, and an
+    # actor, a critic and their moments hold more than q, target and q's
     blob = agent_to_bytes(make_agent(config_for("dql"), OBS_DIM))
 
-    def rename(header):
-        header["nets"] = {"target" if k == "q" else k: v
-                          for k, v in header["nets"].items()}
+    def relabel(header):
+        header["config"]["algorithm"] = "ppo"
 
-    with pytest.raises(CheckpointFormatError, match="nets"):
-        agent_from_bytes(forge_header(blob, rename))
+    with pytest.raises(CheckpointTruncatedError, match="cut short"):
+        agent_from_bytes(forge_header(blob, relabel))
+
+
+BAD_COUNTERS = {
+    "a-string": ("train_steps", "many"),
+    "negative-adam-step": ("actor.t", -3),
+    "bool": ("critic.t", True),
+    "float": ("train_steps", 8.0),
+    "none": ("actor.t", None),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COUNTERS)
+def test_checkpoint_counter_that_is_not_a_non_negative_int_rejected(case):
+    key, value = BAD_COUNTERS[case]
+    blob = agent_to_bytes(make_agent(config_for("ppo"), OBS_DIM))
+
+    def edit(header):
+        header["counters"][key] = value
+
+    with pytest.raises(CheckpointFormatError, match=f"counter '{key}'"):
+        agent_from_bytes(forge_header(blob, edit))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda counters: counters.pop("q.t"), id="missing"),
+    pytest.param(lambda counters: counters.update(updates=3), id="unknown"),
+])
+def test_checkpoint_counters_other_than_the_agents_rejected(edit):
+    blob = agent_to_bytes(make_agent(config_for("dql"), OBS_DIM))
+    with pytest.raises(CheckpointFormatError, match="counters"):
+        agent_from_bytes(forge_header(blob, lambda h: edit(h["counters"])))
 
 
 def test_checkpoint_corrupted_header_rejected():
@@ -1377,7 +1470,7 @@ def test_checkpoint_corrupted_header_rejected():
         agent_from_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("key", ["nets", "optimizers", "extra_state", "rng_state"])
+@pytest.mark.parametrize("key", ["obs_dim", "config", "counters", "rng_state"])
 def test_checkpoint_header_missing_key_rejected(key):
     blob = agent_to_bytes(make_agent(config_for("ppo"), OBS_DIM))
     with pytest.raises(CheckpointFormatError, match=key):

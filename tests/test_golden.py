@@ -8,8 +8,8 @@ rewritten, so any change to a seeded number of the env step shows up
 here.
 
 The second covers briefly trained dql, ppo, a2c and acktr agents: their
-net parameters, optimizer state, counters and RNG state, hashed without
-the checkpoint byte layout. They were recorded before the checkpoint
+config, net parameters, optimizer state, counters and RNG state, hashed
+without the checkpoint byte layout. They were recorded before the checkpoint
 format and the ACKTR update were rewritten, and must hold both for the
 live agents and for agents reloaded from a checkpoint. The acktr entry
 was recorded again when K-FAC began caching its damped factor inverses:
@@ -21,7 +21,19 @@ All four were recorded again when ``AgentConfig`` lost its ``optimizer``,
 constants left its meta: the digest hashes the config dict and each
 optimizer's meta. The digests of the parent code, taken with those keys
 left out of the hashed dicts, equal the new ones: every parameter,
-optimizer array, counter and random state stayed bit-identical.
+optimizer array, counter and random state stayed bit-identical. All four
+were recorded again when the optimizers lost their meta and the nets
+their seed, and ``DqlAgent.updates`` gave way to Adam's step count: the
+digest now hashes the config, the payload arrays with their shapes, the
+counters (``train_steps`` and each Adam step count ``t``) and the RNG.
+Computed on the code before that change, with the counters read from
+the same attributes, this definition gives the same four strings.
+
+The third pins the checkpoint bytes of those four agents, header and
+payload, at the format version they were recorded in. A change of the
+checkpoint format bumps ``_FORMAT_VERSION`` and records these digests
+again in the same change; a change of any other kind must leave them as
+they are.
 """
 
 import hashlib
@@ -31,6 +43,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from trafficlab import agents
 from trafficlab.agents import (
     AgentConfig,
     agent_from_bytes,
@@ -80,10 +93,19 @@ def test_dense_fixed_time_rollout_matches_golden_digest():
 # -- trained agent state -------------------------------------------------------
 
 GOLDEN_TRAINED_AGENT_STATE = {
-    "dql": "a05dd6dd0fe2b0df92de795f1d5004f43269039fc276b37c4dfc8899409ef724",
-    "ppo": "269e52715f1beddee0f86ac4f247cb151b7749aa6c374b1ce33fd1dce159d04c",
-    "a2c": "59a1600c2ad784e74d24d556bd353e2a5cafc09924b1a455933430c3d16eafd6",
-    "acktr": "437aed4497a77910a1346baab666ceaea4364525f2285389ace106feb85207ac",
+    "dql": "f38b42bc0bbd2c4300ca9d2ed5e1f96a50c903f8b6a086af68092c45fde7e0ed",
+    "ppo": "cefbf47bffaacfa511032eb4eefe99212cd26a27a0ca8dddb2905ad55378f6c8",
+    "a2c": "1ebbd2e237869ee999605e5895eed713148135c1c195444fe84d349726030f87",
+    "acktr": "6c7503f4c306e7c81bfef1ab1de946cda43cd905b907d71b33261f26d52fe30d",
+}
+
+# the format version the checkpoint digests below were recorded at
+GOLDEN_CHECKPOINT_FORMAT = 4
+GOLDEN_CHECKPOINT_BYTES = {
+    "dql": "b2a448c1168c0cf453ad29491ff1d09761afd3d0e1493197f7f785262de4ef51",
+    "ppo": "9b37ce75415f86e54865c4e59382991e36368f9c8782a06df0ce274d7c4b99fe",
+    "a2c": "2500593d17a6b2423d4563f4d5bf8cdde2d9ca6bceb52b2a0318a1d600ac9e32",
+    "acktr": "3bddd348359ee4babf10216ba8d34fa2b4d7ace6e4ec4139662445c2f942ab0f",
 }
 
 _STATE_OVERRIDES = dict(hidden_sizes=[16, 16], rollout_length=64,
@@ -106,20 +128,20 @@ def trained_agent(algorithm: str, steps: int = 900):
 
 def agent_state_digest(agent) -> str:
     """SHA-256 over an agent's learned and resumable state, independent of
-    the checkpoint byte layout: each net's topology, seed and parameters,
-    each optimizer's meta and state arrays, the counters and the RNG."""
+    the checkpoint byte layout: the config, each payload array (each net's
+    parameters, then each optimizer's state arrays) with its shape, the
+    counters and the RNG."""
     h = hashlib.sha256()
     h.update(json.dumps(asdict(agent.config), sort_keys=True).encode())
-    for name, net in agent._nets().items():
-        h.update(repr((name, net.sizes, net.activations, net.seed)).encode())
-        h.update(net.params.tobytes())
-    for name, opt in agent._optimizers().items():
-        h.update(name.encode())
-        h.update(json.dumps(opt.state_meta(), sort_keys=True).encode())
-        for arr in opt.state_arrays():
-            h.update(repr(arr.shape).encode())
-            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    h.update(json.dumps(agent._extra_state(), sort_keys=True).encode())
+    arrays = [net.params for net in agent._nets().values()]
+    for opt in agent._optimizers().values():
+        arrays += opt.state_arrays()
+    for arr in arrays:
+        h.update(repr(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    counters = {key: getattr(owner, attr)
+                for key, owner, attr in agent._counter_slots()}
+    h.update(json.dumps(counters, sort_keys=True).encode())
     h.update(json.dumps(agent._rng.bit_generator.state, sort_keys=True,
                         default=int).encode())
     return h.hexdigest()
@@ -131,3 +153,13 @@ def test_trained_agent_state_matches_golden_digest(algorithm):
     assert agent_state_digest(agent) == GOLDEN_TRAINED_AGENT_STATE[algorithm]
     reloaded = agent_from_bytes(agent_to_bytes(agent))
     assert agent_state_digest(reloaded) == GOLDEN_TRAINED_AGENT_STATE[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", ["dql", "ppo", "a2c", "acktr"])
+def test_trained_agent_checkpoint_bytes_match_golden_digest(algorithm):
+    """The file bytes of each trained agent, pinned across builds. A
+    format change bumps ``_FORMAT_VERSION`` and records these again in the
+    same change, with the version they were recorded at."""
+    assert agents._FORMAT_VERSION == GOLDEN_CHECKPOINT_FORMAT
+    blob = agent_to_bytes(trained_agent(algorithm))
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_CHECKPOINT_BYTES[algorithm]

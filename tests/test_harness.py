@@ -12,6 +12,7 @@ from trafficlab.agents import (
     ALGORITHMS,
     FixedTimeAgent,
     ObservationShapeError,
+    PpoAgent,
     Transition,
     load_agent,
     make_agent,
@@ -46,7 +47,7 @@ from trafficlab.harness import (
     write_sweep_csv,
 )
 from trafficlab.nn import Mlp
-from trafficlab.sim import metrics_snapshot, scenario_preset
+from trafficlab.sim import class_means, scenario_preset
 from sim_oracle import road_census
 
 # Tiny budgets: these tests exercise plumbing, not learning quality.
@@ -604,6 +605,40 @@ def test_eval_mean_queue_equals_a_per_step_metrics_loop():
     assert repr(stats.mean_queue) == repr(queue_total / samples)
 
 
+def curve_wait(state):
+    """The mean wait of every vehicle that entered: the exit totals plus
+    the vehicles still on the road."""
+    return class_means(*state.add_onroad_waits(
+        state.exited_wait_detected, state.exited_n_detected,
+        state.exited_wait_undetected, state.exited_n_undetected))[0]
+
+
+class NeverSwitch(PpoAgent):
+    """Keeps the current phase at every step and learns nothing."""
+
+    def act(self, obs, explore=False):
+        self.last_logprob = 0.0
+        return 0
+
+    def update(self, transitions):
+        return {}
+
+
+def test_train_curve_counts_the_vehicles_still_on_the_road():
+    # never switching starves the cross approaches: every exit comes from
+    # the served ones, which never wait, so an exits-only mean reads 0.0
+    cfg = build_env_config("medium", 1.0, 3)
+    env = TrafficSignalEnv(cfg, seed=3)
+    records = train_agent(NeverSwitch(default_agent_config("ppo", seed=3),
+                                      cfg.observation_size), env, 3600)
+    state = env.state
+    assert (state.exited_count, state.vehicle_count()) == (737, 46)
+    assert state.exited_wait_detected + state.exited_wait_undetected == 0.0
+    [record] = records
+    assert record.mean_wait == curve_wait(state)
+    assert record.mean_wait == pytest.approx(188.83, abs=0.01)
+
+
 def test_train_mean_waits_equal_a_per_step_metrics_loop():
     cfg = build_env_config("dense", 0.5, 8, episode_length=120.0)
 
@@ -621,7 +656,7 @@ def test_train_mean_waits_equal_a_per_step_metrics_loop():
         action = agent.act(obs, explore=True)
         next_obs, reward, done, _ = env.step(action)
         ep_return += reward
-        wait = metrics_snapshot(env.state).wait_all
+        wait = curve_wait(env.state)
         pending.append(Transition(obs, action, reward, next_obs, done,
                                   log_prob=agent.last_logprob))
         if len(pending) >= agent.needs_rollout:
@@ -648,7 +683,7 @@ def test_train_whose_last_step_ends_an_episode_records_it_and_stops():
     records = train_agent(agent, env, 360)
     assert [(r.episode, r.end_step) for r in records] == [
         (0, 120), (1, 240), (2, 360)]
-    assert records[-1].mean_wait == metrics_snapshot(env.state).wait_all
+    assert records[-1].mean_wait == curve_wait(env.state)
     with pytest.raises(EpisodeDoneError):  # left as it ended
         env.step(0)
     assert agent.train_steps > 0

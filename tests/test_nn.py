@@ -147,7 +147,7 @@ def test_one_sample_call_equals_one_row_forward_and_matmul_bit_for_bit(
     net.params *= w_scale
     x = x_scale * rng.normal(size=in_dim)
     out = net(x)
-    assert out.shape == (net.sizes[-1],)
+    assert out.shape == (net.layers[-1].w.shape[0],)
     assert out.tobytes() == net.forward(x[None, :])[0][0].tobytes()
     assert out.tobytes() == call_reference(net, x).tobytes()
 
@@ -165,7 +165,7 @@ def test_call_on_stacked_rows_equals_one_row_calls_bit_for_bit(
     net = random_net(rng, activations, in_dim)
     x = rng.normal(size=(rows, in_dim))
     out = net(x[:, None, :])
-    assert out.shape == (rows, 1, net.sizes[-1])
+    assert out.shape == (rows, 1, net.layers[-1].w.shape[0])
     for k in range(rows):
         assert out[k, 0].tobytes() == net(x[k]).tobytes()
 
