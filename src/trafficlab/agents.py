@@ -28,7 +28,7 @@ from trafficlab.nn import (
 ALGORITHMS = ("dql", "a2c", "ppo", "acktr", "fixed_time")
 
 _MAGIC = b"TLAG"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 N_ACTIONS = 2
 
@@ -56,7 +56,8 @@ class AlgorithmMismatchError(CheckpointError):
 @dataclass
 class AgentConfig:
     """Hyperparameters for every controller; unused fields are ignored by
-    algorithms that do not need them."""
+    algorithms that do not need them. The defaults are what every command
+    runs, except the few values ``_ALGO_DEFAULTS`` sets per algorithm."""
 
     algorithm: str = "ppo"
     gamma: float = 0.95
@@ -72,10 +73,9 @@ class AgentConfig:
     ppo_epochs: int = 4
     ppo_minibatch: int = 64
     critic_epochs: int = 1
-    center_advantages: bool = False
     # uniform mixing into the actor-critic learners' training-time action
     # sampling
-    explore_floor: float = 0.0
+    explore_floor: float = 0.05
     replay_capacity: int = 50_000
     batch_size: int = 64
     warmup: int = 1_000
@@ -84,14 +84,13 @@ class AgentConfig:
     entropy_coef: float = 0.01
     hidden_sizes: list[int] = field(default_factory=lambda: [64, 64])
     kfac_damping: float = 1e-2
-    kfac_decay: float = 0.95
+    kfac_decay: float = 0.99
     # cap on the parameter-space norm of each ACKTR step: >= 0, 0 freezes
     # the nets, inf disables the cap
     trust_region_radius: float = 1.0
     # curvature-metric step budget: the applied step is scaled so that
-    # approximately step^T F step <= 2 * kl_budget; finite and > 0, or None
-    # to disable
-    kl_budget: float | None = None
+    # approximately step^T F step <= 2 * kl_budget; > 0, inf disables it
+    kl_budget: float = 1e-2
     phase_time_scale: float = 60.0
     seed: int = 0
 
@@ -100,7 +99,7 @@ class AgentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         for name, value in vars(self).items():
             if (isinstance(value, float) and not math.isfinite(value)
-                    and name != "trust_region_radius"):
+                    and name not in ("trust_region_radius", "kl_budget")):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("epsilon_start", "epsilon_end", "explore_floor",
                      "kfac_decay"):
@@ -123,10 +122,33 @@ class AgentConfig:
         if not self.trust_region_radius >= 0:
             raise ValueError("trust_region_radius must be non-negative "
                              "(inf disables the cap)")
-        if self.kl_budget is not None and not self.kl_budget > 0:
-            raise ValueError("kl_budget must be positive, or None to disable it")
+        if not self.kl_budget > 0:
+            raise ValueError("kl_budget must be positive (inf disables it)")
         if any(size <= 0 for size in self.hidden_sizes):
             raise ValueError("hidden_sizes must be positive")
+
+
+# What a learner sets apart from the ``AgentConfig`` defaults to train
+# reliably at desk scale; [agent] config keys layer on top. The default
+# exploration floor and the batch-mean advantage baseline keep the switch
+# action sampled and the shared reward offset out of the actor-critics'
+# gradient; without them the policies fall into a never-switch basin.
+_ALGO_DEFAULTS: dict[str, dict] = {
+    "a2c": dict(actor_lr=1e-2, critic_lr=5e-3, critic_epochs=10),
+    "acktr": dict(actor_lr=0.25, critic_lr=0.1, critic_epochs=10,
+                  entropy_coef=0.02),
+}
+
+
+def default_agent_config(algorithm: str, seed: int = 0,
+                         train_steps_budget: int = 100_000,
+                         overrides: dict | None = None) -> AgentConfig:
+    """The config a command trains: ``_ALGO_DEFAULTS[algorithm]``, then
+    ``overrides``, over the ``AgentConfig`` defaults."""
+    return AgentConfig(**{"train_steps_budget": train_steps_budget,
+                          **_ALGO_DEFAULTS.get(algorithm, {}),
+                          **(overrides or {}),
+                          "algorithm": algorithm, "seed": seed})
 
 
 @dataclass(slots=True)
@@ -213,6 +235,8 @@ class Agent:
     needs_rollout = 0
 
     def __init__(self, config: AgentConfig, obs_dim: int):
+        if type(obs_dim) is not int or obs_dim < 1:  # a bool is no size
+            raise ValueError(f"obs_dim must be a positive int, got {obs_dim!r}")
         self.config = config
         self.obs_dim = obs_dim
         self.train_steps = 0
@@ -355,8 +379,7 @@ class DqlAgent(Agent):
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
         sizes = [obs_dim] + list(config.hidden_sizes) + [N_ACTIONS]
-        acts = ["tanh"] * len(config.hidden_sizes) + ["identity"]
-        self.q_net = Mlp.create(sizes, acts, seed=config.seed)
+        self.q_net = Mlp.create(sizes, seed=config.seed)
         self.target_net = self.q_net.clone()
         self.optimizer = AdamOptimizer(self.q_net)
         self.replay = _ReplayBuffer(config.replay_capacity, obs_dim)
@@ -443,11 +466,9 @@ class _ActorCriticAgent(Agent):
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
         hidden = list(config.hidden_sizes)
-        acts = ["tanh"] * len(hidden) + ["identity"]
-        self.actor = Mlp.create([obs_dim] + hidden + [N_ACTIONS], acts,
+        self.actor = Mlp.create([obs_dim] + hidden + [N_ACTIONS],
                                 seed=config.seed)
-        self.critic = Mlp.create([obs_dim] + hidden + [1], acts,
-                                 seed=config.seed + 1)
+        self.critic = Mlp.create([obs_dim] + hidden + [1], seed=config.seed + 1)
         self.actor_optimizer = self.optimizer_class(self.actor)
         self.critic_optimizer = self.optimizer_class(self.critic)
 
@@ -492,7 +513,7 @@ class _ActorCriticAgent(Agent):
         v_next = self.critic(next_obs).ravel()
         targets = rewards + cfg.gamma * (1.0 - dones) * v_next
         advantages = targets - v_now
-        if cfg.center_advantages and len(advantages) > 1:
+        if len(advantages) > 1:
             # batch-mean baseline: keeps the estimator unbiased while
             # removing the shared offset that otherwise swamps the
             # state-conditional signal (the mean as np.mean computes it)
@@ -681,10 +702,8 @@ class AcktrAgent(A2cAgent):
 
     def _capped(self, direction: Gradients, learning_rate: float) -> Gradients:
         """``direction``, scaled in place so that its step stays within
-        the trust-region radius."""
+        the trust-region radius; an infinite radius never scales it."""
         radius = self.config.trust_region_radius
-        if not math.isfinite(radius):
-            return direction
         step_norm = learning_rate * direction.norm()
         if step_norm > radius:
             direction.flat *= radius / step_norm
@@ -698,10 +717,8 @@ class AcktrAgent(A2cAgent):
         g^T F^-1 g is just the inner product of the raw gradient with the
         preconditioned direction, so no extra curvature products are
         needed. Saturated directions (tiny Fisher) would otherwise blow up
-        under the inverse."""
+        under the inverse. An infinite budget scales by exactly 1.0."""
         delta = self.config.kl_budget
-        if delta is None:
-            return nat
         quad = grads.layer_sums(grads.flat * nat.flat)
         if quad <= 0:
             return nat
@@ -775,7 +792,7 @@ def agent_from_bytes(blob: bytes, expected_algorithm: str | None = None) -> Agen
     try:
         header = json.loads(blob[prefix:prefix + header_len].decode("utf-8"))
         return _restore(header, blob, prefix + header_len, expected_algorithm)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise CheckpointFormatError(
             f"unreadable agent header: {type(exc).__name__}: {exc}") from exc
 
@@ -784,7 +801,8 @@ def _restore(header: dict, blob: bytes, offset: int,
              expected_algorithm: str | None) -> Agent:
     """Build the agent of the header's config and obs_dim and fill it from
     the payload at ``offset``. A malformed header surfaces as a KeyError,
-    TypeError, ValueError or OverflowError, which the caller reports as a
+    TypeError, ValueError or OverflowError, and one that names sizes too
+    large to allocate as a MemoryError; the caller reports each as a
     format error. A payload whose length does not fit the built agent, a
     payload value that is not finite (training raises before it could
     save one) and a counter that is not a non-negative int are format

@@ -3,8 +3,8 @@
 The observation is the compact state vector: per-approach detected-vehicle
 counts (normalized by lane capacity), per-approach distance to the nearest
 detected vehicle (normalized by lane length, 1.0 when none), the raw phase
-timer in seconds, an amber indicator, the integer phase index, and an
-optional time-of-day fraction. Only detected vehicles influence any slot.
+timer in seconds, an amber indicator and the integer phase index. Only
+detected vehicles influence any slot.
 
 The reward is the negative normalized speed deficit of the detected
 vehicles only, which is all a controller could measure in the field.
@@ -15,7 +15,9 @@ diagnostic), and the post-step road census that ``kinematics_step`` took
 in its walk, from which the reward and the observation are read, so a
 step walks the road once. ``reset`` walks no road: a new state's road is
 empty, so its observation reads the empty-road census. Waiting times are
-not computed per step: read them with ``metrics_snapshot(env.state)``.
+not computed per step: ``env.state.add_onroad_waits`` adds the waits of
+the vehicles still on the road to the exit totals, and ``class_means``
+turns those into per-class means.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ N_DISTANCE_SLOTS = 4
 PHASE_TIME_SLOT = 8
 AMBER_SLOT = 9
 PHASE_SLOT = 10
-TIME_OF_DAY_SLOT = 11
-BASE_OBSERVATION_SIZE = 11
+OBSERVATION_SIZE = 11
 
 _COMMANDS = {0: Command.KEEP, 1: Command.SWITCH}
 # the census of an empty road, which every reset state has; only read
@@ -69,15 +70,11 @@ class RewardBreakdown:
 class EnvConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     episode_length: float = 3600.0
-    include_time_of_day: bool = False
-    day_length: float = 86_400.0
 
     def __post_init__(self) -> None:
-        for name in ("episode_length", "day_length"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.episode_length) and self.episode_length > 0):
+            raise ValueError(f"episode_length must be finite and positive, "
+                             f"got {self.episode_length!r}")
         steps = self.episode_length / self.sim.time_step
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("episode_length must be a multiple of time_step")
@@ -87,7 +84,7 @@ class EnvConfig:
 
     @property
     def observation_size(self) -> int:
-        return BASE_OBSERVATION_SIZE + (1 if self.include_time_of_day else 0)
+        return OBSERVATION_SIZE
 
 
 def build_observation(state: SimState, config: EnvConfig,
@@ -99,11 +96,11 @@ def build_observation(state: SimState, config: EnvConfig,
     signal = state.signal
     c0, c1, c2, c3 = census.detected_counts
     d0, d1, d2, d3 = census.nearest_detected
-    # slot order: counts, distances, phase time, amber, phase, time of day.
+    # slot order: counts, distances, phase time, amber, phase.
     # Each ratio slot is min(ratio, 1.0): that is 1.0 when the numerator
     # exceeds the positive denominator and the ratio itself otherwise, as
     # division rounds monotonically.
-    slots = [
+    return np.array([
         1.0 if c0 > capacity else c0 / capacity,
         1.0 if c1 > capacity else c1 / capacity,
         1.0 if c2 > capacity else c2 / capacity,
@@ -114,10 +111,7 @@ def build_observation(state: SimState, config: EnvConfig,
         1.0 if d3 is None or d3 > lane_length else d3 / lane_length,
         signal.phase_elapsed, 1.0 if signal.in_amber else 0.0,
         float(signal.phase),
-    ]
-    if config.include_time_of_day:
-        slots.append((state.clock % config.day_length) / config.day_length)
-    return np.array(slots, dtype=np.float64)
+    ], dtype=np.float64)
 
 
 def compute_reward(census: RoadCensus) -> RewardBreakdown:
@@ -191,7 +185,8 @@ class TrafficSignalEnv:
         (the ``RewardBreakdown``) and ``census`` (the post-step
         ``RoadCensus`` that ``kinematics_step`` returns, which the reward
         and the observation read, so the step walks the road once);
-        waiting times are read with ``metrics_snapshot(env.state)``.
+        waiting times are read with ``env.state.add_onroad_waits`` and
+        ``class_means``.
         """
         if self._state is None or self._done:
             raise EpisodeDoneError("episode is finished; call reset() first")

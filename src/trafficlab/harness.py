@@ -30,8 +30,8 @@ from trafficlab.adapt import (
 )
 from trafficlab.agents import (
     Agent,
-    AgentConfig,
     ObservationShapeError,
+    default_agent_config,
     load_agent,
     make_agent,
     rollout,
@@ -55,40 +55,6 @@ SWEEP_HEADER = ["algorithm", "scenario", "detection_rate", "seed",
 TIMELINE_HEADER = ["step", "detection_rate", "wait_all", "wait_detected",
                    "wait_undetected", "instability_flag"]
 CURVE_HEADER = ["episode", "end_step", "return", "mean_wait"]
-
-# Hyperparameters that train reliably at desk scale for each controller;
-# the [agent] config section and CLI overrides layer on top. The policy
-# methods share the exploration floor and batch-mean advantage baseline
-# that keep the switch action sampled and the shared reward offset out of
-# the gradient; without them the policies fall into a never-switch basin.
-_ALGO_DEFAULTS: dict[str, dict] = {
-    "ppo": dict(actor_lr=3e-4, critic_lr=1e-3, rollout_length=256,
-                ppo_epochs=4, ppo_minibatch=64, clip_epsilon=0.2,
-                entropy_coef=0.01, gamma=0.95,
-                explore_floor=0.05, center_advantages=True),
-    "a2c": dict(actor_lr=1e-2, critic_lr=5e-3, rollout_length=256,
-                critic_epochs=10, entropy_coef=0.01, gamma=0.95,
-                explore_floor=0.05, center_advantages=True),
-    "acktr": dict(actor_lr=0.25, critic_lr=0.1, rollout_length=256,
-                  critic_epochs=10, entropy_coef=0.02, gamma=0.95,
-                  explore_floor=0.05, center_advantages=True,
-                  kfac_damping=1e-2, kfac_decay=0.99,
-                  trust_region_radius=1.0, kl_budget=1e-2),
-    "dql": dict(q_lr=5e-4, gamma=0.95, batch_size=64, warmup=1000,
-                target_sync_period=500),
-    "fixed_time": dict(fixed_time_green=30.0),
-}
-
-
-def default_agent_config(algorithm: str, seed: int = 0,
-                         train_steps_budget: int = 100_000,
-                         overrides: dict | None = None) -> AgentConfig:
-    kwargs = dict(_ALGO_DEFAULTS.get(algorithm, {}))
-    kwargs.update(overrides or {})
-    kwargs["algorithm"] = algorithm
-    kwargs["seed"] = seed
-    kwargs.setdefault("train_steps_budget", train_steps_budget)
-    return AgentConfig(**kwargs)
 
 
 def build_env_config(scenario: str, detection_rate: float, seed: int,

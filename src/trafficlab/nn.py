@@ -1,25 +1,26 @@
 """Small dense networks with exact backprop, plain/adaptive gradient steps,
 and Kronecker-factored curvature for natural-gradient preconditioning.
 
-Everything is float64 numpy. A network's parameters live in one flat
-vector, ``Mlp.params``, laid out per layer as the weight matrix row-major,
-then the bias; each layer's ``w`` and ``b`` are views into it, so an
-optimizer step is a few whole-vector operations. Gradients use the same
-layout, with the same views. A net has two forward passes: calling it is
-inference and keeps nothing, ``forward`` keeps the cache ``backward`` reads.
-Both run from a per-layer plan built once with the net (weight, its
-transpose, bias, activation function). ``backward`` is two parts: the
-chain of per-sample pre-activation gradients from the output back to the
-first layer (``pre_activation_grads``, which returns them and leaves the
-cache as it was), then each layer's weight and bias products, written
-into the flat gradient. Curvature stats read only the chain, so a
-curvature refresh runs the chain alone. ``Gradients`` has one
-constructor, over a flat vector it cuts into layer views without a copy.
-In place, a pass writes only arrays it made or owns: both forwards add
-the bias into the fresh matmul result (calling also applies the
-activation there), neither part of ``backward`` writes an array of the
-cache or of its output gradient, and an Adam step writes ``m``, ``v``,
-``params`` and its scratch.
+Every net has one shape: affine layers, tanh on each hidden layer and a
+linear output layer. Everything is float64 numpy. A network's parameters
+live in one flat vector, ``Mlp.params``, laid out per layer as the weight
+matrix row-major, then the bias; each layer's ``w`` and ``b`` are views
+into it, so an optimizer step is a few whole-vector operations. Gradients
+use the same layout, with the same views. A net has two forward passes:
+calling it is inference and keeps nothing, ``forward`` keeps the cache
+``backward`` reads. Both run from a per-layer plan built once with the
+net (weight, its transpose, bias, and tanh on every layer but the last).
+``backward`` is two parts: the chain of per-sample pre-activation
+gradients from the output back to the first layer
+(``pre_activation_grads``, which returns them and leaves the cache as it
+was), then each layer's weight and bias products, written into the flat
+gradient. Curvature stats read only the chain, so a curvature refresh
+runs the chain alone. ``Gradients`` has one constructor, over a flat
+vector it cuts into layer views without a copy. In place, a pass writes
+only arrays it made or owns: both forwards add the bias into the fresh
+matmul result (calling also applies the activation there), neither part
+of ``backward`` writes an array of the cache or of its output gradient,
+and an Adam step writes ``m``, ``v``, ``params`` and its scratch.
 
 Inference takes three input shapes, and keeps one equality for each:
 
@@ -56,8 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "identity")
-
 
 class DivergenceError(RuntimeError):
     """A gradient or update direction stopped being finite."""
@@ -65,22 +64,6 @@ class DivergenceError(RuntimeError):
 
 class SingularCurvatureError(RuntimeError):
     """A curvature factor could not be inverted (no damping to rescue it)."""
-
-
-# each activation as a function of the pre-activation that writes into
-# ``out`` when given, as a ufunc does; None for the identity
-_ACTIVATION_FUNCS = {"tanh": np.tanh, "identity": None}
-
-
-def _activation_backward(name: str, da: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Gradient at the pre-activation from the gradient ``da`` at the
-    activation ``a``."""
-    if name == "tanh":
-        ds = a * a  # (1 - a*a) * da in one array; a product commutes exactly
-        np.subtract(1.0, ds, out=ds)
-        ds *= da
-        return ds
-    return da
 
 
 def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -100,11 +83,8 @@ def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.nd
 class Layer:
     w: np.ndarray  # (out, in)
     b: np.ndarray  # (out,)
-    activation: str
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[0],):
             raise ValueError("layer weight/bias shapes are inconsistent")
 
@@ -150,7 +130,8 @@ class Gradients:
 
 
 class Mlp:
-    """Fixed-topology feed-forward net: affine layers plus activations.
+    """Fixed-topology feed-forward net: affine layers, tanh on each but
+    the last, which is linear.
 
     The net copies the given layers' values into its own flat ``params``
     vector and keeps layers whose ``w``/``b`` are views into it. Write
@@ -168,25 +149,25 @@ class Mlp:
             [part for l in layers for part in (l.w.ravel(), l.b)]
         ).astype(np.float64, copy=False)
         ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
-        self.layers = [Layer(w, b, l.activation) for w, b, l in zip(ws, bs, layers)]
+        self.layers = [Layer(w, b) for w, b in zip(ws, bs)]
         self.input_size = ws[0].shape[1]
         # per layer, what every pass reads: the weight and its transpose
-        # (views into params), the bias view and the activation function
-        self._plan = [(l.w, l.w.T, l.b, _ACTIVATION_FUNCS[l.activation])
-                      for l in self.layers]
+        # (views into params), the bias view and the activation, np.tanh
+        # or None for the linear output layer
+        last = len(self.layers) - 1
+        self._plan = [(l.w, l.w.T, l.b, np.tanh if idx < last else None)
+                      for idx, l in enumerate(self.layers)]
 
     @classmethod
-    def create(cls, sizes: list[int], activations: list[str], seed: int) -> "Mlp":
-        """Scaled uniform fan-in init (+/- 1/sqrt(fan_in)), zero biases."""
-        if len(activations) != len(sizes) - 1:
-            raise ValueError("need one activation per layer")
+    def create(cls, sizes: list[int], seed: int) -> "Mlp":
+        """Scaled uniform fan-in init (+/- 1/sqrt(fan_in)), zero biases;
+        ``sizes`` runs from the input to the output."""
         rng = np.random.default_rng(seed)
         layers = []
-        for i, act in enumerate(activations):
-            fan_in, fan_out = sizes[i], sizes[i + 1]
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
             bound = 1.0 / math.sqrt(fan_in)
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-            layers.append(Layer(w=w, b=np.zeros(fan_out), activation=act))
+            layers.append(Layer(w=w, b=np.zeros(fan_out)))
         return cls(layers)
 
     def clone(self) -> "Mlp":
@@ -257,16 +238,16 @@ class Mlp:
             g = g[None, :]
         if g.shape != cache.output.shape:
             raise ValueError("output gradient shape does not match forward cache")
-        n_layers = len(self.layers)
-        pre_grads: list[np.ndarray] = [None] * n_layers
-        outputs = cache.inputs[1:] + [cache.output]  # post-activations
-        da = g
-        for idx in range(n_layers - 1, -1, -1):
-            layer = self.layers[idx]
-            ds = _activation_backward(layer.activation, da, outputs[idx])
+        pre_grads: list[np.ndarray] = [None] * len(self.layers)
+        ds = g  # the output layer is linear
+        for idx in range(len(self.layers) - 1, -1, -1):
             pre_grads[idx] = ds
-            if idx > 0:
-                da = ds @ layer.w
+            if idx > 0:  # layer idx - 1 is tanh; its output is ``a``
+                da = ds @ self.layers[idx].w
+                a = cache.inputs[idx]
+                ds = a * a  # (1 - a*a) * da in one array; products commute
+                np.subtract(1.0, ds, out=ds)
+                ds *= da
         return pre_grads
 
     def flatten(self) -> np.ndarray:

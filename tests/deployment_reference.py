@@ -46,12 +46,8 @@ def reference_deployment(agent: Agent, env_config: EnvConfig,
                          seed: int = 0) -> DeploymentResult:
     sim_cfg = env_config.sim
     horizon = (deploy.total_steps + 1) * sim_cfg.time_step
-    run_cfg = EnvConfig(
-        sim=sim_cfg,
-        episode_length=max(horizon, sim_cfg.time_step),
-        include_time_of_day=env_config.include_time_of_day,
-        day_length=env_config.day_length,
-    )
+    run_cfg = EnvConfig(sim=sim_cfg,
+                        episode_length=max(horizon, sim_cfg.time_step))
     env = TrafficSignalEnv(run_cfg, seed=seed)
     obs = env.reset(seed=seed)
     timeline: list[TimelinePoint] = []

@@ -17,7 +17,6 @@ from trafficlab.env import (
     N_COUNT_SLOTS,
     PHASE_SLOT,
     PHASE_TIME_SLOT,
-    TIME_OF_DAY_SLOT,
 )
 from trafficlab.sim import APPROACHES, Approach, Phase, RoadCensus, Vehicle
 
@@ -185,8 +184,6 @@ def observation(state, config):
     obs[PHASE_TIME_SLOT] = state.signal.phase_elapsed
     obs[AMBER_SLOT] = 1.0 if state.signal.in_amber else 0.0
     obs[PHASE_SLOT] = float(int(state.signal.phase))
-    if config.include_time_of_day:
-        obs[TIME_OF_DAY_SLOT] = (state.clock % config.day_length) / config.day_length
     return obs
 
 

@@ -323,32 +323,28 @@ class FailsOnThirdUpdate(PpoAgent):
 
 
 DEPLOY_CASES = {
-    # name -> (agent factory, obs size, update_period, include_time_of_day)
-    "ppo": (lambda n: make_agent(AgentConfig(algorithm="ppo", **SMALL), n),
-            11, 128, False),
+    # name -> (agent factory, update_period)
+    "ppo": (lambda n: make_agent(AgentConfig(algorithm="ppo", **SMALL), n), 128),
     "acktr": (lambda n: make_agent(AgentConfig(algorithm="acktr", **SMALL), n),
-              11, 128, False),
+              128),
+    "a2c": (lambda n: make_agent(AgentConfig(algorithm="a2c", **SMALL), n), 128),
     "dql": (lambda n: make_agent(AgentConfig(
-        algorithm="dql", warmup=300, batch_size=32, **SMALL), n), 11, 96, False),
-    "ppo-time-of-day": (lambda n: make_agent(
-        AgentConfig(algorithm="ppo", **SMALL), n), 12, 128, True),
+        algorithm="dql", warmup=300, batch_size=32, **SMALL), n), 96),
     "ppo-frozen": (lambda n: make_agent(AgentConfig(algorithm="ppo", **SMALL), n),
-                   11, None, False),
+                   None),
     "ppo-update-raises": (lambda n: FailsOnThirdUpdate(
-        AgentConfig(algorithm="ppo", **SMALL), n), 11, 128, False),
+        AgentConfig(algorithm="ppo", **SMALL), n), 128),
 }
 
 
 @pytest.mark.parametrize("case", DEPLOY_CASES)
 def test_deployment_equals_the_reference_loop_bit_for_bit(case):
-    make, obs_size, period, time_of_day = DEPLOY_CASES[case]
-    sim = scenario_preset("medium", detection_rate=1.0, rng_seed=6)
-    cfg = EnvConfig(sim=sim, include_time_of_day=time_of_day,
-                    day_length=900.0)
+    make, period = DEPLOY_CASES[case]
+    cfg = EnvConfig(sim=scenario_preset("medium", detection_rate=1.0, rng_seed=6))
     deploy = DeploymentConfig(schedule=ramp(), total_steps=1200,
                               update_period=period, instability_window=200,
                               instability_threshold=1.5)
-    agent, ref_agent = make(obs_size), make(obs_size)
+    agent, ref_agent = make(cfg.observation_size), make(cfg.observation_size)
     got = run_deployment(agent, cfg, deploy, seed=8)
     want = reference_deployment(ref_agent, cfg, deploy, seed=8)
     # timeline points, flags, failure and spawn counts

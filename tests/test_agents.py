@@ -26,6 +26,7 @@ from trafficlab.agents import (
     ObservationShapeError,
     PpoAgent,
     Transition,
+    _ALGO_DEFAULTS,
     _entropy,
     _log_softmax,
     _ONE_HOT,
@@ -42,6 +43,7 @@ from kfac_oracle import (
     solve_precondition,
     use_solve_preconditioner,
 )
+from trafficlab.cli import main as cli_main
 from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config
 from trafficlab.nn import (
@@ -699,6 +701,7 @@ def test_a2c_actor_gradient_matches_finite_differences():
     nxt = np.stack([t.next_obs for t in rollout]) * agent._obs_scale
     v_next = agent.critic(nxt).ravel()
     adv = np.array([t.reward for t in rollout]) + cfg.gamma * v_next - v_now
+    adv -= adv.mean()  # the batch-mean baseline
 
     def surrogate(actor):
         logp = log_softmax_ref(actor(obs))
@@ -713,7 +716,9 @@ def test_a2c_actor_gradient_matches_finite_differences():
 
 
 def test_ppo_objective_at_snapshot_policy_is_mean_advantage():
-    cfg = config_for("ppo", ppo_epochs=1, ppo_minibatch=64, actor_lr=1e-9,
+    # two minibatches of four: the baseline centres the advantages of the
+    # whole batch, so each minibatch's mean is not zero
+    cfg = config_for("ppo", ppo_epochs=1, ppo_minibatch=4, actor_lr=1e-9,
                      entropy_coef=0.0)
     agent = with_sgd(PpoAgent(cfg, OBS_DIM))
     rng = np.random.default_rng(2)
@@ -724,8 +729,10 @@ def test_ppo_objective_at_snapshot_policy_is_mean_advantage():
     nxt = np.stack([t.next_obs for t in rollout]) * agent._obs_scale
     v_next = agent.critic(nxt).ravel()
     adv = np.array([t.reward for t in rollout]) + cfg.gamma * v_next - v_now
+    adv -= adv.mean()
+    last = copy.deepcopy(agent._rng).permutation(8)[4:]  # the update's draw
     actor_loss = agent.update(rollout)["actor_loss"]
-    assert actor_loss == pytest.approx(-float(np.mean(adv)), rel=1e-9)
+    assert actor_loss == pytest.approx(-float(np.mean(adv[last])), rel=1e-6)
 
 
 def test_ppo_clipped_term_arithmetic():
@@ -763,6 +770,7 @@ def test_ppo_surrogate_gradient_matches_finite_differences():
     nxt = np.stack([t.next_obs for t in rollout]) * agent._obs_scale
     v_next = agent.critic(nxt).ravel()
     adv = np.array([t.reward for t in rollout]) + cfg.gamma * v_next - v_now
+    adv -= adv.mean()  # the batch-mean baseline
 
     def clipped_surrogate(actor):
         logp = log_softmax_ref(actor(obs))[np.arange(8), actions]
@@ -824,19 +832,20 @@ def test_exploration_floor_keeps_rare_action_sampled():
 
 
 def test_centered_advantages_remove_shared_offset():
-    cfg = config_for("a2c", center_advantages=True, entropy_coef=0.0)
-    agent = with_sgd(A2cAgent(cfg, OBS_DIM))
-    rng = np.random.default_rng(3)
-    obs = rand_obs(rng, n=8)
-    nxt = rand_obs(rng, n=8)
-    v_now = agent.critic(obs * agent._obs_scale).ravel()
-    # equal rewards on terminal transitions: advantages share one value
-    rollout = [Transition(obs[i], int(rng.integers(2)),
-                          float(v_now[i]) + 2.5, nxt[i], True)
-               for i in range(8)]
-    before = agent.actor.flatten()
-    agent.update(rollout)
-    np.testing.assert_array_equal(agent.actor.flatten(), before)
+    # one constant added to every reward shifts every advantage by it; the
+    # batch-mean baseline takes it out again, so the actor's step is the
+    # same to rounding
+    cfg = config_for("a2c", entropy_coef=0.0)
+    rollout = make_transitions(np.random.default_rng(3), 8)
+    shifted = [dataclasses.replace(t, reward=t.reward + 40.0) for t in rollout]
+    steps = []
+    for batch in (rollout, shifted):
+        agent = with_sgd(A2cAgent(cfg, OBS_DIM))
+        before = agent.actor.flatten()
+        agent.update(batch)
+        steps.append(agent.actor.flatten() - before)
+    assert np.abs(steps[0]).max() > 1e-6
+    np.testing.assert_allclose(steps[1], steps[0], rtol=0, atol=1e-12)
 
 
 def test_more_critic_epochs_fit_targets_closer():
@@ -862,7 +871,8 @@ def test_acktr_with_identity_curvature_equals_a2c():
     shared = dict(seed=12, entropy_coef=0.01, actor_lr=0.01, critic_lr=0.02)
     a2c = with_sgd(A2cAgent(config_for("a2c", **shared), OBS_DIM))
     acktr = AcktrAgent(config_for("acktr", kfac_decay=1.0, kfac_damping=0.0,
-                                  trust_region_radius=float("inf"), **shared),
+                                  trust_region_radius=math.inf,
+                                  kl_budget=math.inf, **shared),
                        OBS_DIM)
     np.testing.assert_array_equal(a2c.actor.flatten(), acktr.actor.flatten())
     rng = np.random.default_rng(7)
@@ -886,8 +896,8 @@ def test_acktr_single_layer_matches_dense_natural_gradient_oracle():
     lam = 0.1
     lr = 0.05
     cfg = config_for("acktr", hidden_sizes=[], kfac_damping=lam, kfac_decay=1.0,
-                     trust_region_radius=float("inf"), entropy_coef=0.0,
-                     actor_lr=lr)
+                     trust_region_radius=math.inf, kl_budget=math.inf,
+                     entropy_coef=0.0, actor_lr=lr)
     agent = AcktrAgent(cfg, 3)
     rng = np.random.default_rng(21)
     a_fac = rng.normal(size=(3, 3))
@@ -905,6 +915,7 @@ def test_acktr_single_layer_matches_dense_natural_gradient_oracle():
     v_now = agent.critic(obs).ravel()
     v_next = agent.critic(nxt).ravel()
     adv = rewards + cfg.gamma * v_next - v_now
+    adv -= adv.mean()  # the batch-mean baseline
     logits = agent.actor(obs)
     pi = np.exp(log_softmax_ref(logits))
     onehot = np.zeros_like(pi)
@@ -939,7 +950,8 @@ def test_acktr_trust_radius_caps_step_norm():
 
 def test_acktr_kl_budget_bounds_curvature_step():
     rollout = make_transitions(np.random.default_rng(14), 16)
-    big = AcktrAgent(config_for("acktr", kl_budget=None, actor_lr=1.0), OBS_DIM)
+    big = AcktrAgent(config_for("acktr", kl_budget=math.inf, actor_lr=1.0),
+                     OBS_DIM)
     small = AcktrAgent(config_for("acktr", kl_budget=1e-8, actor_lr=1.0), OBS_DIM)
     before = big.actor.flatten()
     big.update(list(rollout))
@@ -963,14 +975,13 @@ def natural_reference(agent, stats, grads, learning_rate):
     """``AcktrAgent._natural`` as it was: the KL quad and the step norm
     summed per 2-D layer array, and each scaling a new vector."""
     nat = stats.precondition(grads)
-    delta = agent.config.kl_budget
-    if delta is not None:
-        quad = 0.0
-        for gw, gb, nw, nb in zip(grads.dw, grads.db, nat.dw, nat.db):
-            quad += float(np.sum(gw * nw)) + float(np.sum(gb * nb))
-        if quad > 0:
-            scale = min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
-            nat = Gradients(nat.flat * scale, nat.shapes)
+    quad = 0.0
+    for gw, gb, nw, nb in zip(grads.dw, grads.db, nat.dw, nat.db):
+        quad += float(np.sum(gw * nw)) + float(np.sum(gb * nb))
+    if quad > 0:
+        delta = agent.config.kl_budget
+        scale = min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
+        nat = Gradients(nat.flat * scale, nat.shapes)
     radius = agent.config.trust_region_radius
     if math.isfinite(radius):
         step_norm = learning_rate * math.sqrt(sum(
@@ -983,7 +994,7 @@ def natural_reference(agent, stats, grads, learning_rate):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       kl_budget=st.sampled_from([None, 1e-12, 1e-2, 1e3]),
+       kl_budget=st.sampled_from([math.inf, 1e-12, 1e-2, 1e3]),
        radius=st.sampled_from([math.inf, 0.0, 1e-6, 1.0]),
        learning_rate=st.sampled_from([1e-3, 0.25]))
 def test_acktr_natural_scales_a_fresh_vector_as_the_copying_form_did(
@@ -1243,7 +1254,7 @@ def test_non_positive_replay_capacity_rejected(field, value):
     ("clip_epsilon", math.inf),
     ("entropy_coef", math.nan),
     ("fixed_time_green", math.nan),
-    ("kl_budget", math.inf),
+    ("kl_budget", math.nan),
     ("kfac_damping", math.nan),
     ("epsilon_start", 1.5),
     ("epsilon_end", -0.1),
@@ -1261,11 +1272,31 @@ def test_agent_config_rejects_bad_values_by_name(field, value):
         config_for("ppo", **{field: value})
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_command_config_differs_from_the_dataclass_only_in_its_table_keys(
+        algorithm):
+    """``AgentConfig``'s defaults are what the commands run: the config
+    ``default_agent_config`` builds departs from them only in the keys
+    ``_ALGO_DEFAULTS`` names for the algorithm."""
+    command = dataclasses.asdict(default_agent_config(algorithm))
+    plain = dataclasses.asdict(AgentConfig(algorithm=algorithm))
+    assert {key for key in plain if command[key] != plain[key]} == set(
+        _ALGO_DEFAULTS.get(algorithm, {}))
+
+
+def test_algorithm_defaults_repeat_no_dataclass_default():
+    plain = AgentConfig()
+    repeated = [(algorithm, key) for algorithm, table in _ALGO_DEFAULTS.items()
+                for key, value in table.items() if value == getattr(plain, key)]
+    assert repeated == []
+
+
 def test_agent_config_accepts_the_edges_of_each_range():
-    # inf disables the trust-region cap; probabilities may be 0 or 1; a
-    # zero warm-up, entropy bonus, green time, budget or exploration span
-    # is valid
-    config_for("acktr", trust_region_radius=math.inf, epsilon_start=1.0,
+    # inf disables the trust-region cap and the KL budget; probabilities
+    # may be 0 or 1; a zero warm-up, entropy bonus, green time, budget or
+    # exploration span is valid
+    config_for("acktr", trust_region_radius=math.inf, kl_budget=math.inf,
+               epsilon_start=1.0,
                epsilon_end=0.0, explore_floor=1.0, kfac_decay=1.0, kfac_damping=0.0, exploration_fraction=0.0,
                entropy_coef=0.0, warmup=0, fixed_time_green=0.0,
                train_steps_budget=0)
@@ -1302,8 +1333,8 @@ def test_checkpoint_round_trip(tmp_path):
     for name, net in agent._nets().items():
         twin = loaded._nets()[name]
         np.testing.assert_array_equal(twin.flatten(), net.flatten())
-        assert [l.activation for l in twin.layers] == [
-            l.activation for l in net.layers]
+        assert [l.w.shape for l in twin.layers] == [
+            l.w.shape for l in net.layers]
         assert_views_aliased(twin)
     for name, opt in agent._optimizers().items():
         twin = loaded._optimizers()[name]
@@ -1331,7 +1362,7 @@ def test_checkpoint_trailing_bytes_rejected():
         agent_from_bytes(blob + bytes(8))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
 def test_checkpoint_version_mismatch_rejected(version):
     blob = bytearray(agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM)))
     blob[4:8] = struct.pack("<I", version)
@@ -1365,7 +1396,7 @@ def test_checkpoint_header_holds_the_config_fields_and_adams_step_count():
     assert list(header) == ["obs_dim", "config", "counters", "rng_state"]
     assert list(header["config"]) == [
         f.name for f in dataclasses.fields(AgentConfig)]
-    assert len(header["config"]) == 29
+    assert len(header["config"]) == 28
     # each Adam optimizer's step count sits beside the agent's
     assert header["counters"] == {"train_steps": 8, "actor.t": 4,
                                   "critic.t": 4}
@@ -1461,6 +1492,55 @@ def test_checkpoint_counters_other_than_the_agents_rejected(edit):
     blob = agent_to_bytes(make_agent(config_for("dql"), OBS_DIM))
     with pytest.raises(CheckpointFormatError, match="counters"):
         agent_from_bytes(forge_header(blob, lambda h: edit(h["counters"])))
+
+
+@pytest.mark.parametrize("obs_dim", [0, -3, 2.5, True, "11", None])
+@pytest.mark.parametrize("algorithm", ["ppo", "fixed_time"])
+def test_checkpoint_obs_dim_that_is_not_a_positive_int_rejected(algorithm,
+                                                                obs_dim):
+    # a learner's header with obs_dim 0 used to divide by zero in its net's
+    # init, and a fixed-time one loaded
+    blob = agent_to_bytes(make_agent(config_for(algorithm), OBS_DIM))
+    forged = forge_header(blob, lambda header: header.update(obs_dim=obs_dim))
+    with pytest.raises(CheckpointFormatError, match="obs_dim must be a "
+                                                    "positive int"):
+        agent_from_bytes(forged)
+
+
+# Each forged size makes the first allocation it reaches larger than any
+# address space a 64-bit host has (2**57 bytes at most), so it fails at
+# once everywhere: np.ones(2**58) takes 2**61 bytes, and a (2**56, 11)
+# array 11 * 2**59.
+UNALLOCATABLE = {
+    "obs_dim": ("ppo", lambda header: header.update(obs_dim=2**58)),
+    "hidden_sizes": ("a2c", lambda header: header["config"].update(
+        hidden_sizes=[2**56, 64])),
+    "replay_capacity": ("dql", lambda header: header["config"].update(
+        replay_capacity=2**56)),
+}
+
+
+def unallocatable_checkpoint(case):
+    algorithm, edit = UNALLOCATABLE[case]
+    return forge_header(agent_to_bytes(make_agent(config_for(algorithm),
+                                                  OBS_DIM)), edit)
+
+
+@pytest.mark.parametrize("case", UNALLOCATABLE)
+def test_checkpoint_naming_sizes_too_large_to_allocate_rejected(case):
+    with pytest.raises(CheckpointFormatError, match="MemoryError"):
+        agent_from_bytes(unallocatable_checkpoint(case))
+
+
+def test_cli_eval_of_a_checkpoint_too_large_to_allocate_is_one_line_error(
+        tmp_path, capsys):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(unallocatable_checkpoint("obs_dim"))
+    rc = cli_main(["eval", "--checkpoint", str(path), "--episodes", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("eval failed: unreadable agent header: MemoryError")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_checkpoint_corrupted_header_rejected():

@@ -27,7 +27,14 @@ their seed, and ``DqlAgent.updates`` gave way to Adam's step count: the
 digest now hashes the config, the payload arrays with their shapes, the
 counters (``train_steps`` and each Adam step count ``t``) and the RNG.
 Computed on the code before that change, with the counters read from
-the same attributes, this definition gives the same four strings.
+the same attributes, this definition gives the same four strings. All
+four were recorded again when ``AgentConfig``'s defaults became the
+values the commands run and ``center_advantages`` went: the hashed
+config lost that key, and the dql, ppo and a2c configs, which never read
+them, hold ``kfac_decay`` 0.99 and ``kl_budget`` 1e-2 where they held
+0.95 and None. The digests of the code before, taken with its config
+dict mapped the same way, equal the new ones: every parameter, optimizer
+array, counter and random state stayed bit-identical.
 
 The third pins the checkpoint bytes of those four agents, header and
 payload, at the format version they were recorded in. A change of the
@@ -93,25 +100,25 @@ def test_dense_fixed_time_rollout_matches_golden_digest():
 # -- trained agent state -------------------------------------------------------
 
 GOLDEN_TRAINED_AGENT_STATE = {
-    "dql": "f38b42bc0bbd2c4300ca9d2ed5e1f96a50c903f8b6a086af68092c45fde7e0ed",
-    "ppo": "cefbf47bffaacfa511032eb4eefe99212cd26a27a0ca8dddb2905ad55378f6c8",
-    "a2c": "1ebbd2e237869ee999605e5895eed713148135c1c195444fe84d349726030f87",
-    "acktr": "6c7503f4c306e7c81bfef1ab1de946cda43cd905b907d71b33261f26d52fe30d",
+    "dql": "438e7f53a6ce17d4bf680deac068a59278b3379dba0ad66df9f06d7c47c314cb",
+    "ppo": "84f93dc82a99b3c2287df5e30be0570b914d4bcd1074286592a1a55c04f9a15b",
+    "a2c": "b6d2e6576f930fcbacd9d117a9c7504c04fc7930c2118548b15120b30d32bfab",
+    "acktr": "bd9a7abe374b3b0c309135e0a95a89faa87051669b6f9b5394586e72fcc2863a",
 }
 
 # the format version the checkpoint digests below were recorded at
-GOLDEN_CHECKPOINT_FORMAT = 4
+GOLDEN_CHECKPOINT_FORMAT = 5
 GOLDEN_CHECKPOINT_BYTES = {
-    "dql": "b2a448c1168c0cf453ad29491ff1d09761afd3d0e1493197f7f785262de4ef51",
-    "ppo": "9b37ce75415f86e54865c4e59382991e36368f9c8782a06df0ce274d7c4b99fe",
-    "a2c": "2500593d17a6b2423d4563f4d5bf8cdde2d9ca6bceb52b2a0318a1d600ac9e32",
-    "acktr": "3bddd348359ee4babf10216ba8d34fa2b4d7ace6e4ec4139662445c2f942ab0f",
+    "dql": "7ca48ca78d115057cf4005dcd9d020b6f3591c38cc0eedcdc3450f84d6ab87d6",
+    "ppo": "7ab78fa81ab61dc3aef035fafd6f3a44004a0bc915198bc64796e4a2f595f2d1",
+    "a2c": "091c02cf8c1395efa53e3bcb56013e212a0221ba81154bea0a007566b8274a51",
+    "acktr": "268afca3400493adfd9300ad6f80024421f625fcc6c16f2ddb45d0da0bae5241",
 }
 
 _STATE_OVERRIDES = dict(hidden_sizes=[16, 16], rollout_length=64,
                         ppo_minibatch=16, critic_epochs=2, warmup=64,
                         batch_size=16, target_sync_period=50,
-                        train_steps_budget=2000, explore_floor=0.05)
+                        train_steps_budget=2000)
 
 
 def trained_agent(algorithm: str, steps: int = 900):

@@ -271,7 +271,7 @@ def test_cli_eval_has_no_time_of_day_flag(tmp_path):
 
 
 def nan_checkpoint(path):
-    """Save at ``path`` a PPO agent on the base observation whose first
+    """Save at ``path`` a PPO agent on the medium observation whose first
     actor weight is NaN."""
     agent = make_agent(default_agent_config("ppo", overrides=FAST_AGENT),
                        build_env_config("medium", 0.5, 0).observation_size)
@@ -701,19 +701,22 @@ def greedy_agent(algorithm, obs_size):
     return agent
 
 
-@pytest.mark.parametrize("time_of_day", [False, True], ids=["base", "tod"])
+# "blind": no vehicle is detected, so the observation holds only the
+# signal's slots and every wait is an undetected one
+@pytest.mark.parametrize("rate", [0.5, 0.0], ids=["base", "blind"])
 @pytest.mark.parametrize("episodes", [1, 3])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_lockstep_evaluation_equals_the_sequential_reference(
-        algorithm, episodes, time_of_day):
-    cfg = EnvConfig(sim=scenario_preset("dense", detection_rate=0.5, rng_seed=7),
-                    episode_length=120.0, include_time_of_day=time_of_day)
+        algorithm, episodes, rate):
+    cfg = EnvConfig(sim=scenario_preset("dense", detection_rate=rate, rng_seed=7),
+                    episode_length=120.0)
     got = evaluate_agent(greedy_agent(algorithm, cfg.observation_size), cfg,
                          episodes, seed=7)
     want, actions = reference_evaluation(
         greedy_agent(algorithm, cfg.observation_size), cfg, episodes, seed=7)
     assert repr(got) == repr(want)
     assert set(actions) == {0, 1}
+    assert (got.exited_detected == 0) == (rate == 0.0)
 
 
 def test_evaluate_agent_builds_every_env_before_the_first_step(monkeypatch):
@@ -758,11 +761,10 @@ def test_evaluate_agent_runs_exactly_the_episodes_asked_for():
 
 
 def test_eval_observation_shape_mismatch_explicit(tmp_path):
-    # an agent built for the time-of-day slot meets the base observation
-    cfg = EnvConfig(sim=scenario_preset("medium"), include_time_of_day=True)
-    ckpt = tmp_path / "tod.ckpt"
+    # an agent built for one slot more than the observation holds
+    ckpt = tmp_path / "wide.ckpt"
     save_agent(make_agent(default_agent_config("fixed_time"),
-                          cfg.observation_size), ckpt)
+                          EnvConfig().observation_size + 1), ckpt)
     with pytest.raises(ObservationShapeError, match="length"):
         cmd_eval(str(ckpt), "medium", 0.5, episodes=1, seed=0,
                  episode_length=120.0)
@@ -783,6 +785,20 @@ def test_eval_writes_json_metrics(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI end to end
 # ---------------------------------------------------------------------------
+
+def test_config_file_kl_budget_inf_trains_an_acktr_cell(tmp_path):
+    # inf, a float a config file can spell, turns the budget off
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[agent]\nkl_budget = inf\nrollout_length = 64\n"
+                   "hidden_sizes = 16,16\n[experiment]\nepisode_length = 120\n")
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(ini), "--out", str(out),
+                     "--algo", "acktr", "--rates", "0.5", "--steps", "128"]) == 0
+    agent = load_agent(out / "checkpoints" / checkpoint_name(
+        "acktr", "medium", 0.5, 0))
+    assert agent.config.kl_budget == math.inf
+    assert agent.train_steps == 128
+
 
 def test_cli_train_sweep_adapt_eval_pipeline(tmp_path, capsys):
     out = str(tmp_path / "run")
@@ -830,8 +846,11 @@ BAD_CONFIGS = {
                           ["train", "sweep", "adapt"]),
     "explore_floor_init": ("[agent]\nexplore_floor_init = 0.25\n",
                            ["train", "sweep", "adapt"]),
+    "center_advantages": ("[agent]\ncenter_advantages = true\n",
+                          ["train", "sweep", "adapt"]),
 }
-REMOVED_AGENT_KEYS = ("optimizer", "kfac_augment_bias", "explore_floor_init")
+REMOVED_AGENT_KEYS = ("optimizer", "kfac_augment_bias", "explore_floor_init",
+                      "center_advantages")
 
 
 @pytest.mark.parametrize("case, command", [

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kfac_oracle import gradients_of, solve_precondition
 from trafficlab.nn import (
-    ACTIVATIONS,
     AdamOptimizer,
     DivergenceError,
     Gradients,
@@ -19,8 +18,14 @@ from trafficlab.nn import (
 )
 
 
-def small_net(seed=0, sizes=(3, 4, 2), activations=("tanh", "identity")):
-    return Mlp.create(list(sizes), list(activations), seed=seed)
+def small_net(seed=0, sizes=(3, 4, 2)):
+    return Mlp.create(list(sizes), seed=seed)
+
+
+def is_hidden(net, idx):
+    """Whether layer ``idx`` of ``net`` is a hidden (tanh) layer; the
+    last layer is linear."""
+    return idx < len(net.layers) - 1
 
 
 def loss_and_grad(net, x, target):
@@ -48,9 +53,9 @@ def call_reference(net, x):
     """``Mlp.__call__`` as it was before it worked in place: a new array
     for each operation. The oracle for the in-place pass."""
     a = np.asarray(x, dtype=np.float64)
-    for layer in net.layers:
+    for idx, layer in enumerate(net.layers):
         s = a @ layer.w.T + layer.b
-        a = np.tanh(s) if layer.activation == "tanh" else s
+        a = np.tanh(s) if is_hidden(net, idx) else s
     return a
 
 
@@ -67,10 +72,10 @@ def adam_reference(params, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     params += lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
 
-def random_net(rng, activations, in_dim):
-    """A net of random hidden sizes with non-zero biases."""
-    sizes = [in_dim] + [int(n) for n in rng.integers(1, 65, size=len(activations))]
-    net = Mlp.create(sizes, activations, seed=int(rng.integers(2**32)))
+def random_net(rng, depth, in_dim):
+    """A net of ``depth`` layers of random sizes with non-zero biases."""
+    sizes = [in_dim] + [int(n) for n in rng.integers(1, 65, size=depth)]
+    net = Mlp.create(sizes, seed=int(rng.integers(2**32)))
     net.params += rng.normal(size=net.params.size)
     return net
 
@@ -80,28 +85,29 @@ def random_net(rng, activations, in_dim):
 # ---------------------------------------------------------------------------
 
 def test_zero_net_identity_activation_outputs_zero():
-    layers = [Layer(np.zeros((2, 3)), np.zeros(2), "identity")]
+    layers = [Layer(np.zeros((2, 3)), np.zeros(2))]  # the linear output layer
     net = Mlp(layers)
     out, _ = net.forward(np.array([1.0, -2.0, 3.0]))
     np.testing.assert_array_equal(out, np.zeros(2))
 
 
 def test_single_affine_layer_arithmetic():
-    net = Mlp([Layer(np.array([[2.0]]), np.array([1.0]), "identity")])
+    net = Mlp([Layer(np.array([[2.0]]), np.array([1.0]))])
     out, _ = net.forward(np.array([3.0]))
     assert out[0] == 7.0
 
 
 def test_forward_matches_dense_algebra_oracle():
     rng = np.random.default_rng(5)
-    net = small_net(seed=1, sizes=(4, 5, 3, 2), activations=("tanh", "tanh", "identity"))
+    net = small_net(seed=1, sizes=(4, 5, 3, 2))
     x = rng.normal(size=(6, 4))
     out, _ = net.forward(x)
-    # independent composition with explicit matrix products
+    # independent composition with explicit matrix products: tanh on the
+    # two hidden layers, a linear output
     a = x
-    for layer in net.layers:
+    for idx, layer in enumerate(net.layers):
         s = np.einsum("bi,oi->bo", a, layer.w) + layer.b
-        a = np.tanh(s) if layer.activation == "tanh" else s
+        a = np.tanh(s) if idx < 2 else s
     np.testing.assert_allclose(out, a, rtol=0, atol=1e-12)
 
 
@@ -119,10 +125,10 @@ def test_call_rejects_wrong_input_size(shape):
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([None, 1, 7]),
        scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
-       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=3))
-def test_call_equals_forward_bit_for_bit(seed, batch, scale, activations):
+       depth=st.integers(1, 3))
+def test_call_equals_forward_bit_for_bit(seed, batch, scale, depth):
     rng = np.random.default_rng(seed)
-    net = random_net(rng, activations, 11)
+    net = random_net(rng, depth, 11)
     shape = (11,) if batch is None else (batch, 11)
     x = scale * rng.normal(size=shape)
     x_before = x.copy()
@@ -137,13 +143,13 @@ def test_call_equals_forward_bit_for_bit(seed, batch, scale, activations):
 @given(seed=st.integers(0, 2**32 - 1), in_dim=st.integers(1, 80),
        x_scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e4]),
        w_scale=st.sampled_from([1e-3, 1.0, 8.0, 300.0]),
-       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=4))
+       depth=st.integers(1, 4))
 def test_one_sample_call_equals_one_row_forward_and_matmul_bit_for_bit(
-        seed, in_dim, x_scale, w_scale, activations):
+        seed, in_dim, x_scale, w_scale, depth):
     # a 1-D sample takes w.dot(a) per layer, the kernel a @ w.T reaches
     # for a vector; act relies on it agreeing with the one-row forward
     rng = np.random.default_rng(seed)
-    net = random_net(rng, activations, in_dim)
+    net = random_net(rng, depth, in_dim)
     net.params *= w_scale
     x = x_scale * rng.normal(size=in_dim)
     out = net(x)
@@ -155,14 +161,14 @@ def test_one_sample_call_equals_one_row_forward_and_matmul_bit_for_bit(
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 64),
        in_dim=st.integers(1, 16),
-       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=4))
+       depth=st.integers(1, 4))
 def test_call_on_stacked_rows_equals_one_row_calls_bit_for_bit(
-        seed, rows, in_dim, activations):
+        seed, rows, in_dim, depth):
     # greedy evaluation runs all its episodes' observations as one (E, 1, n)
     # stack and relies on each row's output equalling the 1-D call's; a 2-D
     # (E, n) batch may take another BLAS kernel and round differently
     rng = np.random.default_rng(seed)
-    net = random_net(rng, activations, in_dim)
+    net = random_net(rng, depth, in_dim)
     x = rng.normal(size=(rows, in_dim))
     out = net(x[:, None, :])
     assert out.shape == (rows, 1, net.layers[-1].w.shape[0])
@@ -170,16 +176,11 @@ def test_call_on_stacked_rows_equals_one_row_calls_bit_for_bit(
         assert out[k, 0].tobytes() == net(x[k]).tobytes()
 
 
-def test_unknown_activation_rejected():
-    with pytest.raises(ValueError, match="unknown activation 'relu'"):
-        Mlp.create([3, 2], ["relu"], seed=0)
-
-
 def test_mismatched_layer_dims_rejected():
     with pytest.raises(ValueError, match="incompatible"):
         Mlp([
-            Layer(np.zeros((3, 2)), np.zeros(3), "tanh"),
-            Layer(np.zeros((2, 4)), np.zeros(2), "identity"),
+            Layer(np.zeros((3, 2)), np.zeros(3)),
+            Layer(np.zeros((2, 4)), np.zeros(2)),
         ])
 
 
@@ -188,7 +189,7 @@ def test_mismatched_layer_dims_rejected():
 # ---------------------------------------------------------------------------
 
 def test_backward_identity_net_outer_product_structure():
-    net = Mlp([Layer(np.zeros((2, 3)), np.zeros(2), "identity")])
+    net = Mlp([Layer(np.zeros((2, 3)), np.zeros(2))])
     x = np.array([1.0, 2.0, -1.0])
     _, cache = net.forward(x)
     grads = net.backward(cache, np.ones(2))
@@ -204,16 +205,11 @@ def test_zero_output_gradient_gives_zero_gradients():
     assert grads.norm() == 0.0
 
 
-@pytest.mark.parametrize("activations", [
-    ("tanh", "identity"),
-    ("identity", "tanh", "identity"),
-    ("tanh", "tanh", "identity"),
-    ("identity", "identity"),
-])
-def test_backward_matches_finite_differences(activations):
-    rng = np.random.default_rng(hash(activations) % 2**32)
-    sizes = [3] + [4] * (len(activations) - 1) + [2]
-    net = Mlp.create(sizes, list(activations), seed=int(rng.integers(1000)))
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_backward_matches_finite_differences(depth):
+    rng = np.random.default_rng(depth)
+    sizes = [3] + [4] * (depth - 1) + [2]
+    net = Mlp.create(sizes, seed=int(rng.integers(1000)))
     x = rng.normal(size=(5, 3))
     target = rng.normal(size=(5, 2))
     _, dout, cache = loss_and_grad(net, x, target)
@@ -228,8 +224,7 @@ def test_backward_gradient_exactness_property_family():
     for trial in range(15):
         depth = int(rng.integers(1, 4))
         sizes = [int(rng.integers(1, 5)) for _ in range(depth + 1)]
-        acts = [str(rng.choice(["tanh", "identity"])) for _ in range(depth)]
-        net = Mlp.create(sizes, acts, seed=trial)
+        net = Mlp.create(sizes, seed=trial)
         x = rng.normal(size=(3, sizes[0]))
         target = rng.normal(size=(3, sizes[-1]))
         _, dout, cache = loss_and_grad(net, x, target)
@@ -243,8 +238,7 @@ def test_backward_equals_per_layer_reference_bit_for_bit():
     """Reusing forward's post-activations and writing into one flat vector
     must give exactly what recomputing each activation gives."""
     rng = np.random.default_rng(41)
-    net = Mlp.create([4, 6, 5, 3, 2], ["tanh", "identity", "tanh", "identity"],
-                     seed=41)
+    net = Mlp.create([4, 6, 5, 3, 2], seed=41)
     x = rng.normal(size=(7, 4))
     out, cache = net.forward(x)
     dout = rng.normal(size=out.shape)
@@ -254,7 +248,7 @@ def test_backward_equals_per_layer_reference_bit_for_bit():
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
         s = cache.inputs[idx] @ layer.w.T + layer.b  # as forward computed it
-        if layer.activation == "tanh":
+        if is_hidden(net, idx):
             a = np.tanh(s)
             ds = da * (1.0 - a * a)
         else:
@@ -268,12 +262,12 @@ def test_backward_equals_per_layer_reference_bit_for_bit():
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 7]),
-       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=3))
-def test_repeated_backward_on_one_cache_is_pure(seed, batch, activations):
+       depth=st.integers(1, 3))
+def test_repeated_backward_on_one_cache_is_pure(seed, batch, depth):
     """ACKTR runs a second, curvature backward on the cache of the first:
     both must see the cache forward left, and give equal results."""
     rng = np.random.default_rng(seed)
-    net = random_net(rng, activations, 5)
+    net = random_net(rng, depth, 5)
     out, cache = net.forward(rng.normal(size=(batch, 5)))
     snapshot = [a.copy() for a in cache.inputs + [cache.output]]
     dout = rng.normal(size=out.shape)
@@ -300,13 +294,13 @@ def test_backward_shape_mismatch_rejected():
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 300),
-       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=4))
-def test_pre_activation_chain_leaves_what_backward_leaves(seed, batch, activations):
+       depth=st.integers(1, 4))
+def test_pre_activation_chain_leaves_what_backward_leaves(seed, batch, depth):
     """The chain alone (what a curvature refresh runs) gives the
     pre-activation gradients ``backward`` builds its products from, bit for
     bit, and writes nothing forward or the caller made."""
     rng = np.random.default_rng(seed)
-    net = random_net(rng, activations, int(rng.integers(1, 20)))
+    net = random_net(rng, depth, int(rng.integers(1, 20)))
     out, cache = net.forward(rng.normal(size=(batch, net.input_size)))
     dout = rng.normal(size=out.shape) * rng.choice([1e-6, 1.0, 1e6])
     snapshot = [a.tobytes() for a in cache.inputs + [cache.output, dout]]
@@ -352,7 +346,7 @@ def test_norm_and_quad_from_slice_sums_equal_per_layer_2d_sums(seed, widths, sca
 # ---------------------------------------------------------------------------
 
 def test_flatten_round_trip_is_identity():
-    net = small_net(seed=9, sizes=(5, 7, 3), activations=("tanh", "identity"))
+    net = small_net(seed=9, sizes=(5, 7, 3))
     flat = net.flatten()
     clone = net.clone()
     clone.params[...] = flat
@@ -373,7 +367,7 @@ def assert_views_aliased(net):
 def test_layer_views_stay_aliased_to_params():
     net = small_net(seed=3, sizes=(3, 5, 2))
     assert_views_aliased(net)
-    given = Layer(np.ones((2, 3)), np.zeros(2), "tanh")
+    given = Layer(np.ones((2, 3)), np.zeros(2))
     built = Mlp([given])
     assert_views_aliased(built)
     assert not np.shares_memory(given.w, built.params)
@@ -424,7 +418,7 @@ def test_zero_learning_rate_leaves_net_unchanged():
 
 def test_sgd_quadratic_descent_arithmetic():
     # f(w) = w^2 from w=1: gradient 2, descent step 0.1 -> 0.8
-    net = Mlp([Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
+    net = Mlp([Layer(np.array([[1.0]]), np.array([0.0]))])
     grads = gradients_of([np.array([[2.0]])], [np.array([0.0])])
     grads.flat *= -1.0  # descent
     SgdOptimizer(net).step(net, grads, 0.1)
@@ -434,7 +428,7 @@ def test_sgd_quadratic_descent_arithmetic():
 def test_sgd_monotone_decrease_on_convex_quadratic():
     # independent scalar oracle: f(w) = 0.5 c w^2, stable for lr < 2/c
     c = 4.0
-    net = Mlp([Layer(np.array([[1.5]]), np.array([0.0]), "identity")])
+    net = Mlp([Layer(np.array([[1.5]]), np.array([0.0]))])
     opt = SgdOptimizer(net)
     losses = []
     for _ in range(50):
@@ -458,7 +452,7 @@ def test_adam_zero_gradient_is_a_fixed_point():
 
 
 def test_adam_reduces_quadratic_loss():
-    net = Mlp([Layer(np.array([[2.0]]), np.array([0.0]), "identity")])
+    net = Mlp([Layer(np.array([[2.0]]), np.array([0.0]))])
     opt = AdamOptimizer(net)
     for _ in range(400):
         w = net.layers[0].w[0, 0]
@@ -472,7 +466,7 @@ def test_flat_optimizer_steps_equal_per_layer_loop():
     """Adam and SGD on the flat vector, bit for bit against the per-layer
     update loop they replaced; Adam's state keeps its [w..., b...] order."""
     rng = np.random.default_rng(13)
-    net = small_net(seed=13, sizes=(3, 6, 4, 2), activations=("tanh", "tanh", "identity"))
+    net = small_net(seed=13, sizes=(3, 6, 4, 2))
     sgd_net = net.clone()
     adam, sgd = AdamOptimizer(net), SgdOptimizer(sgd_net)
     ref = [l.w.copy() for l in net.layers] + [l.b.copy() for l in net.layers]
@@ -506,12 +500,12 @@ def test_flat_optimizer_steps_equal_per_layer_loop():
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1),
-       activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=3),
+       depth=st.integers(1, 3),
        lr=st.sampled_from([0.0, 1e-4, 5e-4, 0.3]),
        scale=st.sampled_from([0.0, 1e-6, 1.0, 1e3]))
-def test_adam_step_equals_reference_bit_for_bit(seed, activations, lr, scale):
+def test_adam_step_equals_reference_bit_for_bit(seed, depth, lr, scale):
     rng = np.random.default_rng(seed)
-    net = random_net(rng, activations, int(rng.integers(1, 20)))
+    net = random_net(rng, depth, int(rng.integers(1, 20)))
     adam = AdamOptimizer(net)
     params, m, v = net.flatten(), np.zeros(net.params.size), np.zeros(net.params.size)
     for t in range(1, 5):
@@ -543,7 +537,7 @@ def test_non_finite_direction_raises_divergence():
 # ---------------------------------------------------------------------------
 
 def one_layer_net(in_dim=2, out_dim=2):
-    return Mlp([Layer(np.zeros((out_dim, in_dim)), np.zeros(out_dim), "identity")])
+    return Mlp([Layer(np.zeros((out_dim, in_dim)), np.zeros(out_dim))])
 
 
 def test_stats_single_sample_outer_product():
@@ -565,7 +559,7 @@ def test_stats_batch_mean_matches_dense_oracle():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(16, 3))
     ds = rng.normal(size=(16, 2))
-    stats = KfacStats(Mlp([Layer(np.zeros((2, 3)), np.zeros(2), "identity")]),
+    stats = KfacStats(Mlp([Layer(np.zeros((2, 3)), np.zeros(2))]),
                       decay=0.0)
     stats.update([a], [ds])
     dense_a = sum(np.outer(row, row) for row in a) / len(a)

@@ -54,12 +54,7 @@ def env_configs(draw):
         wait_speed_threshold=draw(st.floats(0.05, 2.0)),
         min_green=draw(st.sampled_from([1.0, 5.0, 10.0])),
     )
-    return EnvConfig(
-        sim=sim,
-        episode_length=1000 * time_step,
-        include_time_of_day=draw(st.booleans()),
-        day_length=draw(st.sampled_from([60.0, 86_400.0])),
-    )
+    return EnvConfig(sim=sim, episode_length=1000 * time_step)
 
 
 @settings(max_examples=60, deadline=None)
