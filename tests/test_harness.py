@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import xml.etree.ElementTree as ET
@@ -820,6 +821,80 @@ def test_cli_train_sweep_adapt_eval_pipeline(tmp_path, capsys):
                      "--rate", "0.5", "--episodes", "1"]) == 0
     captured = capsys.readouterr()
     assert "wait_all" in captured.out
+
+
+# every controller through train, sweep and adapt; a warmup below the 256
+# training steps makes DQL take gradient steps
+FIVE_CONTROLLER_GRID = (
+    "[experiment]\nscenario = medium\nalgorithms = dql,a2c,ppo,acktr,fixed_time\n"
+    "rates = 1.0\nseeds = 0\ntrain_steps = 256\neval_episodes = 1\n"
+    "episode_length = 256.0\n"
+    "[agent]\nwarmup = 64\n"
+    "[deploy]\nschedule = 0:1.0,512:0.2\ntotal_steps = 512\n"
+    "update_period = 256\ninstability_window = 256\n")
+# SHA-256 of every CSV and SVG the grid writes, by path under out_dir;
+# recorded while the vehicle record still held an id, approach, spawn time
+# and top speed of its own, and unchanged by their removal
+GOLDEN_FIVE_CONTROLLER_GRID = {
+    "adapt_medium.svg":
+        "a16a2274e2c75a12b74c5094995da1705cb00a9ff9fb5e1cff833437365d719e",
+    "adapt_summary.csv":
+        "7bfdee909525e3ff47bc182816a15fd8c661b2f1ebdd54658fc37e0001504c46",
+    "curves/train_a2c_medium_r1.00_s0.csv":
+        "f6a64f7df661ebc95033b1616f869da2dffeeb01687f612071a28a30a19e8018",
+    "curves/train_acktr_medium_r1.00_s0.csv":
+        "f6a64f7df661ebc95033b1616f869da2dffeeb01687f612071a28a30a19e8018",
+    "curves/train_dql_medium_r1.00_s0.csv":
+        "2c40606aa33bb1a1f2e9a7630c04a72d33d0a482f6f4c6eb018aea5340d000fd",
+    "curves/train_fixed_time_medium_r1.00_s0.csv":
+        "da8f5a9f5930f9653e6e38f534f446971fc4cdf0811e309467610f4680a476ff",
+    "curves/train_ppo_medium_r1.00_s0.csv":
+        "f6a64f7df661ebc95033b1616f869da2dffeeb01687f612071a28a30a19e8018",
+    "sweep.csv":
+        "7064d9bdaa0b487aa4e7c60a3880767361480c2522f18b22d84125e388dcae8f",
+    "sweep_a2c_medium.svg":
+        "022ff7c1cfedc6a85b4ebb1dcfac95a268457e220e77c538411a561b83f3ada1",
+    "sweep_acktr_medium.svg":
+        "54bd7c82b0f5ee62691116b94b0a6d1fa64ba3cceb0a010d27306d0dce399795",
+    "sweep_dql_medium.svg":
+        "c98142491f06e049cce084b82c77c7bd5ec9f4e382e495ecdfd5441849eb22b9",
+    "sweep_fixed_time_medium.svg":
+        "83a8f4f7fb992ea62786624e27db4b682a9f998109d200878de1ce17e6cd8961",
+    "sweep_ppo_medium.svg":
+        "04823d2f3b43b21e2e60111149e1c62e4d3abc463fdd9e15f68fbcc2f2d5305f",
+    "sweep_summary.csv":
+        "b1623c8c4360ceefe27b1197bf3b32c827a84f8f83392ddbe5ba246c5e99bf9f",
+    "timeline_a2c_s0.csv":
+        "a4536d6d0874d265ed6809b35dd0c779924492c9dcd62bc18e17294c72e19110",
+    "timeline_acktr_s0.csv":
+        "5863547a326399edd2100d63d3f56d59455e1cce00054ea0dacc85a28cdc63d6",
+    "timeline_dql_s0.csv":
+        "76a1aabcbd69bade19a3d710d04423a539715a2b435df4cf684df4d08d709629",
+    "timeline_fixed_time_s0.csv":
+        "447620fc6ada4fa5ec813f7d951f1046be0cb544b80c8398062d77cf898e60dc",
+    "timeline_ppo_s0.csv":
+        "9f1f131bbbac39b9cbf68a25a34235676d7bf67281a41e0792f74208c10ea28f",
+}
+
+
+def test_five_controller_grid_outputs_match_golden_digests(tmp_path, capsys):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(FIVE_CONTROLLER_GRID)
+    out = tmp_path / "run"
+    for command in ("train", "sweep", "adapt"):
+        assert cli_main([command, "--config", str(ini), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert sum(" ok -> " in line for line in lines) == 5  # train cells
+    assert sum(line.startswith("sweep ") for line in lines) == 5
+    assert sum(line.startswith("adapt ") and "ABORTED" not in line
+               for line in lines) == 5
+    written = {path.relative_to(out).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.rglob("*"))
+               if path.suffix in (".csv", ".svg")}
+    assert written == GOLDEN_FIVE_CONTROLLER_GRID
 
 
 BAD_CONFIGS = {
