@@ -160,7 +160,7 @@ def run_deployment(agent: Agent, env_config: EnvConfig,
     failure_message = None
     for step in range(1, deploy.total_steps + 1):
         env.set_detection_rate(deploy.schedule.rate_at(env.state.clock))
-        _, _, _, full = next(steps)
+        _, _, full = next(steps)
         if full:
             try:
                 agent.update(full)

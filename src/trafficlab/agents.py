@@ -144,7 +144,11 @@ def default_agent_config(algorithm: str, seed: int = 0,
                          train_steps_budget: int = 100_000,
                          overrides: dict | None = None) -> AgentConfig:
     """The config a command trains: ``_ALGO_DEFAULTS[algorithm]``, then
-    ``overrides``, over the ``AgentConfig`` defaults."""
+    ``overrides``, over the ``AgentConfig`` defaults. ``overrides`` may not
+    name the cell's ``algorithm`` or ``seed``, which this call sets."""
+    for key, grid_key in (("algorithm", "algorithms"), ("seed", "seeds")):
+        if key in (overrides or {}):
+            raise ValueError(f"[agent] {key}: set it with [experiment] {grid_key}")
     return AgentConfig(**{"train_steps_budget": train_steps_budget,
                           **_ALGO_DEFAULTS.get(algorithm, {}),
                           **(overrides or {}),
@@ -163,17 +167,17 @@ class Transition:
 
 def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
             obs: np.ndarray | None = None
-            ) -> Iterator[tuple[float, bool, dict, list[Transition] | None]]:
+            ) -> Iterator[tuple[float, bool, list[Transition] | None]]:
     """The one exploring act -> step loop of training and deployment.
 
     Greedy evaluation does not come through here: ``evaluate_agent`` steps
     its episodes side by side and picks their actions together with
     ``Agent.greedy_actions``.
 
-    Each step yields ``(reward, done, info, full)``. With ``batch > 0``
-    the step's ``Transition`` is gathered, and ``full`` is the list of the
-    last ``batch`` of them once it fills, else ``None``; the caller hands
-    it to ``agent.update``. The env is reset first when ``obs`` is None
+    Each step yields ``(reward, done, full)``. With ``batch > 0`` the
+    step's ``Transition`` is gathered, and ``full`` is the list of the last
+    ``batch`` of them once it fills, else ``None``; the caller hands it to
+    ``agent.update``. The env is reset first when ``obs`` is None
     and before the step after each episode end, so the caller can read
     the finished episode's state when ``done`` is yielded.
     """
@@ -182,7 +186,7 @@ def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
         if obs is None:
             obs = env.reset()
         action = agent.act(obs, explore=True)
-        next_obs, reward, done, info = env.step(action)
+        next_obs, reward, done, _ = env.step(action)
         full = None
         if batch:
             pending.append(Transition(obs, action, reward, next_obs, done,
@@ -190,7 +194,7 @@ def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
             if len(pending) >= batch:
                 full, pending = pending, []
         obs = None if done else next_obs
-        yield reward, done, info, full
+        yield reward, done, full
 
 
 # row ``a`` is the one-hot row of action ``a``
@@ -319,6 +323,12 @@ class Agent:
 class FixedTimeAgent(Agent):
     """Non-adaptive baseline: request a switch whenever the current phase
     has lasted the configured green time."""
+
+    def __init__(self, config: AgentConfig, obs_dim: int):
+        super().__init__(config, obs_dim)
+        if obs_dim <= PHASE_TIME_SLOT:
+            raise ValueError(f"obs_dim must exceed {PHASE_TIME_SLOT}, the "
+                             f"phase-timer slot it reads, got {obs_dim}")
 
     def act(self, obs, explore: bool = False) -> int:
         obs = self._check_obs(obs)

@@ -9,11 +9,11 @@ detected vehicles influence any slot.
 The reward is the negative normalized speed deficit of the detected
 vehicles only, which is all a controller could measure in the field.
 
-``step`` returns ``info = {"reward_breakdown": RewardBreakdown, "census":
-RoadCensus}``: the reward beside the full one over every vehicle (a
-diagnostic), and the post-step road census that ``kinematics_step`` took
-in its walk, from which the reward and the observation are read, so a
-step walks the road once. ``reset`` walks no road: a new state's road is
+``step`` returns ``info = {"census": RoadCensus}``: the post-step road
+census that ``kinematics_step`` took in its walk, from which the reward
+and the observation are read, so a step walks the road once. The full
+reward over every vehicle is read from it too, as ``-(detected_deficit +
+undetected_deficit)``. ``reset`` walks no road: a new state's road is
 empty, so its observation reads the empty-road census. Waiting times are
 not computed per step: ``env.state.add_onroad_waits`` adds the waits of
 the vehicles still on the road to the exit totals, and ``class_means``
@@ -54,16 +54,6 @@ _EMPTY_CENSUS = RoadCensus(0.0, 0.0, [0] * 4, [None] * 4, [0] * 4)
 
 class EpisodeDoneError(RuntimeError):
     """Raised when step() is called on a finished episode."""
-
-
-@dataclass(slots=True)
-class RewardBreakdown:
-    """Full and partial rewards plus the per-class speed deficits behind them."""
-
-    full: float
-    partial: float
-    detected_deficit: float
-    undetected_deficit: float
 
 
 @dataclass
@@ -114,18 +104,10 @@ def build_observation(state: SimState, config: EnvConfig,
     ], dtype=np.float64)
 
 
-def compute_reward(census: RoadCensus) -> RewardBreakdown:
-    """Negative normalized speed deficit, split by detection class.
-
-    Each vehicle contributes (vmax - v) / vmax; the partial reward sums
-    only detected contributions, so partial >= full always. The sums are
-    read from the road's ``census``.
-    """
-    detected = census.detected_deficit
-    undetected = census.undetected_deficit
-    # full, partial, detected_deficit, undetected_deficit
-    return RewardBreakdown(-(detected + undetected), -detected, detected,
-                           undetected)
+def compute_reward(census: RoadCensus) -> float:
+    """The partial reward: the negative sum of (vmax - v) / vmax over the
+    detected vehicles, read from the road's ``census``."""
+    return -census.detected_deficit
 
 
 def episode_seeds(seed: int) -> Iterator[int]:
@@ -181,12 +163,11 @@ class TrafficSignalEnv:
 
         ``action`` is 0 (keep) or 1 (switch), as any value equal to one of
         them; any other value raises ValueError, and EpisodeDoneError is
-        raised past the episode end. ``info`` holds ``reward_breakdown``
-        (the ``RewardBreakdown``) and ``census`` (the post-step
-        ``RoadCensus`` that ``kinematics_step`` returns, which the reward
-        and the observation read, so the step walks the road once);
-        waiting times are read with ``env.state.add_onroad_waits`` and
-        ``class_means``.
+        raised past the episode end. ``info`` holds ``census``, the
+        post-step ``RoadCensus`` that ``kinematics_step`` returns: the
+        reward, the full reward (from both deficits) and the observation
+        read it, so the step walks the road once. Waiting times are read
+        with ``env.state.add_onroad_waits`` and ``class_means``.
         """
         if self._state is None or self._done:
             raise EpisodeDoneError("episode is finished; call reset() first")
@@ -200,8 +181,6 @@ class TrafficSignalEnv:
         signal_step(state, command, sim_cfg)
         spawn_step(state, sim_cfg)
         census = kinematics_step(state, sim_cfg)
-        breakdown = compute_reward(census)
         self._done = state.clock >= self.config.episode_length - 1e-9
         obs = build_observation(state, self.config, census)
-        return obs, breakdown.partial, self._done, {
-            "reward_breakdown": breakdown, "census": census}
+        return obs, compute_reward(census), self._done, {"census": census}

@@ -100,8 +100,7 @@ def train_agent(agent: Agent, env: TrafficSignalEnv,
         return records
     ep_return = 0.0
     steps = rollout(agent, env, agent.needs_rollout)
-    for step, (reward, done, _, batch) in zip(range(1, total_steps + 1),
-                                               steps):
+    for step, (reward, done, batch) in zip(range(1, total_steps + 1), steps):
         ep_return += reward
         if batch:
             agent.update(batch)

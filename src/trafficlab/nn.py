@@ -340,7 +340,8 @@ class KfacStats:
 
     Preconditioning applies (S + damping I)^-1 G (A + damping I)^-1 per
     layer, the Kronecker realization of the inverse-curvature product.
-    Biases use the S factor alone.
+    Biases use the S factor alone. ``damping`` and ``decay`` come from
+    ``AgentConfig``, which checks their ranges.
 
     The damped inverses are cached: ``update`` marks them stale, and the
     next ``precondition`` rebuilds all of them from the factors. They are
@@ -350,11 +351,7 @@ class KfacStats:
     follow it with an ``update``.
     """
 
-    def __init__(self, net: Mlp, damping: float = 1e-2, decay: float = 0.95):
-        if damping < 0:
-            raise ValueError("damping must be non-negative")
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError("decay must lie in [0, 1]")
+    def __init__(self, net: Mlp, *, damping: float, decay: float):
         self.damping = damping
         self.decay = decay
         self.a_factors = [np.eye(layer.w.shape[1]) for layer in net.layers]

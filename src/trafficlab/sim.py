@@ -1,10 +1,10 @@
 """Microscopic simulation of a four-approach, single-lane signalized intersection.
 
 Vehicles arrive per approach by Poisson draws, follow their leader under a
-hard safe-stopping rule, and are tagged at spawn as detected or undetected
-with a configurable probability. The two-phase signal (plus amber
-transitions) is driven externally through keep/switch commands, one per
-time step.
+hard safe-stopping rule up to the config's ``vmax_default``, and are
+tagged at spawn as detected or undetected with a configurable probability.
+The two-phase signal (plus amber transitions) is driven externally through
+keep/switch commands, one per time step.
 
 All step functions mutate the given :class:`SimState` in place.
 ``signal_step`` and ``spawn_step`` return the state; ``kinematics_step``
@@ -127,17 +127,14 @@ class Vehicle:
     """One car on an approach.
 
     ``position`` is meters from the front bumper to the stop line and only
-    decreases; ``detected`` is fixed at spawn; ``cumulative_wait`` counts
-    seconds spent below the configured wait speed threshold.
+    decreases; ``speed`` is at most the config's ``vmax_default``, every
+    vehicle's top speed; ``detected`` is fixed at spawn; ``cumulative_wait``
+    counts seconds spent below the configured wait speed threshold.
     """
 
-    id: int
-    approach: Approach
     position: float
     speed: float
-    vmax: float
     detected: bool
-    spawn_time: float
     cumulative_wait: float = 0.0
 
 
@@ -185,12 +182,10 @@ class SimState:
     pending: dict[Approach, int]
     spawned_count: int
     spawned_detected_count: int
-    exited_count: int
     exited_wait_detected: float
     exited_n_detected: int
     exited_wait_undetected: float
     exited_n_undetected: int
-    next_vehicle_id: int
     rng: np.random.Generator
     uniforms: list[float] = field(repr=False)
     uniform_index: int = field(repr=False)
@@ -205,16 +200,18 @@ class SimState:
             pending={a: 0 for a in APPROACHES},
             spawned_count=0,
             spawned_detected_count=0,
-            exited_count=0,
             exited_wait_detected=0.0,
             exited_n_detected=0,
             exited_wait_undetected=0.0,
             exited_n_undetected=0,
-            next_vehicle_id=0,
             rng=np.random.default_rng(config.rng_seed if seed is None else seed),
             uniforms=[],
             uniform_index=UNIFORM_BLOCK,
         )
+
+    @property
+    def exited_count(self) -> int:
+        return self.exited_n_detected + self.exited_n_undetected
 
     def vehicle_count(self) -> int:
         return sum(len(lane) for lane in self.lanes.values())
@@ -314,9 +311,7 @@ def spawn_step(state: SimState, config: SimConfig) -> SimState:
                 i = 0
             detected = uniforms[i] < detection_rate
             i += 1
-            lane.append(Vehicle(state.next_vehicle_id, approach, lane_length,
-                                speed, vmax, detected, state.clock))
-            state.next_vehicle_id += 1
+            lane.append(Vehicle(lane_length, speed, detected))
             state.spawned_count += 1
             if detected:
                 state.spawned_detected_count += 1
@@ -330,17 +325,18 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     """Advance every vehicle by one time step and advance the clock; return
     the post-step road census taken in the same walk.
 
-    Front-to-back per lane: each vehicle accelerates toward its own vmax,
-    capped by the speed that still lets it stop within its budget, the room
-    to its leader's new rear plus the minimum gap, and without green at
-    most the room to the stop line. The front vehicle's leader stands at
-    ``-spacing`` without green (a budget of ``pos``) and at ``-inf`` with
-    it. A vehicle whose new position crosses the stop line exits and its
-    waiting time is booked into the per-class accumulators. A vehicle with
-    no positive budget (most of a red queue) takes a short branch with the
-    full update's values: speed 0.0, position ``pos - 0.0 * dt == pos``
-    (not negative, so it stays), a wait step (the threshold is positive)
-    and a deficit of ``(vmax - 0.0) / vmax == 1.0``.
+    Front-to-back per lane: each vehicle accelerates toward the config's
+    ``vmax_default``, every vehicle's top speed, capped by the speed that
+    still lets it stop within its budget, the room to its leader's new rear
+    plus the minimum gap, and without green at most the room to the stop
+    line. The front vehicle's leader stands at ``-spacing`` without green
+    (a budget of ``pos``) and at ``-inf`` with it. A vehicle whose new
+    position crosses the stop line exits and its waiting time is booked
+    into the per-class accumulators. A vehicle with no positive budget
+    (most of a red queue) takes a short branch with the full update's
+    values: speed 0.0, position ``pos - 0.0 * dt == pos`` (not negative,
+    so it stays), a wait step (the threshold is positive) and a deficit of
+    ``(vmax - 0.0) / vmax == 1.0``.
 
     The exits of a lane are always its front vehicles: a follower of a
     vehicle that stays ends at least ``spacing`` behind that vehicle's new
@@ -363,6 +359,7 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     neg_decel_dt = -config.decel * dt
     decel_sq_dt_sq = config.decel * config.decel * dt * dt
     two_decel = 2.0 * config.decel
+    vmax = config.vmax_default
     spacing = config.vehicle_length + config.min_gap
     threshold = config.wait_speed_threshold
     sig = state.signal
@@ -394,7 +391,6 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
                 else:
                     undetected_deficit += 1.0
                 continue
-            vmax = veh.vmax
             new_speed = veh.speed + accel_dt
             if not new_speed < vmax:
                 new_speed = vmax
@@ -428,7 +424,6 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
                 undetected_deficit += (vmax - new_speed) / vmax
         if exits:
             del lane[:exits]
-            state.exited_count += exits
         counts.append(count)
         nearest.append(near)
         queues.append(queue)

@@ -5,7 +5,7 @@ episodes with random commands and calls the checker after every composite
 step.
 """
 
-from sim_oracle import approach_axis, axis_has_green
+from sim_oracle import SpawnOrder, approach_axis, axis_has_green
 from trafficlab.sim import (
     APPROACHES,
     Command,
@@ -32,7 +32,7 @@ def check_state(state: SimState, config: SimConfig) -> None:
     for approach in APPROACHES:
         lane = state.lanes[approach]
         for veh in lane:
-            if not (-1e-9 <= veh.speed <= veh.vmax + 1e-9):
+            if not (-1e-9 <= veh.speed <= config.vmax_default + 1e-9):
                 raise InvariantViolation(f"speed out of bounds: {veh}")
             if veh.position < -1e-9:
                 raise InvariantViolation(f"on-road vehicle past stop line: {veh}")
@@ -59,32 +59,35 @@ def run_checked_episode(
     """Run one episode with random commands, checking invariants every step.
 
     Also enforces red-light compliance (a vehicle may only leave its lane
-    while its axis has green) and detection-flag immutability.
+    while its axis has green) and detection-flag immutability, following
+    each vehicle by its spawn number.
     """
     state = SimState.initial(config)
+    order = SpawnOrder()
     detected_at_spawn: dict[int, bool] = {}
     expected_clock = 0.0
     for _ in range(steps):
         cmd = Command.SWITCH if command_rng.random() < switch_prob else Command.KEEP
         signal_step(state, cmd, config)
         spawn_step(state, config)
+        order.update(state)
         for veh in state.iter_vehicles():
-            if veh.id not in detected_at_spawn:
-                detected_at_spawn[veh.id] = veh.detected
-        before = {a: [v.id for v in state.lanes[a]] for a in APPROACHES}
+            if order[veh] not in detected_at_spawn:
+                detected_at_spawn[order[veh]] = veh.detected
+        before = {a: [order[v] for v in state.lanes[a]] for a in APPROACHES}
         green = {
             a: axis_has_green(state.signal, approach_axis(a)) for a in APPROACHES
         }
         kinematics_step(state, config)
         for approach in APPROACHES:
-            remaining = {v.id for v in state.lanes[approach]}
+            remaining = {order[v] for v in state.lanes[approach]}
             exited_here = [vid for vid in before[approach] if vid not in remaining]
             if exited_here and not green[approach]:
                 raise InvariantViolation(
                     f"vehicles {exited_here} crossed on non-green {approach.name}"
                 )
         for veh in state.iter_vehicles():
-            if veh.detected != detected_at_spawn[veh.id]:
+            if veh.detected != detected_at_spawn[order[veh]]:
                 raise InvariantViolation(f"detected flag mutated: {veh}")
         expected_clock += config.time_step
         if abs(state.clock - expected_clock) > 1e-9:

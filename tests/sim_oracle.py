@@ -5,7 +5,11 @@ was hoisted, its reward, observation and queue passes were folded into
 one road census, and its spawn draws were taken from a block-filled
 stream of uniforms. Tests drive them in lockstep with the real step and
 require bit-identical results. ``road_census`` is the one census walker:
-the simulator takes its census inside ``kinematics_step`` only.
+the simulator takes its census inside ``kinematics_step`` only. Every
+vehicle's top speed is the config's ``vmax_default``.
+
+``SpawnOrder`` rebuilds the vehicle numbers a vehicle no longer carries,
+for tests that follow vehicles across steps.
 """
 
 import math
@@ -35,11 +39,42 @@ def axis_has_green(signal, axis):
     return not signal.in_amber and served_axis(signal.phase) == axis
 
 
+class SpawnOrder:
+    """Vehicle numbers rebuilt from spawn order: 0 for the first vehicle
+    that entered the road, 1 for the next, and so on.
+
+    ``update(state)`` numbers the vehicles that entered since the last
+    call: ``spawn_step`` appends them to the lane tails approach by
+    approach, so they are numbered in ``APPROACHES`` order, front to back
+    within a lane. It then checks that the next number equals the state's
+    ``spawned_count``, so call it after every step, before a vehicle can
+    leave unseen. Vehicles are keyed by object identity, and every vehicle
+    numbered is kept, so no ``id()`` is reused for a later one.
+    """
+
+    def __init__(self):
+        self._numbers = {}
+        self._vehicles = []
+
+    def update(self, state):
+        for approach in APPROACHES:
+            for veh in state.lanes[approach]:
+                if id(veh) not in self._numbers:
+                    self._numbers[id(veh)] = len(self._vehicles)
+                    self._vehicles.append(veh)
+        assert len(self._vehicles) == state.spawned_count
+        return self
+
+    def __getitem__(self, veh):
+        return self._numbers[id(veh)]
+
+
 def road_census(state, config):
     """Walk every lane once, front to back, in ``APPROACHES`` order; the
     deficits are summed vehicle by vehicle in that order. Equals the
     census ``kinematics_step`` returns for the road it has just stepped."""
     threshold = config.wait_speed_threshold
+    vmax = config.vmax_default
     detected = undetected = 0.0
     counts, nearest, queues = [], [], []
     for approach in APPROACHES:
@@ -49,7 +84,6 @@ def road_census(state, config):
             speed = veh.speed
             if speed < threshold:
                 queue += 1
-            vmax = veh.vmax
             if veh.detected:
                 if near is None:
                     near = veh.position
@@ -89,16 +123,8 @@ def spawn_step(state, config):
             else:
                 speed = config.vmax_default
             detected = rng.random() < config.detection_rate
-            lane.append(Vehicle(
-                id=state.next_vehicle_id,
-                approach=approach,
-                position=config.lane_length,
-                speed=speed,
-                vmax=config.vmax_default,
-                detected=detected,
-                spawn_time=state.clock,
-            ))
-            state.next_vehicle_id += 1
+            lane.append(Vehicle(position=config.lane_length, speed=speed,
+                                detected=detected))
             state.spawned_count += 1
             if detected:
                 state.spawned_detected_count += 1
@@ -126,7 +152,7 @@ def kinematics_step(state, config):
                 budget = veh.position - (leader_new_pos + spacing)
             if not green:
                 budget = min(budget, veh.position)
-            new_speed = min(veh.vmax, veh.speed + accel * dt)
+            new_speed = min(config.vmax_default, veh.speed + accel * dt)
             if budget != math.inf:
                 if budget < 0.0:
                     budget = 0.0
@@ -137,7 +163,6 @@ def kinematics_step(state, config):
             veh.speed = new_speed
             leader_new_pos = new_pos
             if new_pos < 0.0:
-                state.exited_count += 1
                 if veh.detected:
                     state.exited_wait_detected += veh.cumulative_wait
                     state.exited_n_detected += 1
@@ -154,12 +179,13 @@ def kinematics_step(state, config):
     return state
 
 
-def reward_deficits(state):
+def reward_deficits(state, config):
     """(detected, undetected) normalized speed-deficit sums."""
+    vmax = config.vmax_default
     detected = 0.0
     undetected = 0.0
     for veh in state.iter_vehicles():
-        deficit = (veh.vmax - veh.speed) / veh.vmax
+        deficit = (vmax - veh.speed) / vmax
         if veh.detected:
             detected += deficit
         else:

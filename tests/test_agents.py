@@ -1284,6 +1284,15 @@ def test_command_config_differs_from_the_dataclass_only_in_its_table_keys(
         _ALGO_DEFAULTS.get(algorithm, {}))
 
 
+@pytest.mark.parametrize("key, grid_key", [("seed", "seeds"),
+                                           ("algorithm", "algorithms")])
+def test_command_config_refuses_an_override_of_the_cell_keys(key, grid_key):
+    # the cell's own algorithm and seed would overwrite the override
+    with pytest.raises(ValueError, match=rf"^\[agent\] {key}: set it with "
+                                         rf"\[experiment\] {grid_key}$"):
+        default_agent_config("ppo", seed=1, overrides={key: 99})
+
+
 def test_algorithm_defaults_repeat_no_dataclass_default():
     plain = AgentConfig()
     repeated = [(algorithm, key) for algorithm, table in _ALGO_DEFAULTS.items()
@@ -1504,6 +1513,19 @@ def test_checkpoint_obs_dim_that_is_not_a_positive_int_rejected(algorithm,
     forged = forge_header(blob, lambda header: header.update(obs_dim=obs_dim))
     with pytest.raises(CheckpointFormatError, match="obs_dim must be a "
                                                     "positive int"):
+        agent_from_bytes(forged)
+
+
+@pytest.mark.parametrize("obs_dim", [1, 5, PHASE_TIME_SLOT])
+def test_fixed_time_agent_without_a_phase_timer_slot_rejected(obs_dim):
+    # it reads the phase timer at PHASE_TIME_SLOT; such an agent used to
+    # build and then fail in act with a bare IndexError
+    with pytest.raises(ValueError, match=rf"obs_dim must exceed "
+                                         rf"{PHASE_TIME_SLOT}.*got {obs_dim}"):
+        FixedTimeAgent(config_for("fixed_time"), obs_dim)
+    blob = agent_to_bytes(make_agent(config_for("fixed_time"), OBS_DIM))
+    forged = forge_header(blob, lambda header: header.update(obs_dim=obs_dim))
+    with pytest.raises(CheckpointFormatError, match="obs_dim must exceed"):
         agent_from_bytes(forged)
 
 

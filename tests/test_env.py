@@ -33,16 +33,16 @@ def make_env(arrival_rate=0.0, detection_rate=1.0, seed=0, **env_kwargs):
     return TrafficSignalEnv(EnvConfig(sim=sim, **env_kwargs), seed=seed)
 
 
-def put_vehicle(state, approach, position, speed, detected, vid=None, vmax=13.89):
-    veh = Vehicle(
-        id=state.next_vehicle_id if vid is None else vid,
-        approach=approach, position=position, speed=speed, vmax=vmax,
-        detected=detected, spawn_time=state.clock,
-    )
+def put_vehicle(state, approach, position, speed, detected):
+    veh = Vehicle(position=position, speed=speed, detected=detected)
     state.lanes[approach].append(veh)
-    state.next_vehicle_id += 1
     state.spawned_count += 1
     return veh
+
+
+def full_reward(census):
+    """The reward over every vehicle, detected or not."""
+    return -(census.detected_deficit + census.undetected_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +187,7 @@ def test_empty_intersection_step_reward_zero_both_modes():
     env.reset(seed=0)
     _, reward, _, info = env.step(Command.KEEP)
     assert reward == 0.0
-    bd = info["reward_breakdown"]
-    assert bd.full == 0.0 and bd.partial == 0.0
+    assert full_reward(info["census"]) == 0.0
 
 
 def test_single_stopped_detected_vehicle_partial_reward_is_minus_one():
@@ -208,10 +207,8 @@ def test_mixed_class_rewards_hand_evaluated():
     put_vehicle(env.state, Approach.NORTH, 140.0, vmax / 2 - 2.0, detected=True)
     put_vehicle(env.state, Approach.EAST, 0.0, 0.0, detected=False)
     _, reward, _, info = env.step(Command.KEEP)
-    bd = info["reward_breakdown"]
-    assert bd.partial == pytest.approx(-0.5)
-    assert bd.full == pytest.approx(-1.5)
-    assert reward == pytest.approx(-0.5)  # env defaults to partial
+    assert reward == pytest.approx(-0.5)  # the partial reward
+    assert full_reward(info["census"]) == pytest.approx(-1.5)
 
 
 def test_all_vehicles_at_vmax_zero_deficit():
@@ -219,8 +216,8 @@ def test_all_vehicles_at_vmax_zero_deficit():
     env.reset(seed=0)
     put_vehicle(env.state, Approach.NORTH, 100.0, 13.89, detected=True)
     put_vehicle(env.state, Approach.SOUTH, 100.0, 13.89, detected=False)
-    bd = compute_reward(road_census(env.state, env.config.sim))
-    assert bd.full == 0.0 and bd.partial == 0.0
+    census = road_census(env.state, env.config.sim)
+    assert compute_reward(census) == 0.0 and full_reward(census) == 0.0
 
 
 def test_compute_reward_matches_brute_force_oracle():
@@ -237,20 +234,20 @@ def test_compute_reward_matches_brute_force_oracle():
                 rng.uniform(0, 13.89),
                 detected=rng.random() < 0.5,
             )
-        bd = compute_reward(road_census(state, cfg))
+        census = road_census(state, cfg)
+        reward = compute_reward(census)
         # independent per-vehicle summation
         full = 0.0
         partial = 0.0
         for veh in state.iter_vehicles():
-            term = (veh.vmax - veh.speed) / veh.vmax
+            term = (cfg.vmax_default - veh.speed) / cfg.vmax_default
             full -= term
             if veh.detected:
                 partial -= term
-        assert bd.full == pytest.approx(full, rel=1e-13, abs=1e-13)
-        assert bd.partial == pytest.approx(partial, rel=1e-13, abs=1e-13)
-        assert bd.partial >= bd.full
-        assert bd.full == -(bd.detected_deficit + bd.undetected_deficit)
-        assert bd.partial == -bd.detected_deficit
+        assert full_reward(census) == pytest.approx(full, rel=1e-13, abs=1e-13)
+        assert reward == pytest.approx(partial, rel=1e-13, abs=1e-13)
+        assert reward >= full_reward(census)
+        assert reward == -census.detected_deficit
 
 
 def test_full_detection_rollout_rewards_coincide_exactly():
@@ -259,9 +256,8 @@ def test_full_detection_rollout_rewards_coincide_exactly():
     env.reset(seed=7)
     rng = random.Random(5)
     for _ in range(500):
-        _, _, _, info = env.step(rng.randrange(2))
-        bd = info["reward_breakdown"]
-        assert bd.partial == bd.full
+        _, reward, _, info = env.step(rng.randrange(2))
+        assert reward == full_reward(info["census"])
 
 
 def test_partial_dominates_full_across_detection_rates():
@@ -271,10 +267,10 @@ def test_partial_dominates_full_across_detection_rates():
         env = TrafficSignalEnv(EnvConfig(sim=sim), seed=8)
         env.reset(seed=1)
         for _ in range(300):
-            _, _, _, info = env.step(rng.randrange(2))
-            bd = info["reward_breakdown"]
-            assert bd.partial >= bd.full
-            assert bd.partial <= 0.0 and bd.full <= 0.0
+            _, reward, _, info = env.step(rng.randrange(2))
+            full = full_reward(info["census"])
+            assert reward >= full
+            assert reward <= 0.0 and full <= 0.0
 
 
 def test_detection_blindness_of_observation_and_partial_reward():
@@ -284,12 +280,12 @@ def test_detection_blindness_of_observation_and_partial_reward():
     ghost = put_vehicle(env.state, Approach.NORTH, 100.0, 2.0, detected=False)
     census = road_census(env.state, env.config.sim)
     obs_before = build_observation(env.state, env.config, census)
-    partial_before = compute_reward(census).partial
+    partial_before = compute_reward(census)
     ghost.position = 80.0
     ghost.speed = 9.0
     census = road_census(env.state, env.config.sim)
     obs_after = build_observation(env.state, env.config, census)
-    partial_after = compute_reward(census).partial
+    partial_after = compute_reward(census)
     np.testing.assert_array_equal(obs_before, obs_after)
     assert partial_before == partial_after
 
@@ -349,14 +345,14 @@ def test_step_accepts_keep_and_switch_values(action, command):
     assert obs.tobytes() == expected.tobytes()
 
 
-def test_step_info_holds_the_reward_breakdown_and_the_road_census():
+def test_step_info_holds_the_road_census():
     env = TrafficSignalEnv(EnvConfig(sim=scenario_preset(
         "dense", detection_rate=0.5, rng_seed=4)), seed=4)
     env.reset(seed=4)
     for _ in range(30):
         _, reward, _, info = env.step(Command.KEEP)
-    assert set(info) == {"reward_breakdown", "census"}
-    assert reward == info["reward_breakdown"].partial
+    assert set(info) == {"census"}
+    assert reward == compute_reward(info["census"])
     assert info["census"] == road_census(env.state, env.config.sim)
 
 

@@ -1,11 +1,16 @@
 """Golden digests of seeded runs.
 
 The first covers a one-hour fixed-time rollout on the dense road: every
-observation's bytes, every reward breakdown, the metrics snapshot and the
-census's queue lengths after every step, and the final counters and road.
-It was recorded before the kinematics loop and the road census were
-rewritten, so any change to a seeded number of the env step shows up
-here.
+observation's bytes, every reward and the full reward beside it, the two
+speed deficits, the metrics snapshot and the census's queue lengths after
+every step, and the final counters and road. It was recorded before the
+kinematics loop and the road census were rewritten, so any change to a
+seeded number of the env step shows up here. Its constant is unchanged
+since vehicles lost their ids and the step's info its reward breakdown:
+the digest reads the full reward and the deficits from the census, takes
+each vehicle's id as its spawn number (``sim_oracle.SpawnOrder``, which
+counts as the ids did), and hashes ``spawned_count`` where the next
+vehicle id, always equal to it, stood.
 
 The second covers briefly trained dql, ppo, a2c and acktr agents: their
 config, net parameters, optimizer state, counters and RNG state, hashed
@@ -60,6 +65,7 @@ from trafficlab.agents import (
 from trafficlab.env import EnvConfig, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config, train_agent
 from trafficlab.sim import APPROACHES, metrics_snapshot, scenario_preset
+from sim_oracle import SpawnOrder
 
 GOLDEN_DENSE_FIXED_TIME = (
     "6adbc1866269f387f98e0eb9fc07802265c19a897632c06d440081ddc9f63f93"
@@ -70,26 +76,31 @@ def rollout_digest(steps: int = 3600, seed: int = 20) -> str:
     cfg = EnvConfig(sim=scenario_preset("dense", detection_rate=0.5))
     env = TrafficSignalEnv(cfg, seed=seed)
     agent = make_agent(AgentConfig(algorithm="fixed_time"), cfg.observation_size)
+    order = SpawnOrder()
     h = hashlib.sha256()
     obs = env.reset()
     h.update(obs.tobytes())
     for _ in range(steps):
         obs, reward, done, info = env.step(agent.act(obs))
-        bd = info["reward_breakdown"]
+        order.update(env.state)
+        census = info["census"]
+        det, undet = census.detected_deficit, census.undetected_deficit
         m = metrics_snapshot(env.state)
         h.update(obs.tobytes())
-        h.update(repr((reward, done, bd.full, bd.partial, bd.detected_deficit,
-                       bd.undetected_deficit, m.wait_all, m.wait_detected,
-                       m.wait_undetected, m.exited_all, m.exited_detected,
-                       m.exited_undetected,
-                       info["census"].queue_lengths)).encode())
+        # the full and partial rewards, then the two deficits
+        h.update(repr((reward, done, -(det + undet), -det, det, undet,
+                       m.wait_all, m.wait_detected, m.wait_undetected,
+                       m.exited_all, m.exited_detected, m.exited_undetected,
+                       census.queue_lengths)).encode())
     s = env.state
+    # spawned_count stands where the next vehicle id stood: they were equal
     h.update(repr((s.clock, s.spawned_count, s.spawned_detected_count,
                    s.exited_count, s.exited_wait_detected, s.exited_n_detected,
                    s.exited_wait_undetected, s.exited_n_undetected,
-                   s.next_vehicle_id, [s.pending[a] for a in APPROACHES],
-                   [[(v.id, v.position, v.speed, v.cumulative_wait, v.detected)
-                     for v in s.lanes[a]] for a in APPROACHES])).encode())
+                   s.spawned_count, [s.pending[a] for a in APPROACHES],
+                   [[(order[v], v.position, v.speed, v.cumulative_wait,
+                      v.detected) for v in s.lanes[a]]
+                    for a in APPROACHES])).encode())
     return h.hexdigest()
 
 

@@ -903,6 +903,9 @@ BAD_CONFIGS = {
     "agent-type": ("[agent]\ngamma = fast\n", ["train", "sweep", "adapt"]),
     "agent-range": ("[agent]\ngamma = 2\n", ["train", "sweep"]),
     "agent-nan": ("[agent]\nactor_lr = nan\n", ["train", "sweep"]),
+    # set per cell by [experiment] seeds and algorithms
+    "agent-seed": ("[agent]\nseed = 99\n", ["train", "sweep"]),
+    "agent-algorithm": ("[agent]\nalgorithm = dql\n", ["train", "sweep"]),
     "experiment": ("[experiment]\nrates = 1.5\n", ["train", "sweep", "adapt"]),
     "algorithm": ("[experiment]\nalgorithms = ppo,sarsa\n",
                   ["train", "sweep", "adapt"]),
@@ -949,6 +952,10 @@ def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, case, command):
         assert f"config file {ini} is malformed: " in err
     if case in REMOVED_AGENT_KEYS:
         assert f"unknown key {case!r} in section [agent]" in err
+    if case == "agent-seed":
+        assert "[agent] seed" in err and "[experiment] seeds" in err
+    if case == "agent-algorithm":
+        assert "[agent] algorithm" in err and "[experiment] algorithms" in err
     assert not out.exists()  # rejected before any cell ran
 
 

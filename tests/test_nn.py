@@ -548,7 +548,7 @@ def test_stats_single_sample_outer_product():
 
 
 def test_stats_decay_one_leaves_factors_unchanged():
-    stats = KfacStats(one_layer_net(), decay=1.0)
+    stats = KfacStats(one_layer_net(), damping=1e-2, decay=1.0)
     before_a = stats.a_factors[0].copy()
     stats.update([np.random.default_rng(0).normal(size=(8, 2))],
                  [np.random.default_rng(1).normal(size=(8, 2))])
@@ -560,7 +560,7 @@ def test_stats_batch_mean_matches_dense_oracle():
     a = rng.normal(size=(16, 3))
     ds = rng.normal(size=(16, 2))
     stats = KfacStats(Mlp([Layer(np.zeros((2, 3)), np.zeros(2))]),
-                      decay=0.0)
+                      damping=1e-2, decay=0.0)
     stats.update([a], [ds])
     dense_a = sum(np.outer(row, row) for row in a) / len(a)
     dense_s = sum(np.outer(row, row) for row in ds) / len(ds)
@@ -570,7 +570,7 @@ def test_stats_batch_mean_matches_dense_oracle():
 
 def test_stats_stay_symmetric_psd_after_update_sequences():
     rng = np.random.default_rng(12)
-    stats = KfacStats(one_layer_net(3, 2), decay=0.9)
+    stats = KfacStats(one_layer_net(3, 2), damping=1e-2, decay=0.9)
     for _ in range(40):
         stats.update([rng.normal(size=(4, 3))], [rng.normal(size=(4, 2))])
     for factor in (stats.a_factors[0], stats.s_factors[0]):
@@ -589,7 +589,7 @@ def grads_for(net, dw):
 
 def test_identity_curvature_is_identity_preconditioner():
     net = one_layer_net(3, 2)
-    stats = KfacStats(net, damping=0.0)
+    stats = KfacStats(net, damping=0.0, decay=0.95)
     g = np.arange(6, dtype=float).reshape(2, 3)
     out = stats.precondition(grads_for(net, g))
     np.testing.assert_allclose(out.dw[0], g)
@@ -597,7 +597,7 @@ def test_identity_curvature_is_identity_preconditioner():
 
 def test_diagonal_curvature_scales_gradient():
     net = one_layer_net(3, 2)
-    stats = KfacStats(net, damping=0.0)
+    stats = KfacStats(net, damping=0.0, decay=0.95)
     stats.a_factors[0] = 2.0 * np.eye(3)
     stats.s_factors[0] = 4.0 * np.eye(2)
     g = np.ones((2, 3))
@@ -617,7 +617,7 @@ def test_preconditioning_matches_dense_kronecker_inverse():
         cols = int(rng.integers(1, 7))
         damping = float(rng.choice([0.0, 1e-2, 0.3]))
         net = one_layer_net(cols, rows)
-        stats = KfacStats(net, damping=damping)
+        stats = KfacStats(net, damping=damping, decay=0.95)
         stats.a_factors[0] = random_spd(rng, cols)
         stats.s_factors[0] = random_spd(rng, rows)
         g = rng.normal(size=(rows, cols))
@@ -633,7 +633,7 @@ def test_preconditioning_matches_dense_kronecker_inverse():
 
 def test_bias_preconditioned_by_s_factor_alone():
     net = one_layer_net(3, 2)
-    stats = KfacStats(net, damping=0.0)
+    stats = KfacStats(net, damping=0.0, decay=0.95)
     stats.s_factors[0] = 4.0 * np.eye(2)
     grads = gradients_of([np.zeros((2, 3))], [np.array([2.0, 4.0])])
     out = stats.precondition(grads)
@@ -642,7 +642,7 @@ def test_bias_preconditioned_by_s_factor_alone():
 
 def test_singular_factor_without_damping_raises():
     net = one_layer_net(2, 2)
-    stats = KfacStats(net, damping=0.0)
+    stats = KfacStats(net, damping=0.0, decay=0.95)
     stats.a_factors[0] = np.zeros((2, 2))
     with pytest.raises(SingularCurvatureError):
         stats.precondition(grads_for(net, np.ones((2, 2))))

@@ -24,12 +24,9 @@ from invariant_checks import run_checked_episode
 from sim_oracle import EW, NS, approach_axis, road_census, served_axis
 
 
-def make_vehicle(vid, approach, position, speed, cfg, detected=True, wait=0.0):
-    return Vehicle(
-        id=vid, approach=approach, position=position, speed=speed,
-        vmax=cfg.vmax_default, detected=detected, spawn_time=0.0,
-        cumulative_wait=wait,
-    )
+def make_vehicle(position, speed, detected=True, wait=0.0):
+    return Vehicle(position=position, speed=speed, detected=detected,
+                   cumulative_wait=wait)
 
 
 def drive(state, cfg, steps, command=Command.KEEP):
@@ -51,7 +48,7 @@ def measure_saturation_flow(cfg):
     n = cfg.lane_capacity
     for i in range(n):
         state.lanes[Approach.NORTH].append(
-            make_vehicle(i, Approach.NORTH, i * spacing, 0.0, cfg))
+            make_vehicle(i * spacing, 0.0))
     state.spawned_count = n
     exit_steps = []
     prev = 0
@@ -185,7 +182,7 @@ def test_blocked_arrivals_queue_instead_of_dropping():
     n_fill = cfg.lane_capacity + 1
     for i in range(n_fill):
         state.lanes[Approach.NORTH].append(
-            make_vehicle(i, Approach.NORTH, i * spacing, 0.0, cfg))
+            make_vehicle(i * spacing, 0.0))
     state.spawned_count = n_fill
     state.pending[Approach.NORTH] = 5
     spawn_step(state, cfg)
@@ -205,7 +202,7 @@ def test_blocked_arrivals_queue_instead_of_dropping():
 def test_spawn_entry_speed_clamped_behind_slow_rear_vehicle():
     cfg = SimConfig(arrival_rate=0.0, rng_seed=3)
     state = SimState.initial(cfg)
-    rear = make_vehicle(0, Approach.NORTH, cfg.lane_length - 10.0, 0.0, cfg)
+    rear = make_vehicle(cfg.lane_length - 10.0, 0.0)
     state.lanes[Approach.NORTH].append(rear)
     state.spawned_count = 1
     state.pending[Approach.NORTH] = 1
@@ -233,7 +230,7 @@ def test_single_vehicle_exit_time_matches_closed_form():
     cfg = SimConfig(arrival_rate=0.0)
     state = SimState.initial(cfg)
     state.lanes[Approach.NORTH].append(
-        make_vehicle(0, Approach.NORTH, cfg.lane_length, 0.0, cfg))
+        make_vehicle(cfg.lane_length, 0.0))
     state.spawned_count = 1
     steps = 0
     while state.vehicle_count() and steps < 100:
@@ -250,7 +247,7 @@ def test_red_signal_vehicle_stops_at_line():
     state = SimState.initial(cfg)
     state.signal.phase = Phase.EW_GREEN  # NS sees red
     state.lanes[Approach.NORTH].append(
-        make_vehicle(0, Approach.NORTH, cfg.lane_length, cfg.vmax_default, cfg))
+        make_vehicle(cfg.lane_length, cfg.vmax_default))
     state.spawned_count = 1
     drive(state, cfg, 60)
     veh = state.lanes[Approach.NORTH][0]
@@ -264,9 +261,9 @@ def test_follower_keeps_min_gap_behind_leader():
     state = SimState.initial(cfg)
     state.signal.phase = Phase.EW_GREEN  # hold NS on red so a queue forms
     state.lanes[Approach.NORTH].append(
-        make_vehicle(0, Approach.NORTH, 60.0, 5.0, cfg))
+        make_vehicle(60.0, 5.0))
     state.lanes[Approach.NORTH].append(
-        make_vehicle(1, Approach.NORTH, 120.0, cfg.vmax_default, cfg))
+        make_vehicle(120.0, cfg.vmax_default))
     state.spawned_count = 2
     for _ in range(80):
         drive(state, cfg, 1)
@@ -290,7 +287,7 @@ def test_red_queue_at_exact_spacing_stands_still_and_waits():
     state.signal.phase = Phase.EW_GREEN  # NS sees red
     lane = state.lanes[Approach.NORTH]
     for i in range(5):
-        lane.append(make_vehicle(i, Approach.NORTH, i * spacing, 0.0, cfg,
+        lane.append(make_vehicle(i * spacing, 0.0,
                                  detected=i % 2 == 1, wait=3.0))
     state.spawned_count = 5
     census = kinematics_step(state, cfg)
@@ -309,7 +306,7 @@ def test_amber_blocks_crossing():
     state = SimState.initial(cfg)
     state.signal.in_amber = True  # NS phase, but amber: nobody may cross
     state.lanes[Approach.NORTH].append(
-        make_vehicle(0, Approach.NORTH, 5.0, cfg.vmax_default, cfg))
+        make_vehicle(5.0, cfg.vmax_default))
     state.spawned_count = 1
     kinematics_step(state, cfg)
     veh = state.lanes[Approach.NORTH][0]
@@ -399,8 +396,8 @@ def test_metrics_hand_built_two_exits():
     state = SimState.initial(cfg)
     state.exited_wait_detected = 4.0 + 6.0
     state.exited_n_detected = 2
-    state.exited_count = 2
     state.spawned_count = 2
+    assert state.exited_count == 2  # the two classes' exits
     m = metrics_snapshot(state)
     assert m.wait_detected == pytest.approx(5.0)
     assert m.wait_all == pytest.approx(5.0)
@@ -428,9 +425,9 @@ def test_queue_lengths_count_stopped_vehicles():
     cfg = SimConfig(arrival_rate=0.0)
     state = SimState.initial(cfg)
     state.signal.phase = Phase.EW_GREEN
-    state.lanes[Approach.NORTH].append(make_vehicle(0, Approach.NORTH, 40.0, 0.0, cfg))
+    state.lanes[Approach.NORTH].append(make_vehicle(40.0, 0.0))
     state.lanes[Approach.NORTH].append(
-        make_vehicle(1, Approach.NORTH, 80.0, cfg.vmax_default, cfg))
+        make_vehicle(80.0, cfg.vmax_default))
     state.spawned_count = 2
     queues = road_census(state, cfg).queue_lengths
     assert queues[APPROACHES.index(Approach.NORTH)] == 1
@@ -495,7 +492,7 @@ def test_identical_seed_and_commands_reproduce_exactly():
                 state.spawned_count, state.exited_count,
                 state.exited_wait_detected, state.exited_wait_undetected,
             ))
-        positions = [(v.id, v.position, v.speed) for v in state.iter_vehicles()]
+        positions = [(v.position, v.speed) for v in state.iter_vehicles()]
         return trace, positions
 
     assert run(5) == run(5)
@@ -517,7 +514,7 @@ def test_approach_axis_mapping():
 def test_lanes_hold_vehicles_by_approach():
     cfg = SimConfig(arrival_rate=0.0)
     state = SimState.initial(cfg)
-    veh = make_vehicle(7, Approach.WEST, 30.0, 1.0, cfg)
+    veh = make_vehicle(30.0, 1.0)
     state.lanes[Approach.WEST].append(veh)
     assert list(state.iter_vehicles()) == [veh]
     assert state.lanes[Approach.WEST] == [veh]

@@ -27,17 +27,19 @@ from trafficlab.sim import (
 )
 
 
-def road(state):
-    return [[(v.id, v.position, v.speed, v.vmax, v.detected, v.spawn_time,
-              v.cumulative_wait) for v in state.lanes[a]] for a in APPROACHES]
+def road(state, order=None):
+    """Every vehicle's fields, lane by lane, led by its spawn number when
+    ``order`` (a ``sim_oracle.SpawnOrder``) is given."""
+    return [[(None if order is None else order[v], v.position, v.speed,
+              v.detected, v.cumulative_wait) for v in state.lanes[a]]
+            for a in APPROACHES]
 
 
 def counters(state):
     return (state.clock, state.spawned_count, state.spawned_detected_count,
             state.exited_count, state.exited_wait_detected,
             state.exited_n_detected, state.exited_wait_undetected,
-            state.exited_n_undetected, state.next_vehicle_id,
-            [state.pending[a] for a in APPROACHES])
+            state.exited_n_undetected, [state.pending[a] for a in APPROACHES])
 
 
 @st.composite
@@ -70,6 +72,7 @@ def test_env_step_equals_per_vehicle_oracle(config, steps, switch_rate, seed):
     obs = env.reset(seed=seed)
     sim = config.sim
     ref = SimState.initial(sim, seed=seed)
+    order, ref_order = sim_oracle.SpawnOrder(), sim_oracle.SpawnOrder()
     assert obs.tobytes() == sim_oracle.observation(ref, config).tobytes()
     for command in commands:
         obs, reward, _, info = env.step(command)
@@ -78,14 +81,14 @@ def test_env_step_equals_per_vehicle_oracle(config, steps, switch_rate, seed):
         sim_oracle.kinematics_step(ref, sim)
 
         # repr tells -0.0 from 0.0, which == does not
-        assert repr(road(env.state)) == repr(road(ref))
+        assert repr(road(env.state, order.update(env.state))) == repr(
+            road(ref, ref_order.update(ref)))
         assert repr(counters(env.state)) == repr(counters(ref))
-        detected, undetected = sim_oracle.reward_deficits(ref)
-        bd = info["reward_breakdown"]
-        assert repr((bd.detected_deficit, bd.undetected_deficit, bd.full,
-                     bd.partial)) == repr((detected, undetected,
-                                           -(detected + undetected), -detected))
-        assert repr(reward) == repr(bd.partial)
+        detected, undetected = sim_oracle.reward_deficits(ref, sim)
+        census = info["census"]
+        assert repr((census.detected_deficit, census.undetected_deficit)) == \
+            repr((detected, undetected))
+        assert repr(reward) == repr(-detected)
         assert obs.tobytes() == sim_oracle.observation(ref, config).tobytes()
         assert info["census"].queue_lengths == sim_oracle.queue_lengths(ref, sim)
         assert repr(info["census"]) == repr(sim_oracle.road_census(env.state, sim))
@@ -108,9 +111,10 @@ def test_dense_queues_step_as_the_oracle_and_stand_still(policy):
     sim = scenario_preset("dense", detection_rate=0.5, rng_seed=7)
     state = SimState.initial(sim)
     ref = SimState.initial(sim)
+    order, ref_order = sim_oracle.SpawnOrder(), sim_oracle.SpawnOrder()
     held = 0
     for _ in range(1200):
-        before = {v.id: v.position for v in state.iter_vehicles()}
+        before = {order[v]: v.position for v in state.iter_vehicles()}
         command = policy(state.signal)
         signal_step(state, command, sim)
         spawn_step(state, sim)
@@ -119,11 +123,12 @@ def test_dense_queues_step_as_the_oracle_and_stand_still(policy):
         sim_oracle.spawn_step(ref, sim)
         sim_oracle.kinematics_step(ref, sim)
 
-        assert repr(road(state)) == repr(road(ref))
+        assert repr(road(state, order.update(state))) == repr(
+            road(ref, ref_order.update(ref)))
         assert repr(counters(state)) == repr(counters(ref))
         assert repr(census) == repr(sim_oracle.road_census(ref, sim))
         held += sum(1 for v in state.iter_vehicles()
-                    if v.speed == 0.0 and before.get(v.id) == v.position)
+                    if v.speed == 0.0 and before.get(order[v]) == v.position)
     assert held > 0
 
 
@@ -150,9 +155,7 @@ def test_spawn_stream_equals_one_generator_call_per_draw(lam, steps, seed):
             for approach, block in zip(APPROACHES, blocked):
                 # an empty lane admits one vehicle; a blocked one none
                 s.lanes[approach] = [] if not block else [Vehicle(
-                    id=-1, approach=approach, position=sim.lane_length,
-                    speed=0.0, vmax=sim.vmax_default, detected=False,
-                    spawn_time=0.0)]
+                    position=sim.lane_length, speed=0.0, detected=False)]
         spawn_step(state, sim)
         sim_oracle.spawn_step(ref, sim)
         assert repr(road(state)) == repr(road(ref))
