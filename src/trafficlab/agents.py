@@ -97,6 +97,12 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("train_steps_budget", "rollout_length", "ppo_epochs",
+                     "ppo_minibatch", "critic_epochs", "replay_capacity",
+                     "batch_size", "warmup", "target_sync_period", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool or a float is no count
+                raise ValueError(f"{name} must be an int, got {value!r}")
         for name, value in vars(self).items():
             if (isinstance(value, float) and not math.isfinite(value)
                     and name not in ("trust_region_radius", "kl_budget")):
@@ -124,8 +130,10 @@ class AgentConfig:
                              "(inf disables the cap)")
         if not self.kl_budget > 0:
             raise ValueError("kl_budget must be positive (inf disables it)")
-        if any(size <= 0 for size in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be positive")
+        if any(type(size) is not int or size <= 0
+               for size in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be positive ints, "
+                             f"got {self.hidden_sizes!r}")
 
 
 # What a learner sets apart from the ``AgentConfig`` defaults to train
@@ -703,36 +711,22 @@ class AcktrAgent(A2cAgent):
 
     def _natural(self, stats: KfacStats, grads: Gradients,
                  learning_rate: float) -> Gradients:
-        """Precondition, then scale to the KL budget, then cap. Both
-        scalings write into the fresh preconditioned vector; ``grads`` is
-        only read."""
-        direction = self._kl_scaled(grads, stats.precondition(grads),
-                                    learning_rate)
-        return self._capped(direction, learning_rate)
-
-    def _capped(self, direction: Gradients, learning_rate: float) -> Gradients:
-        """``direction``, scaled in place so that its step stays within
-        the trust-region radius; an infinite radius never scales it."""
-        radius = self.config.trust_region_radius
-        step_norm = learning_rate * direction.norm()
-        if step_norm > radius:
-            direction.flat *= radius / step_norm
-        return direction
-
-    def _kl_scaled(self, grads: Gradients, nat: Gradients,
-                   learning_rate: float) -> Gradients:
-        """Shrink the preconditioned step so its curvature-metric length
-        stays within the configured budget: eta^2 g^T F^-1 g <= 2 delta.
-
-        g^T F^-1 g is just the inner product of the raw gradient with the
-        preconditioned direction, so no extra curvature products are
-        needed. Saturated directions (tiny Fisher) would otherwise blow up
-        under the inverse. An infinite budget scales by exactly 1.0."""
+        """Precondition ``grads``, scale the step so that its
+        curvature-metric length stays within the KL budget (eta^2 g^T F^-1 g
+        <= 2 delta), then cap its norm at the trust-region radius. g^T F^-1 g
+        is the raw gradient's inner product with the preconditioned one, so
+        no extra curvature products are needed; saturated directions (tiny
+        Fisher) would otherwise blow up under the inverse. An infinite
+        budget scales by exactly 1.0; an infinite radius never scales."""
+        nat = stats.precondition(grads)
         delta = self.config.kl_budget
         quad = grads.layer_sums(grads.flat * nat.flat)
-        if quad <= 0:
-            return nat
-        nat.flat *= min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
+        if quad > 0:
+            nat.flat *= min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
+        radius = self.config.trust_region_radius
+        step_norm = learning_rate * nat.norm()
+        if step_norm > radius:
+            nat.flat *= radius / step_norm
         return nat
 
     def _optimizers(self) -> dict:

@@ -25,15 +25,13 @@ class Series:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        lo, hi = lo - 1.0, hi + 1.0
+    """``n`` evenly spaced ticks from ``lo`` to ``hi`` (``hi > lo``)."""
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 
 def _fmt(v: float) -> str:
-    text = f"{v:.4g}"
-    return text
+    return f"{v:.4g}"
 
 
 def line_chart(series: list[Series], title: str = "", x_label: str = "",
@@ -103,25 +101,21 @@ def line_chart(series: list[Series], title: str = "", x_label: str = "",
         parts.append(
             f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
             f'transform="rotate(-90 18 {cy:.1f})">{_escape(y_label)}</text>')
-    # series
+    # series, each drawn with the stroke of its legend line
+    strokes = []
     for idx, s in enumerate(drawable):
-        color = PALETTE[idx % len(PALETTE)]
         dash = DASHES[idx % len(DASHES)]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        strokes.append(f'stroke="{PALETTE[idx % len(PALETTE)]}" '
+                       f'stroke-width="1.8"'
+                       + (f' stroke-dasharray="{dash}"' if dash else ""))
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in s.points())
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.8"'
-            f'{dash_attr} points="{pts}"/>')
+        parts.append(f'<polyline fill="none" {strokes[-1]} points="{pts}"/>')
     # legend
     lx = margin_l + plot_w + 14
-    for idx, s in enumerate(drawable):
-        color = PALETTE[idx % len(PALETTE)]
-        dash = DASHES[idx % len(DASHES)]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    for idx, (s, stroke) in enumerate(zip(drawable, strokes)):
         ly = margin_t + 10 + idx * 20
         parts.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="1.8"{dash_attr}/>')
+            f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" {stroke}/>')
         parts.append(
             f'<text x="{lx + 32}" y="{ly + 4}">{_escape(s.label)}</text>')
     parts.append("</svg>")

@@ -15,19 +15,8 @@ from dataclasses import fields
 
 from trafficlab.adapt import DeploymentConfig
 from trafficlab.agents import CheckpointError, ObservationShapeError
-from trafficlab.config import (
-    _COERCERS,
-    ConfigBundle,
-    ExperimentSpec,
-    load_config_file,
-)
-from trafficlab.harness import (
-    cmd_adapt,
-    cmd_eval,
-    cmd_sweep,
-    cmd_train,
-    default_agent_config,
-)
+from trafficlab.config import _COERCERS, ExperimentSpec, load_config_file
+from trafficlab.harness import cmd_adapt, cmd_eval, cmd_sweep, cmd_train
 
 _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
 _DEPLOY_KEYS = {f.name for f in fields(DeploymentConfig)}
@@ -109,21 +98,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args) -> tuple[ExperimentSpec, dict, DeploymentConfig | None]:
-    """The grid command's experiment spec, [agent] overrides and (for adapt)
+def _resolve(args) -> tuple[ExperimentSpec, DeploymentConfig | None]:
+    """The grid command's spec, [agent] included, and (for adapt) its
     deployment config, each built once so a bad value fails here."""
     given = vars(args)
-    bundle = (load_config_file(args.config) if "config" in given
-              else ConfigBundle())
-    spec = bundle.experiment_spec(
-        **{k: v for k, v in given.items() if k in _SPEC_KEYS})
-    if args.command == "adapt":
-        return spec, {}, bundle.deployment_config(
-            **{k: v for k, v in given.items() if k in _DEPLOY_KEYS})
-    overrides = bundle.agent_overrides()
-    for algorithm in spec.algorithms:
-        default_agent_config(algorithm, overrides=overrides)
-    return spec, overrides, None
+    sections = load_config_file(args.config) if "config" in given else {}
+
+    def merged(section: str, keys: set[str]) -> dict:
+        # the file's [section] values, the flags among keys laid over them
+        return {**sections.get(section, {}),
+                **{k: v for k, v in given.items() if k in keys}}
+
+    spec = ExperimentSpec(**merged("experiment", _SPEC_KEYS),
+                          agent=sections.get("agent", {}))
+    if args.command != "adapt":
+        return spec, None
+    deploy = merged("deploy", _DEPLOY_KEYS)
+    if "schedule" not in deploy:
+        raise ValueError("deployment needs a schedule")
+    return spec, DeploymentConfig(**deploy)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,13 +128,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "eval":
         return _eval(args)
     try:
-        spec, agent_overrides, deploy = _resolve(args)
+        spec, deploy = _resolve(args)
     except (OSError, ValueError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "train":
-        results = cmd_train(spec, agent_overrides)
+        results = cmd_train(spec)
         failures = [r for r in results if r.error]
         for r in results:
             status = r.error or f"ok -> {r.checkpoint}"
@@ -149,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failures else 0
 
     if args.command == "sweep":
-        records, results = cmd_sweep(spec, agent_overrides)
+        records, results = cmd_sweep(spec)
         failures = [r for r in results if r.error]
         for rec in records:
             print(f"sweep {rec.algorithm} r={rec.detection_rate:g} "

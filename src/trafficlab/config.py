@@ -4,8 +4,9 @@ Every dataclass field name doubles as a config key; CLI flags override
 file values, file values override dataclass defaults. Unknown keys are
 rejected so typos fail loudly.
 
-Sections: [agent] -> agent hyperparameter overrides, [deploy] ->
-DeploymentConfig, [experiment] -> ExperimentSpec. The road and the reward
+Sections: [agent] -> ExperimentSpec.agent, the hyperparameters every cell
+sets over its algorithm's defaults; [deploy] -> DeploymentConfig;
+[experiment] -> the other ExperimentSpec fields. The road and the reward
 come from the experiment's scenario preset; there is no [sim] or [env]
 section.
 """
@@ -16,7 +17,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
-from trafficlab.agents import ALGORITHMS, AgentConfig
+from trafficlab.agents import ALGORITHMS, AgentConfig, default_agent_config
 from trafficlab.env import EnvConfig
 from trafficlab.sim import scenario_preset
 
@@ -76,9 +77,10 @@ class ExperimentSpec:
 
     ``train_steps`` set (by file or flag) applies to every algorithm;
     left unset, each algorithm trains for its own budget in
-    ``TRAIN_STEPS_BY_ALGORITHM``. Every cell must have a checkpoint name
-    of its own, so no list may repeat a value and no two rates may round
-    to one name."""
+    ``TRAIN_STEPS_BY_ALGORITHM``. ``agent`` holds the [agent] values that
+    every cell's ``AgentConfig`` takes (see ``agent_config``). Every cell
+    must have a checkpoint name of its own, so no list may repeat a value
+    and no two rates may round to one name."""
 
     name: str = "experiment"
     scenario: str = "medium"
@@ -91,6 +93,7 @@ class ExperimentSpec:
     out_dir: str = "results"
     workers: int = 1
     train_missing: bool = False
+    agent: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # every cell's env config but rate and seed: a bad one fails here
@@ -126,12 +129,19 @@ class ExperimentSpec:
                              f"got {self.train_steps}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        for algorithm in self.algorithms:
+            self.agent_config(algorithm, self.seeds[0])
 
     def steps_for(self, algorithm: str) -> int:
         """The training steps of one ``algorithm`` cell."""
         if self.train_steps is not None:
             return self.train_steps
         return TRAIN_STEPS_BY_ALGORITHM[algorithm]
+
+    def agent_config(self, algorithm: str, seed: int) -> AgentConfig:
+        """One cell's config: ``agent`` over the algorithm's defaults."""
+        return default_agent_config(algorithm, seed, self.steps_for(algorithm),
+                                    self.agent)
 
     def cells(self):
         """Deterministically ordered (algorithm, rate, seed) grid."""
@@ -165,7 +175,9 @@ def _coerce(name: str, annotation: str, raw: str):
 
 
 def section_to_kwargs(cls, section: dict[str, str], section_name: str) -> dict:
-    known = {f.name: str(f.type) for f in fields(cls)}
+    # a field named after a section (ExperimentSpec.agent) is set there
+    known = {f.name: str(f.type) for f in fields(cls)
+             if f.name not in _SECTION_TYPES}
     kwargs = {}
     for key, raw in section.items():
         if key not in known:
@@ -177,25 +189,6 @@ def section_to_kwargs(cls, section: dict[str, str], section_name: str) -> dict:
     return kwargs
 
 
-@dataclass
-class ConfigBundle:
-    agent: dict = field(default_factory=dict)
-    deploy: dict = field(default_factory=dict)
-    experiment: dict = field(default_factory=dict)
-
-    def agent_overrides(self, **overrides) -> dict:
-        return {**self.agent, **overrides}
-
-    def deployment_config(self, **overrides) -> DeploymentConfig:
-        merged = {**self.deploy, **overrides}
-        if "schedule" not in merged:
-            raise ValueError("deployment needs a schedule")
-        return DeploymentConfig(**merged)
-
-    def experiment_spec(self, **overrides) -> ExperimentSpec:
-        return ExperimentSpec(**{**self.experiment, **overrides})
-
-
 _SECTION_TYPES = {
     "agent": AgentConfig,
     "deploy": DeploymentConfig,
@@ -203,7 +196,8 @@ _SECTION_TYPES = {
 }
 
 
-def load_config_file(path) -> ConfigBundle:
+def load_config_file(path) -> dict[str, dict]:
+    """The typed values of each of the file's sections, by section name."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -216,12 +210,11 @@ def load_config_file(path) -> ConfigBundle:
                          + " ".join(str(exc).split())) from None
     if not read:
         raise FileNotFoundError(f"config file {path} not found")
-    bundle = ConfigBundle()
     for section_name, section in sections.items():
         if section_name not in _SECTION_TYPES:
             raise ValueError(
                 f"unknown config section [{section_name}]; the sections are "
                 + ", ".join(f"[{name}]" for name in _SECTION_TYPES))
-        setattr(bundle, section_name, section_to_kwargs(
-            _SECTION_TYPES[section_name], section, section_name))
-    return bundle
+        sections[section_name] = section_to_kwargs(
+            _SECTION_TYPES[section_name], section, section_name)
+    return sections

@@ -31,7 +31,7 @@ from trafficlab.adapt import (
 from trafficlab.agents import (
     Agent,
     ObservationShapeError,
-    default_agent_config,
+    default_agent_config,  # noqa: F401 (the benchmark builds agents with it)
     load_agent,
     make_agent,
     rollout,
@@ -113,7 +113,10 @@ def train_agent(agent: Agent, env: TrafficSignalEnv,
 
 @dataclass
 class EvalStats:
-    """Greedy-policy evaluation aggregates over N fresh episodes."""
+    """Greedy-policy evaluation aggregates over N fresh episodes. The
+    ``exited_*`` counts hold every vehicle that entered, exited or still
+    on the road; ``eval --out`` writes them and the benchmark hashes them
+    under these names."""
 
     episodes: int
     mean_return: float
@@ -294,29 +297,42 @@ def _cell_error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _train_cell(spec: ExperimentSpec, agent_overrides: dict,
+def _checkpoint_path(spec: ExperimentSpec, algorithm: str, rate: float,
+                     seed: int) -> str:
+    return os.path.join(spec.out_dir, "checkpoints",
+                        checkpoint_name(algorithm, spec.scenario, rate, seed))
+
+
+def _load_cell_agent(spec: ExperimentSpec, path: str, algorithm: str) -> Agent:
+    """The agent of a cell's checkpoint at ``path``, refused unless it
+    holds every value the spec's [agent] sets: scoring or deploying it
+    would drop that value without a word."""
+    agent = load_agent(path, expected_algorithm=algorithm)
+    for key, value in spec.agent.items():
+        held = getattr(agent.config, key)
+        if held != value:
+            raise ValueError(f"[agent] {key} = {value!r}, but checkpoint "
+                             f"{path} holds {held!r}; train the cell again")
+    return agent
+
+
+def _train_cell(spec: ExperimentSpec,
                 cell: tuple[str, float, int]) -> CellResult:
     algorithm, rate, seed = cell
-    out_dir = spec.out_dir
-    ckpt_dir = os.path.join(out_dir, "checkpoints")
-    curve_dir = os.path.join(out_dir, "curves")
-    os.makedirs(ckpt_dir, exist_ok=True)
+    ckpt_path = _checkpoint_path(spec, algorithm, rate, seed)
+    curve_dir = os.path.join(spec.out_dir, "curves")
+    os.makedirs(os.path.dirname(ckpt_path), exist_ok=True)
     os.makedirs(curve_dir, exist_ok=True)
-    name = checkpoint_name(algorithm, spec.scenario, rate, seed)
-    ckpt_path = os.path.join(ckpt_dir, name)
     try:
-        steps = spec.steps_for(algorithm)
-        agent_cfg = default_agent_config(
-            algorithm, seed=seed, train_steps_budget=steps,
-            overrides=agent_overrides)
         env_cfg = build_env_config(spec.scenario, rate, seed,
                                    episode_length=spec.episode_length)
-        agent = make_agent(agent_cfg, env_cfg.observation_size)
+        agent = make_agent(spec.agent_config(algorithm, seed),
+                           env_cfg.observation_size)
         env = TrafficSignalEnv(env_cfg, seed=seed)
-        curve = train_agent(agent, env, steps)
+        curve = train_agent(agent, env, spec.steps_for(algorithm))
         save_agent(agent, ckpt_path)
-        write_curve_csv(os.path.join(
-            curve_dir, f"train_{name[:-5]}.csv"), curve)
+        name = os.path.basename(ckpt_path)[:-5]
+        write_curve_csv(os.path.join(curve_dir, f"train_{name}.csv"), curve)
         return CellResult(algorithm, rate, seed, checkpoint=ckpt_path)
     except Exception as exc:
         return CellResult(algorithm, rate, seed, error=_cell_error(exc))
@@ -335,12 +351,10 @@ def _run_cells(worker, args_list: list, workers: int) -> list:
         return [f.result() for f in futures]
 
 
-def cmd_train(spec: ExperimentSpec,
-              agent_overrides: dict | None = None) -> list[CellResult]:
+def cmd_train(spec: ExperimentSpec) -> list[CellResult]:
     """Train one agent per grid cell; failed cells are recorded and the
     rest continue."""
-    cells = list(spec.cells())
-    args = [(spec, agent_overrides or {}, cell) for cell in cells]
+    args = [(spec, cell) for cell in spec.cells()]
     results = _run_cells(_train_cell, args, spec.workers)
     return sorted(results, key=lambda r: (r.algorithm, r.rate, r.seed))
 
@@ -349,20 +363,19 @@ def cmd_train(spec: ExperimentSpec,
 # command: sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(spec: ExperimentSpec, agent_overrides: dict,
+def _sweep_cell(spec: ExperimentSpec,
                 cell: tuple[str, float, int]) -> tuple[SweepRecord | None,
                                                        CellResult]:
     algorithm, rate, seed = cell
-    name = checkpoint_name(algorithm, spec.scenario, rate, seed)
-    ckpt_path = os.path.join(spec.out_dir, "checkpoints", name)
+    ckpt_path = _checkpoint_path(spec, algorithm, rate, seed)
     try:
         if not os.path.exists(ckpt_path):
             if not spec.train_missing:
                 raise FileNotFoundError(f"missing checkpoint {ckpt_path}")
-            trained = _train_cell(spec, agent_overrides, cell)
+            trained = _train_cell(spec, cell)
             if trained.error:
                 return None, trained
-        agent = load_agent(ckpt_path, expected_algorithm=algorithm)
+        agent = _load_cell_agent(spec, ckpt_path, algorithm)
         env_cfg = build_env_config(spec.scenario, rate, seed + 10_000,
                                    episode_length=spec.episode_length)
         stats = evaluate_agent(agent, env_cfg, spec.eval_episodes,
@@ -377,13 +390,12 @@ def _sweep_cell(spec: ExperimentSpec, agent_overrides: dict,
         return None, CellResult(algorithm, rate, seed, error=_cell_error(exc))
 
 
-def cmd_sweep(spec: ExperimentSpec,
-              agent_overrides: dict | None = None
+def cmd_sweep(spec: ExperimentSpec
               ) -> tuple[list[SweepRecord], list[CellResult]]:
     """Evaluate each trained cell at its detection rate; emit the sweep CSV,
     a cross-seed summary, and one waiting-time chart per algorithm."""
     cells = list(spec.cells())
-    args = [(spec, agent_overrides or {}, cell) for cell in cells]
+    args = [(spec, cell) for cell in cells]
     outcomes = _run_cells(_sweep_cell, args, spec.workers)
     pairs = sorted(zip(cells, outcomes), key=lambda p: p[0])
     records = [rec for _, (rec, _) in pairs if rec is not None]
@@ -463,10 +475,9 @@ def _adapt_cell(spec: ExperimentSpec, deploy: DeploymentConfig,
                 start_rate: float,
                 cell: tuple[str, int]) -> AdaptRunResult:
     algorithm, seed = cell
-    name = checkpoint_name(algorithm, spec.scenario, start_rate, seed)
-    ckpt_path = os.path.join(spec.out_dir, "checkpoints", name)
+    ckpt_path = _checkpoint_path(spec, algorithm, start_rate, seed)
     try:
-        agent = load_agent(ckpt_path, expected_algorithm=algorithm)
+        agent = _load_cell_agent(spec, ckpt_path, algorithm)
         env_cfg = build_env_config(spec.scenario, start_rate, seed,
                                    episode_length=spec.episode_length)
         result = run_deployment(agent, env_cfg, deploy, seed=seed + 50_000)

@@ -1300,6 +1300,43 @@ def test_algorithm_defaults_repeat_no_dataclass_default():
     assert repeated == []
 
 
+# one value per count field that is not an int: a float with or without a
+# fraction, or a bool; each used to build a config
+COUNTS_THAT_ARE_NO_INT = [
+    ("train_steps_budget", 1000.0),
+    ("rollout_length", 256.5),
+    ("ppo_epochs", True),
+    ("ppo_minibatch", 64.0),
+    ("critic_epochs", 2.5),
+    ("replay_capacity", 5e4),
+    ("batch_size", 32.5),
+    ("warmup", False),
+    ("target_sync_period", 500.0),
+    ("seed", 3.0),
+    ("hidden_sizes", [64, 64.0]),
+]
+
+
+@pytest.mark.parametrize("field, value", COUNTS_THAT_ARE_NO_INT,
+                         ids=[f for f, _ in COUNTS_THAT_ARE_NO_INT])
+def test_agent_config_rejects_a_count_that_is_not_an_int_by_name(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must .*int"):
+        config_for("ppo", **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rollout_length", 256.5), ("ppo_epochs", True), ("critic_epochs", 2.5)])
+def test_checkpoint_config_count_that_is_not_an_int_rejected(field, value):
+    # a forged header's 256.5 used to gather 257-transition batches, True
+    # to run one epoch, and 2.5 to fail in the first A2C update with a
+    # bare TypeError
+    blob = agent_to_bytes(make_agent(config_for("a2c"), OBS_DIM))
+    forged = forge_header(blob, lambda header: header["config"].update(
+        {field: value}))
+    with pytest.raises(CheckpointFormatError, match=rf"{field} must .*int"):
+        agent_from_bytes(forged)
+
+
 def test_agent_config_accepts_the_edges_of_each_range():
     # inf disables the trust-region cap and the KL budget; probabilities
     # may be 0 or 1; a zero warm-up, entropy bonus, green time, budget or

@@ -24,7 +24,6 @@ from trafficlab.cli import _resolve, build_parser
 from trafficlab.cli import main as cli_main
 from trafficlab.config import (
     TRAIN_STEPS_BY_ALGORITHM,
-    ConfigBundle,
     ExperimentSpec,
     load_config_file,
     parse_schedule,
@@ -155,14 +154,13 @@ out_dir = runs
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(CONFIG_TEXT)
-    bundle = load_config_file(path)
-    agent = bundle.agent_overrides()
-    assert agent == {"gamma": 0.9, "hidden_sizes": [32, 32]}
-    deploy = bundle.deployment_config()
+    sections = load_config_file(path)
+    assert sections["agent"] == {"gamma": 0.9, "hidden_sizes": [32, 32]}
+    deploy = DeploymentConfig(**sections["deploy"])
     assert deploy.total_steps == 5000
     assert deploy.update_period is None
     assert deploy.schedule.rate_at(2500) == pytest.approx(0.55)
-    spec = bundle.experiment_spec()
+    spec = ExperimentSpec(**sections["experiment"])
     assert spec.algorithms == ["ppo", "fixed_time"]
     assert spec.rates == [0.25, 0.75]
     assert spec.seeds == [1, 2]
@@ -171,7 +169,7 @@ def test_config_file_parsing(tmp_path):
 def test_config_defaults_fill_unspecified_keys(tmp_path):
     path = tmp_path / "mini.ini"
     path.write_text("[experiment]\nscenario = dense\n")
-    spec = load_config_file(path).experiment_spec()
+    spec = ExperimentSpec(**load_config_file(path)["experiment"])
     assert spec.scenario == "dense"
     assert spec.train_steps is None  # default kept: each algorithm's budget
     assert spec.steps_for("ppo") == 100_000
@@ -231,14 +229,36 @@ def test_spec_rejects_bad_grid_value_by_name(tmp_path, name, value, message):
     assert str(info.value) == message
 
 
+def test_spec_checks_its_agent_values_last_for_every_algorithm(tmp_path):
+    # fixed_time reads no gamma, yet a bad one is refused for its cells
+    with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\)$"):
+        tiny_spec(tmp_path, algorithms=["fixed_time"], agent={"gamma": 2.0})
+    with pytest.raises(ValueError, match="^detection rates must lie in"):
+        tiny_spec(tmp_path, rates=[1.5], agent={"gamma": 2.0})
+
+
+def test_trained_checkpoint_holds_the_spec_agent_config(tmp_path):
+    spec = tiny_spec(tmp_path, algorithms=["a2c"], seeds=[4],
+                     agent={**FAST_AGENT, "gamma": 0.9})
+    agent = load_agent(cmd_train(spec)[0].checkpoint)
+    assert agent.config == spec.agent_config("a2c", 4)
+    assert agent.config.gamma == 0.9
+    assert agent.config.critic_epochs == 10  # a2c's own default
+    assert agent.config.train_steps_budget == 300
+
+
 def test_cli_flags_override_config(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(CONFIG_TEXT)
-    bundle = load_config_file(path)
-    spec = bundle.experiment_spec(scenario="dense", seeds=[9])
+    spec, deploy = _resolve(build_parser().parse_args(
+        ["adapt", "--config", str(path), "--scenario", "dense", "--seed", "9",
+         "--total-steps", "300"]))
     assert spec.scenario == "dense"
     assert spec.seeds == [9]
     assert spec.train_steps == 1000  # untouched file value
+    assert spec.agent == {"gamma": 0.9, "hidden_sizes": [32, 32]}
+    assert deploy.total_steps == 300
+    assert deploy.update_period is None  # untouched file value
 
 
 def test_cli_flags_parse_with_the_config_coercers():
@@ -317,7 +337,7 @@ def test_schedule_string_round_trip():
 
 def test_train_steps_default_to_each_algorithm_budget(tmp_path):
     def resolved(*argv):
-        spec, _, _ = _resolve(build_parser().parse_args(["train", *argv]))
+        spec, _ = _resolve(build_parser().parse_args(["train", *argv]))
         return {a: spec.steps_for(a) for a in spec.algorithms}
 
     assert resolved("--algo", "a2c,dql") == {"a2c": 250_000, "dql": 100_000}
@@ -333,8 +353,8 @@ def test_train_steps_default_to_each_algorithm_budget(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_train_zero_steps_emits_initial_checkpoint_and_empty_curve(tmp_path):
-    spec = tiny_spec(tmp_path, train_steps=0)
-    results = cmd_train(spec, FAST_AGENT)
+    spec = tiny_spec(tmp_path, train_steps=0, agent=FAST_AGENT)
+    results = cmd_train(spec)
     assert len(results) == 1 and results[0].error is None
     ckpt = results[0].checkpoint
     assert os.path.exists(ckpt)
@@ -348,8 +368,9 @@ def test_train_zero_steps_emits_initial_checkpoint_and_empty_curve(tmp_path):
 def test_train_cell_without_steps_trains_the_algorithm_budget(tmp_path,
                                                               monkeypatch):
     monkeypatch.setitem(TRAIN_STEPS_BY_ALGORITHM, "a2c", 128)
-    spec = tiny_spec(tmp_path, algorithms=["a2c"], train_steps=None)
-    results = cmd_train(spec, FAST_AGENT)
+    spec = tiny_spec(tmp_path, algorithms=["a2c"], train_steps=None,
+                     agent=FAST_AGENT)
+    results = cmd_train(spec)
     agent = load_agent(results[0].checkpoint, expected_algorithm="a2c")
     assert agent.train_steps == 128
     assert agent.config.train_steps_budget == 128
@@ -364,22 +385,23 @@ def test_train_fixed_time_is_untrained_baseline(tmp_path):
 
 
 def test_train_two_seeds_give_distinct_reproducible_checkpoints(tmp_path):
-    spec = tiny_spec(tmp_path / "a", seeds=[0, 1])
-    results = cmd_train(spec, FAST_AGENT)
+    spec = tiny_spec(tmp_path / "a", seeds=[0, 1], agent=FAST_AGENT)
+    results = cmd_train(spec)
     blobs = [Path(r.checkpoint).read_bytes() for r in results]
     assert blobs[0] != blobs[1]
-    spec2 = tiny_spec(tmp_path / "b", seeds=[0, 1])
-    results2 = cmd_train(spec2, FAST_AGENT)
+    spec2 = tiny_spec(tmp_path / "b", seeds=[0, 1], agent=FAST_AGENT)
+    results2 = cmd_train(spec2)
     blobs2 = [Path(r.checkpoint).read_bytes() for r in results2]
     assert blobs == blobs2
 
 
 def test_training_actually_updates_parameters(tmp_path):
-    spec = tiny_spec(tmp_path, train_steps=400)
-    results = cmd_train(spec, FAST_AGENT)
+    spec = tiny_spec(tmp_path, train_steps=400, agent=FAST_AGENT)
+    results = cmd_train(spec)
     trained = load_agent(results[0].checkpoint)
-    untrained_spec = tiny_spec(tmp_path / "zero", train_steps=0)
-    base = load_agent(cmd_train(untrained_spec, FAST_AGENT)[0].checkpoint)
+    untrained_spec = tiny_spec(tmp_path / "zero", train_steps=0,
+                               agent=FAST_AGENT)
+    base = load_agent(cmd_train(untrained_spec)[0].checkpoint)
     assert trained.train_steps >= 384  # full rollouts consumed
     assert not np.array_equal(trained.actor.flatten(), base.actor.flatten())
 
@@ -467,12 +489,12 @@ def test_every_cell_error_is_an_errored_row_naming_the_type(tmp_path):
     # undamped ACKTR on a fresh batch: the logit S factor is exactly singular
     singular = {**FAST_AGENT, "kfac_damping": 0.0, "kfac_decay": 0.0}
     spec = tiny_spec(tmp_path, algorithms=["acktr", "fixed_time"],
-                     train_missing=True)
-    trained = cmd_train(spec, singular)
+                     train_missing=True, agent=singular)
+    trained = cmd_train(spec)
     assert [r.algorithm for r in trained] == ["acktr", "fixed_time"]
     assert trained[0].error.startswith("SingularCurvatureError: ")
     assert trained[1].error is None
-    records, swept = cmd_sweep(spec, singular)
+    records, swept = cmd_sweep(spec)
     assert swept[0].error.startswith("SingularCurvatureError: ")
     assert [r.algorithm for r in records] == ["fixed_time"]
     deploy = DeploymentConfig(
@@ -517,8 +539,9 @@ def test_adapt_missing_checkpoint_reports_error(tmp_path):
 
 def test_adapt_chart_equals_one_drawn_from_the_timeline_csvs(tmp_path):
     spec = tiny_spec(tmp_path, scenario="sparse",
-                     algorithms=["fixed_time", "ppo"], seeds=[0, 1])
-    cmd_train(spec, FAST_AGENT)
+                     algorithms=["fixed_time", "ppo"], seeds=[0, 1],
+                     agent=FAST_AGENT)
+    cmd_train(spec)
     deploy = DeploymentConfig(
         schedule=DetectionSchedule.ramp(0.0, 0.5, 300.0, 1.0),
         total_steps=300, update_period=None, instability_window=5)
@@ -823,6 +846,54 @@ def test_cli_train_sweep_adapt_eval_pipeline(tmp_path, capsys):
     assert "wait_all" in captured.out
 
 
+GRID_FILE = ("[experiment]\nepisode_length = 120\n"
+             "[deploy]\nschedule = 0:0.5\ntotal_steps = 64\n")
+
+
+@pytest.mark.parametrize("command", ["sweep", "adapt"])
+def test_cli_refuses_a_checkpoint_without_the_agent_value_of_the_file(
+        tmp_path, capsys, command):
+    # the cells were trained at the default 30-s green; scoring or
+    # deploying them under a file that sets 5 s used to exit 0
+    ini = tmp_path / "exp.ini"
+    ini.write_text(GRID_FILE)
+    out = tmp_path / "run"
+    base = ["--config", str(ini), "--out", str(out), "--algo", "fixed_time",
+            "--rates", "0.5", "--seed", "0,1", "--episodes", "1"]
+    assert cli_main(["train", *base]) == 0
+    ini.write_text(GRID_FILE + "[agent]\nfixed_time_green = 5\n")
+    capsys.readouterr()
+    assert cli_main([command, *base]) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in (captured.out + captured.err).splitlines()
+              if "fixed_time_green" in line]
+    assert len(errors) == 2  # one per cell
+    for seed, line in enumerate(errors):
+        ckpt = out / "checkpoints" / checkpoint_name("fixed_time", "medium",
+                                                     0.5, seed)
+        assert f"[agent] fixed_time_green = 5.0, but checkpoint {ckpt} " \
+               f"holds 30.0" in line
+    if command == "sweep":
+        assert read_csv(out / "sweep.csv")[1] == []  # no row for either cell
+    else:
+        assert not list(out.glob("timeline_*.csv"))
+
+
+def test_cli_sweep_compares_only_the_agent_keys_the_file_sets(tmp_path,
+                                                              capsys):
+    # the training budget comes from --steps, not from [agent], so a sweep
+    # without --steps still scores the cell
+    ini = tmp_path / "exp.ini"
+    ini.write_text(GRID_FILE + "[agent]\nrollout_length = 64\n"
+                   "hidden_sizes = 16,16\n")
+    base = ["--config", str(ini), "--out", str(tmp_path / "run"),
+            "--algo", "ppo", "--rates", "0.5", "--episodes", "1"]
+    assert cli_main(["train", *base, "--steps", "128"]) == 0
+    assert cli_main(["sweep", *base]) == 0
+    assert cli_main(["adapt", *base]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # every controller through train, sweep and adapt; a warmup below the 256
 # training steps makes DQL take gradient steps
 FIVE_CONTROLLER_GRID = (
@@ -901,11 +972,15 @@ BAD_CONFIGS = {
     # file text (None: no file at all) -> the commands that read the value
     "missing": (None, ["train", "sweep", "adapt"]),
     "agent-type": ("[agent]\ngamma = fast\n", ["train", "sweep", "adapt"]),
-    "agent-range": ("[agent]\ngamma = 2\n", ["train", "sweep"]),
-    "agent-nan": ("[agent]\nactor_lr = nan\n", ["train", "sweep"]),
+    "agent-range": ("[agent]\ngamma = 2\n", ["train", "sweep", "adapt"]),
+    "agent-nan": ("[agent]\nactor_lr = nan\n", ["train", "sweep", "adapt"]),
     # set per cell by [experiment] seeds and algorithms
-    "agent-seed": ("[agent]\nseed = 99\n", ["train", "sweep"]),
-    "agent-algorithm": ("[agent]\nalgorithm = dql\n", ["train", "sweep"]),
+    "agent-seed": ("[agent]\nseed = 99\n", ["train", "sweep", "adapt"]),
+    "agent-algorithm": ("[agent]\nalgorithm = dql\n",
+                        ["train", "sweep", "adapt"]),
+    # a field of ExperimentSpec that only the [agent] section sets
+    "experiment-agent": ("[experiment]\nagent = gamma\n",
+                         ["train", "sweep", "adapt"]),
     "experiment": ("[experiment]\nrates = 1.5\n", ["train", "sweep", "adapt"]),
     "algorithm": ("[experiment]\nalgorithms = ppo,sarsa\n",
                   ["train", "sweep", "adapt"]),
@@ -940,14 +1015,22 @@ def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, case, command):
     if text is not None:
         ini.write_text(text)
     out = tmp_path / "run"
+    # with a schedule, adapt reaches every value the file sets
+    schedule = ["--schedule", "0:1.0"] if command == "adapt" else []
     rc = cli_main([command, "--config", str(ini), "--out", str(out),
-                   "--steps", "10", "--episodes", "1"])
+                   "--steps", "10", "--episodes", "1", *schedule])
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     if case == "agent-type":
         assert "[agent] gamma" in err
+    if case == "agent-range":
+        assert "gamma" in err
+    if case == "agent-nan":
+        assert "actor_lr" in err
+    if case == "experiment-agent":
+        assert "unknown key 'agent' in section [experiment]" in err
     if case in ("no-section", "repeated-key", "stray-percent"):
         assert f"config file {ini} is malformed: " in err
     if case in REMOVED_AGENT_KEYS:
