@@ -2,7 +2,12 @@
 surrogate policy optimization, curvature-preconditioned actor-critic, and a
 fixed-time baseline, all behind one act/update interface.
 
-Policy nets emit two logits (keep, switch); critics emit one value.
+Policy nets emit two logits (keep, switch); critics emit one value. The
+learners compute in their nets' dtype, ``nn.DTYPE``: an observation is cast
+once, where it enters (``_check_obs``, ``_check_rows``, ``_stack`` and the
+replay's store), and the rewards, done flags and log-probabilities that
+meet a net's outputs are held in that dtype too. The fixed-time controller
+reads the env's float64 observations as they are.
 """
 
 from __future__ import annotations
@@ -11,12 +16,13 @@ import json
 import math
 import struct
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.nn import (
+    DTYPE,
     AdamOptimizer,
     DivergenceError,
     Gradients,
@@ -28,7 +34,7 @@ from trafficlab.nn import (
 ALGORITHMS = ("dql", "a2c", "ppo", "acktr", "fixed_time")
 
 _MAGIC = b"TLAG"
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 
 N_ACTIONS = 2
 
@@ -103,10 +109,15 @@ class AgentConfig:
             value = getattr(self, name)
             if type(value) is not int:  # a bool or a float is no count
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        for name, value in vars(self).items():
-            if (isinstance(value, float) and not math.isfinite(value)
-                    and name not in ("trust_region_radius", "kl_budget")):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type != "float":
+                continue
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if (not math.isfinite(value)
+                    and f.name not in ("trust_region_radius", "kl_budget")):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("epsilon_start", "epsilon_end", "explore_floor",
                      "kfac_decay"):
             value = getattr(self, name)
@@ -130,9 +141,10 @@ class AgentConfig:
                              "(inf disables the cap)")
         if not self.kl_budget > 0:
             raise ValueError("kl_budget must be positive (inf disables it)")
-        if any(type(size) is not int or size <= 0
-               for size in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must be positive ints, "
+        if type(self.hidden_sizes) is not list or any(
+                type(size) is not int or size <= 0
+                for size in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be a list of positive ints, "
                              f"got {self.hidden_sizes!r}")
 
 
@@ -152,8 +164,13 @@ def default_agent_config(algorithm: str, seed: int = 0,
                          train_steps_budget: int = 100_000,
                          overrides: dict | None = None) -> AgentConfig:
     """The config a command trains: ``_ALGO_DEFAULTS[algorithm]``, then
-    ``overrides``, over the ``AgentConfig`` defaults. ``overrides`` may not
-    name the cell's ``algorithm`` or ``seed``, which this call sets."""
+    ``overrides``, over the ``AgentConfig`` defaults. ``overrides`` may
+    name only ``AgentConfig`` fields, and not the cell's ``algorithm`` or
+    ``seed``, which this call sets."""
+    known = {f.name for f in fields(AgentConfig)}
+    for key in overrides or {}:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in section [agent]")
     for key, grid_key in (("algorithm", "algorithms"), ("seed", "seeds")):
         if key in (overrides or {}):
             raise ValueError(f"[agent] {key}: set it with [experiment] {grid_key}")
@@ -206,7 +223,7 @@ def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
 
 
 # row ``a`` is the one-hot row of action ``a``
-_ONE_HOT = np.eye(N_ACTIONS)
+_ONE_HOT = np.eye(N_ACTIONS, dtype=DTYPE)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -232,11 +249,12 @@ def _entropy(pi: np.ndarray, logp: np.ndarray) -> np.ndarray:
 
 
 def _stack(transitions: list[Transition]):
-    obs = np.array([t.obs for t in transitions])
+    """The transitions' fields as arrays, the float ones in ``DTYPE``."""
+    obs = np.array([t.obs for t in transitions], dtype=DTYPE)
     actions = np.array([t.action for t in transitions], dtype=np.intp)
-    rewards = np.array([t.reward for t in transitions])
-    next_obs = np.array([t.next_obs for t in transitions])
-    dones = np.array([1.0 if t.done else 0.0 for t in transitions])
+    rewards = np.array([t.reward for t in transitions], dtype=DTYPE)
+    next_obs = np.array([t.next_obs for t in transitions], dtype=DTYPE)
+    dones = np.array([1.0 if t.done else 0.0 for t in transitions], dtype=DTYPE)
     return obs, actions, rewards, next_obs, dones
 
 
@@ -245,6 +263,8 @@ class Agent:
     transitions to hand to update() at a time (0 = never updates)."""
 
     needs_rollout = 0
+    # the dtype observations are read in: the nets'
+    _obs_dtype = DTYPE
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         if type(obs_dim) is not int or obs_dim < 1:  # a bool is no size
@@ -254,7 +274,7 @@ class Agent:
         self.train_steps = 0
         self.last_logprob: float | None = None
         self._rng = np.random.default_rng(config.seed)
-        scale = np.ones(obs_dim)
+        scale = np.ones(obs_dim, dtype=DTYPE)
         if obs_dim > PHASE_TIME_SLOT:
             scale[PHASE_TIME_SLOT] = 1.0 / config.phase_time_scale
         self._obs_scale = scale
@@ -264,7 +284,7 @@ class Agent:
         return self.config.algorithm
 
     def _check_obs(self, obs) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = np.asarray(obs, dtype=self._obs_dtype)
         if obs.shape != (self.obs_dim,):
             raise ObservationShapeError(
                 f"expected observation of length {self.obs_dim}, got {obs.shape}")
@@ -283,11 +303,11 @@ class Agent:
     def _check_rows(self, obs) -> np.ndarray:
         """``obs``, a stack of observations, as one ``(E, obs_dim)`` float
         array; a ragged stack or a row of another length is an
-        ``ObservationShapeError``."""
+        ``ObservationShapeError``. The array is in ``_obs_dtype``."""
         expected = (f"expected observations of length {self.obs_dim} "
                     f"stacked in rows")
         try:
-            x = np.asarray(obs, dtype=np.float64)
+            x = np.asarray(obs, dtype=self._obs_dtype)
         except ValueError as exc:  # say, rows of unequal length
             raise ObservationShapeError(f"{expected}: {exc}") from None
         if x.ndim != 2 or x.shape[1] != self.obs_dim:
@@ -332,6 +352,10 @@ class FixedTimeAgent(Agent):
     """Non-adaptive baseline: request a switch whenever the current phase
     has lasted the configured green time."""
 
+    # the env's phase timer as it is: a float32 one could round up to the
+    # green time a step early
+    _obs_dtype = np.float64
+
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
         if obs_dim <= PHASE_TIME_SLOT:
@@ -354,16 +378,18 @@ class _ReplayBuffer:
     The ``k``-th transition added (from 0) goes to slot ``k % capacity``,
     so once the ring is full each new transition overwrites the oldest.
     ``sample`` returns stacked batch arrays, ready for a regression step.
+    The float fields are ``DTYPE``: a transition's observations are cast
+    once, as they are stored.
     """
 
     def __init__(self, capacity: int, obs_dim: int):
         self.capacity = capacity
         self.added = 0
-        self.obs = np.zeros((capacity, obs_dim))
+        self.obs = np.zeros((capacity, obs_dim), dtype=DTYPE)
         self.actions = np.zeros(capacity, dtype=np.intp)
-        self.rewards = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.dones = np.zeros(capacity)
+        self.rewards = np.zeros(capacity, dtype=DTYPE)
+        self.next_obs = np.zeros((capacity, obs_dim), dtype=DTYPE)
+        self.dones = np.zeros(capacity, dtype=DTYPE)
 
     def __len__(self) -> int:
         return min(self.added, self.capacity)
@@ -634,7 +660,7 @@ class PpoAgent(_ActorCriticAgent):
         n = len(transitions)
         self.train_steps += n
         obs, actions, targets, advantages = self._targets_and_advantages(transitions)
-        old_logp = np.array([t.log_prob for t in transitions])
+        old_logp = np.array([t.log_prob for t in transitions], dtype=DTYPE)
         low, high = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
         last_actor_loss = 0.0
         last_critic_loss = 0.0
@@ -752,12 +778,14 @@ def make_agent(config: AgentConfig, obs_dim: int) -> Agent:
 # ---------------------------------------------------------------------------
 #
 # Layout: b"TLAG", <II (format version, header length), a UTF-8 JSON header,
-# then one little-endian float64 payload. The header holds only what
-# ``make_agent`` cannot rebuild: obs_dim, the full config, the counters
+# then one little-endian payload. The header holds only what ``make_agent``
+# cannot rebuild: obs_dim, the full config, the nets' dtype, the counters
 # (``_counter_slots``) and the RNG state. The agent that ``make_agent``
-# builds from the first two sets the payload's layout: each net's
+# builds from the config and obs_dim sets the payload's layout: each net's
 # ``params`` in ``_nets()`` order, then each optimizer's
-# ``state_arrays()`` in ``_optimizers()`` order.
+# ``state_arrays()`` in ``_optimizers()`` order, each array in its own
+# dtype: the nets' and Adam's float32, the K-FAC factors' float64. A file
+# whose nets are of another dtype than this build's is refused by name.
 
 def _payload_arrays(agent: Agent) -> list[np.ndarray]:
     arrays = [net.params for net in agent._nets().values()]
@@ -770,11 +798,12 @@ def agent_to_bytes(agent: Agent) -> bytes:
     header = json.dumps({
         "obs_dim": agent.obs_dim,
         "config": asdict(agent.config),
+        "dtype": np.dtype(DTYPE).name,
         "counters": {key: getattr(owner, attr)
                      for key, owner, attr in agent._counter_slots()},
         "rng_state": agent._rng.bit_generator.state,
     }, default=int).encode("utf-8")
-    payload = b"".join(np.asarray(a, dtype="<f8").tobytes()
+    payload = b"".join(np.asarray(a, dtype=a.dtype.newbyteorder("<")).tobytes()
                        for a in _payload_arrays(agent))
     return (_MAGIC + struct.pack("<II", _FORMAT_VERSION, len(header))
             + header + payload)
@@ -807,10 +836,14 @@ def _restore(header: dict, blob: bytes, offset: int,
     the payload at ``offset``. A malformed header surfaces as a KeyError,
     TypeError, ValueError or OverflowError, and one that names sizes too
     large to allocate as a MemoryError; the caller reports each as a
-    format error. A payload whose length does not fit the built agent, a
-    payload value that is not finite (training raises before it could
-    save one) and a counter that is not a non-negative int are format
-    errors too."""
+    format error. Nets of another dtype than ``DTYPE``, a payload whose
+    length does not fit the built agent, a payload value that is not
+    finite (training raises before it could save one) and a counter that
+    is not a non-negative int are format errors too."""
+    if header["dtype"] != np.dtype(DTYPE).name:
+        raise CheckpointFormatError(
+            f"checkpoint nets are {header['dtype']!r}; this build's are "
+            f"{np.dtype(DTYPE).name!r}")
     config = AgentConfig(**header["config"])
     if expected_algorithm is not None and config.algorithm != expected_algorithm:
         raise AlgorithmMismatchError(
@@ -818,21 +851,22 @@ def _restore(header: dict, blob: bytes, offset: int,
             f"{expected_algorithm!r}")
     agent = make_agent(config, header["obs_dim"])
     arrays = _payload_arrays(agent)  # the payload's destinations, in order
-    count = sum(a.size for a in arrays)
-    sizes = (f"the agent its config builds holds {count} values, the "
-             f"payload {(len(blob) - offset) / 8:.15g}")
-    if len(blob) < offset + 8 * count:
+    size = sum(a.nbytes for a in arrays)
+    sizes = (f"the agent its config builds holds {size} payload bytes, the "
+             f"file {len(blob) - offset}")
+    if len(blob) < offset + size:
         raise CheckpointTruncatedError(f"checkpoint payload cut short: {sizes}")
-    if len(blob) > offset + 8 * count:
+    if len(blob) > offset + size:
         raise CheckpointFormatError(
             f"trailing bytes after checkpoint payload: {sizes}")
-    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    if not np.isfinite(payload).all():
-        raise CheckpointFormatError("checkpoint payload holds a value that is "
-                                    "not finite")
     for dst in arrays:
-        dst[...] = payload[:dst.size].reshape(dst.shape)
-        payload = payload[dst.size:]
+        values = np.frombuffer(blob, dtype=dst.dtype.newbyteorder("<"),
+                               count=dst.size, offset=offset)
+        if not np.isfinite(values).all():
+            raise CheckpointFormatError("checkpoint payload holds a value "
+                                        "that is not finite")
+        dst[...] = values.reshape(dst.shape)
+        offset += dst.nbytes
     counters = header["counters"]
     slots = agent._counter_slots()
     keys = sorted(key for key, _, _ in slots)

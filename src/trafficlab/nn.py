@@ -2,25 +2,35 @@
 and Kronecker-factored curvature for natural-gradient preconditioning.
 
 Every net has one shape: affine layers, tanh on each hidden layer and a
-linear output layer. Everything is float64 numpy. A network's parameters
-live in one flat vector, ``Mlp.params``, laid out per layer as the weight
-matrix row-major, then the bias; each layer's ``w`` and ``b`` are views
-into it, so an optimizer step is a few whole-vector operations. Gradients
-use the same layout, with the same views. A net has two forward passes:
-calling it is inference and keeps nothing, ``forward`` keeps the cache
-``backward`` reads. Both run from a per-layer plan built once with the
-net (weight, its transpose, bias, and tanh on every layer but the last).
-``backward`` is two parts: the chain of per-sample pre-activation
-gradients from the output back to the first layer
-(``pre_activation_grads``, which returns them and leaves the cache as it
-was), then each layer's weight and bias products, written into the flat
-gradient. Curvature stats read only the chain, so a curvature refresh
-runs the chain alone. ``Gradients`` has one constructor, over a flat
-vector it cuts into layer views without a copy. In place, a pass writes
-only arrays it made or owns: both forwards add the bias into the fresh
-matmul result (calling also applies the activation there), neither part
-of ``backward`` writes an array of the cache or of its output gradient,
-and an Adam step writes ``m``, ``v``, ``params`` and its scratch.
+linear output layer. A net's dtype is that of its ``params``: float32
+(``DTYPE``) for every net ``Mlp.create`` builds, or the dtype of the
+``Layer`` arrays a net is built from (float64 ones give a float64 net, as
+the finite-difference tests use). Everything derived from a net follows
+it: both forwards and their caches, the pre-activation gradients,
+``Gradients`` and the Adam moments and scratch; an input of another dtype
+is cast once, on the way in. Only the K-FAC factors and their inverses
+are float64 whatever the net: they are inverted, and float32 has not been
+shown safe for that.
+
+A network's parameters live in one flat vector, ``Mlp.params``, laid out
+per layer as the weight matrix row-major, then the bias; each layer's
+``w`` and ``b`` are views into it, so an optimizer step is a few
+whole-vector operations. Gradients use the same layout, with the same
+views. A net has two forward passes: calling it is inference and keeps
+nothing, ``forward`` keeps the cache ``backward`` reads. Both run from a
+per-layer plan built once with the net (weight, its transpose, bias, and
+tanh on every layer but the last). ``backward`` is two parts: the chain
+of per-sample pre-activation gradients from the output back to the first
+layer (``pre_activation_grads``, which returns them and leaves the cache
+as it was), then each layer's weight and bias products, written into the
+flat gradient. Curvature stats read only the chain, so a curvature
+refresh runs the chain alone. ``Gradients`` has one constructor, over a
+flat vector it cuts into layer views without a copy. In place, a pass
+writes only arrays it made or owns: both forwards add the bias into the
+fresh matmul result (calling also applies the activation there), neither
+part of ``backward`` writes an array of the cache or of its output
+gradient, and an Adam step writes ``m``, ``v``, ``params`` and its
+scratch.
 
 Inference takes three input shapes, and keeps one equality for each:
 
@@ -45,9 +55,10 @@ so a loader restores them by writing into them in place.
 ``KfacStats`` keeps one damped inverse per Kronecker factor. ``update``
 marks them stale and the next ``precondition`` rebuilds them, so a factor
 is inverted once per curvature refresh, not once per preconditioned step.
-``precondition`` writes each layer's products into a fresh output vector.
-The inverses are derived state: a checkpoint holds only the factors, and a
-loaded agent rebuilds the inverses from them on its first step.
+``precondition`` writes each layer's float64 products into a fresh
+direction of the gradient's dtype. The inverses are derived state: a
+checkpoint holds only the factors, and a loaded agent rebuilds the
+inverses from them on its first step.
 """
 
 from __future__ import annotations
@@ -64,6 +75,12 @@ class DivergenceError(RuntimeError):
 
 class SingularCurvatureError(RuntimeError):
     """A curvature factor could not be inverted (no damping to rescue it)."""
+
+
+# the dtype of every net ``Mlp.create`` builds; at these sizes a DQL
+# training step takes about two thirds of its float64 time in float32
+# (2 vCPUs, one BLAS thread)
+DTYPE = np.float32
 
 
 def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -145,9 +162,10 @@ class Mlp:
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.w.shape[1] != prev.w.shape[0]:
                 raise ValueError("adjacent layer dimensions are incompatible")
-        self.params = np.concatenate(
-            [part for l in layers for part in (l.w.ravel(), l.b)]
-        ).astype(np.float64, copy=False)
+        parts = [part for l in layers for part in (l.w.ravel(), l.b)]
+        # the layers' float dtype; ints make a float64 net
+        self.params = np.concatenate(parts).astype(
+            np.result_type(np.float32, *parts), copy=False)
         ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
         self.layers = [Layer(w, b) for w, b in zip(ws, bs)]
         self.input_size = ws[0].shape[1]
@@ -160,14 +178,16 @@ class Mlp:
 
     @classmethod
     def create(cls, sizes: list[int], seed: int) -> "Mlp":
-        """Scaled uniform fan-in init (+/- 1/sqrt(fan_in)), zero biases;
-        ``sizes`` runs from the input to the output."""
+        """Scaled uniform fan-in init (+/- 1/sqrt(fan_in)), zero biases, in
+        ``DTYPE``; ``sizes`` runs from the input to the output. The weights
+        are float64 uniform draws, each rounded once."""
         rng = np.random.default_rng(seed)
         layers = []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             bound = 1.0 / math.sqrt(fan_in)
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-            layers.append(Layer(w=w, b=np.zeros(fan_out)))
+            layers.append(Layer(w=w.astype(DTYPE),
+                                b=np.zeros(fan_out, dtype=DTYPE)))
         return cls(layers)
 
     def clone(self) -> "Mlp":
@@ -176,7 +196,7 @@ class Mlp:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.params.dtype)
         squeeze = x.ndim == 1
         a = x[None, :] if squeeze else x
         if a.shape[1] != self.input_size:
@@ -195,7 +215,7 @@ class Mlp:
         """The output at one sample ``(n,)``, a batch ``(B, n)`` or a
         stack of single rows ``(E, 1, n)``; the module docstring names the
         bit-equality each one keeps."""
-        a = np.asarray(x, dtype=np.float64)
+        a = np.asarray(x, dtype=self.params.dtype)
         if a.shape[-1] != self.input_size:
             raise ValueError(
                 f"input size {a.shape[-1]} does not match net input {self.input_size}")
@@ -216,11 +236,11 @@ class Mlp:
         products.
         """
         # the flat gradient is allocated after the chain, which is freed on
-        # return: allocated ahead of it, each A2C update took about 360
-        # more minor page faults (glibc trims and regrows the heap around
-        # the 128 KiB temporaries of a 256-row batch)
+        # return: allocated ahead of it, each float64 A2C update took about
+        # 360 more minor page faults (glibc trims and regrows the heap
+        # around the 128 KiB temporaries of a 256-row batch)
         pre_grads = self.pre_activation_grads(cache, output_grad)
-        grads = Gradients(np.empty(self.params.size),
+        grads = Gradients(np.empty_like(self.params),
                           [l.w.shape for l in self.layers])
         for ds, a, dw, db in zip(pre_grads, cache.inputs, grads.dw, grads.db):
             np.dot(ds.T, a, out=dw)  # the gemm of ds.T @ a, into the view
@@ -233,7 +253,7 @@ class Mlp:
         the output gradient back to the first layer, without the weight
         and bias products ``backward`` adds; the cache is only read.
         Curvature stats read nothing else of a pass."""
-        g = np.asarray(output_grad, dtype=np.float64)
+        g = np.asarray(output_grad, dtype=self.params.dtype)
         if g.ndim == 1:
             g = g[None, :]
         if g.shape != cache.output.shape:
@@ -280,8 +300,9 @@ class AdamOptimizer:
     The moments ``m`` and ``v`` are flat vectors in the ``Mlp.params``
     layout; their checkpoint form is per-layer views, all weights then all
     biases. Two scratch vectors of the same size hold each step's
-    intermediates; they are derived state and are not checkpointed. The
-    step count ``t`` is checkpointed among the agent's counters."""
+    intermediates; they are derived state and are not checkpointed. All
+    four take the net's dtype. The step count ``t`` is checkpointed among
+    the agent's counters."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -289,10 +310,9 @@ class AdamOptimizer:
 
     def __init__(self, net: Mlp):
         self.t = 0
-        size = net.params.size
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self._scratch = (np.empty(size), np.empty(size))
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
+        self._scratch = (np.empty_like(net.params), np.empty_like(net.params))
         shapes = [l.w.shape for l in net.layers]
         self._state_views = []
         for flat in (self.m, self.v):
@@ -390,7 +410,8 @@ class KfacStats:
                 "curvature factor is singular and damping is zero") from exc
 
     def precondition(self, grads: Gradients) -> Gradients:
-        """(S + damping I)^-1 G (A + damping I)^-1 per layer."""
+        """(S + damping I)^-1 G (A + damping I)^-1 per layer, computed in
+        float64 and written into a direction of ``grads``' dtype."""
         if self._inverses is None:
             self._inverses = [
                 (self._damped_inverse(a), self._damped_inverse(s))
@@ -398,8 +419,8 @@ class KfacStats:
         out = Gradients(np.empty_like(grads.flat), grads.shapes)
         for idx, (dw, db) in enumerate(zip(grads.dw, grads.db)):
             a_inv, s_inv = self._inverses[idx]
-            # np.dot writes into a view as fast as it multiplies;
-            # np.matmul with out= is slower than a copy at these sizes
-            np.dot(s_inv @ dw, a_inv, out=out.dw[idx])
-            np.dot(s_inv, db, out=out.db[idx])
+            # np.dot writes only into an out of its own result dtype, so
+            # the float64 products are cast into the views by assignment
+            out.dw[idx][...] = s_inv @ dw @ a_inv
+            out.db[idx][...] = s_inv @ db
         return out

@@ -18,10 +18,11 @@ from trafficlab.nn import Gradients, KfacStats, SingularCurvatureError
 
 def gradients_of(dw, db) -> Gradients:
     """Gradients over a fresh flat vector of the layers' ``dw`` and ``db``
-    in the ``Mlp.params`` layout."""
+    in the ``Mlp.params`` layout, in their float dtype (as ``Mlp`` takes
+    its layers': float64 for ints)."""
     flat = np.concatenate([part for w, b in zip(dw, db)
                            for part in (np.ravel(w), np.ravel(b))])
-    return Gradients(flat.astype(np.float64, copy=False),
+    return Gradients(flat.astype(np.result_type(np.float32, flat), copy=False),
                      [np.shape(w) for w in dw])
 
 

@@ -39,13 +39,26 @@ config lost that key, and the dql, ppo and a2c configs, which never read
 them, hold ``kfac_decay`` 0.99 and ``kl_budget`` 1e-2 where they held
 0.95 and None. The digests of the code before, taken with its config
 dict mapped the same way, equal the new ones: every parameter, optimizer
-array, counter and random state stayed bit-identical.
+array, counter and random state stayed bit-identical. All four were
+recorded again when the nets became float32: their parameters, Adam
+moments and every update's arithmetic round differently, so every
+learned value moved, and the digest now hashes each array in its own
+dtype, with the dtype's name beside its shape (the K-FAC factors stay
+float64). The counters and the RNG states are as before.
 
 The third pins the checkpoint bytes of those four agents, header and
 payload, at the format version they were recorded in. A change of the
 checkpoint format bumps ``_FORMAT_VERSION`` and records these digests
 again in the same change; a change of any other kind must leave them as
-they are.
+they are. They were recorded again at format 6, whose header names the
+nets' dtype and whose payload holds the float32 nets and Adam moments as
+float32 (the K-FAC factors as float64).
+
+The first digest is unchanged by the float32 nets: no net is on the
+fixed-time controller's path, and it reads the env's float64
+observations as they are. So is ``GOLDEN_FIVE_CONTROLLER_GRID`` in
+``test_harness.py``: its brief training flipped no greedy or sampled
+decision, and its files hold only waits, which the float64 sim computes.
 """
 
 import hashlib
@@ -111,19 +124,19 @@ def test_dense_fixed_time_rollout_matches_golden_digest():
 # -- trained agent state -------------------------------------------------------
 
 GOLDEN_TRAINED_AGENT_STATE = {
-    "dql": "438e7f53a6ce17d4bf680deac068a59278b3379dba0ad66df9f06d7c47c314cb",
-    "ppo": "84f93dc82a99b3c2287df5e30be0570b914d4bcd1074286592a1a55c04f9a15b",
-    "a2c": "b6d2e6576f930fcbacd9d117a9c7504c04fc7930c2118548b15120b30d32bfab",
-    "acktr": "bd9a7abe374b3b0c309135e0a95a89faa87051669b6f9b5394586e72fcc2863a",
+    "dql": "b63336bab3406d033e6d42193072a49fcd98714f923ffb662dcdb4aa0524d51e",
+    "ppo": "8c552db3251d0f84b76a4ce8d25bbaa4f37751d94bb2c5e9d197c0da2e15d4f1",
+    "a2c": "d6d22fb674eed72768ddba3fc6f61dacc3a26855f68e8661b08dc65cfea28681",
+    "acktr": "3b0a04731315fa57e87decf6292d920fb5441bfbb2ef008ebef59118ee5730ba",
 }
 
 # the format version the checkpoint digests below were recorded at
-GOLDEN_CHECKPOINT_FORMAT = 5
+GOLDEN_CHECKPOINT_FORMAT = 6
 GOLDEN_CHECKPOINT_BYTES = {
-    "dql": "7ca48ca78d115057cf4005dcd9d020b6f3591c38cc0eedcdc3450f84d6ab87d6",
-    "ppo": "7ab78fa81ab61dc3aef035fafd6f3a44004a0bc915198bc64796e4a2f595f2d1",
-    "a2c": "091c02cf8c1395efa53e3bcb56013e212a0221ba81154bea0a007566b8274a51",
-    "acktr": "268afca3400493adfd9300ad6f80024421f625fcc6c16f2ddb45d0da0bae5241",
+    "dql": "e8f12659a595b7c9ac93c65a7c04c13d5e795f22959cfdba09254e3228b32b50",
+    "ppo": "3fa94436a7d91a735de0340012362527ac624d563277aac2e0ad62e62a65e9aa",
+    "a2c": "2cde420781b87ed09288e58e42b5ab30377ca2e4b9f3b9674718f015c6b0f583",
+    "acktr": "3d74a39e09803e8975f6c59d87be2a27fa863f9a91d3d27fedbe8cab65789ae7",
 }
 
 _STATE_OVERRIDES = dict(hidden_sizes=[16, 16], rollout_length=64,
@@ -147,16 +160,16 @@ def trained_agent(algorithm: str, steps: int = 900):
 def agent_state_digest(agent) -> str:
     """SHA-256 over an agent's learned and resumable state, independent of
     the checkpoint byte layout: the config, each payload array (each net's
-    parameters, then each optimizer's state arrays) with its shape, the
-    counters and the RNG."""
+    parameters, then each optimizer's state arrays) with its dtype and
+    shape, the counters and the RNG."""
     h = hashlib.sha256()
     h.update(json.dumps(asdict(agent.config), sort_keys=True).encode())
     arrays = [net.params for net in agent._nets().values()]
     for opt in agent._optimizers().values():
         arrays += opt.state_arrays()
     for arr in arrays:
-        h.update(repr(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        h.update(repr((arr.dtype.name, arr.shape)).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
     counters = {key: getattr(owner, attr)
                 for key, owner, attr in agent._counter_slots()}
     h.update(json.dumps(counters, sort_keys=True).encode())

@@ -237,6 +237,19 @@ def test_spec_checks_its_agent_values_last_for_every_algorithm(tmp_path):
         tiny_spec(tmp_path, rates=[1.5], agent={"gamma": 2.0})
 
 
+@pytest.mark.parametrize("agent, message", [
+    ({"bogus": 1}, r"^unknown key 'bogus' in section \[agent\]$"),
+    ({"gamma": "x"}, r"^gamma must be a number, got 'x'$"),
+    ({"hidden_sizes": 64}, r"^hidden_sizes must be a list of positive ints, "
+                           r"got 64$"),
+], ids=["unknown-key", "gamma-not-a-number", "hidden_sizes-not-a-list"])
+def test_spec_refuses_a_bad_agent_value_by_key(tmp_path, agent, message):
+    # each used to escape AgentConfig as a bare TypeError; the CLI refuses
+    # them earlier, when it parses the [agent] section
+    with pytest.raises(ValueError, match=message):
+        tiny_spec(tmp_path, agent=agent)
+
+
 def test_trained_checkpoint_holds_the_spec_agent_config(tmp_path):
     spec = tiny_spec(tmp_path, algorithms=["a2c"], seeds=[4],
                      agent={**FAST_AGENT, "gamma": 0.9})
@@ -486,9 +499,11 @@ def test_sweep_reproducible_byte_identical(tmp_path):
 
 
 def test_every_cell_error_is_an_errored_row_naming_the_type(tmp_path):
-    # undamped ACKTR on a fresh batch: the logit S factor is exactly singular
+    # undamped ACKTR on a fresh batch at detection rate 0: no vehicle is
+    # seen, so the count slots of every observation are 0 and the first
+    # layer's A factor is exactly singular
     singular = {**FAST_AGENT, "kfac_damping": 0.0, "kfac_decay": 0.0}
-    spec = tiny_spec(tmp_path, algorithms=["acktr", "fixed_time"],
+    spec = tiny_spec(tmp_path, algorithms=["acktr", "fixed_time"], rates=[0.0],
                      train_missing=True, agent=singular)
     trained = cmd_train(spec)
     assert [r.algorithm for r in trained] == ["acktr", "fixed_time"]
@@ -498,7 +513,7 @@ def test_every_cell_error_is_an_errored_row_naming_the_type(tmp_path):
     assert swept[0].error.startswith("SingularCurvatureError: ")
     assert [r.algorithm for r in records] == ["fixed_time"]
     deploy = DeploymentConfig(
-        schedule=DetectionSchedule.ramp(0.0, 0.5, 400.0, 1.0),
+        schedule=DetectionSchedule.ramp(0.0, 0.0, 400.0, 1.0),
         total_steps=400, update_period=None, instability_window=100)
     adapted = cmd_adapt(spec, deploy)
     assert adapted[0].error.startswith("FileNotFoundError: ")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kfac_oracle import gradients_of, solve_precondition
 from trafficlab.nn import (
+    DTYPE,
     AdamOptimizer,
     DivergenceError,
     Gradients,
@@ -20,6 +21,14 @@ from trafficlab.nn import (
 
 def small_net(seed=0, sizes=(3, 4, 2)):
     return Mlp.create(list(sizes), seed=seed)
+
+
+def float64_net(sizes, seed):
+    """The net ``Mlp.create`` builds, widened to a float64 net through
+    float64 ``Layer``s: the finite-difference and dense-algebra oracles
+    need float64's precision."""
+    return Mlp([Layer(l.w.astype(np.float64), l.b.astype(np.float64))
+                for l in Mlp.create(list(sizes), seed=seed).layers])
 
 
 def is_hidden(net, idx):
@@ -51,8 +60,9 @@ def numeric_gradient(net, x, target, h=1e-5):
 
 def call_reference(net, x):
     """``Mlp.__call__`` as it was before it worked in place: a new array
-    for each operation. The oracle for the in-place pass."""
-    a = np.asarray(x, dtype=np.float64)
+    for each operation, in the net's dtype. The oracle for the in-place
+    pass."""
+    a = np.asarray(x, dtype=net.params.dtype)
     for idx, layer in enumerate(net.layers):
         s = a @ layer.w.T + layer.b
         a = np.tanh(s) if is_hidden(net, idx) else s
@@ -99,7 +109,7 @@ def test_single_affine_layer_arithmetic():
 
 def test_forward_matches_dense_algebra_oracle():
     rng = np.random.default_rng(5)
-    net = small_net(seed=1, sizes=(4, 5, 3, 2))
+    net = float64_net((4, 5, 3, 2), seed=1)
     x = rng.normal(size=(6, 4))
     out, _ = net.forward(x)
     # independent composition with explicit matrix products: tanh on the
@@ -176,6 +186,44 @@ def test_call_on_stacked_rows_equals_one_row_calls_bit_for_bit(
         assert out[k, 0].tobytes() == net(x[k]).tobytes()
 
 
+@pytest.mark.parametrize("dtype, net_dtype", [
+    (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
+def test_everything_of_a_net_follows_the_dtype_of_its_layers(dtype, net_dtype):
+    """A net takes its dtype from the ``Layer``s it is built from (ints
+    make a float64 net); its passes, gradients and Adam state follow it,
+    a float64 input is cast on the way in, and K-FAC's factors are float64
+    whatever the net while its direction takes the net's dtype."""
+    net = Mlp([Layer(np.ones((4, 3), dtype), np.zeros(4, dtype)),
+               Layer(np.ones((2, 4), dtype), np.zeros(2, dtype))])
+    x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    out, cache = net.forward(x)
+    chain = net.pre_activation_grads(cache, np.ones((2, 2)))
+    grads = net.backward(cache, np.ones((2, 2)))
+    adam = AdamOptimizer(net)
+    adam.step(net, grads, 0.1)
+    stats = KfacStats(net, damping=1e-2, decay=0.9)
+    stats.update(cache.inputs, chain)
+    arrays = [net.params, out, net(x), net(x[0]), net(x[:, None, :]),
+              *cache.inputs, cache.output, *chain, grads.flat, adam.m, adam.v,
+              *adam._scratch, stats.precondition(grads).flat]
+    assert {a.dtype for a in arrays} == {np.dtype(net_dtype)}
+    assert {f.dtype for f in stats.a_factors + stats.s_factors} == {
+        np.dtype(np.float64)}
+
+
+def test_created_nets_are_float32_rounding_the_float64_draws_once():
+    net = Mlp.create([3, 4, 2], seed=7)
+    assert net.params.dtype == DTYPE == np.float32
+    rng = np.random.default_rng(7)
+    for layer in net.layers:
+        out_dim, in_dim = layer.w.shape
+        bound = 1.0 / math.sqrt(in_dim)
+        draw = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+        assert layer.w.tobytes() == draw.astype(np.float32).tobytes()
+        assert layer.b.tobytes() == np.zeros(out_dim, np.float32).tobytes()
+    assert net.clone().params.dtype == np.float32
+
+
 def test_mismatched_layer_dims_rejected():
     with pytest.raises(ValueError, match="incompatible"):
         Mlp([
@@ -209,7 +257,7 @@ def test_zero_output_gradient_gives_zero_gradients():
 def test_backward_matches_finite_differences(depth):
     rng = np.random.default_rng(depth)
     sizes = [3] + [4] * (depth - 1) + [2]
-    net = Mlp.create(sizes, seed=int(rng.integers(1000)))
+    net = float64_net(sizes, seed=int(rng.integers(1000)))
     x = rng.normal(size=(5, 3))
     target = rng.normal(size=(5, 2))
     _, dout, cache = loss_and_grad(net, x, target)
@@ -224,7 +272,7 @@ def test_backward_gradient_exactness_property_family():
     for trial in range(15):
         depth = int(rng.integers(1, 4))
         sizes = [int(rng.integers(1, 5)) for _ in range(depth + 1)]
-        net = Mlp.create(sizes, seed=trial)
+        net = float64_net(sizes, seed=trial)
         x = rng.normal(size=(3, sizes[0]))
         target = rng.normal(size=(3, sizes[-1]))
         _, dout, cache = loss_and_grad(net, x, target)
@@ -241,7 +289,7 @@ def test_backward_equals_per_layer_reference_bit_for_bit():
     net = Mlp.create([4, 6, 5, 3, 2], seed=41)
     x = rng.normal(size=(7, 4))
     out, cache = net.forward(x)
-    dout = rng.normal(size=out.shape)
+    dout = rng.normal(size=out.shape).astype(net.params.dtype)
     grads = net.backward(cache, dout)
     chain = net.pre_activation_grads(cache, dout)
     da = dout
@@ -475,8 +523,8 @@ def test_flat_optimizer_steps_equal_per_layer_loop():
     v = [np.zeros_like(a) for a in ref]
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
     for t in range(1, 6):
-        dw = [rng.normal(size=l.w.shape) for l in net.layers]
-        db = [rng.normal(size=l.b.shape) for l in net.layers]
+        dw = [rng.normal(size=l.w.shape).astype(DTYPE) for l in net.layers]
+        db = [rng.normal(size=l.b.shape).astype(DTYPE) for l in net.layers]
         adam.step(net, gradients_of(dw, db), lr)
         sgd.step(sgd_net, gradients_of(dw, db), lr)
         bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
@@ -507,9 +555,9 @@ def test_adam_step_equals_reference_bit_for_bit(seed, depth, lr, scale):
     rng = np.random.default_rng(seed)
     net = random_net(rng, depth, int(rng.integers(1, 20)))
     adam = AdamOptimizer(net)
-    params, m, v = net.flatten(), np.zeros(net.params.size), np.zeros(net.params.size)
+    params, m, v = net.flatten(), np.zeros_like(net.params), np.zeros_like(net.params)
     for t in range(1, 5):
-        g = scale * rng.normal(size=net.params.size)
+        g = (scale * rng.normal(size=net.params.size)).astype(DTYPE)
         direction = Gradients(g.copy(), [l.w.shape for l in net.layers])
         adam.step(net, direction, lr)
         adam_reference(params, m, v, g, t, lr)
