@@ -7,7 +7,9 @@ learners compute in their nets' dtype, ``nn.DTYPE``: an observation is cast
 once, where it enters (``_check_obs``, ``_check_rows``, ``_stack`` and the
 replay's store), and the rewards, done flags and log-probabilities that
 meet a net's outputs are held in that dtype too. The fixed-time controller
-reads the env's float64 observations as they are.
+reads its observations through the same casts: at the 1-s time step every
+preset uses, its phase timer is a whole number of seconds, which float32
+holds exactly.
 """
 
 from __future__ import annotations
@@ -263,8 +265,6 @@ class Agent:
     transitions to hand to update() at a time (0 = never updates)."""
 
     needs_rollout = 0
-    # the dtype observations are read in: the nets'
-    _obs_dtype = DTYPE
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         if type(obs_dim) is not int or obs_dim < 1:  # a bool is no size
@@ -284,7 +284,7 @@ class Agent:
         return self.config.algorithm
 
     def _check_obs(self, obs) -> np.ndarray:
-        obs = np.asarray(obs, dtype=self._obs_dtype)
+        obs = np.asarray(obs, dtype=DTYPE)
         if obs.shape != (self.obs_dim,):
             raise ObservationShapeError(
                 f"expected observation of length {self.obs_dim}, got {obs.shape}")
@@ -303,11 +303,11 @@ class Agent:
     def _check_rows(self, obs) -> np.ndarray:
         """``obs``, a stack of observations, as one ``(E, obs_dim)`` float
         array; a ragged stack or a row of another length is an
-        ``ObservationShapeError``. The array is in ``_obs_dtype``."""
+        ``ObservationShapeError``. The array is in ``DTYPE``."""
         expected = (f"expected observations of length {self.obs_dim} "
                     f"stacked in rows")
         try:
-            x = np.asarray(obs, dtype=self._obs_dtype)
+            x = np.asarray(obs, dtype=DTYPE)
         except ValueError as exc:  # say, rows of unequal length
             raise ObservationShapeError(f"{expected}: {exc}") from None
         if x.ndim != 2 or x.shape[1] != self.obs_dim:
@@ -351,10 +351,6 @@ class Agent:
 class FixedTimeAgent(Agent):
     """Non-adaptive baseline: request a switch whenever the current phase
     has lasted the configured green time."""
-
-    # the env's phase timer as it is: a float32 one could round up to the
-    # green time a step early
-    _obs_dtype = np.float64
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)

@@ -121,6 +121,13 @@ def with_sgd(agent):
     return agent
 
 
+def wide(net):
+    """A float64 net of ``net``'s values: a float32 net's values exactly,
+    for an oracle or a float64 update to compute with."""
+    return Mlp([Layer(l.w.astype(np.float64), l.b.astype(np.float64))
+                for l in net.layers])
+
+
 def float64_nets(agent):
     """``agent`` with its actor and critic widened to float64 nets of the
     same values, each with a fresh optimizer of its class: the
@@ -128,12 +135,10 @@ def float64_nets(agent):
     Everything the update derives from a net follows its dtype; the
     observations and rewards are still cast to ``DTYPE`` as they enter."""
     for name in ("actor", "critic"):
-        net = getattr(agent, name)
-        wide = Mlp([Layer(l.w.astype(np.float64), l.b.astype(np.float64))
-                    for l in net.layers])
-        setattr(agent, name, wide)
+        net = wide(getattr(agent, name))
+        setattr(agent, name, net)
         setattr(agent, f"{name}_optimizer",
-                type(getattr(agent, f"{name}_optimizer"))(wide))
+                type(getattr(agent, f"{name}_optimizer"))(net))
     return agent
 
 
@@ -921,13 +926,19 @@ def test_acktr_zero_trust_radius_freezes_parameters():
     np.testing.assert_array_equal(agent.critic.flatten(), before_critic)
 
 
-def test_acktr_single_layer_matches_dense_natural_gradient_oracle():
+# Each ACKTR check below runs in float64 nets, at float64's precision, and
+# in the float32 nets ACKTR ships with, whose K-FAC products are float64
+# but are written back into a float32 direction.
+
+def check_single_layer_matches_dense_natural_gradient_oracle(nets):
     lam = 0.1
     lr = 0.05
     cfg = config_for("acktr", hidden_sizes=[], kfac_damping=lam, kfac_decay=1.0,
                      trust_region_radius=math.inf, kl_budget=math.inf,
                      entropy_coef=0.0, actor_lr=lr)
-    agent = float64_nets(AcktrAgent(cfg, 3))
+    agent = AcktrAgent(cfg, 3)
+    if nets == "float64":
+        agent = float64_nets(agent)
     rng = np.random.default_rng(21)
     a_fac = rng.normal(size=(3, 3))
     a_fac = a_fac @ a_fac.T + 0.3 * np.eye(3)
@@ -938,16 +949,17 @@ def test_acktr_single_layer_matches_dense_natural_gradient_oracle():
 
     rollout = make_transitions(rng, 12, dim=3)
     # the observations, rewards and gamma as the update reads them: cast
-    # to the nets' float32 first, then widened by the float64 nets
+    # to the nets' float32 first, then widened by the float64 oracle
     obs = np.stack([t.obs for t in rollout]).astype(DTYPE).astype(np.float64)
     actions = np.array([t.action for t in rollout])
-    rewards = np.array([t.reward for t in rollout], dtype=DTYPE)
-    nxt = np.stack([t.next_obs for t in rollout]).astype(DTYPE)
-    v_now = agent.critic(obs).ravel()
-    v_next = agent.critic(nxt).ravel()
+    rewards = np.array([t.reward for t in rollout], dtype=DTYPE).astype(np.float64)
+    nxt = np.stack([t.next_obs for t in rollout]).astype(DTYPE).astype(np.float64)
+    critic, actor = wide(agent.critic), wide(agent.actor)
+    v_now = critic(obs).ravel()
+    v_next = critic(nxt).ravel()
     adv = rewards + float(DTYPE(cfg.gamma)) * v_next - v_now
     adv -= adv.mean()  # the batch-mean baseline
-    logits = agent.actor(obs)
+    logits = actor(obs)
     pi = np.exp(log_softmax_ref(logits))
     onehot = np.zeros_like(pi)
     onehot[np.arange(12), actions] = 1.0
@@ -959,27 +971,81 @@ def test_acktr_single_layer_matches_dense_natural_gradient_oracle():
     expected_dw = lr * np.linalg.solve(s_d, g_w) @ np.linalg.inv(a_d)
     expected_db = lr * np.linalg.solve(s_d, g_b)
 
-    w_before = agent.actor.layers[0].w.copy()
-    b_before = agent.actor.layers[0].b.copy()
+    natural = agent._natural
+    steps = []  # the actor's step as _natural hands it to the optimizer
+
+    def spy(stats, grads, learning_rate):
+        nat = natural(stats, grads, learning_rate)
+        if stats is agent.actor_stats:
+            steps.append((learning_rate * nat.dw[0], learning_rate * nat.db[0]))
+        return nat
+
+    agent._natural = spy
+    w_before = agent.actor.layers[0].w.astype(np.float64)
+    b_before = agent.actor.layers[0].b.astype(np.float64)
     agent.update(rollout)
-    np.testing.assert_allclose(agent.actor.layers[0].w - w_before,
-                               expected_dw, rtol=1e-8, atol=1e-12)
-    np.testing.assert_allclose(agent.actor.layers[0].b - b_before,
-                               expected_db, rtol=1e-8, atol=1e-12)
+    [(step_w, step_b)] = steps
+    w_after = agent.actor.layers[0].w
+    b_after = agent.actor.layers[0].b
+    if nets == "float64":
+        rtol, w_atol, b_atol = 1e-8, 1e-12, 1e-12
+    else:
+        # the step itself to float32's precision; the applied step also
+        # carries each parameter's rounding, at most half its spacing
+        rtol = 1e-5
+        w_atol = 0.5 * np.spacing(np.abs(w_after)).max()
+        b_atol = 0.5 * np.spacing(np.abs(b_after)).max()
+    np.testing.assert_allclose(step_w, expected_dw, rtol=rtol)
+    np.testing.assert_allclose(step_b, expected_db, rtol=rtol)
+    np.testing.assert_allclose(w_after - w_before, expected_dw, rtol=rtol, atol=w_atol)
+    np.testing.assert_allclose(b_after - b_before, expected_db, rtol=rtol, atol=b_atol)
+
+
+def test_acktr_single_layer_matches_dense_natural_gradient_oracle():
+    check_single_layer_matches_dense_natural_gradient_oracle("float64")
+
+
+def test_acktr_single_layer_matches_dense_natural_gradient_oracle_in_float32():
+    check_single_layer_matches_dense_natural_gradient_oracle("float32")
+
+
+def check_trust_radius_caps_step_norm(nets):
+    radius = 1e-4
+    agent = AcktrAgent(config_for(
+        "acktr", trust_region_radius=radius, actor_lr=10.0, critic_lr=10.0),
+        OBS_DIM)
+    if nets == "float64":
+        agent = float64_nets(agent)
+    natural = agent._natural
+    capped = []  # the norm of each step _natural hands to an optimizer
+
+    def spy(stats, grads, learning_rate):
+        nat = natural(stats, grads, learning_rate)
+        capped.append(learning_rate * nat.norm())
+        return nat
+
+    agent._natural = spy
+    before = agent.actor.flatten().astype(np.float64)
+    agent.update(make_transitions(np.random.default_rng(13), 16))
+    after = agent.actor.flatten()
+    step = np.linalg.norm(after - before)
+    assert len(capped) == 2  # the actor's step and the critic's
+    assert all(0.0 < norm <= radius * (1 + 1e-6) for norm in capped)
+    assert step > 0.0
+    if nets == "float64":
+        assert step <= radius + 1e-12
+    else:
+        # the applied step also carries each parameter's rounding, at most
+        # half its spacing; here it exceeds the radius by about 2e-5 of it
+        assert step <= radius * (1 + 1e-6) + 0.5 * np.linalg.norm(np.spacing(after))
 
 
 def test_acktr_trust_radius_caps_step_norm():
-    # the cap's arithmetic at float64's precision: in a float32 net, the
-    # step's rounding into the parameters moves its norm by about 2e-5
-    radius = 1e-4
-    agent = float64_nets(AcktrAgent(config_for(
-        "acktr", trust_region_radius=radius, actor_lr=10.0, critic_lr=10.0),
-        OBS_DIM))
-    before = agent.actor.flatten()
-    agent.update(make_transitions(np.random.default_rng(13), 16))
-    step = np.linalg.norm(agent.actor.flatten() - before)
-    assert step <= radius + 1e-12
-    assert step > 0.0
+    check_trust_radius_caps_step_norm("float64")
+
+
+def test_acktr_trust_radius_caps_step_norm_in_float32():
+    check_trust_radius_caps_step_norm("float32")
 
 
 def test_acktr_kl_budget_bounds_curvature_step():
