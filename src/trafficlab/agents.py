@@ -30,6 +30,7 @@ from trafficlab.nn import (
     Gradients,
     KfacStats,
     Mlp,
+    MlpStack,
     SgdOptimizer,
 )
 
@@ -369,61 +370,91 @@ class FixedTimeAgent(Agent):
 
 
 class _ReplayBuffer:
-    """Fixed-capacity ring of transitions held as one array per field.
+    """Fixed-capacity ring of transitions, held in the form
+    ``DqlAgent._fit`` reads them.
 
     The ``k``-th transition added (from 0) goes to slot ``k % capacity``,
     so once the ring is full each new transition overwrites the oldest.
-    ``sample`` returns stacked batch arrays, ready for a regression step.
-    The float fields are ``DTYPE``: a transition's observations are cast
-    once, as they are stored.
+    Each observation and next observation is stored cast to ``DTYPE`` and
+    multiplied by the agent's ``obs_scale`` (in ``DTYPE``, as the agent
+    scales what it acts on), and a draw stacks them into the
+    ``(2, n, obs_dim)`` array the q and target nets read in one pass. A
+    done flag is stored as its discount, ``gamma * (1 - done)`` in
+    ``DTYPE``. No checkpoint holds the ring: a loaded agent starts with an
+    empty one.
     """
 
-    def __init__(self, capacity: int, obs_dim: int):
+    def __init__(self, capacity: int, obs_scale: np.ndarray, gamma: float):
         self.capacity = capacity
         self.added = 0
-        self.obs = np.zeros((capacity, obs_dim), dtype=DTYPE)
+        self._obs_scale = obs_scale
+        self._gamma = gamma
+        # two arrays, not one (2, capacity, obs_dim): numpy asks the kernel
+        # for huge pages for an array of 4 MiB or more, which the default
+        # capacity's pair would be, and a partly filled ring would then
+        # hold up to 4 MiB more memory than it has written
+        self.obs = np.zeros((capacity, obs_scale.size), dtype=DTYPE)
+        self.next_obs = np.zeros((capacity, obs_scale.size), dtype=DTYPE)
         self.actions = np.zeros(capacity, dtype=np.intp)
         self.rewards = np.zeros(capacity, dtype=DTYPE)
-        self.next_obs = np.zeros((capacity, obs_dim), dtype=DTYPE)
-        self.dones = np.zeros(capacity, dtype=DTYPE)
+        self.discounts = np.zeros(capacity, dtype=DTYPE)
 
     def __len__(self) -> int:
         return min(self.added, self.capacity)
 
     def add(self, item: Transition) -> None:
         i = self.added % self.capacity
-        self.obs[i] = item.obs
+        # dtype=DTYPE casts the observation before the product, which is
+        # the cast-then-scale of the agent's own observations
+        np.multiply(item.obs, self._obs_scale, out=self.obs[i], dtype=DTYPE)
+        np.multiply(item.next_obs, self._obs_scale, out=self.next_obs[i],
+                    dtype=DTYPE)
         self.actions[i] = item.action
         self.rewards[i] = item.reward
-        self.next_obs[i] = item.next_obs
-        self.dones[i] = 1.0 if item.done else 0.0
+        self.discounts[i] = 0.0 if item.done else self._gamma
         self.added += 1
 
     def sample(self, rng: np.random.Generator, n: int):
-        """(obs, actions, rewards, next_obs, dones) of ``n`` uniform draws."""
+        """(pairs, actions, rewards, discounts) of ``n`` uniform draws,
+        ``pairs`` of shape ``(2, n, obs_dim)``."""
         idx = rng.integers(0, len(self), size=n)
-        # take copies the same rows as indexing; for the 2-D fields it
-        # costs a third as much, for the 1-D ones indexing is cheaper
-        return (self.obs.take(idx, axis=0), self.actions[idx],
-                self.rewards[idx], self.next_obs.take(idx, axis=0),
-                self.dones[idx])
+        pairs = np.empty((2, n, self.obs.shape[1]), dtype=DTYPE)
+        # take copies the same rows as indexing, for the observations at a
+        # third of the cost; every index is in range, and mode="clip" lets
+        # it write into ``out`` directly, where the default mode buffers
+        self.obs.take(idx, axis=0, out=pairs[0], mode="clip")
+        self.next_obs.take(idx, axis=0, out=pairs[1], mode="clip")
+        return pairs, self.actions[idx], self.rewards[idx], self.discounts[idx]
 
 
 class DqlAgent(Agent):
     """Deep Q-learning with a replay buffer and a periodically synced
     target net. Epsilon decays linearly over the first fraction of the
-    training budget, then holds."""
+    training budget, then holds.
+
+    The q net and the target net are the two members of one ``MlpStack``
+    (row 0 and row 1), so a regression step runs both forwards as one
+    pass, and a target sync copies row 0 into row 1. The replay holds
+    scaled observations and discounts (see ``_ReplayBuffer``) and is not
+    checkpointed: a loaded agent takes no gradient step until it has
+    gathered ``max(warmup, batch_size)`` transitions again (1,000 by
+    default), in deployment too.
+    """
 
     needs_rollout = 1
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
         sizes = [obs_dim] + list(config.hidden_sizes) + [N_ACTIONS]
-        self.q_net = Mlp.create(sizes, seed=config.seed)
-        self.target_net = self.q_net.clone()
+        self._pair = MlpStack(Mlp.create(sizes, seed=config.seed).layers, 2)
+        self.q_net, self.target_net = self._pair.members
         self.optimizer = AdamOptimizer(self.q_net)
-        self.replay = _ReplayBuffer(config.replay_capacity, obs_dim)
-        self._rows = np.arange(config.batch_size)
+        self.replay = _ReplayBuffer(config.replay_capacity, self._obs_scale,
+                                    config.gamma)
+        # the flat offset of each batch row's first q-value in a (B, 2) array
+        self._row_starts = N_ACTIONS * np.arange(config.batch_size)
+        self._grads = Gradients(np.empty_like(self.q_net.params),
+                                [l.w.shape for l in self.q_net.layers])
 
     def epsilon(self) -> float:
         cfg = self.config
@@ -460,34 +491,37 @@ class DqlAgent(Agent):
             return {}
         return {"loss": sum(losses) / len(losses), "epsilon": self.epsilon()}
 
-    def _fit(self, obs, actions, rewards, next_obs, dones) -> float:
-        """One regression step of Q(s,a) toward r + gamma * max Q_target(s')
-        on a stacked batch of at most ``batch_size`` rows; returns the mean
-        squared TD error."""
+    def _fit(self, pairs, actions, rewards, discounts) -> float:
+        """One regression step of Q(s,a) toward r + discount * max
+        Q_target(s') on a batch of at most ``batch_size`` rows as the
+        replay draws it (``pairs[0]`` the scaled observations, ``pairs[1]``
+        the scaled next ones); returns the mean squared TD error."""
         cfg = self.config
         n = len(actions)
-        obs = obs * self._obs_scale
-        next_obs = next_obs * self._obs_scale
-        # r + (gamma * (1 - d)) * max Q', its products and sum commuted
-        targets = self.target_net(next_obs).max(axis=1)
-        targets *= cfg.gamma * (1.0 - dones)
+        out, caches = self._pair.forward(pairs)
+        q, next_q = out
+        # max Q' as np.maximum of its two columns (bit-equal to the axis
+        # reduction, see _log_softmax), then * discount + r
+        targets = np.maximum(next_q[:, 0], next_q[:, 1])
+        targets *= discounts
         targets += rewards
-        q, cache = self.q_net.forward(obs)
-        rows = self._rows[:n]
-        td = q[rows, actions]
+        # Q(s, a) of each row, gathered and scattered by flat index
+        taken = self._row_starts[:n] + actions
+        td = q.ravel().take(taken)
         td -= targets
         loss = float((td * td).sum()) / n  # what np.mean computes
         if not math.isfinite(loss):
             raise DivergenceError("q-learning loss became non-finite")
-        td *= 2.0
-        td /= n
-        dout = np.zeros_like(q)
-        dout[rows, actions] = td
-        grads = self.q_net.backward(cache, dout)
+        # 2 * td / n: doubling is exact, and n / 2 is exact in DTYPE, so
+        # one division rounds as the two operations did
+        td /= n / 2
+        dout = np.zeros((n, N_ACTIONS), dtype=q.dtype)
+        dout.ravel()[taken] = td
+        grads = self.q_net.backward(caches[0], dout, self._grads)
         grads.flat *= -1.0  # descent
         self.optimizer.step(self.q_net, grads, cfg.q_lr)
         if self.optimizer.t % cfg.target_sync_period == 0:
-            self.target_net = self.q_net.clone()
+            self.target_net.params[...] = self.q_net.params
         return loss
 
     def _nets(self) -> dict[str, Mlp]:

@@ -26,10 +26,11 @@ as it was), then each layer's weight and bias products, written into the
 flat gradient. Curvature stats read only the chain, so a curvature
 refresh runs the chain alone. ``Gradients`` has one constructor, over a
 flat vector it cuts into layer views without a copy. In place, a pass
-writes only arrays it made or owns: both forwards add the bias into the
-fresh matmul result (calling also applies the activation there), neither
-part of ``backward`` writes an array of the cache or of its output
-gradient, and an Adam step writes ``m``, ``v``, ``params`` and its
+writes only arrays it made or owns: every forward adds the bias into the
+fresh matmul result (calling and the stacked pass also apply the
+activation there), neither part of ``backward`` writes an array of the
+cache or of its output gradient (only the ``Gradients`` it is handed or
+makes), and an Adam step writes ``m``, ``v``, ``params`` and its
 scratch.
 
 Inference takes three input shapes, and keeps one equality for each:
@@ -44,6 +45,15 @@ Inference takes three input shapes, and keeps one equality for each:
   multiplies each one-row matrix of the stack the way it multiplies a
   1-D sample, so row ``k`` of the ``(E, 1, out)`` result is bit-equal to
   the one-sample call on ``x[k, 0]``, for every ``E``.
+
+A stack of nets (``MlpStack``) keeps ``S`` nets of one shape in one
+``(S, P)`` buffer, each member an ``Mlp`` over its row, and runs their
+forwards as one pass: ``(S, B, n) @ (S, n, m)`` per layer, each member's
+bias and activation applied to its own block. numpy multiplies each
+matrix of a stack as it multiplies the lone 2-D one, so member ``k``'s
+outputs and cache are bit-equal to ``members[k].forward(x[k])`` and to
+its batch call, for every ``B``; a DQL agent's q and target nets are
+such a pair.
 
 The test suite checks these equalities on the BLAS build it runs on.
 
@@ -84,14 +94,17 @@ DTYPE = np.float32
 
 
 def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into ``flat``, laid out as
-    [w0 row-major, b0, w1, b1, ...] for weight shapes ``(out, in)``."""
+    """Per-layer weight and bias views into the last axis of ``flat``,
+    laid out as [w0 row-major, b0, w1, b1, ...] for weight shapes
+    ``(out, in)``; leading axes (a stack's) lead every view."""
+    lead = flat.shape[:-1]
     ws, bs = [], []
     off = 0
     for out_dim, in_dim in shapes:
-        ws.append(flat[off:off + out_dim * in_dim].reshape(out_dim, in_dim))
+        ws.append(flat[..., off:off + out_dim * in_dim].reshape(
+            lead + (out_dim, in_dim)))
         off += out_dim * in_dim
-        bs.append(flat[off:off + out_dim])
+        bs.append(flat[..., off:off + out_dim])
         off += out_dim
     return ws, bs
 
@@ -151,21 +164,28 @@ class Mlp:
     the last, which is linear.
 
     The net copies the given layers' values into its own flat ``params``
-    vector and keeps layers whose ``w``/``b`` are views into it. Write
-    parameters in place (``layer.w[...] = ...``, ``params[...] = ...``);
-    rebinding ``layer.w`` would cut that layer off from ``params``, the
-    optimizers and the plan both passes run from.
+    vector, or into ``params`` when one is given (a row of an
+    ``MlpStack``'s buffer, whose dtype it keeps), and keeps layers whose
+    ``w``/``b`` are views into it. Write parameters in place
+    (``layer.w[...] = ...``, ``params[...] = ...``); rebinding
+    ``layer.w``, or an agent's attribute that holds a stack member, would
+    cut it off from ``params``, the optimizers and the plan the passes run
+    from. ``Mlp(net.layers)`` is a copy of ``net``.
     ``net(x)`` is inference without a cache; ``forward`` feeds ``backward``.
     """
 
-    def __init__(self, layers: list[Layer]):
+    def __init__(self, layers: list[Layer], params: np.ndarray | None = None):
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.w.shape[1] != prev.w.shape[0]:
                 raise ValueError("adjacent layer dimensions are incompatible")
         parts = [part for l in layers for part in (l.w.ravel(), l.b)]
-        # the layers' float dtype; ints make a float64 net
-        self.params = np.concatenate(parts).astype(
-            np.result_type(np.float32, *parts), copy=False)
+        if params is None:
+            # the layers' float dtype; ints make a float64 net
+            params = np.concatenate(parts).astype(
+                np.result_type(np.float32, *parts), copy=False)
+        else:
+            params[...] = np.concatenate(parts)
+        self.params = params
         ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
         self.layers = [Layer(w, b) for w, b in zip(ws, bs)]
         self.input_size = ws[0].shape[1]
@@ -189,9 +209,6 @@ class Mlp:
             layers.append(Layer(w=w.astype(DTYPE),
                                 b=np.zeros(fan_out, dtype=DTYPE)))
         return cls(layers)
-
-    def clone(self) -> "Mlp":
-        return Mlp(self.layers)
 
     # -- forward / backward -------------------------------------------------
 
@@ -227,21 +244,23 @@ class Mlp:
                 act(a, out=a)
         return a
 
-    def backward(self, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:
+    def backward(self, cache: ForwardCache, output_grad: np.ndarray,
+                 out: Gradients | None = None) -> Gradients:
         """Exact gradients of the scalar whose output gradient is supplied.
 
         ``output_grad`` carries any loss scaling (e.g. 1/B for a mean), so
         the returned gradients sum over the batch. This is the chain of
         ``pre_activation_grads``, then each layer's weight and bias
-        products.
+        products, written into ``out`` (a ``Gradients`` of this net's
+        layout and dtype, which it returns) or into a new one.
         """
-        # the flat gradient is allocated after the chain, which is freed on
-        # return: allocated ahead of it, each float64 A2C update took about
-        # 360 more minor page faults (glibc trims and regrows the heap
-        # around the 128 KiB temporaries of a 256-row batch)
+        # a new flat gradient is allocated after the chain, which is freed
+        # on return: allocated ahead of it, each float64 A2C update took
+        # about 360 more minor page faults (glibc trims and regrows the
+        # heap around the 128 KiB temporaries of a 256-row batch)
         pre_grads = self.pre_activation_grads(cache, output_grad)
-        grads = Gradients(np.empty_like(self.params),
-                          [l.w.shape for l in self.layers])
+        grads = out if out is not None else Gradients(
+            np.empty_like(self.params), [l.w.shape for l in self.layers])
         for ds, a, dw, db in zip(pre_grads, cache.inputs, grads.dw, grads.db):
             np.dot(ds.T, a, out=dw)  # the gemm of ds.T @ a, into the view
             ds.sum(axis=0, out=db)
@@ -275,6 +294,53 @@ class Mlp:
         return self.params.copy()
 
 
+class MlpStack:
+    """``size`` nets of one shape over one ``(size, P)`` buffer, each
+    starting as a copy of ``layers``.
+
+    ``members[k]`` is an ``Mlp`` whose ``params`` is row ``k`` of
+    ``params``, so an optimizer, inference, ``backward`` and a checkpoint
+    treat it as any net; copying one member into another is a row copy.
+    ``forward`` runs every member's forward as one pass, layer by layer.
+    """
+
+    def __init__(self, layers: list[Layer], size: int):
+        proto = Mlp(layers)  # the layers' values in the nets' dtype
+        self.params = np.empty((size, proto.params.size), proto.params.dtype)
+        self.members = [Mlp(proto.layers, row) for row in self.params]
+        self.input_size = proto.input_size
+        ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
+        last = len(ws) - 1
+        # per layer: the stacked transposed weights (S, in, out), the
+        # stacked biases (S, 1, out) and the activation, as ``Mlp._plan``
+        self._plan = [(w.transpose(0, 2, 1), b[:, None, :],
+                       np.tanh if idx < last else None)
+                      for idx, (w, b) in enumerate(zip(ws, bs))]
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[ForwardCache]]:
+        """Each member's ``forward`` of its own batch, as one pass: ``x``
+        is ``(size, B, n)`` and member ``k`` takes ``x[k]``. Returns the
+        ``(size, B, out)`` outputs and each member's ``ForwardCache``,
+        whose arrays are views into the pass's; row ``k`` of every one is
+        bit-equal to ``members[k].forward(x[k])``'s (see the module
+        docstring)."""
+        a = np.asarray(x, dtype=self.params.dtype)
+        if a.ndim != 3 or a.shape[0] != len(self.members):
+            raise ValueError(f"expected a ({len(self.members)}, B, n) stack "
+                             f"of batches, got {a.shape}")
+        if a.shape[2] != self.input_size:
+            raise ValueError(
+                f"input size {a.shape[2]} does not match net input {self.input_size}")
+        inputs = []
+        for wt, b, act in self._plan:
+            inputs.append(a)
+            s = a @ wt
+            s += b
+            a = s if act is None else act(s, out=s)
+        return a, [ForwardCache([inp[k] for inp in inputs], a[k])
+                   for k in range(len(self.members))]
+
+
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
@@ -298,11 +364,13 @@ class AdamOptimizer:
     """First/second-moment adaptive steps, ascent convention.
 
     The moments ``m`` and ``v`` are flat vectors in the ``Mlp.params``
-    layout; their checkpoint form is per-layer views, all weights then all
-    biases. Two scratch vectors of the same size hold each step's
-    intermediates; they are derived state and are not checkpointed. All
-    four take the net's dtype. The step count ``t`` is checkpointed among
-    the agent's counters."""
+    layout, the two rows of one ``(2, P)`` array, so the paired decays,
+    moment adds and bias corrections of a step are one operation each.
+    Their checkpoint form is per-layer views, all weights then all biases.
+    A scratch array of the same shape holds each step's intermediates; it
+    is derived state and is not checkpointed. All of them take the net's
+    dtype. The step count ``t`` is checkpointed among the agent's
+    counters."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -310,9 +378,12 @@ class AdamOptimizer:
 
     def __init__(self, net: Mlp):
         self.t = 0
-        self.m = np.zeros_like(net.params)
-        self.v = np.zeros_like(net.params)
-        self._scratch = (np.empty_like(net.params), np.empty_like(net.params))
+        dtype = net.params.dtype
+        self._moments = np.zeros((2, net.params.size), dtype)
+        self.m, self.v = self._moments
+        self._scratch = np.empty_like(self._moments)
+        self._decays = np.array([[self.BETA1], [self.BETA2]], dtype)
+        self._corrections = np.empty((2, 1), dtype)
         shapes = [l.w.shape for l in net.layers]
         self._state_views = []
         for flat in (self.m, self.v):
@@ -324,23 +395,22 @@ class AdamOptimizer:
             raise DivergenceError("non-finite update direction")
         g = direction.flat
         self.t += 1
-        bias1 = 1.0 - self.BETA1 ** self.t
-        bias2 = 1.0 - self.BETA2 ** self.t
-        m, v = self.m, self.v
+        self._corrections[0, 0] = 1.0 - self.BETA1 ** self.t
+        self._corrections[1, 0] = 1.0 - self.BETA2 ** self.t
         # params += lr * (m / bias1) / (sqrt(v / bias2) + eps), with the
         # moment updates before it, each operation as in that expression
-        # (products commuted, which is exact) and written into scratch
-        step, denom = self._scratch
-        m *= self.BETA1
+        # (products commuted, which is exact) and written into scratch;
+        # an operation on both rows at once rounds each element as the
+        # row's own operation would
+        moments, scratch = self._moments, self._scratch
+        step, denom = scratch
+        moments *= self._decays
         np.multiply(g, 1 - self.BETA1, out=step)
-        m += step
-        v *= self.BETA2
-        np.multiply(g, g, out=step)
-        step *= 1 - self.BETA2
-        v += step
-        np.divide(m, bias1, out=step)
+        np.multiply(g, g, out=denom)
+        denom *= 1 - self.BETA2
+        moments += scratch
+        np.divide(moments, self._corrections, out=scratch)
         step *= learning_rate
-        np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.EPS
         step /= denom
@@ -389,11 +459,13 @@ class KfacStats:
             a = np.atleast_2d(a)
             ds = np.atleast_2d(ds)
             batch = a.shape[0]
-            new_a = d * self.a_factors[idx] + (1 - d) * (a.T @ a) / batch
-            new_s = d * self.s_factors[idx] + (1 - d) * (ds.T @ ds) / batch
-            # keep exact symmetry against float drift
-            self.a_factors[idx] = 0.5 * (new_a + new_a.T)
-            self.s_factors[idx] = 0.5 * (new_s + new_s.T)
+            # numpy forms x.T @ x with a symmetric rank-k product (syrk),
+            # which fills both triangles alike, so each blend stays exactly
+            # symmetric with no symmetrization (the test suite checks this)
+            self.a_factors[idx] = (d * self.a_factors[idx]
+                                   + (1 - d) * (a.T @ a) / batch)
+            self.s_factors[idx] = (d * self.s_factors[idx]
+                                   + (1 - d) * (ds.T @ ds) / batch)
         self._inverses = None
 
     def state_arrays(self) -> list[np.ndarray]:

@@ -54,6 +54,7 @@ from trafficlab.nn import (
     KfacStats,
     Layer,
     Mlp,
+    MlpStack,
     SgdOptimizer,
 )
 
@@ -155,9 +156,13 @@ def policy(agent, obs):
 
 
 def train_on_batch(agent, batch):
-    """One DQL regression step on the given transitions, stacked as a
-    replay draw is."""
-    return agent._fit(*_stack(batch))
+    """One DQL regression step on the given transitions, in the form a
+    replay draw hands to ``_fit``, computed here from the raw fields: the
+    observations cast to ``DTYPE`` and scaled in it, stacked over the next
+    ones, and each done flag as its discount ``gamma * (1 - done)``."""
+    obs, actions, rewards, next_obs, dones = _stack(batch)
+    pairs = np.stack([obs, next_obs]) * agent._obs_scale
+    return agent._fit(pairs, actions, rewards, agent.config.gamma * (1.0 - dones))
 
 
 def array_act(agent, obs, explore=False):
@@ -183,7 +188,7 @@ def array_act(agent, obs, explore=False):
 def fd_gradient(fn, net, h=1e-5):
     flat = net.flatten()
     grad = np.zeros_like(flat)
-    probe = net.clone()
+    probe = Mlp(net.layers)
     for i in range(flat.size):
         up, down = flat.copy(), flat.copy()
         up[i] += h
@@ -444,7 +449,9 @@ def test_dql_bootstrap_uses_target_net_max():
     agent = with_sgd(DqlAgent(cfg, 2))
     agent.q_net.layers[0].w[:] = 0.0
     agent.q_net.layers[0].b[:] = 0.0
-    agent.target_net = agent.q_net.clone()
+    # written in place: the target is row 1 of the q net's stack, and a
+    # rebound net would be cut off from the stacked pass
+    agent.target_net.layers[0].w[:] = 0.0
     agent.target_net.layers[0].b[:] = [3.0, 7.0]
     batch = [Transition(np.zeros(2), 1, 1.0, np.zeros(2), False)]
     loss = train_on_batch(agent, batch)
@@ -524,18 +531,30 @@ class ListReplay:
 
 def test_replay_ring_slot_holds_latest_write():
     capacity, n_added = 5, 12
-    ring = _ReplayBuffer(capacity, 3)
+    scale = np.array([1.0, 0.5, 1.0 / 60.0], dtype=DTYPE)
+    ring = _ReplayBuffer(capacity, scale, 0.9)
     for k in range(n_added):
-        ring.add(Transition(np.full(3, float(k)), k % 2, float(k),
-                            np.full(3, -float(k)), k % 3 == 0))
+        ring.add(Transition(np.full(3, k + 0.1), k % 2, float(k),
+                            np.full(3, -k - 0.1), k % 3 == 0))
     assert len(ring) == capacity
     for slot in range(capacity):
         k = max(j for j in range(slot, n_added, capacity))
-        np.testing.assert_array_equal(ring.obs[slot], np.full(3, float(k)))
-        np.testing.assert_array_equal(ring.next_obs[slot], np.full(3, -float(k)))
+        # cast to DTYPE, then scaled in it
+        assert ring.obs[slot].tobytes() == (
+            np.full(3, k + 0.1).astype(DTYPE) * scale).tobytes()
+        assert ring.next_obs[slot].tobytes() == (
+            np.full(3, -k - 0.1).astype(DTYPE) * scale).tobytes()
         assert ring.actions[slot] == k % 2
         assert ring.rewards[slot] == float(k)
-        assert ring.dones[slot] == (1.0 if k % 3 == 0 else 0.0)
+        assert ring.discounts[slot] == (0.0 if k % 3 == 0 else DTYPE(0.9))
+    pairs, actions, rewards, discounts = ring.sample(
+        np.random.default_rng(0), 7)
+    idx = np.random.default_rng(0).integers(0, capacity, size=7)
+    assert pairs.tobytes() == np.stack([ring.obs[idx],
+                                        ring.next_obs[idx]]).tobytes()
+    assert actions.tolist() == ring.actions[idx].tolist()
+    assert rewards.tobytes() == ring.rewards[idx].tobytes()
+    assert discounts.tobytes() == ring.discounts[idx].tobytes()
 
 
 def test_dql_update_losses_match_list_replay_oracle():
@@ -1193,6 +1212,21 @@ def test_acktr_resumes_bit_for_bit_from_a_mid_training_checkpoint():
             np.testing.assert_array_equal(theirs, mine)
 
 
+def test_kfac_factors_stay_exactly_symmetric_through_real_acktr_updates():
+    # KfacStats.update does not symmetrize: numpy's x.T @ x (syrk) fills
+    # both triangles alike, and the blend keeps that; a numpy or BLAS
+    # build whose products lose it fails here
+    agent = default_acktr()
+    for rollout in env_rollouts(3):
+        agent.update(list(rollout))
+    factors = [f for stats in (agent.actor_stats, agent.critic_stats)
+               for f in stats.a_factors + stats.s_factors]
+    assert len(factors) == 12
+    for f in factors:
+        assert f.tobytes() == np.ascontiguousarray(f.T).tobytes()
+        assert not np.array_equal(f, np.eye(len(f)))  # the updates reached it
+
+
 def test_dql_resumed_from_a_checkpoint_syncs_its_target_on_the_same_steps():
     # the target sync reads Adam's step count, which the counters restore
     cfg = config_for("dql", warmup=8, batch_size=4, target_sync_period=3,
@@ -1215,6 +1249,56 @@ def test_dql_resumed_from_a_checkpoint_syncs_its_target_on_the_same_steps():
     np.testing.assert_array_equal(agent.target_net.params, agent.q_net.params)
 
 
+def warm_dql(**overrides):
+    """A small DQL agent past its warm-up, after some gradient steps."""
+    cfg = config_for("dql", **{"warmup": 8, "batch_size": 4,
+                               "hidden_sizes": [5], **overrides})
+    agent = DqlAgent(cfg, 4)
+    rng = np.random.default_rng(12)
+    agent.update([Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
+                             float(rng.normal()), rand_obs(rng, dim=4),
+                             bool(rng.random() < 0.3))
+                  for _ in range(12)])
+    return agent
+
+
+def test_dql_q_and_target_are_the_rows_of_one_stack():
+    agent = DqlAgent(config_for("dql"), OBS_DIM)
+    stack = agent._pair.params
+    assert stack.shape == (2, agent.q_net.params.size)
+    assert np.shares_memory(agent.q_net.params, stack[0])
+    assert np.shares_memory(agent.target_net.params, stack[1])
+    assert stack[0].tobytes() == stack[1].tobytes()  # a fresh agent is synced
+
+
+def test_dql_target_sync_copies_the_q_row_and_the_next_step_moves_only_q():
+    agent = warm_dql(target_sync_period=5)
+    assert agent.optimizer.t == 5  # steps 1..5 once warm: synced at 5
+    q, target = agent.q_net.params, agent.target_net.params
+    assert target.tobytes() == q.tobytes()
+    assert np.shares_memory(target, agent._pair.params)  # synced in its row
+    synced = target.copy()
+    rng = np.random.default_rng(13)
+    agent.update([Transition(rand_obs(rng, dim=4), 1, 0.5,
+                             rand_obs(rng, dim=4), False)])
+    assert agent.optimizer.t == 6
+    assert not np.array_equal(q, synced)
+    assert target.tobytes() == synced.tobytes()
+
+
+def test_dql_checkpoint_round_trip_is_byte_exact_and_fits_as_the_live_agent():
+    agent = warm_dql(target_sync_period=3)
+    blob = agent_to_bytes(agent)
+    loaded = agent_from_bytes(blob)
+    assert agent_to_bytes(loaded) == blob
+    assert len(loaded.replay) == 0  # no checkpoint holds the replay
+    assert np.shares_memory(loaded.q_net.params, loaded._pair.params)
+    draw = agent.replay.sample(np.random.default_rng(14), 4)
+    assert loaded._fit(*draw) == agent._fit(*draw)
+    for name, net in agent._nets().items():
+        assert loaded._nets()[name].params.tobytes() == net.params.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # net dtype
 # ---------------------------------------------------------------------------
@@ -1229,15 +1313,15 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     cost float32's speed."""
     seen = defaultdict(set)
 
-    def spy(cls, name, record):
+    def spy(cls, name, record, label=None):
         """Record the dtype of each array ``record`` names among a call's
-        arguments and its result."""
+        arguments and its result, under ``label`` (the method's name)."""
         method = getattr(cls, name)
 
         def wrapped(self, *args):
             result = method(self, *args)
             for what, array in record(*args, result):
-                seen[f"{name} {what}"].add(np.asarray(array).dtype)
+                seen[f"{label or name} {what}"].add(np.asarray(array).dtype)
             return result
 
         monkeypatch.setattr(cls, name, wrapped)
@@ -1246,10 +1330,16 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     spy(Mlp, "forward", lambda x, pair: [
         ("input", x), ("output", pair[0]), ("cache output", pair[1].output),
         *[("cache input", a) for a in pair[1].inputs]])
+    # DQL's q and target forwards run as one stacked pass
+    spy(MlpStack, "forward", lambda x, pair: [
+        ("input", x), ("output", pair[0]),
+        *[("cache output", c.output) for c in pair[1]],
+        *[("cache input", a) for c in pair[1] for a in c.inputs]],
+        label="MlpStack.forward")
     spy(Mlp, "pre_activation_grads", lambda cache, g, chain: [
         ("output gradient", g), *[("gradient", ds) for ds in chain]])
-    spy(Mlp, "backward", lambda cache, g, grads: [
-        ("output gradient", g), ("flat", grads.flat)])
+    spy(Mlp, "backward", lambda cache, g, *out_and_grads: [
+        ("output gradient", g), ("flat", out_and_grads[-1].flat)])
     spy(KfacStats, "precondition", lambda grads, nat: [("flat", nat.flat)])
     cfg = build_env_config("sparse", 0.5, 5, episode_length=300.0)
     # no epsilon: every DQL act runs the q net on an env observation
@@ -1259,8 +1349,10 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
                        cfg.observation_size)
     train_agent(agent, TrafficSignalEnv(cfg, seed=5), 32)
     assert agent.train_steps == 32
-    expected = {"__call__ input", "__call__ output", "forward input",
-                "forward output", "forward cache output", "forward cache input",
+    forward = "MlpStack.forward" if algorithm == "dql" else "forward"
+    expected = {"__call__ input", "__call__ output", f"{forward} input",
+                f"{forward} output", f"{forward} cache output",
+                f"{forward} cache input",
                 "pre_activation_grads output gradient",
                 "pre_activation_grads gradient", "backward output gradient",
                 "backward flat"}
@@ -1284,7 +1376,9 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     if algorithm == "dql":
         replay = agent.replay
         arrays.update(replay_obs=replay.obs, replay_next_obs=replay.next_obs,
-                      replay_rewards=replay.rewards, replay_dones=replay.dones)
+                      replay_rewards=replay.rewards,
+                      replay_discounts=replay.discounts,
+                      gradients=agent._grads.flat)
     assert {what: a.dtype for what, a in arrays.items()
             if a.dtype != np.float32} == {}
 

@@ -14,6 +14,7 @@ from trafficlab.nn import (
     KfacStats,
     Layer,
     Mlp,
+    MlpStack,
     SgdOptimizer,
     SingularCurvatureError,
 )
@@ -47,7 +48,7 @@ def loss_and_grad(net, x, target):
 def numeric_gradient(net, x, target, h=1e-5):
     flat = net.flatten()
     grad = np.zeros_like(flat)
-    probe = net.clone()
+    probe = Mlp(net.layers)
     for i in range(flat.size):
         for sign in (1.0, -1.0):
             bumped = flat.copy()
@@ -186,6 +187,63 @@ def test_call_on_stacked_rows_equals_one_row_calls_bit_for_bit(
         assert out[k, 0].tobytes() == net(x[k]).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 4, 64, 256])
+@pytest.mark.parametrize("size", [2, 3])
+def test_stacked_forward_rows_equal_each_members_passes_bit_for_bit(
+        size, batch, dtype):
+    # DQL runs its q and target nets as one stacked pass and relies on each
+    # member's rows equalling its own forward and batch call; a BLAS build
+    # that breaks this fails here
+    rng = np.random.default_rng(1000 * size + batch)
+    layers = [Layer(l.w.astype(dtype), l.b.astype(dtype))
+              for l in Mlp.create([11, 64, 64, 2], seed=batch).layers]
+    stack = MlpStack(layers, size)
+    assert stack.params.shape == (size, Mlp(layers).params.size)
+    assert stack.params.dtype == dtype
+    for member in stack.members:
+        assert member.params.tobytes() == Mlp(layers).params.tobytes()
+        member.params += rng.normal(size=member.params.size)  # apart
+        assert_views_aliased(member)
+    x = rng.normal(size=(size, batch, 11)) * 3.0
+    out, caches = stack.forward(x)
+    assert out.shape == (size, batch, 2) and out.dtype == dtype
+    for k, member in enumerate(stack.members):
+        assert np.shares_memory(member.params, stack.params[k])
+        expected, cache = member.forward(x[k])
+        assert out[k].tobytes() == expected.tobytes()
+        assert out[k].tobytes() == member(x[k]).tobytes()
+        assert caches[k].output.tobytes() == cache.output.tobytes()
+        assert [a.tobytes() for a in caches[k].inputs] == [
+            a.tobytes() for a in cache.inputs]
+        g = rng.normal(size=(batch, 2))
+        assert (member.backward(caches[k], g).flat.tobytes()
+                == member.backward(cache, g).flat.tobytes())
+
+
+def test_stacked_forward_rejects_a_stack_of_the_wrong_shape():
+    stack = MlpStack(small_net().layers, 2)
+    for shape in [(2, 4, 4), (3, 4, 3), (4, 3)]:
+        with pytest.raises(ValueError):
+            stack.forward(np.zeros(shape))
+
+
+def test_a_write_to_one_member_shows_in_the_stacked_pass_only_for_it():
+    stack = MlpStack(small_net(seed=4).layers, 2)
+    x = np.ones((2, 5, 3))
+    before, _ = stack.forward(x)
+    AdamOptimizer(stack.members[0]).step(
+        stack.members[0], gradients_of(
+            [np.ones_like(l.w) for l in stack.members[0].layers],
+            [np.ones_like(l.b) for l in stack.members[0].layers]), 0.1)
+    after, _ = stack.forward(x)
+    assert not np.array_equal(after[0], before[0])
+    assert after[1].tobytes() == before[1].tobytes()
+    stack.members[1].params[...] = stack.members[0].params  # a target sync
+    synced, _ = stack.forward(x)
+    assert synced[1].tobytes() == synced[0].tobytes()
+
+
 @pytest.mark.parametrize("dtype, net_dtype", [
     (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
 def test_everything_of_a_net_follows_the_dtype_of_its_layers(dtype, net_dtype):
@@ -221,7 +279,7 @@ def test_created_nets_are_float32_rounding_the_float64_draws_once():
         draw = rng.uniform(-bound, bound, size=(out_dim, in_dim))
         assert layer.w.tobytes() == draw.astype(np.float32).tobytes()
         assert layer.b.tobytes() == np.zeros(out_dim, np.float32).tobytes()
-    assert net.clone().params.dtype == np.float32
+    assert Mlp(net.layers).params.dtype == np.float32
 
 
 def test_mismatched_layer_dims_rejected():
@@ -396,7 +454,7 @@ def test_norm_and_quad_from_slice_sums_equal_per_layer_2d_sums(seed, widths, sca
 def test_flatten_round_trip_is_identity():
     net = small_net(seed=9, sizes=(5, 7, 3))
     flat = net.flatten()
-    clone = net.clone()
+    clone = Mlp(net.layers)
     clone.params[...] = flat
     np.testing.assert_array_equal(clone.flatten(), flat)
     for a, b in zip(net.layers, clone.layers):
@@ -419,7 +477,7 @@ def test_layer_views_stay_aliased_to_params():
     built = Mlp([given])
     assert_views_aliased(built)
     assert not np.shares_memory(given.w, built.params)
-    clone = net.clone()
+    clone = Mlp(net.layers)
     assert_views_aliased(clone)
     assert not np.shares_memory(clone.params, net.params)
     clone.params[...] = np.arange(clone.params.size, dtype=float)
@@ -515,7 +573,7 @@ def test_flat_optimizer_steps_equal_per_layer_loop():
     update loop they replaced; Adam's state keeps its [w..., b...] order."""
     rng = np.random.default_rng(13)
     net = small_net(seed=13, sizes=(3, 6, 4, 2))
-    sgd_net = net.clone()
+    sgd_net = Mlp(net.layers)
     adam, sgd = AdamOptimizer(net), SgdOptimizer(sgd_net)
     ref = [l.w.copy() for l in net.layers] + [l.b.copy() for l in net.layers]
     sgd_ref = [a.copy() for a in ref]
