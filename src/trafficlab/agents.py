@@ -512,13 +512,13 @@ class DqlAgent(Agent):
         loss = float((td * td).sum()) / n  # what np.mean computes
         if not math.isfinite(loss):
             raise DivergenceError("q-learning loss became non-finite")
-        # 2 * td / n: doubling is exact, and n / 2 is exact in DTYPE, so
-        # one division rounds as the two operations did
-        td /= n / 2
+        # -2 * td / n, the descent direction's output gradient: doubling
+        # and negation are exact, and n / 2 is exact in DTYPE, so one
+        # division rounds as the three operations did
+        td /= -(n / 2)
         dout = np.zeros((n, N_ACTIONS), dtype=q.dtype)
         dout.ravel()[taken] = td
         grads = self.q_net.backward(caches[0], dout, self._grads)
-        grads.flat *= -1.0  # descent
         self.optimizer.step(self.q_net, grads, cfg.q_lr)
         if self.optimizer.t % cfg.target_sync_period == 0:
             self.target_net.params[...] = self.q_net.params
@@ -616,7 +616,8 @@ class _ActorCriticAgent(Agent):
             loss = float((resid * resid).sum()) / n  # what np.mean computes
             if not math.isfinite(loss):
                 raise DivergenceError("critic loss became non-finite")
-            grads = self.critic.backward(cache, (2.0 * resid / n)[:, None])
+            # the negated loss gradient: the optimizers ascend
+            grads = self.critic.backward(cache, (-2.0 * resid / n)[:, None])
             self.critic_optimizer.step(
                 self.critic, self._critic_direction(grads, cache, resid, epoch),
                 self.config.critic_lr)
@@ -624,9 +625,8 @@ class _ActorCriticAgent(Agent):
 
     def _critic_direction(self, grads: Gradients, cache, resid,
                           epoch: int) -> Gradients:
-        """The critic's step direction from its loss gradient: descent,
-        negated in place."""
-        grads.flat *= -1.0
+        """The critic's step direction from the gradient of its negated
+        loss: that gradient itself."""
         return grads
 
     def _nets(self) -> dict[str, Mlp]:
@@ -762,7 +762,6 @@ class AcktrAgent(A2cAgent):
         if epoch == 0:  # refresh curvature once per rollout
             self.critic_stats.update(
                 cache.inputs, self.critic.pre_activation_grads(cache, resid[:, None]))
-        grads.flat *= -1.0  # descent
         return self._natural(self.critic_stats, grads, self.config.critic_lr)
 
     def _natural(self, stats: KfacStats, grads: Gradients,

@@ -27,11 +27,10 @@ flat gradient. Curvature stats read only the chain, so a curvature
 refresh runs the chain alone. ``Gradients`` has one constructor, over a
 flat vector it cuts into layer views without a copy. In place, a pass
 writes only arrays it made or owns: every forward adds the bias into the
-fresh matmul result (calling and the stacked pass also apply the
-activation there), neither part of ``backward`` writes an array of the
-cache or of its output gradient (only the ``Gradients`` it is handed or
-makes), and an Adam step writes ``m``, ``v``, ``params`` and its
-scratch.
+fresh matmul result and applies the activation there, neither part of
+``backward`` writes an array of the cache or of its output gradient (only
+the ``Gradients`` it is handed or makes), and an Adam step writes ``m``,
+``v``, ``params`` and its scratch.
 
 Inference takes three input shapes, and keeps one equality for each:
 
@@ -224,7 +223,7 @@ class Mlp:
             inputs.append(a)
             s = a @ wt
             s += b
-            a = s if act is None else act(s)
+            a = s if act is None else act(s, out=s)
         out = a[0] if squeeze else a
         return out, ForwardCache(inputs, a)
 
@@ -346,7 +345,8 @@ class MlpStack:
 # ---------------------------------------------------------------------------
 
 class SgdOptimizer:
-    """W <- W + lr * direction (ascent; callers negate for descent)."""
+    """W <- W + lr * direction (ascent; for descent, callers hand the
+    gradient of the negated loss)."""
 
     def __init__(self, net: Mlp):
         """SGD keeps no state; it takes the net as every optimizer does."""
