@@ -37,7 +37,7 @@ from trafficlab.nn import (
 ALGORITHMS = ("dql", "a2c", "ppo", "acktr", "fixed_time")
 
 _MAGIC = b"TLAG"
-_FORMAT_VERSION = 6
+_FORMAT_VERSION = 7
 
 N_ACTIONS = 2
 
@@ -775,11 +775,11 @@ class AcktrAgent(A2cAgent):
         budget scales by exactly 1.0; an infinite radius never scales."""
         nat = stats.precondition(grads)
         delta = self.config.kl_budget
-        quad = grads.layer_sums(grads.flat * nat.flat)
+        quad = float(np.dot(grads.flat, nat.flat))
         if quad > 0:
             nat.flat *= min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
         radius = self.config.trust_region_radius
-        step_norm = learning_rate * nat.norm()
+        step_norm = learning_rate * math.sqrt(float(np.dot(nat.flat, nat.flat)))
         if step_norm > radius:
             nat.flat *= radius / step_norm
         return nat
@@ -808,13 +808,14 @@ def make_agent(config: AgentConfig, obs_dim: int) -> Agent:
 #
 # Layout: b"TLAG", <II (format version, header length), a UTF-8 JSON header,
 # then one little-endian payload. The header holds only what ``make_agent``
-# cannot rebuild: obs_dim, the full config, the nets' dtype, the counters
-# (``_counter_slots``) and the RNG state. The agent that ``make_agent``
-# builds from the config and obs_dim sets the payload's layout: each net's
-# ``params`` in ``_nets()`` order, then each optimizer's
-# ``state_arrays()`` in ``_optimizers()`` order, each array in its own
-# dtype: the nets' and Adam's float32, the K-FAC factors' float64. A file
-# whose nets are of another dtype than this build's is refused by name.
+# cannot rebuild: obs_dim, the full config, the counters (``_counter_slots``)
+# and the RNG state. The agent that ``make_agent`` builds from the config
+# and obs_dim sets the payload's layout: each net's ``params`` in
+# ``_nets()`` order, then each optimizer's ``state_arrays()`` in
+# ``_optimizers()`` order, every array float32 (``DTYPE``), the K-FAC
+# factors included. A change of dtype moves the layout, so it is a new
+# format version: format 6, whose header named the nets' dtype and whose
+# K-FAC factors were float64, is refused by its version.
 
 def _payload_arrays(agent: Agent) -> list[np.ndarray]:
     arrays = [net.params for net in agent._nets().values()]
@@ -827,7 +828,6 @@ def agent_to_bytes(agent: Agent) -> bytes:
     header = json.dumps({
         "obs_dim": agent.obs_dim,
         "config": asdict(agent.config),
-        "dtype": np.dtype(DTYPE).name,
         "counters": {key: getattr(owner, attr)
                      for key, owner, attr in agent._counter_slots()},
         "rng_state": agent._rng.bit_generator.state,
@@ -848,7 +848,8 @@ def agent_from_bytes(blob: bytes, expected_algorithm: str | None = None) -> Agen
     if version != _FORMAT_VERSION:
         raise CheckpointFormatError(
             f"unsupported agent checkpoint version {version}; this build "
-            f"reads version {_FORMAT_VERSION} only")
+            f"reads version {_FORMAT_VERSION} only, whose every array is "
+            f"{np.dtype(DTYPE).name}")
     if len(blob) < prefix + header_len:
         raise CheckpointTruncatedError("agent header cut short")
     try:
@@ -865,14 +866,10 @@ def _restore(header: dict, blob: bytes, offset: int,
     the payload at ``offset``. A malformed header surfaces as a KeyError,
     TypeError, ValueError or OverflowError, and one that names sizes too
     large to allocate as a MemoryError; the caller reports each as a
-    format error. Nets of another dtype than ``DTYPE``, a payload whose
-    length does not fit the built agent, a payload value that is not
-    finite (training raises before it could save one) and a counter that
-    is not a non-negative int are format errors too."""
-    if header["dtype"] != np.dtype(DTYPE).name:
-        raise CheckpointFormatError(
-            f"checkpoint nets are {header['dtype']!r}; this build's are "
-            f"{np.dtype(DTYPE).name!r}")
+    format error. A payload whose length does not fit the built agent, a
+    payload value that is not finite (training raises before it could save
+    one) and a counter that is not a non-negative int are format errors
+    too."""
     config = AgentConfig(**header["config"])
     if expected_algorithm is not None and config.algorithm != expected_algorithm:
         raise AlgorithmMismatchError(

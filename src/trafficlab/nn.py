@@ -7,10 +7,9 @@ linear output layer. A net's dtype is that of its ``params``: float32
 ``Layer`` arrays a net is built from (float64 ones give a float64 net, as
 the finite-difference tests use). Everything derived from a net follows
 it: both forwards and their caches, the pre-activation gradients,
-``Gradients`` and the Adam moments and scratch; an input of another dtype
-is cast once, on the way in. Only the K-FAC factors and their inverses
-are float64 whatever the net: they are inverted, and float32 has not been
-shown safe for that.
+``Gradients``, the Adam moments and scratch, and the K-FAC factors, their
+damped inverses and the directions they precondition; an input of
+another dtype is cast once, on the way in.
 
 A network's parameters live in one flat vector, ``Mlp.params``, laid out
 per layer as the weight matrix row-major, then the bias; each layer's
@@ -64,8 +63,8 @@ so a loader restores them by writing into them in place.
 ``KfacStats`` keeps one damped inverse per Kronecker factor. ``update``
 marks them stale and the next ``precondition`` rebuilds them, so a factor
 is inverted once per curvature refresh, not once per preconditioned step.
-``precondition`` writes each layer's float64 products into a fresh
-direction of the gradient's dtype. The inverses are derived state: a
+``precondition`` writes each layer's products straight into the views
+of a fresh direction. The inverses are derived state: a
 checkpoint holds only the factors, and a loaded agent rebuilds the
 inverses from them on its first step.
 """
@@ -136,23 +135,6 @@ class Gradients:
         self.flat = flat
         self.shapes = [tuple(shape) for shape in shapes]
         self.dw, self.db = _layer_views(flat, self.shapes)
-
-    def layer_sums(self, values: np.ndarray) -> float:
-        """The sum of ``values``, a flat vector in this layout, taken as
-        each layer's weight sum plus its bias sum, added layer by layer
-        from 0.0; each slice sums as the 2-D layer array would."""
-        total = 0.0
-        start = 0
-        for out_dim, in_dim in self.shapes:
-            mid = start + out_dim * in_dim
-            stop = mid + out_dim
-            total += float(values[start:mid].sum()) + float(values[mid:stop].sum())
-            start = stop
-        return total
-
-    def norm(self) -> float:
-        # per-layer partial sums: one flat dot product rounds differently
-        return math.sqrt(self.layer_sums(self.flat * self.flat))
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -431,41 +413,43 @@ class KfacStats:
     Preconditioning applies (S + damping I)^-1 G (A + damping I)^-1 per
     layer, the Kronecker realization of the inverse-curvature product.
     Biases use the S factor alone. ``damping`` and ``decay`` come from
-    ``AgentConfig``, which checks their ranges.
+    ``AgentConfig``, which checks their ranges. The factors, their
+    inverses and the directions take the net's dtype, and ``precondition``
+    takes gradients of that dtype.
 
     The damped inverses are cached: ``update`` marks them stale, and the
     next ``precondition`` rebuilds all of them from the factors. They are
     not checkpointed; a new instance, such as the one a checkpoint loader
-    fills, has none until its first ``precondition``. Code that replaces a
-    factor directly must do so before the first ``precondition`` or
-    follow it with an ``update``.
+    fills, has none until its first ``precondition``. Code that writes a
+    factor directly must write it in place, keeping its dtype, and do so
+    before the first ``precondition`` or follow it with an ``update``.
     """
 
     def __init__(self, net: Mlp, *, damping: float, decay: float):
         self.damping = damping
         self.decay = decay
-        self.a_factors = [np.eye(layer.w.shape[1]) for layer in net.layers]
-        self.s_factors = [np.eye(layer.w.shape[0]) for layer in net.layers]
+        dtype = net.params.dtype
+        self.a_factors = [np.eye(l.w.shape[1], dtype=dtype) for l in net.layers]
+        self.s_factors = [np.eye(l.w.shape[0], dtype=dtype) for l in net.layers]
         self._inverses: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def update(self, activations: list[np.ndarray],
                pre_grads: list[np.ndarray]) -> None:
         """Fold one minibatch of per-sample activations and pre-activation
-        gradients into the running factors."""
+        gradients into the running factors, in place, in their dtype."""
         if len(activations) != len(self.a_factors):
             raise ValueError("layer count mismatch in curvature update")
         d = self.decay
-        for idx, (a, ds) in enumerate(zip(activations, pre_grads)):
-            a = np.atleast_2d(a)
-            ds = np.atleast_2d(ds)
-            batch = a.shape[0]
-            # numpy forms x.T @ x with a symmetric rank-k product (syrk),
-            # which fills both triangles alike, so each blend stays exactly
-            # symmetric with no symmetrization (the test suite checks this)
-            self.a_factors[idx] = (d * self.a_factors[idx]
-                                   + (1 - d) * (a.T @ a) / batch)
-            self.s_factors[idx] = (d * self.s_factors[idx]
-                                   + (1 - d) * (ds.T @ ds) / batch)
+        for factors, xs in ((self.a_factors, activations),
+                            (self.s_factors, pre_grads)):
+            for factor, x in zip(factors, xs):
+                x = np.atleast_2d(x)
+                # numpy forms x.T @ x with a symmetric rank-k product
+                # (syrk), which fills both triangles alike, so each blend
+                # stays exactly symmetric with no symmetrization (the test
+                # suite checks this)
+                factor *= d
+                factor += (1 - d) * (x.T @ x) / x.shape[0]
         self._inverses = None
 
     def state_arrays(self) -> list[np.ndarray]:
@@ -474,7 +458,7 @@ class KfacStats:
     def _damped_inverse(self, factor: np.ndarray) -> np.ndarray:
         mat = factor
         if self.damping > 0:
-            mat = factor + self.damping * np.eye(factor.shape[0])
+            mat = factor + self.damping * np.eye(len(factor), dtype=factor.dtype)
         try:
             return np.linalg.inv(mat)
         except np.linalg.LinAlgError as exc:
@@ -482,17 +466,17 @@ class KfacStats:
                 "curvature factor is singular and damping is zero") from exc
 
     def precondition(self, grads: Gradients) -> Gradients:
-        """(S + damping I)^-1 G (A + damping I)^-1 per layer, computed in
-        float64 and written into a direction of ``grads``' dtype."""
+        """(S + damping I)^-1 G (A + damping I)^-1 per layer, written
+        into the views of a fresh direction."""
         if self._inverses is None:
             self._inverses = [
                 (self._damped_inverse(a), self._damped_inverse(s))
                 for a, s in zip(self.a_factors, self.s_factors)]
         out = Gradients(np.empty_like(grads.flat), grads.shapes)
-        for idx, (dw, db) in enumerate(zip(grads.dw, grads.db)):
-            a_inv, s_inv = self._inverses[idx]
-            # np.dot writes only into an out of its own result dtype, so
-            # the float64 products are cast into the views by assignment
-            out.dw[idx][...] = s_inv @ dw @ a_inv
-            out.db[idx][...] = s_inv @ db
+        for (a_inv, s_inv), dw, db, out_dw, out_db in zip(
+                self._inverses, grads.dw, grads.db, out.dw, out.db):
+            # straight into the direction's views (np.dot takes an ``out``
+            # of its result's dtype only)
+            np.dot(np.dot(s_inv, dw), a_inv, out=out_dw)
+            np.dot(s_inv, db, out=out_db)
         return out

@@ -30,6 +30,7 @@ from trafficlab.agents import (
     _entropy,
     _log_softmax,
     _ONE_HOT,
+    _payload_arrays,
     _ReplayBuffer,
     _stack,
     agent_from_bytes,
@@ -131,15 +132,20 @@ def wide(net):
 
 def float64_nets(agent):
     """``agent`` with its actor and critic widened to float64 nets of the
-    same values, each with a fresh optimizer of its class: the
-    finite-difference and dense float64 oracles need float64's precision.
-    Everything the update derives from a net follows its dtype; the
-    observations and rewards are still cast to ``DTYPE`` as they enter."""
+    same values, each with a fresh optimizer of its class and, for ACKTR,
+    fresh K-FAC stats: the finite-difference and dense float64 oracles
+    need float64's precision. Everything the update derives from a net
+    follows its dtype, the K-FAC factors included; the observations and
+    rewards are still cast to ``DTYPE`` as they enter."""
+    cfg = agent.config
     for name in ("actor", "critic"):
         net = wide(getattr(agent, name))
         setattr(agent, name, net)
         setattr(agent, f"{name}_optimizer",
                 type(getattr(agent, f"{name}_optimizer"))(net))
+        if isinstance(agent, AcktrAgent):
+            setattr(agent, f"{name}_stats", KfacStats(
+                net, damping=cfg.kfac_damping, decay=cfg.kfac_decay))
     return agent
 
 
@@ -946,8 +952,8 @@ def test_acktr_zero_trust_radius_freezes_parameters():
 
 
 # Each ACKTR check below runs in float64 nets, at float64's precision, and
-# in the float32 nets ACKTR ships with, whose K-FAC products are float64
-# but are written back into a float32 direction.
+# in the float32 nets ACKTR ships with, whose K-FAC factors, inverses and
+# products are float32 too.
 
 def check_single_layer_matches_dense_natural_gradient_oracle(nets):
     lam = 0.1
@@ -963,8 +969,9 @@ def check_single_layer_matches_dense_natural_gradient_oracle(nets):
     a_fac = a_fac @ a_fac.T + 0.3 * np.eye(3)
     s_fac = rng.normal(size=(2, 2))
     s_fac = s_fac @ s_fac.T + 0.3 * np.eye(2)
-    agent.actor_stats.a_factors[0] = a_fac.copy()
-    agent.actor_stats.s_factors[0] = s_fac.copy()
+    # written in place: the factors keep the nets' dtype
+    agent.actor_stats.a_factors[0][...] = a_fac
+    agent.actor_stats.s_factors[0][...] = s_fac
 
     rollout = make_transitions(rng, 12, dim=3)
     # the observations, rewards and gamma as the update reads them: cast
@@ -1040,7 +1047,7 @@ def check_trust_radius_caps_step_norm(nets):
 
     def spy(stats, grads, learning_rate):
         nat = natural(stats, grads, learning_rate)
-        capped.append(learning_rate * nat.norm())
+        capped.append(learning_rate * math.sqrt(np.dot(nat.flat, nat.flat)))
         return nat
 
     agent._natural = spy
@@ -1091,24 +1098,26 @@ def test_acktr_zero_advantages_fixed_point_with_kl_budget():
 
 
 def natural_reference(agent, stats, grads, learning_rate):
-    """``AcktrAgent._natural`` as it was: the KL quad and the step norm
-    summed per 2-D layer array, and each scaling a new vector."""
+    """``AcktrAgent._natural`` as it was: each scaling a new vector."""
     nat = stats.precondition(grads)
-    quad = 0.0
-    for gw, gb, nw, nb in zip(grads.dw, grads.db, nat.dw, nat.db):
-        quad += float(np.sum(gw * nw)) + float(np.sum(gb * nb))
+    quad = float(np.dot(grads.flat, nat.flat))
     if quad > 0:
         delta = agent.config.kl_budget
         scale = min(1.0, math.sqrt(2.0 * delta / quad) / learning_rate)
         nat = Gradients(nat.flat * scale, nat.shapes)
     radius = agent.config.trust_region_radius
     if math.isfinite(radius):
-        step_norm = learning_rate * math.sqrt(sum(
-            float(np.sum(w * w)) + float(np.sum(b * b))
-            for w, b in zip(nat.dw, nat.db)))
+        step_norm = learning_rate * math.sqrt(float(np.dot(nat.flat, nat.flat)))
         if step_norm > radius:
             nat = Gradients(nat.flat * (radius / step_norm), nat.shapes)
     return nat
+
+
+def random_gradients(rng, net):
+    """Standard normal gradients in ``net``'s layout and dtype."""
+    return gradients_of(
+        [rng.normal(size=l.w.shape).astype(net.params.dtype) for l in net.layers],
+        [rng.normal(size=l.b.shape).astype(net.params.dtype) for l in net.layers])
 
 
 @settings(max_examples=40, deadline=None)
@@ -1128,8 +1137,7 @@ def test_acktr_natural_scales_a_fresh_vector_as_the_copying_form_did(
     agent.update(make_transitions(rng, 24))  # factors other than identity
     for stats, net in ((agent.actor_stats, agent.actor),
                        (agent.critic_stats, agent.critic)):
-        grads = gradients_of([rng.normal(size=l.w.shape) for l in net.layers],
-                             [rng.normal(size=l.b.shape) for l in net.layers])
+        grads = random_gradients(rng, net)
         raw = grads.flat.tobytes()
         got = agent._natural(stats, grads, learning_rate)
         assert grads.flat.tobytes() == raw
@@ -1175,11 +1183,12 @@ def test_kfac_precondition_matches_solve_oracle_at_training_sizes():
     for stats, net in ((agent.actor_stats, agent.actor),
                        (agent.critic_stats, agent.critic)):
         assert stats.damping == 1e-2
-        grads = gradients_of([rng.normal(size=l.w.shape) for l in net.layers],
-                             [rng.normal(size=l.b.shape) for l in net.layers])
+        grads = random_gradients(rng, net)
+        # float32 factors and inverses against the float64 solves: the
+        # largest relative error seen was 1.5e-5
         np.testing.assert_allclose(stats.precondition(grads).flat,
                                    solve_precondition(stats, grads).flat,
-                                   rtol=1e-9)
+                                   rtol=1e-4)
 
 
 def test_acktr_cached_inverses_agree_with_solve_oracle_agent():
@@ -1193,7 +1202,9 @@ def test_acktr_cached_inverses_agree_with_solve_oracle_agent():
             for name, net in agent._nets().items():
                 expect = oracle._nets()[name].params
                 assert not np.array_equal(expect, start[name])
-                assert relative_gap(net.params, expect) <= 1e-12, (name, done)
+                # float32 inverses against float64 solves: the largest gap
+                # seen was 1.7e-7
+                assert relative_gap(net.params, expect) <= 1e-6, (name, done)
 
 
 def test_acktr_resumes_bit_for_bit_from_a_mid_training_checkpoint():
@@ -1308,9 +1319,10 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     """After one update of real training, everything of a net is float32:
     its parameters, its Adam moments and scratch, every output and cache
     of both forwards, every pre-activation gradient and gradient vector,
-    and DQL's replay; K-FAC's factors and inverses are float64. A stray
-    float64 array would upcast each operation it meets, silently, and
-    cost float32's speed."""
+    K-FAC's factors, inverses and preconditioned directions, DQL's replay,
+    and every payload array of the agent's checkpoint and of the agent
+    loaded from it. A stray float64 array would upcast each operation it
+    meets, silently, and cost float32's speed."""
     seen = defaultdict(set)
 
     def spy(cls, name, record, label=None):
@@ -1370,15 +1382,20 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
                            f"{name} scratch": opt._scratch[0],
                            f"{name} scratch 1": opt._scratch[1]})
         elif isinstance(opt, KfacStats):
-            for f in opt.a_factors + opt.s_factors + [
-                    inverse for pair in opt._inverses for inverse in pair]:
-                assert f.dtype == np.float64
+            arrays.update({f"{name} factor {k}": f for k, f in
+                           enumerate(opt.a_factors + opt.s_factors)})
+            arrays.update({f"{name} inverse {k}": inverse for k, inverse in
+                           enumerate(i for pair in opt._inverses for i in pair)})
     if algorithm == "dql":
         replay = agent.replay
         arrays.update(replay_obs=replay.obs, replay_next_obs=replay.next_obs,
                       replay_rewards=replay.rewards,
                       replay_discounts=replay.discounts,
                       gradients=agent._grads.flat)
+    loaded = agent_from_bytes(agent_to_bytes(agent))
+    for label, owner in (("payload", agent), ("loaded payload", loaded)):
+        arrays.update({f"{label} {k}": a
+                       for k, a in enumerate(_payload_arrays(owner))})
     assert {what: a.dtype for what, a in arrays.items()
             if a.dtype != np.float32} == {}
 
@@ -1413,8 +1430,7 @@ def laid_out_payload(agent):
     """The payload bytes as the checkpoint layout spells them out: each
     net's parameters, then each optimizer's state; Adam's is ``m`` then
     ``v``, each as [w0 .. wL, b0 .. bL], and K-FAC's the A then the S
-    factors; the nets' and Adam's values little-endian float32, K-FAC's
-    little-endian float64."""
+    factors; every value little-endian float32."""
     nets = agent._nets()
     parts = [net.params.astype("<f4") for net in nets.values()]
     for name, opt in agent._optimizers().items():
@@ -1424,7 +1440,7 @@ def laid_out_payload(agent):
                 moment = Gradients(flat.astype("<f4"), shapes)
                 parts += [w.ravel() for w in moment.dw] + moment.db
         elif isinstance(opt, KfacStats):
-            parts += [f.astype("<f8").ravel()
+            parts += [f.astype("<f4").ravel()
                       for f in opt.a_factors + opt.s_factors]
     return b"".join(part.tobytes() for part in parts)
 
@@ -1687,14 +1703,34 @@ def test_checkpoint_version_mismatch_rejected(version):
         agent_from_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float16", None])
-def test_checkpoint_of_nets_of_another_dtype_rejected_by_name(dtype):
-    blob = agent_to_bytes(make_agent(config_for("dql"), OBS_DIM))
-    forged = forge_header(blob, lambda header: header.update(dtype=dtype))
+def format_6_bytes(agent):
+    """``agent``'s checkpoint as format 6 wrote it: a header that also
+    named the nets' dtype, and a payload of float32 nets and Adam state
+    and float64 K-FAC factors."""
+    blob = bytearray(forge_header(agent_to_bytes(agent),
+                                  lambda header: header.update(dtype="float32")))
+    blob[4:8] = struct.pack("<I", 6)
+    _, header_len = struct.unpack_from("<II", blob, 4)
+    parts = [net.params.astype("<f4") for net in agent._nets().values()]
+    for opt in agent._optimizers().values():
+        kind = "<f8" if isinstance(opt, KfacStats) else "<f4"
+        parts += [a.astype(kind) for a in opt.state_arrays()]
+    return bytes(blob[:12 + header_len]) + b"".join(p.tobytes() for p in parts)
+
+
+@pytest.mark.parametrize("algorithm", ["dql", "acktr"])
+def test_format_6_checkpoint_refused_by_version_naming_float32(algorithm):
+    """A format-6 file is refused by its version alone: the message names
+    the float32 every array of format 7 is. A DQL file of format 6 holds
+    the payload bytes of format 7, ACKTR's held float64 factors."""
+    agent = make_agent(config_for(algorithm), OBS_DIM)
+    blob, old = agent_to_bytes(agent), format_6_bytes(agent)
+    assert old.endswith(blob[-payload_bytes(blob):]) == (algorithm == "dql")
     with pytest.raises(CheckpointFormatError,
-                       match=rf"^checkpoint nets are {dtype!r}; this build's "
-                             rf"are 'float32'$"):
-        agent_from_bytes(forged)
+                       match=r"^unsupported agent checkpoint version 6; this "
+                             r"build reads version 7 only, whose every array "
+                             r"is float32$"):
+        agent_from_bytes(old)
 
 
 NON_FINITE_SLOTS = {
@@ -1720,9 +1756,7 @@ def test_checkpoint_header_holds_the_config_fields_and_adams_step_count():
     agent.update(recorded(agent, make_transitions(np.random.default_rng(4), 8)))
     header = agent_header(agent_to_bytes(agent))
     # only what make_agent cannot rebuild from the config and obs_dim
-    assert list(header) == ["obs_dim", "config", "dtype", "counters",
-                            "rng_state"]
-    assert header["dtype"] == "float32"
+    assert list(header) == ["obs_dim", "config", "counters", "rng_state"]
     assert list(header["config"]) == [
         f.name for f in dataclasses.fields(AgentConfig)]
     assert len(header["config"]) == 28
@@ -1892,7 +1926,7 @@ def test_checkpoint_corrupted_header_rejected():
         agent_from_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("key", ["obs_dim", "config", "dtype", "counters",
+@pytest.mark.parametrize("key", ["obs_dim", "config", "counters",
                                  "rng_state"])
 def test_checkpoint_header_missing_key_rejected(key):
     blob = agent_to_bytes(make_agent(config_for("ppo"), OBS_DIM))

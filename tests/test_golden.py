@@ -43,16 +43,24 @@ array, counter and random state stayed bit-identical. All four were
 recorded again when the nets became float32: their parameters, Adam
 moments and every update's arithmetic round differently, so every
 learned value moved, and the digest now hashes each array in its own
-dtype, with the dtype's name beside its shape (the K-FAC factors stay
-float64). The counters and the RNG states are as before.
+dtype, with the dtype's name beside its shape (the K-FAC factors stayed
+float64). The counters and the RNG states are as before. The acktr entry
+alone was recorded again when the K-FAC factors, their inverses and the
+preconditioned directions became float32 and the KL quad and the step
+norm became flat dot products: every ACKTR update rounds differently.
+The dql, ppo and a2c entries were left as they were, and pass.
 
 The third pins the checkpoint bytes of those four agents, header and
 payload, at the format version they were recorded in. A change of the
 checkpoint format bumps ``_FORMAT_VERSION`` and records these digests
 again in the same change; a change of any other kind must leave them as
-they are. They were recorded again at format 6, whose header names the
-nets' dtype and whose payload holds the float32 nets and Adam moments as
-float32 (the K-FAC factors as float64).
+they are. They were recorded again at format 6, whose header named the
+nets' dtype and whose payload held the float32 nets and Adam moments as
+float32 (the K-FAC factors as float64), and again at format 7, whose
+header has no dtype field and whose every payload array is float32. At
+format 7 the dql, ppo and a2c files differ from their format-6 ones only
+in the version and the header's dropped ``"dtype"`` field: the payload
+bytes are the same.
 
 The first digest is unchanged by the float32 nets: no net is on the
 fixed-time controller's path, and it reads the env's float64
@@ -127,16 +135,16 @@ GOLDEN_TRAINED_AGENT_STATE = {
     "dql": "b63336bab3406d033e6d42193072a49fcd98714f923ffb662dcdb4aa0524d51e",
     "ppo": "8c552db3251d0f84b76a4ce8d25bbaa4f37751d94bb2c5e9d197c0da2e15d4f1",
     "a2c": "d6d22fb674eed72768ddba3fc6f61dacc3a26855f68e8661b08dc65cfea28681",
-    "acktr": "3b0a04731315fa57e87decf6292d920fb5441bfbb2ef008ebef59118ee5730ba",
+    "acktr": "0c7e7be4b02806f894075cdee32eebb536a15e5b274c1b8cb2aa3a59c6a0393e",
 }
 
 # the format version the checkpoint digests below were recorded at
-GOLDEN_CHECKPOINT_FORMAT = 6
+GOLDEN_CHECKPOINT_FORMAT = 7
 GOLDEN_CHECKPOINT_BYTES = {
-    "dql": "e8f12659a595b7c9ac93c65a7c04c13d5e795f22959cfdba09254e3228b32b50",
-    "ppo": "3fa94436a7d91a735de0340012362527ac624d563277aac2e0ad62e62a65e9aa",
-    "a2c": "2cde420781b87ed09288e58e42b5ab30377ca2e4b9f3b9674718f015c6b0f583",
-    "acktr": "3d74a39e09803e8975f6c59d87be2a27fa863f9a91d3d27fedbe8cab65789ae7",
+    "dql": "10c35d231f07d115834d437199fb0c1ecf7f1bae05bb6193b37ca02f295c6bfa",
+    "ppo": "375d1ead4b14bebd9dbdbe5f75cf2d4e82b55673565b5fd8f103c869fa74b6df",
+    "a2c": "e7050bf0b0a5f0e0855e8f734aa2e93465831c293382095e6cc50b92b7a8ca8e",
+    "acktr": "40cd099566a7e8ca15113f5a1de4ac0c788eb6bce876db64a22db4c68117dfa1",
 }
 
 _STATE_OVERRIDES = dict(hidden_sizes=[16, 16], rollout_length=64,

@@ -248,9 +248,9 @@ def test_a_write_to_one_member_shows_in_the_stacked_pass_only_for_it():
     (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
 def test_everything_of_a_net_follows_the_dtype_of_its_layers(dtype, net_dtype):
     """A net takes its dtype from the ``Layer``s it is built from (ints
-    make a float64 net); its passes, gradients and Adam state follow it,
-    a float64 input is cast on the way in, and K-FAC's factors are float64
-    whatever the net while its direction takes the net's dtype."""
+    make a float64 net); its passes, gradients, Adam state and K-FAC
+    factors, inverses and direction follow it, and a float64 input is
+    cast on the way in."""
     net = Mlp([Layer(np.ones((4, 3), dtype), np.zeros(4, dtype)),
                Layer(np.ones((2, 4), dtype), np.zeros(2, dtype))])
     x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
@@ -263,10 +263,10 @@ def test_everything_of_a_net_follows_the_dtype_of_its_layers(dtype, net_dtype):
     stats.update(cache.inputs, chain)
     arrays = [net.params, out, net(x), net(x[0]), net(x[:, None, :]),
               *cache.inputs, cache.output, *chain, grads.flat, adam.m, adam.v,
-              *adam._scratch, stats.precondition(grads).flat]
+              *adam._scratch, stats.precondition(grads).flat,
+              *stats.a_factors, *stats.s_factors,
+              *[inverse for pair in stats._inverses for inverse in pair]]
     assert {a.dtype for a in arrays} == {np.dtype(net_dtype)}
-    assert {f.dtype for f in stats.a_factors + stats.s_factors} == {
-        np.dtype(np.float64)}
 
 
 def test_created_nets_are_float32_rounding_the_float64_draws_once():
@@ -308,7 +308,7 @@ def test_zero_output_gradient_gives_zero_gradients():
     x = np.random.default_rng(0).normal(size=(4, 3))
     _, cache = net.forward(x)
     grads = net.backward(cache, np.zeros((4, 2)))
-    assert grads.norm() == 0.0
+    assert not grads.flat.any()
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -418,33 +418,6 @@ def test_pre_activation_chain_leaves_what_backward_leaves(seed, batch, depth):
         assert dw.tobytes() == np.dot(ds.T, a).tobytes()
         assert db.tobytes() == ds.sum(axis=0).tobytes()
     assert snapshot == [a.tobytes() for a in cache.inputs + [cache.output, dout]]
-
-
-def per_layer_sums_reference(grads, other):
-    """The per-layer 2-D sums the flat slice sums replaced: sum over the
-    layers of sum(dw * other_dw) + sum(db * other_db)."""
-    return sum(float(np.sum(gw * ow)) + float(np.sum(gb * ob))
-               for gw, gb, ow, ob in zip(grads.dw, grads.db, other.dw, other.db))
-
-
-@settings(max_examples=80)
-@given(seed=st.integers(0, 2**32 - 1),
-       widths=st.lists(st.integers(1, 90), min_size=2, max_size=5),
-       scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]))
-def test_norm_and_quad_from_slice_sums_equal_per_layer_2d_sums(seed, widths, scale):
-    """``Gradients.norm`` and the KL quad ``grads.layer_sums(g * nat)``
-    sum one elementwise product slice by slice; each slice sums to what
-    the 2-D layer array summed to, so both equal the per-layer forms."""
-    rng = np.random.default_rng(seed)
-    shapes = list(zip(widths[1:], widths[:-1]))
-    size = sum(o * i + o for o, i in shapes)
-    grads = Gradients(rng.normal(size=size) * scale, shapes)
-    nat = Gradients(rng.normal(size=size) * scale, shapes)
-    # repr is exact for floats, the sign of a zero included
-    norm = math.sqrt(per_layer_sums_reference(grads, grads))
-    assert repr(grads.norm()) == repr(norm)
-    assert (repr(grads.layer_sums(grads.flat * nat.flat))
-            == repr(per_layer_sums_reference(grads, nat)))
 
 
 # ---------------------------------------------------------------------------
@@ -754,12 +727,16 @@ def test_singular_factor_without_damping_raises():
         stats.precondition(grads_for(net, np.ones((2, 2))))
 
 
-def test_update_after_precondition_refreshes_the_inverses():
+def check_update_after_precondition_refreshes_the_inverses(net, rtol):
+    """The inverses ``precondition`` caches are rebuilt after an
+    ``update``: each direction matches the float64 solve oracle on the
+    factors of its time, to ``rtol``."""
     rng = np.random.default_rng(31)
-    net = small_net(sizes=(3, 5, 2))
     stats = KfacStats(net, damping=1e-2, decay=0.5)
-    grads = gradients_of([rng.normal(size=l.w.shape) for l in net.layers],
-                      [rng.normal(size=l.b.shape) for l in net.layers])
+    dtype = net.params.dtype
+    grads = gradients_of(
+        [rng.normal(size=l.w.shape).astype(dtype) for l in net.layers],
+        [rng.normal(size=l.b.shape).astype(dtype) for l in net.layers])
 
     def feed():
         x = rng.normal(size=(8, 3))
@@ -770,9 +747,21 @@ def test_update_after_precondition_refreshes_the_inverses():
     feed()
     first = stats.precondition(grads).flat
     np.testing.assert_allclose(first, solve_precondition(stats, grads).flat,
-                               rtol=1e-9)
+                               rtol=rtol)
     feed()
     second = stats.precondition(grads).flat
     np.testing.assert_allclose(second, solve_precondition(stats, grads).flat,
-                               rtol=1e-9)
+                               rtol=rtol)
     assert not np.allclose(first, second, rtol=1e-6)
+
+
+def test_update_after_precondition_refreshes_the_inverses():
+    # float32 factors and inverses against the float64 oracle: the largest
+    # relative error seen was 7.9e-7
+    check_update_after_precondition_refreshes_the_inverses(
+        small_net(sizes=(3, 5, 2)), rtol=1e-5)
+
+
+def test_update_after_precondition_refreshes_the_inverses_of_a_float64_net():
+    check_update_after_precondition_refreshes_the_inverses(
+        float64_net((3, 5, 2), seed=0), rtol=1e-9)
