@@ -814,8 +814,7 @@ def make_agent(config: AgentConfig, obs_dim: int) -> Agent:
 # ``_nets()`` order, then each optimizer's ``state_arrays()`` in
 # ``_optimizers()`` order, every array float32 (``DTYPE``), the K-FAC
 # factors included. A change of dtype moves the layout, so it is a new
-# format version: format 6, whose header named the nets' dtype and whose
-# K-FAC factors were float64, is refused by its version.
+# format version, and the version alone tells a file's dtype.
 
 def _payload_arrays(agent: Agent) -> list[np.ndarray]:
     arrays = [net.params for net in agent._nets().values()]
