@@ -5,11 +5,11 @@ fixed-time baseline, all behind one act/update interface.
 Policy nets emit two logits (keep, switch); critics emit one value. The
 learners compute in their nets' dtype, ``nn.DTYPE``: an observation is cast
 once, where it enters (``_check_obs``, ``_check_rows``, ``_stack`` and the
-replay's store), and the rewards, done flags and log-probabilities that
-meet a net's outputs are held in that dtype too. The fixed-time controller
-reads its observations through the same casts: at the 1-s time step every
-preset uses, its phase timer is a whole number of seconds, which float32
-holds exactly.
+replay's store), and the rewards and log-probabilities that meet a net's
+outputs are held in that dtype too. The fixed-time controller reads its
+observations through the same casts: at the 1-s time step every preset
+uses, its phase timer is a whole number of seconds, which float32 holds
+exactly.
 """
 
 from __future__ import annotations
@@ -189,7 +189,6 @@ class Transition:
     action: int
     reward: float
     next_obs: np.ndarray
-    done: bool
     log_prob: float | None = None
 
 
@@ -208,6 +207,11 @@ def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
     ``agent.update``. The env is reset first when ``obs`` is None
     and before the step after each episode end, so the caller can read
     the finished episode's state when ``done`` is yielded.
+
+    A ``Transition`` holds no done flag: an episode ends only on the clock
+    and a deployment never ends one, so every ``done`` is a time limit and
+    the learners bootstrap at every step, an episode's last transition
+    from its final observation.
     """
     pending: list[Transition] = []
     while True:
@@ -217,7 +221,7 @@ def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
         next_obs, reward, done, _ = env.step(action)
         full = None
         if batch:
-            pending.append(Transition(obs, action, reward, next_obs, done,
+            pending.append(Transition(obs, action, reward, next_obs,
                                       agent.last_logprob))
             if len(pending) >= batch:
                 full, pending = pending, []
@@ -257,8 +261,7 @@ def _stack(transitions: list[Transition]):
     actions = np.array([t.action for t in transitions], dtype=np.intp)
     rewards = np.array([t.reward for t in transitions], dtype=DTYPE)
     next_obs = np.array([t.next_obs for t in transitions], dtype=DTYPE)
-    dones = np.array([1.0 if t.done else 0.0 for t in transitions], dtype=DTYPE)
-    return obs, actions, rewards, next_obs, dones
+    return obs, actions, rewards, next_obs
 
 
 class Agent:
@@ -378,17 +381,14 @@ class _ReplayBuffer:
     Each observation and next observation is stored cast to ``DTYPE`` and
     multiplied by the agent's ``obs_scale`` (in ``DTYPE``, as the agent
     scales what it acts on), and a draw stacks them into the
-    ``(2, n, obs_dim)`` array the q and target nets read in one pass. A
-    done flag is stored as its discount, ``gamma * (1 - done)`` in
-    ``DTYPE``. No checkpoint holds the ring: a loaded agent starts with an
-    empty one.
+    ``(2, n, obs_dim)`` array the q and target nets read in one pass. No
+    checkpoint holds the ring: a loaded agent starts with an empty one.
     """
 
-    def __init__(self, capacity: int, obs_scale: np.ndarray, gamma: float):
+    def __init__(self, capacity: int, obs_scale: np.ndarray):
         self.capacity = capacity
         self.added = 0
         self._obs_scale = obs_scale
-        self._gamma = gamma
         # two arrays, not one (2, capacity, obs_dim): numpy asks the kernel
         # for huge pages for an array of 4 MiB or more, which the default
         # capacity's pair would be, and a partly filled ring would then
@@ -397,7 +397,6 @@ class _ReplayBuffer:
         self.next_obs = np.zeros((capacity, obs_scale.size), dtype=DTYPE)
         self.actions = np.zeros(capacity, dtype=np.intp)
         self.rewards = np.zeros(capacity, dtype=DTYPE)
-        self.discounts = np.zeros(capacity, dtype=DTYPE)
 
     def __len__(self) -> int:
         return min(self.added, self.capacity)
@@ -411,11 +410,10 @@ class _ReplayBuffer:
                     dtype=DTYPE)
         self.actions[i] = item.action
         self.rewards[i] = item.reward
-        self.discounts[i] = 0.0 if item.done else self._gamma
         self.added += 1
 
     def sample(self, rng: np.random.Generator, n: int):
-        """(pairs, actions, rewards, discounts) of ``n`` uniform draws,
+        """(pairs, actions, rewards) of ``n`` uniform draws,
         ``pairs`` of shape ``(2, n, obs_dim)``."""
         idx = rng.integers(0, len(self), size=n)
         pairs = np.empty((2, n, self.obs.shape[1]), dtype=DTYPE)
@@ -424,7 +422,7 @@ class _ReplayBuffer:
         # it write into ``out`` directly, where the default mode buffers
         self.obs.take(idx, axis=0, out=pairs[0], mode="clip")
         self.next_obs.take(idx, axis=0, out=pairs[1], mode="clip")
-        return pairs, self.actions[idx], self.rewards[idx], self.discounts[idx]
+        return pairs, self.actions[idx], self.rewards[idx]
 
 
 class DqlAgent(Agent):
@@ -434,11 +432,11 @@ class DqlAgent(Agent):
 
     The q net and the target net are the two members of one ``MlpStack``
     (row 0 and row 1), so a regression step runs both forwards as one
-    pass, and a target sync copies row 0 into row 1. The replay holds
-    scaled observations and discounts (see ``_ReplayBuffer``) and is not
-    checkpointed: a loaded agent takes no gradient step until it has
-    gathered ``max(warmup, batch_size)`` transitions again (1,000 by
-    default), in deployment too.
+    pass, and a target sync copies row 0 into row 1. Every target
+    bootstraps (see ``rollout``). The replay holds scaled observations
+    (see ``_ReplayBuffer``) and is not checkpointed: a loaded agent takes
+    no gradient step until it has gathered ``max(warmup, batch_size)``
+    transitions again (1,000 by default), in deployment too.
     """
 
     needs_rollout = 1
@@ -449,8 +447,7 @@ class DqlAgent(Agent):
         self._pair = MlpStack(Mlp.create(sizes, seed=config.seed).layers, 2)
         self.q_net, self.target_net = self._pair.members
         self.optimizer = AdamOptimizer(self.q_net)
-        self.replay = _ReplayBuffer(config.replay_capacity, self._obs_scale,
-                                    config.gamma)
+        self.replay = _ReplayBuffer(config.replay_capacity, self._obs_scale)
         # the flat offset of each batch row's first q-value in a (B, 2) array
         self._row_starts = N_ACTIONS * np.arange(config.batch_size)
         self._grads = Gradients(np.empty_like(self.q_net.params),
@@ -491,8 +488,8 @@ class DqlAgent(Agent):
             return {}
         return {"loss": sum(losses) / len(losses), "epsilon": self.epsilon()}
 
-    def _fit(self, pairs, actions, rewards, discounts) -> float:
-        """One regression step of Q(s,a) toward r + discount * max
+    def _fit(self, pairs, actions, rewards) -> float:
+        """One regression step of Q(s,a) toward r + gamma * max
         Q_target(s') on a batch of at most ``batch_size`` rows as the
         replay draws it (``pairs[0]`` the scaled observations, ``pairs[1]``
         the scaled next ones); returns the mean squared TD error."""
@@ -501,9 +498,9 @@ class DqlAgent(Agent):
         out, caches = self._pair.forward(pairs)
         q, next_q = out
         # max Q' as np.maximum of its two columns (bit-equal to the axis
-        # reduction, see _log_softmax), then * discount + r
+        # reduction, see _log_softmax), then * gamma + r
         targets = np.maximum(next_q[:, 0], next_q[:, 1])
-        targets *= discounts
+        targets *= cfg.gamma
         targets += rewards
         # Q(s, a) of each row, gathered and scattered by flat index
         taken = self._row_starts[:n] + actions
@@ -580,12 +577,12 @@ class _ActorCriticAgent(Agent):
 
     def _targets_and_advantages(self, transitions: list[Transition]):
         cfg = self.config
-        obs, actions, rewards, next_obs, dones = _stack(transitions)
+        obs, actions, rewards, next_obs = _stack(transitions)
         obs = obs * self._obs_scale
         next_obs = next_obs * self._obs_scale
         v_now = self.critic(obs).ravel()
         v_next = self.critic(next_obs).ravel()
-        targets = rewards + cfg.gamma * (1.0 - dones) * v_next
+        targets = rewards + cfg.gamma * v_next
         advantages = targets - v_now
         if len(advantages) > 1:
             # batch-mean baseline: keeps the estimator unbiased while

@@ -328,14 +328,14 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     Front-to-back per lane: each vehicle accelerates toward the config's
     ``vmax_default``, every vehicle's top speed, capped by the speed that
     still lets it stop within its budget, the room to its leader's new rear
-    plus the minimum gap, and without green at most the room to the stop
-    line. The front vehicle's leader stands at ``-spacing`` without green
-    (a budget of ``pos``) and at ``-inf`` with it. A vehicle whose new
-    position crosses the stop line exits and its waiting time is booked
-    into the per-class accumulators. A vehicle with no positive budget
-    (most of a red queue) takes a short branch with the full update's
-    values: speed 0.0, position ``pos - 0.0 * dt == pos`` (not negative,
-    so it stays), a wait step (the threshold is positive) and a deficit of
+    plus the minimum gap. The front vehicle's leader stands at ``-spacing``
+    without green (a budget of ``pos``, the room to the stop line) and at
+    ``-inf`` with it. A vehicle whose new position crosses the stop line
+    exits and its waiting time is booked into the per-class accumulators.
+    A vehicle with no positive budget (most of a red queue) takes a short
+    branch with the full update's values: speed 0.0, position
+    ``pos - 0.0 * dt == pos`` (not negative, so it stays), a wait step
+    (the threshold is positive) and a deficit of
     ``(vmax - 0.0) / vmax == 1.0``.
 
     The exits of a lane are always its front vehicles: a follower of a
@@ -348,10 +348,12 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
 
     Every vehicle on the road must stand at a position of at least 0, as
     in every state the simulator builds (``tests/invariant_checks.py``
-    checks it on simulated states). The short branch relies on it: it
-    keeps a vehicle where it stands, so a hand-placed vehicle at a
-    negative position with no budget would stay on the road instead of
-    exiting.
+    checks it on simulated states). Given that, the ``-spacing`` sentinel
+    alone holds a red lane behind the line: the front vehicle's budget is
+    its position and each follower's is less than its own, so none exits.
+    The short branch relies on it too: it keeps a vehicle where it stands,
+    so a hand-placed vehicle at a negative position with no budget would
+    stay on the road instead of exiting.
     """
     dt = config.time_step
     accel_dt = config.accel * dt
@@ -376,8 +378,6 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
         for veh in lane:
             pos = veh.position
             budget = pos - (leader_new_pos + spacing)
-            if not green and pos < budget:
-                budget = pos
             if not budget > 0.0:  # stopped where it stands
                 veh.speed = 0.0
                 veh.cumulative_wait += dt

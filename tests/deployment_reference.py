@@ -63,7 +63,7 @@ def reference_deployment(agent: Agent, env_config: EnvConfig,
         action = agent.act(obs, explore=True)
         next_obs, reward, _, _ = env.step(action)
         if updates_enabled:
-            pending.append(Transition(obs, action, reward, next_obs, False,
+            pending.append(Transition(obs, action, reward, next_obs,
                                       log_prob=agent.last_logprob))
             if len(pending) >= deploy.update_period:
                 try:

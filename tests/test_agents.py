@@ -37,6 +37,7 @@ from trafficlab.agents import (
     agent_to_bytes,
     load_agent,
     make_agent,
+    rollout,
     save_agent,
 )
 from kfac_oracle import (
@@ -79,7 +80,7 @@ def make_transitions(rng, n, dim=OBS_DIM, reward_fn=None):
         nxt = rand_obs(rng, dim=dim)
         action = int(rng.integers(2))
         r = float(rng.normal()) if reward_fn is None else reward_fn(obs, action)
-        out.append(Transition(obs, action, r, nxt, False))
+        out.append(Transition(obs, action, r, nxt))
     return out
 
 
@@ -165,10 +166,10 @@ def train_on_batch(agent, batch):
     """One DQL regression step on the given transitions, in the form a
     replay draw hands to ``_fit``, computed here from the raw fields: the
     observations cast to ``DTYPE`` and scaled in it, stacked over the next
-    ones, and each done flag as its discount ``gamma * (1 - done)``."""
-    obs, actions, rewards, next_obs, dones = _stack(batch)
+    ones."""
+    obs, actions, rewards, next_obs = _stack(batch)
     pairs = np.stack([obs, next_obs]) * agent._obs_scale
-    return agent._fit(pairs, actions, rewards, agent.config.gamma * (1.0 - dones))
+    return agent._fit(pairs, actions, rewards)
 
 
 def array_act(agent, obs, explore=False):
@@ -437,10 +438,14 @@ def test_dql_batch_update_hand_computed_linear_case():
     w_before = agent.q_net.layers[0].w.copy()
     b_before = agent.q_net.layers[0].b.copy()
     obs = np.array([1.0, 0.0, 2.0])
-    batch = [Transition(obs, 0, 1.0, np.zeros(3), True)]
+    nxt = np.array([0.0, 1.0, 0.0])
+    batch = [Transition(obs, 0, 1.0, nxt)]
     q0 = float(w_before[0] @ obs + b_before[0])
+    # the target net is the q net as built: max Q_target(s') reads its
+    # weights' middle column
+    bootstrap = float(max(w_before[:, 1] + b_before))
     loss = train_on_batch(agent, batch)
-    td = q0 - 1.0  # done: target is the raw reward
+    td = q0 - (1.0 + 0.9 * bootstrap)
     assert loss == pytest.approx(td * td)
     np.testing.assert_allclose(
         agent.q_net.layers[0].w[0], w_before[0] - 0.1 * 2 * td * obs)
@@ -472,14 +477,14 @@ def test_dql_replay_warmup_and_target_sync():
     rng = np.random.default_rng(0)
     for i in range(7):
         out = agent.update([Transition(rand_obs(rng, dim=4), 0, 0.0,
-                                       rand_obs(rng, dim=4), False)])
+                                       rand_obs(rng, dim=4))])
         assert out == {}  # warming up
     out = agent.update([Transition(rand_obs(rng, dim=4), 1, 1.0,
-                                   rand_obs(rng, dim=4), False)])
+                                   rand_obs(rng, dim=4))])
     assert "loss" in out
     assert agent.optimizer.t == 1
     agent.update([Transition(rand_obs(rng, dim=4), 0, 0.5,
-                             rand_obs(rng, dim=4), False)])
+                             rand_obs(rng, dim=4))])
     assert agent.optimizer.t == 2
     np.testing.assert_array_equal(agent.target_net.flatten(),
                                   agent.q_net.flatten())
@@ -492,7 +497,7 @@ def test_dql_takes_one_gradient_step_per_transition_once_warm():
 
     def batch(n):
         return [Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
-                           float(rng.normal()), rand_obs(rng, dim=4), False)
+                           float(rng.normal()), rand_obs(rng, dim=4))
                 for _ in range(n)]
 
     calls = [batch(5), batch(6), batch(256)]
@@ -538,10 +543,10 @@ class ListReplay:
 def test_replay_ring_slot_holds_latest_write():
     capacity, n_added = 5, 12
     scale = np.array([1.0, 0.5, 1.0 / 60.0], dtype=DTYPE)
-    ring = _ReplayBuffer(capacity, scale, 0.9)
+    ring = _ReplayBuffer(capacity, scale)
     for k in range(n_added):
         ring.add(Transition(np.full(3, k + 0.1), k % 2, float(k),
-                            np.full(3, -k - 0.1), k % 3 == 0))
+                            np.full(3, -k - 0.1)))
     assert len(ring) == capacity
     for slot in range(capacity):
         k = max(j for j in range(slot, n_added, capacity))
@@ -552,15 +557,12 @@ def test_replay_ring_slot_holds_latest_write():
             np.full(3, -k - 0.1).astype(DTYPE) * scale).tobytes()
         assert ring.actions[slot] == k % 2
         assert ring.rewards[slot] == float(k)
-        assert ring.discounts[slot] == (0.0 if k % 3 == 0 else DTYPE(0.9))
-    pairs, actions, rewards, discounts = ring.sample(
-        np.random.default_rng(0), 7)
+    pairs, actions, rewards = ring.sample(np.random.default_rng(0), 7)
     idx = np.random.default_rng(0).integers(0, capacity, size=7)
     assert pairs.tobytes() == np.stack([ring.obs[idx],
                                         ring.next_obs[idx]]).tobytes()
     assert actions.tolist() == ring.actions[idx].tolist()
     assert rewards.tobytes() == ring.rewards[idx].tobytes()
-    assert discounts.tobytes() == ring.discounts[idx].tobytes()
 
 
 def test_dql_update_losses_match_list_replay_oracle():
@@ -573,8 +575,7 @@ def test_dql_update_losses_match_list_replay_oracle():
     losses, expected = [], []
     for _ in range(60):
         t = Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
-                       float(rng.normal()), rand_obs(rng, dim=4),
-                       bool(rng.random() < 0.2))
+                       float(rng.normal()), rand_obs(rng, dim=4))
         out = agent.update([t])
         if "loss" in out:
             losses.append(out["loss"])
@@ -594,25 +595,21 @@ def test_dql_update_losses_match_list_replay_oracle():
 # advantage arithmetic
 # ---------------------------------------------------------------------------
 
-def compute_advantage(r_t, v_next, v_now, gamma, done):
+def compute_advantage(r_t, v_next, v_now, gamma):
     """The advantage ``_targets_and_advantages`` gives one transition from
     an all-zero observation to an all-one one, under a critic that values
     them ``v_now`` and ``v_next``."""
     agent = make_agent(config_for("a2c", gamma=gamma), OBS_DIM)
     agent.critic = lambda x: np.where(x[:, :1] == 0.0, DTYPE(v_now),
                                       DTYPE(v_next))
-    batch = [Transition(np.zeros(OBS_DIM), 0, r_t, np.ones(OBS_DIM), done)]
+    batch = [Transition(np.zeros(OBS_DIM), 0, r_t, np.ones(OBS_DIM))]
     _, _, _, advantages = agent._targets_and_advantages(batch)
     assert advantages.shape == (1,)
     return advantages[0]
 
 
 def test_compute_advantage_substitution():
-    assert compute_advantage(1.0, 0.5, 1.0, 0.9, False) == pytest.approx(0.45)
-
-
-def test_compute_advantage_terminal_ignores_bootstrap():
-    assert compute_advantage(2.0, 123.0, 0.5, 0.9, True) == pytest.approx(1.5)
+    assert compute_advantage(1.0, 0.5, 1.0, 0.9) == pytest.approx(0.45)
 
 
 def test_compute_advantage_calibrated_critic_is_zero():
@@ -620,7 +617,100 @@ def test_compute_advantage_calibrated_critic_is_zero():
     r = 1.2
     # calibrated in the nets' dtype, in which the update adds and multiplies
     v_now = float(DTYPE(r) + DTYPE(gamma) * DTYPE(v_next))
-    assert compute_advantage(r, v_next, v_now, gamma, False) == 0.0
+    assert compute_advantage(r, v_next, v_now, gamma) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# episode ends: every one is a time limit, so every step bootstraps
+# ---------------------------------------------------------------------------
+
+class RecordingEnv(TrafficSignalEnv):
+    """An env that keeps a copy of every observation it hands out: each
+    reset's, and each step's with its done flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.resets, self.steps = [], []
+
+    def reset(self, *args, **kwargs):
+        obs = super().reset(*args, **kwargs)
+        self.resets.append(obs.copy())
+        return obs
+
+    def step(self, action):
+        out = super().step(action)
+        self.steps.append((out[0].copy(), out[2]))
+        return out
+
+
+EPISODE_STEPS = 5
+
+
+def batch_across_an_episode_end(agent, batch=8):
+    """The first batch that ``rollout`` gathers for ``agent`` on a sparse
+    road whose episodes last ``EPISODE_STEPS`` steps, what it yielded
+    for each step of the batch, and the env that recorded them."""
+    cfg = build_env_config("sparse", 1.0, 7,
+                           episode_length=float(EPISODE_STEPS))
+    env = RecordingEnv(cfg, seed=7)
+    yielded = []
+    for reward, done, full in rollout(agent, env, batch=batch):
+        yielded.append((reward, done))
+        if full is not None:
+            return full, yielded, env
+
+
+def test_rollout_keeps_each_episodes_observations_across_an_episode_end():
+    agent = make_agent(config_for("ppo"), OBS_DIM)
+    full, yielded, env = batch_across_an_episode_end(agent)
+    end = EPISODE_STEPS - 1
+    assert len(full) == len(yielded) == len(env.steps) == 8
+    assert [done for _, done in yielded] == [k == end for k in range(8)]
+    assert [done for _, done in env.steps] == [k == end for k in range(8)]
+    assert [t.reward for t in full] == [reward for reward, _ in yielded]
+    assert len(env.resets) == 2
+    for t, (next_obs, _) in zip(full, env.steps):
+        assert t.next_obs.tobytes() == next_obs.tobytes()
+    # the episode's last transition ends on that episode's final
+    # observation, not on the reset one ...
+    assert full[end].next_obs.tobytes() != env.resets[1].tobytes()
+    # ... and the next transition starts from the reset observation
+    assert full[0].obs.tobytes() == env.resets[0].tobytes()
+    assert full[end + 1].obs.tobytes() == env.resets[1].tobytes()
+    for k in range(len(full) - 1):
+        if k != end:
+            assert full[k + 1].obs.tobytes() == full[k].next_obs.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["a2c", "ppo", "acktr"])
+def test_critic_target_of_an_episodes_last_transition_bootstraps(algorithm):
+    agent = make_agent(config_for(algorithm), OBS_DIM)
+    # a critic far from 0, so a target without its bootstrap stands out
+    agent.critic.layers[-1].b[:] = 50.0
+    full, _, _ = batch_across_an_episode_end(agent)
+    last = full[EPISODE_STEPS - 1]
+    v_next = agent.critic(agent._check_obs(last.next_obs) * agent._obs_scale)
+    expected = DTYPE(last.reward) + DTYPE(agent.config.gamma) * v_next[0]
+    _, _, targets, _ = agent._targets_and_advantages(full)
+    assert targets[EPISODE_STEPS - 1] == pytest.approx(float(expected),
+                                                       rel=1e-6)
+    assert expected > 40.0
+
+
+def test_dql_target_of_an_episodes_last_transition_bootstraps():
+    agent = DqlAgent(config_for("dql", warmup=1, batch_size=1), OBS_DIM)
+    # written in place: the target is row 1 of the q net's stack
+    agent.target_net.layers[-1].b[:] = [30.0, 70.0]
+    full, _, _ = batch_across_an_episode_end(agent)
+    last = full[EPISODE_STEPS - 1]
+    q = agent.q_net(agent._check_obs(last.obs) * agent._obs_scale)[last.action]
+    next_q = agent.target_net(agent._check_obs(last.next_obs)
+                              * agent._obs_scale)
+    target = DTYPE(last.reward) + DTYPE(agent.config.gamma) * next_q.max()
+    assert target > 60.0
+    # a replay of this one transition: the step regresses onto it alone
+    loss = agent.update([last])["loss"]
+    assert loss == pytest.approx(float((q - target) ** 2), rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -694,18 +784,20 @@ def test_two_column_policy_math_equals_the_axis_reductions(pairs, data,
 # actor-critic updates
 # ---------------------------------------------------------------------------
 
-def zero_advantage_rollout(agent, rng, n=16):
-    """Terminal transitions rewarded with the agent's own batched critic
-    values, so every advantage is exactly 0.0 in float arithmetic. The
-    observations are in the nets' dtype, so the agent reads them as
-    they are."""
-    obs = rand_obs(rng, n=n).astype(DTYPE)
-    nxt = rand_obs(rng, n=n).astype(DTYPE)
-    v_now = agent.critic(obs * agent._obs_scale).ravel()
-    return [
-        Transition(obs[i], int(rng.integers(2)), float(v_now[i]), nxt[i], True)
-        for i in range(n)
-    ]
+def zero_advantage_rollout(agent, rng):
+    """16 transitions from one observation to one next observation
+    with one reward, each with an action of its own. Every row's
+    advantage before the baseline is the same value, and 16 copies of it
+    sum exactly (numpy adds them in pairs), so the batch-mean baseline
+    leaves every advantage exactly 0.0. The observations are in the nets'
+    dtype, so the agent reads them as they are."""
+    obs = rand_obs(rng).astype(DTYPE)
+    nxt = rand_obs(rng).astype(DTYPE)
+    reward = float(rng.normal())
+    rollout = [Transition(obs, int(rng.integers(2)), reward, nxt)
+               for _ in range(16)]
+    assert not agent._targets_and_advantages(rollout)[3].any()
+    return rollout
 
 
 @pytest.mark.parametrize("algorithm", ["a2c", "ppo", "acktr"])
@@ -738,7 +830,7 @@ def test_a2c_positive_advantage_increases_action_probability():
     obs = rand_obs(rng)
     nxt = rand_obs(rng)
     # large reward makes the advantage of action 0 strongly positive
-    rollout = [Transition(obs, 0, 50.0, nxt, False)]
+    rollout = [Transition(obs, 0, 50.0, nxt)]
     p_before = policy(agent, obs)[0]
     agent.update(rollout)
     p_after = policy(agent, obs)[0]
@@ -804,7 +896,7 @@ def test_ppo_clipped_term_arithmetic():
     r = 1.0 + v_now - cfg.gamma * v_next
     # store an old log-prob that makes the ratio exactly 1.5
     logp_now = log_softmax_ref(agent.actor(obs * agent._obs_scale))[0]
-    t = Transition(obs, 0, r, nxt, False, log_prob=float(logp_now - np.log(1.5)))
+    t = Transition(obs, 0, r, nxt, log_prob=float(logp_now - np.log(1.5)))
     actor_loss = agent.update([t])["actor_loss"]
     # the objective is the nets' float32: 1.2 to within its rounding
     assert actor_loss == pytest.approx(-min(1.5, 1.2), rel=1e-6)
@@ -1159,7 +1251,7 @@ def env_rollouts(count, length=256, seed=4):
         for _ in range(length):
             action = int(rng.integers(2))
             nxt, reward, done, _ = env.step(action)
-            batch.append(Transition(obs, action, reward, nxt, done))
+            batch.append(Transition(obs, action, reward, nxt))
             obs = env.reset() if done else nxt
         rollouts.append(tuple(batch))
     return tuple(rollouts)
@@ -1245,7 +1337,7 @@ def test_dql_resumed_from_a_checkpoint_syncs_its_target_on_the_same_steps():
     agent = DqlAgent(cfg, 4)
     rng = np.random.default_rng(6)
     transitions = [Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
-                              float(rng.normal()), rand_obs(rng, dim=4), False)
+                              float(rng.normal()), rand_obs(rng, dim=4))
                    for _ in range(16)]
     agent.update(transitions[:10])
     assert agent.optimizer.t == 3
@@ -1267,8 +1359,7 @@ def warm_dql(**overrides):
     agent = DqlAgent(cfg, 4)
     rng = np.random.default_rng(12)
     agent.update([Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
-                             float(rng.normal()), rand_obs(rng, dim=4),
-                             bool(rng.random() < 0.3))
+                             float(rng.normal()), rand_obs(rng, dim=4))
                   for _ in range(12)])
     return agent
 
@@ -1291,7 +1382,7 @@ def test_dql_target_sync_copies_the_q_row_and_the_next_step_moves_only_q():
     synced = target.copy()
     rng = np.random.default_rng(13)
     agent.update([Transition(rand_obs(rng, dim=4), 1, 0.5,
-                             rand_obs(rng, dim=4), False)])
+                             rand_obs(rng, dim=4))])
     assert agent.optimizer.t == 6
     assert not np.array_equal(q, synced)
     assert target.tobytes() == synced.tobytes()
@@ -1390,7 +1481,6 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
         replay = agent.replay
         arrays.update(replay_obs=replay.obs, replay_next_obs=replay.next_obs,
                       replay_rewards=replay.rewards,
-                      replay_discounts=replay.discounts,
                       gradients=agent._grads.flat)
     loaded = agent_from_bytes(agent_to_bytes(agent))
     for label, owner in (("payload", agent), ("loaded payload", loaded)):

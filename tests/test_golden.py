@@ -48,25 +48,35 @@ float64). The counters and the RNG states are as before. The acktr entry
 alone was recorded again when the K-FAC factors, their inverses and the
 preconditioned directions became float32 and the KL quad and the step
 norm became flat dot products: every ACKTR update rounds differently.
-The dql, ppo and a2c entries were left as they were, and pass.
+The dql, ppo and a2c entries were left as they were, and pass. All four
+were recorded again when the learners stopped reading the done flag:
+every episode end is a time limit, so the last transition of each of
+the three 300-s episodes these agents train on now bootstraps from its
+next observation where it took the raw reward alone. The code before,
+with every transition's done flag held False, gives the new four
+strings, so nothing else moved.
 
 The third pins the checkpoint bytes of those four agents, header and
 payload, at the format version they were recorded in. A change of the
 checkpoint format bumps ``_FORMAT_VERSION`` and records these digests
 again in the same change; a change of any other kind must leave them as
-they are. They were recorded again at format 6, whose header named the
-nets' dtype and whose payload held the float32 nets and Adam moments as
-float32 (the K-FAC factors as float64), and again at format 7, whose
-header has no dtype field and whose every payload array is float32. At
-format 7 the dql, ppo and a2c files differ from their format-6 ones only
-in the version and the header's dropped ``"dtype"`` field: the payload
-bytes are the same.
+they are, unless it moves the second digest too. They were recorded
+again at format 6, whose header named the nets' dtype and whose payload
+held the float32 nets and Adam moments as float32 (the K-FAC factors as
+float64), and again at format 7, whose header has no dtype field and
+whose every payload array is float32. At format 7 the dql, ppo and a2c
+files differ from their format-6 ones only in the version and the
+header's dropped ``"dtype"`` field: the payload bytes are the same. All
+four were recorded again, still at format 7, when the learners stopped
+reading the done flag: the layout is the same, and the learned values
+moved as the second digest's did.
 
 The first digest is unchanged by the float32 nets: no net is on the
 fixed-time controller's path, and it reads the env's float64
 observations as they are. So is ``GOLDEN_FIVE_CONTROLLER_GRID`` in
 ``test_harness.py``: its brief training flipped no greedy or sampled
 decision, and its files hold only waits, which the float64 sim computes.
+Neither moved when the learners stopped reading the done flag.
 """
 
 import hashlib
@@ -132,19 +142,19 @@ def test_dense_fixed_time_rollout_matches_golden_digest():
 # -- trained agent state -------------------------------------------------------
 
 GOLDEN_TRAINED_AGENT_STATE = {
-    "dql": "b63336bab3406d033e6d42193072a49fcd98714f923ffb662dcdb4aa0524d51e",
-    "ppo": "8c552db3251d0f84b76a4ce8d25bbaa4f37751d94bb2c5e9d197c0da2e15d4f1",
-    "a2c": "d6d22fb674eed72768ddba3fc6f61dacc3a26855f68e8661b08dc65cfea28681",
-    "acktr": "0c7e7be4b02806f894075cdee32eebb536a15e5b274c1b8cb2aa3a59c6a0393e",
+    "dql": "fac1539d5cf06d820faa39e5566712311b08a01adb9cbdff234f75d4564af78e",
+    "ppo": "aec0a8fb725c8ae32e1bb7670a9ae785632b348ce713c21f146b84e73a749701",
+    "a2c": "0105745ac81d66abd1dd271e094716e0f67735b9cf6f39d31765e28503ebcf3b",
+    "acktr": "ababacf78a6073c9ea74e25fc609768892b0af85597afb6cfd32c198cf0a27de",
 }
 
 # the format version the checkpoint digests below were recorded at
 GOLDEN_CHECKPOINT_FORMAT = 7
 GOLDEN_CHECKPOINT_BYTES = {
-    "dql": "10c35d231f07d115834d437199fb0c1ecf7f1bae05bb6193b37ca02f295c6bfa",
-    "ppo": "375d1ead4b14bebd9dbdbe5f75cf2d4e82b55673565b5fd8f103c869fa74b6df",
-    "a2c": "e7050bf0b0a5f0e0855e8f734aa2e93465831c293382095e6cc50b92b7a8ca8e",
-    "acktr": "40cd099566a7e8ca15113f5a1de4ac0c788eb6bce876db64a22db4c68117dfa1",
+    "dql": "ed955fcdef908d54c107ae363d0ff4e30df2b80aa9e4a3ff8d14c9cb2df1d88b",
+    "ppo": "650cca50afe97d61b4ff4a73d91f6e32bb2358d2cf296c15578eb001297cdab6",
+    "a2c": "b049b6e78937192e69838d755c8dffba84bb86f17b46c269cafb44d5e77d4612",
+    "acktr": "fe2d5a038bc86ba9d3073ba79a3a8bd149c3d4fcb6b1e926e6058f35a3ab9c8c",
 }
 
 _STATE_OVERRIDES = dict(hidden_sizes=[16, 16], rollout_length=64,

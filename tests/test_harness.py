@@ -696,7 +696,7 @@ def test_train_mean_waits_equal_a_per_step_metrics_loop():
         next_obs, reward, done, _ = env.step(action)
         ep_return += reward
         wait = curve_wait(env.state)
-        pending.append(Transition(obs, action, reward, next_obs, done,
+        pending.append(Transition(obs, action, reward, next_obs,
                                   log_prob=agent.last_logprob))
         if len(pending) >= agent.needs_rollout:
             agent.update(pending)
