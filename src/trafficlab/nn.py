@@ -263,7 +263,11 @@ class Mlp:
         for idx in range(len(self.layers) - 1, -1, -1):
             pre_grads[idx] = ds
             if idx > 0:  # layer idx - 1 is tanh; its output is ``a``
-                da = ds @ self.layers[idx].w
+                w = self.layers[idx].w
+                # a one-column ds (a critic's) takes the broadcast product:
+                # each element is the same one rounded product, and numpy's
+                # K = 1 matmul is several times slower
+                da = ds * w if ds.shape[1] == 1 else ds @ w
                 a = cache.inputs[idx]
                 ds = a * a  # (1 - a*a) * da in one array; products commute
                 np.subtract(1.0, ds, out=ds)

@@ -13,11 +13,29 @@ other function here walks the road for a census: a reset road is empty,
 and ``metrics_snapshot`` reads only the exit totals. A state is strictly
 single-threaded but cheap to create, so parallel experiments simply use
 one state each.
+
+Waits are counted in time steps. A vehicle's ``cumulative_wait`` is an
+integer count, and its seconds are read from :class:`StepSeconds`, one
+shared memo per time-step value of running sums of ``time_step``: the
+seconds of ``k`` steps are ``0.0 + dt + ... + dt`` (``k`` terms), which
+``k * dt`` is not at every time step (0.1 and 0.3 among others).
+
+A red or amber lane on which every vehicle stood still (ended a step at
+speed 0.0) stands still again until it turns green or gains a vehicle:
+the front vehicle's budget is its unchanged position, and each
+follower's is unchanged because its leader did not move.
+``kinematics_step`` therefore freezes such a lane: it keeps a
+:class:`FrozenLane` record of the lane's census and counts the steps the
+lane is held there, and walks none of its vehicles until green or an
+arrival thaws it. ``SimState.wait_seconds`` adds a frozen lane's held
+steps to each of its vehicles' own; thawing settles them into every
+vehicle's count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -129,13 +147,15 @@ class Vehicle:
     ``position`` is meters from the front bumper to the stop line and only
     decreases; ``speed`` is at most the config's ``vmax_default``, every
     vehicle's top speed; ``detected`` is fixed at spawn; ``cumulative_wait``
-    counts seconds spent below the configured wait speed threshold.
+    counts the time steps it ended below the configured wait speed
+    threshold, except the steps its lane has been held frozen (see
+    :class:`FrozenLane`). ``SimState.wait_seconds`` reads both as seconds.
     """
 
     position: float
     speed: float
     detected: bool
-    cumulative_wait: float = 0.0
+    cumulative_wait: int = 0
 
 
 @dataclass(slots=True)
@@ -161,6 +181,59 @@ class Metrics:
     exited_undetected: int
 
 
+@dataclass(slots=True)
+class FrozenLane:
+    """A lane held standing still by ``kinematics_step``: its count of
+    detected vehicles, the position of the nearest one (``None`` if none)
+    and the steps it has been held, which its vehicles' ``cumulative_wait``
+    does not count yet."""
+
+    detected: int
+    nearest: float | None
+    held: int = 0
+
+
+class StepSeconds(list):
+    """The seconds of ``k`` wait steps at time step ``dt``, as item ``k``:
+    ``0.0 + dt + ... + dt`` with ``k`` terms, so a wait read from a step
+    count equals the sum a vehicle accrues by adding ``dt`` once per wait
+    step.
+
+    :func:`step_seconds` builds one per time-step value and every state
+    of that time step shares it, copies and unpickled states included, so
+    a state adds no memory for it. Its items depend on ``dt`` alone, so
+    sharing it carries nothing from one state to another. ``grow``
+    appends sums under a lock, as states in other threads may share it.
+    """
+
+    __slots__ = ("dt", "_lock")
+
+    def __init__(self, dt: float):
+        super().__init__([0.0])
+        self.dt = dt
+        self._lock = threading.Lock()
+
+    def grow(self, steps: int) -> None:
+        """Append sums until item ``steps`` exists."""
+        with self._lock:
+            while len(self) <= steps:
+                self.append(self[-1] + self.dt)
+
+    def __reduce__(self):
+        return step_seconds, (self.dt,)
+
+
+_STEP_SECONDS: dict[float, StepSeconds] = {}
+
+
+def step_seconds(dt: float) -> StepSeconds:
+    """The shared :class:`StepSeconds` of time step ``dt``."""
+    memo = _STEP_SECONDS.get(dt)
+    if memo is None:
+        memo = _STEP_SECONDS.setdefault(dt, StepSeconds(dt))
+    return memo
+
+
 UNIFORM_BLOCK = 256  # uniforms drawn from a state's rng per refill
 
 
@@ -174,6 +247,13 @@ class SimState:
     starts with no block and the index at ``UNIFORM_BLOCK``, so its first
     draw fills one). ``rng`` thus runs up to one block ahead of the draws
     used; nothing else may draw from it.
+
+    ``frozen`` holds each approach's :class:`FrozenLane` record in
+    ``APPROACHES`` order, or ``None`` while its lane is walked (see
+    ``kinematics_step``), and ``seconds`` the shared :class:`StepSeconds`
+    of the config's time step. A frozen record holds while its lane is
+    changed by the step functions only: ``spawn_step`` thaws a lane before
+    a vehicle enters it.
     """
 
     clock: float
@@ -189,6 +269,8 @@ class SimState:
     rng: np.random.Generator
     uniforms: list[float] = field(repr=False)
     uniform_index: int = field(repr=False)
+    frozen: list[FrozenLane | None] = field(repr=False)
+    seconds: StepSeconds = field(repr=False)
 
     @classmethod
     def initial(cls, config: SimConfig, seed: int | None = None) -> "SimState":
@@ -207,6 +289,8 @@ class SimState:
             rng=np.random.default_rng(config.rng_seed if seed is None else seed),
             uniforms=[],
             uniform_index=UNIFORM_BLOCK,
+            frozen=[None] * len(APPROACHES),
+            seconds=step_seconds(config.time_step),
         )
 
     @property
@@ -216,23 +300,46 @@ class SimState:
     def vehicle_count(self) -> int:
         return sum(len(lane) for lane in self.lanes.values())
 
-    def iter_vehicles(self):
-        for approach in APPROACHES:
-            yield from self.lanes[approach]
+    def wait_seconds(self, approach: Approach, veh: Vehicle) -> float:
+        """The seconds ``veh``, a vehicle of ``approach``'s lane, has
+        waited: its own wait steps plus the steps its lane has been held
+        frozen, read from ``seconds``."""
+        steps = veh.cumulative_wait
+        frozen = self.frozen[approach]
+        if frozen is not None:
+            steps += frozen.held
+        seconds = self.seconds
+        if steps >= len(seconds):
+            seconds.grow(steps)
+        return seconds[steps]
+
+    def thaw(self, approach: Approach) -> None:
+        """Settle ``approach``'s lane if it is frozen: add the steps it
+        was held to each of its vehicles' wait steps and drop its record,
+        so the next ``kinematics_step`` walks it."""
+        frozen = self.frozen[approach]
+        if frozen is not None:
+            self.frozen[approach] = None
+            if frozen.held:
+                for veh in self.lanes[approach]:
+                    veh.cumulative_wait += frozen.held
 
     def add_onroad_waits(self, wait_det: float, n_det: int,
                          wait_undet: float, n_undet: int):
         """The given per-class wait totals and counts plus the accrued
-        waits of the vehicles still on the road, added front to back in
-        ``APPROACHES`` order. A mean over the result covers every vehicle
-        that entered, so a starved approach cannot hide from it."""
-        for veh in self.iter_vehicles():
-            if veh.detected:
-                wait_det += veh.cumulative_wait
-                n_det += 1
-            else:
-                wait_undet += veh.cumulative_wait
-                n_undet += 1
+        waits of the vehicles still on the road (``wait_seconds``), added
+        front to back in ``APPROACHES`` order. A mean over the result
+        covers every vehicle that entered, so a starved approach cannot
+        hide from it."""
+        for approach in APPROACHES:
+            for veh in self.lanes[approach]:
+                wait = self.wait_seconds(approach, veh)
+                if veh.detected:
+                    wait_det += wait
+                    n_det += 1
+                else:
+                    wait_undet += wait
+                    n_undet += 1
         return wait_det, n_det, wait_undet, n_undet
 
 
@@ -263,7 +370,8 @@ def spawn_step(state: SimState, config: SimConfig) -> SimState:
     Arrivals blocked by a vehicle too close to the entrance stay queued
     (never dropped) and retry next step. The detected flag is drawn at the
     moment a vehicle actually enters, so a detection rate changed between
-    steps applies to everything spawned afterwards.
+    steps applies to everything spawned afterwards. A frozen lane is
+    thawed (``SimState.thaw``) before a vehicle enters it.
 
     Every draw is taken from the state's stream of uniforms (see
     :class:`SimState`), refilled from ``state.rng`` a block at a time. An
@@ -311,6 +419,8 @@ def spawn_step(state: SimState, config: SimConfig) -> SimState:
                 i = 0
             detected = uniforms[i] < detection_rate
             i += 1
+            if state.frozen[approach] is not None:
+                state.thaw(approach)
             lane.append(Vehicle(lane_length, speed, detected))
             state.spawned_count += 1
             if detected:
@@ -319,6 +429,21 @@ def spawn_step(state: SimState, config: SimConfig) -> SimState:
         state.pending[approach] = arrivals
     state.uniform_index = i
     return state
+
+
+def _plus_ones(total: float, k: int) -> float:
+    """``total`` (not negative) with 1.0 added ``k`` times, each addition
+    rounded. Below 2**53, where the unit in the last place is at most 1:
+    if ``s = total + k`` is exact, every partial sum is a multiple of the
+    ulp of ``s`` and at most ``s``, so exact too, and one addition gives
+    the same float; and ``s - k`` is exact for the same reason, so it
+    equals ``total`` only if ``s`` is exact."""
+    s = total + k
+    if s < 9007199254740992.0 and s - k == total:  # 2**53
+        return s
+    for _ in range(k):
+        total += 1.0
+    return total
 
 
 def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
@@ -331,12 +456,33 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     plus the minimum gap. The front vehicle's leader stands at ``-spacing``
     without green (a budget of ``pos``, the room to the stop line) and at
     ``-inf`` with it. A vehicle whose new position crosses the stop line
-    exits and its waiting time is booked into the per-class accumulators.
-    A vehicle with no positive budget (most of a red queue) takes a short
-    branch with the full update's values: speed 0.0, position
-    ``pos - 0.0 * dt == pos`` (not negative, so it stays), a wait step
-    (the threshold is positive) and a deficit of
-    ``(vmax - 0.0) / vmax == 1.0``.
+    exits and its waiting time (``SimState.wait_seconds``) is booked into
+    the per-class accumulators. A vehicle that ends the step below the wait
+    speed threshold adds one step to its ``cumulative_wait``. A vehicle
+    with no positive budget (most of a red queue) takes a short branch
+    with the full update's values: speed 0.0, position ``pos - 0.0 * dt ==
+    pos`` (not negative, so it stays), a wait step (the threshold is
+    positive) and a deficit of ``(vmax - 0.0) / vmax == 1.0``.
+
+    A lane on which every vehicle ended the step at speed 0.0 is frozen
+    (no green lane is: its front vehicle always moves). Such a vehicle
+    stayed where it stood: it took the short branch, or its braking cap
+    was exactly 0.0, a budget too small to move in one step, which is how
+    most of a red queue stands at a time step of 0.1 s. The lane gets a
+    :class:`FrozenLane` record of its detected count and nearest detected
+    position. While it has no green it stands still again, step after
+    step, with the same values, because nothing its update reads changes:
+
+    - each vehicle's speed is 0.0 and its position is the one it kept;
+    - the front vehicle's budget is that position, and each follower's
+      budget reads only its leader's position, which did not move.
+
+    So a frozen lane without green is not walked: its record's held count
+    goes up by one, each of its vehicles adds 1.0 to its class's deficit
+    in lane order, and its census entries are the record's and the lane's
+    length (every vehicle queues). Green thaws the lane (``SimState.thaw``
+    settles the held steps into its vehicles' counts) and it is walked
+    again; so does an arrival, in ``spawn_step``.
 
     The exits of a lane are always its front vehicles: a follower of a
     vehicle that stays ends at least ``spacing`` behind that vehicle's new
@@ -370,8 +516,27 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     detected_deficit = undetected_deficit = 0.0
     counts, nearest, queues = [], [], []
     lanes = state.lanes
-    for approach, green in zip(APPROACHES, (ns_green, ns_green, ew_green, ew_green)):
+    frozen_lanes = state.frozen
+    for approach, green, frozen in zip(
+            APPROACHES, (ns_green, ns_green, ew_green, ew_green), frozen_lanes):
         lane = lanes[approach]
+        if not lane:  # not frozen: vehicles leave a lane only in a walk
+            counts.append(0)
+            nearest.append(None)
+            queues.append(0)
+            continue
+        if frozen is not None:
+            if not green:  # stands still again
+                frozen.held += 1
+                count = frozen.detected
+                detected_deficit = _plus_ones(detected_deficit, count)
+                undetected_deficit = _plus_ones(undetected_deficit,
+                                                len(lane) - count)
+                counts.append(count)
+                nearest.append(frozen.nearest)
+                queues.append(len(lane))
+                continue
+            state.thaw(approach)
         exits = count = queue = 0
         near = None
         leader_new_pos = -math.inf if green else -spacing
@@ -380,7 +545,7 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
             budget = pos - (leader_new_pos + spacing)
             if not budget > 0.0:  # stopped where it stands
                 veh.speed = 0.0
-                veh.cumulative_wait += dt
+                veh.cumulative_wait += 1
                 queue += 1
                 leader_new_pos = pos
                 if veh.detected:
@@ -405,15 +570,15 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
             if new_pos < 0.0:
                 exits += 1
                 if veh.detected:
-                    state.exited_wait_detected += veh.cumulative_wait
+                    state.exited_wait_detected += state.wait_seconds(approach, veh)
                     state.exited_n_detected += 1
                 else:
-                    state.exited_wait_undetected += veh.cumulative_wait
+                    state.exited_wait_undetected += state.wait_seconds(approach, veh)
                     state.exited_n_undetected += 1
                 continue
             veh.position = new_pos
             if new_speed < threshold:
-                veh.cumulative_wait += dt
+                veh.cumulative_wait += 1
                 queue += 1
             if veh.detected:
                 if near is None:
@@ -424,6 +589,9 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
                 undetected_deficit += (vmax - new_speed) / vmax
         if exits:
             del lane[:exits]
+        elif queue == len(lane) and all(v.speed == 0.0 for v in lane):
+            # every vehicle queued, and each one stood where it was
+            frozen_lanes[approach] = FrozenLane(count, near)
         counts.append(count)
         nearest.append(near)
         queues.append(queue)

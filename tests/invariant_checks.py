@@ -5,7 +5,7 @@ episodes with random commands and calls the checker after every composite
 step.
 """
 
-from sim_oracle import SpawnOrder, approach_axis, axis_has_green
+from sim_oracle import SpawnOrder, approach_axis, axis_has_green, vehicles
 from trafficlab.sim import (
     APPROACHES,
     Command,
@@ -71,7 +71,7 @@ def run_checked_episode(
         signal_step(state, cmd, config)
         spawn_step(state, config)
         order.update(state)
-        for veh in state.iter_vehicles():
+        for veh in vehicles(state):
             if order[veh] not in detected_at_spawn:
                 detected_at_spawn[order[veh]] = veh.detected
         before = {a: [order[v] for v in state.lanes[a]] for a in APPROACHES}
@@ -86,7 +86,7 @@ def run_checked_episode(
                 raise InvariantViolation(
                     f"vehicles {exited_here} crossed on non-green {approach.name}"
                 )
-        for veh in state.iter_vehicles():
+        for veh in vehicles(state):
             if veh.detected != detected_at_spawn[order[veh]]:
                 raise InvariantViolation(f"detected flag mutated: {veh}")
         expected_clock += config.time_step

@@ -69,6 +69,13 @@ class SpawnOrder:
         return self._numbers[id(veh)]
 
 
+def vehicles(state):
+    """Every vehicle on the road, front to back, lane by lane in
+    ``APPROACHES`` order."""
+    for approach in APPROACHES:
+        yield from state.lanes[approach]
+
+
 def road_census(state, config):
     """Walk every lane once, front to back, in ``APPROACHES`` order; the
     deficits are summed vehicle by vehicle in that order. Equals the
@@ -184,7 +191,7 @@ def reward_deficits(state, config):
     vmax = config.vmax_default
     detected = 0.0
     undetected = 0.0
-    for veh in state.iter_vehicles():
+    for veh in vehicles(state):
         deficit = (vmax - veh.speed) / vmax
         if veh.detected:
             detected += deficit

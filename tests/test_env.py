@@ -24,7 +24,7 @@ from trafficlab.sim import (
     Vehicle,
     scenario_preset,
 )
-from sim_oracle import road_census
+from sim_oracle import road_census, vehicles
 
 
 def make_env(arrival_rate=0.0, detection_rate=1.0, seed=0, **env_kwargs):
@@ -239,7 +239,7 @@ def test_compute_reward_matches_brute_force_oracle():
         # independent per-vehicle summation
         full = 0.0
         partial = 0.0
-        for veh in state.iter_vehicles():
+        for veh in vehicles(state):
             term = (cfg.vmax_default - veh.speed) / cfg.vmax_default
             full -= term
             if veh.detected:

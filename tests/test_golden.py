@@ -129,7 +129,7 @@ def rollout_digest(steps: int = 3600, seed: int = 20) -> str:
                    s.exited_count, s.exited_wait_detected, s.exited_n_detected,
                    s.exited_wait_undetected, s.exited_n_undetected,
                    s.spawned_count, [s.pending[a] for a in APPROACHES],
-                   [[(order[v], v.position, v.speed, v.cumulative_wait,
+                   [[(order[v], v.position, v.speed, s.wait_seconds(a, v),
                       v.detected) for v in s.lanes[a]]
                     for a in APPROACHES])).encode())
     return h.hexdigest()

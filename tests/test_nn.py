@@ -366,6 +366,30 @@ def test_backward_equals_per_layer_reference_bit_for_bit():
     assert np.shares_memory(grads.dw[0], grads.flat)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2, 3, 7, 16, 39, 63, 64, 65, 128, 255,
+                                   256, 257, 512])
+def test_one_column_chain_product_equals_matmul_bit_for_bit(batch, dtype):
+    # a critic's (B, 1) output gradient reaches the last hidden layer as the
+    # broadcast ds * w, not ds @ w; each element is one rounded product
+    # either way, and a BLAS whose K = 1 gemm rounds otherwise fails here
+    layers = [Layer(l.w.astype(dtype), l.b.astype(dtype))
+              for l in Mlp.create([11, 64, 64, 1], seed=batch).layers]
+    net = Mlp(layers)
+    w = net.layers[-1].w
+    rng = np.random.default_rng(batch)
+    for _ in range(5):
+        x = rng.normal(size=(batch, 11)) * 3.0
+        out, cache = net.forward(x)
+        g = rng.normal(size=out.shape).astype(dtype)
+        assert (g * w).tobytes() == (g @ w).tobytes()
+        a = cache.inputs[-1]
+        expected = (1.0 - a * a) * (g @ w)
+        chain = net.pre_activation_grads(cache, g)
+        assert chain[-2].dtype == dtype
+        assert chain[-2].tobytes() == expected.tobytes()
+
+
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 7]),
        depth=st.integers(1, 3))

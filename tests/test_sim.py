@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trafficlab.sim import (
@@ -20,11 +20,14 @@ from trafficlab.sim import (
     signal_step,
     spawn_step,
 )
+from trafficlab.sim import _plus_ones
 from invariant_checks import run_checked_episode
-from sim_oracle import EW, NS, approach_axis, road_census, served_axis
+from sim_oracle import (EW, NS, approach_axis, road_census, served_axis,
+                        vehicles)
 
 
-def make_vehicle(position, speed, detected=True, wait=0.0):
+def make_vehicle(position, speed, detected=True, wait=0):
+    """A vehicle that has waited ``wait`` time steps."""
     return Vehicle(position=position, speed=speed, detected=detected,
                    cumulative_wait=wait)
 
@@ -253,7 +256,7 @@ def test_red_signal_vehicle_stops_at_line():
     veh = state.lanes[Approach.NORTH][0]
     assert veh.speed == 0.0
     assert 0.0 <= veh.position <= 1.0
-    assert veh.cumulative_wait > 0.0
+    assert state.wait_seconds(Approach.NORTH, veh) > 0.0
 
 
 def test_follower_keeps_min_gap_behind_leader():
@@ -288,17 +291,33 @@ def test_red_queue_at_exact_spacing_stands_still_and_waits():
     lane = state.lanes[Approach.NORTH]
     for i in range(5):
         lane.append(make_vehicle(i * spacing, 0.0,
-                                 detected=i % 2 == 1, wait=3.0))
+                                 detected=i % 2 == 1, wait=3))
     state.spawned_count = 5
     census = kinematics_step(state, cfg)
-    assert [(v.position, v.speed, v.cumulative_wait) for v in lane] == \
-        [(i * spacing, 0.0, 3.0 + cfg.time_step) for i in range(5)]
+    assert [(v.position, v.speed, state.wait_seconds(Approach.NORTH, v))
+            for v in lane] == [(i * spacing, 0.0, 4.0) for i in range(5)]
     assert state.exited_count == 0
     assert census.queue_lengths[Approach.NORTH] == 5
     assert census.detected_counts[Approach.NORTH] == 2
     assert census.nearest_detected[Approach.NORTH] == spacing
     assert (census.detected_deficit, census.undetected_deficit) == (2.0, 3.0)
     assert repr(census) == repr(road_census(state, cfg))
+
+
+@settings(max_examples=300)
+@given(total=st.one_of(st.floats(0.0, 200.0), st.floats(0.0, 2.0**60),
+                       st.integers(0, 2**12).map(lambda e: math.nextafter(
+                           float(e), 0.0))),
+       k=st.integers(0, 120))
+@example(total=2.0**53 - 3.0, k=5)
+@example(total=1.1508266987211067e+18, k=81)
+@example(total=63.99999999999999, k=1)
+def test_adding_ones_at_once_equals_adding_them_one_by_one(total, k):
+    # a frozen lane adds 1.0 per vehicle to its class's deficit
+    expected = total
+    for _ in range(k):
+        expected += 1.0
+    assert repr(_plus_ones(total, k)) == repr(expected)
 
 
 def test_amber_blocks_crossing():
@@ -492,7 +511,7 @@ def test_identical_seed_and_commands_reproduce_exactly():
                 state.spawned_count, state.exited_count,
                 state.exited_wait_detected, state.exited_wait_undetected,
             ))
-        positions = [(v.position, v.speed) for v in state.iter_vehicles()]
+        positions = [(v.position, v.speed) for v in vehicles(state)]
         return trace, positions
 
     assert run(5) == run(5)
@@ -516,6 +535,6 @@ def test_lanes_hold_vehicles_by_approach():
     state = SimState.initial(cfg)
     veh = make_vehicle(30.0, 1.0)
     state.lanes[Approach.WEST].append(veh)
-    assert list(state.iter_vehicles()) == [veh]
+    assert list(vehicles(state)) == [veh]
     assert state.lanes[Approach.WEST] == [veh]
     assert state.vehicle_count() == 1

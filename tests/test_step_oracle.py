@@ -1,9 +1,14 @@
 """The env step against the per-vehicle reference loops, bit for bit,
-over random valid configs and random keep/switch commands, and the spawn
-stream against one generator call per draw."""
+over random valid configs and random keep/switch commands; frozen lanes
+against the same loops, which walk every vehicle at every step; and the
+spawn stream against one generator call per draw."""
 
+import copy
 import math
+import pickle
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,8 +21,10 @@ from trafficlab.sim import (
     PRESET_ARRIVAL_RATES,
     UNIFORM_BLOCK,
     Command,
+    Phase,
     SimConfig,
     SimState,
+    StepSeconds,
     Vehicle,
     kinematics_step,
     metrics_snapshot,
@@ -27,12 +34,21 @@ from trafficlab.sim import (
 )
 
 
-def road(state, order=None):
+def road(state, order=None, wait=None):
     """Every vehicle's fields, lane by lane, led by its spawn number when
-    ``order`` (a ``sim_oracle.SpawnOrder``) is given."""
+    ``order`` (a ``sim_oracle.SpawnOrder``) is given. Its wait in seconds
+    is read by ``wait(approach, vehicle)``, ``state.wait_seconds`` unless
+    given."""
+    wait = state.wait_seconds if wait is None else wait
     return [[(None if order is None else order[v], v.position, v.speed,
-              v.detected, v.cumulative_wait) for v in state.lanes[a]]
+              v.detected, wait(a, v)) for v in state.lanes[a]]
             for a in APPROACHES]
+
+
+def oracle_wait(approach, veh):
+    """The seconds the per-vehicle oracle accrues in ``cumulative_wait``:
+    a float once it has waited, the int 0 before."""
+    return float(veh.cumulative_wait)
 
 
 def counters(state):
@@ -82,7 +98,7 @@ def test_env_step_equals_per_vehicle_oracle(config, steps, switch_rate, seed):
 
         # repr tells -0.0 from 0.0, which == does not
         assert repr(road(env.state, order.update(env.state))) == repr(
-            road(ref, ref_order.update(ref)))
+            road(ref, ref_order.update(ref), oracle_wait))
         assert repr(counters(env.state)) == repr(counters(ref))
         detected, undetected = sim_oracle.reward_deficits(ref, sim)
         census = info["census"]
@@ -107,14 +123,15 @@ def fixed_time_30s(signal):
 @pytest.mark.parametrize("policy", [never_switch, fixed_time_30s])
 def test_dense_queues_step_as_the_oracle_and_stand_still(policy):
     # red queues on the dense preset leave most vehicles no room to move,
-    # which kinematics_step handles in its stopped branch
+    # which kinematics_step handles in its stopped branch, and it freezes
+    # a lane on which every vehicle stood still
     sim = scenario_preset("dense", detection_rate=0.5, rng_seed=7)
     state = SimState.initial(sim)
     ref = SimState.initial(sim)
     order, ref_order = sim_oracle.SpawnOrder(), sim_oracle.SpawnOrder()
-    held = 0
+    held = frozen = 0
     for _ in range(1200):
-        before = {order[v]: v.position for v in state.iter_vehicles()}
+        before = {order[v]: v.position for v in sim_oracle.vehicles(state)}
         command = policy(state.signal)
         signal_step(state, command, sim)
         spawn_step(state, sim)
@@ -124,12 +141,221 @@ def test_dense_queues_step_as_the_oracle_and_stand_still(policy):
         sim_oracle.kinematics_step(ref, sim)
 
         assert repr(road(state, order.update(state))) == repr(
-            road(ref, ref_order.update(ref)))
+            road(ref, ref_order.update(ref), oracle_wait))
         assert repr(counters(state)) == repr(counters(ref))
         assert repr(census) == repr(sim_oracle.road_census(ref, sim))
-        held += sum(1 for v in state.iter_vehicles()
+        held += sum(1 for v in sim_oracle.vehicles(state)
                     if v.speed == 0.0 and before.get(order[v]) == v.position)
+        frozen += sum(f is not None for f in state.frozen)
     assert held > 0
+    assert frozen > 0
+
+
+NORTH = APPROACHES[0]
+
+
+def step_both(state, ref, sim, command=Command.KEEP):
+    """One step of ``state`` and of its oracle twin ``ref``; their roads,
+    counters and census must agree bit for bit."""
+    signal_step(state, command, sim)
+    spawn_step(state, sim)
+    census = kinematics_step(state, sim)
+    signal_step(ref, command, sim)
+    sim_oracle.spawn_step(ref, sim)
+    sim_oracle.kinematics_step(ref, sim)
+    assert repr(road(state)) == repr(road(ref, wait=oracle_wait))
+    assert repr(counters(state)) == repr(counters(ref))
+    assert repr(census) == repr(sim_oracle.road_census(ref, sim))
+    totals = (0.5, 3, 1.25, 2)
+    assert repr(state.add_onroad_waits(*totals)) == repr(
+        oracle_onroad_waits(ref, *totals))
+    return census
+
+
+def oracle_onroad_waits(ref, wait_det, n_det, wait_undet, n_undet):
+    """``add_onroad_waits`` over the oracle's float waits."""
+    for veh in sim_oracle.vehicles(ref):
+        if veh.detected:
+            wait_det += veh.cumulative_wait
+            n_det += 1
+        else:
+            wait_undet += veh.cumulative_wait
+            n_undet += 1
+    return wait_det, n_det, wait_undet, n_undet
+
+
+def red_queue(sim, n):
+    """A state and its oracle twin, NS on red: north's lane holds ``n``
+    stopped vehicles from the stop line on, one spacing apart, so none of
+    them can move; every third one is undetected."""
+    spacing = sim.vehicle_length + sim.min_gap
+    pair = []
+    for _ in range(2):
+        state = SimState.initial(sim)
+        state.signal.phase = Phase.EW_GREEN
+        state.lanes[NORTH] = [Vehicle(i * spacing, 0.0, i % 3 != 1)
+                              for i in range(n)]
+        state.spawned_count = n
+        state.spawned_detected_count = sum(i % 3 != 1 for i in range(n))
+        pair.append(state)
+    return pair
+
+
+def hold(state, ref, sim, steps):
+    """Keep the phase for ``steps`` steps; north's lane must freeze on the
+    first and stay frozen, held one step more on each later one."""
+    for k in range(steps):
+        step_both(state, ref, sim)
+        assert state.frozen[NORTH].held == k
+
+
+def test_a_spawn_into_a_frozen_lane_thaws_it():
+    sim = SimConfig(arrival_rate=0.0)
+    state, ref = red_queue(sim, 5)
+    hold(state, ref, sim, 30)
+    state.pending[NORTH] = ref.pending[NORTH] = 1
+    signal_step(state, Command.KEEP, sim)
+    spawn_step(state, sim)
+    assert state.frozen[NORTH] is None
+    # the 29 held steps are settled into the counts of the five that stood
+    assert [v.cumulative_wait for v in state.lanes[NORTH]] == [30] * 5 + [0]
+    kinematics_step(state, sim)
+    signal_step(ref, Command.KEEP, sim)
+    sim_oracle.spawn_step(ref, sim)
+    sim_oracle.kinematics_step(ref, sim)
+    assert repr(road(state)) == repr(road(ref, wait=oracle_wait))
+    assert state.frozen[NORTH] is None  # the entrant moved
+    for _ in range(40):  # it closes up to the queue and the lane refreezes
+        step_both(state, ref, sim)
+    assert state.frozen[NORTH] is not None
+    assert len(state.lanes[NORTH]) == 6
+
+
+def test_amber_keeps_a_red_lane_frozen():
+    sim = SimConfig(arrival_rate=0.0)
+    state, ref = red_queue(sim, 6)
+    state.signal.phase_elapsed = ref.signal.phase_elapsed = sim.min_green
+    hold(state, ref, sim, 3)
+    record = state.frozen[NORTH]
+    step_both(state, ref, sim, Command.SWITCH)  # east-west turns amber
+    assert state.signal.in_amber and record.held == 3
+    for held in range(4, 4 + int(sim.amber_duration / sim.time_step) - 1):
+        step_both(state, ref, sim)
+        assert state.signal.in_amber
+        assert state.frozen[NORTH] is record and record.held == held
+
+
+def test_green_thaws_a_frozen_lane_and_settles_its_waits():
+    sim = SimConfig(arrival_rate=0.0)
+    state, ref = red_queue(sim, 6)
+    state.signal.phase_elapsed = ref.signal.phase_elapsed = sim.min_green
+    hold(state, ref, sim, 20)
+    record = state.frozen[NORTH]
+    step_both(state, ref, sim, Command.SWITCH)
+    while state.signal.in_amber:
+        assert state.frozen[NORTH] is record
+        step_both(state, ref, sim)
+    # the step that turned north-south green thawed the lane
+    assert state.signal.phase is Phase.NS_GREEN
+    assert state.frozen[NORTH] is None
+    assert record.held == 19 + sim.amber_duration / sim.time_step
+    # with no record left, each wait is read from the vehicle's own count,
+    # which step_both found equal to the oracle's: the held steps are in it
+    assert min(v.cumulative_wait for v in state.lanes[NORTH]) >= record.held + 1
+
+
+@pytest.mark.parametrize("time_step", [1.0, 0.1])
+def test_onroad_waits_mid_freeze_equal_the_oracle(time_step):
+    # step_both compares add_onroad_waits with the oracle's at every step;
+    # at 0.1 s the red queues stand by a braking cap of 0.0, not the
+    # short branch
+    sim = scenario_preset("dense", detection_rate=0.5, rng_seed=11,
+                          time_step=time_step)
+    state, ref = SimState.initial(sim), SimState.initial(sim)
+    mid_freeze = 0
+    for _ in range(int(round(600 / time_step))):
+        step_both(state, ref, sim)  # never switch: north-south stays green
+        mid_freeze += any(f is not None and f.held
+                          for f in state.frozen)
+    assert mid_freeze > 0
+
+
+@pytest.mark.parametrize("time_step", [0.1, 0.3, 0.7])
+def test_exits_after_a_long_freeze_equal_the_oracle(time_step):
+    sim = SimConfig(arrival_rate=0.0, time_step=time_step)
+    state, ref = red_queue(sim, 9)
+    hold(state, ref, sim, 1500)
+    steps = 0
+    while state.lanes[NORTH]:  # switch, then discharge the queue
+        step_both(state, ref, sim, Command.SWITCH)
+        steps += 1
+        assert steps < 1000
+    assert state.exited_n_detected == 6 and state.exited_n_undetected == 3
+    # each wait is 1500 or more steps of time_step, summed step by step
+    assert state.exited_wait_undetected > 3 * 1500 * time_step * 0.99
+
+
+def test_a_deep_copy_mid_freeze_rolls_forward_as_the_original():
+    sim = scenario_preset("dense", detection_rate=0.5, rng_seed=3)
+    state = SimState.initial(sim)
+    for _ in range(400):  # never switch
+        signal_step(state, Command.KEEP, sim)
+        spawn_step(state, sim)
+        kinematics_step(state, sim)
+    assert any(f is not None and f.held for f in state.frozen)
+    twin = copy.deepcopy(state)
+    # one memo per time step, shared by copies and unpickled states
+    assert twin.seconds is state.seconds
+    assert pickle.loads(pickle.dumps(state)).seconds is state.seconds
+    commands = [Command.SWITCH if k % 40 == 0 else Command.KEEP
+                for k in range(1, 400)]
+    # the original runs first, so a record the two shared would be
+    # stale when the copy reads it
+    runs = []
+    for s in (state, twin):
+        trace = []
+        for command in commands:
+            signal_step(s, command, sim)
+            spawn_step(s, sim)
+            census = kinematics_step(s, sim)
+            trace.append(repr((census, road(s), counters(s),
+                               s.add_onroad_waits(0.0, 0, 0.0, 0))))
+        runs.append(trace)
+    assert runs[0] == runs[1]
+
+
+def test_step_seconds_grown_from_many_threads_are_one_running_sum():
+    # states in several threads may share one memo; an unlocked grow
+    # could append a sum twice and shift every later item
+    memo = StepSeconds(0.1)
+    errors = []
+
+    def read(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                steps = rng.randrange(6000)
+                if steps >= len(memo):
+                    memo.grow(steps)
+                memo[steps]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    expected = [0.0]
+    while len(expected) < len(memo):
+        expected.append(expected[-1] + 0.1)
+    assert list(memo) == expected
 
 
 def next_draws(state, n):
