@@ -77,10 +77,10 @@ class AgentConfig:
     epsilon_end: float = 0.05
     exploration_fraction: float = 0.2
     train_steps_budget: int = 100_000
-    clip_epsilon: float = 0.2
+    clip_epsilon: float = 0.2  # read by PPO only
     rollout_length: int = 256
-    ppo_epochs: int = 4
-    ppo_minibatch: int = 64
+    ppo_epochs: int = 4  # read by PPO only
+    ppo_minibatch: int = 64  # read by PPO only
     critic_epochs: int = 1
     # uniform mixing into the actor-critic learners' training-time action
     # sampling
@@ -92,13 +92,13 @@ class AgentConfig:
     fixed_time_green: float = 30.0
     entropy_coef: float = 0.01
     hidden_sizes: list[int] = field(default_factory=lambda: [64, 64])
-    kfac_damping: float = 1e-2
-    kfac_decay: float = 0.99
-    # cap on the parameter-space norm of each ACKTR step: >= 0, 0 freezes
-    # the nets, inf disables the cap
+    kfac_damping: float = 1e-2  # read by ACKTR only
+    kfac_decay: float = 0.99  # read by ACKTR only
+    # read by ACKTR only: cap on the parameter-space norm of each step:
+    # >= 0, 0 freezes the nets, inf disables the cap
     trust_region_radius: float = 1.0
-    # curvature-metric step budget: the applied step is scaled so that
-    # approximately step^T F step <= 2 * kl_budget; > 0, inf disables it
+    # read by ACKTR only: each step is scaled so that approximately
+    # step^T F step <= 2 * kl_budget; > 0, inf disables it
     kl_budget: float = 1e-2
     phase_time_scale: float = 60.0
     seed: int = 0
@@ -530,9 +530,21 @@ class DqlAgent(Agent):
 
 class _ActorCriticAgent(Agent):
     """Shared machinery: softmax policy over two logits plus a value net,
-    each with its own optimizer of the class's ``optimizer_class``."""
+    each with its own optimizer of the class's ``optimizer_class``, and the
+    one update of the three policy-based learners.
+
+    Per minibatch, ``update`` takes one actor step up the clipped surrogate
+    min(ratio * A, clip(ratio, 1-eps, 1+eps) * A), ratio = pi(a|s) /
+    pi_old(a|s), without the ratio gradient wherever the clipped branch is
+    the active minimum, then ``_critic_step`` on the same rows. With
+    ``single_pass`` set (A2C; ACKTR inherits it) the one minibatch is the
+    whole rollout and pi_old is this forward's own policy: the ratio is
+    exactly 1, the clip never binds, and the step is A2C's, bit for bit
+    (Huang et al., arXiv 2205.09123).
+    """
 
     optimizer_class: type = AdamOptimizer
+    single_pass: bool = False
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         super().__init__(config, obs_dim)
@@ -575,6 +587,66 @@ class _ActorCriticAgent(Agent):
     def greedy_actions(self, obs) -> list[int]:
         return self._argmax_rows(self.actor, obs, "policy logits")
 
+    def update(self, transitions: list[Transition]) -> dict[str, float]:
+        """One update on a rollout; the stats are its last minibatch's."""
+        if not transitions:
+            return {}
+        if not self.single_pass and any(t.log_prob is None
+                                        for t in transitions):
+            raise ValueError("a PPO update needs the log-probability of each "
+                             "action taken, which rollout records")
+        cfg = self.config
+        self.train_steps += len(transitions)
+        low, high = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
+        for obs, actions, targets, adv, old_logp in self._minibatches(
+                transitions):
+            m = len(adv)
+            logits, cache = self.actor.forward(obs)
+            logp = _log_softmax(logits)
+            pi = np.exp(logp)
+            taken = logp[np.arange(m), actions]
+            # a single pass against its own log-probs: exp(0) = 1 exactly
+            ratio = np.exp(taken - (taken if old_logp is None else old_logp))
+            unclipped = ratio * adv
+            # np.clip(ratio, low, high) * adv, as np.clip computes it
+            clipped = np.maximum(ratio, low)
+            np.minimum(clipped, high, out=clipped)
+            clipped *= adv
+            objective = float(np.minimum(unclipped, clipped).sum()) / m
+            if not math.isfinite(objective):
+                raise DivergenceError("actor surrogate became non-finite")
+            # ratio gradient only where the unclipped branch is active
+            coeff = np.where(unclipped <= clipped, adv * ratio, 0.0)
+            entropy = _entropy(pi, logp)
+            score = _ONE_HOT[actions] - pi
+            grads = self.actor.backward(cache, self._actor_surrogate_grad(
+                logp, pi, score, coeff, entropy))
+            self.actor_optimizer.step(
+                self.actor, self._actor_direction(grads, cache, score),
+                cfg.actor_lr)
+            critic_loss = self._critic_step(obs, targets)
+        return {"actor_loss": -objective, "critic_loss": critic_loss,
+                "entropy": float(entropy.sum()) / m}
+
+    def _minibatches(self, transitions: list[Transition]):
+        """``(obs, actions, targets, advantages, old_logp)`` of each actor
+        step: for a single pass, the whole rollout unindexed (no copy) and
+        no ``old_logp``; for PPO, ``ppo_epochs`` permutations, each drawn
+        as its epoch begins, cut into ``ppo_minibatch`` chunks."""
+        obs, actions, targets, advantages = self._targets_and_advantages(
+            transitions)
+        if self.single_pass:
+            yield obs, actions, targets, advantages, None
+            return
+        cfg = self.config
+        old_logp = np.array([t.log_prob for t in transitions], dtype=DTYPE)
+        for _ in range(cfg.ppo_epochs):
+            perm = self._rng.permutation(len(transitions))
+            for start in range(0, len(perm), cfg.ppo_minibatch):
+                mb = perm[start:start + cfg.ppo_minibatch]
+                yield (obs[mb], actions[mb], targets[mb], advantages[mb],
+                       old_logp[mb])
+
     def _targets_and_advantages(self, transitions: list[Transition]):
         cfg = self.config
         obs, actions, rewards, next_obs = _stack(transitions)
@@ -600,6 +672,11 @@ class _ActorCriticAgent(Agent):
             grad += self.config.entropy_coef * (-pi * (logp + entropy[:, None]))
         grad /= len(coeff)
         return grad
+
+    def _actor_direction(self, grads: Gradients, cache, score) -> Gradients:
+        """The actor's step direction from its surrogate gradient: ascent.
+        ``score`` holds the minibatch's rows ``onehot(a) - pi``."""
+        return grads
 
     def _critic_step(self, obs, targets) -> float:
         """Descend the squared error toward fixed targets; repeated
@@ -634,100 +711,20 @@ class _ActorCriticAgent(Agent):
 
 
 class A2cAgent(_ActorCriticAgent):
-    """One-step advantage actor-critic: the actor ascends
-    mean(log pi(a|s) * A), the critic regresses onto bootstrapped targets."""
+    """One-step advantage actor-critic: a single pass per rollout, whose
+    actor ascends mean(log pi(a|s) * A)."""
 
-    def update(self, transitions: list[Transition]) -> dict[str, float]:
-        if not transitions:
-            return {}
-        n = len(transitions)
-        self.train_steps += n
-        obs, actions, targets, advantages = self._targets_and_advantages(transitions)
-        logits, cache = self.actor.forward(obs)
-        logp = _log_softmax(logits)
-        pi = np.exp(logp)
-        taken = logp[np.arange(n), actions]
-        taken *= advantages
-        surrogate = float(taken.sum()) / n  # what np.mean computes
-        if not math.isfinite(surrogate):
-            raise DivergenceError("actor surrogate became non-finite")
-        entropy = _entropy(pi, logp)
-        score = _ONE_HOT[actions] - pi
-        dlogits = self._actor_surrogate_grad(logp, pi, score, advantages,
-                                             entropy)
-        grads = self.actor.backward(cache, dlogits)
-        self.actor_optimizer.step(
-            self.actor, self._actor_direction(grads, cache, score),
-            self.config.actor_lr)
-        critic_loss = self._critic_step(obs, targets)
-        return {"actor_loss": -surrogate, "critic_loss": critic_loss,
-                "entropy": float(entropy.sum()) / n}
-
-    def _actor_direction(self, grads: Gradients, cache, score) -> Gradients:
-        """The actor's step direction from its surrogate gradient: ascent.
-        ``score`` holds the rows ``onehot(a) - pi`` of the batch."""
-        return grads
+    single_pass = True
 
 
 class PpoAgent(_ActorCriticAgent):
-    """Clipped-ratio surrogate over several epochs of minibatches.
-
-    Per-step objective: min(ratio * A, clip(ratio, 1-eps, 1+eps) * A) with
-    ratio = pi_new(a|s) / pi_old(a|s); the ratio gradient is dropped
-    wherever the clipped branch is the active minimum.
-    """
-
-    def update(self, transitions: list[Transition]) -> dict[str, float]:
-        if not transitions:
-            return {}
-        if any(t.log_prob is None for t in transitions):
-            raise ValueError("a PPO update needs the log-probability of each "
-                             "action taken, which rollout records")
-        cfg = self.config
-        n = len(transitions)
-        self.train_steps += n
-        obs, actions, targets, advantages = self._targets_and_advantages(transitions)
-        old_logp = np.array([t.log_prob for t in transitions], dtype=DTYPE)
-        low, high = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
-        last_actor_loss = 0.0
-        last_critic_loss = 0.0
-        for _ in range(cfg.ppo_epochs):
-            perm = self._rng.permutation(n)
-            for start in range(0, n, cfg.ppo_minibatch):
-                mb = perm[start:start + cfg.ppo_minibatch]
-                m = len(mb)
-                mb_obs = obs[mb]
-                mb_actions = actions[mb]
-                logits, cache = self.actor.forward(mb_obs)
-                logp = _log_softmax(logits)
-                pi = np.exp(logp)
-                ratio = logp[np.arange(m), mb_actions]
-                ratio -= old_logp[mb]
-                np.exp(ratio, out=ratio)
-                adv = advantages[mb]
-                unclipped = ratio * adv
-                # np.clip(ratio, low, high) * adv, as np.clip computes it
-                clipped = np.maximum(ratio, low)
-                np.minimum(clipped, high, out=clipped)
-                clipped *= adv
-                objective = float(np.minimum(unclipped, clipped).sum()) / m
-                if not math.isfinite(objective):
-                    raise DivergenceError("clipped surrogate became non-finite")
-                # ratio gradient only where the unclipped branch is active
-                coeff = np.where(unclipped <= clipped, adv * ratio, 0.0)
-                entropy = _entropy(pi, logp) if cfg.entropy_coef else None
-                dlogits = self._actor_surrogate_grad(
-                    logp, pi, _ONE_HOT[mb_actions] - pi, coeff, entropy)
-                grads = self.actor.backward(cache, dlogits)
-                self.actor_optimizer.step(self.actor, grads, cfg.actor_lr)
-                last_actor_loss = -objective
-                last_critic_loss = self._critic_step(mb_obs, targets[mb])
-        return {"actor_loss": last_actor_loss, "critic_loss": last_critic_loss}
+    """The clipped surrogate over ``ppo_epochs`` epochs of minibatches, its
+    ratio against the log-probability ``rollout`` records for each action."""
 
 
 class AcktrAgent(A2cAgent):
-    """Actor-critic with per-layer Kronecker-factored curvature: the A2C
-    update, with each gradient preconditioned by the running factor
+    """Actor-critic with per-layer Kronecker-factored curvature: A2C's
+    single pass, with each gradient preconditioned by the running factor
     inverses, scaled to the KL budget and capped to a maximum
     parameter-space norm.
 

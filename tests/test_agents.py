@@ -948,6 +948,50 @@ def test_ppo_update_without_recorded_log_probs_raises():
     assert agent_to_bytes(agent) == before
 
 
+def test_a2c_step_is_ppo_with_one_epoch_of_one_minibatch():
+    """A2C's single pass is PPO's update with one epoch of one minibatch
+    whose ratios are 1: on a rollout its own policy recorded, PPO moves
+    the actor and the critic as A2C does, to float32 rounding (PPO's
+    permutation reorders the sums). A2C draws nothing from its generator."""
+    shared = dict(seed=12, ppo_epochs=1, ppo_minibatch=64, critic_epochs=3,
+                  actor_lr=0.05, critic_lr=0.02)
+    a2c = with_sgd(A2cAgent(config_for("a2c", **shared), OBS_DIM))
+    ppo = with_sgd(PpoAgent(config_for("ppo", **shared), OBS_DIM))
+    rollout = recorded(ppo, make_transitions(np.random.default_rng(13), 48))
+    draws = a2c._rng.bit_generator.state
+    steps = {}
+    for agent in (a2c, ppo):
+        before = {name: net.flatten() for name, net in agent._nets().items()}
+        agent.update(rollout)
+        steps[agent.algorithm] = {name: net.params - before[name]
+                                  for name, net in agent._nets().items()}
+    assert a2c._rng.bit_generator.state == draws
+    for name in ("actor", "critic"):
+        step = steps["a2c"][name]
+        assert np.abs(step).max() > 1e-4
+        np.testing.assert_allclose(steps["ppo"][name], step, rtol=0,
+                                   atol=1e-5 * np.abs(step).max())
+
+
+@pytest.mark.parametrize("algorithm", ["a2c", "ppo", "acktr"])
+def test_actor_critic_updates_report_one_stat_set(algorithm):
+    agent = make_agent(config_for(algorithm), OBS_DIM)
+    stats = agent.update(recorded(agent, make_transitions(
+        np.random.default_rng(4), 32)))
+    assert sorted(stats) == ["actor_loss", "critic_loss", "entropy"]
+    assert all(math.isfinite(value) for value in stats.values())
+
+
+@pytest.mark.parametrize("algorithm", ["a2c", "ppo", "acktr"])
+def test_update_with_non_finite_actor_raises_divergence(algorithm):
+    agent = make_agent(config_for(algorithm), OBS_DIM)
+    rollout = recorded(agent, make_transitions(np.random.default_rng(5), 16))
+    agent.actor.layers[-1].b[:] = np.nan
+    with pytest.raises(DivergenceError,
+                       match=r"^actor surrogate became non-finite$"):
+        agent.update(rollout)
+
+
 def test_ppo_per_step_term_respects_clip_bound():
     eps = 0.2
     rng = np.random.default_rng(8)
