@@ -11,9 +11,8 @@ vehicles only, which is all a controller could measure in the field.
 
 ``step`` returns ``info = {"census": RoadCensus}``: the post-step road
 census that ``kinematics_step`` took in its walk, from which the reward
-and the observation are read, so a step walks the road once. The full
-reward over every vehicle is read from it too, as ``-(detected_deficit +
-undetected_deficit)``. ``reset`` walks no road: a new state's road is
+and the observation are read, so a step walks the road once, and which
+counts the road's queue. ``reset`` walks no road: a new state's road is
 empty, so its observation reads the empty-road census. Waiting times are
 not computed per step: ``env.state.add_onroad_waits`` adds the waits of
 the vehicles still on the road to the exit totals, and ``class_means``
@@ -49,7 +48,7 @@ OBSERVATION_SIZE = 11
 
 _COMMANDS = {0: Command.KEEP, 1: Command.SWITCH}
 # the census of an empty road, which every reset state has; only read
-_EMPTY_CENSUS = RoadCensus(0.0, 0.0, [0] * 4, [None] * 4, [0] * 4)
+_EMPTY_CENSUS = RoadCensus(0.0, [0] * 4, [None] * 4, 0)
 
 
 class EpisodeDoneError(RuntimeError):
@@ -165,9 +164,10 @@ class TrafficSignalEnv:
         them; any other value raises ValueError, and EpisodeDoneError is
         raised past the episode end. ``info`` holds ``census``, the
         post-step ``RoadCensus`` that ``kinematics_step`` returns: the
-        reward, the full reward (from both deficits) and the observation
-        read it, so the step walks the road once. Waiting times are read
-        with ``env.state.add_onroad_waits`` and ``class_means``.
+        reward and the observation read it, so the step walks the road
+        once, and its ``queue`` counts the vehicles below the wait speed.
+        Waiting times are read with ``env.state.add_onroad_waits`` and
+        ``class_means``.
         """
         if self._state is None or self._done:
             raise EpisodeDoneError("episode is finished; call reset() first")

@@ -165,7 +165,7 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
         for k, env in enumerate(envs):
             obs[k], reward, done, info = env.step(actions[k])
             returns[k] += reward
-            queue_total += sum(info["census"].queue_lengths)
+            queue_total += info["census"].queue
         ticks += 1
     totals = (0.0, 0, 0.0, 0)  # per-class wait sums and vehicle counts
     per_episode_wait = []

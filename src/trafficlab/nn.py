@@ -16,9 +16,10 @@ per layer as the weight matrix row-major, then the bias; each layer's
 ``w`` and ``b`` are views into it, so an optimizer step is a few
 whole-vector operations. Gradients use the same layout, with the same
 views. A net has two forward passes: calling it is inference and keeps
-nothing, ``forward`` keeps the cache ``backward`` reads. Both run from a
-per-layer plan built once with the net (weight, its transpose, bias, and
-tanh on every layer but the last). ``backward`` is two parts: the chain
+nothing, ``forward`` keeps the cache ``backward`` reads. Both, and a
+stack's forward, run one layer loop over a per-layer plan built once with
+the net (weight, its transpose, bias, and tanh on every layer but the
+last). ``backward`` is two parts: the chain
 of per-sample pre-activation gradients from the output back to the first
 layer (``pre_activation_grads``, which returns them and leaves the cache
 as it was), then each layer's weight and bias products, written into the
@@ -105,6 +106,20 @@ def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.nd
         bs.append(flat[..., off:off + out_dim])
         off += out_dim
     return ws, bs
+
+
+def _run_plan(plan, a: np.ndarray, inputs: list | None = None) -> np.ndarray:
+    """The layer loop of every forward, over a net's or a stack's plan;
+    each layer's input is appended to ``inputs`` when one is given."""
+    one = a.ndim == 1
+    for w, wt, b, act in plan:
+        if inputs is not None:
+            inputs.append(a)
+        a = w.dot(a) if one else a @ wt
+        a += b
+        if act is not None:
+            act(a, out=a)
+    return a
 
 
 @dataclass
@@ -201,11 +216,7 @@ class Mlp:
             raise ValueError(
                 f"input size {a.shape[1]} does not match net input {self.input_size}")
         inputs = []
-        for _, wt, b, act in self._plan:
-            inputs.append(a)
-            s = a @ wt
-            s += b
-            a = s if act is None else act(s, out=s)
+        a = _run_plan(self._plan, a, inputs)
         out = a[0] if squeeze else a
         return out, ForwardCache(inputs, a)
 
@@ -217,13 +228,7 @@ class Mlp:
         if a.shape[-1] != self.input_size:
             raise ValueError(
                 f"input size {a.shape[-1]} does not match net input {self.input_size}")
-        one = a.ndim == 1
-        for w, wt, b, act in self._plan:
-            a = w.dot(a) if one else a @ wt
-            a += b
-            if act is not None:
-                act(a, out=a)
-        return a
+        return _run_plan(self._plan, a)
 
     def backward(self, cache: ForwardCache, output_grad: np.ndarray,
                  out: Gradients | None = None) -> Gradients:
@@ -296,9 +301,9 @@ class MlpStack:
         self.input_size = proto.input_size
         ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
         last = len(ws) - 1
-        # per layer: the stacked transposed weights (S, in, out), the
-        # stacked biases (S, 1, out) and the activation, as ``Mlp._plan``
-        self._plan = [(w.transpose(0, 2, 1), b[:, None, :],
+        # per layer, as ``Mlp._plan``: stacked weights (S, out, in), their
+        # transposes (S, in, out), biases (S, 1, out) and the activation
+        self._plan = [(w, w.transpose(0, 2, 1), b[:, None, :],
                        np.tanh if idx < last else None)
                       for idx, (w, b) in enumerate(zip(ws, bs))]
 
@@ -317,11 +322,7 @@ class MlpStack:
             raise ValueError(
                 f"input size {a.shape[2]} does not match net input {self.input_size}")
         inputs = []
-        for wt, b, act in self._plan:
-            inputs.append(a)
-            s = a @ wt
-            s += b
-            a = s if act is None else act(s, out=s)
+        a = _run_plan(self._plan, a, inputs)
         return a, [ForwardCache([inp[k] for inp in inputs], a[k])
                    for k in range(len(self.members))]
 

@@ -183,10 +183,11 @@ class Metrics:
 
 @dataclass(slots=True)
 class FrozenLane:
-    """A lane held standing still by ``kinematics_step``: its count of
-    detected vehicles, the position of the nearest one (``None`` if none)
-    and the steps it has been held, which its vehicles' ``cumulative_wait``
-    does not count yet."""
+    """A lane held standing still by ``kinematics_step``: its census
+    entries, the count of detected vehicles and the position of the nearest
+    one (``None`` if none), and the steps it has been held, which its
+    vehicles' ``cumulative_wait`` does not count yet. Every vehicle of it
+    queues, and each detected one adds 1.0 to the deficit."""
 
     detected: int
     nearest: float | None
@@ -345,15 +346,16 @@ class SimState:
 
 @dataclass(slots=True)
 class RoadCensus:
-    """Per-class sums of (vmax - v) / vmax over the road, and per approach
-    in ``APPROACHES`` order: detected vehicles, the position of the nearest
-    detected one (``None`` if none) and the queue below the wait speed."""
+    """What a controller's reward and observation read of the road, and the
+    road's queue: the sum of (vmax - v) / vmax over the detected vehicles;
+    per approach in ``APPROACHES`` order, the detected vehicles and the
+    position of the nearest one (``None`` if none); and the vehicles on
+    the whole road below the wait speed."""
 
     detected_deficit: float
-    undetected_deficit: float
     detected_counts: list[int]
     nearest_detected: list[float | None]
-    queue_lengths: list[int]
+    queue: int
 
 
 def _braking_limited_speed(distance: float, decel: float, dt: float) -> float:
@@ -458,11 +460,12 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     ``-inf`` with it. A vehicle whose new position crosses the stop line
     exits and its waiting time (``SimState.wait_seconds``) is booked into
     the per-class accumulators. A vehicle that ends the step below the wait
-    speed threshold adds one step to its ``cumulative_wait``. A vehicle
-    with no positive budget (most of a red queue) takes a short branch
-    with the full update's values: speed 0.0, position ``pos - 0.0 * dt ==
-    pos`` (not negative, so it stays), a wait step (the threshold is
-    positive) and a deficit of ``(vmax - 0.0) / vmax == 1.0``.
+    speed threshold adds one step to its ``cumulative_wait`` and queues. A
+    vehicle with no positive budget (most of a red queue) takes a short
+    branch with the full update's values: speed 0.0, position ``pos - 0.0
+    * dt == pos`` (not negative, so it stays), a wait step and a queue
+    place (the threshold is positive) and, if detected, a deficit of
+    ``(vmax - 0.0) / vmax == 1.0``.
 
     A lane on which every vehicle ended the step at speed 0.0 is frozen
     (no green lane is: its front vehicle always moves). Such a vehicle
@@ -478,18 +481,18 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
       budget reads only its leader's position, which did not move.
 
     So a frozen lane without green is not walked: its record's held count
-    goes up by one, each of its vehicles adds 1.0 to its class's deficit
-    in lane order, and its census entries are the record's and the lane's
-    length (every vehicle queues). Green thaws the lane (``SimState.thaw``
-    settles the held steps into its vehicles' counts) and it is walked
-    again; so does an arrival, in ``spawn_step``.
+    goes up by one, each of its detected vehicles adds 1.0 to the deficit
+    in lane order, its census entries are the record's, and the lane's
+    length adds to the queue (every vehicle queues). Green thaws the lane
+    (``SimState.thaw`` settles the held steps into its vehicles' counts)
+    and it is walked again; so does an arrival, in ``spawn_step``.
 
     The exits of a lane are always its front vehicles: a follower of a
     vehicle that stays ends at least ``spacing`` behind that vehicle's new
     position (which is not negative) or where it stood, so it stays too.
     They are removed with one slice deletion. The returned
     :class:`RoadCensus` covers the staying vehicles, visited front to back
-    in ``APPROACHES`` order; its deficits are summed vehicle by vehicle in
+    in ``APPROACHES`` order; its deficit is summed vehicle by vehicle in
     that order.
 
     Every vehicle on the road must stand at a position of at least 0, as
@@ -513,8 +516,9 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     sig = state.signal
     ns_green = not sig.in_amber and sig.phase == Phase.NS_GREEN
     ew_green = not sig.in_amber and sig.phase == Phase.EW_GREEN
-    detected_deficit = undetected_deficit = 0.0
-    counts, nearest, queues = [], [], []
+    detected_deficit = 0.0
+    total_queue = 0
+    counts, nearest = [], []
     lanes = state.lanes
     frozen_lanes = state.frozen
     for approach, green, frozen in zip(
@@ -523,18 +527,15 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
         if not lane:  # not frozen: vehicles leave a lane only in a walk
             counts.append(0)
             nearest.append(None)
-            queues.append(0)
             continue
         if frozen is not None:
             if not green:  # stands still again
                 frozen.held += 1
                 count = frozen.detected
                 detected_deficit = _plus_ones(detected_deficit, count)
-                undetected_deficit = _plus_ones(undetected_deficit,
-                                                len(lane) - count)
                 counts.append(count)
                 nearest.append(frozen.nearest)
-                queues.append(len(lane))
+                total_queue += len(lane)
                 continue
             state.thaw(approach)
         exits = count = queue = 0
@@ -553,8 +554,6 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
                         near = pos
                     count += 1
                     detected_deficit += 1.0
-                else:
-                    undetected_deficit += 1.0
                 continue
             new_speed = veh.speed + accel_dt
             if not new_speed < vmax:
@@ -585,8 +584,6 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
                     near = new_pos
                 count += 1
                 detected_deficit += (vmax - new_speed) / vmax
-            else:
-                undetected_deficit += (vmax - new_speed) / vmax
         if exits:
             del lane[:exits]
         elif queue == len(lane) and all(v.speed == 0.0 for v in lane):
@@ -594,9 +591,9 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
             frozen_lanes[approach] = FrozenLane(count, near)
         counts.append(count)
         nearest.append(near)
-        queues.append(queue)
+        total_queue += queue
     state.clock += dt
-    return RoadCensus(detected_deficit, undetected_deficit, counts, nearest, queues)
+    return RoadCensus(detected_deficit, counts, nearest, total_queue)
 
 
 def signal_step(state: SimState, command: Command, config: SimConfig) -> SimState:

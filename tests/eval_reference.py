@@ -31,7 +31,7 @@ def reference_evaluation(agent: Agent, env_config: EnvConfig, episodes: int,
             actions.append(action)
             obs, reward, done, info = env.step(action)
             ep_return += reward
-            queue_total += sum(info["census"].queue_lengths)
+            queue_total += info["census"].queue
             queue_samples += 1
         state = env.state
         episode = state.add_onroad_waits(

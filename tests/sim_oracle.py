@@ -78,14 +78,17 @@ def vehicles(state):
 
 def road_census(state, config):
     """Walk every lane once, front to back, in ``APPROACHES`` order; the
-    deficits are summed vehicle by vehicle in that order. Equals the
-    census ``kinematics_step`` returns for the road it has just stepped."""
+    detected deficit is summed vehicle by vehicle in that order. Equals
+    the census ``kinematics_step`` returns for the road it has just
+    stepped. The undetected deficit and the per-lane queues, which the
+    census does not keep, are ``reward_deficits`` and ``queue_lengths``."""
     threshold = config.wait_speed_threshold
     vmax = config.vmax_default
-    detected = undetected = 0.0
-    counts, nearest, queues = [], [], []
+    detected = 0.0
+    queue = 0
+    counts, nearest = [], []
     for approach in APPROACHES:
-        count = queue = 0
+        count = 0
         near = None
         for veh in state.lanes[approach]:
             speed = veh.speed
@@ -96,12 +99,9 @@ def road_census(state, config):
                     near = veh.position
                 count += 1
                 detected += (vmax - speed) / vmax
-            else:
-                undetected += (vmax - speed) / vmax
         counts.append(count)
         nearest.append(near)
-        queues.append(queue)
-    return RoadCensus(detected, undetected, counts, nearest, queues)
+    return RoadCensus(detected, counts, nearest, queue)
 
 
 def braking_limited_speed(distance, decel, dt):

@@ -24,7 +24,7 @@ from trafficlab.sim import (
     Vehicle,
     scenario_preset,
 )
-from sim_oracle import road_census, vehicles
+from sim_oracle import reward_deficits, road_census, vehicles
 
 
 def make_env(arrival_rate=0.0, detection_rate=1.0, seed=0, **env_kwargs):
@@ -40,9 +40,11 @@ def put_vehicle(state, approach, position, speed, detected):
     return veh
 
 
-def full_reward(census):
-    """The reward over every vehicle, detected or not."""
-    return -(census.detected_deficit + census.undetected_deficit)
+def full_reward(state, config):
+    """The reward over every vehicle, detected or not, of ``state``'s road,
+    which the census does not keep."""
+    detected, undetected = reward_deficits(state, config)
+    return -(detected + undetected)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +187,9 @@ def test_distance_slot_uses_nearest_detected():
 def test_empty_intersection_step_reward_zero_both_modes():
     env = make_env()
     env.reset(seed=0)
-    _, reward, _, info = env.step(Command.KEEP)
+    _, reward, _, _ = env.step(Command.KEEP)
     assert reward == 0.0
-    assert full_reward(info["census"]) == 0.0
+    assert full_reward(env.state, env.config.sim) == 0.0
 
 
 def test_single_stopped_detected_vehicle_partial_reward_is_minus_one():
@@ -206,9 +208,9 @@ def test_mixed_class_rewards_hand_evaluated():
     # after one step this vehicle accelerates to exactly vmax/2
     put_vehicle(env.state, Approach.NORTH, 140.0, vmax / 2 - 2.0, detected=True)
     put_vehicle(env.state, Approach.EAST, 0.0, 0.0, detected=False)
-    _, reward, _, info = env.step(Command.KEEP)
+    _, reward, _, _ = env.step(Command.KEEP)
     assert reward == pytest.approx(-0.5)  # the partial reward
-    assert full_reward(info["census"]) == pytest.approx(-1.5)
+    assert full_reward(env.state, env.config.sim) == pytest.approx(-1.5)
 
 
 def test_all_vehicles_at_vmax_zero_deficit():
@@ -217,7 +219,8 @@ def test_all_vehicles_at_vmax_zero_deficit():
     put_vehicle(env.state, Approach.NORTH, 100.0, 13.89, detected=True)
     put_vehicle(env.state, Approach.SOUTH, 100.0, 13.89, detected=False)
     census = road_census(env.state, env.config.sim)
-    assert compute_reward(census) == 0.0 and full_reward(census) == 0.0
+    assert compute_reward(census) == 0.0
+    assert full_reward(env.state, env.config.sim) == 0.0
 
 
 def test_compute_reward_matches_brute_force_oracle():
@@ -244,9 +247,9 @@ def test_compute_reward_matches_brute_force_oracle():
             full -= term
             if veh.detected:
                 partial -= term
-        assert full_reward(census) == pytest.approx(full, rel=1e-13, abs=1e-13)
+        assert full_reward(state, cfg) == pytest.approx(full, rel=1e-13, abs=1e-13)
         assert reward == pytest.approx(partial, rel=1e-13, abs=1e-13)
-        assert reward >= full_reward(census)
+        assert reward >= full_reward(state, cfg)
         assert reward == -census.detected_deficit
 
 
@@ -256,8 +259,8 @@ def test_full_detection_rollout_rewards_coincide_exactly():
     env.reset(seed=7)
     rng = random.Random(5)
     for _ in range(500):
-        _, reward, _, info = env.step(rng.randrange(2))
-        assert reward == full_reward(info["census"])
+        _, reward, _, _ = env.step(rng.randrange(2))
+        assert reward == full_reward(env.state, env.config.sim)
 
 
 def test_partial_dominates_full_across_detection_rates():
@@ -267,8 +270,8 @@ def test_partial_dominates_full_across_detection_rates():
         env = TrafficSignalEnv(EnvConfig(sim=sim), seed=8)
         env.reset(seed=1)
         for _ in range(300):
-            _, reward, _, info = env.step(rng.randrange(2))
-            full = full_reward(info["census"])
+            _, reward, _, _ = env.step(rng.randrange(2))
+            full = full_reward(env.state, env.config.sim)
             assert reward >= full
             assert reward <= 0.0 and full <= 0.0
 

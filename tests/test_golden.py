@@ -7,10 +7,14 @@ every step, and the final counters and road. It was recorded before the
 kinematics loop and the road census were rewritten, so any change to a
 seeded number of the env step shows up here. Its constant is unchanged
 since vehicles lost their ids and the step's info its reward breakdown:
-the digest reads the full reward and the deficits from the census, takes
-each vehicle's id as its spawn number (``sim_oracle.SpawnOrder``, which
-counts as the ids did), and hashes ``spawned_count`` where the next
-vehicle id, always equal to it, stood.
+the digest reads the detected deficit from the census, takes each
+vehicle's id as its spawn number (``sim_oracle.SpawnOrder``, which counts
+as the ids did), and hashes ``spawned_count`` where the next vehicle id,
+always equal to it, stood. Since the census keeps only what a controller
+reads and the road's one queue count, the undetected deficit (and with
+it the full reward) comes from ``sim_oracle.reward_deficits`` and the
+per-lane queue lengths from ``sim_oracle.queue_lengths``, both taken on
+the post-step road, where the census took them before it dropped them.
 
 The second covers briefly trained dql, ppo, a2c and acktr agents: their
 config, net parameters, optimizer state, counters and RNG state, hashed
@@ -96,7 +100,7 @@ from trafficlab.agents import (
 from trafficlab.env import EnvConfig, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config, train_agent
 from trafficlab.sim import APPROACHES, metrics_snapshot, scenario_preset
-from sim_oracle import SpawnOrder
+from sim_oracle import SpawnOrder, queue_lengths, reward_deficits
 
 GOLDEN_DENSE_FIXED_TIME = (
     "6adbc1866269f387f98e0eb9fc07802265c19a897632c06d440081ddc9f63f93"
@@ -114,15 +118,15 @@ def rollout_digest(steps: int = 3600, seed: int = 20) -> str:
     for _ in range(steps):
         obs, reward, done, info = env.step(agent.act(obs))
         order.update(env.state)
-        census = info["census"]
-        det, undet = census.detected_deficit, census.undetected_deficit
+        det = info["census"].detected_deficit
+        _, undet = reward_deficits(env.state, cfg.sim)
         m = metrics_snapshot(env.state)
         h.update(obs.tobytes())
         # the full and partial rewards, then the two deficits
         h.update(repr((reward, done, -(det + undet), -det, det, undet,
                        m.wait_all, m.wait_detected, m.wait_undetected,
                        m.exited_all, m.exited_detected, m.exited_undetected,
-                       census.queue_lengths)).encode())
+                       queue_lengths(env.state, cfg.sim))).encode())
     s = env.state
     # spawned_count stands where the next vehicle id stood: they were equal
     h.update(repr((s.clock, s.spawned_count, s.spawned_detected_count,

@@ -638,7 +638,7 @@ def test_eval_mean_queue_equals_a_per_step_metrics_loop():
         obs, done = env.reset(), False
         while not done:
             obs, _, done, _ = env.step(agent.act(obs, explore=False))
-            queue_total += sum(road_census(env.state, cfg.sim).queue_lengths)
+            queue_total += road_census(env.state, cfg.sim).queue
             samples += 1
     assert samples == 600
     assert repr(stats.mean_queue) == repr(queue_total / samples)

@@ -22,8 +22,8 @@ from trafficlab.sim import (
 )
 from trafficlab.sim import _plus_ones
 from invariant_checks import run_checked_episode
-from sim_oracle import (EW, NS, approach_axis, road_census, served_axis,
-                        vehicles)
+from sim_oracle import (EW, NS, approach_axis, queue_lengths, reward_deficits,
+                        road_census, served_axis, vehicles)
 
 
 def make_vehicle(position, speed, detected=True, wait=0):
@@ -297,10 +297,11 @@ def test_red_queue_at_exact_spacing_stands_still_and_waits():
     assert [(v.position, v.speed, state.wait_seconds(Approach.NORTH, v))
             for v in lane] == [(i * spacing, 0.0, 4.0) for i in range(5)]
     assert state.exited_count == 0
-    assert census.queue_lengths[Approach.NORTH] == 5
+    assert census.queue == 5
     assert census.detected_counts[Approach.NORTH] == 2
     assert census.nearest_detected[Approach.NORTH] == spacing
-    assert (census.detected_deficit, census.undetected_deficit) == (2.0, 3.0)
+    assert census.detected_deficit == 2.0
+    assert reward_deficits(state, cfg) == (2.0, 3.0)
     assert repr(census) == repr(road_census(state, cfg))
 
 
@@ -448,7 +449,8 @@ def test_queue_lengths_count_stopped_vehicles():
     state.lanes[Approach.NORTH].append(
         make_vehicle(80.0, cfg.vmax_default))
     state.spawned_count = 2
-    queues = road_census(state, cfg).queue_lengths
+    assert road_census(state, cfg).queue == 1
+    queues = queue_lengths(state, cfg)
     assert queues[APPROACHES.index(Approach.NORTH)] == 1
     assert queues[APPROACHES.index(Approach.EAST)] == 0
 
