@@ -74,6 +74,8 @@ class DeploymentConfig:
             if value is None and name == "update_period":
                 continue
             try:
+                if isinstance(value, bool):  # a bool is no count
+                    raise TypeError
                 operator.index(value)
             except TypeError:
                 raise ValueError(

@@ -588,7 +588,10 @@ class _ActorCriticAgent(Agent):
         return self._argmax_rows(self.actor, obs, "policy logits")
 
     def update(self, transitions: list[Transition]) -> dict[str, float]:
-        """One update on a rollout; the stats are its last minibatch's."""
+        """One update on a rollout; the stats are its last minibatch's. At
+        a ratio of 1, ``actor_loss`` is ``-mean(A)``, which the batch-mean
+        baseline centres to rounding noise: no learning signal for A2C and
+        ACKTR, nor for PPO when one epoch's one minibatch is the rollout."""
         if not transitions:
             return {}
         if not self.single_pass and any(t.log_prob is None

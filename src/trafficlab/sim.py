@@ -15,10 +15,7 @@ single-threaded but cheap to create, so parallel experiments simply use
 one state each.
 
 Waits are counted in time steps. A vehicle's ``cumulative_wait`` is an
-integer count, and its seconds are read from :class:`StepSeconds`, one
-shared memo per time-step value of running sums of ``time_step``: the
-seconds of ``k`` steps are ``0.0 + dt + ... + dt`` (``k`` terms), which
-``k * dt`` is not at every time step (0.1 and 0.3 among others).
+integer count, and its wait in seconds is that count times ``time_step``.
 
 A red or amber lane on which every vehicle stood still (ended a step at
 speed 0.0) stands still again until it turns green or gains a vehicle:
@@ -35,7 +32,6 @@ vehicle's count.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -147,9 +143,9 @@ class Vehicle:
     ``position`` is meters from the front bumper to the stop line and only
     decreases; ``speed`` is at most the config's ``vmax_default``, every
     vehicle's top speed; ``detected`` is fixed at spawn; ``cumulative_wait``
-    counts the time steps it ended below the configured wait speed
-    threshold, except the steps its lane has been held frozen (see
-    :class:`FrozenLane`). ``SimState.wait_seconds`` reads both as seconds.
+    counts the time steps it ended below the wait speed threshold, except
+    the steps its lane has been held frozen (see :class:`FrozenLane`);
+    ``SimState.wait_seconds`` is their sum times ``time_step``.
     """
 
     position: float
@@ -185,54 +181,13 @@ class Metrics:
 class FrozenLane:
     """A lane held standing still by ``kinematics_step``: its census
     entries, the count of detected vehicles and the position of the nearest
-    one (``None`` if none), and the steps it has been held, which its
-    vehicles' ``cumulative_wait`` does not count yet. Every vehicle of it
-    queues, and each detected one adds 1.0 to the deficit."""
+    one (``None`` if none), and the steps it has been held, which
+    ``SimState.wait_seconds`` adds to its vehicles' own. Every vehicle of
+    it queues, and each detected one adds 1.0 to the deficit."""
 
     detected: int
     nearest: float | None
     held: int = 0
-
-
-class StepSeconds(list):
-    """The seconds of ``k`` wait steps at time step ``dt``, as item ``k``:
-    ``0.0 + dt + ... + dt`` with ``k`` terms, so a wait read from a step
-    count equals the sum a vehicle accrues by adding ``dt`` once per wait
-    step.
-
-    :func:`step_seconds` builds one per time-step value and every state
-    of that time step shares it, copies and unpickled states included, so
-    a state adds no memory for it. Its items depend on ``dt`` alone, so
-    sharing it carries nothing from one state to another. ``grow``
-    appends sums under a lock, as states in other threads may share it.
-    """
-
-    __slots__ = ("dt", "_lock")
-
-    def __init__(self, dt: float):
-        super().__init__([0.0])
-        self.dt = dt
-        self._lock = threading.Lock()
-
-    def grow(self, steps: int) -> None:
-        """Append sums until item ``steps`` exists."""
-        with self._lock:
-            while len(self) <= steps:
-                self.append(self[-1] + self.dt)
-
-    def __reduce__(self):
-        return step_seconds, (self.dt,)
-
-
-_STEP_SECONDS: dict[float, StepSeconds] = {}
-
-
-def step_seconds(dt: float) -> StepSeconds:
-    """The shared :class:`StepSeconds` of time step ``dt``."""
-    memo = _STEP_SECONDS.get(dt)
-    if memo is None:
-        memo = _STEP_SECONDS.setdefault(dt, StepSeconds(dt))
-    return memo
 
 
 UNIFORM_BLOCK = 256  # uniforms drawn from a state's rng per refill
@@ -251,8 +206,8 @@ class SimState:
 
     ``frozen`` holds each approach's :class:`FrozenLane` record in
     ``APPROACHES`` order, or ``None`` while its lane is walked (see
-    ``kinematics_step``), and ``seconds`` the shared :class:`StepSeconds`
-    of the config's time step. A frozen record holds while its lane is
+    ``kinematics_step``), and ``time_step`` the config's time step, the
+    seconds of one wait step. A frozen record holds while its lane is
     changed by the step functions only: ``spawn_step`` thaws a lane before
     a vehicle enters it.
     """
@@ -271,7 +226,7 @@ class SimState:
     uniforms: list[float] = field(repr=False)
     uniform_index: int = field(repr=False)
     frozen: list[FrozenLane | None] = field(repr=False)
-    seconds: StepSeconds = field(repr=False)
+    time_step: float = field(repr=False)
 
     @classmethod
     def initial(cls, config: SimConfig, seed: int | None = None) -> "SimState":
@@ -291,7 +246,7 @@ class SimState:
             uniforms=[],
             uniform_index=UNIFORM_BLOCK,
             frozen=[None] * len(APPROACHES),
-            seconds=step_seconds(config.time_step),
+            time_step=config.time_step,
         )
 
     @property
@@ -304,15 +259,12 @@ class SimState:
     def wait_seconds(self, approach: Approach, veh: Vehicle) -> float:
         """The seconds ``veh``, a vehicle of ``approach``'s lane, has
         waited: its own wait steps plus the steps its lane has been held
-        frozen, read from ``seconds``."""
+        frozen, times ``time_step``."""
         steps = veh.cumulative_wait
         frozen = self.frozen[approach]
         if frozen is not None:
             steps += frozen.held
-        seconds = self.seconds
-        if steps >= len(seconds):
-            seconds.grow(steps)
-        return seconds[steps]
+        return steps * self.time_step
 
     def thaw(self, approach: Approach) -> None:
         """Settle ``approach``'s lane if it is frozen: add the steps it

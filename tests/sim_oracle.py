@@ -141,6 +141,8 @@ def spawn_step(state, config):
 
 
 def kinematics_step(state, config):
+    """Walk every vehicle of every lane; a wait is a count of steps, and
+    an exit books it as that count times the time step."""
     dt = config.time_step
     accel = config.accel
     decel = config.decel
@@ -171,15 +173,15 @@ def kinematics_step(state, config):
             leader_new_pos = new_pos
             if new_pos < 0.0:
                 if veh.detected:
-                    state.exited_wait_detected += veh.cumulative_wait
+                    state.exited_wait_detected += veh.cumulative_wait * dt
                     state.exited_n_detected += 1
                 else:
-                    state.exited_wait_undetected += veh.cumulative_wait
+                    state.exited_wait_undetected += veh.cumulative_wait * dt
                     state.exited_n_undetected += 1
             else:
                 veh.position = new_pos
                 if new_speed < threshold:
-                    veh.cumulative_wait += dt
+                    veh.cumulative_wait += 1
                 survivors.append(veh)
         state.lanes[approach] = survivors
     state.clock += dt

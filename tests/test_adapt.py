@@ -114,10 +114,13 @@ def test_deployment_config_rejects_counts_below_one_by_name(name, value):
     ("total_steps", math.nan), ("total_steps", 10.0),
     ("update_period", 2.5), ("instability_window", math.nan),
     ("instability_window", 2.5), ("instability_history", math.inf),
+    ("total_steps", True), ("total_steps", False), ("update_period", True),
+    ("instability_window", True), ("instability_history", True),
 ])
 def test_deployment_config_rejects_non_integer_counts_by_name(name, value):
     # a NaN window gave an empty timeline, a NaN total_steps failed later
-    # naming episode_length, and a fractional window was taken as it was
+    # naming episode_length, a fractional window was taken as it was, and
+    # total_steps=True built a one-step deployment, as True indexes as 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         DeploymentConfig(schedule=ramp(), **{name: value})
 

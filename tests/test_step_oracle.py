@@ -5,10 +5,7 @@ spawn stream against one generator call per draw."""
 
 import copy
 import math
-import pickle
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -21,10 +18,10 @@ from trafficlab.sim import (
     PRESET_ARRIVAL_RATES,
     UNIFORM_BLOCK,
     Command,
+    FrozenLane,
     Phase,
     SimConfig,
     SimState,
-    StepSeconds,
     Vehicle,
     kinematics_step,
     metrics_snapshot,
@@ -45,10 +42,10 @@ def road(state, order=None, wait=None):
             for a in APPROACHES]
 
 
-def oracle_wait(approach, veh):
-    """The seconds the per-vehicle oracle accrues in ``cumulative_wait``:
-    a float once it has waited, the int 0 before."""
-    return float(veh.cumulative_wait)
+def oracle_wait(time_step):
+    """A ``road`` reader of the per-vehicle oracle's waits: its wait steps,
+    counted in ``cumulative_wait``, times ``time_step``."""
+    return lambda approach, veh: veh.cumulative_wait * time_step
 
 
 def counters(state):
@@ -98,7 +95,7 @@ def test_env_step_equals_per_vehicle_oracle(config, steps, switch_rate, seed):
 
         # repr tells -0.0 from 0.0, which == does not
         assert repr(road(env.state, order.update(env.state))) == repr(
-            road(ref, ref_order.update(ref), oracle_wait))
+            road(ref, ref_order.update(ref), oracle_wait(sim.time_step)))
         assert repr(counters(env.state)) == repr(counters(ref))
         detected, _ = sim_oracle.reward_deficits(ref, sim)
         census = info["census"]
@@ -140,7 +137,7 @@ def test_dense_queues_step_as_the_oracle_and_stand_still(policy):
         sim_oracle.kinematics_step(ref, sim)
 
         assert repr(road(state, order.update(state))) == repr(
-            road(ref, ref_order.update(ref), oracle_wait))
+            road(ref, ref_order.update(ref), oracle_wait(sim.time_step)))
         assert repr(counters(state)) == repr(counters(ref))
         assert repr(census) == repr(sim_oracle.road_census(ref, sim))
         held += sum(1 for v in sim_oracle.vehicles(state)
@@ -162,23 +159,25 @@ def step_both(state, ref, sim, command=Command.KEEP):
     signal_step(ref, command, sim)
     sim_oracle.spawn_step(ref, sim)
     sim_oracle.kinematics_step(ref, sim)
-    assert repr(road(state)) == repr(road(ref, wait=oracle_wait))
+    assert repr(road(state)) == repr(road(ref, wait=oracle_wait(sim.time_step)))
     assert repr(counters(state)) == repr(counters(ref))
     assert repr(census) == repr(sim_oracle.road_census(ref, sim))
     totals = (0.5, 3, 1.25, 2)
     assert repr(state.add_onroad_waits(*totals)) == repr(
-        oracle_onroad_waits(ref, *totals))
+        oracle_onroad_waits(ref, sim.time_step, *totals))
     return census
 
 
-def oracle_onroad_waits(ref, wait_det, n_det, wait_undet, n_undet):
-    """``add_onroad_waits`` over the oracle's float waits."""
+def oracle_onroad_waits(ref, time_step, wait_det, n_det, wait_undet, n_undet):
+    """``add_onroad_waits`` over the oracle's waits: each vehicle's wait
+    steps times ``time_step``."""
     for veh in sim_oracle.vehicles(ref):
+        wait = veh.cumulative_wait * time_step
         if veh.detected:
-            wait_det += veh.cumulative_wait
+            wait_det += wait
             n_det += 1
         else:
-            wait_undet += veh.cumulative_wait
+            wait_undet += wait
             n_undet += 1
     return wait_det, n_det, wait_undet, n_undet
 
@@ -222,7 +221,7 @@ def test_a_spawn_into_a_frozen_lane_thaws_it():
     signal_step(ref, Command.KEEP, sim)
     sim_oracle.spawn_step(ref, sim)
     sim_oracle.kinematics_step(ref, sim)
-    assert repr(road(state)) == repr(road(ref, wait=oracle_wait))
+    assert repr(road(state)) == repr(road(ref, wait=oracle_wait(sim.time_step)))
     assert state.frozen[NORTH] is None  # the entrant moved
     for _ in range(40):  # it closes up to the queue and the lane refreezes
         step_both(state, ref, sim)
@@ -290,7 +289,7 @@ def test_exits_after_a_long_freeze_equal_the_oracle(time_step):
         steps += 1
         assert steps < 1000
     assert state.exited_n_detected == 6 and state.exited_n_undetected == 3
-    # each wait is 1500 or more steps of time_step, summed step by step
+    # each wait is 1500 or more steps, times time_step
     assert state.exited_wait_undetected > 3 * 1500 * time_step * 0.99
 
 
@@ -303,9 +302,6 @@ def test_a_deep_copy_mid_freeze_rolls_forward_as_the_original():
         kinematics_step(state, sim)
     assert any(f is not None and f.held for f in state.frozen)
     twin = copy.deepcopy(state)
-    # one memo per time step, shared by copies and unpickled states
-    assert twin.seconds is state.seconds
-    assert pickle.loads(pickle.dumps(state)).seconds is state.seconds
     commands = [Command.SWITCH if k % 40 == 0 else Command.KEEP
                 for k in range(1, 400)]
     # the original runs first, so a record the two shared would be
@@ -323,38 +319,25 @@ def test_a_deep_copy_mid_freeze_rolls_forward_as_the_original():
     assert runs[0] == runs[1]
 
 
-def test_step_seconds_grown_from_many_threads_are_one_running_sum():
-    # states in several threads may share one memo; an unlocked grow
-    # could append a sum twice and shift every later item
-    memo = StepSeconds(0.1)
-    errors = []
-
-    def read(seed):
-        rng = random.Random(seed)
-        try:
-            for _ in range(300):
-                steps = rng.randrange(6000)
-                if steps >= len(memo):
-                    memo.grow(steps)
-                memo[steps]
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and errors == []
-    expected = [0.0]
-    while len(expected) < len(memo):
-        expected.append(expected[-1] + 0.1)
-    assert list(memo) == expected
+@pytest.mark.parametrize("own, held", [(0, 0), (4, 0), (0, 9), (37, 2500)])
+@pytest.mark.parametrize("time_step", [0.1, 0.3, 0.7, 1.0, 2.0])
+def test_a_wait_is_its_step_count_times_the_time_step(time_step, own, held):
+    # own wait steps plus the steps the lane is held frozen, before and
+    # after thawing settles the held steps into the vehicle's count
+    state = SimState.initial(SimConfig(arrival_rate=0.0, time_step=time_step))
+    veh = Vehicle(0.0, 0.0, True, cumulative_wait=own)
+    state.lanes[NORTH] = [veh]
+    state.frozen[NORTH] = FrozenLane(1, 0.0, held)
+    expected = (own + held) * time_step
+    assert state.wait_seconds(NORTH, veh) == expected
+    state.thaw(NORTH)
+    assert state.frozen[NORTH] is None and veh.cumulative_wait == own + held
+    assert state.wait_seconds(NORTH, veh) == expected
+    if time_step == 1.0:  # what adding the time step once per step gives
+        total = 0.0
+        for _ in range(own + held):
+            total += time_step
+        assert expected == total
 
 
 def next_draws(state, n):
@@ -383,7 +366,7 @@ def test_spawn_stream_equals_one_generator_call_per_draw(lam, steps, seed):
                     position=sim.lane_length, speed=0.0, detected=False)]
         spawn_step(state, sim)
         sim_oracle.spawn_step(ref, sim)
-        assert repr(road(state)) == repr(road(ref))
+        assert repr(road(state)) == repr(road(ref, wait=oracle_wait(sim.time_step)))
         assert repr(counters(state)) == repr(counters(ref))
     # the stream stands where the per-call generator stands
     n = UNIFORM_BLOCK + 44
@@ -404,7 +387,7 @@ def test_spawn_stream_breaks_ties_as_numpy():
         s.pending[APPROACHES[0]] = 1
     spawn_step(state, sim)
     sim_oracle.spawn_step(ref, sim)
-    assert repr(road(state)) == repr(road(ref))
+    assert repr(road(state)) == repr(road(ref, wait=oracle_wait(sim.time_step)))
     assert repr(counters(state)) == repr(counters(ref))
     north = state.lanes[APPROACHES[0]]
     assert len(north) == 1 and not north[0].detected
