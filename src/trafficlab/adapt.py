@@ -9,14 +9,12 @@ agent gathers transitions and is updated exactly as in training.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, replace
 from statistics import median
 
 from trafficlab.agents import Agent, rollout
 from trafficlab.env import EnvConfig, TrafficSignalEnv
-from trafficlab.sim import class_means
+from trafficlab.sim import check_fields, check_value, class_means
 
 
 @dataclass
@@ -29,11 +27,11 @@ class DetectionSchedule:
     def __post_init__(self) -> None:
         if not self.breakpoints:
             raise ValueError("schedule needs at least one breakpoint")
-        for t, r in self.breakpoints:
-            if not math.isfinite(t):
-                raise ValueError(f"breakpoint times must be finite, got {t!r}")
-            if not math.isfinite(r):
-                raise ValueError(f"breakpoint rates must be finite, got {r!r}")
+        for bp in self.breakpoints:
+            if type(bp) not in (tuple, list) or len(bp) != 2:
+                raise ValueError(f"breakpoint {bp!r} is not a (time, rate) pair")
+            check_value("breakpoint times", "float", bp[0])
+            check_value("breakpoint rates", "float", bp[1])
         times = [t for t, _ in self.breakpoints]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("breakpoint times must be strictly increasing")
@@ -67,24 +65,13 @@ class DeploymentConfig:
     instability_history: int = 8  # timeline points behind the rolling median
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name, least in (("total_steps", 0), ("update_period", 1),
                             ("instability_window", 1),
                             ("instability_history", 1)):
             value = getattr(self, name)
-            if value is None and name == "update_period":
-                continue
-            try:
-                if isinstance(value, bool):  # a bool is no count
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, got {value!r}") from None
-            if value < least:
+            if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        if not math.isfinite(self.instability_threshold):
-            raise ValueError(f"instability_threshold must be finite, got "
-                             f"{self.instability_threshold!r}")
         if self.instability_threshold <= 1.0:
             raise ValueError("instability_threshold must exceed 1")
 

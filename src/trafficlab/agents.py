@@ -33,6 +33,7 @@ from trafficlab.nn import (
     MlpStack,
     SgdOptimizer,
 )
+from trafficlab.sim import check_fields, check_value
 
 ALGORITHMS = ("dql", "a2c", "ppo", "acktr", "fixed_time")
 
@@ -106,21 +107,7 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("train_steps_budget", "rollout_length", "ppo_epochs",
-                     "ppo_minibatch", "critic_epochs", "replay_capacity",
-                     "batch_size", "warmup", "target_sync_period", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool or a float is no count
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type != "float":
-                continue
-            if type(value) is bool or not isinstance(value, (int, float)):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
-            if (not math.isfinite(value)
-                    and f.name not in ("trust_region_radius", "kl_budget")):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        check_fields(self, infinite=("trust_region_radius", "kl_budget"))
         for name in ("epsilon_start", "epsilon_end", "explore_floor",
                      "kfac_decay"):
             value = getattr(self, name)
@@ -128,9 +115,9 @@ class AgentConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         for name in ("exploration_fraction", "train_steps_budget",
                      "entropy_coef", "warmup", "fixed_time_green",
-                     "kfac_damping"):
+                     "kfac_damping", "seed"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ValueError(f"{name} must be at least 0")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         for name in ("actor_lr", "critic_lr", "q_lr", "clip_epsilon",
@@ -144,9 +131,7 @@ class AgentConfig:
                              "(inf disables the cap)")
         if not self.kl_budget > 0:
             raise ValueError("kl_budget must be positive (inf disables it)")
-        if type(self.hidden_sizes) is not list or any(
-                type(size) is not int or size <= 0
-                for size in self.hidden_sizes):
+        if any(size <= 0 for size in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must be a list of positive ints, "
                              f"got {self.hidden_sizes!r}")
 
@@ -271,7 +256,8 @@ class Agent:
     needs_rollout = 0
 
     def __init__(self, config: AgentConfig, obs_dim: int):
-        if type(obs_dim) is not int or obs_dim < 1:  # a bool is no size
+        check_value("obs_dim", "int", obs_dim)
+        if obs_dim < 1:
             raise ValueError(f"obs_dim must be a positive int, got {obs_dim!r}")
         self.config = config
         self.obs_dim = obs_dim
@@ -897,10 +883,9 @@ def _restore(header: dict, blob: bytes, offset: int,
             f"checkpoint counters {sorted(counters)}, expected {keys}")
     for key, owner, attr in slots:
         value = counters[key]
-        if type(value) is not int or value < 0:  # a bool is no count
-            raise CheckpointFormatError(
-                f"checkpoint counter {key!r} must be a non-negative int, "
-                f"got {value!r}")
+        check_value(f"checkpoint counter {key!r}", "int", value)
+        if value < 0:
+            raise ValueError(f"checkpoint counter {key!r} must be at least 0")
         setattr(owner, attr, value)
     agent._rng.bit_generator.state = header["rng_state"]
     return agent

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
 from trafficlab.agents import ALGORITHMS, AgentConfig, default_agent_config
 from trafficlab.env import EnvConfig
-from trafficlab.sim import scenario_preset
+from trafficlab.sim import check_fields, scenario_preset
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -96,6 +96,7 @@ class ExperimentSpec:
     agent: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         # every cell's env config but rate and seed: a bad one fails here
         EnvConfig(sim=scenario_preset(self.scenario),
                   episode_length=self.episode_length)
@@ -121,14 +122,13 @@ class ExperimentSpec:
                 raise ValueError(f"rates {names[name]!r} and {rate!r} share "
                                  f"the checkpoint name {name}")
             names[name] = rate
-        if self.eval_episodes < 1:
-            raise ValueError(f"eval_episodes must be at least 1, "
-                             f"got {self.eval_episodes}")
+        for name in ("eval_episodes", "workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.train_steps is not None and self.train_steps < 0:
             raise ValueError(f"train_steps must be non-negative, "
                              f"got {self.train_steps}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
         for algorithm in self.algorithms:
             self.agent_config(algorithm, self.seeds[0])
 

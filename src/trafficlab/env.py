@@ -21,7 +21,6 @@ turns those into per-class means.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -32,6 +31,8 @@ from trafficlab.sim import (
     RoadCensus,
     SimConfig,
     SimState,
+    check_fields,
+    check_value,
     kinematics_step,
     metrics_snapshot,  # noqa: F401 (re-exported with the other step stages)
     signal_step,
@@ -61,7 +62,8 @@ class EnvConfig:
     episode_length: float = 3600.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.episode_length) and self.episode_length > 0):
+        check_fields(self)
+        if self.episode_length <= 0:
             raise ValueError(f"episode_length must be finite and positive, "
                              f"got {self.episode_length!r}")
         steps = self.episode_length / self.sim.time_step
@@ -152,6 +154,8 @@ class TrafficSignalEnv:
     def set_detection_rate(self, rate: float) -> None:
         """Adjust the detection probability applied to future spawns of
         this env; the config it was built from is left as it was."""
+        if type(rate) is not float:  # one type test on a float, every step
+            check_value("detection rate", "float", rate)
         if not 0.0 <= rate <= 1.0:
             raise ValueError("detection rate must lie in [0, 1]")
         self.config.sim.detection_rate = rate

@@ -48,7 +48,7 @@ from trafficlab.env import (
     TrafficSignalEnv,
     episode_seeds,
 )
-from trafficlab.sim import class_means, scenario_preset
+from trafficlab.sim import check_value, class_means, scenario_preset
 
 SWEEP_HEADER = ["algorithm", "scenario", "detection_rate", "seed",
                 "wait_all", "wait_detected", "wait_undetected", "episodes"]
@@ -148,6 +148,7 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
     20 KB each on the medium preset (a 20-episode evaluation peaks near
     410 KB of traced allocations).
     """
+    check_value("episodes", "int", episodes)
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
     if agent.obs_dim != env_config.observation_size:

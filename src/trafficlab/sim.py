@@ -32,7 +32,7 @@ vehicle's count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -69,6 +69,33 @@ class Command(IntEnum):
 PRESET_ARRIVAL_RATES = {"sparse": 0.02, "medium": 0.10, "dense": 0.25}
 
 
+def check_value(name: str, kind: str, value, finite: bool = True) -> None:
+    """Refuse, by ``name``, a ``value`` not of ``kind``, a config annotation:
+    a count (``int``) is an int, a number (``float``) an int or a float,
+    finite unless ``finite`` is false; a bool is neither. ``int | None``
+    also takes None, ``list[int]`` and ``list[float]`` a list of them."""
+    if kind in ("list[int]", "list[float]"):
+        if type(value) is not list:
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        for item in value:
+            check_value(name, kind[5:-1], item, finite)
+    elif kind == "int" or kind == "int | None" and value is not None:
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    elif kind == "float":
+        if type(value) is bool or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if finite and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_fields(config, infinite: tuple[str, ...] = ()) -> None:
+    """``check_value`` on each field of ``config``; ``infinite`` may be inf."""
+    for f in fields(config):
+        check_value(f.name, f.type, getattr(config, f.name),
+                    f.name not in infinite)
+
+
 @dataclass
 class SimConfig:
     """Physical and stochastic knobs of the intersection model.
@@ -93,19 +120,15 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        positive = (
-            "lane_length", "vmax_default", "accel", "decel", "vehicle_length",
-            "min_gap", "amber_duration", "min_green", "time_step",
-            "wait_speed_threshold",
-        )
-        for name in positive + ("arrival_rate", "detection_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in positive:
+        check_fields(self)
+        for name in ("lane_length", "vmax_default", "accel", "decel",
+                     "vehicle_length", "min_gap", "amber_duration",
+                     "min_green", "time_step", "wait_speed_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.arrival_rate < 0:
-            raise ValueError("arrival_rate must be non-negative")
+        for name in ("arrival_rate", "rng_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
         # spawn_step draws arrivals by numpy's Poisson method for a mean
         # below 10; a lane admits at most one vehicle per step anyway
         if self.arrival_rate * self.time_step >= 10.0:

@@ -121,7 +121,7 @@ def test_deployment_config_rejects_non_integer_counts_by_name(name, value):
     # a NaN window gave an empty timeline, a NaN total_steps failed later
     # naming episode_length, a fractional window was taken as it was, and
     # total_steps=True built a one-step deployment, as True indexes as 1
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
         DeploymentConfig(schedule=ramp(), **{name: value})
 
 

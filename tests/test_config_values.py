@@ -1,0 +1,175 @@
+"""Every count and number a config holds is checked by its annotation.
+
+The cases are generated from ``dataclasses.fields()`` of the five
+configs, so a field added later is covered without a new test.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from trafficlab.adapt import DeploymentConfig, DetectionSchedule
+from trafficlab.agents import AgentConfig, make_agent
+from trafficlab.config import ExperimentSpec
+from trafficlab.env import EnvConfig, TrafficSignalEnv
+from trafficlab.harness import build_env_config, evaluate_agent
+from trafficlab.sim import SimConfig
+
+
+def deployment_config(**kwargs):
+    return DeploymentConfig(schedule=DetectionSchedule([(0.0, 1.0)]),
+                            **kwargs)
+
+
+CONFIGS = {SimConfig: SimConfig, EnvConfig: EnvConfig,
+           AgentConfig: AgentConfig, DeploymentConfig: deployment_config,
+           ExperimentSpec: ExperimentSpec}
+COUNT_KINDS = ("int", "int | None", "list[int]")
+NUMBER_KINDS = ("float", "list[float]")
+# the fields that hold neither a count nor a number
+OTHER_FIELDS = {"sim", "algorithm", "schedule", "name", "scenario",
+                "algorithms", "out_dir", "train_missing", "agent"}
+INFINITE_FIELDS = {"trust_region_radius", "kl_budget"}
+
+
+def number_fields(kinds):
+    return [(cls, f.name, f.type) for cls in CONFIGS
+            for f in dataclasses.fields(cls) if f.type in kinds]
+
+
+def cases(kinds, bad_values):
+    return [pytest.param(cls, name,
+                         [value] if kind.startswith("list") else value,
+                         id=f"{cls.__name__}.{name}={value!r}")
+            for cls, name, kind in number_fields(kinds)
+            for value in bad_values]
+
+
+def test_every_config_field_is_a_count_a_number_or_named_as_neither():
+    # a field of another kind (say float | None) would go unchecked
+    for cls in CONFIGS:
+        for f in dataclasses.fields(cls):
+            assert (f.type in COUNT_KINDS + NUMBER_KINDS
+                    or f.name in OTHER_FIELDS), (cls.__name__, f.name, f.type)
+
+
+def test_the_generated_cases_cover_every_config():
+    assert {cls for cls, _, _ in number_fields(COUNT_KINDS)} == set(CONFIGS) - {
+        EnvConfig}
+    assert {cls for cls, _, _ in number_fields(NUMBER_KINDS)} == set(CONFIGS)
+
+
+@pytest.mark.parametrize("cls, name, value",
+                         cases(COUNT_KINDS, [True, 2.5, "3"]))
+def test_a_count_that_is_not_an_int_is_refused_by_name(cls, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got "):
+        CONFIGS[cls](**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value",
+                         cases(NUMBER_KINDS, [True, "x"]))
+def test_a_number_that_is_not_an_int_or_a_float_is_refused_by_name(
+        cls, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got "):
+        CONFIGS[cls](**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value",
+                         cases(NUMBER_KINDS, [math.nan, math.inf]))
+def test_a_number_that_is_not_finite_is_refused_by_name(cls, name, value):
+    if name in INFINITE_FIELDS:
+        if value == math.inf:
+            CONFIGS[cls](**{name: value})  # inf turns the limit off
+            return
+        message = rf"^{name} must be "  # nan fails the field's range rule
+    else:
+        message = rf"^{name} must be finite, got "
+    with pytest.raises(ValueError, match=message):
+        CONFIGS[cls](**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, name) for cls, name, kind in number_fields(("list[int]",
+                                                       "list[float]"))])
+def test_a_list_field_that_is_not_a_list_is_refused_by_name(cls, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be a list, got 1$"):
+        CONFIGS[cls](**{name: 1})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ExperimentSpec(seeds=[0, 1.5]), "^seeds must be an int, got 1.5$"),
+    (lambda: ExperimentSpec(eval_episodes=2.5),
+     "^eval_episodes must be an int, got 2.5$"),
+    (lambda: SimConfig(lane_length="150"),
+     "^lane_length must be a number, got '150'$"),
+    (lambda: SimConfig(rng_seed=1.5), "^rng_seed must be an int, got 1.5$"),
+    (lambda: SimConfig(rng_seed=-1), "^rng_seed must be at least 0$"),
+    (lambda: AgentConfig(seed=-1), "^seed must be at least 0$"),
+], ids=["spec-fractional-seed", "spec-fractional-eval-episodes",
+        "sim-string-lane-length", "sim-fractional-rng-seed",
+        "sim-negative-rng-seed", "agent-negative-seed"])
+def test_a_bad_seed_or_count_is_refused_when_the_config_is_built(make,
+                                                                  message):
+    # each used to be accepted and to fail later, in a cell or when a
+    # state or an agent was built, naming no field
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_seeds_of_zero_are_accepted():
+    SimConfig(rng_seed=0)
+    make_agent(AgentConfig(seed=0), 11)
+
+
+@pytest.mark.parametrize("episodes, message", [
+    (True, "^episodes must be an int, got True$"),
+    (1.5, "^episodes must be an int, got 1.5$"),
+], ids=["bool", "fraction"])
+def test_evaluate_agent_refuses_an_episode_count_that_is_not_an_int(
+        episodes, message):
+    # True played one episode and reported episodes: True; 1.5 raised a
+    # stray TypeError
+    cfg = build_env_config("medium", 0.5, 0, episode_length=20.0)
+    agent = make_agent(AgentConfig(algorithm="fixed_time"),
+                       cfg.observation_size)
+    with pytest.raises(ValueError, match=message):
+        evaluate_agent(agent, cfg, episodes)
+
+
+@pytest.mark.parametrize("rate, message", [
+    (True, "^detection rate must be a number, got True$"),
+    ("0.5", "^detection rate must be a number, got '0.5'$"),
+    (1.5, r"^detection rate must lie in \[0, 1\]$"),
+], ids=["bool", "string", "out-of-range"])
+def test_set_detection_rate_refuses_a_non_number_by_name(rate, message):
+    # True was stored in the env's config, and a string raised a bare
+    # TypeError from the range comparison
+    env = TrafficSignalEnv(EnvConfig())
+    with pytest.raises(ValueError, match=message):
+        env.set_detection_rate(rate)
+    assert env.config.sim.detection_rate == 1.0
+
+
+@pytest.mark.parametrize("rate", [0, 1, 0.25])
+def test_set_detection_rate_takes_an_int_or_a_float(rate):
+    env = TrafficSignalEnv(EnvConfig())
+    env.set_detection_rate(rate)
+    assert env.config.sim.detection_rate is rate
+
+
+@pytest.mark.parametrize("breakpoints, message", [
+    ([0.0], r"^breakpoint 0.0 is not a \(time, rate\) pair$"),
+    ([(0.0, 1.0, 2.0)],
+     r"^breakpoint \(0.0, 1.0, 2.0\) is not a \(time, rate\) pair$"),
+    ([("0", 1.0)], "^breakpoint times must be a number, got '0'$"),
+    ([(0.0, True)], "^breakpoint rates must be a number, got True$"),
+], ids=["bare-number", "triple", "string-time", "bool-rate"])
+def test_schedule_refuses_a_breakpoint_that_is_no_pair_of_numbers(
+        breakpoints, message):
+    with pytest.raises(ValueError, match=message):
+        DetectionSchedule(breakpoints)
+
+
+def test_schedule_takes_a_list_pair_as_a_breakpoint():
+    assert DetectionSchedule([[0, 1], [10.0, 0.5]]).rate_at(5.0) == 0.75

@@ -219,8 +219,8 @@ LENGTH_ERROR = "episode_length must be finite and positive, got "
     ("workers", 0, "workers must be at least 1, got 0"),
     ("episode_length", 0.0, LENGTH_ERROR + "0.0"),
     ("episode_length", -3.0, LENGTH_ERROR + "-3.0"),
-    ("episode_length", math.nan, LENGTH_ERROR + "nan"),
-    ("episode_length", math.inf, LENGTH_ERROR + "inf"),
+    ("episode_length", math.nan, "episode_length must be finite, got nan"),
+    ("episode_length", math.inf, "episode_length must be finite, got inf"),
     ("scenario", "bogus", SCENARIO_ERROR),
 ])
 def test_spec_rejects_bad_grid_value_by_name(tmp_path, name, value, message):
@@ -240,8 +240,7 @@ def test_spec_checks_its_agent_values_last_for_every_algorithm(tmp_path):
 @pytest.mark.parametrize("agent, message", [
     ({"bogus": 1}, r"^unknown key 'bogus' in section \[agent\]$"),
     ({"gamma": "x"}, r"^gamma must be a number, got 'x'$"),
-    ({"hidden_sizes": 64}, r"^hidden_sizes must be a list of positive ints, "
-                           r"got 64$"),
+    ({"hidden_sizes": 64}, r"^hidden_sizes must be a list, got 64$"),
 ], ids=["unknown-key", "gamma-not-a-number", "hidden_sizes-not-a-list"])
 def test_spec_refuses_a_bad_agent_value_by_key(tmp_path, agent, message):
     # each used to escape AgentConfig as a bare TypeError; the CLI refuses
