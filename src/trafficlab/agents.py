@@ -32,6 +32,7 @@ from trafficlab.nn import (
     Mlp,
     MlpStack,
     SgdOptimizer,
+    StackPass,
 )
 from trafficlab.sim import check_fields, check_value
 
@@ -105,9 +106,9 @@ class AgentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self, infinite=("trust_region_radius", "kl_budget"))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        check_fields(self, infinite=("trust_region_radius", "kl_budget"))
         for name in ("epsilon_start", "epsilon_end", "explore_floor",
                      "kfac_decay"):
             value = getattr(self, name)
@@ -360,13 +361,13 @@ class FixedTimeAgent(Agent):
 
 class _ReplayBuffer:
     """Fixed-capacity ring of transitions, held in the form
-    ``DqlAgent._fit`` reads them.
+    ``DqlAgent._td_step`` reads them.
 
     The ``k``-th transition added (from 0) goes to slot ``k % capacity``,
     so once the ring is full each new transition overwrites the oldest.
     Each observation and next observation is stored cast to ``DTYPE`` and
     multiplied by the agent's ``obs_scale`` (in ``DTYPE``, as the agent
-    scales what it acts on), and a draw stacks them into the
+    scales what it acts on), and a draw writes them into the
     ``(2, n, obs_dim)`` array the q and target nets read in one pass. No
     checkpoint holds the ring: a loaded agent starts with an empty one.
     """
@@ -398,17 +399,37 @@ class _ReplayBuffer:
         self.rewards[i] = item.reward
         self.added += 1
 
-    def sample(self, rng: np.random.Generator, n: int):
-        """(pairs, actions, rewards) of ``n`` uniform draws,
-        ``pairs`` of shape ``(2, n, obs_dim)``."""
-        idx = rng.integers(0, len(self), size=n)
-        pairs = np.empty((2, n, self.obs.shape[1]), dtype=DTYPE)
+    def draw(self, rng: np.random.Generator, pairs: np.ndarray,
+             actions: np.ndarray, rewards: np.ndarray) -> None:
+        """``len(actions)`` uniform draws, written in place: the
+        observations into ``pairs[0]``, the next ones into ``pairs[1]``
+        (``pairs`` is ``(2, n, obs_dim)``), and the actions and rewards."""
+        idx = rng.integers(0, len(self), size=len(actions))
         # take copies the same rows as indexing, for the observations at a
         # third of the cost; every index is in range, and mode="clip" lets
         # it write into ``out`` directly, where the default mode buffers
         self.obs.take(idx, axis=0, out=pairs[0], mode="clip")
         self.next_obs.take(idx, axis=0, out=pairs[1], mode="clip")
-        return pairs, self.actions[idx], self.rewards[idx]
+        self.actions.take(idx, out=actions, mode="clip")
+        self.rewards.take(idx, out=rewards, mode="clip")
+
+
+class _TdWorkspace:
+    """The arrays of ``DqlAgent._td_step`` at ``batch`` rows, built at its
+    first step: the replay draw ``pairs``, in ``DTYPE``; the ``StackPass``
+    over it, with each layer's ``(2, B, width)`` activations, the
+    ``(B, 2)`` output gradient, the chain scratch and the gradient; and
+    the TD error's. Every array is overwritten by the next step."""
+
+    def __init__(self, pair: MlpStack, batch: int, obs_dim: int):
+        self.pairs = np.empty((2, batch, obs_dim), DTYPE)
+        self.stack = StackPass(pair, self.pairs)
+        self.actions = np.empty(batch, np.intp)
+        # the flat offset of each row's first q-value in a (B, 2) array
+        self.row_starts = N_ACTIONS * np.arange(batch)
+        self.rewards = np.empty(batch, DTYPE)
+        self.targets, self.td, self.squares = np.empty(
+            (3, batch), pair.params.dtype)
 
 
 class DqlAgent(Agent):
@@ -417,12 +438,24 @@ class DqlAgent(Agent):
     training budget, then holds.
 
     The q net and the target net are the two members of one ``MlpStack``
-    (row 0 and row 1), so a regression step runs both forwards as one
-    pass, and a target sync copies row 0 into row 1. Every target
-    bootstraps (see ``rollout``). The replay holds scaled observations
-    (see ``_ReplayBuffer``) and is not checkpointed: a loaded agent takes
-    no gradient step until it has gathered ``max(warmup, batch_size)``
-    transitions again (1,000 by default), in deployment too.
+    (row 0 and row 1), and a target sync copies row 0 into row 1. Every
+    target bootstraps (see ``rollout``). The replay holds scaled
+    observations (see ``_ReplayBuffer``) and is not checkpointed: a loaded
+    agent takes no gradient step until it has gathered
+    ``max(warmup, batch_size)`` transitions again (1,000 by default), in
+    deployment too.
+
+    Training calls neither ``Mlp.forward`` nor ``Mlp.backward``: each
+    gradient step is one ``_td_step``, which draws ``batch_size`` rows
+    from the replay into a workspace (``_TdWorkspace``) built at the first
+    step, and over it runs both nets' forwards as one ``StackPass``, the TD
+    error, the q net's backward in the same pass, and the Adam step. The
+    workspace's arrays are valid until the next step. The step's
+    reference is the same step built from the members' ``Mlp.forward``
+    and ``Mlp.backward`` and the optimizer, which it equals bit for bit
+    (the test suite holds them equal). A copy (``copy.deepcopy``,
+    ``pickle``) rebinds the nets to the rows of its own stack and builds a
+    workspace of its own at its first step.
     """
 
     needs_rollout = 1
@@ -434,10 +467,18 @@ class DqlAgent(Agent):
         self.q_net, self.target_net = self._pair.members
         self.optimizer = AdamOptimizer(self.q_net)
         self.replay = _ReplayBuffer(config.replay_capacity, self._obs_scale)
-        # the flat offset of each batch row's first q-value in a (B, 2) array
-        self._row_starts = N_ACTIONS * np.arange(config.batch_size)
-        self._grads = Gradients(np.empty_like(self.q_net.params),
-                                [l.w.shape for l in self.q_net.layers])
+        self._workspace: _TdWorkspace | None = None
+
+    def __getstate__(self) -> dict:
+        # the nets are the rows of ``_pair`` and the workspace views them:
+        # a copy takes neither, and rebinds or rebuilds its own
+        state = dict(self.__dict__, _workspace=None)
+        del state["q_net"], state["target_net"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.q_net, self.target_net = self._pair.members
 
     def epsilon(self) -> float:
         cfg = self.config
@@ -468,41 +509,45 @@ class DqlAgent(Agent):
             self.replay.add(t)
             self.train_steps += 1
             if len(self.replay) >= warm:
-                losses.append(self._fit(*self.replay.sample(self._rng,
-                                                            cfg.batch_size)))
+                losses.append(self._td_step())
         if not losses:
             return {}
         return {"loss": sum(losses) / len(losses), "epsilon": self.epsilon()}
 
-    def _fit(self, pairs, actions, rewards) -> float:
+    def _td_step(self) -> float:
         """One regression step of Q(s,a) toward r + gamma * max
-        Q_target(s') on a batch of at most ``batch_size`` rows as the
-        replay draws it (``pairs[0]`` the scaled observations, ``pairs[1]``
-        the scaled next ones); returns the mean squared TD error."""
+        Q_target(s') on ``batch_size`` rows drawn from the replay; returns
+        the mean squared TD error."""
         cfg = self.config
-        n = len(actions)
-        out, caches = self._pair.forward(pairs)
-        q, next_q = out
+        ws = self._workspace
+        if ws is None:
+            ws = self._workspace = _TdWorkspace(self._pair, cfg.batch_size,
+                                                self.obs_dim)
+        n = cfg.batch_size
+        self.replay.draw(self._rng, ws.pairs, ws.actions, ws.rewards)
+        q, next_q = ws.stack.forward()
         # max Q' as np.maximum of its two columns (bit-equal to the axis
         # reduction, see _log_softmax), then * gamma + r
-        targets = np.maximum(next_q[:, 0], next_q[:, 1])
+        targets = np.maximum(next_q[:, 0], next_q[:, 1], out=ws.targets)
         targets *= cfg.gamma
-        targets += rewards
+        targets += ws.rewards
         # Q(s, a) of each row, gathered and scattered by flat index
-        taken = self._row_starts[:n] + actions
-        td = q.ravel().take(taken)
+        taken = ws.actions
+        taken += ws.row_starts
+        td = q.take(taken, out=ws.td, mode="clip")
         td -= targets
-        loss = float((td * td).sum()) / n  # what np.mean computes
+        # what np.mean computes
+        loss = float(np.add.reduce(np.multiply(td, td, out=ws.squares))) / n
         if not math.isfinite(loss):
             raise DivergenceError("q-learning loss became non-finite")
         # -2 * td / n, the descent direction's output gradient: doubling
-        # and negation are exact, and n / 2 is exact in DTYPE, so one
-        # division rounds as the three operations did
+        # and negation are exact, and n / 2 is exact in the nets' dtype, so
+        # one division rounds as the three operations did
         td /= -(n / 2)
-        dout = np.zeros((n, N_ACTIONS), dtype=q.dtype)
-        dout.ravel()[taken] = td
-        grads = self.q_net.backward(caches[0], dout, self._grads)
-        self.optimizer.step(self.q_net, grads, cfg.q_lr)
+        dout = ws.stack.dout
+        dout.fill(0.0)
+        dout.put(taken, td, mode="clip")
+        self.optimizer.step(self.q_net, ws.stack.backward(0), cfg.q_lr)
         if self.optimizer.t % cfg.target_sync_period == 0:
             self.target_net.params[...] = self.q_net.params
         return loss

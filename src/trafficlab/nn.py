@@ -16,14 +16,14 @@ per layer as the weight matrix row-major, then the bias; each layer's
 ``w`` and ``b`` are views into it, so an optimizer step is a few
 whole-vector operations. Gradients use the same layout, with the same
 views. A net has two forward passes: calling it is inference and keeps
-nothing, ``forward`` keeps the cache ``backward`` reads. Both, and a
-stack's forward, run one layer loop over a per-layer plan built once with
-the net (weight, its transpose, bias, and tanh on every layer but the
-last). ``backward`` is two parts: the chain
-of per-sample pre-activation gradients from the output back to the first
-layer (``pre_activation_grads``, which returns them and leaves the cache
-as it was), then each layer's weight and bias products, written into the
-flat gradient. Curvature stats read only the chain, so a curvature
+nothing, ``forward`` keeps the cache ``backward`` reads. Both run one
+layer loop over a per-layer plan built once with the net (weight, its
+transpose, bias, and tanh on every layer but the last), and a stacked
+pass runs the same steps over a stack's plan. ``backward`` is two parts:
+the chain of per-sample pre-activation gradients from the output back to
+the first layer (``pre_activation_grads``, which returns them and leaves
+the cache as it was), then each layer's weight and bias products,
+written into the flat gradient. Curvature stats read only the chain, so a curvature
 refresh runs the chain alone. ``Gradients`` has one constructor, over a
 flat vector it cuts into layer views without a copy. In place, a pass
 writes only arrays it made or owns: every forward adds the bias into the
@@ -46,15 +46,26 @@ Inference takes three input shapes, and keeps one equality for each:
   the one-sample call on ``x[k, 0]``, for every ``E``.
 
 A stack of nets (``MlpStack``) keeps ``S`` nets of one shape in one
-``(S, P)`` buffer, each member an ``Mlp`` over its row, and runs their
-forwards as one pass: ``(S, B, n) @ (S, n, m)`` per layer, each member's
-bias and activation applied to its own block. numpy multiplies each
-matrix of a stack as it multiplies the lone 2-D one, so member ``k``'s
-outputs and cache are bit-equal to ``members[k].forward(x[k])`` and to
-its batch call, for every ``B``; a DQL agent's q and target nets are
-such a pair.
+``(S, P)`` buffer, each member an ``Mlp`` over its row. A ``StackPass``
+runs their forwards as one pass, ``(S, B, n) @ (S, n, m)`` per layer,
+each member's bias and activation applied to its own block, and then one
+member's backward, all over arrays it builds once for a fixed ``B``.
+numpy multiplies each matrix of a stack as it multiplies the lone 2-D
+one, so member ``k``'s rows of the pass are bit-equal to
+``members[k].forward(x[k])``'s outputs and cache and to its batch call,
+for every ``B``, and its backward to ``members[k].backward``. This is the
+pass DQL trains with: its q and target nets are a stack of two, and each
+TD step runs one ``StackPass`` forward and the q net's backward. The pass
+writes its arrays in place, so what it leaves is valid until the next
+pass. ``Mlp.forward`` and ``Mlp.backward``, which the actor-critics run,
+are its reference.
 
 The test suite checks these equalities on the BLAS build it runs on.
+
+Copies (``copy.deepcopy``, ``pickle``) of a net, a stack, a ``Gradients``
+and an optimizer hold views into their own arrays: a net's copy is
+``Mlp(net.layers)``, a stack's a stack over a copy of its buffer. A
+``StackPass`` refuses to be copied; a copy of its stack builds its own.
 
 This module has no file format of its own. An agent checkpoint (see
 ``trafficlab.agents``) stores each net's ``params`` as is, and each
@@ -151,6 +162,10 @@ class Gradients:
         self.shapes = [tuple(shape) for shape in shapes]
         self.dw, self.db = _layer_views(flat, self.shapes)
 
+    def __reduce__(self):
+        # ``dw`` and ``db`` view ``flat``: a copy cuts its own
+        return type(self), (self.flat, self.shapes)
+
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
 
@@ -191,6 +206,11 @@ class Mlp:
         last = len(self.layers) - 1
         self._plan = [(l.w, l.w.T, l.b, np.tanh if idx < last else None)
                       for idx, l in enumerate(self.layers)]
+
+    def __reduce__(self):
+        # the layers and the plan are views into ``params``: a copy is
+        # ``Mlp(layers)`` over copies of them, with views of its own
+        return type(self), (self.layers,)
 
     @classmethod
     def create(cls, sizes: list[int], seed: int) -> "Mlp":
@@ -291,7 +311,8 @@ class MlpStack:
     ``members[k]`` is an ``Mlp`` whose ``params`` is row ``k`` of
     ``params``, so an optimizer, inference, ``backward`` and a checkpoint
     treat it as any net; copying one member into another is a row copy.
-    ``forward`` runs every member's forward as one pass, layer by layer.
+    A ``StackPass`` runs every member's forward as one pass, layer by
+    layer. A copy of the stack is a stack over a copy of the buffer.
     """
 
     def __init__(self, layers: list[Layer], size: int):
@@ -307,24 +328,112 @@ class MlpStack:
                        np.tanh if idx < last else None)
                       for idx, (w, b) in enumerate(zip(ws, bs))]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[ForwardCache]]:
-        """Each member's ``forward`` of its own batch, as one pass: ``x``
-        is ``(size, B, n)`` and member ``k`` takes ``x[k]``. Returns the
-        ``(size, B, out)`` outputs and each member's ``ForwardCache``,
-        whose arrays are views into the pass's; row ``k`` of every one is
-        bit-equal to ``members[k].forward(x[k])``'s (see the module
-        docstring)."""
-        a = np.asarray(x, dtype=self.params.dtype)
-        if a.ndim != 3 or a.shape[0] != len(self.members):
-            raise ValueError(f"expected a ({len(self.members)}, B, n) stack "
-                             f"of batches, got {a.shape}")
-        if a.shape[2] != self.input_size:
-            raise ValueError(
-                f"input size {a.shape[2]} does not match net input {self.input_size}")
-        inputs = []
-        a = _run_plan(self._plan, a, inputs)
-        return a, [ForwardCache([inp[k] for inp in inputs], a[k])
-                   for k in range(len(self.members))]
+    def __reduce__(self):
+        # the members and the plan are views into ``params``: a copy
+        # builds its own over the copied buffer
+        return (type(self), (self.members[0].layers, len(self.members)),
+                self.params)
+
+    def __setstate__(self, params: np.ndarray) -> None:
+        self.params[...] = params
+
+
+class StackPass:
+    """An ``MlpStack``'s forward and one member's ``backward``, over arrays
+    built once for a fixed batch of ``B`` rows.
+
+    ``x`` is the caller's ``(S, B, n)`` input, written in place before each
+    ``forward``; its dtype is the stack's or one that casts to it exactly
+    (a DQL agent's replay draws are ``DTYPE`` whatever its nets' dtype).
+    Every other array is the pass's own, in the stack's dtype:
+    ``acts[l]``, ``(S, B, out_l)``, is layer ``l``'s output, the last one
+    the stack's outputs; ``dout``, ``(B, out_L)``, is the output gradient
+    ``backward`` reads, and ``grads`` the ``Gradients`` it writes; the
+    chain scratch is private. Shapes are checked here, once, and never per
+    pass. Each array is overwritten by the next pass, so what a pass
+    leaves is valid until then.
+
+    ``forward`` writes each layer as ``Mlp._plan`` computes it, its
+    product by ``np.matmul(..., out=)``, so row ``k`` of every activation
+    is bit-equal to ``members[k].forward(x[k])``'s and to the member's
+    batch call. ``backward(k)`` writes what ``members[k].backward`` writes
+    from that cache, bit for bit: the generic passes are its reference,
+    and the test suite checks both equalities. The plan views the stack's
+    ``params``, so the pass reads every in-place write to it; a pass is
+    not copied, as a copy of the stack needs a pass of its own.
+    """
+
+    def __init__(self, stack: MlpStack, x: np.ndarray):
+        dtype = stack.params.dtype
+        size = len(stack.members)
+        if x.ndim != 3 or x.shape[0] != size or x.shape[2] != stack.input_size:
+            raise ValueError(f"expected a ({size}, B, {stack.input_size}) "
+                             f"input, got {x.shape}")
+        batch = x.shape[1]
+        if not np.can_cast(x.dtype, dtype, "safe"):
+            raise ValueError(f"input dtype {x.dtype} does not cast exactly "
+                             f"to the stack's {dtype}")
+        self._plan = stack._plan
+        self.x = x
+        self.acts = [np.empty((size, batch, wt.shape[2]), dtype)
+                     for _, wt, _, _ in self._plan]
+        self.dout = np.zeros((batch, self.acts[-1].shape[2]), dtype)
+        shapes = [l.w.shape for l in stack.members[0].layers]
+        self.grads = Gradients(np.empty(stack.params.shape[1], dtype), shapes)
+        # the chain scratch, shared by the members: each layer's
+        # pre-activation gradient (``dout`` for the linear output layer)
+        # and its input's gradient
+        pre_grads = [np.empty((batch, a.shape[2]), dtype)
+                     for a in self.acts[:-1]] + [self.dout]
+        input_grads = [None] + [np.empty((batch, in_dim), dtype)
+                                for _, in_dim in shapes[1:]]
+        # per member, the layers top down: what the weight and bias
+        # products read and write, and above the first layer the weight,
+        # the input's gradient and the gradient below
+        self._chains = []
+        for k, member in enumerate(stack.members):
+            inputs = [x[k]] + [a[k] for a in self.acts[:-1]]
+            self._chains.append([
+                (pre_grads[idx], inputs[idx], self.grads.dw[idx],
+                 self.grads.db[idx],
+                 (member.layers[idx].w, input_grads[idx], pre_grads[idx - 1])
+                 if idx > 0 else None)
+                for idx in range(len(shapes) - 1, -1, -1)])
+
+    def __reduce__(self):
+        raise TypeError("a StackPass is not copied: build one over the "
+                        "copied stack")
+
+    def forward(self) -> np.ndarray:
+        """The ``(S, B, out)`` outputs of every member on its row of
+        ``x``: ``acts[-1]``."""
+        a = self.x
+        for (_, wt, b, act), out in zip(self._plan, self.acts):
+            np.matmul(a, wt, out=out)
+            out += b
+            if act is not None:
+                act(out, out=out)
+            a = out
+        return a
+
+    def backward(self, member: int) -> Gradients:
+        """Member ``member``'s gradients of the scalar whose output
+        gradient is ``dout``, from the last ``forward``, into ``grads``:
+        each layer's weight and bias products, then the chain to the layer
+        below, as ``Mlp.backward`` and ``Mlp.pre_activation_grads``
+        compute them."""
+        for ds, a, dw, db, below in self._chains[member]:
+            np.dot(ds.T, a, out=dw)  # the gemm of ds.T @ a, into the view
+            np.add.reduce(ds, axis=0, out=db)
+            if below is not None:  # ``a`` is the tanh output of the layer below
+                w, da, ds_below = below
+                # for a one-column ds, each element is one rounded product,
+                # as in the broadcast product ``pre_activation_grads`` takes
+                np.matmul(ds, w, out=da)
+                np.multiply(a, a, out=ds_below)
+                np.subtract(1.0, ds_below, out=ds_below)
+                ds_below *= da
+        return self.grads
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +476,19 @@ class AdamOptimizer:
         self.t = 0
         dtype = net.params.dtype
         self._moments = np.zeros((2, net.params.size), dtype)
-        self.m, self.v = self._moments
         self._scratch = np.empty_like(self._moments)
         self._decays = np.array([[self.BETA1], [self.BETA2]], dtype)
         self._corrections = np.empty((2, 1), dtype)
-        shapes = [l.w.shape for l in net.layers]
-        self._state_views = []
-        for flat in (self.m, self.v):
-            ws, bs = _layer_views(flat, shapes)
-            self._state_views += ws + bs
+        self._shapes = [l.w.shape for l in net.layers]
+
+    # the optimizer keeps no view, so a copy is a copy of each array
+    @property
+    def m(self) -> np.ndarray:
+        return self._moments[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._moments[1]
 
     def step(self, net: Mlp, direction: Gradients, learning_rate: float) -> None:
         if not direction.is_finite():
@@ -405,7 +518,11 @@ class AdamOptimizer:
 
     def state_arrays(self) -> list[np.ndarray]:
         """``m`` then ``v``, each as views [w0 .. wL, b0 .. bL]."""
-        return list(self._state_views)
+        views = []
+        for flat in self._moments:
+            ws, bs = _layer_views(flat, self._shapes)
+            views += ws + bs
+        return views
 
 
 # ---------------------------------------------------------------------------

@@ -69,24 +69,38 @@ class Command(IntEnum):
 PRESET_ARRIVAL_RATES = {"sparse": 0.02, "medium": 0.10, "dense": 0.25}
 
 
+# the kinds a value must be of exactly: a bool is no int, and a str
+# subclass or bytes no str
+_EXACT_KINDS = {"int": (int, "an int"), "bool": (bool, "a bool"),
+                "str": (str, "a str")}
+
+
 def check_value(name: str, kind: str, value, finite: bool = True) -> None:
     """Refuse, by ``name``, a ``value`` not of ``kind``, a config annotation:
     a count (``int``) is an int, a number (``float``) an int or a float,
-    finite unless ``finite`` is false; a bool is neither. ``int | None``
-    also takes None, ``list[int]`` and ``list[float]`` a list of them."""
-    if kind in ("list[int]", "list[float]"):
+    finite unless ``finite`` is false; a bool is neither. A ``bool`` is a
+    bool and a ``str`` a str. ``int | None`` also takes None, and
+    ``list[...]`` is a list of its item kind. Any other kind names a class
+    (``dict``, ``SimConfig``), of which ``value`` is an instance."""
+    if kind.startswith("list["):
         if type(value) is not list:
             raise ValueError(f"{name} must be a list, got {value!r}")
         for item in value:
             check_value(name, kind[5:-1], item, finite)
-    elif kind == "int" or kind == "int | None" and value is not None:
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    elif kind == "int | None":
+        if value is not None:
+            check_value(name, "int", value)
+    elif kind in _EXACT_KINDS:
+        cls, what = _EXACT_KINDS[kind]
+        if type(value) is not cls:
+            raise ValueError(f"{name} must be {what}, got {value!r}")
     elif kind == "float":
         if type(value) is bool or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be a number, got {value!r}")
         if finite and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    elif all(cls.__name__ != kind for cls in type(value).__mro__):
+        raise ValueError(f"{name} must be a {kind}, got {value!r}")
 
 
 def check_fields(config, infinite: tuple[str, ...] = ()) -> None:

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import pickle
 import struct
 from collections import defaultdict
 
@@ -45,6 +46,7 @@ from kfac_oracle import (
     solve_precondition,
     use_solve_preconditioner,
 )
+from td_reference import reference_td_step, reference_update
 from trafficlab.cli import main as cli_main
 from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config, train_agent
@@ -162,14 +164,20 @@ def policy(agent, obs):
     return np.exp(log_softmax_ref(logits.astype(np.float64)))
 
 
-def train_on_batch(agent, batch):
-    """One DQL regression step on the given transitions, in the form a
-    replay draw hands to ``_fit``, computed here from the raw fields: the
-    observations cast to ``DTYPE`` and scaled in it, stacked over the next
-    ones."""
+def as_draw(agent, batch):
+    """The given transitions in the form a replay draw takes, computed
+    here from the raw fields: the observations cast to ``DTYPE`` and
+    scaled in it, stacked over the next ones."""
     obs, actions, rewards, next_obs = _stack(batch)
-    pairs = np.stack([obs, next_obs]) * agent._obs_scale
-    return agent._fit(pairs, actions, rewards)
+    return np.stack([obs, next_obs]) * agent._obs_scale, actions, rewards
+
+
+def td_step_on(agent, transition):
+    """One TD step of a DQL agent whose batch is one row, on a replay
+    that holds only ``transition``."""
+    assert agent.config.batch_size == 1 and len(agent.replay) == 0
+    agent.replay.add(transition)
+    return agent._td_step()
 
 
 def array_act(agent, obs, explore=False):
@@ -433,18 +441,18 @@ def test_tabular_converges_to_value_iteration_oracle():
 # ---------------------------------------------------------------------------
 
 def test_dql_batch_update_hand_computed_linear_case():
-    cfg = config_for("dql", hidden_sizes=[], q_lr=0.1, gamma=0.9)
+    cfg = config_for("dql", hidden_sizes=[], q_lr=0.1, gamma=0.9,
+                     batch_size=1)
     agent = with_sgd(DqlAgent(cfg, 3))
     w_before = agent.q_net.layers[0].w.copy()
     b_before = agent.q_net.layers[0].b.copy()
     obs = np.array([1.0, 0.0, 2.0])
     nxt = np.array([0.0, 1.0, 0.0])
-    batch = [Transition(obs, 0, 1.0, nxt)]
     q0 = float(w_before[0] @ obs + b_before[0])
     # the target net is the q net as built: max Q_target(s') reads its
     # weights' middle column
     bootstrap = float(max(w_before[:, 1] + b_before))
-    loss = train_on_batch(agent, batch)
+    loss = td_step_on(agent, Transition(obs, 0, 1.0, nxt))
     td = q0 - (1.0 + 0.9 * bootstrap)
     assert loss == pytest.approx(td * td)
     np.testing.assert_allclose(
@@ -456,7 +464,8 @@ def test_dql_batch_update_hand_computed_linear_case():
 
 
 def test_dql_bootstrap_uses_target_net_max():
-    cfg = config_for("dql", hidden_sizes=[], q_lr=1e-12, gamma=0.5)
+    cfg = config_for("dql", hidden_sizes=[], q_lr=1e-12, gamma=0.5,
+                     batch_size=1)
     agent = with_sgd(DqlAgent(cfg, 2))
     agent.q_net.layers[0].w[:] = 0.0
     agent.q_net.layers[0].b[:] = 0.0
@@ -464,8 +473,7 @@ def test_dql_bootstrap_uses_target_net_max():
     # rebound net would be cut off from the stacked pass
     agent.target_net.layers[0].w[:] = 0.0
     agent.target_net.layers[0].b[:] = [3.0, 7.0]
-    batch = [Transition(np.zeros(2), 1, 1.0, np.zeros(2), False)]
-    loss = train_on_batch(agent, batch)
+    loss = td_step_on(agent, Transition(np.zeros(2), 1, 1.0, np.zeros(2)))
     # target = 1 + 0.5 * 7 = 4.5, q = 0 -> loss 20.25
     assert loss == pytest.approx(4.5 ** 2)
 
@@ -557,7 +565,10 @@ def test_replay_ring_slot_holds_latest_write():
             np.full(3, -k - 0.1).astype(DTYPE) * scale).tobytes()
         assert ring.actions[slot] == k % 2
         assert ring.rewards[slot] == float(k)
-    pairs, actions, rewards = ring.sample(np.random.default_rng(0), 7)
+    pairs = np.full((2, 7, 3), np.nan, DTYPE)
+    actions = np.full(7, -1, np.intp)
+    rewards = np.full(7, np.nan, DTYPE)
+    ring.draw(np.random.default_rng(0), pairs, actions, rewards)
     idx = np.random.default_rng(0).integers(0, capacity, size=7)
     assert pairs.tobytes() == np.stack([ring.obs[idx],
                                         ring.next_obs[idx]]).tobytes()
@@ -582,13 +593,168 @@ def test_dql_update_losses_match_list_replay_oracle():
         ring.add(t)
         if len(ring) >= cfg.warmup:
             # same generator state, so the same sampled indices
-            expected.append(train_on_batch(
-                oracle, ring.sample(oracle._rng, cfg.batch_size)))
+            expected.append(reference_td_step(oracle, *as_draw(
+                oracle, ring.sample(oracle._rng, cfg.batch_size))))
     assert len(losses) == 60 - cfg.warmup + 1
     assert losses == expected
     np.testing.assert_array_equal(agent.q_net.params, oracle.q_net.params)
     np.testing.assert_array_equal(agent.target_net.params,
                                   oracle.target_net.params)
+
+
+def float64_dql(cfg, obs_dim):
+    """A DQL agent whose q and target nets are float64: its stack, nets and
+    Adam state are widened before its first step, which builds the
+    workspace in the stack's dtype. The replay stays float32."""
+    agent = DqlAgent(cfg, obs_dim)
+    agent._pair = MlpStack([Layer(l.w.astype(np.float64),
+                                  l.b.astype(np.float64))
+                            for l in agent.q_net.layers], 2)
+    agent.q_net, agent.target_net = agent._pair.members
+    agent.optimizer = AdamOptimizer(agent.q_net)
+    return agent
+
+
+def assert_same_dql_state(agent, twin):
+    for name, net in agent._nets().items():
+        assert net.params.tobytes() == twin._nets()[name].params.tobytes(), name
+    assert agent.optimizer.t == twin.optimizer.t
+    assert (agent.optimizer._moments.tobytes()
+            == twin.optimizer._moments.tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 64),
+       hidden=st.lists(st.integers(1, 64), max_size=2),
+       obs_dim=st.integers(1, 12),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       sync=st.integers(1, 4),
+       events=st.lists(st.sampled_from(["step", "write q", "write target",
+                                        "checkpoint", "copy"]),
+                       min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 16))
+def test_the_td_step_equals_its_reference_bit_for_bit(
+        batch, hidden, obs_dim, dtype, sync, events, seed):
+    """``_td_step`` over its workspace against the reference built from
+    the generic passes, step by step: across target syncs, after in-place
+    writes to either net's ``params`` (which the workspace must read, not
+    a stale copy), after a checkpoint round trip and after a copy, each of
+    which starts a workspace of its own."""
+    cfg = config_for("dql", batch_size=batch, warmup=batch,
+                     replay_capacity=batch + 5, hidden_sizes=hidden,
+                     target_sync_period=sync, seed=seed % 7)
+    make = DqlAgent if dtype is np.float32 else float64_dql
+    agent, twin = make(cfg, obs_dim), make(cfg, obs_dim)
+    rng = np.random.default_rng(seed)
+    warm = make_transitions(rng, batch - 1, dim=obs_dim)
+    assert agent.update(warm) == {} and reference_update(twin, warm) == []
+    events = ["step"] + events
+    for event in events:
+        if event == "step":
+            for t in make_transitions(rng, int(rng.integers(1, 4)),
+                                      dim=obs_dim):
+                assert agent.update([t])["loss"] == reference_update(
+                    twin, [t])[0]
+                assert agent._workspace.pairs.dtype == DTYPE
+                assert agent._workspace.stack.dout.dtype == dtype
+        elif event in ("write q", "write target"):
+            values = rng.normal(size=agent.q_net.params.size)
+            for owner in (agent, twin):
+                net = owner.q_net if event == "write q" else owner.target_net
+                net.params[...] = values
+        elif event == "checkpoint":
+            if dtype is np.float64:
+                continue  # format 7 holds float32 nets only
+            loaded = agent_from_bytes(agent_to_bytes(agent))
+            loaded.replay = copy.deepcopy(agent.replay)  # no checkpoint holds it
+            agent = loaded
+        else:
+            agent = (copy.deepcopy(agent) if rng.random() < 0.5
+                     else pickle.loads(pickle.dumps(agent)))
+            assert agent._workspace is None
+        assert_same_dql_state(agent, twin)
+    assert agent.optimizer.t >= 1
+
+
+def test_the_td_step_builds_its_workspace_once_at_its_first_step():
+    agent = warm_dql(warmup=13)
+    assert agent._workspace is None  # 12 < 13 transitions: no step yet
+    rng = np.random.default_rng(21)
+    agent.update(make_transitions(rng, 1, dim=4))
+    ws = agent._workspace
+    arrays = [ws.pairs, ws.stack.dout, ws.stack.grads.flat, *ws.stack.acts]
+    agent.update(make_transitions(rng, 3, dim=4))
+    assert agent._workspace is ws
+    assert all(a is b for a, b in zip(
+        arrays, [ws.pairs, ws.stack.dout, ws.stack.grads.flat,
+                 *ws.stack.acts]))
+    assert ws.pairs.shape == (2, 4, 4)
+    assert [a.shape for a in ws.stack.acts] == [(2, 4, 5), (2, 4, 2)]
+
+
+# ---------------------------------------------------------------------------
+# copies
+# ---------------------------------------------------------------------------
+
+COPIERS = [pytest.param(copy.deepcopy, id="deepcopy"),
+           pytest.param(lambda x: pickle.loads(pickle.dumps(x)), id="pickle")]
+
+
+@pytest.mark.parametrize("copier", COPIERS)
+@pytest.mark.parametrize("algorithm", ["dql", "a2c", "ppo", "acktr",
+                                       "fixed_time"])
+def test_a_copied_agent_is_attached_and_trains_as_the_original(copier,
+                                                               algorithm):
+    """A copy holds what the original holds, each net's layers on its own
+    ``params`` (DQL's nets on the rows of its own stack) and each
+    optimizer's checkpoint views on its own moments, and trains on as the
+    original does; neither touches the other."""
+    agent = make_agent(config_for(algorithm, warmup=8, batch_size=4,
+                                  rollout_length=16, hidden_sizes=[6]),
+                       OBS_DIM)
+    rng = np.random.default_rng(23)
+    if algorithm != "fixed_time":
+        agent.update(recorded(agent, make_transitions(rng, 16)))
+    twin = copier(agent)
+    assert agent_to_bytes(twin) == agent_to_bytes(agent)
+    for name, net in twin._nets().items():
+        original = agent._nets()[name].params
+        assert not np.shares_memory(net.params, original)
+        for layer in net.layers:
+            assert np.shares_memory(layer.w, net.params)
+            assert np.shares_memory(layer.b, net.params)
+    for opt in twin._optimizers().values():
+        if isinstance(opt, AdamOptimizer):
+            assert all(np.shares_memory(view, opt._moments)
+                       for view in opt.state_arrays())
+    if algorithm == "dql":
+        assert twin._workspace is None and agent._workspace is not None
+        assert np.shares_memory(twin.q_net.params, twin._pair.params[0])
+        assert np.shares_memory(twin.target_net.params, twin._pair.params[1])
+        assert twin.replay._obs_scale is twin._obs_scale
+    if algorithm != "fixed_time":
+        more = make_transitions(rng, 16)
+        for owner in (twin, agent):
+            owner.update(recorded(owner, more))
+        assert agent_to_bytes(twin) == agent_to_bytes(agent)
+        assert twin.train_steps == 32
+    obs = rng.uniform(0, 40, size=(64, OBS_DIM))
+    assert twin.greedy_actions(obs) == agent.greedy_actions(obs)
+
+
+@pytest.mark.parametrize("copier", COPIERS)
+def test_a_write_to_a_copied_dql_nets_params_shows_in_its_next_step(copier):
+    agent = warm_dql(target_sync_period=1000)
+    twin = copier(agent)
+    twin.q_net.params[...] = 0.0
+    twin.target_net.params[...] = 0.0
+    assert twin.q_net(np.ones(4, DTYPE)).tolist() == [0.0, 0.0]
+    # every q-value and target is 0, so the loss is the mean squared reward
+    draw = copy.deepcopy(twin._rng)
+    idx = draw.integers(0, len(twin.replay), size=4)
+    rewards = twin.replay.rewards[idx].astype(np.float64)
+    assert twin._td_step() == pytest.approx(float(np.mean(rewards ** 2)))
+    assert agent.q_net.params.any()  # the original is untouched
 
 
 # ---------------------------------------------------------------------------
@@ -1439,8 +1605,9 @@ def test_dql_checkpoint_round_trip_is_byte_exact_and_fits_as_the_live_agent():
     assert agent_to_bytes(loaded) == blob
     assert len(loaded.replay) == 0  # no checkpoint holds the replay
     assert np.shares_memory(loaded.q_net.params, loaded._pair.params)
-    draw = agent.replay.sample(np.random.default_rng(14), 4)
-    assert loaded._fit(*draw) == agent._fit(*draw)
+    loaded.replay = copy.deepcopy(agent.replay)
+    # the generator state is restored too, so both draw the same rows
+    assert loaded._td_step() == agent._td_step()
     for name, net in agent._nets().items():
         assert loaded._nets()[name].params.tobytes() == net.params.tobytes()
 
@@ -1449,15 +1616,30 @@ def test_dql_checkpoint_round_trip_is_byte_exact_and_fits_as_the_live_agent():
 # net dtype
 # ---------------------------------------------------------------------------
 
+def float_arrays_in(value):
+    """Every float array reachable from ``value`` through lists, tuples
+    and object attributes."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from float_arrays_in(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from float_arrays_in(item)
+
+
 @pytest.mark.parametrize("algorithm", ["dql", "a2c", "ppo", "acktr"])
 def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     """After one update of real training, everything of a net is float32:
     its parameters, its Adam moments and scratch, every output and cache
     of both forwards, every pre-activation gradient and gradient vector,
-    K-FAC's factors, inverses and preconditioned directions, DQL's replay,
-    and every payload array of the agent's checkpoint and of the agent
-    loaded from it. A stray float64 array would upcast each operation it
-    meets, silently, and cost float32's speed."""
+    K-FAC's factors, inverses and preconditioned directions, DQL's replay
+    and every float array of its TD step's workspace, and every payload
+    array of the agent's checkpoint and of the agent loaded from it. A
+    stray float64 array would upcast each operation it meets, silently,
+    and cost float32's speed."""
     seen = defaultdict(set)
 
     def spy(cls, name, record, label=None):
@@ -1477,12 +1659,12 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     spy(Mlp, "forward", lambda x, pair: [
         ("input", x), ("output", pair[0]), ("cache output", pair[1].output),
         *[("cache input", a) for a in pair[1].inputs]])
-    # DQL's q and target forwards run as one stacked pass
-    spy(MlpStack, "forward", lambda x, pair: [
-        ("input", x), ("output", pair[0]),
-        *[("cache output", c.output) for c in pair[1]],
-        *[("cache input", a) for c in pair[1] for a in c.inputs]],
-        label="MlpStack.forward")
+    # DQL's gradient steps run none of the generic passes: each is one TD
+    # step over its workspace, whose every float array is recorded after
+    # the step, as is the loss it returns
+    spy(DqlAgent, "_td_step", lambda loss: [
+        ("loss", np.float64(loss)),
+        *[("workspace", a) for a in float_arrays_in(agent._workspace)]])
     spy(Mlp, "pre_activation_grads", lambda cache, g, chain: [
         ("output gradient", g), *[("gradient", ds) for ds in chain]])
     spy(Mlp, "backward", lambda cache, g, *out_and_grads: [
@@ -1496,18 +1678,22 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
                        cfg.observation_size)
     train_agent(agent, TrafficSignalEnv(cfg, seed=5), 32)
     assert agent.train_steps == 32
-    forward = "MlpStack.forward" if algorithm == "dql" else "forward"
-    expected = {"__call__ input", "__call__ output", f"{forward} input",
-                f"{forward} output", f"{forward} cache output",
-                f"{forward} cache input",
-                "pre_activation_grads output gradient",
-                "pre_activation_grads gradient", "backward output gradient",
-                "backward flat"}
+    expected = {"__call__ input", "__call__ output"}
+    if algorithm == "dql":
+        expected |= {"_td_step loss", "_td_step workspace"}
+    else:
+        expected |= {"forward input", "forward output", "forward cache output",
+                     "forward cache input",
+                     "pre_activation_grads output gradient",
+                     "pre_activation_grads gradient",
+                     "backward output gradient", "backward flat"}
     if algorithm == "acktr":
         expected.add("precondition flat")
     assert set(seen) == expected
+    # the loss is a Python float, which the spy records as float64
     assert {what: dtypes for what, dtypes in seen.items()
-            if dtypes != {np.dtype(np.float32)}} == {}
+            if dtypes != {np.dtype(np.float32)}
+            and what != "_td_step loss"} == {}
     arrays = {f"{name} params": net.params
               for name, net in agent._nets().items()}
     for name, opt in agent._optimizers().items():
@@ -1524,8 +1710,25 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     if algorithm == "dql":
         replay = agent.replay
         arrays.update(replay_obs=replay.obs, replay_next_obs=replay.next_obs,
-                      replay_rewards=replay.rewards,
-                      gradients=agent._grads.flat)
+                      replay_rewards=replay.rewards)
+        ws = agent._workspace
+        run = ws.stack
+        named = {"draw": ws.pairs, "rewards": ws.rewards,
+                 "targets": ws.targets, "td": ws.td, "squares": ws.squares,
+                 "output gradient": run.dout, "gradients": run.grads.flat,
+                 **{f"activations {k}": a for k, a in enumerate(run.acts)}}
+        assert run.x is ws.pairs
+        assert ws.pairs.shape == (2, 8, cfg.observation_size)
+        assert [a.shape for a in run.acts] == [(2, 8, 8), (2, 8, 8), (2, 8, 2)]
+        assert run.dout.shape == (8, 2)
+        # every float array the walk finds is one of these or the chain
+        # scratch, and the stack's own weight views
+        found = list(float_arrays_in(ws))
+        for a in named.values():
+            assert any(a is b for b in found)
+        arrays.update({f"workspace {k}": a for k, a in named.items()})
+        arrays.update({f"workspace array {k}": a
+                       for k, a in enumerate(found)})
     loaded = agent_from_bytes(agent_to_bytes(agent))
     for label, owner in (("payload", agent), ("loaded payload", loaded)):
         arrays.update({f"{label} {k}": a

@@ -1,4 +1,5 @@
-"""Every count and number a config holds is checked by its annotation.
+"""Every value a config holds is checked by its annotation: counts,
+numbers, flags, strings, lists of them and class-typed fields.
 
 The cases are generated from ``dataclasses.fields()`` of the five
 configs, so a field added later is covered without a new test.
@@ -18,8 +19,8 @@ from trafficlab.sim import SimConfig
 
 
 def deployment_config(**kwargs):
-    return DeploymentConfig(schedule=DetectionSchedule([(0.0, 1.0)]),
-                            **kwargs)
+    kwargs.setdefault("schedule", DetectionSchedule([(0.0, 1.0)]))
+    return DeploymentConfig(**kwargs)
 
 
 CONFIGS = {SimConfig: SimConfig, EnvConfig: EnvConfig,
@@ -27,9 +28,11 @@ CONFIGS = {SimConfig: SimConfig, EnvConfig: EnvConfig,
            ExperimentSpec: ExperimentSpec}
 COUNT_KINDS = ("int", "int | None", "list[int]")
 NUMBER_KINDS = ("float", "list[float]")
-# the fields that hold neither a count nor a number
-OTHER_FIELDS = {"sim", "algorithm", "schedule", "name", "scenario",
-                "algorithms", "out_dir", "train_missing", "agent"}
+FLAG_KINDS = ("bool",)
+TEXT_KINDS = ("str", "list[str]")
+# a class-typed field holds an instance of the class its annotation names
+CLASS_KINDS = {"dict": dict, "SimConfig": SimConfig,
+               "DetectionSchedule": DetectionSchedule}
 INFINITE_FIELDS = {"trust_region_radius", "kl_budget"}
 
 
@@ -46,18 +49,22 @@ def cases(kinds, bad_values):
             for value in bad_values]
 
 
-def test_every_config_field_is_a_count_a_number_or_named_as_neither():
+def test_every_config_field_is_of_a_kind_the_check_knows():
     # a field of another kind (say float | None) would go unchecked
     for cls in CONFIGS:
         for f in dataclasses.fields(cls):
-            assert (f.type in COUNT_KINDS + NUMBER_KINDS
-                    or f.name in OTHER_FIELDS), (cls.__name__, f.name, f.type)
+            assert f.type in (COUNT_KINDS + NUMBER_KINDS + FLAG_KINDS
+                              + TEXT_KINDS + tuple(CLASS_KINDS)), (
+                cls.__name__, f.name, f.type)
 
 
 def test_the_generated_cases_cover_every_config():
     assert {cls for cls, _, _ in number_fields(COUNT_KINDS)} == set(CONFIGS) - {
         EnvConfig}
     assert {cls for cls, _, _ in number_fields(NUMBER_KINDS)} == set(CONFIGS)
+    assert {cls for cls, _, _ in number_fields(FLAG_KINDS + TEXT_KINDS
+                                               + tuple(CLASS_KINDS))} == (
+        set(CONFIGS) - {SimConfig})
 
 
 @pytest.mark.parametrize("cls, name, value",
@@ -89,12 +96,82 @@ def test_a_number_that_is_not_finite_is_refused_by_name(cls, name, value):
         CONFIGS[cls](**{name: value})
 
 
-@pytest.mark.parametrize("cls, name", [
-    (cls, name) for cls, name, kind in number_fields(("list[int]",
-                                                       "list[float]"))])
+LIST_FIELDS = [(cls, name) for cls, name, kind in number_fields(
+    ("list[int]", "list[float]", "list[str]"))]
+
+
+@pytest.mark.parametrize("cls, name", LIST_FIELDS)
 def test_a_list_field_that_is_not_a_list_is_refused_by_name(cls, name):
     with pytest.raises(ValueError, match=rf"^{name} must be a list, got 1$"):
         CONFIGS[cls](**{name: 1})
+
+
+@pytest.mark.parametrize("cls, name", LIST_FIELDS)
+@pytest.mark.parametrize("value", ["1", None])
+def test_a_string_or_none_is_no_list(cls, name, value):
+    # a string used to pass as a list of its characters
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be a list, got {value!r}$"):
+        CONFIGS[cls](**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value",
+                         cases(FLAG_KINDS, [1, 0, "no", None]))
+def test_a_flag_that_is_not_a_bool_is_refused_by_name(cls, name, value):
+    # "no" used to be accepted, and to read as true
+    with pytest.raises(ValueError, match=rf"^{name} must be a bool, got "):
+        CONFIGS[cls](**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value",
+                         cases(TEXT_KINDS, [3, None, b"x", ["x"]]))
+def test_a_string_that_is_not_a_str_is_refused_by_name(cls, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a str, got "):
+        CONFIGS[cls](**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, kind, value", [
+    pytest.param(cls, name, kind, value,
+                 id=f"{cls.__name__}.{name}={value!r}")
+    for cls, name, kind in number_fields(tuple(CLASS_KINDS))
+    for value in [None, "x", [(0.0, 1.0)], {"gamma": 0.9}]
+    if not isinstance(value, CLASS_KINDS[kind])])
+def test_a_class_typed_field_that_holds_no_instance_is_refused_by_name(
+        cls, name, kind, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a {kind}, got "):
+        CONFIGS[cls](**{name: value})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ExperimentSpec(train_missing="no"),
+     "^train_missing must be a bool, got 'no'$"),
+    (lambda: ExperimentSpec(algorithms="ppo"),
+     "^algorithms must be a list, got 'ppo'$"),
+    (lambda: ExperimentSpec(agent="gamma"),
+     "^agent must be a dict, got 'gamma'$"),
+    (lambda: ExperimentSpec(agent=None), "^agent must be a dict, got None$"),
+    (lambda: ExperimentSpec(name=3), "^name must be a str, got 3$"),
+    (lambda: ExperimentSpec(out_dir=5), "^out_dir must be a str, got 5$"),
+    (lambda: ExperimentSpec(scenario=["medium"]),
+     r"^scenario must be a str, got \['medium'\]$"),
+    (lambda: DeploymentConfig(schedule=[(0.0, 1.0)]),
+     r"^schedule must be a DetectionSchedule, got \[\(0.0, 1.0\)\]$"),
+    (lambda: AgentConfig(algorithm=None), "^algorithm must be a str, got None$"),
+], ids=["spec-string-flag", "spec-string-algorithms", "spec-string-agent",
+        "spec-none-agent", "spec-int-name", "spec-int-out-dir",
+        "spec-list-scenario", "deploy-list-schedule", "agent-none-algorithm"])
+def test_a_value_of_another_type_is_refused_by_name(make, message):
+    # each was accepted, or refused by a message that named a character of
+    # a string or no field at all
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_every_kind_takes_its_valid_values():
+    ExperimentSpec(name="n", scenario="dense", algorithms=["dql", "ppo"],
+                   out_dir="out", train_missing=True, agent={"gamma": 0.9})
+    deployment_config(update_period=None)
+    EnvConfig(sim=SimConfig(rng_seed=3))
 
 
 @pytest.mark.parametrize("make, message", [

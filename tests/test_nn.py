@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from trafficlab.nn import (
     MlpStack,
     SgdOptimizer,
     SingularCurvatureError,
+    StackPass,
 )
 
 
@@ -193,8 +196,9 @@ def test_call_on_stacked_rows_equals_one_row_calls_bit_for_bit(
 def test_stacked_forward_rows_equal_each_members_passes_bit_for_bit(
         size, batch, dtype):
     # DQL runs its q and target nets as one stacked pass and relies on each
-    # member's rows equalling its own forward and batch call; a BLAS build
-    # that breaks this fails here
+    # member's rows equalling its own forward and batch call, and on each
+    # member's backward from the pass equalling its generic backward; a
+    # BLAS build that breaks this fails here
     rng = np.random.default_rng(1000 * size + batch)
     layers = [Layer(l.w.astype(dtype), l.b.astype(dtype))
               for l in Mlp.create([11, 64, 64, 2], seed=batch).layers]
@@ -205,42 +209,83 @@ def test_stacked_forward_rows_equal_each_members_passes_bit_for_bit(
         assert member.params.tobytes() == Mlp(layers).params.tobytes()
         member.params += rng.normal(size=member.params.size)  # apart
         assert_views_aliased(member)
-    x = rng.normal(size=(size, batch, 11)) * 3.0
-    out, caches = stack.forward(x)
+    x = (rng.normal(size=(size, batch, 11)) * 3.0).astype(dtype)
+    run = StackPass(stack, x)
+    out = run.forward()
+    assert out is run.acts[-1]
     assert out.shape == (size, batch, 2) and out.dtype == dtype
     for k, member in enumerate(stack.members):
         assert np.shares_memory(member.params, stack.params[k])
         expected, cache = member.forward(x[k])
         assert out[k].tobytes() == expected.tobytes()
         assert out[k].tobytes() == member(x[k]).tobytes()
-        assert caches[k].output.tobytes() == cache.output.tobytes()
-        assert [a.tobytes() for a in caches[k].inputs] == [
+        assert [a[k].tobytes() for a in [x] + run.acts[:-1]] == [
             a.tobytes() for a in cache.inputs]
-        g = rng.normal(size=(batch, 2))
-        assert (member.backward(caches[k], g).flat.tobytes()
-                == member.backward(cache, g).flat.tobytes())
+    for k, member in enumerate(stack.members):  # after every forward row
+        g = rng.normal(size=(batch, 2)).astype(dtype)
+        run.dout[...] = g
+        grads = run.backward(k)
+        assert grads is run.grads
+        expected = member.backward(member.forward(x[k])[1], g).flat
+        assert grads.flat.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_backward_equals_the_generic_one_at_a_one_wide_layer(dtype):
+    # below a one-wide layer ``pre_activation_grads`` takes a broadcast
+    # product and the pass a K = 1 matmul: one rounded product each
+    rng = np.random.default_rng(7)
+    layers = [Layer(l.w.astype(dtype), l.b.astype(dtype))
+              for l in Mlp.create([5, 1, 3, 1, 2], seed=7).layers]
+    stack = MlpStack(layers, 2)
+    x = rng.normal(size=(2, 9, 5)).astype(dtype)
+    run = StackPass(stack, x)
+    run.forward()
+    run.dout[...] = rng.normal(size=(9, 2))
+    member = stack.members[0]
+    expected = member.backward(member.forward(x[0])[1], run.dout).flat
+    assert run.backward(0).flat.tobytes() == expected.tobytes()
+
+
+def test_stacked_pass_reads_a_narrower_input_dtype_exactly():
+    # DQL's replay draws are float32 whatever its nets' dtype: a float32
+    # input to a float64 stack runs as its exact float64 cast
+    rng = np.random.default_rng(8)
+    layers = float64_net([4, 6, 2], seed=8).layers
+    stack = MlpStack(layers, 2)
+    x = rng.normal(size=(2, 5, 4)).astype(np.float32)
+    run = StackPass(stack, x)
+    out = run.forward()
+    cast = StackPass(stack, x.astype(np.float64))
+    assert out.tobytes() == cast.forward().tobytes()
+    run.dout[...] = cast.dout[...] = rng.normal(size=(5, 2))
+    assert (run.backward(0).flat.tobytes()
+            == cast.backward(0).flat.tobytes())
 
 
 def test_stacked_forward_rejects_a_stack_of_the_wrong_shape():
+    # or of a dtype that does not cast exactly to the stack's
     stack = MlpStack(small_net().layers, 2)
     for shape in [(2, 4, 4), (3, 4, 3), (4, 3)]:
-        with pytest.raises(ValueError):
-            stack.forward(np.zeros(shape))
+        with pytest.raises(ValueError, match="input, got"):
+            StackPass(stack, np.zeros(shape, DTYPE))
+    with pytest.raises(ValueError, match="does not cast exactly"):
+        StackPass(stack, np.zeros((2, 4, 3)))  # float64 into float32
 
 
 def test_a_write_to_one_member_shows_in_the_stacked_pass_only_for_it():
     stack = MlpStack(small_net(seed=4).layers, 2)
-    x = np.ones((2, 5, 3))
-    before, _ = stack.forward(x)
+    run = StackPass(stack, np.ones((2, 5, 3), DTYPE))
+    before = run.forward().copy()  # the pass overwrites its arrays
     AdamOptimizer(stack.members[0]).step(
         stack.members[0], gradients_of(
             [np.ones_like(l.w) for l in stack.members[0].layers],
             [np.ones_like(l.b) for l in stack.members[0].layers]), 0.1)
-    after, _ = stack.forward(x)
+    after = run.forward().copy()
     assert not np.array_equal(after[0], before[0])
     assert after[1].tobytes() == before[1].tobytes()
     stack.members[1].params[...] = stack.members[0].params  # a target sync
-    synced, _ = stack.forward(x)
+    synced = run.forward()
     assert synced[1].tobytes() == synced[0].tobytes()
 
 
@@ -465,6 +510,73 @@ def assert_views_aliased(net):
         assert np.shares_memory(layer.b, net.params)
     laid_out = np.concatenate([p for l in net.layers for p in (l.w.ravel(), l.b)])
     np.testing.assert_array_equal(laid_out, net.params)
+
+
+COPIERS = [pytest.param(copy.deepcopy, id="deepcopy"),
+           pytest.param(lambda x: pickle.loads(pickle.dumps(x)), id="pickle")]
+
+
+@pytest.mark.parametrize("copier", COPIERS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_copied_net_runs_from_its_own_params(copier, dtype):
+    # numpy copies a view as an array of its own, so a copy that took the
+    # layers as they are would run from arrays cut off from its params
+    net = Mlp([Layer(l.w.astype(dtype), l.b.astype(dtype))
+               for l in small_net(seed=5).layers])
+    twin = copier(net)
+    assert twin.params.dtype == dtype
+    assert twin.params.tobytes() == net.params.tobytes()
+    assert not np.shares_memory(twin.params, net.params)
+    assert_views_aliased(twin)
+    x = np.ones((4, 3))
+    before = net(x)
+    twin.params[...] = 0.0
+    assert not twin(x).any() and not twin.forward(x)[0].any()
+    assert net(x).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("copier", COPIERS)
+def test_a_copied_stack_keeps_its_members_on_its_own_rows(copier):
+    stack = MlpStack(small_net(seed=6).layers, 2)
+    stack.members[1].params += 1.0
+    twin = copier(stack)
+    assert twin.params.tobytes() == stack.params.tobytes()
+    assert not np.shares_memory(twin.params, stack.params)
+    for k, member in enumerate(twin.members):
+        assert np.shares_memory(member.params, twin.params[k])
+        assert_views_aliased(member)
+    run = StackPass(twin, np.ones((2, 4, 3), DTYPE))
+    twin.members[1].params[...] = 0.0
+    assert not run.forward()[1].any()
+    assert StackPass(stack, run.x).forward()[1].any()
+
+
+@pytest.mark.parametrize("copier", COPIERS)
+def test_a_copied_adam_steps_its_own_moments(copier):
+    net = small_net(seed=7)
+    adam = AdamOptimizer(net)
+    grads = gradients_of([np.ones_like(l.w) for l in net.layers],
+                         [np.ones_like(l.b) for l in net.layers])
+    adam.step(net, grads, 0.1)
+    twin, twin_net = copier((adam, net))
+    assert twin.t == 1
+    assert all(np.shares_memory(view, twin._moments)
+               for view in twin.state_arrays())
+    assert np.shares_memory(twin.m, twin._moments)
+    twin.step(twin_net, grads, 0.1)
+    adam.step(net, grads, 0.1)
+    assert twin._moments.tobytes() == adam._moments.tobytes()
+    assert twin_net.params.tobytes() == net.params.tobytes()
+    copied = copier(grads)
+    assert all(np.shares_memory(dw, copied.flat) for dw in copied.dw)
+
+
+def test_a_stacked_pass_refuses_to_be_copied():
+    run = StackPass(MlpStack(small_net().layers, 2),
+                    np.zeros((2, 1, 3), DTYPE))
+    for copier in (copy.deepcopy, pickle.dumps):
+        with pytest.raises(TypeError, match="StackPass is not copied"):
+            copier(run)
 
 
 def test_layer_views_stay_aliased_to_params():
