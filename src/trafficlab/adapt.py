@@ -4,7 +4,8 @@ piecewise-linear schedule, updating the agent online from partial rewards
 and watching the waiting-time series for catastrophic updates.
 
 Its steps come from ``agents.rollout``, as training's do, so a deployed
-agent gathers transitions and is updated exactly as in training.
+agent gathers transitions and is updated exactly as in training. Each
+timeline window's waits are read through ``SimState.entered_waits``.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def run_deployment(agent: Agent, env_config: EnvConfig,
         env_config, episode_length=max(horizon, time_step)), seed=seed)
     batch = (deploy.update_period or 0) if agent.needs_rollout else 0
     steps = rollout(agent, env, batch, obs=env.reset(seed=seed))
-    seen = (0.0, 0, 0.0, 0)  # exit totals at the last window boundary
+    seen = env.state.exit_totals()  # at the last window boundary
     timeline: list[TimelinePoint] = []
     failure_step = None
     failure_message = None
@@ -161,12 +162,9 @@ def run_deployment(agent: Agent, env_config: EnvConfig,
             # accrued waits of those still on the road, so a starved
             # approach shows a spike instead of dropping out of the mean
             state = env.state
-            exited = (state.exited_wait_detected, state.exited_n_detected,
-                      state.exited_wait_undetected, state.exited_n_undetected)
             wait_all, wait_det, wait_undet = class_means(
-                *state.add_onroad_waits(
-                    *(now - then for now, then in zip(exited, seen))))
-            seen = exited
+                *state.entered_waits(since=seen))
+            seen = state.exit_totals()
             timeline.append(TimelinePoint(
                 step=step,
                 detection_rate=deploy.schedule.rate_at(state.clock),

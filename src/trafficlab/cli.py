@@ -20,12 +20,36 @@ from trafficlab.harness import cmd_adapt, cmd_eval, cmd_sweep, cmd_train
 
 _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
 _DEPLOY_KEYS = {f.name for f in fields(DeploymentConfig)}
+# the annotation of each [experiment] and [deploy] key, its kind
+_KINDS = {f.name: f.type for cls in (ExperimentSpec, DeploymentConfig)
+          for f in fields(cls)}
+
+# (flag, config key, help) of every grid command and of adapt alone
+_GRID_FLAGS = (
+    ("--out", "out_dir", "output directory"),
+    ("--algo", "algorithms", "comma-separated algorithm list"),
+    ("--rates", "rates", "comma-separated detection rates"),
+    ("--seed", "seeds", "comma-separated seed list"),
+    ("--scenario", "scenario", "flow preset: sparse, medium or dense"),
+    ("--steps", "train_steps", "training steps per cell, or 'none' for "
+                               "each algorithm's own budget (the default)"),
+    ("--episodes", "eval_episodes", "evaluation episodes"),
+    ("--workers", "workers", "parallel worker processes"),
+)
+_ADAPT_FLAGS = (
+    ("--schedule", "schedule", "detection schedule as t0:r0,t1:r1,..."),
+    ("--total-steps", "total_steps", None),
+    ("--update-period", "update_period",
+     "steps between online updates, or 'none'"),
+    ("--window", "instability_window", None),
+    ("--threshold", "instability_threshold", None),
+)
 
 
 def _flag_type(name: str):
-    """The config coercer of key ``name`` as a flag type: a value it
-    rejects fails the parse with the coercer's own message."""
-    coerce = _COERCERS[name]
+    """The config coercer of key ``name``'s kind as a flag type: a value
+    it rejects fails the parse with the coercer's own message."""
+    coerce = _COERCERS[_KINDS[name]]
 
     def parse(raw: str):
         try:
@@ -36,23 +60,10 @@ def _flag_type(name: str):
     return parse
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+def _add_key_flags(p: argparse.ArgumentParser, flags) -> None:
     # each flag's dest is its config key; flags not given stay unset
-    p.add_argument("--config", help="experiment config file (INI sections)")
-    p.add_argument("--out", dest="out_dir", help="output directory")
-    p.add_argument("--algo", dest="algorithms", type=_flag_type("algorithms"),
-                   help="comma-separated algorithm list")
-    p.add_argument("--rates", type=_flag_type("rates"),
-                   help="comma-separated detection rates")
-    p.add_argument("--seed", dest="seeds", type=_flag_type("seeds"),
-                   help="comma-separated seed list")
-    p.add_argument("--scenario", help="flow preset: sparse, medium or dense")
-    p.add_argument("--steps", dest="train_steps", type=int,
-                   help="training steps per cell (default: each "
-                        "algorithm's own budget)")
-    p.add_argument("--episodes", dest="eval_episodes", type=int,
-                   help="evaluation episodes")
-    p.add_argument("--workers", type=int, help="parallel worker processes")
+    for flag, key, what in flags:
+        p.add_argument(flag, dest=key, type=_flag_type(key), help=what)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,29 +74,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     grid = dict(argument_default=argparse.SUPPRESS, exit_on_error=False)
 
-    p_train = sub.add_parser("train", help="train agents over the grid", **grid)
-    _add_grid_flags(p_train)
-
-    p_sweep = sub.add_parser("sweep",
-                             help="evaluate trained agents per detection rate",
-                             **grid)
-    _add_grid_flags(p_sweep)
-    p_sweep.add_argument("--train-missing", action="store_true",
-                         help="train cells whose checkpoint is absent")
-
-    p_adapt = sub.add_parser("adapt",
-                             help="deploy agents on a drifting detection rate",
-                             **grid)
-    _add_grid_flags(p_adapt)
-    p_adapt.add_argument("--schedule", type=_flag_type("schedule"),
-                         help="detection schedule as t0:r0,t1:r1,...")
-    p_adapt.add_argument("--total-steps", type=int, dest="total_steps")
-    p_adapt.add_argument("--update-period", dest="update_period",
-                         type=_flag_type("update_period"),
-                         help="steps between online updates, or 'none'")
-    p_adapt.add_argument("--window", type=int, dest="instability_window")
-    p_adapt.add_argument("--threshold", type=float,
-                         dest="instability_threshold")
+    commands = {}
+    for command, what in (
+            ("train", "train agents over the grid"),
+            ("sweep", "evaluate trained agents per detection rate"),
+            ("adapt", "deploy agents on a drifting detection rate")):
+        p = commands[command] = sub.add_parser(command, help=what, **grid)
+        p.add_argument("--config",
+                       help="experiment config file (INI sections)")
+        _add_key_flags(p, _GRID_FLAGS)
+    commands["sweep"].add_argument(
+        "--train-missing", action="store_true",
+        help="train cells whose checkpoint is absent")
+    _add_key_flags(commands["adapt"], _ADAPT_FLAGS)
 
     p_eval = sub.add_parser("eval", help="evaluate one checkpoint",
                             exit_on_error=False)

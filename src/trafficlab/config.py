@@ -151,27 +151,20 @@ class ExperimentSpec:
                     yield algo, rate, seed
 
 
+# the parser of a raw value by its key's annotation, the kind that
+# ``sim.check_value`` then checks the parsed value against
 _COERCERS = {
-    "algorithms": _list_of(str),
-    "rates": _list_of(float),
-    "seeds": _list_of(int),
-    "hidden_sizes": _list_of(int),
-    "schedule": parse_schedule,
-    "update_period": lambda raw: (None if raw.strip().lower() in {"none", "off"}
-                                  else int(raw)),
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "str": str,
+    "int | None": lambda raw: (None if raw.strip().lower() in {"none", "off"}
+                               else int(raw)),
+    "list[str]": _list_of(str),
+    "list[int]": _list_of(int),
+    "list[float]": _list_of(float),
+    "DetectionSchedule": parse_schedule,
 }
-
-
-def _coerce(name: str, annotation: str, raw: str):
-    if name in _COERCERS:
-        return _COERCERS[name](raw)
-    if "bool" in annotation:
-        return _parse_bool(raw)
-    if "int" in annotation:
-        return int(raw)
-    if "float" in annotation:
-        return float(raw)
-    return raw
 
 
 def section_to_kwargs(cls, section: dict[str, str], section_name: str) -> dict:
@@ -183,7 +176,7 @@ def section_to_kwargs(cls, section: dict[str, str], section_name: str) -> dict:
         if key not in known:
             raise ValueError(f"unknown key {key!r} in section [{section_name}]")
         try:
-            kwargs[key] = _coerce(key, known[key], raw)
+            kwargs[key] = _COERCERS[known[key]](raw)
         except ValueError as exc:
             raise ValueError(f"[{section_name}] {key}: {exc}") from None
     return kwargs

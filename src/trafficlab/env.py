@@ -2,9 +2,9 @@
 
 The observation is the compact state vector: per-approach detected-vehicle
 counts (normalized by lane capacity), per-approach distance to the nearest
-detected vehicle (normalized by lane length, 1.0 when none), the raw phase
-timer in seconds, an amber indicator and the integer phase index. Only
-detected vehicles influence any slot.
+detected vehicle (normalized by lane length, 1.0 when none), the phase
+timer in seconds (steps times ``time_step``), an amber indicator and the
+integer phase index. Only detected vehicles influence any slot.
 
 The reward is the negative normalized speed deficit of the detected
 vehicles only, which is all a controller could measure in the field.
@@ -14,9 +14,9 @@ census that ``kinematics_step`` took in its walk, from which the reward
 and the observation are read, so a step walks the road once, and which
 counts the road's queue. ``reset`` walks no road: a new state's road is
 empty, so its observation reads the empty-road census. Waiting times are
-not computed per step: ``env.state.add_onroad_waits`` adds the waits of
-the vehicles still on the road to the exit totals, and ``class_means``
-turns those into per-class means.
+not computed per step: ``env.state.entered_waits()``, the one wait
+census, gives the per-class totals that ``class_means`` turns into means.
+An episode ends after ``episode_length / time_step`` steps.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from trafficlab.sim import (
 
 # Slot layout of the observation vector.
 N_COUNT_SLOTS = 4
-N_DISTANCE_SLOTS = 4
 PHASE_TIME_SLOT = 8
 AMBER_SLOT = 9
 PHASE_SLOT = 10
@@ -69,8 +68,9 @@ class EnvConfig:
         steps = self.episode_length / self.sim.time_step
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("episode_length must be a multiple of time_step")
-        # read by every observation, so taken once from the geometry the
-        # config is built with (an env builds a config of its own)
+        # read by every step, so taken once from the config as built (an
+        # env builds a config of its own)
+        self._episode_steps = round(steps)
         self._lane_capacity = self.sim.lane_capacity
 
     @property
@@ -100,7 +100,7 @@ def build_observation(state: SimState, config: EnvConfig,
         1.0 if d1 is None or d1 > lane_length else d1 / lane_length,
         1.0 if d2 is None or d2 > lane_length else d2 / lane_length,
         1.0 if d3 is None or d3 > lane_length else d3 / lane_length,
-        signal.phase_elapsed, 1.0 if signal.in_amber else 0.0,
+        signal.phase_steps * state.time_step, 1.0 if signal.in_amber else 0.0,
         float(signal.phase),
     ], dtype=np.float64)
 
@@ -170,7 +170,7 @@ class TrafficSignalEnv:
         post-step ``RoadCensus`` that ``kinematics_step`` returns: the
         reward and the observation read it, so the step walks the road
         once, and its ``queue`` counts the vehicles below the wait speed.
-        Waiting times are read with ``env.state.add_onroad_waits`` and
+        Waiting times are read with ``env.state.entered_waits`` and
         ``class_means``.
         """
         if self._state is None or self._done:
@@ -185,6 +185,6 @@ class TrafficSignalEnv:
         signal_step(state, command, sim_cfg)
         spawn_step(state, sim_cfg)
         census = kinematics_step(state, sim_cfg)
-        self._done = state.clock >= self.config.episode_length - 1e-9
+        self._done = state.steps >= self.config._episode_steps
         obs = build_observation(state, self.config, census)
         return obs, compute_reward(census), self._done, {"census": census}

@@ -76,14 +76,6 @@ class EpisodeRecord:
     mean_wait: float | None
 
 
-def _entered_waits(state) -> tuple:
-    """Per-class wait totals and counts of every vehicle that entered: the
-    exit totals plus the vehicles still on the road."""
-    return state.add_onroad_waits(
-        state.exited_wait_detected, state.exited_n_detected,
-        state.exited_wait_undetected, state.exited_n_undetected)
-
-
 def train_agent(agent: Agent, env: TrafficSignalEnv,
                 total_steps: int) -> list[EpisodeRecord]:
     """Drive the env for total_steps, feeding the agent its rollouts.
@@ -105,7 +97,7 @@ def train_agent(agent: Agent, env: TrafficSignalEnv,
         if batch:
             agent.update(batch)
         if done:
-            wait = class_means(*_entered_waits(env.state))[0]
+            wait = class_means(*env.state.entered_waits())[0]
             records.append(EpisodeRecord(len(records), step, ep_return, wait))
             ep_return = 0.0
     return records
@@ -171,7 +163,7 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
     totals = (0.0, 0, 0.0, 0)  # per-class wait sums and vehicle counts
     per_episode_wait = []
     for env in envs:
-        episode = _entered_waits(env.state)
+        episode = env.state.entered_waits()
         totals = tuple(a + b for a, b in zip(totals, episode))
         per_episode_wait.append(class_means(*episode)[0])
     _, n_det, _, n_undet = totals

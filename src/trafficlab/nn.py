@@ -250,23 +250,22 @@ class Mlp:
                 f"input size {a.shape[-1]} does not match net input {self.input_size}")
         return _run_plan(self._plan, a)
 
-    def backward(self, cache: ForwardCache, output_grad: np.ndarray,
-                 out: Gradients | None = None) -> Gradients:
+    def backward(self, cache: ForwardCache,
+                 output_grad: np.ndarray) -> Gradients:
         """Exact gradients of the scalar whose output gradient is supplied.
 
         ``output_grad`` carries any loss scaling (e.g. 1/B for a mean), so
         the returned gradients sum over the batch. This is the chain of
         ``pre_activation_grads``, then each layer's weight and bias
-        products, written into ``out`` (a ``Gradients`` of this net's
-        layout and dtype, which it returns) or into a new one.
+        products, written into a new ``Gradients``.
         """
         # a new flat gradient is allocated after the chain, which is freed
         # on return: allocated ahead of it, each float64 A2C update took
         # about 360 more minor page faults (glibc trims and regrows the
         # heap around the 128 KiB temporaries of a 256-row batch)
         pre_grads = self.pre_activation_grads(cache, output_grad)
-        grads = out if out is not None else Gradients(
-            np.empty_like(self.params), [l.w.shape for l in self.layers])
+        grads = Gradients(np.empty_like(self.params),
+                          [l.w.shape for l in self.layers])
         for ds, a, dw, db in zip(pre_grads, cache.inputs, grads.dw, grads.db):
             np.dot(ds.T, a, out=dw)  # the gemm of ds.T @ a, into the view
             ds.sum(axis=0, out=db)

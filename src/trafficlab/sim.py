@@ -14,19 +14,19 @@ and ``metrics_snapshot`` reads only the exit totals. A state is strictly
 single-threaded but cheap to create, so parallel experiments simply use
 one state each.
 
-Waits are counted in time steps. A vehicle's ``cumulative_wait`` is an
-integer count, and its wait in seconds is that count times ``time_step``.
+Time is a count of steps: ``SimState.steps``, the signal's timers and a
+vehicle's ``cumulative_wait`` count steps, and a time in seconds (the
+state's ``clock``, a timer, a wait) is its count times ``time_step``.
 
 A red or amber lane on which every vehicle stood still (ended a step at
 speed 0.0) stands still again until it turns green or gains a vehicle:
 the front vehicle's budget is its unchanged position, and each
 follower's is unchanged because its leader did not move.
 ``kinematics_step`` therefore freezes such a lane: it keeps a
-:class:`FrozenLane` record of the lane's census and counts the steps the
-lane is held there, and walks none of its vehicles until green or an
-arrival thaws it. ``SimState.wait_seconds`` adds a frozen lane's held
-steps to each of its vehicles' own; thawing settles them into every
-vehicle's count.
+:class:`FrozenLane` record of the lane's census and of the step at which
+it froze, and walks none of its vehicles until green or an arrival thaws
+it; each step since is a wait step of each vehicle, which thawing settles
+into its count. ``SimState.entered_waits`` is the one wait census.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class Vehicle:
     decreases; ``speed`` is at most the config's ``vmax_default``, every
     vehicle's top speed; ``detected`` is fixed at spawn; ``cumulative_wait``
     counts the time steps it ended below the wait speed threshold, except
-    the steps its lane has been held frozen (see :class:`FrozenLane`);
-    ``SimState.wait_seconds`` is their sum times ``time_step``.
+    the steps its lane has been held frozen since (see :class:`FrozenLane`);
+    its wait in seconds is their sum times ``time_step``.
     """
 
     position: float
@@ -193,10 +193,13 @@ class Vehicle:
 
 @dataclass(slots=True)
 class SignalState:
+    """The phase and its timers: the steps of the phase, amber included,
+    and those of the amber."""
+
     phase: Phase = Phase.NS_GREEN
     in_amber: bool = False
-    phase_elapsed: float = 0.0
-    amber_elapsed: float = 0.0
+    phase_steps: int = 0
+    amber_steps: int = 0
 
 
 @dataclass
@@ -218,13 +221,14 @@ class Metrics:
 class FrozenLane:
     """A lane held standing still by ``kinematics_step``: its census
     entries, the count of detected vehicles and the position of the nearest
-    one (``None`` if none), and the steps it has been held, which
-    ``SimState.wait_seconds`` adds to its vehicles' own. Every vehicle of
-    it queues, and each detected one adds 1.0 to the deficit."""
+    one (``None`` if none), and ``since``, the ``SimState.steps`` at which
+    it froze: each vehicle of it has waited ``steps - since`` steps beyond
+    its count. Every vehicle queues, and each detected one adds 1.0 to the
+    deficit."""
 
     detected: int
     nearest: float | None
-    held: int = 0
+    since: int
 
 
 UNIFORM_BLOCK = 256  # uniforms drawn from a state's rng per refill
@@ -244,12 +248,12 @@ class SimState:
     ``frozen`` holds each approach's :class:`FrozenLane` record in
     ``APPROACHES`` order, or ``None`` while its lane is walked (see
     ``kinematics_step``), and ``time_step`` the config's time step, the
-    seconds of one wait step. A frozen record holds while its lane is
-    changed by the step functions only: ``spawn_step`` thaws a lane before
-    a vehicle enters it.
+    seconds of one step. A frozen record holds while its lane is changed
+    by the step functions only: ``spawn_step`` thaws a lane before a
+    vehicle enters it.
     """
 
-    clock: float
+    steps: int
     signal: SignalState
     lanes: dict[Approach, list[Vehicle]]
     pending: dict[Approach, int]
@@ -267,9 +271,9 @@ class SimState:
 
     @classmethod
     def initial(cls, config: SimConfig, seed: int | None = None) -> "SimState":
-        """Empty intersection at clock 0, NS green, fresh RNG stream."""
+        """Empty intersection at step 0, NS green, fresh RNG stream."""
         return cls(
-            clock=0.0,
+            steps=0,
             signal=SignalState(),
             lanes={a: [] for a in APPROACHES},
             pending={a: 0 for a in APPROACHES},
@@ -287,43 +291,50 @@ class SimState:
         )
 
     @property
+    def clock(self) -> float:
+        """The simulated seconds: ``steps * time_step``."""
+        return self.steps * self.time_step
+
+    @property
     def exited_count(self) -> int:
         return self.exited_n_detected + self.exited_n_undetected
 
     def vehicle_count(self) -> int:
         return sum(len(lane) for lane in self.lanes.values())
 
-    def wait_seconds(self, approach: Approach, veh: Vehicle) -> float:
-        """The seconds ``veh``, a vehicle of ``approach``'s lane, has
-        waited: its own wait steps plus the steps its lane has been held
-        frozen, times ``time_step``."""
-        steps = veh.cumulative_wait
-        frozen = self.frozen[approach]
-        if frozen is not None:
-            steps += frozen.held
-        return steps * self.time_step
-
     def thaw(self, approach: Approach) -> None:
-        """Settle ``approach``'s lane if it is frozen: add the steps it
-        was held to each of its vehicles' wait steps and drop its record,
+        """Settle ``approach``'s lane if it is frozen: add the steps since
+        it froze to each of its vehicles' wait steps and drop its record,
         so the next ``kinematics_step`` walks it."""
         frozen = self.frozen[approach]
         if frozen is not None:
             self.frozen[approach] = None
-            if frozen.held:
+            held = self.steps - frozen.since
+            if held:
                 for veh in self.lanes[approach]:
-                    veh.cumulative_wait += frozen.held
+                    veh.cumulative_wait += held
 
-    def add_onroad_waits(self, wait_det: float, n_det: int,
-                         wait_undet: float, n_undet: int):
-        """The given per-class wait totals and counts plus the accrued
-        waits of the vehicles still on the road (``wait_seconds``), added
-        front to back in ``APPROACHES`` order. A mean over the result
-        covers every vehicle that entered, so a starved approach cannot
-        hide from it."""
-        for approach in APPROACHES:
+    def exit_totals(self) -> tuple[float, int, float, int]:
+        """The exited vehicles' per-class wait totals and counts: detected
+        wait, detected count, undetected wait, undetected count."""
+        return (self.exited_wait_detected, self.exited_n_detected,
+                self.exited_wait_undetected, self.exited_n_undetected)
+
+    def entered_waits(self, since: tuple[float, int, float, int] = (
+            0.0, 0, 0.0, 0)) -> tuple[float, int, float, int]:
+        """Per-class wait totals and counts, laid out as ``exit_totals``,
+        of the vehicles that exited after ``since`` (an earlier
+        ``exit_totals()``; by default, the start) plus those on the road,
+        added front to back in ``APPROACHES`` order: so a mean over them
+        covers every vehicle that entered, and a starved approach cannot
+        hide. A wait is a vehicle's wait steps, frozen ones included, times
+        ``time_step``."""
+        wait_det, n_det, wait_undet, n_undet = (
+            now - then for now, then in zip(self.exit_totals(), since))
+        for approach, frozen in zip(APPROACHES, self.frozen):
+            held = 0 if frozen is None else self.steps - frozen.since
             for veh in self.lanes[approach]:
-                wait = self.wait_seconds(approach, veh)
+                wait = (veh.cumulative_wait + held) * self.time_step
                 if veh.detected:
                     wait_det += wait
                     n_det += 1
@@ -438,7 +449,7 @@ def _plus_ones(total: float, k: int) -> float:
 
 
 def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
-    """Advance every vehicle by one time step and advance the clock; return
+    """Advance every vehicle by one time step and count the step; return
     the post-step road census taken in the same walk.
 
     Front-to-back per lane: each vehicle accelerates toward the config's
@@ -447,9 +458,11 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     plus the minimum gap. The front vehicle's leader stands at ``-spacing``
     without green (a budget of ``pos``, the room to the stop line) and at
     ``-inf`` with it. A vehicle whose new position crosses the stop line
-    exits and its waiting time (``SimState.wait_seconds``) is booked into
-    the per-class accumulators. A vehicle that ends the step below the wait
-    speed threshold adds one step to its ``cumulative_wait`` and queues. A
+    exits and books its wait steps times the time step into the per-class
+    accumulators (a walked lane holds no frozen record, so its vehicles'
+    counts hold every wait step). A vehicle that ends the step below the
+    wait speed threshold adds one step to its ``cumulative_wait`` and
+    queues. A
     vehicle with no positive budget (most of a red queue) takes a short
     branch with the full update's values: speed 0.0, position ``pos - 0.0
     * dt == pos`` (not negative, so it stays), a wait step and a queue
@@ -461,20 +474,21 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
     stayed where it stood: it took the short branch, or its braking cap
     was exactly 0.0, a budget too small to move in one step, which is how
     most of a red queue stands at a time step of 0.1 s. The lane gets a
-    :class:`FrozenLane` record of its detected count and nearest detected
-    position. While it has no green it stands still again, step after
-    step, with the same values, because nothing its update reads changes:
+    :class:`FrozenLane` record of its detected count, nearest detected
+    position and step count. While it has no green it stands still again,
+    step after step, with the same values, because nothing its update
+    reads changes:
 
     - each vehicle's speed is 0.0 and its position is the one it kept;
     - the front vehicle's budget is that position, and each follower's
       budget reads only its leader's position, which did not move.
 
-    So a frozen lane without green is not walked: its record's held count
-    goes up by one, each of its detected vehicles adds 1.0 to the deficit
-    in lane order, its census entries are the record's, and the lane's
-    length adds to the queue (every vehicle queues). Green thaws the lane
-    (``SimState.thaw`` settles the held steps into its vehicles' counts)
-    and it is walked again; so does an arrival, in ``spawn_step``.
+    So a frozen lane without green is not walked: each of its detected
+    vehicles adds 1.0 to the deficit in lane order, its census entries are
+    the record's, and the lane's length adds to the queue (every vehicle
+    queues). Green thaws the lane (``SimState.thaw`` settles the steps
+    since it froze into its vehicles' counts) and it is walked again; so
+    does an arrival, in ``spawn_step``.
 
     The exits of a lane are always its front vehicles: a follower of a
     vehicle that stays ends at least ``spacing`` behind that vehicle's new
@@ -519,7 +533,6 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
             continue
         if frozen is not None:
             if not green:  # stands still again
-                frozen.held += 1
                 count = frozen.detected
                 detected_deficit = _plus_ones(detected_deficit, count)
                 counts.append(count)
@@ -558,10 +571,10 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
             if new_pos < 0.0:
                 exits += 1
                 if veh.detected:
-                    state.exited_wait_detected += state.wait_seconds(approach, veh)
+                    state.exited_wait_detected += veh.cumulative_wait * dt
                     state.exited_n_detected += 1
                 else:
-                    state.exited_wait_undetected += state.wait_seconds(approach, veh)
+                    state.exited_wait_undetected += veh.cumulative_wait * dt
                     state.exited_n_undetected += 1
                 continue
             veh.position = new_pos
@@ -576,12 +589,13 @@ def kinematics_step(state: SimState, config: SimConfig) -> RoadCensus:
         if exits:
             del lane[:exits]
         elif queue == len(lane) and all(v.speed == 0.0 for v in lane):
-            # every vehicle queued, and each one stood where it was
-            frozen_lanes[approach] = FrozenLane(count, near)
+            # every vehicle queued, and each one stood where it was; the
+            # record counts from the step this one ends
+            frozen_lanes[approach] = FrozenLane(count, near, state.steps + 1)
         counts.append(count)
         nearest.append(near)
         total_queue += queue
-    state.clock += dt
+    state.steps += 1
     return RoadCensus(detected_deficit, counts, nearest, total_queue)
 
 
@@ -590,23 +604,24 @@ def signal_step(state: SimState, command: Command, config: SimConfig) -> SimStat
 
     Amber ignores commands and auto-completes into the opposite green.
     A switch command is honored only once the green has lasted min_green;
-    otherwise the phase simply ages.
+    otherwise the phase simply ages. A timer lasts the least ``k`` steps
+    with ``k * time_step`` at least its duration.
     """
     sig = state.signal
     dt = config.time_step
     if sig.in_amber:
-        sig.amber_elapsed += dt
-        sig.phase_elapsed += dt
-        if sig.amber_elapsed >= config.amber_duration:
+        sig.amber_steps += 1
+        sig.phase_steps += 1
+        if sig.amber_steps * dt >= config.amber_duration:
             sig.phase = sig.phase.opposite
             sig.in_amber = False
-            sig.amber_elapsed = 0.0
-            sig.phase_elapsed = 0.0
-    elif command == Command.SWITCH and sig.phase_elapsed >= config.min_green:
+            sig.amber_steps = 0
+            sig.phase_steps = 0
+    elif command == Command.SWITCH and sig.phase_steps * dt >= config.min_green:
         sig.in_amber = True
-        sig.amber_elapsed = 0.0
+        sig.amber_steps = 0
     else:
-        sig.phase_elapsed += dt
+        sig.phase_steps += 1
     return state
 
 
@@ -623,11 +638,9 @@ def class_means(wait_det: float, n_det: int, wait_undet: float,
 def metrics_snapshot(state: SimState) -> Metrics:
     """Mean waiting time per detection class over exited vehicles, read
     from the state's exit totals (the road is not walked)."""
-    n_det = state.exited_n_detected
-    n_undet = state.exited_n_undetected
-    wait_all, wait_det, wait_undet = class_means(
-        state.exited_wait_detected, n_det, state.exited_wait_undetected,
-        n_undet)
+    totals = state.exit_totals()
+    wait_all, wait_det, wait_undet = class_means(*totals)
+    _, n_det, _, n_undet = totals
     return Metrics(
         wait_all=wait_all,
         wait_detected=wait_det,

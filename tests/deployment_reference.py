@@ -2,7 +2,9 @@
 ``Transition``, update loop, with a window accumulator of its own.
 
 ``run_deployment`` now runs on the shared ``rollout`` driver; the tests
-hold it to this loop bit for bit.
+hold it to this loop bit for bit. A window's waits are its per-vehicle
+step counts times the time step (``sim_oracle.settled_waits``), not the
+simulator's census.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from trafficlab.adapt import (
     TimelinePoint,
     detect_instability,
 )
+from sim_oracle import settled_waits
 from trafficlab.agents import Agent, Transition
 from trafficlab.env import EnvConfig, TrafficSignalEnv
 
@@ -30,11 +33,8 @@ class WindowAccumulator:
                 state.exited_wait_undetected, state.exited_n_undetected)
 
     def window_means(self, state):
-        wd, nd, wu, nu = self._take(state)
-        dw, dn = wd - self._snap[0], nd - self._snap[1]
-        uw, un = wu - self._snap[2], nu - self._snap[3]
-        self._snap = (wd, nd, wu, nu)
-        dw, dn, uw, un = state.add_onroad_waits(dw, dn, uw, un)
+        dw, dn, uw, un = settled_waits(state, self._snap)
+        self._snap = self._take(state)
         wait_det = dw / dn if dn else None
         wait_undet = uw / un if un else None
         wait_all = (dw + uw) / (dn + un) if dn + un else None

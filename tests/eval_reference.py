@@ -3,13 +3,16 @@ episodes one after another, each picked by ``act`` one step at a time.
 
 ``evaluate_agent`` now runs its episodes side by side, picking every env's
 action of a tick with one ``greedy_actions`` call; the tests hold it to
-this loop bit for bit.
+this loop bit for bit. Each episode's waits are its per-vehicle step
+counts times the time step (``sim_oracle.settled_waits``), not the
+simulator's census.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from sim_oracle import settled_waits
 from trafficlab.agents import Agent
 from trafficlab.env import EnvConfig, TrafficSignalEnv
 from trafficlab.harness import EvalStats
@@ -33,10 +36,7 @@ def reference_evaluation(agent: Agent, env_config: EnvConfig, episodes: int,
             ep_return += reward
             queue_total += info["census"].queue
             queue_samples += 1
-        state = env.state
-        episode = state.add_onroad_waits(
-            state.exited_wait_detected, state.exited_n_detected,
-            state.exited_wait_undetected, state.exited_n_undetected)
+        episode = settled_waits(env.state)
         totals = tuple(a + b for a, b in zip(totals, episode))
         per_episode_wait.append(class_means(*episode)[0])
         returns.append(ep_return)

@@ -44,10 +44,20 @@ def check_state(state: SimState, config: SimConfig) -> None:
                     f"leader={leader} follower={follower}"
                 )
     sig = state.signal
-    if sig.in_amber and not (0.0 <= sig.amber_elapsed <= config.amber_duration + 1e-9):
-        raise InvariantViolation(f"amber_elapsed out of range: {sig}")
-    if sig.phase_elapsed < 0:
-        raise InvariantViolation(f"negative phase_elapsed: {sig}")
+    # an amber that has lasted amber_duration has ended
+    if sig.in_amber and not (
+            0 <= sig.amber_steps
+            and sig.amber_steps * config.time_step < config.amber_duration):
+        raise InvariantViolation(f"amber_steps out of range: {sig}")
+    if sig.phase_steps < 0:
+        raise InvariantViolation(f"negative phase_steps: {sig}")
+    for approach, frozen in zip(APPROACHES, state.frozen):
+        if frozen is None:
+            continue
+        if not 0 < frozen.since <= state.steps:
+            raise InvariantViolation(f"frozen since a step not taken: {frozen}")
+        if any(v.speed != 0.0 for v in state.lanes[approach]):
+            raise InvariantViolation(f"frozen {approach.name} lane moves")
 
 
 def run_checked_episode(
@@ -60,12 +70,15 @@ def run_checked_episode(
 
     Also enforces red-light compliance (a vehicle may only leave its lane
     while its axis has green) and detection-flag immutability, following
-    each vehicle by its spawn number.
+    each vehicle by its spawn number. The step count must be the steps
+    taken and the clock that count times the time step, exactly. No lane
+    that a step walks may hold a frozen record after it, save one made by
+    that step: an exit books its wait steps without one.
     """
     state = SimState.initial(config)
     order = SpawnOrder()
     detected_at_spawn: dict[int, bool] = {}
-    expected_clock = 0.0
+    expected_steps = 0
     for _ in range(steps):
         cmd = Command.SWITCH if command_rng.random() < switch_prob else Command.KEEP
         signal_step(state, cmd, config)
@@ -78,21 +91,35 @@ def run_checked_episode(
         green = {
             a: axis_has_green(state.signal, approach_axis(a)) for a in APPROACHES
         }
+        frozen_before = list(state.frozen)
         kinematics_step(state, config)
-        for approach in APPROACHES:
+        for approach, was_frozen in zip(APPROACHES, frozen_before):
             remaining = {order[v] for v in state.lanes[approach]}
             exited_here = [vid for vid in before[approach] if vid not in remaining]
             if exited_here and not green[approach]:
                 raise InvariantViolation(
                     f"vehicles {exited_here} crossed on non-green {approach.name}"
                 )
+            frozen = state.frozen[approach]
+            if was_frozen is not None and not green[approach]:
+                # not walked: the lane stands still and keeps its record
+                if frozen is not was_frozen:
+                    raise InvariantViolation(
+                        f"{approach.name} lost its frozen record on red")
+            elif frozen is not None and (exited_here
+                                         or frozen.since != state.steps):
+                raise InvariantViolation(
+                    f"walked {approach.name} lane holds a frozen record "
+                    f"{frozen} at step {state.steps}")
         for veh in vehicles(state):
             if veh.detected != detected_at_spawn[order[veh]]:
                 raise InvariantViolation(f"detected flag mutated: {veh}")
-        expected_clock += config.time_step
-        if abs(state.clock - expected_clock) > 1e-9:
+        expected_steps += 1
+        if (state.steps != expected_steps
+                or state.clock != expected_steps * config.time_step):
             raise InvariantViolation(
-                f"clock drift: {state.clock} != {expected_clock}"
+                f"clock drift: {state.steps} steps, {state.clock} s after "
+                f"{expected_steps} steps of {config.time_step} s"
             )
         check_state(state, config)
     return state

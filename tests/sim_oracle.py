@@ -9,7 +9,9 @@ the simulator takes its census inside ``kinematics_step`` only. Every
 vehicle's top speed is the config's ``vmax_default``.
 
 ``SpawnOrder`` rebuilds the vehicle numbers a vehicle no longer carries,
-for tests that follow vehicles across steps.
+for tests that follow vehicles across steps. ``settled_waits`` is the
+wait census out of per-vehicle step counts, for references that must not
+read waits through the census under test.
 """
 
 import math
@@ -74,6 +76,31 @@ def vehicles(state):
     ``APPROACHES`` order."""
     for approach in APPROACHES:
         yield from state.lanes[approach]
+
+
+def settled_waits(state, since=(0.0, 0, 0.0, 0)):
+    """Per-class wait totals and counts (detected wait, detected count,
+    undetected wait, undetected count) of the vehicles that exited after
+    ``since``, totals of that layout taken earlier, plus those still on
+    the road: each on-road wait is the vehicle's step count times the time
+    step. Every frozen lane is thawed first, which settles the steps since
+    it froze into its vehicles' counts and changes no later step (a lane
+    the oracle walks at every step holds no record to thaw)."""
+    for approach in APPROACHES:
+        state.thaw(approach)
+    wait_det = state.exited_wait_detected - since[0]
+    n_det = state.exited_n_detected - since[1]
+    wait_undet = state.exited_wait_undetected - since[2]
+    n_undet = state.exited_n_undetected - since[3]
+    for veh in vehicles(state):
+        wait = veh.cumulative_wait * state.time_step
+        if veh.detected:
+            wait_det += wait
+            n_det += 1
+        else:
+            wait_undet += wait
+            n_undet += 1
+    return wait_det, n_det, wait_undet, n_undet
 
 
 def road_census(state, config):
@@ -184,7 +211,7 @@ def kinematics_step(state, config):
                     veh.cumulative_wait += 1
                 survivors.append(veh)
         state.lanes[approach] = survivors
-    state.clock += dt
+    state.steps += 1
     return state
 
 
@@ -216,7 +243,7 @@ def observation(state, config):
                     nearest = veh.position
         obs[i] = min(count / capacity, 1.0)
         obs[N_COUNT_SLOTS + i] = 1.0 if nearest is None else min(nearest / sim.lane_length, 1.0)
-    obs[PHASE_TIME_SLOT] = state.signal.phase_elapsed
+    obs[PHASE_TIME_SLOT] = state.signal.phase_steps * sim.time_step
     obs[AMBER_SLOT] = 1.0 if state.signal.in_amber else 0.0
     obs[PHASE_SLOT] = float(int(state.signal.phase))
     return obs

@@ -12,7 +12,9 @@ import pytest
 
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
 from trafficlab.agents import AgentConfig, make_agent
-from trafficlab.config import ExperimentSpec
+from trafficlab.cli import build_parser
+from trafficlab.config import (_COERCERS, _SECTION_TYPES, ExperimentSpec,
+                               load_config_file)
 from trafficlab.env import EnvConfig, TrafficSignalEnv
 from trafficlab.harness import build_env_config, evaluate_agent
 from trafficlab.sim import SimConfig
@@ -250,3 +252,28 @@ def test_schedule_refuses_a_breakpoint_that_is_no_pair_of_numbers(
 
 def test_schedule_takes_a_list_pair_as_a_breakpoint():
     assert DetectionSchedule([[0, 1], [10.0, 0.5]]).rate_at(5.0) == 0.75
+
+
+def test_every_file_key_parses_by_its_kind():
+    # a section's field named after another section is set there
+    for cls in _SECTION_TYPES.values():
+        for f in dataclasses.fields(cls):
+            assert f.name in _SECTION_TYPES or f.type in _COERCERS, (
+                cls.__name__, f.name, f.type)
+
+
+def test_a_count_or_none_takes_none_in_a_file_and_as_a_flag(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[experiment]\ntrain_steps = none\n"
+                    "[deploy]\nupdate_period = Off\n")
+    sections = load_config_file(path)
+    assert sections["experiment"] == {"train_steps": None}
+    assert sections["deploy"] == {"update_period": None}
+    args = build_parser().parse_args(
+        ["adapt", "--steps", "none", "--update-period", "none"])
+    assert args.train_steps is None and args.update_period is None
+    spec = ExperimentSpec(algorithms=["ppo", "a2c"], train_steps=None)
+    assert [spec.steps_for(a) for a in spec.algorithms] == [100_000, 250_000]
+    path.write_text("[experiment]\ntrain_steps = no\n")
+    with pytest.raises(ValueError, match="train_steps: invalid literal"):
+        load_config_file(path)

@@ -72,7 +72,7 @@ def test_observation_is_the_same_at_any_time_of_day():
     for _ in range(40):
         obs, _, _, info = env.step(Command.KEEP)
     assert obs.shape == (11,)
-    env.state.clock += 43_210.0  # the same road and signal, hours later
+    env.state.steps += 43_210  # the same road and signal, hours later
     later = build_observation(env.state, env.config, info["census"])
     assert later.tobytes() == obs.tobytes()
 
@@ -308,6 +308,20 @@ def test_episode_runs_exactly_episode_length_steps():
     assert steps == 120
 
 
+@pytest.mark.parametrize("time_step, episode_length, steps",
+                         [(0.1, 100.0, 1000), (0.3, 30.0, 100), (0.7, 7.0, 10),
+                          (2.0, 10.0, 5)])
+def test_episode_ends_at_its_step_count(time_step, episode_length, steps):
+    env = TrafficSignalEnv(EnvConfig(sim=SimConfig(time_step=time_step),
+                                     episode_length=episode_length))
+    env.reset(seed=0)
+    for _ in range(steps - 1):
+        assert not env.step(Command.KEEP)[2]
+    assert env.step(Command.KEEP)[2]
+    assert env.state.steps == steps
+    assert env.state.clock == steps * time_step
+
+
 def test_step_after_done_raises():
     env = make_env(episode_length=5.0)
     env.reset(seed=0)
@@ -329,7 +343,7 @@ def test_step_rejects_an_action_other_than_keep_or_switch(action):
     env.reset(seed=3)
     with pytest.raises(ValueError, match=f"got {action!r}"):
         env.step(action)
-    assert env.state.clock == 0.0  # the bad action advanced nothing
+    assert env.state.steps == 0  # the bad action advanced nothing
 
 
 @pytest.mark.parametrize("action, command",

@@ -128,13 +128,16 @@ def rollout_digest(steps: int = 3600, seed: int = 20) -> str:
                        m.exited_all, m.exited_detected, m.exited_undetected,
                        queue_lengths(env.state, cfg.sim))).encode())
     s = env.state
+    for a in APPROACHES:  # settle frozen lanes' held steps into the counts
+        s.thaw(a)
     # spawned_count stands where the next vehicle id stood: they were equal
     h.update(repr((s.clock, s.spawned_count, s.spawned_detected_count,
                    s.exited_count, s.exited_wait_detected, s.exited_n_detected,
                    s.exited_wait_undetected, s.exited_n_undetected,
                    s.spawned_count, [s.pending[a] for a in APPROACHES],
-                   [[(order[v], v.position, v.speed, s.wait_seconds(a, v),
-                      v.detected) for v in s.lanes[a]]
+                   [[(order[v], v.position, v.speed,
+                      v.cumulative_wait * s.time_step, v.detected)
+                     for v in s.lanes[a]]
                     for a in APPROACHES])).encode())
     return h.hexdigest()
 

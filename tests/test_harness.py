@@ -48,7 +48,7 @@ from trafficlab.harness import (
 )
 from trafficlab.nn import Mlp
 from trafficlab.sim import class_means, scenario_preset
-from sim_oracle import road_census
+from sim_oracle import road_census, settled_waits
 
 # Tiny budgets: these tests exercise plumbing, not learning quality.
 TINY = dict(train_steps=300, eval_episodes=2, episode_length=120.0)
@@ -646,9 +646,7 @@ def test_eval_mean_queue_equals_a_per_step_metrics_loop():
 def curve_wait(state):
     """The mean wait of every vehicle that entered: the exit totals plus
     the vehicles still on the road."""
-    return class_means(*state.add_onroad_waits(
-        state.exited_wait_detected, state.exited_n_detected,
-        state.exited_wait_undetected, state.exited_n_undetected))[0]
+    return class_means(*settled_waits(state))[0]
 
 
 class NeverSwitch(PpoAgent):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,7 +257,8 @@ def test_red_signal_vehicle_stops_at_line():
     veh = state.lanes[Approach.NORTH][0]
     assert veh.speed == 0.0
     assert 0.0 <= veh.position <= 1.0
-    assert state.wait_seconds(Approach.NORTH, veh) > 0.0
+    wait_det, n_det, _, _ = state.entered_waits()
+    assert n_det == 1 and wait_det > 0.0
 
 
 def test_follower_keeps_min_gap_behind_leader():
@@ -294,8 +296,11 @@ def test_red_queue_at_exact_spacing_stands_still_and_waits():
                                  detected=i % 2 == 1, wait=3))
     state.spawned_count = 5
     census = kinematics_step(state, cfg)
-    assert [(v.position, v.speed, state.wait_seconds(Approach.NORTH, v))
+    assert [(v.position, v.speed, v.cumulative_wait * cfg.time_step)
             for v in lane] == [(i * spacing, 0.0, 4.0) for i in range(5)]
+    # the lane froze on this step, so no step is held beyond each count
+    assert state.frozen[Approach.NORTH].since == state.steps == 1
+    assert state.entered_waits() == (2 * 4.0, 2, 3 * 4.0, 3)
     assert state.exited_count == 0
     assert census.queue == 5
     assert census.detected_counts[Approach.NORTH] == 2
@@ -341,10 +346,10 @@ def test_amber_blocks_crossing():
 def test_switch_after_min_green_enters_amber():
     cfg = SimConfig()
     state = SimState.initial(cfg)
-    state.signal.phase_elapsed = cfg.min_green
+    state.signal.phase_steps = 5  # min_green: 5 steps of 1.0 s
     signal_step(state, Command.SWITCH, cfg)
     assert state.signal.in_amber
-    assert state.signal.amber_elapsed == 0.0
+    assert state.signal.amber_steps == 0
     assert state.signal.phase is Phase.NS_GREEN
 
 
@@ -352,30 +357,30 @@ def test_amber_completion_enters_opposite_phase():
     cfg = SimConfig()
     state = SimState.initial(cfg)
     state.signal.in_amber = True
-    state.signal.amber_elapsed = cfg.amber_duration - cfg.time_step
+    state.signal.amber_steps = 3  # one step short of amber_duration
     signal_step(state, Command.KEEP, cfg)
     sig = state.signal
     assert not sig.in_amber
     assert sig.phase is Phase.EW_GREEN
-    assert sig.phase_elapsed == 0.0
-    assert sig.amber_elapsed == 0.0
+    assert sig.phase_steps == 0
+    assert sig.amber_steps == 0
 
 
 def test_switch_before_min_green_is_ignored():
     cfg = SimConfig()
     state = SimState.initial(cfg)
-    state.signal.phase_elapsed = cfg.min_green - cfg.time_step
+    state.signal.phase_steps = 4  # one step short of min_green
     signal_step(state, Command.SWITCH, cfg)
     sig = state.signal
     assert not sig.in_amber
     assert sig.phase is Phase.NS_GREEN
-    assert sig.phase_elapsed == cfg.min_green
+    assert sig.phase_steps * cfg.time_step == cfg.min_green
 
 
 def test_amber_ignores_commands_until_complete():
     cfg = SimConfig()
     state = SimState.initial(cfg)
-    state.signal.phase_elapsed = cfg.min_green
+    state.signal.phase_steps = 5  # min_green: 5 steps of 1.0 s
     signal_step(state, Command.SWITCH, cfg)
     amber_steps = 0
     while state.signal.in_amber:
@@ -384,6 +389,78 @@ def test_amber_ignores_commands_until_complete():
         assert amber_steps <= 100
     assert amber_steps * cfg.time_step == pytest.approx(cfg.amber_duration)
     assert state.signal.phase is Phase.EW_GREEN
+
+
+def least_steps(duration, time_step):
+    """The least step count ``k`` with ``k * time_step >= duration``, in
+    exact decimal arithmetic (both are decimal literals)."""
+    return math.ceil(Fraction(str(duration)) / Fraction(str(time_step)))
+
+
+def signal_runs(cfg, steps):
+    """The (phase, in amber) state after each of ``steps`` signal steps,
+    commanded to switch at every step, as runs: (state, steps it held)."""
+    state = SimState.initial(cfg)
+    runs = []
+    for _ in range(steps):
+        signal_step(state, Command.SWITCH, cfg)
+        now = (state.signal.phase, state.signal.in_amber)
+        if runs and runs[-1][0] == now:
+            runs[-1][1] += 1
+        else:
+            runs.append([now, 1])
+    return runs
+
+
+@pytest.mark.parametrize("min_green, amber_duration", [(5.0, 4.0), (4.0, 5.0)])
+@pytest.mark.parametrize("time_step", [0.1, 0.2, 0.3, 0.7, 1.0, 2.0])
+def test_green_and_amber_last_the_least_steps_covering_them(
+        time_step, min_green, amber_duration):
+    # at 0.1 s fifty float additions of 0.1 give 4.999999999999998, which
+    # held a 5 s timer for 51 steps when the timers were float sums
+    cfg = SimConfig(time_step=time_step, min_green=min_green,
+                    amber_duration=amber_duration)
+    green = least_steps(cfg.min_green, time_step)
+    amber = least_steps(cfg.amber_duration, time_step)
+    runs = signal_runs(cfg, 3 * (green + amber + 1))
+    # the first green's timer starts at the first step; a later green's
+    # starts on the step after the one that ended the amber, which is
+    # green already
+    assert runs[:5] == [[(Phase.NS_GREEN, False), green],
+                        [(Phase.NS_GREEN, True), amber],
+                        [(Phase.EW_GREEN, False), green + 1],
+                        [(Phase.EW_GREEN, True), amber],
+                        [(Phase.NS_GREEN, False), green + 1]]
+
+
+def float_timer_runs(cfg, steps):
+    """``signal_runs`` of a signal whose timers are float sums of the time
+    step, as they were before the signal counted steps."""
+    phase, in_amber, phase_elapsed, amber_elapsed = Phase.NS_GREEN, False, 0.0, 0.0
+    runs = []
+    for _ in range(steps):
+        if in_amber:
+            amber_elapsed += cfg.time_step
+            phase_elapsed += cfg.time_step
+            if amber_elapsed >= cfg.amber_duration:
+                phase, in_amber = phase.opposite, False
+                amber_elapsed = phase_elapsed = 0.0
+        elif phase_elapsed >= cfg.min_green:
+            in_amber, amber_elapsed = True, 0.0
+        else:
+            phase_elapsed += cfg.time_step
+        if runs and runs[-1][0] == (phase, in_amber):
+            runs[-1][1] += 1
+        else:
+            runs.append([(phase, in_amber), 1])
+    return runs
+
+
+@pytest.mark.parametrize("min_green, amber_duration",
+                         [(5.0, 4.0), (1.0, 1.0), (7.0, 3.0), (2.5, 1.5)])
+def test_step_timers_change_nothing_at_one_second(min_green, amber_duration):
+    cfg = SimConfig(min_green=min_green, amber_duration=amber_duration)
+    assert signal_runs(cfg, 300) == float_timer_runs(cfg, 300)
 
 
 def test_full_cycle_returns_to_start_phase():

@@ -31,12 +31,28 @@ from trafficlab.sim import (
 )
 
 
+def held(state, approach):
+    """The steps ``approach``'s lane has stood frozen since its record."""
+    return state.steps - state.frozen[approach].since
+
+
+def frozen_wait(state):
+    """A ``road`` reader of the simulator's waits: a vehicle's wait steps,
+    plus those its lane has stood frozen, times ``time_step``."""
+    def wait(approach, veh):
+        steps = veh.cumulative_wait
+        if state.frozen[approach] is not None:
+            steps += held(state, approach)
+        return steps * state.time_step
+    return wait
+
+
 def road(state, order=None, wait=None):
     """Every vehicle's fields, lane by lane, led by its spawn number when
     ``order`` (a ``sim_oracle.SpawnOrder``) is given. Its wait in seconds
-    is read by ``wait(approach, vehicle)``, ``state.wait_seconds`` unless
+    is read by ``wait(approach, vehicle)``, ``frozen_wait(state)`` unless
     given."""
-    wait = state.wait_seconds if wait is None else wait
+    wait = frozen_wait(state) if wait is None else wait
     return [[(None if order is None else order[v], v.position, v.speed,
               v.detected, wait(a, v)) for v in state.lanes[a]]
             for a in APPROACHES]
@@ -49,7 +65,7 @@ def oracle_wait(time_step):
 
 
 def counters(state):
-    return (state.clock, state.spawned_count, state.spawned_detected_count,
+    return (state.steps, state.clock, state.spawned_count, state.spawned_detected_count,
             state.exited_count, state.exited_wait_detected,
             state.exited_n_detected, state.exited_wait_undetected,
             state.exited_n_undetected, [state.pending[a] for a in APPROACHES])
@@ -112,7 +128,7 @@ def never_switch(signal):
 
 
 def fixed_time_30s(signal):
-    return (Command.SWITCH if not signal.in_amber and signal.phase_elapsed >= 30.0
+    return (Command.SWITCH if not signal.in_amber and signal.phase_steps >= 30
             else Command.KEEP)
 
 
@@ -152,7 +168,9 @@ NORTH = APPROACHES[0]
 
 def step_both(state, ref, sim, command=Command.KEEP):
     """One step of ``state`` and of its oracle twin ``ref``; their roads,
-    counters and census must agree bit for bit."""
+    counters, census and wait census (from the start and over the step)
+    must agree bit for bit."""
+    before = state.exit_totals()
     signal_step(state, command, sim)
     spawn_step(state, sim)
     census = kinematics_step(state, sim)
@@ -162,24 +180,10 @@ def step_both(state, ref, sim, command=Command.KEEP):
     assert repr(road(state)) == repr(road(ref, wait=oracle_wait(sim.time_step)))
     assert repr(counters(state)) == repr(counters(ref))
     assert repr(census) == repr(sim_oracle.road_census(ref, sim))
-    totals = (0.5, 3, 1.25, 2)
-    assert repr(state.add_onroad_waits(*totals)) == repr(
-        oracle_onroad_waits(ref, sim.time_step, *totals))
+    assert repr(state.entered_waits()) == repr(sim_oracle.settled_waits(ref))
+    assert repr(state.entered_waits(since=before)) == repr(
+        sim_oracle.settled_waits(ref, before))
     return census
-
-
-def oracle_onroad_waits(ref, time_step, wait_det, n_det, wait_undet, n_undet):
-    """``add_onroad_waits`` over the oracle's waits: each vehicle's wait
-    steps times ``time_step``."""
-    for veh in sim_oracle.vehicles(ref):
-        wait = veh.cumulative_wait * time_step
-        if veh.detected:
-            wait_det += wait
-            n_det += 1
-        else:
-            wait_undet += wait
-            n_undet += 1
-    return wait_det, n_det, wait_undet, n_undet
 
 
 def red_queue(sim, n):
@@ -204,7 +208,7 @@ def hold(state, ref, sim, steps):
     first and stay frozen, held one step more on each later one."""
     for k in range(steps):
         step_both(state, ref, sim)
-        assert state.frozen[NORTH].held == k
+        assert held(state, NORTH) == k
 
 
 def test_a_spawn_into_a_frozen_lane_thaws_it():
@@ -232,21 +236,21 @@ def test_a_spawn_into_a_frozen_lane_thaws_it():
 def test_amber_keeps_a_red_lane_frozen():
     sim = SimConfig(arrival_rate=0.0)
     state, ref = red_queue(sim, 6)
-    state.signal.phase_elapsed = ref.signal.phase_elapsed = sim.min_green
+    state.signal.phase_steps = ref.signal.phase_steps = 5  # min_green
     hold(state, ref, sim, 3)
     record = state.frozen[NORTH]
     step_both(state, ref, sim, Command.SWITCH)  # east-west turns amber
-    assert state.signal.in_amber and record.held == 3
-    for held in range(4, 4 + int(sim.amber_duration / sim.time_step) - 1):
+    assert state.signal.in_amber and held(state, NORTH) == 3
+    for k in range(4, 4 + int(sim.amber_duration / sim.time_step) - 1):
         step_both(state, ref, sim)
         assert state.signal.in_amber
-        assert state.frozen[NORTH] is record and record.held == held
+        assert state.frozen[NORTH] is record and held(state, NORTH) == k
 
 
 def test_green_thaws_a_frozen_lane_and_settles_its_waits():
     sim = SimConfig(arrival_rate=0.0)
     state, ref = red_queue(sim, 6)
-    state.signal.phase_elapsed = ref.signal.phase_elapsed = sim.min_green
+    state.signal.phase_steps = ref.signal.phase_steps = 5  # min_green
     hold(state, ref, sim, 20)
     record = state.frozen[NORTH]
     step_both(state, ref, sim, Command.SWITCH)
@@ -256,15 +260,17 @@ def test_green_thaws_a_frozen_lane_and_settles_its_waits():
     # the step that turned north-south green thawed the lane
     assert state.signal.phase is Phase.NS_GREEN
     assert state.frozen[NORTH] is None
-    assert record.held == 19 + sim.amber_duration / sim.time_step
+    # thawed before the step was counted, after it had stood frozen for
+    held_steps = state.steps - 1 - record.since
+    assert held_steps == 19 + sim.amber_duration / sim.time_step
     # with no record left, each wait is read from the vehicle's own count,
     # which step_both found equal to the oracle's: the held steps are in it
-    assert min(v.cumulative_wait for v in state.lanes[NORTH]) >= record.held + 1
+    assert min(v.cumulative_wait for v in state.lanes[NORTH]) >= held_steps + 1
 
 
 @pytest.mark.parametrize("time_step", [1.0, 0.1])
 def test_onroad_waits_mid_freeze_equal_the_oracle(time_step):
-    # step_both compares add_onroad_waits with the oracle's at every step;
+    # step_both compares entered_waits with the oracle's at every step;
     # at 0.1 s the red queues stand by a braking cap of 0.0, not the
     # short branch
     sim = scenario_preset("dense", detection_rate=0.5, rng_seed=11,
@@ -273,9 +279,33 @@ def test_onroad_waits_mid_freeze_equal_the_oracle(time_step):
     mid_freeze = 0
     for _ in range(int(round(600 / time_step))):
         step_both(state, ref, sim)  # never switch: north-south stays green
-        mid_freeze += any(f is not None and f.held
+        mid_freeze += any(f is not None and f.since < state.steps
                           for f in state.frozen)
     assert mid_freeze > 0
+
+
+@pytest.mark.parametrize("time_step", [1.0, 0.1])
+def test_window_waits_since_a_boundary_equal_the_oracle(time_step):
+    # deployment windows: every window's waits are entered_waits since the
+    # exit totals at its start, over a road whose red queues stand frozen
+    # across boundaries
+    sim = scenario_preset("dense", detection_rate=0.5, rng_seed=5,
+                          time_step=time_step)
+    state, ref = SimState.initial(sim), SimState.initial(sim)
+    window = int(round(40 / time_step))
+    since = state.exit_totals()
+    frozen_across = 0
+    for k in range(1, 10 * window + 1):
+        # switch every 150 s, so red queues fill, freeze and discharge
+        switch = k % int(round(150 / time_step)) == 0
+        step_both(state, ref, sim, Command.SWITCH if switch else Command.KEEP)
+        if k % window == 0:
+            assert repr(state.entered_waits(since=since)) == repr(
+                sim_oracle.settled_waits(ref, since))
+            frozen_across += any(f is not None and f.since < state.steps - 1
+                                 for f in state.frozen)
+            since = state.exit_totals()
+    assert frozen_across > 0
 
 
 @pytest.mark.parametrize("time_step", [0.1, 0.3, 0.7])
@@ -300,7 +330,7 @@ def test_a_deep_copy_mid_freeze_rolls_forward_as_the_original():
         signal_step(state, Command.KEEP, sim)
         spawn_step(state, sim)
         kinematics_step(state, sim)
-    assert any(f is not None and f.held for f in state.frozen)
+    assert any(f is not None and f.since < state.steps for f in state.frozen)
     twin = copy.deepcopy(state)
     commands = [Command.SWITCH if k % 40 == 0 else Command.KEEP
                 for k in range(1, 400)]
@@ -314,28 +344,31 @@ def test_a_deep_copy_mid_freeze_rolls_forward_as_the_original():
             spawn_step(s, sim)
             census = kinematics_step(s, sim)
             trace.append(repr((census, road(s), counters(s),
-                               s.add_onroad_waits(0.0, 0, 0.0, 0))))
+                               s.entered_waits())))
         runs.append(trace)
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("own, held", [(0, 0), (4, 0), (0, 9), (37, 2500)])
+@pytest.mark.parametrize("own, frozen_for", [(0, 0), (4, 0), (0, 9), (37, 2500)])
 @pytest.mark.parametrize("time_step", [0.1, 0.3, 0.7, 1.0, 2.0])
-def test_a_wait_is_its_step_count_times_the_time_step(time_step, own, held):
-    # own wait steps plus the steps the lane is held frozen, before and
-    # after thawing settles the held steps into the vehicle's count
+def test_a_wait_is_its_step_count_times_the_time_step(time_step, own,
+                                                      frozen_for):
+    # own wait steps plus the steps the lane has stood frozen, before and
+    # after thawing settles those steps into the vehicle's count
     state = SimState.initial(SimConfig(arrival_rate=0.0, time_step=time_step))
-    veh = Vehicle(0.0, 0.0, True, cumulative_wait=own)
+    veh = Vehicle(0.0, 0.0, False, cumulative_wait=own)
     state.lanes[NORTH] = [veh]
-    state.frozen[NORTH] = FrozenLane(1, 0.0, held)
-    expected = (own + held) * time_step
-    assert state.wait_seconds(NORTH, veh) == expected
+    state.steps = 100 + frozen_for
+    state.frozen[NORTH] = FrozenLane(0, None, 100)
+    expected = (own + frozen_for) * time_step
+    assert state.entered_waits() == (0.0, 0, expected, 1)
     state.thaw(NORTH)
-    assert state.frozen[NORTH] is None and veh.cumulative_wait == own + held
-    assert state.wait_seconds(NORTH, veh) == expected
+    assert state.frozen[NORTH] is None
+    assert veh.cumulative_wait == own + frozen_for
+    assert state.entered_waits() == (0.0, 0, expected, 1)
     if time_step == 1.0:  # what adding the time step once per step gives
         total = 0.0
-        for _ in range(own + held):
+        for _ in range(own + frozen_for):
             total += time_step
         assert expected == total
 
