@@ -31,6 +31,7 @@ from trafficlab.nn import (
     KfacStats,
     Mlp,
     MlpStack,
+    PassScratch,
     SgdOptimizer,
     StackPass,
 )
@@ -312,7 +313,8 @@ class Agent:
         a one-row call and are compared as ``act`` compares them."""
         x = self._check_rows(obs)
         actions = []
-        for v0, v1 in net((x * self._obs_scale)[:, None, :])[:, 0].tolist():
+        outputs = net.run((x * self._obs_scale)[:, None, :])[:, 0]
+        for v0, v1 in outputs.tolist():
             if not (math.isfinite(v0) and math.isfinite(v1)):  # else an arbitrary action
                 raise DivergenceError(f"{what} are not finite: {v0}, {v1}")
             actions.append(0 if v0 >= v1 else 1)  # argmax: a tie keeps the first
@@ -490,7 +492,7 @@ class DqlAgent(Agent):
         obs = self._check_obs(obs)
         if explore and self._rng.random() < self.epsilon():
             return int(self._rng.integers(N_ACTIONS))
-        q0, q1 = self.q_net(obs * self._obs_scale).tolist()
+        q0, q1 = self.q_net.run(obs * self._obs_scale).tolist()
         if not (math.isfinite(q0) and math.isfinite(q1)):  # else an arbitrary action
             raise DivergenceError(f"q-values are not finite: {q0}, {q1}")
         return 0 if q0 >= q1 else 1  # argmax: a tie keeps the first
@@ -559,6 +561,31 @@ class DqlAgent(Agent):
         return {"q": self.optimizer}
 
 
+class _AcWorkspace:
+    """The arrays of actor-critic updates of up to ``rows`` rows: the
+    ``(1, rows, obs_dim)`` input ``x`` and, per row count met, the passes
+    of the actor's and the critic's one-member stacks over its leading
+    rows, all over one ``PassScratch``, so the two nets share every array
+    of equal width. Every array is overwritten by the next step."""
+
+    def __init__(self, actor: Mlp, critic: Mlp, rows: int, obs_dim: int):
+        self.rows = rows
+        self._stacks = [MlpStack(net.layers, 1, net.params[None])
+                        for net in (actor, critic)]
+        self._scratch = PassScratch(rows, actor.params.dtype)
+        self.x = self._scratch.take("x", (1, rows, obs_dim))
+        self._passes: dict[int, tuple[StackPass, StackPass]] = {}
+
+    def passes(self, batch: int) -> tuple[StackPass, StackPass]:
+        """The actor's and the critic's pass over ``x[:, :batch]``."""
+        pair = self._passes.get(batch)
+        if pair is None:
+            x = self.x[:, :batch]
+            pair = self._passes[batch] = tuple(
+                StackPass(stack, x, self._scratch) for stack in self._stacks)
+        return pair
+
+
 class _ActorCriticAgent(Agent):
     """Shared machinery: softmax policy over two logits plus a value net,
     each with its own optimizer of the class's ``optimizer_class``, and the
@@ -572,6 +599,16 @@ class _ActorCriticAgent(Agent):
     whole rollout and pi_old is this forward's own policy: the ratio is
     exactly 1, the clip never binds, and the step is A2C's, bit for bit
     (Huang et al., arXiv 2205.09123).
+
+    Each net trains through the ``StackPass`` of its one-member stack,
+    over a workspace (``_AcWorkspace``) built at the first update for its
+    largest actor step (the rollout, or a PPO minibatch) and again for a
+    larger one; a shorter step runs on its leading rows.
+    The update equals its reference, built from ``Mlp.forward``,
+    ``Mlp.backward`` and the optimizers, bit for bit (the test suite
+    holds them equal). The passes read the nets in place, so rebinding
+    ``actor`` or ``critic`` after the first update cuts it off from them;
+    a copy (``copy.deepcopy``, ``pickle``) builds its own workspace.
     """
 
     optimizer_class: type = AdamOptimizer
@@ -585,6 +622,11 @@ class _ActorCriticAgent(Agent):
         self.critic = Mlp.create([obs_dim] + hidden + [1], seed=config.seed + 1)
         self.actor_optimizer = self.optimizer_class(self.actor)
         self.critic_optimizer = self.optimizer_class(self.critic)
+        self._workspace: _AcWorkspace | None = None
+
+    def __getstate__(self) -> dict:
+        # the workspace views the nets: a copy builds its own
+        return dict(self.__dict__, _workspace=None)
 
     @property
     def needs_rollout(self) -> int:
@@ -596,7 +638,7 @@ class _ActorCriticAgent(Agent):
         # np.log run the array calls' ufunc loops, so results stay bit-equal
         # to the array path; math.exp and math.log may round differently.
         obs = self._check_obs(obs)
-        l0, l1 = self.actor(obs * self._obs_scale).tolist()
+        l0, l1 = self.actor.run(obs * self._obs_scale).tolist()
         if not (math.isfinite(l0) and math.isfinite(l1)):  # else an arbitrary action
             raise DivergenceError(f"policy logits are not finite: {l0}, {l1}")
         top = max(l0, l1)
@@ -631,12 +673,17 @@ class _ActorCriticAgent(Agent):
                              "action taken, which rollout records")
         cfg = self.config
         self.train_steps += len(transitions)
+        rows = len(transitions)  # the most rows an actor step takes
+        rows = rows if self.single_pass else min(rows, cfg.ppo_minibatch)
+        ws = self._workspace
+        if ws is None or ws.rows < rows:
+            ws = self._workspace = _AcWorkspace(self.actor, self.critic, rows,
+                                                self.obs_dim)
         low, high = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
-        for obs, actions, targets, adv, old_logp in self._minibatches(
-                transitions):
-            m = len(adv)
-            logits, cache = self.actor.forward(obs)
-            logp = _log_softmax(logits)
+        for m, actions, targets, adv, old_logp in self._minibatches(
+                transitions, ws.x[0]):
+            actor, critic = ws.passes(m)
+            logp = _log_softmax(actor.forward()[0])
             pi = np.exp(logp)
             taken = logp[np.arange(m), actions]
             # a single pass against its own log-probs: exp(0) = 1 exactly
@@ -653,24 +700,26 @@ class _ActorCriticAgent(Agent):
             coeff = np.where(unclipped <= clipped, adv * ratio, 0.0)
             entropy = _entropy(pi, logp)
             score = _ONE_HOT[actions] - pi
-            grads = self.actor.backward(cache, self._actor_surrogate_grad(
-                logp, pi, score, coeff, entropy))
+            actor.dout[...] = self._actor_surrogate_grad(logp, pi, score,
+                                                         coeff, entropy)
             self.actor_optimizer.step(
-                self.actor, self._actor_direction(grads, cache, score),
-                cfg.actor_lr)
-            critic_loss = self._critic_step(obs, targets)
+                self.actor, self._actor_direction(actor.backward(0), actor,
+                                                  score), cfg.actor_lr)
+            critic_loss = self._critic_step(critic, targets)
         return {"actor_loss": -objective, "critic_loss": critic_loss,
                 "entropy": float(entropy.sum()) / m}
 
-    def _minibatches(self, transitions: list[Transition]):
-        """``(obs, actions, targets, advantages, old_logp)`` of each actor
-        step: for a single pass, the whole rollout unindexed (no copy) and
-        no ``old_logp``; for PPO, ``ppo_epochs`` permutations, each drawn
-        as its epoch begins, cut into ``ppo_minibatch`` chunks."""
+    def _minibatches(self, transitions: list[Transition], x: np.ndarray):
+        """``(rows, actions, targets, advantages, old_logp)`` of each actor
+        step, whose observations it writes into ``x``'s leading rows: for
+        a single pass, the whole rollout and no ``old_logp``; for PPO,
+        ``ppo_epochs`` permutations, each drawn as its epoch begins, cut
+        into ``ppo_minibatch`` chunks."""
         obs, actions, targets, advantages = self._targets_and_advantages(
             transitions)
         if self.single_pass:
-            yield obs, actions, targets, advantages, None
+            x[:len(obs)] = obs
+            yield len(obs), actions, targets, advantages, None
             return
         cfg = self.config
         old_logp = np.array([t.log_prob for t in transitions], dtype=DTYPE)
@@ -678,7 +727,8 @@ class _ActorCriticAgent(Agent):
             perm = self._rng.permutation(len(transitions))
             for start in range(0, len(perm), cfg.ppo_minibatch):
                 mb = perm[start:start + cfg.ppo_minibatch]
-                yield (obs[mb], actions[mb], targets[mb], advantages[mb],
+                x[:len(mb)] = obs[mb]
+                yield (len(mb), actions[mb], targets[mb], advantages[mb],
                        old_logp[mb])
 
     def _targets_and_advantages(self, transitions: list[Transition]):
@@ -707,31 +757,35 @@ class _ActorCriticAgent(Agent):
         grad /= len(coeff)
         return grad
 
-    def _actor_direction(self, grads: Gradients, cache, score) -> Gradients:
+    def _actor_direction(self, grads: Gradients, run, score) -> Gradients:
         """The actor's step direction from its surrogate gradient: ascent.
-        ``score`` holds the minibatch's rows ``onehot(a) - pi``."""
+        ``run`` is its pass, ``score`` the minibatch's rows
+        ``onehot(a) - pi``."""
         return grads
 
-    def _critic_step(self, obs, targets) -> float:
-        """Descend the squared error toward fixed targets; repeated
+    def _critic_step(self, run: StackPass, targets) -> float:
+        """Descend the squared error toward fixed targets, through
+        ``run``, the critic's pass over the actor's rows; repeated
         ``critic_epochs`` times so the value scale can be reached within a
         desk-scale update budget."""
         n = len(targets)
+        values = run.acts[-1][0, :, 0]
         loss = 0.0
         for epoch in range(self.config.critic_epochs):
-            v, cache = self.critic.forward(obs)
-            resid = v.ravel() - targets
+            run.forward()
+            resid = values - targets
             loss = float((resid * resid).sum()) / n  # what np.mean computes
             if not math.isfinite(loss):
                 raise DivergenceError("critic loss became non-finite")
             # the negated loss gradient: the optimizers ascend
-            grads = self.critic.backward(cache, (-2.0 * resid / n)[:, None])
+            run.dout[:, 0] = -2.0 * resid / n
             self.critic_optimizer.step(
-                self.critic, self._critic_direction(grads, cache, resid, epoch),
+                self.critic,
+                self._critic_direction(run.backward(0), run, resid, epoch),
                 self.config.critic_lr)
         return loss
 
-    def _critic_direction(self, grads: Gradients, cache, resid,
+    def _critic_direction(self, grads: Gradients, run, resid,
                           epoch: int) -> Gradients:
         """The critic's step direction from the gradient of its negated
         loss: that gradient itself."""
@@ -765,10 +819,10 @@ class AcktrAgent(A2cAgent):
     The factors are refreshed once per update for each net, from the
     actor's score rows ``onehot(a) - pi`` and the critic's residuals of
     its first epoch. A refresh reads only the layer inputs and the
-    pre-activation gradients, so it runs ``Mlp.pre_activation_grads``, the
-    chain of ``backward`` without its weight and bias products. Both
-    scalings write into the fresh preconditioned vector; the raw gradient
-    is only read."""
+    pre-activation gradients, so it runs the net's pass's ``chain``, its
+    backward without the weight and bias products, from those rows, after
+    the backward that gave the step's gradient. Both scalings write into
+    the fresh preconditioned vector; the raw gradient is only read."""
 
     optimizer_class = SgdOptimizer
 
@@ -779,17 +833,17 @@ class AcktrAgent(A2cAgent):
         self.critic_stats = KfacStats(self.critic, damping=config.kfac_damping,
                                       decay=config.kfac_decay)
 
-    def _actor_direction(self, grads, cache, score) -> Gradients:
+    def _actor_direction(self, grads, run, score) -> Gradients:
         # curvature pass: per-sample score-function gradients, unscaled;
         # the factors read only the pre-activation gradients
-        self.actor_stats.update(cache.inputs,
-                                self.actor.pre_activation_grads(cache, score))
+        run.dout[...] = score
+        self.actor_stats.update(run.inputs[0], run.chain(0))
         return self._natural(self.actor_stats, grads, self.config.actor_lr)
 
-    def _critic_direction(self, grads, cache, resid, epoch) -> Gradients:
+    def _critic_direction(self, grads, run, resid, epoch) -> Gradients:
         if epoch == 0:  # refresh curvature once per rollout
-            self.critic_stats.update(
-                cache.inputs, self.critic.pre_activation_grads(cache, resid[:, None]))
+            run.dout[:, 0] = resid
+            self.critic_stats.update(run.inputs[0], run.chain(0))
         return self._natural(self.critic_stats, grads, self.config.critic_lr)
 
     def _natural(self, stats: KfacStats, grads: Gradients,

@@ -16,7 +16,8 @@ per layer as the weight matrix row-major, then the bias; each layer's
 ``w`` and ``b`` are views into it, so an optimizer step is a few
 whole-vector operations. Gradients use the same layout, with the same
 views. A net has two forward passes: calling it is inference and keeps
-nothing, ``forward`` keeps the cache ``backward`` reads. Both run one
+nothing (``run`` is the call without its input check), ``forward`` keeps
+the cache ``backward`` reads. Both run one
 layer loop over a per-layer plan built once with the net (weight, its
 transpose, bias, and tanh on every layer but the last), and a stacked
 pass runs the same steps over a stack's plan. ``backward`` is two parts:
@@ -46,19 +47,22 @@ Inference takes three input shapes, and keeps one equality for each:
   the one-sample call on ``x[k, 0]``, for every ``E``.
 
 A stack of nets (``MlpStack``) keeps ``S`` nets of one shape in one
-``(S, P)`` buffer, each member an ``Mlp`` over its row. A ``StackPass``
-runs their forwards as one pass, ``(S, B, n) @ (S, n, m)`` per layer,
-each member's bias and activation applied to its own block, and then one
-member's backward, all over arrays it builds once for a fixed ``B``.
+``(S, P)`` buffer, each member an ``Mlp`` over its row; a one-member
+stack may be built over a net's own ``params``. A ``StackPass`` runs
+their forwards as one pass, ``(S, B, n) @ (S, n, m)`` per layer, each
+member's bias and activation applied to its own block, and then one
+member's backward or its chain alone, over arrays built once for a fixed
+``B`` from a ``PassScratch`` that passes run one after another share.
 numpy multiplies each matrix of a stack as it multiplies the lone 2-D
 one, so member ``k``'s rows of the pass are bit-equal to
 ``members[k].forward(x[k])``'s outputs and cache and to its batch call,
-for every ``B``, and its backward to ``members[k].backward``. This is the
-pass DQL trains with: its q and target nets are a stack of two, and each
-TD step runs one ``StackPass`` forward and the q net's backward. The pass
-writes its arrays in place, so what it leaves is valid until the next
-pass. ``Mlp.forward`` and ``Mlp.backward``, which the actor-critics run,
-are its reference.
+for every ``B``, its backward to ``members[k].backward`` and its chain
+to ``pre_activation_grads``. Every learner trains through it: DQL's q and
+target nets as a stack of two, each actor-critic net as a one-member
+stack (ACKTR's curvature refresh runs the chain alone). What a pass
+leaves is valid until the next pass over its scratch. No update runs
+``Mlp.forward``, ``Mlp.backward`` or ``pre_activation_grads``: they are
+the pass's reference.
 
 The test suite checks these equalities on the BLAS build it runs on.
 
@@ -250,6 +254,12 @@ class Mlp:
                 f"input size {a.shape[-1]} does not match net input {self.input_size}")
         return _run_plan(self._plan, a)
 
+    def run(self, a: np.ndarray) -> np.ndarray:
+        """The call on an input whose size the caller has checked and
+        whose dtype casts exactly to the net's: the call's output, bit for
+        bit, as the first product casts the input as the call does."""
+        return _run_plan(self._plan, a)
+
     def backward(self, cache: ForwardCache,
                  output_grad: np.ndarray) -> Gradients:
         """Exact gradients of the scalar whose output gradient is supplied.
@@ -311,12 +321,17 @@ class MlpStack:
     ``params``, so an optimizer, inference, ``backward`` and a checkpoint
     treat it as any net; copying one member into another is a row copy.
     A ``StackPass`` runs every member's forward as one pass, layer by
-    layer. A copy of the stack is a stack over a copy of the buffer.
+    layer. ``params``, when given, is the buffer to build over: over a
+    net's ``params[None]``, a one-member stack reads and trains the net in
+    place. A copy of the stack is a stack over a copy of the buffer.
     """
 
-    def __init__(self, layers: list[Layer], size: int):
+    def __init__(self, layers: list[Layer], size: int,
+                 params: np.ndarray | None = None):
         proto = Mlp(layers)  # the layers' values in the nets' dtype
-        self.params = np.empty((size, proto.params.size), proto.params.dtype)
+        if params is None:
+            params = np.empty((size, proto.params.size), proto.params.dtype)
+        self.params = params
         self.members = [Mlp(proto.layers, row) for row in self.params]
         self.input_size = proto.input_size
         ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
@@ -337,32 +352,57 @@ class MlpStack:
         self.params[...] = params
 
 
+class PassScratch:
+    """The arrays of ``StackPass``es of at most ``rows`` rows, in one
+    dtype, that run one after another: one array per name and shape, whose
+    leading rows every pass of fewer rows takes, so each pass overwrites
+    what the last one left. The leading rows of an array with one leading
+    entry (a one-member stack's) are contiguous, as a fresh array is."""
+
+    def __init__(self, rows: int, dtype):
+        self.rows = rows
+        self.dtype = np.dtype(dtype)
+        self._arrays: dict = {}
+
+    def take(self, name, shape: tuple[int, ...]) -> np.ndarray:
+        """The ``(..., B, width)`` leading rows of the ``(..., rows,
+        width)`` array kept for ``name``, made zeroed at the first take."""
+        full = shape[:-2] + (self.rows, shape[-1])
+        array = self._arrays.get((name, full))
+        if array is None:
+            array = self._arrays[name, full] = np.zeros(full, self.dtype)
+        return array[..., :shape[-2], :]
+
+
 class StackPass:
-    """An ``MlpStack``'s forward and one member's ``backward``, over arrays
-    built once for a fixed batch of ``B`` rows.
+    """An ``MlpStack``'s forward and one member's ``backward`` or chain,
+    over arrays built once for a fixed batch of ``B`` rows.
 
     ``x`` is the caller's ``(S, B, n)`` input, written in place before each
     ``forward``; its dtype is the stack's or one that casts to it exactly
     (a DQL agent's replay draws are ``DTYPE`` whatever its nets' dtype).
-    Every other array is the pass's own, in the stack's dtype:
-    ``acts[l]``, ``(S, B, out_l)``, is layer ``l``'s output, the last one
-    the stack's outputs; ``dout``, ``(B, out_L)``, is the output gradient
-    ``backward`` reads, and ``grads`` the ``Gradients`` it writes; the
-    chain scratch is private. Shapes are checked here, once, and never per
-    pass. Each array is overwritten by the next pass, so what a pass
-    leaves is valid until then.
+    Every other array is in the stack's dtype, from ``scratch`` (one of
+    its own by default): ``acts[l]``, ``(S, B, out_l)``, is layer ``l``'s
+    output, the last one the stack's outputs; ``inputs[k]`` lists member
+    ``k``'s layer inputs; ``dout``, ``(B, out_L)``, is the output gradient
+    ``backward`` and ``chain`` read; the chain scratch is private. Only
+    ``grads``, the ``Gradients`` ``backward`` writes, is the pass's own.
+    Shapes are checked here, once, and never per pass. Each array is
+    overwritten by the next pass over the scratch.
 
     ``forward`` writes each layer as ``Mlp._plan`` computes it, its
     product by ``np.matmul(..., out=)``, so row ``k`` of every activation
     is bit-equal to ``members[k].forward(x[k])``'s and to the member's
     batch call. ``backward(k)`` writes what ``members[k].backward`` writes
-    from that cache, bit for bit: the generic passes are its reference,
-    and the test suite checks both equalities. The plan views the stack's
+    from that cache, and ``chain(k)`` what its ``pre_activation_grads``
+    returns, bit for bit: the generic passes are their reference, and the
+    test suite checks the equalities. The plan views the stack's
     ``params``, so the pass reads every in-place write to it; a pass is
     not copied, as a copy of the stack needs a pass of its own.
     """
 
-    def __init__(self, stack: MlpStack, x: np.ndarray):
+    def __init__(self, stack: MlpStack, x: np.ndarray,
+                 scratch: PassScratch | None = None):
         dtype = stack.params.dtype
         size = len(stack.members)
         if x.ndim != 3 or x.shape[0] != size or x.shape[2] != stack.input_size:
@@ -372,32 +412,39 @@ class StackPass:
         if not np.can_cast(x.dtype, dtype, "safe"):
             raise ValueError(f"input dtype {x.dtype} does not cast exactly "
                              f"to the stack's {dtype}")
+        if scratch is None:
+            scratch = PassScratch(batch, dtype)
+        if scratch.dtype != dtype or scratch.rows < batch:
+            raise ValueError(f"a scratch of {scratch.rows} {scratch.dtype} "
+                             f"rows cannot hold {batch} {dtype} rows")
         self._plan = stack._plan
         self.x = x
-        self.acts = [np.empty((size, batch, wt.shape[2]), dtype)
-                     for _, wt, _, _ in self._plan]
-        self.dout = np.zeros((batch, self.acts[-1].shape[2]), dtype)
+        self.acts = [scratch.take(("act", idx), (size, batch, wt.shape[2]))
+                     for idx, (_, wt, _, _) in enumerate(self._plan)]
+        self.dout = scratch.take("dout", (batch, self.acts[-1].shape[2]))
         shapes = [l.w.shape for l in stack.members[0].layers]
         self.grads = Gradients(np.empty(stack.params.shape[1], dtype), shapes)
+        self.inputs = [[x[k]] + [a[k] for a in self.acts[:-1]]
+                       for k in range(size)]
         # the chain scratch, shared by the members: each layer's
-        # pre-activation gradient (``dout`` for the linear output layer)
-        # and its input's gradient
-        pre_grads = [np.empty((batch, a.shape[2]), dtype)
-                     for a in self.acts[:-1]] + [self.dout]
-        input_grads = [None] + [np.empty((batch, in_dim), dtype)
+        # pre-activation gradient (``dout`` for the linear output layer),
+        # and its input's gradient, which layers of one width share
+        pre_grads = self._pre_grads = [
+            scratch.take(("pre_grad", idx), (batch, out_dim))
+            for idx, (out_dim, _) in enumerate(shapes[:-1])] + [self.dout]
+        input_grads = [None] + [scratch.take("input_grad", (batch, in_dim))
                                 for _, in_dim in shapes[1:]]
-        # per member, the layers top down: what the weight and bias
-        # products read and write, and above the first layer the weight,
-        # the input's gradient and the gradient below
-        self._chains = []
-        for k, member in enumerate(stack.members):
-            inputs = [x[k]] + [a[k] for a in self.acts[:-1]]
-            self._chains.append([
-                (pre_grads[idx], inputs[idx], self.grads.dw[idx],
-                 self.grads.db[idx],
-                 (member.layers[idx].w, input_grads[idx], pre_grads[idx - 1])
-                 if idx > 0 else None)
-                for idx in range(len(shapes) - 1, -1, -1)])
+        # per member, the layers above the first, top down: the product
+        # (the broadcast one below a one-column gradient, as
+        # ``pre_activation_grads`` takes it), the weight, the layer's
+        # pre-activation gradient and input, the input's gradient and the
+        # gradient below
+        self._chains = [[
+            (np.multiply if pre_grads[idx].shape[1] == 1 else np.matmul,
+             member.layers[idx].w, pre_grads[idx], self.inputs[k][idx],
+             input_grads[idx], pre_grads[idx - 1])
+            for idx in range(len(shapes) - 1, 0, -1)]
+            for k, member in enumerate(stack.members)]
 
     def __reduce__(self):
         raise TypeError("a StackPass is not copied: build one over the "
@@ -418,21 +465,25 @@ class StackPass:
     def backward(self, member: int) -> Gradients:
         """Member ``member``'s gradients of the scalar whose output
         gradient is ``dout``, from the last ``forward``, into ``grads``:
-        each layer's weight and bias products, then the chain to the layer
-        below, as ``Mlp.backward`` and ``Mlp.pre_activation_grads``
-        compute them."""
-        for ds, a, dw, db, below in self._chains[member]:
+        the chain, then each layer's weight and bias products, as
+        ``Mlp.backward`` computes them."""
+        for ds, a, dw, db in zip(self.chain(member), self.inputs[member],
+                                 self.grads.dw, self.grads.db):
             np.dot(ds.T, a, out=dw)  # the gemm of ds.T @ a, into the view
             np.add.reduce(ds, axis=0, out=db)
-            if below is not None:  # ``a`` is the tanh output of the layer below
-                w, da, ds_below = below
-                # for a one-column ds, each element is one rounded product,
-                # as in the broadcast product ``pre_activation_grads`` takes
-                np.matmul(ds, w, out=da)
-                np.multiply(a, a, out=ds_below)
-                np.subtract(1.0, ds_below, out=ds_below)
-                ds_below *= da
         return self.grads
+
+    def chain(self, member: int) -> list[np.ndarray]:
+        """Member ``member``'s per-sample pre-activation gradients from
+        ``dout`` and the last ``forward``, in layer order (the last is
+        ``dout``), as ``Mlp.pre_activation_grads`` computes them."""
+        for product, w, ds, a, da, ds_below in self._chains[member]:
+            # ``a`` is the tanh output of the layer below
+            product(ds, w, out=da)
+            np.multiply(a, a, out=ds_below)
+            np.subtract(1.0, ds_below, out=ds_below)
+            ds_below *= da
+        return self._pre_grads
 
 
 # ---------------------------------------------------------------------------

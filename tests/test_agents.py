@@ -27,6 +27,7 @@ from trafficlab.agents import (
     ObservationShapeError,
     PpoAgent,
     Transition,
+    _ActorCriticAgent,
     _ALGO_DEFAULTS,
     _entropy,
     _log_softmax,
@@ -41,12 +42,18 @@ from trafficlab.agents import (
     rollout,
     save_agent,
 )
+import ac_reference
 from kfac_oracle import (
     gradients_of,
     solve_precondition,
     use_solve_preconditioner,
 )
 from td_reference import reference_td_step, reference_update
+from trafficlab.adapt import (
+    DeploymentConfig,
+    DetectionSchedule,
+    run_deployment,
+)
 from trafficlab.cli import main as cli_main
 from trafficlab.env import PHASE_TIME_SLOT, TrafficSignalEnv
 from trafficlab.harness import build_env_config, default_agent_config, train_agent
@@ -693,11 +700,160 @@ def test_the_td_step_builds_its_workspace_once_at_its_first_step():
 
 
 # ---------------------------------------------------------------------------
+# actor-critic updates against their reference
+# ---------------------------------------------------------------------------
+
+def same_stats(got, want):
+    """Two updates' stats, equal bit for bit (the sign of a zero too)."""
+    return got.keys() == want.keys() and all(
+        struct.pack("<d", got[k]) == struct.pack("<d", want[k]) for k in got)
+
+
+def ac_agent(algorithm, dtype=np.float32, obs_dim=OBS_DIM, **overrides):
+    """A learner of the command's config for ``algorithm``; with float64
+    nets if asked."""
+    agent = make_agent(default_agent_config(algorithm, seed=3,
+                                            overrides=overrides), obs_dim)
+    return agent if dtype is np.float32 else float64_nets(agent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algorithm=st.sampled_from(["a2c", "ppo", "acktr"]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       hidden=st.lists(st.integers(1, 16), max_size=2),
+       obs_dim=st.integers(1, 12),
+       minibatch=st.integers(1, 40),
+       epochs=st.integers(1, 3),
+       critic_epochs=st.integers(1, 3),
+       entropy_coef=st.sampled_from([0.0, 0.02]),
+       events=st.lists(st.one_of(st.integers(1, 70),
+                                 st.sampled_from(["write actor",
+                                                  "write critic",
+                                                  "checkpoint", "copy"])),
+                       min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_the_actor_critic_update_equals_its_reference_bit_for_bit(
+        algorithm, dtype, hidden, obs_dim, minibatch, epochs, critic_epochs,
+        entropy_coef, events, seed):
+    """``update`` over its workspace against the reference built from the
+    generic passes, update by update, in both nets' dtypes: rollouts of
+    any length (so a workspace regrows, and a shorter rollout or PPO
+    minibatch runs on the leading rows of a longer one's arrays), after
+    in-place writes to either net's ``params`` (which the passes must
+    read, not a stale copy), after a checkpoint round trip and after a
+    copy. The two agents must hold the same params, optimizer state,
+    K-FAC factors, counters and generator state, and return the same
+    stats."""
+    agent = ac_agent(algorithm, dtype, obs_dim, hidden_sizes=hidden,
+                     ppo_minibatch=minibatch, ppo_epochs=epochs,
+                     critic_epochs=critic_epochs, entropy_coef=entropy_coef)
+    twin = copy.deepcopy(agent)
+    rng = np.random.default_rng(seed)
+    for event in [int(rng.integers(1, 70))] + events:
+        if isinstance(event, int):
+            batch = recorded(agent, make_transitions(rng, event, dim=obs_dim))
+            assert same_stats(agent.update(batch),
+                              ac_reference.reference_update(twin, batch))
+            ws = agent._workspace
+            assert ws.x.dtype == dtype
+            assert ws.rows >= (event if algorithm != "ppo"
+                               else min(event, minibatch))
+        elif event.startswith("write"):
+            values = rng.normal(size=agent.actor.params.size if event ==
+                                "write actor" else agent.critic.params.size)
+            for owner in (agent, twin):
+                getattr(owner, event.split()[1]).params[...] = values
+        elif event == "checkpoint":
+            if dtype is np.float64:
+                continue  # format 7 holds float32 nets only
+            agent = agent_from_bytes(agent_to_bytes(agent))
+        else:
+            agent = (copy.deepcopy(agent) if rng.random() < 0.5
+                     else pickle.loads(pickle.dumps(agent)))
+            assert agent._workspace is None
+        assert agent_to_bytes(agent) == agent_to_bytes(twin)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_ppo_update_with_a_short_last_minibatch_equals_its_reference(dtype):
+    """A 100-row rollout in 64-row minibatches: each epoch ends on 36 rows,
+    which run on the leading rows of the 64-row pass's arrays."""
+    agent = ac_agent("ppo", dtype, rollout_length=100, ppo_minibatch=64)
+    twin = copy.deepcopy(agent)
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        batch = recorded(agent, make_transitions(rng, 100))
+        assert same_stats(agent.update(batch),
+                          ac_reference.reference_update(twin, batch))
+        assert agent_to_bytes(agent) == agent_to_bytes(twin)
+    ws = agent._workspace
+    assert ws.rows == 64 and sorted(ws._passes) == [36, 64]
+    for pair in ws._passes.values():
+        for run in pair:
+            assert np.shares_memory(run.x, ws.x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("algorithm", ["a2c", "ppo", "acktr"])
+def test_deployment_updates_of_another_period_equal_the_reference(algorithm,
+                                                                  dtype):
+    """A learner trained on 256-step rollouts, deployed with an
+    ``update_period`` of 96: each online update runs on the leading rows
+    of the training workspace, and the deployment, step by step, is the
+    one the reference update gives."""
+    cfg = build_env_config("sparse", 1.0, 9, episode_length=300.0)
+    agent = ac_agent(algorithm, dtype, cfg.observation_size)
+    train_agent(agent, TrafficSignalEnv(cfg, seed=9), 256)
+    ws = agent._workspace
+    assert ws.rows == (64 if algorithm == "ppo" else 256)
+    twin = copy.deepcopy(agent)
+    twin.update = functools.partial(ac_reference.reference_update, twin)
+    deploy = DeploymentConfig(
+        schedule=DetectionSchedule([(0.0, 1.0), (400.0, 0.2)]),
+        total_steps=400, update_period=96, instability_window=50)
+    results = [run_deployment(owner, cfg, deploy, seed=9)
+               for owner in (agent, twin)]
+    assert results[0] == results[1]
+    assert agent_to_bytes(agent) == agent_to_bytes(twin)
+    assert agent._workspace is ws and agent.train_steps == 256 + 4 * 96
+    # PPO's 96 rows are a 64-row minibatch and a 32-row one
+    assert sorted(ws._passes) == ([32, 64] if algorithm == "ppo"
+                                  else [96, 256])
+
+
+# ---------------------------------------------------------------------------
 # copies
 # ---------------------------------------------------------------------------
 
 COPIERS = [pytest.param(copy.deepcopy, id="deepcopy"),
            pytest.param(lambda x: pickle.loads(pickle.dumps(x)), id="pickle")]
+
+
+@pytest.mark.parametrize("copier", COPIERS)
+@pytest.mark.parametrize("algorithm", ["a2c", "ppo", "acktr"])
+def test_a_copied_actor_critic_builds_a_workspace_of_its_own(copier,
+                                                             algorithm):
+    """A copy taken between updates shares no memory with the original's
+    workspace, builds its own at its next update, over its own nets, and
+    that update is the original's bit for bit."""
+    agent = ac_agent(algorithm, rollout_length=48, ppo_minibatch=32)
+    rng = np.random.default_rng(43)
+    agent.update(recorded(agent, make_transitions(rng, 48)))
+    theirs = list(ac_workspace_arrays(agent._workspace))
+    twin = copier(agent)
+    assert twin._workspace is None
+    assert not any(np.shares_memory(a, b)
+                   for a in float_arrays_in(twin) for b in theirs)
+    batch = recorded(agent, make_transitions(rng, 48))
+    assert same_stats(twin.update(batch), agent.update(batch))
+    assert agent_to_bytes(twin) == agent_to_bytes(agent)
+    ws = twin._workspace
+    assert ws is not None and ws is not agent._workspace
+    assert not any(np.shares_memory(a, b)
+                   for a in ac_workspace_arrays(ws) for b in theirs)
+    for run, net in zip(ws.passes(ws.rows if algorithm != "ppo" else 32),
+                        (twin.actor, twin.critic)):
+        assert np.shares_memory(run._plan[0][0], net.params)
 
 
 @pytest.mark.parametrize("copier", COPIERS)
@@ -1616,6 +1772,14 @@ def test_dql_checkpoint_round_trip_is_byte_exact_and_fits_as_the_live_agent():
 # net dtype
 # ---------------------------------------------------------------------------
 
+def ac_workspace_arrays(ws):
+    """Every float array of an actor-critic workspace: those reachable
+    from it, every array its scratch keeps, and each of its passes'."""
+    yield from float_arrays_in(ws)
+    yield from ws._scratch._arrays.values()
+    yield from float_arrays_in(list(ws._passes.values()))
+
+
 def float_arrays_in(value):
     """Every float array reachable from ``value`` through lists, tuples
     and object attributes."""
@@ -1633,13 +1797,15 @@ def float_arrays_in(value):
 @pytest.mark.parametrize("algorithm", ["dql", "a2c", "ppo", "acktr"])
 def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     """After one update of real training, everything of a net is float32:
-    its parameters, its Adam moments and scratch, every output and cache
-    of both forwards, every pre-activation gradient and gradient vector,
-    K-FAC's factors, inverses and preconditioned directions, DQL's replay
-    and every float array of its TD step's workspace, and every payload
-    array of the agent's checkpoint and of the agent loaded from it. A
-    stray float64 array would upcast each operation it meets, silently,
-    and cost float32's speed."""
+    its parameters, its Adam moments and scratch, the input and output of
+    every inference, every array of each learner's update workspace (the
+    input, activations, output gradient, pre-activation gradients and
+    gradient vector of each pass over it; DQL's replay draw and TD error
+    too), K-FAC's factors, inverses and preconditioned directions, DQL's
+    replay, and every payload array of the agent's checkpoint and of the
+    agent loaded from it. No learner runs the generic passes. A stray
+    float64 array would upcast each operation it meets, silently, and
+    cost float32's speed."""
     seen = defaultdict(set)
 
     def spy(cls, name, record, label=None):
@@ -1656,6 +1822,7 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
         monkeypatch.setattr(cls, name, wrapped)
 
     spy(Mlp, "__call__", lambda x, out: [("input", x), ("output", out)])
+    spy(Mlp, "run", lambda x, out: [("input", x), ("output", out)])
     spy(Mlp, "forward", lambda x, pair: [
         ("input", x), ("output", pair[0]), ("cache output", pair[1].output),
         *[("cache input", a) for a in pair[1].inputs]])
@@ -1665,6 +1832,10 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     spy(DqlAgent, "_td_step", lambda loss: [
         ("loss", np.float64(loss)),
         *[("workspace", a) for a in float_arrays_in(agent._workspace)]])
+    # nor do the actor-critics': each update runs its nets' passes over a
+    # workspace, whose every float array is recorded after the update
+    spy(_ActorCriticAgent, "update", lambda transitions, stats: [
+        ("workspace", a) for a in ac_workspace_arrays(agent._workspace)])
     spy(Mlp, "pre_activation_grads", lambda cache, g, chain: [
         ("output gradient", g), *[("gradient", ds) for ds in chain]])
     spy(Mlp, "backward", lambda cache, g, *out_and_grads: [
@@ -1678,15 +1849,12 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
                        cfg.observation_size)
     train_agent(agent, TrafficSignalEnv(cfg, seed=5), 32)
     assert agent.train_steps == 32
-    expected = {"__call__ input", "__call__ output"}
+    # every act runs ``Mlp.run``; the generic passes never run
+    expected = {"run input", "run output"}
     if algorithm == "dql":
         expected |= {"_td_step loss", "_td_step workspace"}
-    else:
-        expected |= {"forward input", "forward output", "forward cache output",
-                     "forward cache input",
-                     "pre_activation_grads output gradient",
-                     "pre_activation_grads gradient",
-                     "backward output gradient", "backward flat"}
+    else:  # the critic's inference of the targets is a call
+        expected |= {"__call__ input", "__call__ output", "update workspace"}
     if algorithm == "acktr":
         expected.add("precondition flat")
     assert set(seen) == expected
@@ -1727,6 +1895,22 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
         for a in named.values():
             assert any(a is b for b in found)
         arrays.update({f"workspace {k}": a for k, a in named.items()})
+        arrays.update({f"workspace array {k}": a
+                       for k, a in enumerate(found)})
+    else:
+        ws = agent._workspace
+        found = list(ac_workspace_arrays(ws))
+        assert list(ws._passes) == [32]  # PPO's one minibatch is 32 rows
+        for actor, critic in ws._passes.values():
+            for run, width in ((actor, 2), (critic, 1)):
+                assert [a.shape for a in run.acts] == [
+                    (1, 32, 8), (1, 32, 8), (1, 32, width)]
+                named = [run.x, run.dout, run.grads.flat, *run.acts,
+                         *run.chain(0)]
+                for a in named:
+                    assert any(a is b for b in found)
+                arrays.update({f"{width}-wide pass array {k}": a
+                               for k, a in enumerate(named)})
         arrays.update({f"workspace array {k}": a
                        for k, a in enumerate(found)})
     loaded = agent_from_bytes(agent_to_bytes(agent))

@@ -17,6 +17,7 @@ from trafficlab.nn import (
     Layer,
     Mlp,
     MlpStack,
+    PassScratch,
     SgdOptimizer,
     SingularCurvatureError,
     StackPass,
@@ -232,19 +233,122 @@ def test_stacked_forward_rows_equal_each_members_passes_bit_for_bit(
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_stacked_backward_equals_the_generic_one_at_a_one_wide_layer(dtype):
-    # below a one-wide layer ``pre_activation_grads`` takes a broadcast
-    # product and the pass a K = 1 matmul: one rounded product each
+    # below a one-wide layer both take the broadcast product, as below a
+    # critic's one-wide output: one rounded product per element
     rng = np.random.default_rng(7)
-    layers = [Layer(l.w.astype(dtype), l.b.astype(dtype))
-              for l in Mlp.create([5, 1, 3, 1, 2], seed=7).layers]
-    stack = MlpStack(layers, 2)
-    x = rng.normal(size=(2, 9, 5)).astype(dtype)
-    run = StackPass(stack, x)
-    run.forward()
-    run.dout[...] = rng.normal(size=(9, 2))
-    member = stack.members[0]
-    expected = member.backward(member.forward(x[0])[1], run.dout).flat
-    assert run.backward(0).flat.tobytes() == expected.tobytes()
+    for sizes in ([5, 1, 3, 1, 2], [5, 4, 3, 1]):
+        layers = [Layer(l.w.astype(dtype), l.b.astype(dtype))
+                  for l in Mlp.create(sizes, seed=7).layers]
+        stack = MlpStack(layers, 2)
+        x = rng.normal(size=(2, 9, 5)).astype(dtype)
+        run = StackPass(stack, x)
+        run.forward()
+        run.dout[...] = rng.normal(size=(9, sizes[-1]))
+        member = stack.members[0]
+        cache = member.forward(x[0])[1]
+        expected = member.backward(cache, run.dout).flat
+        assert run.backward(0).flat.tobytes() == expected.tobytes()
+        chain = member.pre_activation_grads(cache, run.dout)
+        assert [ds.tobytes() for ds in run.chain(0)] == [
+            ds.tobytes() for ds in chain]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), hidden=st.lists(st.integers(1, 24),
+                                                    max_size=3),
+       in_dim=st.integers(1, 12), rows=st.integers(1, 80),
+       batches=st.lists(st.integers(1, 80), min_size=1, max_size=6),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
+        seed, hidden, in_dim, rows, batches, dtype):
+    """An actor-critic runs a two-output and a one-output net of the same
+    hidden widths through one-member stacks over one scratch, at each row
+    count its update meets: every pass, run after any other, writes what
+    the net's ``forward``, ``backward`` and ``pre_activation_grads`` give
+    on fresh arrays, bit for bit."""
+    rng = np.random.default_rng(seed)
+    nets = []
+    for out in (2, 1):
+        net = Mlp.create([in_dim] + hidden + [out], seed=seed + out)
+        net = Mlp([Layer(l.w.astype(dtype), l.b.astype(dtype))
+                   for l in net.layers])
+        net.params += rng.normal(size=net.params.size)
+        nets.append(net)
+    scratch = PassScratch(rows, dtype)
+    x = scratch.take("x", (1, rows, in_dim))
+    passes = {}
+    for batch in [b for b in batches if b <= rows] + [rows]:
+        x[0, :batch] = rng.normal(size=(batch, in_dim)) * 2.0
+        for k, net in enumerate(nets):
+            run = passes.get((batch, k))
+            if run is None:
+                run = passes[batch, k] = StackPass(
+                    MlpStack(net.layers, 1, net.params[None]), x[:, :batch],
+                    scratch)
+            out, cache = net.forward(x[0, :batch])
+            assert run.forward()[0].tobytes() == out.tobytes()
+            assert [a.tobytes() for a in run.inputs[0]] == [
+                a.tobytes() for a in cache.inputs]
+            g = rng.normal(size=out.shape).astype(dtype)
+            run.dout[...] = g
+            assert (run.backward(0).flat.tobytes()
+                    == net.backward(cache, g).flat.tobytes())
+            g = rng.normal(size=out.shape).astype(dtype)
+            run.dout[...] = g
+            assert [ds.tobytes() for ds in run.chain(0)] == [
+                ds.tobytes() for ds in net.pre_activation_grads(cache, g)]
+            if hidden:  # both nets' hidden activations are one array's rows
+                other = passes.get((rows, 1 - k))
+                if other is not None:
+                    assert np.shares_memory(run.acts[0], other.acts[0])
+
+
+def test_a_one_member_stack_over_a_nets_params_trains_the_net_in_place():
+    net = small_net(seed=9)
+    values = net.flatten()
+    stack = MlpStack(net.layers, 1, net.params[None])
+    assert net.params.tobytes() == values.tobytes()
+    assert np.shares_memory(stack.params, net.params)
+    assert np.shares_memory(stack.members[0].layers[0].w, net.params)
+    run = StackPass(stack, np.ones((1, 4, 3), DTYPE))
+    before = run.forward().copy()
+    net.layers[0].b[...] += 1.0  # in place, as an optimizer writes
+    assert run.forward()[0].tobytes() == net(np.ones((4, 3))).tobytes()
+    assert not np.array_equal(before, run.acts[-1])
+    twin = copy.deepcopy(stack)  # a copy is a stack of its own
+    assert twin.params.tobytes() == stack.params.tobytes()
+    assert not np.shares_memory(twin.params, net.params)
+
+
+def test_a_pass_scratch_hands_out_leading_rows_of_one_array_per_shape():
+    scratch = PassScratch(8, np.float32)
+    full = scratch.take("a", (1, 8, 5))
+    head = scratch.take("a", (1, 3, 5))
+    assert head.shape == (1, 3, 5) and head.flags.c_contiguous
+    assert head.ctypes.data == full.ctypes.data
+    assert not np.shares_memory(scratch.take("a", (1, 8, 4)), full)
+    assert not np.shares_memory(scratch.take("b", (1, 8, 5)), full)
+    assert scratch.take("c", (3, 6)).dtype == np.float32
+    stack = MlpStack(small_net().layers, 1)
+    with pytest.raises(ValueError, match="cannot hold"):
+        StackPass(stack, np.zeros((1, 9, 3), DTYPE), scratch)
+    with pytest.raises(ValueError, match="cannot hold"):
+        StackPass(stack, np.zeros((1, 4, 3), DTYPE),
+                  PassScratch(8, np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_unchecked_layer_loop_equals_the_call(dtype):
+    """``run`` on a ``DTYPE`` input, the form every ``act`` hands it,
+    equals the call at one sample, a batch and a stack of single rows."""
+    rng = np.random.default_rng(12)
+    net = Mlp([Layer(l.w.astype(dtype), l.b.astype(dtype))
+               for l in random_net(rng, 3, 7).layers])
+    for shape in [(7,), (5, 7), (5, 1, 7)]:
+        x = rng.normal(size=shape).astype(DTYPE)
+        got = net.run(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == net(x).tobytes()
 
 
 def test_stacked_pass_reads_a_narrower_input_dtype_exactly():
