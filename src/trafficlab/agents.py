@@ -128,6 +128,11 @@ class AgentConfig:
                      "critic_epochs", "phase_time_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # DQL's first gradient step waits for this many replayed transitions
+        warm = max(self.warmup, self.batch_size)
+        if self.replay_capacity < warm:
+            raise ValueError(f"replay_capacity must be at least max(warmup, "
+                             f"batch_size) = {warm}, got {self.replay_capacity}")
         if not self.trust_region_radius >= 0:
             raise ValueError("trust_region_radius must be non-negative "
                              "(inf disables the cap)")

@@ -2,14 +2,15 @@
 
 Every flag mirrors a config-file key; flags override file values. Exit
 status is 0 only when every grid cell succeeded; a config that cannot be
-read or holds a bad value, or a flag value that does not parse, is
-reported in one line before any cell runs, with exit status 2. ``eval``
-reports a bad flag value the same way.
+read or holds a bad value, a flag value that does not parse, or an output
+directory that cannot be made is reported in one line before any cell
+runs, with exit status 2. ``eval`` reports a bad flag value the same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -130,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         return _eval(args)
     try:
         spec, deploy = _resolve(args)
+        os.makedirs(spec.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2

@@ -144,10 +144,10 @@ class ExperimentSpec:
                                     self.agent)
 
     def cells(self):
-        """Deterministically ordered (algorithm, rate, seed) grid."""
-        for algo in self.algorithms:
-            for rate in self.rates:
-                for seed in self.seeds:
+        """The (algorithm, rate, seed) grid; cells run in sorted order."""
+        for algo in sorted(self.algorithms):
+            for rate in sorted(self.rates):
+                for seed in sorted(self.seeds):
                     yield algo, rate, seed
 
 

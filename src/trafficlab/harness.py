@@ -8,9 +8,10 @@ single-checkpoint evaluation, and CSV/SVG report emission.
 and picks every env's action of a tick with one ``agent.greedy_actions``
 call.
 
-Each grid cell is self-contained and seeded, so cells can run in any
-order or in a worker pool; outputs are sorted by cell key before writing,
-which keeps every CSV byte-reproducible.
+Each grid cell is self-contained and seeded, so it can run in a worker
+pool; cells run in sorted order, and results and rows keep that order,
+which keeps every CSV byte-reproducible. A CSV row is its record's fields
+in order.
 """
 
 from __future__ import annotations
@@ -18,16 +19,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from trafficlab.adapt import (
-    DeploymentConfig,
-    DeploymentResult,
-    TimelinePoint,
-    run_deployment,
-)
+from trafficlab.adapt import DeploymentConfig, TimelinePoint, run_deployment
 from trafficlab.agents import (
     Agent,
     ObservationShapeError,
@@ -197,7 +193,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_csv(path, header: list[str], rows: list[list]) -> None:
+def emit_csv(path, header: list[str], rows) -> None:
+    """Write ``header``, then each of ``rows`` (any iterable of value
+    sequences) with every value spelt by ``_cell``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -232,11 +230,6 @@ class SweepRecord:
     wait_undetected: float | None
     episodes: int
 
-    def row(self) -> list:
-        return [self.algorithm, self.scenario, self.detection_rate, self.seed,
-                self.wait_all, self.wait_detected, self.wait_undetected,
-                self.episodes]
-
     @classmethod
     def from_row(cls, row: list[str]) -> "SweepRecord":
         return cls(
@@ -247,10 +240,6 @@ class SweepRecord:
         )
 
 
-def write_sweep_csv(path, records: list[SweepRecord]) -> None:
-    emit_csv(path, SWEEP_HEADER, [r.row() for r in records])
-
-
 def read_sweep_csv(path) -> list[SweepRecord]:
     header, rows = read_csv(path)
     if header != SWEEP_HEADER:
@@ -258,16 +247,13 @@ def read_sweep_csv(path) -> list[SweepRecord]:
     return [SweepRecord.from_row(r) for r in rows]
 
 
-def write_timeline_csv(path, result: DeploymentResult) -> None:
-    rows = [[p.step, p.detection_rate, p.wait_all, p.wait_detected,
-             p.wait_undetected, p.instability] for p in result.timeline]
-    emit_csv(path, TIMELINE_HEADER, rows)
-
-
-def write_curve_csv(path, records: list[EpisodeRecord]) -> None:
-    rows = [[r.episode, r.end_step, r.episode_return, r.mean_wait]
-            for r in records]
-    emit_csv(path, CURVE_HEADER, rows)
+def _grouped(pairs) -> dict:
+    """The values of ``(key, value)`` pairs grouped by key, the keys in
+    sorted order and each key's values in the order given."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: groups[key] for key in sorted(groups)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +300,9 @@ def _train_cell(spec: ExperimentSpec,
     algorithm, rate, seed = cell
     ckpt_path = _checkpoint_path(spec, algorithm, rate, seed)
     curve_dir = os.path.join(spec.out_dir, "curves")
-    os.makedirs(os.path.dirname(ckpt_path), exist_ok=True)
-    os.makedirs(curve_dir, exist_ok=True)
     try:
+        os.makedirs(os.path.dirname(ckpt_path), exist_ok=True)
+        os.makedirs(curve_dir, exist_ok=True)
         env_cfg = build_env_config(spec.scenario, rate, seed,
                                    episode_length=spec.episode_length)
         agent = make_agent(spec.agent_config(algorithm, seed),
@@ -325,7 +311,8 @@ def _train_cell(spec: ExperimentSpec,
         curve = train_agent(agent, env, spec.steps_for(algorithm))
         save_agent(agent, ckpt_path)
         name = os.path.basename(ckpt_path)[:-5]
-        write_curve_csv(os.path.join(curve_dir, f"train_{name}.csv"), curve)
+        emit_csv(os.path.join(curve_dir, f"train_{name}.csv"), CURVE_HEADER,
+                 map(astuple, curve))
         return CellResult(algorithm, rate, seed, checkpoint=ckpt_path)
     except Exception as exc:
         return CellResult(algorithm, rate, seed, error=_cell_error(exc))
@@ -348,8 +335,7 @@ def cmd_train(spec: ExperimentSpec) -> list[CellResult]:
     """Train one agent per grid cell; failed cells are recorded and the
     rest continue."""
     args = [(spec, cell) for cell in spec.cells()]
-    results = _run_cells(_train_cell, args, spec.workers)
-    return sorted(results, key=lambda r: (r.algorithm, r.rate, r.seed))
+    return _run_cells(_train_cell, args, spec.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +373,13 @@ def cmd_sweep(spec: ExperimentSpec
               ) -> tuple[list[SweepRecord], list[CellResult]]:
     """Evaluate each trained cell at its detection rate; emit the sweep CSV,
     a cross-seed summary, and one waiting-time chart per algorithm."""
-    cells = list(spec.cells())
-    args = [(spec, cell) for cell in cells]
+    args = [(spec, cell) for cell in spec.cells()]
     outcomes = _run_cells(_sweep_cell, args, spec.workers)
-    pairs = sorted(zip(cells, outcomes), key=lambda p: p[0])
-    records = [rec for _, (rec, _) in pairs if rec is not None]
-    results = [res for _, (_, res) in pairs]
+    records = [rec for rec, _ in outcomes if rec is not None]
+    results = [res for _, res in outcomes]
     os.makedirs(spec.out_dir, exist_ok=True)
-    write_sweep_csv(os.path.join(spec.out_dir, "sweep.csv"), records)
+    emit_csv(os.path.join(spec.out_dir, "sweep.csv"), SWEEP_HEADER,
+             map(astuple, records))
     _write_sweep_summary(spec, records)
     _write_sweep_charts(spec, records)
     return records, results
@@ -404,41 +389,31 @@ def _write_sweep_summary(spec: ExperimentSpec,
                          records: list[SweepRecord]) -> None:
     header = ["algorithm", "scenario", "detection_rate", "wait_all_mean",
               "wait_all_std", "seeds"]
-    groups: dict[tuple, list[SweepRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.algorithm, rec.scenario, rec.detection_rate),
-                          []).append(rec)
     rows = []
-    for key in sorted(groups):
-        values = [r.wait_all for r in groups[key] if r.wait_all is not None]
+    for key, waits in _grouped(((r.algorithm, r.scenario, r.detection_rate),
+                                r.wait_all) for r in records).items():
+        values = [w for w in waits if w is not None]
         rows.append([
-            key[0], key[1], key[2],
+            *key,
             float(np.mean(values)) if values else None,
             float(np.std(values)) if len(values) > 1 else None,
-            len(groups[key]),
+            len(waits),
         ])
     emit_csv(os.path.join(spec.out_dir, "sweep_summary.csv"), header, rows)
 
 
 def _write_sweep_charts(spec: ExperimentSpec,
                         records: list[SweepRecord]) -> None:
-    for algorithm in spec.algorithms:
-        recs = [r for r in records if r.algorithm == algorithm]
-        if not recs:
-            continue
+    for algorithm, recs in _grouped((r.algorithm, r) for r in records).items():
         series = []
-        for label, attr in (("all", "wait_all"), ("detected", "wait_detected"),
-                            ("undetected", "wait_undetected")):
-            xs, ys = [], []
-            for rate in sorted({r.detection_rate for r in recs}):
-                values = [getattr(r, attr) for r in recs
-                          if r.detection_rate == rate
-                          and getattr(r, attr) is not None]
-                if values:
-                    xs.append(rate)
-                    ys.append(float(np.mean(values)))
-            if xs:
-                series.append(Series(label=label, xs=xs, ys=ys))
+        for label in ("all", "detected", "undetected"):
+            per_rate = _grouped(
+                (r.detection_rate, wait) for r in recs
+                if (wait := getattr(r, f"wait_{label}")) is not None)
+            if per_rate:
+                series.append(Series(
+                    label=label, xs=list(per_rate),
+                    ys=[float(np.mean(v)) for v in per_rate.values()]))
         if series:
             write_chart(
                 os.path.join(spec.out_dir,
@@ -459,9 +434,12 @@ class AdaptRunResult:
     seed: int
     timeline_csv: str | None
     instability_flags: int
-    aborted: bool
     error: str | None = None
     timeline: list[TimelinePoint] | None = None  # what timeline_csv holds
+
+    @property
+    def aborted(self) -> bool:
+        return self.error is not None
 
 
 def _adapt_cell(spec: ExperimentSpec, deploy: DeploymentConfig,
@@ -476,17 +454,15 @@ def _adapt_cell(spec: ExperimentSpec, deploy: DeploymentConfig,
         result = run_deployment(agent, env_cfg, deploy, seed=seed + 50_000)
         csv_path = os.path.join(spec.out_dir,
                                 f"timeline_{algorithm}_s{seed}.csv")
-        write_timeline_csv(csv_path, result)
+        emit_csv(csv_path, TIMELINE_HEADER, map(astuple, result.timeline))
         return AdaptRunResult(
             algorithm=algorithm, seed=seed, timeline_csv=csv_path,
             instability_flags=result.instability_flags,
-            aborted=result.aborted,
-            error=result.failure_message if result.aborted else None,
-            timeline=result.timeline)
+            error=result.failure_message, timeline=result.timeline)
     except Exception as exc:
         return AdaptRunResult(algorithm=algorithm, seed=seed,
                               timeline_csv=None, instability_flags=0,
-                              aborted=True, error=_cell_error(exc))
+                              error=_cell_error(exc))
 
 
 def cmd_adapt(spec: ExperimentSpec, deploy: DeploymentConfig
@@ -494,15 +470,14 @@ def cmd_adapt(spec: ExperimentSpec, deploy: DeploymentConfig
     """Deploy each pre-trained agent on the drifting-detection schedule;
     emit per-run timelines, an instability summary, and a comparison chart."""
     start_rate = deploy.schedule.breakpoints[0][1]
-    cells = [(algo, seed) for algo in spec.algorithms for seed in spec.seeds]
-    args = [(spec, deploy, start_rate, cell) for cell in cells]
+    args = [(spec, deploy, start_rate, (algo, seed))
+            for algo in sorted(spec.algorithms) for seed in sorted(spec.seeds)]
     os.makedirs(spec.out_dir, exist_ok=True)
     results = _run_cells(_adapt_cell, args, spec.workers)
-    results.sort(key=lambda r: (r.algorithm, r.seed))
     emit_csv(os.path.join(spec.out_dir, "adapt_summary.csv"),
              ["algorithm", "seed", "instability_flags", "aborted", "error"],
-             [[r.algorithm, r.seed, r.instability_flags, r.aborted,
-               r.error or ""] for r in results])
+             [[r.algorithm, r.seed, r.instability_flags, r.aborted, r.error]
+              for r in results])
     _write_adapt_chart(spec, results)
     return results
 
@@ -513,19 +488,15 @@ def _write_adapt_chart(spec: ExperimentSpec,
     seeds' timelines, skipping windows with no exits. The timelines are
     read in memory; their CSV round trip is exact."""
     series = []
-    for algorithm in spec.algorithms:
-        per_step: dict[int, list[float]] = {}
-        for res in results:
-            if res.algorithm != algorithm or res.timeline is None:
-                continue
-            for point in res.timeline:
-                if point.wait_all is not None:
-                    per_step.setdefault(point.step, []).append(point.wait_all)
+    for algorithm in spec.algorithms:  # the legend in the config's order
+        per_step = _grouped(
+            (point.step, point.wait_all) for res in results
+            if res.algorithm == algorithm and res.timeline is not None
+            for point in res.timeline if point.wait_all is not None)
         if per_step:
-            xs = sorted(per_step)
             series.append(Series(
-                label=algorithm, xs=[float(x) for x in xs],
-                ys=[float(np.mean(per_step[x])) for x in xs]))
+                label=algorithm, xs=[float(x) for x in per_step],
+                ys=[float(np.mean(v)) for v in per_step.values()]))
     if series:
         write_chart(os.path.join(spec.out_dir, f"adapt_{spec.scenario}.svg"),
                     series, title=f"deployment on {spec.scenario}",

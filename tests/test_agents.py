@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import pickle
+import re
 import struct
 from collections import defaultdict
 
@@ -2077,6 +2078,31 @@ def test_non_positive_replay_capacity_rejected(field, value):
 def test_agent_config_rejects_bad_values_by_name(field, value):
     with pytest.raises(ValueError, match=field):
         config_for("ppo", **{field: value})
+
+
+@pytest.mark.parametrize("warmup, batch_size, capacity", [
+    (1_000, 64, 500), (8, 32, 31), (0, 64, 1)],
+    ids=["below-warmup", "below-batch", "no-warmup"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_agent_config_refuses_a_replay_that_can_never_warm(
+        algorithm, warmup, batch_size, capacity):
+    # DQL steps once its replay holds max(warmup, batch_size) transitions;
+    # a smaller ring never does, so DQL would train without one step
+    message = (f"replay_capacity must be at least max(warmup, batch_size) "
+               f"= {max(warmup, batch_size)}, got {capacity}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_for(algorithm, warmup=warmup, batch_size=batch_size,
+                   replay_capacity=capacity)
+
+
+def test_dql_with_the_smallest_replay_allowed_steps_once_warm():
+    agent = DqlAgent(config_for("dql", warmup=8, batch_size=4,
+                                replay_capacity=8, hidden_sizes=[5]), 4)
+    rng = np.random.default_rng(5)
+    for n in range(10):
+        agent.update([Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
+                                 float(rng.normal()), rand_obs(rng, dim=4))])
+        assert agent.optimizer.t == max(0, n - 6)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

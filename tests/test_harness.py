@@ -2,13 +2,14 @@ import hashlib
 import math
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eval_reference import reference_evaluation
-from trafficlab.adapt import DeploymentConfig, DetectionSchedule
+from trafficlab.adapt import DeploymentConfig, DetectionSchedule, TimelinePoint
 from trafficlab.agents import (
     ALGORITHMS,
     FixedTimeAgent,
@@ -30,7 +31,10 @@ from trafficlab.config import (
 )
 from trafficlab.env import EnvConfig, EpisodeDoneError, TrafficSignalEnv
 from trafficlab.harness import (
+    CURVE_HEADER,
     SWEEP_HEADER,
+    TIMELINE_HEADER,
+    EpisodeRecord,
     SweepRecord,
     build_env_config,
     checkpoint_name,
@@ -44,7 +48,6 @@ from trafficlab.harness import (
     read_csv,
     read_sweep_csv,
     train_agent,
-    write_sweep_csv,
 )
 from trafficlab.nn import Mlp
 from trafficlab.sim import class_means, scenario_preset
@@ -106,8 +109,17 @@ def test_sweep_csv_round_trip(tmp_path):
         SweepRecord("a2c", "sparse", 1.0, 2, 9.0, 9.0, None, 5),
     ]
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, records)
+    emit_csv(path, SWEEP_HEADER, map(astuple, records))
     assert read_sweep_csv(path) == records
+
+
+@pytest.mark.parametrize("header, record", [
+    (SWEEP_HEADER, SweepRecord), (TIMELINE_HEADER, TimelinePoint),
+    (CURVE_HEADER, EpisodeRecord)], ids=["sweep", "timeline", "curve"])
+def test_each_header_names_its_records_fields_in_order(header, record):
+    # a row is its record's fields in order; two columns keep older names
+    renamed = {"episode_return": "return", "instability": "instability_flag"}
+    assert header == [renamed.get(f.name, f.name) for f in fields(record)]
 
 
 def test_csv_header_only_when_no_records(tmp_path):
@@ -485,6 +497,72 @@ def test_sweep_chart_emitted(tmp_path):
     svg_path = tmp_path / "sweep_fixed_time_medium.svg"
     assert svg_path.exists()
     ET.fromstring(svg_path.read_text())
+
+
+def test_sweep_charts_and_summary_equal_ones_drawn_from_the_sweep_csv(
+        tmp_path):
+    spec = tiny_spec(tmp_path, algorithms=["ppo", "fixed_time"],
+                     rates=[1.0, 0.0], seeds=[1, 0], agent=FAST_AGENT)
+    cmd_train(spec)
+    cmd_sweep(spec)
+    header, rows = read_csv(tmp_path / "sweep.csv")
+
+    def means(algorithm, column):
+        # each rate's mean over the seeds' non-empty values, rates sorted
+        per_rate = {}
+        for row in rows:
+            if row[0] == algorithm and row[column] != "":
+                per_rate.setdefault(float(row[2]), []).append(
+                    float(row[column]))
+        return {x: per_rate[x] for x in sorted(per_rate)}
+
+    summary = []
+    for algorithm in sorted(spec.algorithms):
+        series = []
+        for label in ("all", "detected", "undetected"):
+            per_rate = means(algorithm, header.index(f"wait_{label}"))
+            series.append(Series(label, list(per_rate), [
+                float(np.mean(v)) for v in per_rate.values()]))
+        # no vehicle is detected at rate 0.0 and none undetected at 1.0
+        assert [s.xs for s in series] == [[0.0, 1.0], [1.0], [0.0]]
+        expected = line_chart(series, title=f"{algorithm} on medium",
+                              x_label="detection rate",
+                              y_label="mean waiting time (s)")
+        svg = tmp_path / f"sweep_{algorithm}_medium.svg"
+        assert svg.read_bytes() == expected.encode()
+        for rate, values in means(algorithm,
+                                  header.index("wait_all")).items():
+            summary.append([algorithm, "medium", repr(rate),
+                            repr(float(np.mean(values))),
+                            repr(float(np.std(values))), "2"])
+    assert read_csv(tmp_path / "sweep_summary.csv")[1] == summary
+
+
+def test_every_command_reports_and_writes_in_sorted_cell_order(tmp_path):
+    spec = tiny_spec(tmp_path, algorithms=["ppo", "fixed_time"],
+                     rates=[1.0, 0.0], seeds=[1, 0], train_steps=0,
+                     eval_episodes=1)
+    cells = [(a, r, s) for a in ("fixed_time", "ppo") for r in (0.0, 1.0)
+             for s in (0, 1)]
+    assert list(spec.cells()) == cells
+    assert [(r.algorithm, r.rate, r.seed) for r in cmd_train(spec)] == cells
+    records, swept = cmd_sweep(spec)
+    assert [(r.algorithm, r.detection_rate, r.seed) for r in records] == cells
+    assert [(r.algorithm, r.rate, r.seed) for r in swept] == cells
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert [(a, float(r), int(s)) for a, _, r, s, *_ in rows] == cells
+    _, rows = read_csv(tmp_path / "sweep_summary.csv")
+    assert [(a, float(r)) for a, _, r, *_ in rows] == sorted(
+        {(a, r) for a, r, _ in cells})
+    deploy = DeploymentConfig(schedule=DetectionSchedule([(0.0, 1.0)]),
+                              total_steps=20, update_period=None,
+                              instability_window=10)
+    adapted = cmd_adapt(spec, deploy)
+    runs = [(a, s) for a in ("fixed_time", "ppo") for s in (0, 1)]
+    assert [(r.algorithm, r.seed, r.error) for r in adapted] == [
+        (a, s, None) for a, s in runs]
+    _, rows = read_csv(tmp_path / "adapt_summary.csv")
+    assert [(a, int(s)) for a, s, *_ in rows] == runs
 
 
 def test_sweep_reproducible_byte_identical(tmp_path):
@@ -1013,6 +1091,9 @@ BAD_CONFIGS = {
                            ["train", "sweep", "adapt"]),
     "center_advantages": ("[agent]\ncenter_advantages = true\n",
                           ["train", "sweep", "adapt"]),
+    # a ring that never holds max(warmup, batch_size) = 1000 transitions
+    "replay-capacity": ("[agent]\nreplay_capacity = 500\n",
+                        ["train", "sweep", "adapt"]),
 }
 REMOVED_AGENT_KEYS = ("optimizer", "kfac_augment_bias", "explore_floor_init",
                       "center_advantages")
@@ -1041,6 +1122,9 @@ def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, case, command):
         assert "gamma" in err
     if case == "agent-nan":
         assert "actor_lr" in err
+    if case == "replay-capacity":
+        assert err == (f"{command} failed: replay_capacity must be at least "
+                       f"max(warmup, batch_size) = 1000, got 500\n")
     if case == "experiment-agent":
         assert "unknown key 'agent' in section [experiment]" in err
     if case in ("no-section", "repeated-key", "stray-percent"):
@@ -1088,6 +1172,31 @@ def test_cli_bad_grid_value_is_one_line_error(tmp_path, capsys, command, flags,
     assert rc == 2
     assert err == f"{command} failed: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "adapt"])
+def test_cli_out_naming_a_file_is_one_line_error(tmp_path, capsys, command):
+    out = tmp_path / "exp.ini"
+    out.write_text("[experiment]\n")
+    schedule = ["--schedule", "0:1,100:0.5"] if command == "adapt" else []
+    rc = cli_main([command, "--out", str(out), "--algo", "fixed_time",
+                   "--steps", "0", "--episodes", "1", *schedule])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"{command} failed: ") and str(out) in err
+    assert len(err.strip().splitlines()) == 1
+    assert out.read_text() == "[experiment]\n"
+
+
+def test_train_cell_whose_checkpoint_directory_is_a_file_is_an_errored_cell(
+        tmp_path, capsys):
+    (tmp_path / "checkpoints").write_text("")
+    rc = cli_main(["train", "--out", str(tmp_path), "--algo", "fixed_time",
+                   "--rates", "0.5", "--steps", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("train fixed_time r=0.5 s=0: FileExistsError: ")
+    assert len(out.strip().splitlines()) == 1
 
 
 def test_cli_adapt_update_period_below_one_is_one_line_error(tmp_path, capsys):
