@@ -4,7 +4,9 @@ Every flag mirrors a config-file key; flags override file values. Exit
 status is 0 only when every grid cell succeeded; a config that cannot be
 read or holds a bad value, a flag value that does not parse, or an output
 directory that cannot be made is reported in one line before any cell
-runs, with exit status 2. ``eval`` reports a bad flag value the same way.
+runs, with exit status 2. ``eval`` reports a bad flag value, an ``--out``
+that names a directory or lies in none included, the same way, before it
+reads the checkpoint.
 """
 
 from __future__ import annotations
@@ -84,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config",
                        help="experiment config file (INI sections)")
         _add_key_flags(p, _GRID_FLAGS)
-    commands["sweep"].add_argument(
-        "--train-missing", action="store_true",
-        help="train cells whose checkpoint is absent")
     _add_key_flags(commands["adapt"], _ADAPT_FLAGS)
 
     p_eval = sub.add_parser("eval", help="evaluate one checkpoint",

@@ -21,19 +21,6 @@ from trafficlab.agents import ALGORITHMS, AgentConfig, default_agent_config
 from trafficlab.env import EnvConfig
 from trafficlab.sim import check_fields, scenario_preset
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _list_of(item):
     """A parser of comma-separated ``item`` values; its name is what
     argparse shows when a flag's value does not parse."""
@@ -92,7 +79,6 @@ class ExperimentSpec:
     episode_length: float = 3600.0
     out_dir: str = "results"
     workers: int = 1
-    train_missing: bool = False
     agent: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -154,7 +140,6 @@ class ExperimentSpec:
 # the parser of a raw value by its key's annotation, the kind that
 # ``sim.check_value`` then checks the parsed value against
 _COERCERS = {
-    "bool": _parse_bool,
     "int": int,
     "float": float,
     "str": str,

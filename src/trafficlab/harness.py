@@ -283,10 +283,15 @@ def _checkpoint_path(spec: ExperimentSpec, algorithm: str, rate: float,
 
 
 def _load_cell_agent(spec: ExperimentSpec, path: str, algorithm: str) -> Agent:
-    """The agent of a cell's checkpoint at ``path``, refused unless it
+    """The agent of a cell's checkpoint at ``path``, the one checkpoint
+    reader of ``sweep`` and ``adapt``. A missing file is a
+    ``FileNotFoundError`` naming it; a checkpoint is refused unless it
     holds every value the spec's [agent] sets: scoring or deploying it
     would drop that value without a word."""
-    agent = load_agent(path, expected_algorithm=algorithm)
+    try:
+        agent = load_agent(path, expected_algorithm=algorithm)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"missing checkpoint {path}") from None
     for key, value in spec.agent.items():
         held = getattr(agent.config, key)
         if held != value:
@@ -348,12 +353,6 @@ def _sweep_cell(spec: ExperimentSpec,
     algorithm, rate, seed = cell
     ckpt_path = _checkpoint_path(spec, algorithm, rate, seed)
     try:
-        if not os.path.exists(ckpt_path):
-            if not spec.train_missing:
-                raise FileNotFoundError(f"missing checkpoint {ckpt_path}")
-            trained = _train_cell(spec, cell)
-            if trained.error:
-                return None, trained
         agent = _load_cell_agent(spec, ckpt_path, algorithm)
         env_cfg = build_env_config(spec.scenario, rate, seed + 10_000,
                                    episode_length=spec.episode_length)
@@ -484,14 +483,15 @@ def cmd_adapt(spec: ExperimentSpec, deploy: DeploymentConfig
 
 def _write_adapt_chart(spec: ExperimentSpec,
                        results: list[AdaptRunResult]) -> None:
-    """One series per algorithm: each step's mean ``wait_all`` over the
-    seeds' timelines, skipping windows with no exits. The timelines are
-    read in memory; their CSV round trip is exact."""
+    """One series per algorithm, in sorted order: each step's mean
+    ``wait_all`` over the seeds' timelines, skipping windows with no
+    exits. The timelines are read in memory; their CSV round trip is
+    exact."""
     series = []
-    for algorithm in spec.algorithms:  # the legend in the config's order
+    for algorithm, runs in _grouped((r.algorithm, r) for r in results).items():
         per_step = _grouped(
-            (point.step, point.wait_all) for res in results
-            if res.algorithm == algorithm and res.timeline is not None
+            (point.step, point.wait_all) for res in runs
+            if res.timeline is not None
             for point in res.timeline if point.wait_all is not None)
         if per_step:
             series.append(Series(
@@ -511,7 +511,13 @@ def cmd_eval(checkpoint: str, scenario: str, detection_rate: float,
              episodes: int, seed: int = 0, episode_length: float = 3600.0,
              out_path: str | None = None) -> EvalStats:
     """Greedy evaluation of one checkpoint; raises ObservationShapeError if
-    the checkpoint and environment disagree on the observation layout."""
+    the checkpoint and environment disagree on the observation layout.
+    An ``out_path`` that names a directory, or lies in none, is refused
+    with a ValueError before the checkpoint is read."""
+    if out_path and os.path.isdir(out_path):
+        raise ValueError(f"output path {out_path} is a directory")
+    if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise ValueError(f"output path {out_path} is in no existing directory")
     agent = load_agent(checkpoint)
     env_cfg = build_env_config(scenario, detection_rate, seed,
                                episode_length=episode_length)

@@ -510,8 +510,9 @@ class AdamOptimizer:
     """First/second-moment adaptive steps, ascent convention.
 
     The moments ``m`` and ``v`` are flat vectors in the ``Mlp.params``
-    layout, the two rows of one ``(2, P)`` array, so the paired decays,
-    moment adds and bias corrections of a step are one operation each.
+    layout, the two rows of one ``(2, P)`` array, ``_moments``, so the
+    paired decays, moment adds and bias corrections of a step are one
+    operation each.
     Their checkpoint form is per-layer views, all weights then all biases.
     A scratch array of the same shape holds each step's intermediates; it
     is derived state and is not checkpointed. All of them take the net's
@@ -530,15 +531,6 @@ class AdamOptimizer:
         self._decays = np.array([[self.BETA1], [self.BETA2]], dtype)
         self._corrections = np.empty((2, 1), dtype)
         self._shapes = [l.w.shape for l in net.layers]
-
-    # the optimizer keeps no view, so a copy is a copy of each array
-    @property
-    def m(self) -> np.ndarray:
-        return self._moments[0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._moments[1]
 
     def step(self, net: Mlp, direction: Gradients, learning_rate: float) -> None:
         if not direction.is_finite():

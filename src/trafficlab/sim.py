@@ -71,17 +71,16 @@ PRESET_ARRIVAL_RATES = {"sparse": 0.02, "medium": 0.10, "dense": 0.25}
 
 # the kinds a value must be of exactly: a bool is no int, and a str
 # subclass or bytes no str
-_EXACT_KINDS = {"int": (int, "an int"), "bool": (bool, "a bool"),
-                "str": (str, "a str")}
+_EXACT_KINDS = {"int": (int, "an int"), "str": (str, "a str")}
 
 
 def check_value(name: str, kind: str, value, finite: bool = True) -> None:
     """Refuse, by ``name``, a ``value`` not of ``kind``, a config annotation:
     a count (``int``) is an int, a number (``float``) an int or a float,
-    finite unless ``finite`` is false; a bool is neither. A ``bool`` is a
-    bool and a ``str`` a str. ``int | None`` also takes None, and
-    ``list[...]`` is a list of its item kind. Any other kind names a class
-    (``dict``, ``SimConfig``), of which ``value`` is an instance."""
+    finite unless ``finite`` is false; a bool is neither. A ``str`` is a
+    str. ``int | None`` also takes None, and ``list[...]`` is a list of its
+    item kind. Any other kind names a class (``dict``, ``SimConfig``), of
+    which ``value`` is an instance."""
     if kind.startswith("list["):
         if type(value) is not list:
             raise ValueError(f"{name} must be a list, got {value!r}")

@@ -1868,7 +1868,8 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     for name, opt in agent._optimizers().items():
         if isinstance(opt, AdamOptimizer):
             assert opt.t > 0
-            arrays.update({f"{name} m": opt.m, f"{name} v": opt.v,
+            arrays.update({f"{name} m": opt._moments[0],
+                           f"{name} v": opt._moments[1],
                            f"{name} scratch": opt._scratch[0],
                            f"{name} scratch 1": opt._scratch[1]})
         elif isinstance(opt, KfacStats):
@@ -1958,7 +1959,7 @@ def laid_out_payload(agent):
     for name, opt in agent._optimizers().items():
         if isinstance(opt, AdamOptimizer):
             shapes = [l.w.shape for l in nets[name].layers]
-            for flat in (opt.m, opt.v):
+            for flat in opt._moments:
                 moment = Gradients(flat.astype("<f4"), shapes)
                 parts += [w.ravel() for w in moment.dw] + moment.db
         elif isinstance(opt, KfacStats):
@@ -2282,7 +2283,7 @@ def test_format_6_checkpoint_refused_by_version_naming_float32(algorithm):
 
 NON_FINITE_SLOTS = {
     "ppo-actor": ("ppo", lambda agent: agent.actor.params),
-    "ppo-critic-adam": ("ppo", lambda agent: agent.critic_optimizer.v),
+    "ppo-critic-adam": ("ppo", lambda agent: agent.critic_optimizer._moments[1]),
     "acktr-factor": ("acktr", lambda agent: agent.actor_stats.a_factors[0]),
     "dql-target": ("dql", lambda agent: agent.target_net.params),
 }

@@ -1,5 +1,5 @@
 """Every value a config holds is checked by its annotation: counts,
-numbers, flags, strings, lists of them and class-typed fields.
+numbers, strings, lists of them and class-typed fields.
 
 The cases are generated from ``dataclasses.fields()`` of the five
 configs, so a field added later is covered without a new test.
@@ -30,7 +30,6 @@ CONFIGS = {SimConfig: SimConfig, EnvConfig: EnvConfig,
            ExperimentSpec: ExperimentSpec}
 COUNT_KINDS = ("int", "int | None", "list[int]")
 NUMBER_KINDS = ("float", "list[float]")
-FLAG_KINDS = ("bool",)
 TEXT_KINDS = ("str", "list[str]")
 # a class-typed field holds an instance of the class its annotation names
 CLASS_KINDS = {"dict": dict, "SimConfig": SimConfig,
@@ -55,8 +54,8 @@ def test_every_config_field_is_of_a_kind_the_check_knows():
     # a field of another kind (say float | None) would go unchecked
     for cls in CONFIGS:
         for f in dataclasses.fields(cls):
-            assert f.type in (COUNT_KINDS + NUMBER_KINDS + FLAG_KINDS
-                              + TEXT_KINDS + tuple(CLASS_KINDS)), (
+            assert f.type in (COUNT_KINDS + NUMBER_KINDS + TEXT_KINDS
+                              + tuple(CLASS_KINDS)), (
                 cls.__name__, f.name, f.type)
 
 
@@ -64,7 +63,7 @@ def test_the_generated_cases_cover_every_config():
     assert {cls for cls, _, _ in number_fields(COUNT_KINDS)} == set(CONFIGS) - {
         EnvConfig}
     assert {cls for cls, _, _ in number_fields(NUMBER_KINDS)} == set(CONFIGS)
-    assert {cls for cls, _, _ in number_fields(FLAG_KINDS + TEXT_KINDS
+    assert {cls for cls, _, _ in number_fields(TEXT_KINDS
                                                + tuple(CLASS_KINDS))} == (
         set(CONFIGS) - {SimConfig})
 
@@ -118,14 +117,6 @@ def test_a_string_or_none_is_no_list(cls, name, value):
 
 
 @pytest.mark.parametrize("cls, name, value",
-                         cases(FLAG_KINDS, [1, 0, "no", None]))
-def test_a_flag_that_is_not_a_bool_is_refused_by_name(cls, name, value):
-    # "no" used to be accepted, and to read as true
-    with pytest.raises(ValueError, match=rf"^{name} must be a bool, got "):
-        CONFIGS[cls](**{name: value})
-
-
-@pytest.mark.parametrize("cls, name, value",
                          cases(TEXT_KINDS, [3, None, b"x", ["x"]]))
 def test_a_string_that_is_not_a_str_is_refused_by_name(cls, name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be a str, got "):
@@ -145,8 +136,6 @@ def test_a_class_typed_field_that_holds_no_instance_is_refused_by_name(
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: ExperimentSpec(train_missing="no"),
-     "^train_missing must be a bool, got 'no'$"),
     (lambda: ExperimentSpec(algorithms="ppo"),
      "^algorithms must be a list, got 'ppo'$"),
     (lambda: ExperimentSpec(agent="gamma"),
@@ -159,7 +148,7 @@ def test_a_class_typed_field_that_holds_no_instance_is_refused_by_name(
     (lambda: DeploymentConfig(schedule=[(0.0, 1.0)]),
      r"^schedule must be a DetectionSchedule, got \[\(0.0, 1.0\)\]$"),
     (lambda: AgentConfig(algorithm=None), "^algorithm must be a str, got None$"),
-], ids=["spec-string-flag", "spec-string-algorithms", "spec-string-agent",
+], ids=["spec-string-algorithms", "spec-string-agent",
         "spec-none-agent", "spec-int-name", "spec-int-out-dir",
         "spec-list-scenario", "deploy-list-schedule", "agent-none-algorithm"])
 def test_a_value_of_another_type_is_refused_by_name(make, message):
@@ -171,7 +160,7 @@ def test_a_value_of_another_type_is_refused_by_name(make, message):
 
 def test_every_kind_takes_its_valid_values():
     ExperimentSpec(name="n", scenario="dense", algorithms=["dql", "ppo"],
-                   out_dir="out", train_missing=True, agent={"gamma": 0.9})
+                   out_dir="out", agent={"gamma": 0.9})
     deployment_config(update_period=None)
     EnvConfig(sim=SimConfig(rng_seed=3))
 

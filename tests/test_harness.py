@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import math
 import os
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -24,6 +26,7 @@ from trafficlab.charts import ChartError, Series, line_chart
 from trafficlab.cli import _resolve, build_parser
 from trafficlab.cli import main as cli_main
 from trafficlab.config import (
+    _COERCERS,
     TRAIN_STEPS_BY_ALGORITHM,
     ExperimentSpec,
     load_config_file,
@@ -301,6 +304,67 @@ def test_cli_flags_parse_with_the_config_coercers():
         ["adapt", "--update-period", "64"]).update_period == 64
 
 
+GRID_COMMANDS = ("train", "sweep", "adapt")
+# the keys a grid command's flag may set, by their kind
+GRID_KEYS = {f.name: f.type for cls in (ExperimentSpec, DeploymentConfig)
+             for f in fields(cls)}
+# a value of each kind as a flag spells it
+RAW_VALUES = {"int": "3", "float": "0.25", "str": "dense", "int | None": "none",
+              "list[str]": "ppo, a2c", "list[int]": "1,2",
+              "list[float]": "0.5,1", "DetectionSchedule": "0:1,100:0.5"}
+
+
+def grid_options(command):
+    """Every option of a grid command but ``-h``."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in sub.choices[command]._actions if a.dest != "help"]
+
+
+def test_every_grid_flag_is_a_key_flag_parsed_by_its_keys_coercer():
+    # sweep alone had --train-missing, a store_true flag
+    flags = {}
+    for command in GRID_COMMANDS:
+        options = [a for a in grid_options(command) if a.dest != "config"]
+        flags[command] = {a.option_strings[0]: a.dest for a in options}
+        for action in options:
+            assert type(action) is argparse._StoreAction, action.dest
+            kind = GRID_KEYS[action.dest]
+            for raw in (RAW_VALUES[kind], "x!"):
+                try:
+                    expected = _COERCERS[kind](raw)
+                except ValueError as exc:
+                    with pytest.raises(argparse.ArgumentTypeError,
+                                       match=f"^{re.escape(str(exc))}$"):
+                        action.type(raw)
+                else:
+                    assert action.type(raw) == expected
+    spec_keys = {f.name for f in fields(ExperimentSpec)}
+    assert flags["train"] == flags["sweep"] == {
+        flag: key for flag, key in flags["adapt"].items() if key in spec_keys}
+
+
+def test_readme_names_exactly_the_keys_that_have_no_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    (sentence,) = re.findall(
+        r"Not every key has a flag: (.*?) are set in the file only", readme,
+        re.S)
+    named = set(re.findall(r"`([^`]+)`", sentence)) - {"[agent]"}
+    flagged = {a.dest for command in GRID_COMMANDS
+               for a in grid_options(command)}
+    # ExperimentSpec.agent is the [agent] section
+    assert named == set(GRID_KEYS) - flagged - {"agent"}
+
+
+def test_cli_sweep_has_no_train_missing_flag(tmp_path):
+    # sweep trained a cell whose checkpoint was absent; only train trains
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--out", str(tmp_path / "run"), "--train-missing"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_eval_has_no_config_flag(tmp_path):
     with pytest.raises(SystemExit):
         cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
@@ -471,13 +535,6 @@ def test_sweep_missing_checkpoint_recorded_and_continues(tmp_path):
     assert len(records) == 1 and records[0].algorithm == "fixed_time"
 
 
-def test_sweep_train_missing_trains_inline(tmp_path):
-    spec = tiny_spec(tmp_path, algorithms=["fixed_time"], train_missing=True)
-    records, results = cmd_sweep(spec)
-    assert all(r.error is None for r in results)
-    assert len(records) == 1
-
-
 def test_sweep_coherence_wait_all_between_classes(tmp_path):
     spec = tiny_spec(tmp_path, rates=[0.5], algorithms=["fixed_time"],
                      eval_episodes=3, episode_length=600.0)
@@ -565,6 +622,30 @@ def test_every_command_reports_and_writes_in_sorted_cell_order(tmp_path):
     assert [(a, int(s)) for a, s, *_ in rows] == runs
 
 
+def test_grid_files_do_not_depend_on_the_order_of_its_lists(tmp_path):
+    # the adapt chart's legend followed the order of algorithms
+    deploy = DeploymentConfig(
+        schedule=DetectionSchedule([(0.0, 1.0), (200.0, 0.5)]),
+        total_steps=200, update_period=None, instability_window=50)
+    written = []
+    for order, lists in enumerate([
+            dict(algorithms=["fixed_time", "ppo"], rates=[0.5, 1.0],
+                 seeds=[0, 1]),
+            dict(algorithms=["ppo", "fixed_time"], rates=[1.0, 0.5],
+                 seeds=[1, 0])]):
+        out = tmp_path / str(order)
+        spec = tiny_spec(out, train_steps=128, eval_episodes=1,
+                         agent=FAST_AGENT, **lists)
+        cmd_train(spec)
+        cmd_sweep(spec)
+        assert not any(r.error for r in cmd_adapt(spec, deploy))
+        written.append({path.relative_to(out).as_posix(): path.read_bytes()
+                        for path in sorted(out.rglob("*")) if path.is_file()})
+    assert written[0] == written[1]
+    svg = written[0]["adapt_medium.svg"].decode()
+    assert svg.count("<polyline") == 2  # both algorithms have a series
+
+
 def test_sweep_reproducible_byte_identical(tmp_path):
     def run(where):
         spec = tiny_spec(where, rates=[0.5], algorithms=["fixed_time"])
@@ -578,23 +659,26 @@ def test_sweep_reproducible_byte_identical(tmp_path):
 def test_every_cell_error_is_an_errored_row_naming_the_type(tmp_path):
     # undamped ACKTR on a fresh batch at detection rate 0: no vehicle is
     # seen, so the count slots of every observation are 0 and the first
-    # layer's A factor is exactly singular
+    # layer's A factor is exactly singular; the failed cell saves no
+    # checkpoint, so sweep and adapt find it missing
     singular = {**FAST_AGENT, "kfac_damping": 0.0, "kfac_decay": 0.0}
     spec = tiny_spec(tmp_path, algorithms=["acktr", "fixed_time"], rates=[0.0],
-                     train_missing=True, agent=singular)
+                     agent=singular)
     trained = cmd_train(spec)
     assert [r.algorithm for r in trained] == ["acktr", "fixed_time"]
     assert trained[0].error.startswith("SingularCurvatureError: ")
     assert trained[1].error is None
+    missing = ("FileNotFoundError: missing checkpoint "
+               + str(tmp_path / "checkpoints" / checkpoint_name(
+                   "acktr", "medium", 0.0, 0)))
     records, swept = cmd_sweep(spec)
-    assert swept[0].error.startswith("SingularCurvatureError: ")
+    assert [r.error for r in swept] == [missing, None]
     assert [r.algorithm for r in records] == ["fixed_time"]
     deploy = DeploymentConfig(
         schedule=DetectionSchedule.ramp(0.0, 0.0, 400.0, 1.0),
         total_steps=400, update_period=None, instability_window=100)
     adapted = cmd_adapt(spec, deploy)
-    assert adapted[0].error.startswith("FileNotFoundError: ")
-    assert adapted[1].error is None
+    assert [r.error for r in adapted] == [missing, None]
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +710,10 @@ def test_adapt_missing_checkpoint_reports_error(tmp_path):
     spec = tiny_spec(tmp_path, algorithms=["ppo"], rates=[0.5])
     results = cmd_adapt(spec, adapt_deploy())
     assert results[0].aborted
-    assert results[0].error.startswith("FileNotFoundError")
+    assert results[0].error == (
+        "FileNotFoundError: missing checkpoint "
+        + str(tmp_path / "checkpoints" / checkpoint_name("ppo", "medium",
+                                                         0.5, 0)))
 
 
 def test_adapt_chart_equals_one_drawn_from_the_timeline_csvs(tmp_path):
@@ -644,7 +731,7 @@ def test_adapt_chart_equals_one_drawn_from_the_timeline_csvs(tmp_path):
     # the chart as drawn from the CSVs before it was drawn in memory
     series = []
     empty_windows = 0
-    for algorithm in spec.algorithms:
+    for algorithm in sorted(spec.algorithms):
         per_step = {}
         for res in results:
             if res.algorithm != algorithm:
@@ -995,10 +1082,12 @@ FIVE_CONTROLLER_GRID = (
     "update_period = 256\ninstability_window = 256\n")
 # SHA-256 of every CSV and SVG the grid writes, by path under out_dir;
 # recorded while the vehicle record still held an id, approach, spawn time
-# and top speed of its own, and unchanged by their removal
+# and top speed of its own, and unchanged by their removal; the adapt chart
+# was re-recorded once, when its legend came to list the algorithms in
+# sorted order rather than in the order the file lists them
 GOLDEN_FIVE_CONTROLLER_GRID = {
     "adapt_medium.svg":
-        "a16a2274e2c75a12b74c5094995da1705cb00a9ff9fb5e1cff833437365d719e",
+        "181714e168ed37658cd140ae0dc413edbf374a3910a8c468ca8a646f60667994",
     "adapt_summary.csv":
         "7bfdee909525e3ff47bc182816a15fd8c661b2f1ebdd54658fc37e0001504c46",
     "curves/train_a2c_medium_r1.00_s0.csv":
@@ -1091,6 +1180,8 @@ BAD_CONFIGS = {
                            ["train", "sweep", "adapt"]),
     "center_advantages": ("[agent]\ncenter_advantages = true\n",
                           ["train", "sweep", "adapt"]),
+    "train_missing": ("[experiment]\ntrain_missing = yes\n",
+                      ["train", "sweep", "adapt"]),
     # a ring that never holds max(warmup, batch_size) = 1000 transitions
     "replay-capacity": ("[agent]\nreplay_capacity = 500\n",
                         ["train", "sweep", "adapt"]),
@@ -1131,6 +1222,9 @@ def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, case, command):
         assert f"config file {ini} is malformed: " in err
     if case in REMOVED_AGENT_KEYS:
         assert f"unknown key {case!r} in section [agent]" in err
+    if case == "train_missing":
+        assert err == (f"{command} failed: unknown key 'train_missing' in "
+                       f"section [experiment]\n")
     if case == "agent-seed":
         assert "[agent] seed" in err and "[experiment] seeds" in err
     if case == "agent-algorithm":
@@ -1219,11 +1313,23 @@ def test_cli_adapt_non_finite_schedule_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_sweep_missing_checkpoint_nonzero_exit(tmp_path):
-    out = str(tmp_path / "nothing")
-    rc = cli_main(["sweep", "--out", out, "--algo", "ppo", "--rates", "0.5",
-                   "--seed", "0", "--scenario", "medium", "--episodes", "1"])
+@pytest.mark.parametrize("command", ["sweep", "adapt"])
+def test_cli_missing_checkpoint_is_the_cells_named_error(tmp_path, capsys,
+                                                         command):
+    # adapt used to report a raw errno, sweep this text
+    out = tmp_path / "nothing"
+    schedule = ["--schedule", "0:0.5"] if command == "adapt" else []
+    rc = cli_main([command, "--out", str(out), "--algo", "ppo", "--rates",
+                   "0.5", "--seed", "0,1", "--episodes", "1", *schedule])
+    captured = capsys.readouterr()
+    printed = captured.out + captured.err
     assert rc == 1
+    assert "Traceback" not in printed
+    errors = [line for line in printed.splitlines() if "missing" in line]
+    assert [line.split(" (", 1)[1] for line in errors] == [
+        f"FileNotFoundError: missing checkpoint "
+        f"{out / 'checkpoints' / checkpoint_name('ppo', 'medium', 0.5, seed)})"
+        for seed in (0, 1)]
 
 
 def test_cli_eval_bad_checkpoint_nonzero_exit(tmp_path, capsys):
@@ -1244,6 +1350,23 @@ def test_cli_eval_bad_value_is_one_line_error(tmp_path, capsys, flags):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("eval failed: ")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_cli_eval_out_that_cannot_be_written_is_refused_before_any_work(
+        tmp_path, capsys, where):
+    # it used to exit 1 after every episode had run, on "[Errno 21] Is a
+    # directory"; the checkpoint is missing, so loading it first would
+    # exit 1 on that
+    out = tmp_path if where == "directory" else tmp_path / "no" / "m.json"
+    rc = cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("eval failed: ") and str(out) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_workers_pool_matches_sequential(tmp_path):

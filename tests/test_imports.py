@@ -11,6 +11,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,11 +53,12 @@ def test_unused_import_check_sees_plain_from_and_exempt_imports():
     assert unused_imports(source) == ["dumps (line 3)", "math (line 1)"]
 
 
-def _mentions(tree) -> list[str]:
-    """Every name, attribute and string constant in ``tree``."""
+def _mentions(tree, names: bool = True) -> list[str]:
+    """Every attribute and string constant in ``tree``, and every bare
+    name too unless ``names`` is false."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and names:
             found.append(node.id)
         elif isinstance(node, ast.Attribute):
             found.append(node.attr)
@@ -69,12 +71,18 @@ def unreached_members(package_sources: dict[str, str],
                       reader_sources: list[str]) -> list[str]:
     """``module:name`` of each function, method, property or class that
     the package defines and whose name appears nowhere in the package or
-    the readers outside its own definition. Dunders are exempt."""
+    the readers outside its own definition. A method or property is
+    reached only through an attribute or a string, never through a bare
+    name (a local variable that shares its name, say). Dunders are
+    exempt."""
     trees = {module: ast.parse(text) for module, text in package_sources.items()}
-    mentions: dict[str, int] = {}
-    for tree in [*trees.values(), *map(ast.parse, reader_sources)]:
-        for name in _mentions(tree):
-            mentions[name] = mentions.get(name, 0) + 1
+    readers = [*trees.values(), *map(ast.parse, reader_sources)]
+    # mentions by name, with and without bare names
+    mentions = {names: Counter(m for tree in readers
+                               for m in _mentions(tree, names))
+                for names in (True, False)}
+    methods = {id(member) for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for member in node.body}
     unreached = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -84,7 +92,8 @@ def unreached_members(package_sources: dict[str, str],
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if mentions.get(name, 0) == _mentions(node).count(name):
+            names = id(node) not in methods
+            if mentions[names][name] == _mentions(node, names).count(name):
                 unreached.append(f"{module}:{name}")
     return sorted(unreached)
 
@@ -109,10 +118,16 @@ def test_reachability_check_sees_methods_properties_and_strings():
         "    @property\n"
         "    def spare(self): return 1\n"
         "    def loop(self): return self.loop()\n"
+        "    @property\n"
+        "    def m(self): return 2\n"
         "def named(): pass\n"
-        "def lone(): pass\n")}
-    readers = ["TABLE = {'named': 1}\nA()\n"]
-    assert unreached_members(package, readers) == ["m.py:lone", "m.py:loop"]
+        "def lone(): pass\n"
+        "def walk(rows): return [m for m in rows]\n")}
+    # a bare name reaches a function or a class, never a method or a
+    # property: the loop variable m does not reach A.m
+    readers = ["TABLE = {'named': 1}\nA()\nwalk([])\n"]
+    assert unreached_members(package, readers) == [
+        "m.py:lone", "m.py:loop", "m.py:m"]
 
 
 def test_importing_the_harness_loads_no_process_pool():

@@ -411,7 +411,7 @@ def test_everything_of_a_net_follows_the_dtype_of_its_layers(dtype, net_dtype):
     stats = KfacStats(net, damping=1e-2, decay=0.9)
     stats.update(cache.inputs, chain)
     arrays = [net.params, out, net(x), net(x[0]), net(x[:, None, :]),
-              *cache.inputs, cache.output, *chain, grads.flat, adam.m, adam.v,
+              *cache.inputs, cache.output, *chain, grads.flat, *adam._moments,
               *adam._scratch, stats.precondition(grads).flat,
               *stats.a_factors, *stats.s_factors,
               *[inverse for pair in stats._inverses for inverse in pair]]
@@ -666,7 +666,6 @@ def test_a_copied_adam_steps_its_own_moments(copier):
     assert twin.t == 1
     assert all(np.shares_memory(view, twin._moments)
                for view in twin.state_arrays())
-    assert np.shares_memory(twin.m, twin._moments)
     twin.step(twin_net, grads, 0.1)
     adam.step(net, grads, 0.1)
     assert twin._moments.tobytes() == adam._moments.tobytes()
@@ -834,13 +833,12 @@ def test_adam_step_equals_reference_bit_for_bit(seed, depth, lr, scale):
         adam_reference(params, m, v, g, t, lr)
         assert direction.flat.tobytes() == g.tobytes()
         assert net.params.tobytes() == params.tobytes()
-        assert adam.m.tobytes() == m.tobytes()
-        assert adam.v.tobytes() == v.tobytes()
+        assert adam._moments[0].tobytes() == m.tobytes()
+        assert adam._moments[1].tobytes() == v.tobytes()
     # the scratch vectors are not state: a checkpoint holds m and v only
     state = adam.state_arrays()
     assert sum(a.size for a in state) == 2 * net.params.size
-    assert all(np.shares_memory(a, adam.m) or np.shares_memory(a, adam.v)
-               for a in state)
+    assert all(np.shares_memory(a, adam._moments) for a in state)
 
 
 def test_non_finite_direction_raises_divergence():
