@@ -3,13 +3,13 @@ surrogate policy optimization, curvature-preconditioned actor-critic, and a
 fixed-time baseline, all behind one act/update interface.
 
 Policy nets emit two logits (keep, switch); critics emit one value. The
-learners compute in their nets' dtype, ``nn.DTYPE``: an observation is cast
-once, where it enters (``_check_obs``, ``_check_rows``, ``_stack`` and the
-replay's store), and the rewards and log-probabilities that meet a net's
-outputs are held in that dtype too. The fixed-time controller reads its
-observations through the same casts: at the 1-s time step every preset
-uses, its phase timer is a whole number of seconds, which float32 holds
-exactly.
+learners compute in their nets' dtype, ``nn.DTYPE``, and an observation is
+cast once, where it enters: into a ``Rollout``'s rows, which ``act`` and
+the updates read, in ``act``'s one multiply that casts and scales
+(``_check_obs``), or in ``_check_rows`` for greedy evaluation. Rewards and
+log-probabilities are held in that dtype too. The fixed-time controller
+reads the same cast: at the 1-s time step every preset uses, its phase
+timer is a whole number of seconds, which float32 holds exactly.
 """
 
 from __future__ import annotations
@@ -175,48 +175,71 @@ def default_agent_config(algorithm: str, seed: int = 0,
                           "algorithm": algorithm, "seed": seed})
 
 
-@dataclass(slots=True)
-class Transition:
-    obs: np.ndarray
-    action: int
-    reward: float
-    next_obs: np.ndarray
-    log_prob: float | None = None
+class Rollout:
+    """``T`` steps of ``rollout`` as columns, floats cast to ``DTYPE``:
+    ``obs``, ``(T + 1, obs_dim)``, row ``t`` the observation step ``t``
+    acted on and row ``T`` the last one's next; ``actions``, ``rewards``,
+    behaviour ``log_probs`` (NaN where none is recorded); and ``finals``,
+    the final observation of an episode ending at step ``t < T - 1``, by
+    ``t`` (row ``t + 1`` is the reset one). Every end is a time limit, so
+    every step bootstraps: no done flag is kept."""
+
+    __slots__ = ("obs", "actions", "rewards", "log_probs", "finals")
+
+    def __init__(self, steps: int, obs_dim: int):
+        self.obs = np.empty((steps + 1, obs_dim), DTYPE)
+        self.actions = np.empty(steps, np.intp)
+        self.rewards = np.empty(steps, DTYPE)
+        self.log_probs = np.empty(steps, DTYPE)
+        self.finals: dict[int, np.ndarray] = {}
+
+    def scaled(self, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``0..T-1`` and each step's next observation (rows ``1..T``
+        with the finals in), times ``scale`` by one product over the rows."""
+        rows = self.obs * scale
+        next_obs = rows[1:].copy()
+        for t, final in self.finals.items():
+            next_obs[t] = final * scale
+        return rows[:-1], next_obs
 
 
 def rollout(agent: Agent, env: TrafficSignalEnv, batch: int = 0,
             obs: np.ndarray | None = None
-            ) -> Iterator[tuple[float, bool, list[Transition] | None]]:
-    """The one exploring act -> step loop of training and deployment.
-
-    Greedy evaluation does not come through here: ``evaluate_agent`` steps
-    its episodes side by side and picks their actions together with
-    ``Agent.greedy_actions``.
-
-    Each step yields ``(reward, done, full)``. With ``batch > 0`` the
-    step's ``Transition`` is gathered, and ``full`` is the list of the last
-    ``batch`` of them once it fills, else ``None``; the caller hands it to
-    ``agent.update``. The env is reset first when ``obs`` is None
-    and before the step after each episode end, so the caller can read
-    the finished episode's state when ``done`` is yielded.
-
-    A ``Transition`` holds no done flag: an episode ends only on the clock
-    and a deployment never ends one, so every ``done`` is a time limit and
-    the learners bootstrap at every step, an episode's last transition
-    from its final observation.
-    """
-    pending: list[Transition] = []
+            ) -> Iterator[tuple[float, bool, Rollout | None]]:
+    """The one exploring act -> step loop of training and deployment
+    (greedy evaluation picks its actions with ``Agent.greedy_actions``).
+    Each step yields ``(reward, done, full)``. With ``batch > 0`` each step
+    is written into one ``Rollout`` of ``batch`` steps, which ``act``
+    reads; ``full`` is it once full, else None: the caller hands it to
+    ``agent.update`` (which copies what it keeps) before the next step
+    starts the next batch in the same columns. The env is reset first when
+    ``obs`` is None and before the step after an episode end, so the caller
+    can read the ended episode's state when ``done`` is yielded."""
+    cols = None
     while True:
         if obs is None:
             obs = env.reset()
+        if batch:
+            if cols is None:
+                cols, t = Rollout(batch, len(obs)), 0
+                rows = list(cols.obs)  # each row's view, taken once
+            elif not t:
+                cols.finals.clear()
+            rows[t][...] = obs
+            obs = rows[t]
         action = agent.act(obs, explore=True)
         next_obs, reward, done, _ = env.step(action)
         full = None
         if batch:
-            pending.append(Transition(obs, action, reward, next_obs,
-                                      agent.last_logprob))
-            if len(pending) >= batch:
-                full, pending = pending, []
+            log_prob = agent.last_logprob
+            cols.actions[t], cols.rewards[t] = action, reward
+            cols.log_probs[t] = math.nan if log_prob is None else log_prob
+            t += 1
+            if t == batch:
+                rows[t][...] = next_obs
+                full, t = cols, 0
+            elif done:
+                cols.finals[t - 1] = np.array(next_obs, DTYPE)
         obs = None if done else next_obs
         yield reward, done, full
 
@@ -226,11 +249,10 @@ _ONE_HOT = np.eye(N_ACTIONS, dtype=DTYPE)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities over the last axis of two logits, max-shifted.
-    The maximum and the exp sum of the two columns are ufuncs, bit-equal
-    to the axis reductions they replace: a max reduction of two values is
-    ``np.maximum`` of them, and an axis sum adds its terms to 0.0, which
-    leaves the sum of two exps (never -0.0) as ``e0 + e1`` has it."""
+    """Log-probabilities over the last axis of two logits, max-shifted,
+    by ufuncs bit-equal to the axis reductions they replace: a max of two
+    values is ``np.maximum`` of them, and an axis sum adds its terms to
+    0.0, which leaves the sum of two exps (never -0.0) as ``e0 + e1``."""
     top = np.maximum(logits[..., 0], logits[..., 1])
     z = logits - top[..., None]
     e = np.exp(z)
@@ -239,26 +261,26 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _entropy(pi: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    """-sum(pi * log pi) of each row of two probabilities. The columns are
-    added by one ufunc, bit-equal to the axis sum, which adds them to 0.0:
-    the two differ only where both terms are -0.0, and the likelier
-    action's term never is (its log-probability is +0.0 or negative)."""
+    """-sum(pi * log pi) of each row of two probabilities, by one ufunc,
+    bit-equal to the axis sum, which adds the columns to 0.0: the two
+    differ only where both terms are -0.0, and the likelier action's term
+    never is (its log-probability is +0.0 or negative)."""
     terms = pi * logp
     return -(terms[:, 0] + terms[:, 1])
 
 
-def _stack(transitions: list[Transition]):
-    """The transitions' fields as arrays, the float ones in ``DTYPE``."""
-    obs = np.array([t.obs for t in transitions], dtype=DTYPE)
-    actions = np.array([t.action for t in transitions], dtype=np.intp)
-    rewards = np.array([t.reward for t in transitions], dtype=DTYPE)
-    next_obs = np.array([t.next_obs for t in transitions], dtype=DTYPE)
-    return obs, actions, rewards, next_obs
+def _advantages(targets: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``targets - values`` less their mean (as np.mean takes it): an
+    unbiased baseline that removes the offset swamping the state signal."""
+    advantages = targets - values
+    if len(advantages) > 1:
+        advantages -= advantages.sum() / len(advantages)
+    return advantages
 
 
 class Agent:
     """Common act/update surface. ``needs_rollout`` tells a driver how many
-    transitions to hand to update() at a time (0 = never updates)."""
+    steps each ``Rollout`` it hands to update() holds (0 = never updates)."""
 
     needs_rollout = 0
 
@@ -280,27 +302,28 @@ class Agent:
     def algorithm(self) -> str:
         return self.config.algorithm
 
-    def _check_obs(self, obs) -> np.ndarray:
-        obs = np.asarray(obs, dtype=DTYPE)
+    def _check_obs(self, obs, scale=1.0) -> np.ndarray:
+        """One observation times ``scale``, by one multiply that casts to
+        ``DTYPE`` first."""
+        obs = np.asarray(obs)
         if obs.shape != (self.obs_dim,):
             raise ObservationShapeError(
                 f"expected observation of length {self.obs_dim}, got {obs.shape}")
-        return obs
+        return np.multiply(obs, scale, dtype=DTYPE)
 
     def act(self, obs, explore: bool = False) -> int:
         raise NotImplementedError
 
     def greedy_actions(self, obs) -> list[int]:
-        """The greedy action for each observation in ``obs``, a sequence
-        of ``E`` of them (a list of 1-D arrays or an ``(E, obs_dim)``
-        array): entry ``k`` equals ``act(obs[k], explore=False)``. Draws
-        and stores nothing."""
+        """The greedy action for each of the ``E`` observations in ``obs``
+        (1-D arrays or an ``(E, obs_dim)`` array): entry ``k`` equals
+        ``act(obs[k], explore=False)``. Draws and stores nothing."""
         raise NotImplementedError
 
     def _check_rows(self, obs) -> np.ndarray:
-        """``obs``, a stack of observations, as one ``(E, obs_dim)`` float
-        array; a ragged stack or a row of another length is an
-        ``ObservationShapeError``. The array is in ``DTYPE``."""
+        """``obs``, a stack of observations, as one ``(E, obs_dim)`` array
+        in ``DTYPE``; a ragged stack or a row of another length is an
+        ``ObservationShapeError``."""
         expected = (f"expected observations of length {self.obs_dim} "
                     f"stacked in rows")
         try:
@@ -313,9 +336,8 @@ class Agent:
 
     def _argmax_rows(self, net: Mlp, obs, what: str) -> list[int]:
         """Argmax of ``net``'s two outputs for each observation in
-        ``obs``, run as one call on a stack of single rows (see
-        ``Mlp.__call__``), so each row's outputs are bit-equal to those of
-        a one-row call and are compared as ``act`` compares them."""
+        ``obs``, run as one call on a stack of single rows, whose outputs
+        are bit-equal to one-row calls' (see ``Mlp.__call__``)."""
         x = self._check_rows(obs)
         actions = []
         outputs = net.run((x * self._obs_scale)[:, None, :])[:, 0]
@@ -325,7 +347,7 @@ class Agent:
             actions.append(0 if v0 >= v1 else 1)  # argmax: a tie keeps the first
         return actions
 
-    def update(self, transitions: list[Transition]) -> dict[str, float]:
+    def update(self, batch: Rollout) -> dict[str, float]:
         return {}
 
     # -- persistence hooks ---------------------------------------------------
@@ -395,15 +417,15 @@ class _ReplayBuffer:
     def __len__(self) -> int:
         return min(self.added, self.capacity)
 
-    def add(self, item: Transition) -> None:
+    def add(self, obs, action, reward, next_obs) -> None:
         i = self.added % self.capacity
         # dtype=DTYPE casts the observation before the product, which is
         # the cast-then-scale of the agent's own observations
-        np.multiply(item.obs, self._obs_scale, out=self.obs[i], dtype=DTYPE)
-        np.multiply(item.next_obs, self._obs_scale, out=self.next_obs[i],
+        np.multiply(obs, self._obs_scale, out=self.obs[i], dtype=DTYPE)
+        np.multiply(next_obs, self._obs_scale, out=self.next_obs[i],
                     dtype=DTYPE)
-        self.actions[i] = item.action
-        self.rewards[i] = item.reward
+        self.actions[i] = action
+        self.rewards[i] = reward
         self.added += 1
 
     def draw(self, rng: np.random.Generator, pairs: np.ndarray,
@@ -423,10 +445,9 @@ class _ReplayBuffer:
 
 class _TdWorkspace:
     """The arrays of ``DqlAgent._td_step`` at ``batch`` rows, built at its
-    first step: the replay draw ``pairs``, in ``DTYPE``; the ``StackPass``
-    over it, with each layer's ``(2, B, width)`` activations, the
-    ``(B, 2)`` output gradient, the chain scratch and the gradient; and
-    the TD error's. Every array is overwritten by the next step."""
+    first step: the replay draw ``pairs``, in ``DTYPE``, the ``StackPass``
+    over it and the TD error's. Every array is overwritten by the next
+    step."""
 
     def __init__(self, pair: MlpStack, batch: int, obs_dim: int):
         self.pairs = np.empty((2, batch, obs_dim), DTYPE)
@@ -446,23 +467,20 @@ class DqlAgent(Agent):
 
     The q net and the target net are the two members of one ``MlpStack``
     (row 0 and row 1), and a target sync copies row 0 into row 1. Every
-    target bootstraps (see ``rollout``). The replay holds scaled
-    observations (see ``_ReplayBuffer``) and is not checkpointed: a loaded
-    agent takes no gradient step until it has gathered
+    target bootstraps (see ``Rollout``). The replay holds scaled
+    observations and is not checkpointed: a loaded agent takes no
+    gradient step until it has gathered
     ``max(warmup, batch_size)`` transitions again (1,000 by default), in
     deployment too.
 
-    Training calls neither ``Mlp.forward`` nor ``Mlp.backward``: each
-    gradient step is one ``_td_step``, which draws ``batch_size`` rows
-    from the replay into a workspace (``_TdWorkspace``) built at the first
-    step, and over it runs both nets' forwards as one ``StackPass``, the TD
-    error, the q net's backward in the same pass, and the Adam step. The
-    workspace's arrays are valid until the next step. The step's
-    reference is the same step built from the members' ``Mlp.forward``
-    and ``Mlp.backward`` and the optimizer, which it equals bit for bit
-    (the test suite holds them equal). A copy (``copy.deepcopy``,
-    ``pickle``) rebinds the nets to the rows of its own stack and builds a
-    workspace of its own at its first step.
+    Each gradient step, ``_td_step``, draws ``batch_size`` rows from the
+    replay into a workspace (``_TdWorkspace``) built at the first step,
+    and over it runs both nets' forwards as one ``StackPass``, the TD
+    error, the q net's backward in the same pass, and the Adam step; it
+    equals, bit for bit, the step built from the members' ``Mlp.forward``
+    and ``Mlp.backward`` (the test suite holds them equal). A copy
+    (``copy.deepcopy``, ``pickle``) rebinds the nets to the rows of its
+    own stack and builds a workspace of its own at its first step.
     """
 
     needs_rollout = 1
@@ -494,10 +512,10 @@ class DqlAgent(Agent):
         return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
     def act(self, obs, explore: bool = False) -> int:
-        obs = self._check_obs(obs)
+        x = self._check_obs(obs, self._obs_scale)
         if explore and self._rng.random() < self.epsilon():
             return int(self._rng.integers(N_ACTIONS))
-        q0, q1 = self.q_net.run(obs * self._obs_scale).tolist()
+        q0, q1 = self.q_net.run(x).tolist()
         if not (math.isfinite(q0) and math.isfinite(q1)):  # else an arbitrary action
             raise DivergenceError(f"q-values are not finite: {q0}, {q1}")
         return 0 if q0 >= q1 else 1  # argmax: a tie keeps the first
@@ -505,15 +523,16 @@ class DqlAgent(Agent):
     def greedy_actions(self, obs) -> list[int]:
         return self._argmax_rows(self.q_net, obs, "q-values")
 
-    def update(self, transitions: list[Transition]) -> dict[str, float]:
-        """Add each transition to the replay, then take one gradient step
-        per transition once the replay is warm, however many transitions
-        one call brings. Returns the mean loss of the steps taken."""
+    def update(self, batch: Rollout) -> dict[str, float]:
+        """Add each step of ``batch`` to the replay, each followed by one
+        gradient step once the replay is warm; returns their mean loss."""
         cfg = self.config
         warm = max(cfg.warmup, cfg.batch_size)
+        obs, finals = batch.obs, batch.finals
         losses = []
-        for t in transitions:
-            self.replay.add(t)
+        for t in range(len(batch.actions)):
+            self.replay.add(obs[t], batch.actions[t], batch.rewards[t],
+                            finals.get(t, obs[t + 1]))
             self.train_steps += 1
             if len(self.replay) >= warm:
                 losses.append(self._td_step())
@@ -568,15 +587,14 @@ class DqlAgent(Agent):
 
 class _AcWorkspace:
     """The arrays of actor-critic updates of up to ``rows`` rows: the
-    ``(1, rows, obs_dim)`` input ``x`` and, per row count met, the passes
-    of the actor's and the critic's one-member stacks over its leading
-    rows, all over one ``PassScratch``, so the two nets share every array
-    of equal width. Every array is overwritten by the next step."""
+    ``(1, rows, obs_dim)`` input ``x`` and, per row count met, the
+    actor's and the critic's passes over its leading rows, over one
+    ``PassScratch`` (the nets share every array of equal width)."""
 
     def __init__(self, actor: Mlp, critic: Mlp, rows: int, obs_dim: int):
         self.rows = rows
-        self._stacks = [MlpStack(net.layers, 1, net.params[None])
-                        for net in (actor, critic)]
+        self._one_member = [MlpStack(net.layers, 1, net.params[None])
+                            for net in (actor, critic)]
         self._scratch = PassScratch(rows, actor.params.dtype)
         self.x = self._scratch.take("x", (1, rows, obs_dim))
         self._passes: dict[int, tuple[StackPass, StackPass]] = {}
@@ -587,7 +605,7 @@ class _AcWorkspace:
         if pair is None:
             x = self.x[:, :batch]
             pair = self._passes[batch] = tuple(
-                StackPass(stack, x, self._scratch) for stack in self._stacks)
+                StackPass(net, x, self._scratch) for net in self._one_member)
         return pair
 
 
@@ -599,21 +617,20 @@ class _ActorCriticAgent(Agent):
     Per minibatch, ``update`` takes one actor step up the clipped surrogate
     min(ratio * A, clip(ratio, 1-eps, 1+eps) * A), ratio = pi(a|s) /
     pi_old(a|s), without the ratio gradient wherever the clipped branch is
-    the active minimum, then ``_critic_step`` on the same rows. With
+    the active minimum, and ``_critic_step`` on the same rows. With
     ``single_pass`` set (A2C; ACKTR inherits it) the one minibatch is the
-    whole rollout and pi_old is this forward's own policy: the ratio is
-    exactly 1, the clip never binds, and the step is A2C's, bit for bit
-    (Huang et al., arXiv 2205.09123).
+    whole rollout, its critic steps come first, and pi_old is this
+    forward's own policy: the ratio is exactly 1, the clip never binds,
+    and the step is A2C's, bit for bit (Huang et al., arXiv 2205.09123).
 
     Each net trains through the ``StackPass`` of its one-member stack,
     over a workspace (``_AcWorkspace``) built at the first update for its
     largest actor step (the rollout, or a PPO minibatch) and again for a
-    larger one; a shorter step runs on its leading rows.
-    The update equals its reference, built from ``Mlp.forward``,
-    ``Mlp.backward`` and the optimizers, bit for bit (the test suite
-    holds them equal). The passes read the nets in place, so rebinding
-    ``actor`` or ``critic`` after the first update cuts it off from them;
-    a copy (``copy.deepcopy``, ``pickle``) builds its own workspace.
+    larger one; a shorter step runs on its leading rows. The update
+    equals, bit for bit, its reference built from ``Mlp.forward`` and
+    ``Mlp.backward`` (the test suite holds them equal). The passes read
+    the nets in place, so rebinding ``actor`` or ``critic`` after the
+    first update cuts it off from them; a copy builds its own workspace.
     """
 
     optimizer_class: type = AdamOptimizer
@@ -642,13 +659,13 @@ class _ActorCriticAgent(Agent):
         # skipping numpy's per-call cost on 2-element arrays. np.exp and
         # np.log run the array calls' ufunc loops, so results stay bit-equal
         # to the array path; math.exp and math.log may round differently.
-        obs = self._check_obs(obs)
-        l0, l1 = self.actor.run(obs * self._obs_scale).tolist()
+        x = self._check_obs(obs, self._obs_scale)
+        l0, l1 = self.actor.run(x).tolist()
         if not (math.isfinite(l0) and math.isfinite(l1)):  # else an arbitrary action
             raise DivergenceError(f"policy logits are not finite: {l0}, {l1}")
         top = max(l0, l1)
         z0, z1 = l0 - top, l1 - top
-        lse = np.log(np.exp(z0) + np.exp(z1))
+        lse = float(np.log(np.exp(z0) + np.exp(z1)))
         if explore:
             # a uniform floor keeps rare actions sampled even once the
             # policy has become confident
@@ -656,101 +673,94 @@ class _ActorCriticAgent(Agent):
             if floor and self._rng.random() < floor:
                 action = int(self._rng.integers(N_ACTIONS))
             else:
-                action = 0 if self._rng.random() < np.exp(z0 - lse) else 1
+                keep = float(np.exp(z0 - lse))
+                action = 0 if self._rng.random() < keep else 1
         else:
             action = 0 if l0 >= l1 else 1  # argmax: a tie keeps the first
-        self.last_logprob = float((z1 if action else z0) - lse)
+        self.last_logprob = (z1 if action else z0) - lse
         return action
 
     def greedy_actions(self, obs) -> list[int]:
         return self._argmax_rows(self.actor, obs, "policy logits")
 
-    def update(self, transitions: list[Transition]) -> dict[str, float]:
+    def update(self, batch: Rollout) -> dict[str, float]:
         """One update on a rollout; the stats are its last minibatch's. At
         a ratio of 1, ``actor_loss`` is ``-mean(A)``, which the batch-mean
         baseline centres to rounding noise: no learning signal for A2C and
-        ACKTR, nor for PPO when one epoch's one minibatch is the rollout."""
-        if not transitions:
+        ACKTR, nor for PPO when one epoch's one minibatch is the rollout.
+        A single pass takes V(s) from its first critic epoch (the nets
+        share no parameter, optimizer or draw, so fitting the critic first
+        moves no number); PPO calls the critic on the rollout."""
+        steps = len(batch.actions)
+        if not steps:
             return {}
-        if not self.single_pass and any(t.log_prob is None
-                                        for t in transitions):
+        if not self.single_pass and np.isnan(batch.log_probs).any():
             raise ValueError("a PPO update needs the log-probability of each "
                              "action taken, which rollout records")
         cfg = self.config
-        self.train_steps += len(transitions)
-        rows = len(transitions)  # the most rows an actor step takes
-        rows = rows if self.single_pass else min(rows, cfg.ppo_minibatch)
+        self.train_steps += steps
+        rows = steps if self.single_pass else min(steps, cfg.ppo_minibatch)
         ws = self._workspace
         if ws is None or ws.rows < rows:
             ws = self._workspace = _AcWorkspace(self.actor, self.critic, rows,
                                                 self.obs_dim)
-        low, high = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
-        for m, actions, targets, adv, old_logp in self._minibatches(
-                transitions, ws.x[0]):
-            actor, critic = ws.passes(m)
-            logp = _log_softmax(actor.forward()[0])
-            pi = np.exp(logp)
-            taken = logp[np.arange(m), actions]
-            # a single pass against its own log-probs: exp(0) = 1 exactly
-            ratio = np.exp(taken - (taken if old_logp is None else old_logp))
-            unclipped = ratio * adv
-            # np.clip(ratio, low, high) * adv, as np.clip computes it
-            clipped = np.maximum(ratio, low)
-            np.minimum(clipped, high, out=clipped)
-            clipped *= adv
-            objective = float(np.minimum(unclipped, clipped).sum()) / m
-            if not math.isfinite(objective):
-                raise DivergenceError("actor surrogate became non-finite")
-            # ratio gradient only where the unclipped branch is active
-            coeff = np.where(unclipped <= clipped, adv * ratio, 0.0)
-            entropy = _entropy(pi, logp)
-            score = _ONE_HOT[actions] - pi
-            actor.dout[...] = self._actor_surrogate_grad(logp, pi, score,
-                                                         coeff, entropy)
-            self.actor_optimizer.step(
-                self.actor, self._actor_direction(actor.backward(0), actor,
-                                                  score), cfg.actor_lr)
-            critic_loss = self._critic_step(critic, targets)
-        return {"actor_loss": -objective, "critic_loss": critic_loss,
-                "entropy": float(entropy.sum()) / m}
-
-    def _minibatches(self, transitions: list[Transition], x: np.ndarray):
-        """``(rows, actions, targets, advantages, old_logp)`` of each actor
-        step, whose observations it writes into ``x``'s leading rows: for
-        a single pass, the whole rollout and no ``old_logp``; for PPO,
-        ``ppo_epochs`` permutations, each drawn as its epoch begins, cut
-        into ``ppo_minibatch`` chunks."""
-        obs, actions, targets, advantages = self._targets_and_advantages(
-            transitions)
+        obs, targets = self._targets(batch)
+        x = ws.x[0]
         if self.single_pass:
-            x[:len(obs)] = obs
-            yield len(obs), actions, targets, advantages, None
-            return
-        cfg = self.config
-        old_logp = np.array([t.log_prob for t in transitions], dtype=DTYPE)
-        for _ in range(cfg.ppo_epochs):
-            perm = self._rng.permutation(len(transitions))
-            for start in range(0, len(perm), cfg.ppo_minibatch):
-                mb = perm[start:start + cfg.ppo_minibatch]
-                x[:len(mb)] = obs[mb]
-                yield (len(mb), actions[mb], targets[mb], advantages[mb],
-                       old_logp[mb])
+            x[:steps] = obs
+            actor, critic = ws.passes(steps)
+            critic_loss, values = self._critic_step(critic, targets)
+            objective, entropy = self._actor_step(
+                actor, batch.actions, _advantages(targets, values), None)
+        else:
+            advantages = _advantages(targets, self.critic(obs).ravel())
+            for _ in range(cfg.ppo_epochs):
+                perm = self._rng.permutation(steps)
+                for start in range(0, steps, cfg.ppo_minibatch):
+                    mb = perm[start:start + cfg.ppo_minibatch]
+                    x[:len(mb)] = obs[mb]
+                    actor, critic = ws.passes(len(mb))
+                    objective, entropy = self._actor_step(
+                        actor, batch.actions[mb], advantages[mb],
+                        batch.log_probs[mb])
+                    critic_loss, _ = self._critic_step(critic, targets[mb])
+        return {"actor_loss": -objective, "critic_loss": critic_loss,
+                "entropy": float(entropy.sum()) / len(entropy)}
 
-    def _targets_and_advantages(self, transitions: list[Transition]):
-        cfg = self.config
-        obs, actions, rewards, next_obs = _stack(transitions)
-        obs = obs * self._obs_scale
-        next_obs = next_obs * self._obs_scale
-        v_now = self.critic(obs).ravel()
+    def _targets(self, batch: Rollout) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled observations and each step's ``r + gamma * V(s')``."""
+        obs, next_obs = batch.scaled(self._obs_scale)
         v_next = self.critic(next_obs).ravel()
-        targets = rewards + cfg.gamma * v_next
-        advantages = targets - v_now
-        if len(advantages) > 1:
-            # batch-mean baseline: keeps the estimator unbiased while
-            # removing the shared offset that otherwise swamps the
-            # state-conditional signal (the mean as np.mean computes it)
-            advantages = advantages - advantages.sum() / len(advantages)
-        return obs, actions, targets, advantages
+        return obs, batch.rewards + self.config.gamma * v_next
+
+    def _actor_step(self, run: StackPass, actions, adv, old_logp):
+        """A step up the clipped surrogate through the actor's pass ``run``
+        (``old_logp`` None: a single pass); returns it and the entropies."""
+        cfg = self.config
+        m = len(adv)
+        logp = _log_softmax(run.forward()[0])
+        pi = np.exp(logp)
+        taken = logp[np.arange(m), actions]
+        # a single pass against its own log-probs: exp(0) = 1 exactly
+        ratio = np.exp(taken - (taken if old_logp is None else old_logp))
+        unclipped = ratio * adv
+        # np.clip(ratio, low, high) * adv, as np.clip computes it
+        clipped = np.maximum(ratio, 1.0 - cfg.clip_epsilon)
+        np.minimum(clipped, 1.0 + cfg.clip_epsilon, out=clipped)
+        clipped *= adv
+        objective = float(np.minimum(unclipped, clipped).sum()) / m
+        if not math.isfinite(objective):
+            raise DivergenceError("actor surrogate became non-finite")
+        # ratio gradient only where the unclipped branch is active
+        coeff = np.where(unclipped <= clipped, adv * ratio, 0.0)
+        entropy = _entropy(pi, logp)
+        score = _ONE_HOT[actions] - pi
+        run.dout[...] = self._actor_surrogate_grad(logp, pi, score, coeff,
+                                                   entropy)
+        self.actor_optimizer.step(
+            self.actor, self._actor_direction(run.backward(0), run, score),
+            cfg.actor_lr)
+        return objective, entropy
 
     def _actor_surrogate_grad(self, logp, pi, score, coeff, entropy):
         """d/d logits of mean(coeff * log pi(a)) plus the entropy bonus,
@@ -763,21 +773,21 @@ class _ActorCriticAgent(Agent):
         return grad
 
     def _actor_direction(self, grads: Gradients, run, score) -> Gradients:
-        """The actor's step direction from its surrogate gradient: ascent.
-        ``run`` is its pass, ``score`` the minibatch's rows
-        ``onehot(a) - pi``."""
+        """The actor's step direction from its surrogate gradient (ascent),
+        its pass and the rows ``onehot(a) - pi``: the gradient itself."""
         return grads
 
-    def _critic_step(self, run: StackPass, targets) -> float:
-        """Descend the squared error toward fixed targets, through
-        ``run``, the critic's pass over the actor's rows; repeated
-        ``critic_epochs`` times so the value scale can be reached within a
-        desk-scale update budget."""
+    def _critic_step(self, run: StackPass, targets):
+        """Descend the squared error toward fixed targets through ``run``,
+        the critic's pass over the actor's rows, ``critic_epochs`` times so
+        the value scale is reached within a desk-scale budget. Returns the
+        last loss and the first epoch's values, copied before its step."""
         n = len(targets)
         values = run.acts[-1][0, :, 0]
-        loss = 0.0
         for epoch in range(self.config.critic_epochs):
             run.forward()
+            if epoch == 0:
+                first = values.copy()
             resid = values - targets
             loss = float((resid * resid).sum()) / n  # what np.mean computes
             if not math.isfinite(loss):
@@ -788,7 +798,7 @@ class _ActorCriticAgent(Agent):
                 self.critic,
                 self._critic_direction(run.backward(0), run, resid, epoch),
                 self.config.critic_lr)
-        return loss
+        return loss, first
 
     def _critic_direction(self, grads: Gradients, run, resid,
                           epoch: int) -> Gradients:
@@ -804,8 +814,7 @@ class _ActorCriticAgent(Agent):
 
 
 class A2cAgent(_ActorCriticAgent):
-    """One-step advantage actor-critic: a single pass per rollout, whose
-    actor ascends mean(log pi(a|s) * A)."""
+    """One-step advantage actor-critic: a single pass per rollout."""
 
     single_pass = True
 
@@ -822,12 +831,11 @@ class AcktrAgent(A2cAgent):
     parameter-space norm.
 
     The factors are refreshed once per update for each net, from the
-    actor's score rows ``onehot(a) - pi`` and the critic's residuals of
-    its first epoch. A refresh reads only the layer inputs and the
-    pre-activation gradients, so it runs the net's pass's ``chain``, its
-    backward without the weight and bias products, from those rows, after
-    the backward that gave the step's gradient. Both scalings write into
-    the fresh preconditioned vector; the raw gradient is only read."""
+    critic's residuals of its first epoch and the actor's score rows
+    ``onehot(a) - pi``. A refresh reads only the layer inputs and the
+    pre-activation gradients: it runs the pass's ``chain`` from those
+    rows, after the backward that gave the step's gradient. Both scalings
+    write into the fresh preconditioned vector."""
 
     optimizer_class = SgdOptimizer
 
@@ -855,11 +863,10 @@ class AcktrAgent(A2cAgent):
                  learning_rate: float) -> Gradients:
         """Precondition ``grads``, scale the step so that its
         curvature-metric length stays within the KL budget (eta^2 g^T F^-1 g
-        <= 2 delta), then cap its norm at the trust-region radius. g^T F^-1 g
-        is the raw gradient's inner product with the preconditioned one, so
-        no extra curvature products are needed; saturated directions (tiny
-        Fisher) would otherwise blow up under the inverse. An infinite
-        budget scales by exactly 1.0; an infinite radius never scales."""
+        <= 2 delta, g^T F^-1 g the raw gradient's inner product with the
+        preconditioned one), which keeps saturated directions (tiny Fisher)
+        from blowing up, then cap its norm at the trust-region radius. An
+        infinite budget scales by exactly 1.0; an infinite radius never."""
         nat = stats.precondition(grads)
         delta = self.config.kl_budget
         quad = float(np.dot(grads.flat, nat.flat))
@@ -896,12 +903,10 @@ def make_agent(config: AgentConfig, obs_dim: int) -> Agent:
 # Layout: b"TLAG", <II (format version, header length), a UTF-8 JSON header,
 # then one little-endian payload. The header holds only what ``make_agent``
 # cannot rebuild: obs_dim, the full config, the counters (``_counter_slots``)
-# and the RNG state. The agent that ``make_agent`` builds from the config
-# and obs_dim sets the payload's layout: each net's ``params`` in
-# ``_nets()`` order, then each optimizer's ``state_arrays()`` in
-# ``_optimizers()`` order, every array float32 (``DTYPE``), the K-FAC
-# factors included. A change of dtype moves the layout, so it is a new
-# format version, and the version alone tells a file's dtype.
+# and the RNG state. The payload holds each net's ``params`` in ``_nets()``
+# order, then each optimizer's ``state_arrays()`` in ``_optimizers()``
+# order, every array float32 (``DTYPE``); a change of dtype is a new format
+# version, so the version alone tells a file's dtype.
 
 def _payload_arrays(agent: Agent) -> list[np.ndarray]:
     arrays = [net.params for net in agent._nets().values()]
@@ -950,12 +955,11 @@ def _restore(header: dict, blob: bytes, offset: int,
              expected_algorithm: str | None) -> Agent:
     """Build the agent of the header's config and obs_dim and fill it from
     the payload at ``offset``. A malformed header surfaces as a KeyError,
-    TypeError, ValueError or OverflowError, and one that names sizes too
-    large to allocate as a MemoryError; the caller reports each as a
-    format error. A payload whose length does not fit the built agent, a
-    payload value that is not finite (training raises before it could save
-    one) and a counter that is not a non-negative int are format errors
-    too."""
+    TypeError, ValueError, OverflowError or (sizes too large to allocate)
+    MemoryError, which the caller reports as a format error; so are a
+    payload whose length does not fit the agent, a payload value that is
+    not finite (training raises before saving one) and a counter that is
+    not a non-negative int."""
     config = AgentConfig(**header["config"])
     if expected_algorithm is not None and config.algorithm != expected_algorithm:
         raise AlgorithmMismatchError(

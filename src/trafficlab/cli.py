@@ -2,11 +2,11 @@
 
 Every flag mirrors a config-file key; flags override file values. Exit
 status is 0 only when every grid cell succeeded; a config that cannot be
-read or holds a bad value, a flag value that does not parse, or an output
-directory that cannot be made is reported in one line before any cell
-runs, with exit status 2. ``eval`` reports a bad flag value, an ``--out``
-that names a directory or lies in none included, the same way, before it
-reads the checkpoint.
+read or holds a bad value, a command line that does not parse, ``adapt``
+``rates`` that train no checkpoint at the schedule's first rate, or an
+output directory that cannot be made is reported in one line before any
+cell runs, with exit status 2. ``eval`` reports a bad flag value or an
+unusable ``--out`` the same way, before it reads the checkpoint.
 """
 
 from __future__ import annotations
@@ -69,13 +69,19 @@ def _add_key_flags(p: argparse.ArgumentParser, flags) -> None:
         p.add_argument(flag, dest=key, type=_flag_type(key), help=what)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each parse error for ``main`` to report in one line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trafficlab",
-        description="Detection-limited traffic signal control experiments.",
-        exit_on_error=False)
+        description="Detection-limited traffic signal control experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    grid = dict(argument_default=argparse.SUPPRESS, exit_on_error=False)
+    grid = dict(argument_default=argparse.SUPPRESS)
 
     commands = {}
     for command, what in (
@@ -88,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_key_flags(p, _GRID_FLAGS)
     _add_key_flags(commands["adapt"], _ADAPT_FLAGS)
 
-    p_eval = sub.add_parser("eval", help="evaluate one checkpoint",
-                            exit_on_error=False)
+    p_eval = sub.add_parser("eval", help="evaluate one checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--scenario", default="medium")
     p_eval.add_argument("--rate", type=float, default=1.0)
@@ -117,13 +122,18 @@ def _resolve(args) -> tuple[ExperimentSpec, DeploymentConfig | None]:
     deploy = merged("deploy", _DEPLOY_KEYS)
     if "schedule" not in deploy:
         raise ValueError("deployment needs a schedule")
-    return spec, DeploymentConfig(**deploy)
+    deploy = DeploymentConfig(**deploy)
+    name = f"r{deploy.schedule.breakpoints[0][1]:.2f}"
+    if all(f"r{rate:.2f}" != name for rate in spec.rates):
+        raise ValueError(f"rates {spec.rates} train no {name} checkpoint, "
+                         f"which the schedule's first rate loads")
+    return spec, deploy
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except argparse.ArgumentError as exc:  # a flag value that does not parse
+    except argparse.ArgumentError as exc:  # a command line that does not parse
         print(f"trafficlab: error: {exc}", file=sys.stderr)
         return 2
     if args.command == "eval":

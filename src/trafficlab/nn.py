@@ -15,23 +15,21 @@ A network's parameters live in one flat vector, ``Mlp.params``, laid out
 per layer as the weight matrix row-major, then the bias; each layer's
 ``w`` and ``b`` are views into it, so an optimizer step is a few
 whole-vector operations. Gradients use the same layout, with the same
-views. A net has two forward passes: calling it is inference and keeps
-nothing (``run`` is the call without its input check), ``forward`` keeps
-the cache ``backward`` reads. Both run one
-layer loop over a per-layer plan built once with the net (weight, its
-transpose, bias, and tanh on every layer but the last), and a stacked
-pass runs the same steps over a stack's plan. ``backward`` is two parts:
-the chain of per-sample pre-activation gradients from the output back to
-the first layer (``pre_activation_grads``, which returns them and leaves
-the cache as it was), then each layer's weight and bias products,
-written into the flat gradient. Curvature stats read only the chain, so a curvature
-refresh runs the chain alone. ``Gradients`` has one constructor, over a
-flat vector it cuts into layer views without a copy. In place, a pass
-writes only arrays it made or owns: every forward adds the bias into the
-fresh matmul result and applies the activation there, neither part of
-``backward`` writes an array of the cache or of its output gradient (only
-the ``Gradients`` it is handed or makes), and an Adam step writes ``m``,
-``v``, ``params`` and its scratch.
+views. Calling a net is inference and keeps nothing (``run`` is the call
+without its input check); ``forward`` keeps the cache ``backward`` reads.
+Both read a per-layer plan built once with the net (weight, its
+transpose, bias, and tanh on every layer but the last), one sample in a
+loop of its own, and a stacked pass runs the same steps over a stack's
+plan. ``backward`` is the chain of per-sample pre-activation gradients
+from the output back to the first layer (``pre_activation_grads``, which
+leaves the cache as it was), then each layer's weight and bias products,
+written into the flat gradient; a curvature refresh runs the chain
+alone. ``Gradients`` is built over a flat vector it cuts into layer views
+without a copy. In place, a pass writes only arrays it made or owns:
+every forward adds the bias into the fresh matmul result and applies the
+activation there, ``backward`` writes only the ``Gradients`` it is
+handed or makes, and an Adam step writes ``m``, ``v``, ``params`` and
+its scratch.
 
 Inference takes three input shapes, and keeps one equality for each:
 
@@ -47,42 +45,23 @@ Inference takes three input shapes, and keeps one equality for each:
   the one-sample call on ``x[k, 0]``, for every ``E``.
 
 A stack of nets (``MlpStack``) keeps ``S`` nets of one shape in one
-``(S, P)`` buffer, each member an ``Mlp`` over its row; a one-member
-stack may be built over a net's own ``params``. A ``StackPass`` runs
-their forwards as one pass, ``(S, B, n) @ (S, n, m)`` per layer, each
-member's bias and activation applied to its own block, and then one
-member's backward or its chain alone, over arrays built once for a fixed
-``B`` from a ``PassScratch`` that passes run one after another share.
-numpy multiplies each matrix of a stack as it multiplies the lone 2-D
-one, so member ``k``'s rows of the pass are bit-equal to
-``members[k].forward(x[k])``'s outputs and cache and to its batch call,
-for every ``B``, its backward to ``members[k].backward`` and its chain
-to ``pre_activation_grads``. Every learner trains through it: DQL's q and
+``(S, P)`` buffer, each member an ``Mlp`` over its row. A ``StackPass``
+runs their forwards as one pass, ``(S, B, n) @ (S, n, m)`` per layer, and
+then one member's backward or its chain alone, over arrays built once
+for a fixed ``B`` from a ``PassScratch`` that passes run one after another
+share; member ``k``'s rows are bit-equal to ``members[k].forward(x[k])``,
+its backward and its chain. Every learner trains through it: DQL's q and
 target nets as a stack of two, each actor-critic net as a one-member
-stack (ACKTR's curvature refresh runs the chain alone). What a pass
-leaves is valid until the next pass over its scratch. No update runs
-``Mlp.forward``, ``Mlp.backward`` or ``pre_activation_grads``: they are
-the pass's reference.
+stack. No update runs ``Mlp.forward``, ``Mlp.backward`` or
+``pre_activation_grads``: they are the pass's reference.
 
 The test suite checks these equalities on the BLAS build it runs on.
-
 Copies (``copy.deepcopy``, ``pickle``) of a net, a stack, a ``Gradients``
-and an optimizer hold views into their own arrays: a net's copy is
-``Mlp(net.layers)``, a stack's a stack over a copy of its buffer. A
-``StackPass`` refuses to be copied; a copy of its stack builds its own.
-
-This module has no file format of its own. An agent checkpoint (see
-``trafficlab.agents``) stores each net's ``params`` as is, and each
-optimizer's ``state_arrays()``: the arrays are the optimizer's live state,
-so a loader restores them by writing into them in place.
-
-``KfacStats`` keeps one damped inverse per Kronecker factor. ``update``
-marks them stale and the next ``precondition`` rebuilds them, so a factor
-is inverted once per curvature refresh, not once per preconditioned step.
-``precondition`` writes each layer's products straight into the views
-of a fresh direction. The inverses are derived state: a
-checkpoint holds only the factors, and a loaded agent rebuilds the
-inverses from them on its first step.
+and an optimizer hold views into their own arrays; a ``StackPass``
+refuses to be copied. An agent checkpoint (see ``trafficlab.agents``)
+stores each net's ``params`` and each optimizer's ``state_arrays()``, the
+optimizer's live state, which a loader writes into in place; it holds
+the K-FAC factors but not their damped inverses (see ``KfacStats``).
 """
 
 from __future__ import annotations
@@ -124,13 +103,20 @@ def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.nd
 
 
 def _run_plan(plan, a: np.ndarray, inputs: list | None = None) -> np.ndarray:
-    """The layer loop of every forward, over a net's or a stack's plan;
-    each layer's input is appended to ``inputs`` when one is given."""
-    one = a.ndim == 1
+    """Every forward's layer loop over a net's or a stack's plan; each
+    layer's input is appended to ``inputs`` when one is given (never for
+    one sample, ``(n,)``, which takes a loop of its own)."""
+    if a.ndim == 1:
+        for w, _, b, act in plan:
+            a = w.dot(a)
+            a += b
+            if act is not None:
+                act(a, out=a)
+        return a
     for w, wt, b, act in plan:
         if inputs is not None:
             inputs.append(a)
-        a = w.dot(a) if one else a @ wt
+        a = a @ wt
         a += b
         if act is not None:
             act(a, out=a)

@@ -2,36 +2,45 @@
 that ``_ActorCriticAgent.update`` (A2C, PPO and ACKTR) must equal bit for
 bit.
 
-It runs each net's ``Mlp.forward`` and ``Mlp.backward``, ACKTR's
-curvature refresh through ``Mlp.pre_activation_grads``, and the agent's
-optimizers and K-FAC stats, each on fresh arrays, and draws PPO's
-permutations from the agent's generator as the update does. The policy
-and value arithmetic between the passes is the agent's own
-(``_targets_and_advantages``, ``_actor_surrogate_grad``, ACKTR's
-``_natural``), which reads and returns arrays only, so the two differ in
-their passes alone. It keeps no state of its own, so there is nothing in
-it to go stale.
+It reads a list of ``Transition`` objects through ``stack``, takes the
+values and the next values in two critic calls, and runs each net's
+``Mlp.forward`` and ``Mlp.backward``, ACKTR's curvature refresh through
+``Mlp.pre_activation_grads``, and the agent's optimizers and K-FAC stats,
+each on fresh arrays, the actor step before the critic's on every
+minibatch; it draws PPO's permutations from the agent's generator as the
+update does. The policy arithmetic between the passes is the agent's own
+(``_actor_surrogate_grad``, ``_advantages``, ACKTR's ``_natural``), which
+reads and returns arrays only. It keeps no state of its own, so there is
+nothing in it to go stale.
 """
 
 import math
 
 import numpy as np
 
-from trafficlab.agents import _ONE_HOT, AcktrAgent, _entropy, _log_softmax
-from trafficlab.nn import DTYPE
+from rollout_reference import stack
+from trafficlab.agents import (
+    _ONE_HOT,
+    AcktrAgent,
+    _advantages,
+    _entropy,
+    _log_softmax,
+)
 
 
 def reference_minibatches(agent, transitions):
     """``(obs, actions, targets, advantages, old_logp)`` of each actor
     step: the whole rollout for a single pass, else ``ppo_epochs``
     permutations cut into ``ppo_minibatch`` chunks."""
-    obs, actions, targets, advantages = agent._targets_and_advantages(
-        transitions)
+    obs, actions, rewards, next_obs, old_logp = stack(transitions)
+    obs = obs * agent._obs_scale
+    next_obs = next_obs * agent._obs_scale
+    targets = rewards + agent.config.gamma * agent.critic(next_obs).ravel()
+    advantages = _advantages(targets, agent.critic(obs).ravel())
     if agent.single_pass:
         yield obs, actions, targets, advantages, None
         return
     cfg = agent.config
-    old_logp = np.array([t.log_prob for t in transitions], dtype=DTYPE)
     for _ in range(cfg.ppo_epochs):
         perm = agent._rng.permutation(len(transitions))
         for start in range(0, len(perm), cfg.ppo_minibatch):

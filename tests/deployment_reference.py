@@ -1,5 +1,6 @@
 """Reference deployment: ``run_deployment`` as its own act, step,
-``Transition``, update loop, with a window accumulator of its own.
+``Transition``, update loop, with a window accumulator of its own; each
+update reads the transitions through ``rollout_reference.as_rollout``.
 
 ``run_deployment`` now runs on the shared ``rollout`` driver; the tests
 hold it to this loop bit for bit. A window's waits are its per-vehicle
@@ -16,7 +17,8 @@ from trafficlab.adapt import (
     detect_instability,
 )
 from sim_oracle import settled_waits
-from trafficlab.agents import Agent, Transition
+from rollout_reference import Transition, as_rollout
+from trafficlab.agents import Agent
 from trafficlab.env import EnvConfig, TrafficSignalEnv
 
 
@@ -67,7 +69,7 @@ def reference_deployment(agent: Agent, env_config: EnvConfig,
                                       log_prob=agent.last_logprob))
             if len(pending) >= deploy.update_period:
                 try:
-                    agent.update(pending)
+                    agent.update(as_rollout(pending))
                 except Exception as exc:  # the timeline so far is the result
                     failure_step = step
                     failure_message = f"{type(exc).__name__}: {exc}"

@@ -44,13 +44,13 @@ def reference_td_step(agent, pairs, actions, rewards) -> float:
 
 
 def reference_update(agent, transitions) -> list[float]:
-    """``DqlAgent.update`` with the reference step: each transition into
-    the replay, then one step per transition once warm; returns each
-    step's loss."""
+    """``DqlAgent.update`` with the reference step: each transition's
+    fields into the replay, then one step per transition once warm;
+    returns each step's loss."""
     cfg = agent.config
     losses = []
     for t in transitions:
-        agent.replay.add(t)
+        agent.replay.add(t.obs, t.action, t.reward, t.next_obs)
         agent.train_steps += 1
         if len(agent.replay) >= max(cfg.warmup, cfg.batch_size):
             losses.append(reference_td_step(agent, *reference_draw(agent)))

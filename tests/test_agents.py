@@ -10,7 +10,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trafficlab.agents import (
@@ -27,15 +27,14 @@ from trafficlab.agents import (
     FixedTimeAgent,
     ObservationShapeError,
     PpoAgent,
-    Transition,
     _ActorCriticAgent,
     _ALGO_DEFAULTS,
+    _advantages,
     _entropy,
     _log_softmax,
     _ONE_HOT,
     _payload_arrays,
     _ReplayBuffer,
-    _stack,
     agent_from_bytes,
     agent_to_bytes,
     load_agent,
@@ -44,6 +43,14 @@ from trafficlab.agents import (
     save_agent,
 )
 import ac_reference
+from rollout_reference import (
+    Transition,
+    as_rollout,
+    next_obs_of,
+    reference_rollout,
+    stack,
+    transitions_of,
+)
 from kfac_oracle import (
     gradients_of,
     solve_precondition,
@@ -68,6 +75,7 @@ from trafficlab.nn import (
     Mlp,
     MlpStack,
     SgdOptimizer,
+    StackPass,
 )
 
 OBS_DIM = 11
@@ -168,7 +176,7 @@ def log_softmax_ref(logits):
 def policy(agent, obs):
     """An actor-critic agent's action distribution at one observation,
     computed in float64 from the net's logits, as ``act`` computes it."""
-    logits = agent.actor(agent._check_obs(obs) * agent._obs_scale)
+    logits = agent.actor(np.asarray(obs, DTYPE) * agent._obs_scale)
     return np.exp(log_softmax_ref(logits.astype(np.float64)))
 
 
@@ -176,7 +184,7 @@ def as_draw(agent, batch):
     """The given transitions in the form a replay draw takes, computed
     here from the raw fields: the observations cast to ``DTYPE`` and
     scaled in it, stacked over the next ones."""
-    obs, actions, rewards, next_obs = _stack(batch)
+    obs, actions, rewards, next_obs, _ = stack(batch)
     return np.stack([obs, next_obs]) * agent._obs_scale, actions, rewards
 
 
@@ -184,7 +192,8 @@ def td_step_on(agent, transition):
     """One TD step of a DQL agent whose batch is one row, on a replay
     that holds only ``transition``."""
     assert agent.config.batch_size == 1 and len(agent.replay) == 0
-    agent.replay.add(transition)
+    t = transition
+    agent.replay.add(t.obs, t.action, t.reward, t.next_obs)
     return agent._td_step()
 
 
@@ -193,8 +202,7 @@ def array_act(agent, obs, explore=False):
     made on numpy arrays through the cached forward pass. The oracle for
     the actions, log-probs and generator draws of the scalar head, which
     works on the net's logits as Python floats: float64."""
-    obs = agent._check_obs(obs)
-    logits = agent.actor.forward(obs * agent._obs_scale)[0]
+    logits = agent.actor.forward(np.asarray(obs, DTYPE) * agent._obs_scale)[0]
     logp = _log_softmax(logits.astype(np.float64))
     if explore:
         floor = agent.config.explore_floor
@@ -492,15 +500,15 @@ def test_dql_replay_warmup_and_target_sync():
     agent = DqlAgent(cfg, 4)
     rng = np.random.default_rng(0)
     for i in range(7):
-        out = agent.update([Transition(rand_obs(rng, dim=4), 0, 0.0,
-                                       rand_obs(rng, dim=4))])
+        out = agent.update(as_rollout([Transition(
+            rand_obs(rng, dim=4), 0, 0.0, rand_obs(rng, dim=4))]))
         assert out == {}  # warming up
-    out = agent.update([Transition(rand_obs(rng, dim=4), 1, 1.0,
-                                   rand_obs(rng, dim=4))])
+    out = agent.update(as_rollout([Transition(
+        rand_obs(rng, dim=4), 1, 1.0, rand_obs(rng, dim=4))]))
     assert "loss" in out
     assert agent.optimizer.t == 1
-    agent.update([Transition(rand_obs(rng, dim=4), 0, 0.5,
-                             rand_obs(rng, dim=4))])
+    agent.update(as_rollout([Transition(
+        rand_obs(rng, dim=4), 0, 0.5, rand_obs(rng, dim=4))]))
     assert agent.optimizer.t == 2
     np.testing.assert_array_equal(agent.target_net.flatten(),
                                   agent.q_net.flatten())
@@ -517,17 +525,17 @@ def test_dql_takes_one_gradient_step_per_transition_once_warm():
                 for _ in range(n)]
 
     calls = [batch(5), batch(6), batch(256)]
-    agent.update(calls[0])
+    agent.update(as_rollout(calls[0]))
     assert agent.optimizer.t == 0  # 5 < warmup
-    agent.update(calls[1])  # warm from the 8th transition on
+    agent.update(as_rollout(calls[1]))  # warm from the 8th transition on
     assert agent.optimizer.t == 4
-    agent.update(calls[2])
+    agent.update(as_rollout(calls[2]))
     assert agent.optimizer.t == 4 + 256
     assert agent.train_steps == 5 + 6 + 256
     # the same steps as handing over one transition per call
     single = DqlAgent(cfg, 4)
     for t in [t for call in calls for t in call]:
-        single.update([t])
+        single.update(as_rollout([t]))
     assert single.optimizer.t == agent.optimizer.t
     np.testing.assert_array_equal(single.q_net.params, agent.q_net.params)
 
@@ -561,8 +569,7 @@ def test_replay_ring_slot_holds_latest_write():
     scale = np.array([1.0, 0.5, 1.0 / 60.0], dtype=DTYPE)
     ring = _ReplayBuffer(capacity, scale)
     for k in range(n_added):
-        ring.add(Transition(np.full(3, k + 0.1), k % 2, float(k),
-                            np.full(3, -k - 0.1)))
+        ring.add(np.full(3, k + 0.1), k % 2, float(k), np.full(3, -k - 0.1))
     assert len(ring) == capacity
     for slot in range(capacity):
         k = max(j for j in range(slot, n_added, capacity))
@@ -595,7 +602,7 @@ def test_dql_update_losses_match_list_replay_oracle():
     for _ in range(60):
         t = Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
                        float(rng.normal()), rand_obs(rng, dim=4))
-        out = agent.update([t])
+        out = agent.update(as_rollout([t]))
         if "loss" in out:
             losses.append(out["loss"])
         ring.add(t)
@@ -655,14 +662,15 @@ def test_the_td_step_equals_its_reference_bit_for_bit(
     agent, twin = make(cfg, obs_dim), make(cfg, obs_dim)
     rng = np.random.default_rng(seed)
     warm = make_transitions(rng, batch - 1, dim=obs_dim)
-    assert agent.update(warm) == {} and reference_update(twin, warm) == []
+    assert agent.update(as_rollout(warm, obs_dim)) == {}
+    assert reference_update(twin, warm) == []
     events = ["step"] + events
     for event in events:
         if event == "step":
             for t in make_transitions(rng, int(rng.integers(1, 4)),
                                       dim=obs_dim):
-                assert agent.update([t])["loss"] == reference_update(
-                    twin, [t])[0]
+                loss = agent.update(as_rollout([t]))["loss"]
+                assert loss == reference_update(twin, [t])[0]
                 assert agent._workspace.pairs.dtype == DTYPE
                 assert agent._workspace.stack.dout.dtype == dtype
         elif event in ("write q", "write target"):
@@ -688,10 +696,10 @@ def test_the_td_step_builds_its_workspace_once_at_its_first_step():
     agent = warm_dql(warmup=13)
     assert agent._workspace is None  # 12 < 13 transitions: no step yet
     rng = np.random.default_rng(21)
-    agent.update(make_transitions(rng, 1, dim=4))
+    agent.update(as_rollout(make_transitions(rng, 1, dim=4)))
     ws = agent._workspace
     arrays = [ws.pairs, ws.stack.dout, ws.stack.grads.flat, *ws.stack.acts]
-    agent.update(make_transitions(rng, 3, dim=4))
+    agent.update(as_rollout(make_transitions(rng, 3, dim=4)))
     assert agent._workspace is ws
     assert all(a is b for a, b in zip(
         arrays, [ws.pairs, ws.stack.dout, ws.stack.grads.flat,
@@ -753,7 +761,7 @@ def test_the_actor_critic_update_equals_its_reference_bit_for_bit(
     for event in [int(rng.integers(1, 70))] + events:
         if isinstance(event, int):
             batch = recorded(agent, make_transitions(rng, event, dim=obs_dim))
-            assert same_stats(agent.update(batch),
+            assert same_stats(agent.update(as_rollout(batch)),
                               ac_reference.reference_update(twin, batch))
             ws = agent._workspace
             assert ws.x.dtype == dtype
@@ -784,7 +792,7 @@ def test_a_ppo_update_with_a_short_last_minibatch_equals_its_reference(dtype):
     rng = np.random.default_rng(41)
     for _ in range(2):
         batch = recorded(agent, make_transitions(rng, 100))
-        assert same_stats(agent.update(batch),
+        assert same_stats(agent.update(as_rollout(batch)),
                           ac_reference.reference_update(twin, batch))
         assert agent_to_bytes(agent) == agent_to_bytes(twin)
     ws = agent._workspace
@@ -808,7 +816,9 @@ def test_deployment_updates_of_another_period_equal_the_reference(algorithm,
     ws = agent._workspace
     assert ws.rows == (64 if algorithm == "ppo" else 256)
     twin = copy.deepcopy(agent)
-    twin.update = functools.partial(ac_reference.reference_update, twin)
+    # the reference reads the rollout's columns as transitions
+    twin.update = lambda batch: ac_reference.reference_update(
+        twin, transitions_of(batch))
     deploy = DeploymentConfig(
         schedule=DetectionSchedule([(0.0, 1.0), (400.0, 0.2)]),
         total_steps=400, update_period=96, instability_window=50)
@@ -839,14 +849,15 @@ def test_a_copied_actor_critic_builds_a_workspace_of_its_own(copier,
     that update is the original's bit for bit."""
     agent = ac_agent(algorithm, rollout_length=48, ppo_minibatch=32)
     rng = np.random.default_rng(43)
-    agent.update(recorded(agent, make_transitions(rng, 48)))
+    agent.update(as_rollout(recorded(agent, make_transitions(rng, 48))))
     theirs = list(ac_workspace_arrays(agent._workspace))
     twin = copier(agent)
     assert twin._workspace is None
     assert not any(np.shares_memory(a, b)
                    for a in float_arrays_in(twin) for b in theirs)
     batch = recorded(agent, make_transitions(rng, 48))
-    assert same_stats(twin.update(batch), agent.update(batch))
+    assert same_stats(twin.update(as_rollout(batch)),
+                      agent.update(as_rollout(batch)))
     assert agent_to_bytes(twin) == agent_to_bytes(agent)
     ws = twin._workspace
     assert ws is not None and ws is not agent._workspace
@@ -871,7 +882,7 @@ def test_a_copied_agent_is_attached_and_trains_as_the_original(copier,
                        OBS_DIM)
     rng = np.random.default_rng(23)
     if algorithm != "fixed_time":
-        agent.update(recorded(agent, make_transitions(rng, 16)))
+        agent.update(as_rollout(recorded(agent, make_transitions(rng, 16))))
     twin = copier(agent)
     assert agent_to_bytes(twin) == agent_to_bytes(agent)
     for name, net in twin._nets().items():
@@ -892,7 +903,7 @@ def test_a_copied_agent_is_attached_and_trains_as_the_original(copier,
     if algorithm != "fixed_time":
         more = make_transitions(rng, 16)
         for owner in (twin, agent):
-            owner.update(recorded(owner, more))
+            owner.update(as_rollout(recorded(owner, more)))
         assert agent_to_bytes(twin) == agent_to_bytes(agent)
         assert twin.train_steps == 32
     obs = rng.uniform(0, 40, size=(64, OBS_DIM))
@@ -919,14 +930,15 @@ def test_a_write_to_a_copied_dql_nets_params_shows_in_its_next_step(copier):
 # ---------------------------------------------------------------------------
 
 def compute_advantage(r_t, v_next, v_now, gamma):
-    """The advantage ``_targets_and_advantages`` gives one transition from
-    an all-zero observation to an all-one one, under a critic that values
-    them ``v_now`` and ``v_next``."""
+    """The advantage ``_targets`` and ``_advantages`` give one transition
+    from an all-zero observation to an all-one one, under a critic that
+    values them ``v_now`` and ``v_next``."""
     agent = make_agent(config_for("a2c", gamma=gamma), OBS_DIM)
     agent.critic = lambda x: np.where(x[:, :1] == 0.0, DTYPE(v_now),
                                       DTYPE(v_next))
     batch = [Transition(np.zeros(OBS_DIM), 0, r_t, np.ones(OBS_DIM))]
-    _, _, _, advantages = agent._targets_and_advantages(batch)
+    obs, targets = agent._targets(as_rollout(batch))
+    advantages = _advantages(targets, agent.critic(obs).ravel())
     assert advantages.shape == (1,)
     return advantages[0]
 
@@ -987,22 +999,24 @@ def test_rollout_keeps_each_episodes_observations_across_an_episode_end():
     agent = make_agent(config_for("ppo"), OBS_DIM)
     full, yielded, env = batch_across_an_episode_end(agent)
     end = EPISODE_STEPS - 1
-    assert len(full) == len(yielded) == len(env.steps) == 8
+    assert len(full.actions) == len(yielded) == len(env.steps) == 8
     assert [done for _, done in yielded] == [k == end for k in range(8)]
     assert [done for _, done in env.steps] == [k == end for k in range(8)]
-    assert [t.reward for t in full] == [reward for reward, _ in yielded]
+    assert full.rewards.tobytes() == np.array(
+        [reward for reward, _ in yielded], DTYPE).tobytes()
     assert len(env.resets) == 2
-    for t, (next_obs, _) in zip(full, env.steps):
-        assert t.next_obs.tobytes() == next_obs.tobytes()
-    # the episode's last transition ends on that episode's final
-    # observation, not on the reset one ...
-    assert full[end].next_obs.tobytes() != env.resets[1].tobytes()
-    # ... and the next transition starts from the reset observation
-    assert full[0].obs.tobytes() == env.resets[0].tobytes()
-    assert full[end + 1].obs.tobytes() == env.resets[1].tobytes()
-    for k in range(len(full) - 1):
-        if k != end:
-            assert full[k + 1].obs.tobytes() == full[k].next_obs.tobytes()
+    next_obs = next_obs_of(full)
+    for k, (obs, _) in enumerate(env.steps):
+        assert next_obs[k].tobytes() == np.asarray(obs, DTYPE).tobytes()
+    # the episode's last step ends on that episode's final observation,
+    # kept aside, not on the reset one ...
+    assert list(full.finals) == [end]
+    assert next_obs[end].tobytes() != np.asarray(env.resets[1],
+                                                 DTYPE).tobytes()
+    # ... and the next row is the reset observation
+    for k, reset in ((0, 0), (end + 1, 1)):
+        assert full.obs[k].tobytes() == np.asarray(env.resets[reset],
+                                                   DTYPE).tobytes()
 
 
 @pytest.mark.parametrize("algorithm", ["a2c", "ppo", "acktr"])
@@ -1011,10 +1025,10 @@ def test_critic_target_of_an_episodes_last_transition_bootstraps(algorithm):
     # a critic far from 0, so a target without its bootstrap stands out
     agent.critic.layers[-1].b[:] = 50.0
     full, _, _ = batch_across_an_episode_end(agent)
-    last = full[EPISODE_STEPS - 1]
-    v_next = agent.critic(agent._check_obs(last.next_obs) * agent._obs_scale)
+    last = transitions_of(full)[EPISODE_STEPS - 1]
+    v_next = agent.critic(last.next_obs * agent._obs_scale)
     expected = DTYPE(last.reward) + DTYPE(agent.config.gamma) * v_next[0]
-    _, _, targets, _ = agent._targets_and_advantages(full)
+    _, targets = agent._targets(full)
     assert targets[EPISODE_STEPS - 1] == pytest.approx(float(expected),
                                                        rel=1e-6)
     assert expected > 40.0
@@ -1025,15 +1039,146 @@ def test_dql_target_of_an_episodes_last_transition_bootstraps():
     # written in place: the target is row 1 of the q net's stack
     agent.target_net.layers[-1].b[:] = [30.0, 70.0]
     full, _, _ = batch_across_an_episode_end(agent)
-    last = full[EPISODE_STEPS - 1]
-    q = agent.q_net(agent._check_obs(last.obs) * agent._obs_scale)[last.action]
-    next_q = agent.target_net(agent._check_obs(last.next_obs)
-                              * agent._obs_scale)
+    last = transitions_of(full)[EPISODE_STEPS - 1]
+    q = agent.q_net(last.obs * agent._obs_scale)[last.action]
+    next_q = agent.target_net(last.next_obs * agent._obs_scale)
     target = DTYPE(last.reward) + DTYPE(agent.config.gamma) * next_q.max()
     assert target > 60.0
     # a replay of this one transition: the step regresses onto it alone
-    loss = agent.update([last])["loss"]
+    loss = agent.update(as_rollout([last]))["loss"]
     assert loss == pytest.approx(float((q - target) ** 2), rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the rollout's columns against the per-step transitions they replaced
+# ---------------------------------------------------------------------------
+
+def assert_columns_hold(full, transitions):
+    """``full``'s columns are the fields of ``transitions``, cast as the
+    stacked lists were, and its finals are the episode ends before its
+    last step."""
+    obs, actions, rewards, next_obs, log_probs = stack(transitions)
+    assert len(full.actions) == len(transitions)
+    assert full.obs[:-1].tobytes() == obs.tobytes()
+    assert next_obs_of(full).tobytes() == next_obs.tobytes()
+    assert full.actions.tolist() == actions.tolist()
+    assert full.rewards.tobytes() == rewards.tobytes()
+    assert full.log_probs.tobytes() == log_probs.tobytes()
+    assert sorted(full.finals) == [
+        t for t in range(len(transitions) - 1)
+        if transitions[t].next_obs is not transitions[t + 1].obs]
+    assert all(final.dtype == DTYPE for final in full.finals.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(algorithm=st.sampled_from(["dql", "a2c", "ppo", "acktr"]),
+       batch=st.sampled_from([1, 3, 256]),
+       episode=st.sampled_from([None, 1, 2, 3, 5, 100, 256]),
+       batches=st.integers(1, 3),
+       extra=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 16))
+@example("a2c", 256, 100, 2, 1, 5)  # ends mid-batch
+@example("ppo", 256, 256, 2, 1, 6)  # ends on each batch's last step
+@example("acktr", 3, 5, 3, 2, 7)
+@example("dql", 3, None, 2, 2, 8)  # a deployment: 8 steps in batches of 3
+def test_each_rollout_holds_the_reference_transitions(algorithm, batch,
+                                                      episode, batches,
+                                                      extra, seed):
+    """``rollout`` beside the per-step ``Transition`` loop, each driving
+    its own copy of one agent and of one env: the same steps, and each
+    full rollout holds the fields of the reference's transitions. An
+    episode may end mid-batch, on a batch's last step (episodes of 1, 3
+    or 256 steps) or never (``None``: a deployment, reset once with its
+    seed, whose ``batch`` does not divide its steps). Both agents update
+    on what they gathered, and end with the same bytes."""
+    steps = batches * batch + extra
+    length = float(steps + 1 if episode is None else episode)
+    cfg = build_env_config("sparse", 1.0, seed % 97, episode_length=length)
+    agent = make_agent(config_for(algorithm, seed=seed % 89, warmup=2,
+                                  batch_size=2, hidden_sizes=[8],
+                                  critic_epochs=2, ppo_minibatch=64),
+                       cfg.observation_size)
+    twin = copy.deepcopy(agent)
+    env, twin_env = (TrafficSignalEnv(cfg, seed=seed) for _ in range(2))
+    if episode is None:
+        starts = env.reset(seed=seed), twin_env.reset(seed=seed)
+    else:
+        starts = None, None
+    fulls = 0
+    for _, ((reward, done, full), (r_ref, d_ref, ref)) in zip(
+            range(steps), zip(rollout(agent, env, batch, starts[0]),
+                              reference_rollout(twin, twin_env, batch,
+                                                starts[1]))):
+        assert (reward, done) == (r_ref, d_ref)
+        assert (full is None) == (ref is None)
+        if full is not None:
+            assert_columns_hold(full, ref)
+            assert same_stats(agent.update(full),
+                              twin.update(as_rollout(ref)))
+            fulls += 1
+    assert fulls == steps // batch
+    assert agent_to_bytes(agent) == agent_to_bytes(twin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algorithm=st.sampled_from(ALGORITHMS),
+       seed=st.integers(0, 2 ** 16),
+       weight_scale=st.sampled_from([0.0, 1.0, 8.0]),
+       explore=st.booleans(),
+       obs=st.lists(st.floats(-1e3, 1e3), min_size=OBS_DIM,
+                    max_size=OBS_DIM))
+def test_act_on_a_float64_observation_equals_act_on_its_float32_row(
+        algorithm, seed, weight_scale, explore, obs):
+    """``rollout`` hands ``act`` the float32 row it wrote, where the
+    per-step loop handed it the env's float64 observation: the same
+    action, log-probability and generator state either way."""
+    cfg = config_for(algorithm, seed=seed, epsilon_start=0.5,
+                     epsilon_end=0.5)
+    agent, twin = make_agent(cfg, OBS_DIM), make_agent(cfg, OBS_DIM)
+    for owner in (agent, twin):
+        for net in owner._nets().values():
+            net.params *= weight_scale
+    wide_obs = np.array(obs)
+    row = np.empty((2, OBS_DIM), DTYPE)[1]
+    row[...] = wide_obs
+    for _ in range(3):
+        assert agent.act(wide_obs, explore) == twin.act(row, explore)
+        assert repr(agent.last_logprob) == repr(twin.last_logprob)
+        assert (agent._rng.bit_generator.state
+                == twin._rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("algorithm, critic_calls", [
+    ("a2c", 1), ("acktr", 1), ("ppo", 2)])
+def test_critic_forwards_of_an_update(monkeypatch, algorithm, critic_calls):
+    """A single pass takes V(s) from its first critic epoch's forward:
+    ``critic_epochs`` pass forwards plus the one call on the next
+    observations. PPO's critic steps run on minibatches, so it also calls
+    the critic once on the rollout's observations."""
+    agent = make_agent(default_agent_config(algorithm, seed=3), OBS_DIM)
+    batch = as_rollout(recorded(agent, make_transitions(
+        np.random.default_rng(7), 48)))
+    forwards, calls = [], []
+    pass_forward, net_call = StackPass.forward, Mlp.__call__
+
+    def counted_forward(run):
+        forwards.append(run)
+        return pass_forward(run)
+
+    def counted_call(net, x):
+        calls.append((net, len(x)))
+        return net_call(net, x)
+
+    monkeypatch.setattr(StackPass, "forward", counted_forward)
+    monkeypatch.setattr(Mlp, "__call__", counted_call)
+    agent.update(batch)
+    critic = agent._workspace.passes(agent._workspace.rows)[1]
+    critic_forwards = sum(run._plan is critic._plan for run in forwards)
+    cfg = agent.config
+    passes = (1 if agent.single_pass else
+              cfg.ppo_epochs * math.ceil(48 / cfg.ppo_minibatch))
+    assert critic_forwards == cfg.critic_epochs * passes
+    assert calls == [(agent.critic, 48)] * critic_calls
 
 
 # ---------------------------------------------------------------------------
@@ -1119,7 +1264,8 @@ def zero_advantage_rollout(agent, rng):
     reward = float(rng.normal())
     rollout = [Transition(obs, int(rng.integers(2)), reward, nxt)
                for _ in range(16)]
-    assert not agent._targets_and_advantages(rollout)[3].any()
+    obs, targets = agent._targets(as_rollout(rollout))
+    assert not _advantages(targets, agent.critic(obs).ravel()).any()
     return rollout
 
 
@@ -1130,7 +1276,7 @@ def test_zero_advantages_leave_actor_bit_unchanged(algorithm):
     rng = np.random.default_rng(1)
     rollout = recorded(agent, zero_advantage_rollout(agent, rng))
     before = agent.actor.flatten()
-    agent.update(rollout)
+    agent.update(as_rollout(rollout))
     np.testing.assert_array_equal(agent.actor.flatten(), before)
 
 
@@ -1140,9 +1286,10 @@ def test_empty_batch_update_is_a_no_op(algorithm):
     generator, the nets and the optimizer state as they were, for every
     controller; each learner has taken one real update first."""
     agent = make_agent(config_for(algorithm, warmup=8, batch_size=8), OBS_DIM)
-    agent.update(recorded(agent, make_transitions(np.random.default_rng(2), 16)))
+    agent.update(as_rollout(recorded(agent, make_transitions(
+        np.random.default_rng(2), 16))))
     before = agent_to_bytes(agent)
-    assert agent.update([]) == {}
+    assert agent.update(as_rollout([], OBS_DIM)) == {}
     assert agent_to_bytes(agent) == before
 
 
@@ -1155,7 +1302,7 @@ def test_a2c_positive_advantage_increases_action_probability():
     # large reward makes the advantage of action 0 strongly positive
     rollout = [Transition(obs, 0, 50.0, nxt)]
     p_before = policy(agent, obs)[0]
-    agent.update(rollout)
+    agent.update(as_rollout(rollout))
     p_after = policy(agent, obs)[0]
     assert p_after > p_before
 
@@ -1180,7 +1327,7 @@ def test_a2c_actor_gradient_matches_finite_differences():
 
     numeric = fd_gradient(surrogate, agent.actor)
     before = agent.actor.flatten()
-    agent.update(rollout)
+    agent.update(as_rollout(rollout))
     analytic = agent.actor.flatten() - before  # sgd with lr=1: step == gradient
     denom = np.maximum(np.abs(numeric), 1e-6)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -1202,7 +1349,7 @@ def test_ppo_objective_at_snapshot_policy_is_mean_advantage():
     adv = np.array([t.reward for t in rollout]) + cfg.gamma * v_next - v_now
     adv -= adv.mean()
     last = copy.deepcopy(agent._rng).permutation(8)[4:]  # the update's draw
-    actor_loss = agent.update(rollout)["actor_loss"]
+    actor_loss = agent.update(as_rollout(rollout))["actor_loss"]
     assert actor_loss == pytest.approx(-float(np.mean(adv[last])), rel=1e-6)
 
 
@@ -1220,7 +1367,7 @@ def test_ppo_clipped_term_arithmetic():
     # store an old log-prob that makes the ratio exactly 1.5
     logp_now = log_softmax_ref(agent.actor(obs * agent._obs_scale))[0]
     t = Transition(obs, 0, r, nxt, log_prob=float(logp_now - np.log(1.5)))
-    actor_loss = agent.update([t])["actor_loss"]
+    actor_loss = agent.update(as_rollout([t]))["actor_loss"]
     # the objective is the nets' float32: 1.2 to within its rounding
     assert actor_loss == pytest.approx(-min(1.5, 1.2), rel=1e-6)
 
@@ -1253,7 +1400,7 @@ def test_ppo_surrogate_gradient_matches_finite_differences():
 
     numeric = fd_gradient(clipped_surrogate, agent.actor)
     before = agent.actor.flatten()
-    agent.update(rollout)
+    agent.update(as_rollout(rollout))
     analytic = agent.actor.flatten() - before
     denom = np.maximum(np.abs(numeric), 1e-6)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -1267,7 +1414,7 @@ def test_ppo_update_without_recorded_log_probs_raises():
     batch = make_transitions(np.random.default_rng(2), 8)
     before = agent_to_bytes(agent)
     with pytest.raises(ValueError, match=r"PPO .*rollout"):
-        agent.update(batch)
+        agent.update(as_rollout(batch))
     assert agent_to_bytes(agent) == before
 
 
@@ -1285,7 +1432,7 @@ def test_a2c_step_is_ppo_with_one_epoch_of_one_minibatch():
     steps = {}
     for agent in (a2c, ppo):
         before = {name: net.flatten() for name, net in agent._nets().items()}
-        agent.update(rollout)
+        agent.update(as_rollout(rollout))
         steps[agent.algorithm] = {name: net.params - before[name]
                                   for name, net in agent._nets().items()}
     assert a2c._rng.bit_generator.state == draws
@@ -1299,8 +1446,8 @@ def test_a2c_step_is_ppo_with_one_epoch_of_one_minibatch():
 @pytest.mark.parametrize("algorithm", ["a2c", "ppo", "acktr"])
 def test_actor_critic_updates_report_one_stat_set(algorithm):
     agent = make_agent(config_for(algorithm), OBS_DIM)
-    stats = agent.update(recorded(agent, make_transitions(
-        np.random.default_rng(4), 32)))
+    stats = agent.update(as_rollout(recorded(agent, make_transitions(
+        np.random.default_rng(4), 32))))
     assert sorted(stats) == ["actor_loss", "critic_loss", "entropy"]
     assert all(math.isfinite(value) for value in stats.values())
 
@@ -1312,7 +1459,7 @@ def test_update_with_non_finite_actor_raises_divergence(algorithm):
     agent.actor.layers[-1].b[:] = np.nan
     with pytest.raises(DivergenceError,
                        match=r"^actor surrogate became non-finite$"):
-        agent.update(rollout)
+        agent.update(as_rollout(rollout))
 
 
 def test_ppo_per_step_term_respects_clip_bound():
@@ -1330,7 +1477,8 @@ def test_policy_stays_proper_distribution_after_updates():
     for algorithm in ("a2c", "ppo", "acktr"):
         agent = make_agent(config_for(algorithm), OBS_DIM)
         for _ in range(5):
-            agent.update(recorded(agent, make_transitions(rng, 32)))
+            agent.update(as_rollout(recorded(agent,
+                                             make_transitions(rng, 32))))
         for _ in range(20):
             pi = policy(agent, rand_obs(rng))
             assert abs(pi.sum() - 1.0) < 1e-9
@@ -1359,7 +1507,7 @@ def test_centered_advantages_remove_shared_offset():
     for batch in (rollout, shifted):
         agent = with_sgd(A2cAgent(cfg, OBS_DIM))
         before = agent.actor.flatten()
-        agent.update(batch)
+        agent.update(as_rollout(batch))
         steps.append(agent.actor.flatten() - before)
     assert np.abs(steps[0]).max() > 1e-6
     np.testing.assert_allclose(steps[1], steps[0], rtol=0,
@@ -1373,8 +1521,8 @@ def test_more_critic_epochs_fit_targets_closer():
     def critic_loss_after(epochs):
         agent = A2cAgent(config_for("a2c", critic_epochs=epochs,
                                     critic_lr=3e-3), OBS_DIM)
-        agent.update(list(rollout))
-        obs, _, targets, _ = agent._targets_and_advantages(rollout)
+        agent.update(as_rollout(rollout))
+        obs, targets = agent._targets(as_rollout(rollout))
         v = agent.critic(obs).ravel()
         return float(np.mean((v - targets) ** 2))
 
@@ -1395,8 +1543,8 @@ def test_acktr_with_identity_curvature_equals_a2c():
     np.testing.assert_array_equal(a2c.actor.flatten(), acktr.actor.flatten())
     rng = np.random.default_rng(7)
     rollout = make_transitions(rng, 16)
-    a2c.update(rollout)
-    acktr.update(rollout)
+    a2c.update(as_rollout(rollout))
+    acktr.update(as_rollout(rollout))
     assert np.max(np.abs(a2c.actor.flatten() - acktr.actor.flatten())) < 1e-12
     assert np.max(np.abs(a2c.critic.flatten() - acktr.critic.flatten())) < 1e-12
 
@@ -1405,7 +1553,7 @@ def test_acktr_zero_trust_radius_freezes_parameters():
     agent = AcktrAgent(config_for("acktr", trust_region_radius=0.0), OBS_DIM)
     before_actor = agent.actor.flatten()
     before_critic = agent.critic.flatten()
-    agent.update(make_transitions(np.random.default_rng(3), 16))
+    agent.update(as_rollout(make_transitions(np.random.default_rng(3), 16)))
     np.testing.assert_array_equal(agent.actor.flatten(), before_actor)
     np.testing.assert_array_equal(agent.critic.flatten(), before_critic)
 
@@ -1468,7 +1616,7 @@ def check_single_layer_matches_dense_natural_gradient_oracle(nets):
     agent._natural = spy
     w_before = agent.actor.layers[0].w.astype(np.float64)
     b_before = agent.actor.layers[0].b.astype(np.float64)
-    agent.update(rollout)
+    agent.update(as_rollout(rollout))
     [(step_w, step_b)] = steps
     w_after = agent.actor.layers[0].w
     b_after = agent.actor.layers[0].b
@@ -1511,7 +1659,7 @@ def check_trust_radius_caps_step_norm(nets):
 
     agent._natural = spy
     before = agent.actor.flatten().astype(np.float64)
-    agent.update(make_transitions(np.random.default_rng(13), 16))
+    agent.update(as_rollout(make_transitions(np.random.default_rng(13), 16)))
     after = agent.actor.flatten()
     step = np.linalg.norm(after - before)
     assert len(capped) == 2  # the actor's step and the critic's
@@ -1539,8 +1687,8 @@ def test_acktr_kl_budget_bounds_curvature_step():
                      OBS_DIM)
     small = AcktrAgent(config_for("acktr", kl_budget=1e-8, actor_lr=1.0), OBS_DIM)
     before = big.actor.flatten()
-    big.update(list(rollout))
-    small.update(list(rollout))
+    big.update(as_rollout(rollout))
+    small.update(as_rollout(rollout))
     step_big = np.linalg.norm(big.actor.flatten() - before)
     step_small = np.linalg.norm(small.actor.flatten() - before)
     assert step_small < step_big
@@ -1552,7 +1700,7 @@ def test_acktr_zero_advantages_fixed_point_with_kl_budget():
     agent = AcktrAgent(cfg, OBS_DIM)
     rollout = zero_advantage_rollout(agent, np.random.default_rng(5))
     before = agent.actor.flatten()
-    agent.update(rollout)
+    agent.update(as_rollout(rollout))
     np.testing.assert_array_equal(agent.actor.flatten(), before)
 
 
@@ -1593,7 +1741,8 @@ def test_acktr_natural_scales_a_fresh_vector_as_the_copying_form_did(
                                   trust_region_radius=radius,
                                   hidden_sizes=[8, 5]), OBS_DIM)
     rng = np.random.default_rng(seed)
-    agent.update(make_transitions(rng, 24))  # factors other than identity
+    # factors other than identity
+    agent.update(as_rollout(make_transitions(rng, 24)))
     for stats, net in ((agent.actor_stats, agent.actor),
                        (agent.critic_stats, agent.critic)):
         grads = random_gradients(rng, net)
@@ -1637,7 +1786,7 @@ def relative_gap(a, b):
 def test_kfac_precondition_matches_solve_oracle_at_training_sizes():
     agent = default_acktr()
     for rollout in env_rollouts(4):
-        agent.update(list(rollout))
+        agent.update(as_rollout(rollout))
     rng = np.random.default_rng(41)
     for stats, net in ((agent.actor_stats, agent.actor),
                        (agent.critic_stats, agent.critic)):
@@ -1655,8 +1804,8 @@ def test_acktr_cached_inverses_agree_with_solve_oracle_agent():
     oracle = use_solve_preconditioner(default_acktr())
     start = {name: net.flatten() for name, net in agent._nets().items()}
     for done, rollout in enumerate(env_rollouts(10), start=1):
-        agent.update(list(rollout))
-        oracle.update(list(rollout))
+        agent.update(as_rollout(rollout))
+        oracle.update(as_rollout(rollout))
         if done in (1, 10):
             for name, net in agent._nets().items():
                 expect = oracle._nets()[name].params
@@ -1670,10 +1819,10 @@ def test_acktr_resumes_bit_for_bit_from_a_mid_training_checkpoint():
     agent = default_acktr()
     rollouts = env_rollouts(4)
     for rollout in rollouts[:3]:
-        agent.update(list(rollout))
+        agent.update(as_rollout(rollout))
     resumed = agent_from_bytes(agent_to_bytes(agent))
-    agent.update(list(rollouts[3]))
-    resumed.update(list(rollouts[3]))
+    agent.update(as_rollout(rollouts[3]))
+    resumed.update(as_rollout(rollouts[3]))
     for name, net in agent._nets().items():
         np.testing.assert_array_equal(resumed._nets()[name].params, net.params)
     for name, opt in agent._optimizers().items():
@@ -1688,7 +1837,7 @@ def test_kfac_factors_stay_exactly_symmetric_through_real_acktr_updates():
     # build whose products lose it fails here
     agent = default_acktr()
     for rollout in env_rollouts(3):
-        agent.update(list(rollout))
+        agent.update(as_rollout(rollout))
     factors = [f for stats in (agent.actor_stats, agent.critic_stats)
                for f in stats.a_factors + stats.s_factors]
     assert len(factors) == 12
@@ -1706,13 +1855,13 @@ def test_dql_resumed_from_a_checkpoint_syncs_its_target_on_the_same_steps():
     transitions = [Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
                               float(rng.normal()), rand_obs(rng, dim=4))
                    for _ in range(16)]
-    agent.update(transitions[:10])
+    agent.update(as_rollout(transitions[:10]))
     assert agent.optimizer.t == 3
     resumed = agent_from_bytes(agent_to_bytes(agent))
     assert resumed.optimizer.t == 3
     resumed.replay = copy.deepcopy(agent.replay)  # no checkpoint holds it
     for twin in (agent, resumed):
-        twin.update(transitions[10:])
+        twin.update(as_rollout(transitions[10:]))
     assert resumed.optimizer.t == agent.optimizer.t == 9
     for name, net in agent._nets().items():
         np.testing.assert_array_equal(resumed._nets()[name].params, net.params)
@@ -1725,9 +1874,9 @@ def warm_dql(**overrides):
                                "hidden_sizes": [5], **overrides})
     agent = DqlAgent(cfg, 4)
     rng = np.random.default_rng(12)
-    agent.update([Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
-                             float(rng.normal()), rand_obs(rng, dim=4))
-                  for _ in range(12)])
+    agent.update(as_rollout([Transition(
+        rand_obs(rng, dim=4), int(rng.integers(2)), float(rng.normal()),
+        rand_obs(rng, dim=4)) for _ in range(12)]))
     return agent
 
 
@@ -1748,8 +1897,8 @@ def test_dql_target_sync_copies_the_q_row_and_the_next_step_moves_only_q():
     assert np.shares_memory(target, agent._pair.params)  # synced in its row
     synced = target.copy()
     rng = np.random.default_rng(13)
-    agent.update([Transition(rand_obs(rng, dim=4), 1, 0.5,
-                             rand_obs(rng, dim=4))])
+    agent.update(as_rollout([Transition(
+        rand_obs(rng, dim=4), 1, 0.5, rand_obs(rng, dim=4))]))
     assert agent.optimizer.t == 6
     assert not np.array_equal(q, synced)
     assert target.tobytes() == synced.tobytes()
@@ -1933,8 +2082,8 @@ def test_save_load_round_trip_greedy_actions(tmp_path, algorithm):
     rng = np.random.default_rng(17)
     if algorithm != "fixed_time":
         for _ in range(3):
-            agent.update(recorded(agent, make_transitions(
-                rng, max(agent.needs_rollout, 8))))
+            agent.update(as_rollout(recorded(agent, make_transitions(
+                rng, max(agent.needs_rollout, 8)))))
     path = tmp_path / f"{algorithm}.ckpt"
     save_agent(agent, path)
     loaded = load_agent(path, expected_algorithm=algorithm)
@@ -1974,7 +2123,8 @@ def test_checkpoint_bytes_are_stable(tmp_path, algorithm):
                                   rollout_length=32, ppo_minibatch=16), OBS_DIM)
     rng = np.random.default_rng(29)
     for _ in range(3):
-        assert agent.update(recorded(agent, make_transitions(rng, 32)))
+        assert agent.update(as_rollout(recorded(
+            agent, make_transitions(rng, 32))))
     blob = agent_to_bytes(agent)
     assert agent_to_bytes(agent_from_bytes(blob)) == blob
     path = tmp_path / "agent.ckpt"
@@ -2006,11 +2156,11 @@ def test_loaded_agent_continues_exploration_stream_identically(tmp_path):
 def test_adam_state_survives_round_trip(tmp_path):
     agent = A2cAgent(config_for("a2c"), OBS_DIM)
     rng = np.random.default_rng(19)
-    agent.update(make_transitions(rng, 16))
+    agent.update(as_rollout(make_transitions(rng, 16)))
     loaded = agent_from_bytes(agent_to_bytes(agent))
     rollout = make_transitions(np.random.default_rng(23), 16)
-    agent.update(list(rollout))
-    loaded.update(list(rollout))
+    agent.update(as_rollout(rollout))
+    loaded.update(as_rollout(rollout))
     np.testing.assert_array_equal(agent.actor.flatten(), loaded.actor.flatten())
     np.testing.assert_array_equal(agent.critic.flatten(), loaded.critic.flatten())
 
@@ -2101,8 +2251,9 @@ def test_dql_with_the_smallest_replay_allowed_steps_once_warm():
                                 replay_capacity=8, hidden_sizes=[5]), 4)
     rng = np.random.default_rng(5)
     for n in range(10):
-        agent.update([Transition(rand_obs(rng, dim=4), int(rng.integers(2)),
-                                 float(rng.normal()), rand_obs(rng, dim=4))])
+        agent.update(as_rollout([Transition(
+            rand_obs(rng, dim=4), int(rng.integers(2)), float(rng.normal()),
+            rand_obs(rng, dim=4))]))
         assert agent.optimizer.t == max(0, n - 6)
 
 
@@ -2205,8 +2356,8 @@ def assert_views_aliased(net):
 
 def test_checkpoint_round_trip(tmp_path):
     agent = make_agent(config_for("ppo", hidden_sizes=[6]), 4)
-    agent.update(recorded(agent, make_transitions(np.random.default_rng(31),
-                                                  8, dim=4)))
+    agent.update(as_rollout(recorded(agent, make_transitions(
+        np.random.default_rng(31), 8, dim=4))))
     path = tmp_path / "agent.ckpt"
     save_agent(agent, path)
     loaded = load_agent(path)
@@ -2301,7 +2452,8 @@ def test_checkpoint_with_a_non_finite_value_rejected(slot, value):
 
 def test_checkpoint_header_holds_the_config_fields_and_adams_step_count():
     agent = make_agent(config_for("ppo"), OBS_DIM)
-    agent.update(recorded(agent, make_transitions(np.random.default_rng(4), 8)))
+    agent.update(as_rollout(recorded(agent, make_transitions(
+        np.random.default_rng(4), 8))))
     header = agent_header(agent_to_bytes(agent))
     # only what make_agent cannot rebuild from the config and obs_dim
     assert list(header) == ["obs_dim", "config", "counters", "rng_state"]
@@ -2493,7 +2645,7 @@ def fuzz_blob(algorithm):
     agent = make_agent(config_for(algorithm, **FUZZ_CONFIG), OBS_DIM)
     rng = np.random.default_rng(37)
     for _ in range(3):
-        agent.update(recorded(agent, make_transitions(rng, 8)))
+        agent.update(as_rollout(recorded(agent, make_transitions(rng, 8))))
     return agent_to_bytes(agent)
 
 

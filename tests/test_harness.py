@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from eval_reference import reference_evaluation
+from rollout_reference import Transition, as_rollout
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule, TimelinePoint
 from trafficlab.agents import (
     ALGORITHMS,
     FixedTimeAgent,
     ObservationShapeError,
     PpoAgent,
-    Transition,
     load_agent,
     make_agent,
     save_agent,
@@ -158,7 +158,7 @@ update_period = none
 [experiment]
 scenario = sparse
 algorithms = ppo,fixed_time
-rates = 0.25,0.75
+rates = 0.1,0.75
 seeds = 1,2
 train_steps = 1000
 eval_episodes = 3
@@ -177,7 +177,7 @@ def test_config_file_parsing(tmp_path):
     assert deploy.schedule.rate_at(2500) == pytest.approx(0.55)
     spec = ExperimentSpec(**sections["experiment"])
     assert spec.algorithms == ["ppo", "fixed_time"]
-    assert spec.rates == [0.25, 0.75]
+    assert spec.rates == [0.1, 0.75]
     assert spec.seeds == [1, 2]
 
 
@@ -357,26 +357,59 @@ def test_readme_names_exactly_the_keys_that_have_no_flag():
     assert named == set(GRID_KEYS) - flagged - {"agent"}
 
 
-def test_cli_sweep_has_no_train_missing_flag(tmp_path):
+def assert_one_line_parse_error(capsys, rc, names):
+    """A parse error: exit status 2 and one stderr line naming ``names``."""
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("trafficlab: error: ")
+    assert len(captured.err.splitlines()) == 1 and names in captured.err
+
+
+def test_cli_sweep_has_no_train_missing_flag(tmp_path, capsys):
     # sweep trained a cell whose checkpoint was absent; only train trains
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["sweep", "--out", str(tmp_path / "run"), "--train-missing"])
-    assert exc.value.code == 2
+    rc = cli_main(["sweep", "--out", str(tmp_path / "run"), "--train-missing"])
+    assert_one_line_parse_error(capsys, rc, "--train-missing")
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_eval_has_no_config_flag(tmp_path):
-    with pytest.raises(SystemExit):
-        cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
-                  "--config", str(tmp_path / "exp.ini")])
+def test_cli_eval_has_no_config_flag(tmp_path, capsys):
+    rc = cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
+                   "--config", str(tmp_path / "exp.ini")])
+    assert_one_line_parse_error(capsys, rc, "--config")
 
 
-def test_cli_eval_has_no_time_of_day_flag(tmp_path):
+def test_cli_eval_has_no_time_of_day_flag(tmp_path, capsys):
     # no command trains an agent on the time-of-day slot
+    rc = cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
+                   "--time-of-day"])
+    assert_one_line_parse_error(capsys, rc, "--time-of-day")
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["sweep", "--out", "o", "--algo", "ppo", "--bogus"], "--bogus"),
+    (["eval", "--episodes", "1"], "--checkpoint"),
+    ([], "command"),
+    (["adapt", "--window"], "--window"),
+    (["retrain", "--out", "o"], "retrain"),
+], ids=["unknown-flag", "missing-required-flag", "missing-command",
+        "missing-value", "unknown-command"])
+def test_cli_flag_that_does_not_parse_is_one_line_error(tmp_path, capsys,
+                                                        monkeypatch, argv,
+                                                        names):
+    # argparse used to print its usage line too, and raise SystemExit(2)
+    # out of main
+    monkeypatch.chdir(tmp_path)
+    assert_one_line_parse_error(capsys, cli_main(argv), names)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["adapt", "--help"]])
+def test_cli_help_still_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
-                  "--time-of-day"])
-    assert exc.value.code == 2
+        cli_main(argv)
+    assert exc.value.code == 0
+    assert "usage: trafficlab" in capsys.readouterr().out
 
 
 def nan_checkpoint(path):
@@ -861,7 +894,7 @@ def test_train_mean_waits_equal_a_per_step_metrics_loop():
         pending.append(Transition(obs, action, reward, next_obs,
                                   log_prob=agent.last_logprob))
         if len(pending) >= agent.needs_rollout:
-            agent.update(pending)
+            agent.update(as_rollout(pending))
             pending = []
         if done:
             waits.append(wait)
@@ -1311,6 +1344,42 @@ def test_cli_adapt_non_finite_schedule_is_one_line_error(tmp_path, capsys):
     assert err == ("trafficlab: error: argument --schedule: breakpoint times "
                    "must be finite, got nan\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rates, first", [
+    ("0.5", "1.0"), ("0.2,0.5", "0.994"), ("0.5", "0.494")])
+def test_cli_adapt_whose_rates_name_no_checkpoint_at_the_first_rate_is_refused(
+        tmp_path, capsys, rates, first):
+    # it used to run every cell into a missing checkpoint, exit 1 and
+    # write adapt_summary.csv
+    out = tmp_path / "run"
+    assert cli_main(["train", "--out", str(out), "--algo", "fixed_time",
+                     "--rates", rates, "--steps", "0"]) == 0
+    before = sorted(p.relative_to(out) for p in out.rglob("*"))
+    capsys.readouterr()
+    rc = cli_main(["adapt", "--out", str(out), "--algo", "fixed_time",
+                   "--rates", rates, "--seed", "0", "--schedule",
+                   f"0:{first},100:0.5", "--total-steps", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    name = f"r{float(first):.2f}"
+    assert captured.err.startswith("adapt failed: ")
+    assert name in captured.err and len(captured.err.splitlines()) == 1
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+
+
+def test_cli_adapt_first_rate_may_round_to_a_trained_rates_name(tmp_path,
+                                                                capsys):
+    # 0.501 trains r0.50, the checkpoint a schedule starting at 0.5 loads
+    out = tmp_path / "run"
+    assert cli_main(["train", "--out", str(out), "--algo", "fixed_time",
+                     "--rates", "0.501", "--steps", "0"]) == 0
+    rc = cli_main(["adapt", "--out", str(out), "--algo", "fixed_time",
+                   "--rates", "0.501", "--schedule", "0:0.5",
+                   "--total-steps", "10", "--window", "5"])
+    assert rc == 0, capsys.readouterr().err
+    assert (out / "adapt_summary.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "adapt"])
