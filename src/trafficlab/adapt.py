@@ -21,7 +21,8 @@ from trafficlab.sim import check_fields, check_value, class_means
 @dataclass
 class DetectionSchedule:
     """Piecewise-linear detection rate over simulated seconds, clamped to
-    the endpoint rates outside the breakpoint span."""
+    the endpoint rates outside the breakpoint span. The breakpoints are
+    stored as ``(time, rate)`` float pairs."""
 
     breakpoints: list[tuple[float, float]]
 
@@ -33,6 +34,7 @@ class DetectionSchedule:
                 raise ValueError(f"breakpoint {bp!r} is not a (time, rate) pair")
             check_value("breakpoint times", "float", bp[0])
             check_value("breakpoint rates", "float", bp[1])
+        self.breakpoints = [(float(t), float(r)) for t, r in self.breakpoints]
         times = [t for t, _ in self.breakpoints]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("breakpoint times must be strictly increasing")

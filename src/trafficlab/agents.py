@@ -337,7 +337,7 @@ class Agent:
     def _argmax_rows(self, net: Mlp, obs, what: str) -> list[int]:
         """Argmax of ``net``'s two outputs for each observation in
         ``obs``, run as one call on a stack of single rows, whose outputs
-        are bit-equal to one-row calls' (see ``Mlp.__call__``)."""
+        are bit-equal to one-row calls' (see ``Mlp.run``)."""
         x = self._check_rows(obs)
         actions = []
         outputs = net.run((x * self._obs_scale)[:, None, :])[:, 0]
@@ -477,10 +477,11 @@ class DqlAgent(Agent):
     replay into a workspace (``_TdWorkspace``) built at the first step,
     and over it runs both nets' forwards as one ``StackPass``, the TD
     error, the q net's backward in the same pass, and the Adam step; it
-    equals, bit for bit, the step built from the members' ``Mlp.forward``
-    and ``Mlp.backward`` (the test suite holds them equal). A copy
-    (``copy.deepcopy``, ``pickle``) rebinds the nets to the rows of its
-    own stack and builds a workspace of its own at its first step.
+    equals, bit for bit, the step built from the generic forward and
+    backward on fresh arrays of ``tests/nn_reference.py`` (the test suite
+    holds them equal). A copy (``copy.deepcopy``, ``pickle``) rebinds the
+    nets to the rows of its own stack and builds a workspace of its own at
+    its first step.
     """
 
     needs_rollout = 1
@@ -593,8 +594,7 @@ class _AcWorkspace:
 
     def __init__(self, actor: Mlp, critic: Mlp, rows: int, obs_dim: int):
         self.rows = rows
-        self._one_member = [MlpStack(net.layers, 1, net.params[None])
-                            for net in (actor, critic)]
+        self._one_member = [MlpStack.over(net) for net in (actor, critic)]
         self._scratch = PassScratch(rows, actor.params.dtype)
         self.x = self._scratch.take("x", (1, rows, obs_dim))
         self._passes: dict[int, tuple[StackPass, StackPass]] = {}
@@ -627,10 +627,11 @@ class _ActorCriticAgent(Agent):
     over a workspace (``_AcWorkspace``) built at the first update for its
     largest actor step (the rollout, or a PPO minibatch) and again for a
     larger one; a shorter step runs on its leading rows. The update
-    equals, bit for bit, its reference built from ``Mlp.forward`` and
-    ``Mlp.backward`` (the test suite holds them equal). The passes read
-    the nets in place, so rebinding ``actor`` or ``critic`` after the
-    first update cuts it off from them; a copy builds its own workspace.
+    equals, bit for bit, its reference built from the generic forward,
+    backward and chain of ``tests/nn_reference.py`` (the test suite holds
+    them equal). The passes read the nets in place, so rebinding ``actor``
+    or ``critic`` after the first update cuts it off from them; a copy
+    builds its own workspace.
     """
 
     optimizer_class: type = AdamOptimizer
@@ -713,7 +714,7 @@ class _ActorCriticAgent(Agent):
             objective, entropy = self._actor_step(
                 actor, batch.actions, _advantages(targets, values), None)
         else:
-            advantages = _advantages(targets, self.critic(obs).ravel())
+            advantages = _advantages(targets, self.critic.run(obs).ravel())
             for _ in range(cfg.ppo_epochs):
                 perm = self._rng.permutation(steps)
                 for start in range(0, steps, cfg.ppo_minibatch):
@@ -730,7 +731,7 @@ class _ActorCriticAgent(Agent):
     def _targets(self, batch: Rollout) -> tuple[np.ndarray, np.ndarray]:
         """The scaled observations and each step's ``r + gamma * V(s')``."""
         obs, next_obs = batch.scaled(self._obs_scale)
-        v_next = self.critic(next_obs).ravel()
+        v_next = self.critic.run(next_obs).ravel()
         return obs, batch.rewards + self.config.gamma * v_next
 
     def _actor_step(self, run: StackPass, actions, adv, old_logp):

@@ -19,7 +19,8 @@ from dataclasses import fields
 from trafficlab.adapt import DeploymentConfig
 from trafficlab.agents import CheckpointError, ObservationShapeError
 from trafficlab.config import _COERCERS, ExperimentSpec, load_config_file
-from trafficlab.harness import cmd_adapt, cmd_eval, cmd_sweep, cmd_train
+from trafficlab.harness import (check_adapt_rates, cmd_adapt, cmd_eval,
+                                cmd_sweep, cmd_train)
 
 _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
 _DEPLOY_KEYS = {f.name for f in fields(DeploymentConfig)}
@@ -123,10 +124,7 @@ def _resolve(args) -> tuple[ExperimentSpec, DeploymentConfig | None]:
     if "schedule" not in deploy:
         raise ValueError("deployment needs a schedule")
     deploy = DeploymentConfig(**deploy)
-    name = f"r{deploy.schedule.breakpoints[0][1]:.2f}"
-    if all(f"r{rate:.2f}" != name for rate in spec.rates):
-        raise ValueError(f"rates {spec.rates} train no {name} checkpoint, "
-                         f"which the schedule's first rate loads")
+    check_adapt_rates(spec, deploy)
     return spec, deploy
 
 

@@ -464,10 +464,21 @@ def _adapt_cell(spec: ExperimentSpec, deploy: DeploymentConfig,
                               error=_cell_error(exc))
 
 
+def check_adapt_rates(spec: ExperimentSpec, deploy: DeploymentConfig) -> None:
+    """Refuse ``rates`` that train no checkpoint at the schedule's first
+    rate, which every adapt cell loads, with a ValueError."""
+    name = f"r{deploy.schedule.breakpoints[0][1]:.2f}"
+    if all(f"r{rate:.2f}" != name for rate in spec.rates):
+        raise ValueError(f"rates {spec.rates} train no {name} checkpoint, "
+                         f"which the schedule's first rate loads")
+
+
 def cmd_adapt(spec: ExperimentSpec, deploy: DeploymentConfig
               ) -> list[AdaptRunResult]:
     """Deploy each pre-trained agent on the drifting-detection schedule;
-    emit per-run timelines, an instability summary, and a comparison chart."""
+    emit per-run timelines, an instability summary, and a comparison chart.
+    ``check_adapt_rates`` refuses the grid before any file is written."""
+    check_adapt_rates(spec, deploy)
     start_rate = deploy.schedule.breakpoints[0][1]
     args = [(spec, deploy, start_rate, (algo, seed))
             for algo in sorted(spec.algorithms) for seed in sorted(spec.seeds)]

@@ -6,62 +6,56 @@ linear output layer. A net's dtype is that of its ``params``: float32
 (``DTYPE``) for every net ``Mlp.create`` builds, or the dtype of the
 ``Layer`` arrays a net is built from (float64 ones give a float64 net, as
 the finite-difference tests use). Everything derived from a net follows
-it: both forwards and their caches, the pre-activation gradients,
-``Gradients``, the Adam moments and scratch, and the K-FAC factors, their
-damped inverses and the directions they precondition; an input of
-another dtype is cast once, on the way in.
+it: inference, every array of a pass, ``Gradients``, the Adam moments and
+scratch, and the K-FAC factors, their damped inverses and the directions
+they precondition; an input of another dtype is cast once, on the way in.
 
 A network's parameters live in one flat vector, ``Mlp.params``, laid out
 per layer as the weight matrix row-major, then the bias; each layer's
 ``w`` and ``b`` are views into it, so an optimizer step is a few
 whole-vector operations. Gradients use the same layout, with the same
-views. Calling a net is inference and keeps nothing (``run`` is the call
-without its input check); ``forward`` keeps the cache ``backward`` reads.
-Both read a per-layer plan built once with the net (weight, its
-transpose, bias, and tanh on every layer but the last), one sample in a
-loop of its own, and a stacked pass runs the same steps over a stack's
-plan. ``backward`` is the chain of per-sample pre-activation gradients
-from the output back to the first layer (``pre_activation_grads``, which
-leaves the cache as it was), then each layer's weight and bias products,
-written into the flat gradient; a curvature refresh runs the chain
-alone. ``Gradients`` is built over a flat vector it cuts into layer views
-without a copy. In place, a pass writes only arrays it made or owns:
-every forward adds the bias into the fresh matmul result and applies the
-activation there, ``backward`` writes only the ``Gradients`` it is
-handed or makes, and an Adam step writes ``m``, ``v``, ``params`` and
-its scratch.
+views, over a flat vector that ``Gradients`` cuts without a copy.
 
-Inference takes three input shapes, and keeps one equality for each:
+A net has one inference entry, ``Mlp.run``, and one pass that caches,
+``StackPass``. ``run`` keeps nothing; it reads a per-layer plan built once
+with the net (weight, its transpose, bias, and tanh on every layer but
+the last), and takes three input shapes, each with one equality:
 
 - one sample, 1-D ``(n,)``: ``w.dot(a)`` per layer, the BLAS
   matrix-vector kernel that ``a @ w.T`` also reaches, without the matmul
-  dispatch; bit-equal to ``a @ w.T`` and to ``forward`` of the one row;
-- a batch, 2-D ``(B, n)``: ``a @ w.T``, bit-equal to ``forward`` of the
-  same batch, but not to ``B`` one-sample calls, as its product takes a
-  matrix-matrix kernel that may round differently;
+  dispatch; bit-equal to ``a @ w.T`` and to the one-row batch;
+- a batch, 2-D ``(B, n)``: ``a @ w.T``, bit-equal to a ``StackPass``
+  forward of the same batch, but not to ``B`` one-sample calls, as its
+  product takes a matrix-matrix kernel that may round differently;
 - a stack of single rows, ``(E, 1, n)``: ``a @ w.T`` again; numpy
   multiplies each one-row matrix of the stack the way it multiplies a
   1-D sample, so row ``k`` of the ``(E, 1, out)`` result is bit-equal to
   the one-sample call on ``x[k, 0]``, for every ``E``.
 
 A stack of nets (``MlpStack``) keeps ``S`` nets of one shape in one
-``(S, P)`` buffer, each member an ``Mlp`` over its row. A ``StackPass``
-runs their forwards as one pass, ``(S, B, n) @ (S, n, m)`` per layer, and
-then one member's backward or its chain alone, over arrays built once
-for a fixed ``B`` from a ``PassScratch`` that passes run one after another
-share; member ``k``'s rows are bit-equal to ``members[k].forward(x[k])``,
-its backward and its chain. Every learner trains through it: DQL's q and
-target nets as a stack of two, each actor-critic net as a one-member
-stack. No update runs ``Mlp.forward``, ``Mlp.backward`` or
-``pre_activation_grads``: they are the pass's reference.
+``(S, P)`` buffer, each member an ``Mlp`` over its row; ``MlpStack.over``
+is the one-member stack over a net's own ``params``. A ``StackPass`` runs
+the members' forwards as one pass, ``(S, B, n) @ (S, n, m)`` per layer,
+and then one member's backward, or its chain of pre-activation gradients
+alone (a curvature refresh), over arrays built once for a fixed ``B``
+from a ``PassScratch`` that passes run one after another share. Every
+learner trains through it: DQL's q and target nets as a stack of two,
+each actor-critic net as a one-member stack. ``Mlp.forward`` and
+``Mlp.backward`` are a one-member pass and its backward, in the
+signatures the benchmark's tracer times. In place, a pass writes only
+its own arrays and its scratch, and an Adam step writes ``m``, ``v``,
+``params`` and its scratch.
 
-The test suite checks these equalities on the BLAS build it runs on.
-Copies (``copy.deepcopy``, ``pickle``) of a net, a stack, a ``Gradients``
-and an optimizer hold views into their own arrays; a ``StackPass``
-refuses to be copied. An agent checkpoint (see ``trafficlab.agents``)
-stores each net's ``params`` and each optimizer's ``state_arrays()``, the
-optimizer's live state, which a loader writes into in place; it holds
-the K-FAC factors but not their damped inverses (see ``KfacStats``).
+The generic forward, backward and chain the pass replaced, each on fresh
+arrays, live on in the test suite (``tests/nn_reference.py``) as its
+reference; the suite checks these equalities on the BLAS build it runs
+on. Copies (``copy.deepcopy``, ``pickle``) of a net, a stack, a
+``Gradients`` and an optimizer hold views into their own arrays; a
+``StackPass`` refuses to be copied. An agent checkpoint (see
+``trafficlab.agents``) stores each net's ``params`` and each optimizer's
+``state_arrays()``, the optimizer's live state, which a loader writes
+into in place; it holds the K-FAC factors but not their damped inverses
+(see ``KfacStats``).
 """
 
 from __future__ import annotations
@@ -102,27 +96,6 @@ def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.nd
     return ws, bs
 
 
-def _run_plan(plan, a: np.ndarray, inputs: list | None = None) -> np.ndarray:
-    """Every forward's layer loop over a net's or a stack's plan; each
-    layer's input is appended to ``inputs`` when one is given (never for
-    one sample, ``(n,)``, which takes a loop of its own)."""
-    if a.ndim == 1:
-        for w, _, b, act in plan:
-            a = w.dot(a)
-            a += b
-            if act is not None:
-                act(a, out=a)
-        return a
-    for w, wt, b, act in plan:
-        if inputs is not None:
-            inputs.append(a)
-        a = a @ wt
-        a += b
-        if act is not None:
-            act(a, out=a)
-    return a
-
-
 @dataclass
 class Layer:
     w: np.ndarray  # (out, in)
@@ -131,15 +104,6 @@ class Layer:
     def __post_init__(self):
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[0],):
             raise ValueError("layer weight/bias shapes are inconsistent")
-
-
-class ForwardCache:
-    """Each layer's input and the net's output, captured by forward(); the
-    activation gradients need no pre-activation."""
-
-    def __init__(self, inputs: list[np.ndarray], output: np.ndarray):
-        self.inputs = inputs              # inputs[l]: (B, in_l)
-        self.output = output              # (B, out_L), the last activation
 
 
 class Gradients:
@@ -171,8 +135,8 @@ class Mlp:
     (``layer.w[...] = ...``, ``params[...] = ...``); rebinding
     ``layer.w``, or an agent's attribute that holds a stack member, would
     cut it off from ``params``, the optimizers and the plan the passes run
-    from. ``Mlp(net.layers)`` is a copy of ``net``.
-    ``net(x)`` is inference without a cache; ``forward`` feeds ``backward``.
+    from. ``Mlp(net.layers)`` is a copy of ``net``. ``run`` is inference;
+    ``forward`` and ``backward`` run a one-member ``StackPass``.
     """
 
     def __init__(self, layers: list[Layer], params: np.ndarray | None = None):
@@ -190,7 +154,7 @@ class Mlp:
         ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
         self.layers = [Layer(w, b) for w, b in zip(ws, bs)]
         self.input_size = ws[0].shape[1]
-        # per layer, what every pass reads: the weight and its transpose
+        # per layer, what ``run`` reads: the weight and its transpose
         # (views into params), the bias view and the activation, np.tanh
         # or None for the linear output layer
         last = len(self.layers) - 1
@@ -216,83 +180,48 @@ class Mlp:
                                 b=np.zeros(fan_out, dtype=DTYPE)))
         return cls(layers)
 
-    # -- forward / backward -------------------------------------------------
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-        x = np.asarray(x, dtype=self.params.dtype)
-        squeeze = x.ndim == 1
-        a = x[None, :] if squeeze else x
-        if a.shape[1] != self.input_size:
-            raise ValueError(
-                f"input size {a.shape[1]} does not match net input {self.input_size}")
-        inputs = []
-        a = _run_plan(self._plan, a, inputs)
-        out = a[0] if squeeze else a
-        return out, ForwardCache(inputs, a)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The output at one sample ``(n,)``, a batch ``(B, n)`` or a
-        stack of single rows ``(E, 1, n)``; the module docstring names the
-        bit-equality each one keeps."""
-        a = np.asarray(x, dtype=self.params.dtype)
-        if a.shape[-1] != self.input_size:
-            raise ValueError(
-                f"input size {a.shape[-1]} does not match net input {self.input_size}")
-        return _run_plan(self._plan, a)
-
     def run(self, a: np.ndarray) -> np.ndarray:
-        """The call on an input whose size the caller has checked and
-        whose dtype casts exactly to the net's: the call's output, bit for
-        bit, as the first product casts the input as the call does."""
-        return _run_plan(self._plan, a)
+        """The output at one sample ``(n,)``, a batch ``(B, n)`` or a stack
+        of single rows ``(E, 1, n)``, for an input whose size the caller
+        has checked and whose dtype casts exactly to the net's (the first
+        product casts it); the module docstring names the bit-equality
+        each shape keeps. Nothing is cached."""
+        if a.ndim == 1:
+            for w, _, b, act in self._plan:
+                a = w.dot(a)
+                a += b
+                if act is not None:
+                    act(a, out=a)
+            return a
+        for _, wt, b, act in self._plan:
+            a = a @ wt
+            a += b
+            if act is not None:
+                act(a, out=a)
+        return a
 
-    def backward(self, cache: ForwardCache,
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, StackPass]:
+        """The output at one sample ``(n,)`` or a batch ``(B, n)``, run by
+        a fresh pass of the one-member stack over the net, and that pass,
+        which ``backward`` reads."""
+        x = np.asarray(x, dtype=self.params.dtype)
+        run = StackPass(MlpStack.over(self), x[None, None] if x.ndim == 1
+                        else x[None])
+        out = run.forward()[0]
+        return (out[0] if x.ndim == 1 else out), run
+
+    def backward(self, cache: StackPass,
                  output_grad: np.ndarray) -> Gradients:
-        """Exact gradients of the scalar whose output gradient is supplied.
-
+        """Exact gradients of the scalar whose output gradient is supplied,
+        from the pass ``forward`` returned, in a new ``Gradients``.
         ``output_grad`` carries any loss scaling (e.g. 1/B for a mean), so
-        the returned gradients sum over the batch. This is the chain of
-        ``pre_activation_grads``, then each layer's weight and bias
-        products, written into a new ``Gradients``.
-        """
-        # a new flat gradient is allocated after the chain, which is freed
-        # on return: allocated ahead of it, each float64 A2C update took
-        # about 360 more minor page faults (glibc trims and regrows the
-        # heap around the 128 KiB temporaries of a 256-row batch)
-        pre_grads = self.pre_activation_grads(cache, output_grad)
-        grads = Gradients(np.empty_like(self.params),
-                          [l.w.shape for l in self.layers])
-        for ds, a, dw, db in zip(pre_grads, cache.inputs, grads.dw, grads.db):
-            np.dot(ds.T, a, out=dw)  # the gemm of ds.T @ a, into the view
-            ds.sum(axis=0, out=db)
-        return grads
-
-    def pre_activation_grads(self, cache: ForwardCache,
-                             output_grad: np.ndarray) -> list[np.ndarray]:
-        """The per-sample gradients at each layer's pre-activation, from
-        the output gradient back to the first layer, without the weight
-        and bias products ``backward`` adds; the cache is only read.
-        Curvature stats read nothing else of a pass."""
-        g = np.asarray(output_grad, dtype=self.params.dtype)
-        if g.ndim == 1:
-            g = g[None, :]
-        if g.shape != cache.output.shape:
+        the gradients sum over the batch."""
+        g = np.asarray(output_grad)
+        if (g[None] if g.ndim == 1 else g).shape != cache.dout.shape:
             raise ValueError("output gradient shape does not match forward cache")
-        pre_grads: list[np.ndarray] = [None] * len(self.layers)
-        ds = g  # the output layer is linear
-        for idx in range(len(self.layers) - 1, -1, -1):
-            pre_grads[idx] = ds
-            if idx > 0:  # layer idx - 1 is tanh; its output is ``a``
-                w = self.layers[idx].w
-                # a one-column ds (a critic's) takes the broadcast product:
-                # each element is the same one rounded product, and numpy's
-                # K = 1 matmul is several times slower
-                da = ds * w if ds.shape[1] == 1 else ds @ w
-                a = cache.inputs[idx]
-                ds = a * a  # (1 - a*a) * da in one array; products commute
-                np.subtract(1.0, ds, out=ds)
-                ds *= da
-        return pre_grads
+        cache.dout[...] = g
+        grads = cache.backward(0)
+        return Gradients(grads.flat.copy(), grads.shapes)
 
     def flatten(self) -> np.ndarray:
         """A copy of ``params``, safe to compare against later values."""
@@ -304,7 +233,7 @@ class MlpStack:
     starting as a copy of ``layers``.
 
     ``members[k]`` is an ``Mlp`` whose ``params`` is row ``k`` of
-    ``params``, so an optimizer, inference, ``backward`` and a checkpoint
+    ``params``, so an optimizer, inference and a checkpoint
     treat it as any net; copying one member into another is a row copy.
     A ``StackPass`` runs every member's forward as one pass, layer by
     layer. ``params``, when given, is the buffer to build over: over a
@@ -336,6 +265,12 @@ class MlpStack:
 
     def __setstate__(self, params: np.ndarray) -> None:
         self.params[...] = params
+
+    @classmethod
+    def over(cls, net: Mlp) -> "MlpStack":
+        """The one-member stack over ``net``'s own ``params``, which reads
+        and trains the net in place."""
+        return cls(net.layers, 1, net.params[None])
 
 
 class PassScratch:
@@ -376,15 +311,15 @@ class StackPass:
     Shapes are checked here, once, and never per pass. Each array is
     overwritten by the next pass over the scratch.
 
-    ``forward`` writes each layer as ``Mlp._plan`` computes it, its
+    ``forward`` writes each layer as ``Mlp.run`` computes a batch, its
     product by ``np.matmul(..., out=)``, so row ``k`` of every activation
-    is bit-equal to ``members[k].forward(x[k])``'s and to the member's
-    batch call. ``backward(k)`` writes what ``members[k].backward`` writes
-    from that cache, and ``chain(k)`` what its ``pre_activation_grads``
-    returns, bit for bit: the generic passes are their reference, and the
-    test suite checks the equalities. The plan views the stack's
-    ``params``, so the pass reads every in-place write to it; a pass is
-    not copied, as a copy of the stack needs a pass of its own.
+    is bit-equal to the member's batch ``run`` on ``x[k]``.
+    ``backward(k)`` and ``chain(k)`` write, bit for bit, what the generic
+    backward and chain on fresh arrays give from the same forward: those
+    are their reference, in ``tests/nn_reference.py``, and the test suite
+    checks the equalities. The plan views the stack's ``params``, so the
+    pass reads every in-place write to it; a pass is not copied, as a copy
+    of the stack needs a pass of its own.
     """
 
     def __init__(self, stack: MlpStack, x: np.ndarray,
@@ -421,8 +356,9 @@ class StackPass:
         input_grads = [None] + [scratch.take("input_grad", (batch, in_dim))
                                 for _, in_dim in shapes[1:]]
         # per member, the layers above the first, top down: the product
-        # (the broadcast one below a one-column gradient, as
-        # ``pre_activation_grads`` takes it), the weight, the layer's
+        # (the broadcast one below a one-column gradient: each element is
+        # the same one rounded product, and numpy's K = 1 matmul is several
+        # times slower), the weight, the layer's
         # pre-activation gradient and input, the input's gradient and the
         # gradient below
         self._chains = [[
@@ -451,8 +387,7 @@ class StackPass:
     def backward(self, member: int) -> Gradients:
         """Member ``member``'s gradients of the scalar whose output
         gradient is ``dout``, from the last ``forward``, into ``grads``:
-        the chain, then each layer's weight and bias products, as
-        ``Mlp.backward`` computes them."""
+        the chain, then each layer's weight and bias products."""
         for ds, a, dw, db in zip(self.chain(member), self.inputs[member],
                                  self.grads.dw, self.grads.db):
             np.dot(ds.T, a, out=dw)  # the gemm of ds.T @ a, into the view
@@ -462,7 +397,7 @@ class StackPass:
     def chain(self, member: int) -> list[np.ndarray]:
         """Member ``member``'s per-sample pre-activation gradients from
         ``dout`` and the last ``forward``, in layer order (the last is
-        ``dout``), as ``Mlp.pre_activation_grads`` computes them."""
+        ``dout``); a curvature refresh reads nothing else of a pass."""
         for product, w, ds, a, da, ds_below in self._chains[member]:
             # ``a`` is the tanh output of the layer below
             product(ds, w, out=da)
@@ -593,7 +528,6 @@ class KfacStats:
         for factors, xs in ((self.a_factors, activations),
                             (self.s_factors, pre_grads)):
             for factor, x in zip(factors, xs):
-                x = np.atleast_2d(x)
                 # numpy forms x.T @ x with a symmetric rank-k product
                 # (syrk), which fills both triangles alike, so each blend
                 # stays exactly symmetric with no symmetrization (the test

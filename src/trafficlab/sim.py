@@ -103,10 +103,16 @@ def check_value(name: str, kind: str, value, finite: bool = True) -> None:
 
 
 def check_fields(config, infinite: tuple[str, ...] = ()) -> None:
-    """``check_value`` on each field of ``config``; ``infinite`` may be inf."""
+    """``check_value`` on each field of ``config``; ``infinite`` may be inf.
+    A number, and each item of a list of numbers, is stored as a float, so
+    an int spelling writes what its float does wherever it is written."""
     for f in fields(config):
-        check_value(f.name, f.type, getattr(config, f.name),
-                    f.name not in infinite)
+        value = getattr(config, f.name)
+        check_value(f.name, f.type, value, f.name not in infinite)
+        if f.type == "float":
+            setattr(config, f.name, float(value))
+        elif f.type == "list[float]":
+            setattr(config, f.name, [float(v) for v in value])
 
 
 @dataclass

@@ -3,11 +3,11 @@ that ``_ActorCriticAgent.update`` (A2C, PPO and ACKTR) must equal bit for
 bit.
 
 It reads a list of ``Transition`` objects through ``stack``, takes the
-values and the next values in two critic calls, and runs each net's
-``Mlp.forward`` and ``Mlp.backward``, ACKTR's curvature refresh through
-``Mlp.pre_activation_grads``, and the agent's optimizers and K-FAC stats,
-each on fresh arrays, the actor step before the critic's on every
-minibatch; it draws PPO's permutations from the agent's generator as the
+values and the next values in two critic forwards, and runs each net's
+generic ``forward`` and ``backward`` of ``nn_reference``, ACKTR's
+curvature refresh through its ``chain``, and the agent's optimizers and
+K-FAC stats, each on fresh arrays, the actor step before the critic's on
+every minibatch; it draws PPO's permutations from the agent's generator as the
 update does. The policy arithmetic between the passes is the agent's own
 (``_actor_surrogate_grad``, ``_advantages``, ACKTR's ``_natural``), which
 reads and returns arrays only. It keeps no state of its own, so there is
@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from nn_reference import backward, chain, forward
 from rollout_reference import stack
 from trafficlab.agents import (
     _ONE_HOT,
@@ -35,8 +36,9 @@ def reference_minibatches(agent, transitions):
     obs, actions, rewards, next_obs, old_logp = stack(transitions)
     obs = obs * agent._obs_scale
     next_obs = next_obs * agent._obs_scale
-    targets = rewards + agent.config.gamma * agent.critic(next_obs).ravel()
-    advantages = _advantages(targets, agent.critic(obs).ravel())
+    targets = (rewards + agent.config.gamma
+               * forward(agent.critic, next_obs)[0].ravel())
+    advantages = _advantages(targets, forward(agent.critic, obs)[0].ravel())
     if agent.single_pass:
         yield obs, actions, targets, advantages, None
         return
@@ -58,16 +60,15 @@ def reference_critic_step(agent, obs, targets) -> float:
     n = len(targets)
     loss = 0.0
     for epoch in range(cfg.critic_epochs):
-        v, cache = agent.critic.forward(obs)
+        v, cache = forward(agent.critic, obs)
         resid = v.ravel() - targets
         loss = float((resid * resid).sum()) / n
         assert math.isfinite(loss)
-        grads = agent.critic.backward(cache, (-2.0 * resid / n)[:, None])
+        grads = backward(agent.critic, cache, (-2.0 * resid / n)[:, None])
         if acktr:
             if epoch == 0:
-                agent.critic_stats.update(cache.inputs,
-                                          agent.critic.pre_activation_grads(
-                                              cache, resid[:, None]))
+                agent.critic_stats.update(
+                    cache.inputs, chain(agent.critic, cache, resid[:, None]))
             grads = agent._natural(agent.critic_stats, grads, cfg.critic_lr)
         agent.critic_optimizer.step(agent.critic, grads, cfg.critic_lr)
     return loss
@@ -85,7 +86,7 @@ def reference_update(agent, transitions) -> dict[str, float]:
     for obs, actions, targets, adv, old_logp in reference_minibatches(
             agent, transitions):
         m = len(adv)
-        logits, cache = agent.actor.forward(obs)
+        logits, cache = forward(agent.actor, obs)
         logp = _log_softmax(logits)
         pi = np.exp(logp)
         taken = logp[np.arange(m), actions]
@@ -97,11 +98,11 @@ def reference_update(agent, transitions) -> dict[str, float]:
         coeff = np.where(unclipped <= clipped, adv * ratio, 0.0)
         entropy = _entropy(pi, logp)
         score = _ONE_HOT[actions] - pi
-        grads = agent.actor.backward(cache, agent._actor_surrogate_grad(
+        grads = backward(agent.actor, cache, agent._actor_surrogate_grad(
             logp, pi, score, coeff, entropy))
         if acktr:
             agent.actor_stats.update(
-                cache.inputs, agent.actor.pre_activation_grads(cache, score))
+                cache.inputs, chain(agent.actor, cache, score))
             grads = agent._natural(agent.actor_stats, grads, cfg.actor_lr)
         agent.actor_optimizer.step(agent.actor, grads, cfg.actor_lr)
         critic_loss = reference_critic_step(agent, obs, targets)

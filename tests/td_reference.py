@@ -2,13 +2,15 @@
 ``DqlAgent._td_step`` must equal bit for bit.
 
 It draws from the agent's replay with the agent's generator, as the step
-does, and runs the q net's ``Mlp.forward``, the target net's, the TD
-error, the q net's ``Mlp.backward`` and the agent's optimizer, each on
-fresh arrays. It keeps no state of its own, so there is nothing in it to
-go stale.
+does, and runs the q net's generic ``forward`` of ``nn_reference``, the
+target net's, the TD error, the q net's generic ``backward`` and the
+agent's optimizer, each on fresh arrays. It keeps no state of its own,
+so there is nothing in it to go stale.
 """
 
 import numpy as np
+
+from nn_reference import backward, forward
 
 
 def reference_draw(agent):
@@ -26,8 +28,8 @@ def reference_td_step(agent, pairs, actions, rewards) -> float:
     returns the mean squared TD error."""
     cfg = agent.config
     n = len(actions)
-    q, cache = agent.q_net.forward(pairs[0])
-    next_q, _ = agent.target_net.forward(pairs[1])
+    q, cache = forward(agent.q_net, pairs[0])
+    next_q, _ = forward(agent.target_net, pairs[1])
     targets = np.maximum(next_q[:, 0], next_q[:, 1])
     targets *= cfg.gamma
     targets += rewards
@@ -36,7 +38,7 @@ def reference_td_step(agent, pairs, actions, rewards) -> float:
     loss = float((td * td).sum()) / n
     dout = np.zeros_like(q)
     dout[rows, actions] = td / -(n / 2)
-    agent.optimizer.step(agent.q_net, agent.q_net.backward(cache, dout),
+    agent.optimizer.step(agent.q_net, backward(agent.q_net, cache, dout),
                          cfg.q_lr)
     if agent.optimizer.t % cfg.target_sync_period == 0:
         agent.target_net.params[...] = agent.q_net.params

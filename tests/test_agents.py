@@ -43,6 +43,7 @@ from trafficlab.agents import (
     save_agent,
 )
 import ac_reference
+import nn_reference
 from rollout_reference import (
     Transition,
     as_rollout,
@@ -86,6 +87,12 @@ def config_for(algorithm, **kw):
     return AgentConfig(algorithm=algorithm, **kw)
 
 
+def call(net, x):
+    """``net``'s output at ``x`` cast to the net's dtype: ``Mlp.run`` on
+    the input as an agent hands it over."""
+    return net.run(np.asarray(x, net.params.dtype))
+
+
 def rand_obs(rng, n=1, dim=OBS_DIM):
     obs = rng.uniform(0.0, 1.0, size=(n, dim))
     return obs if n > 1 else obs[0]
@@ -113,7 +120,7 @@ def recorded(agent, transitions):
         return transitions
     obs = np.array([t.obs for t in transitions]) * agent._obs_scale
     actions = np.array([t.action for t in transitions], dtype=np.intp)
-    logp = _log_softmax(agent.actor(obs))[np.arange(len(actions)), actions]
+    logp = _log_softmax(call(agent.actor, obs))[np.arange(len(actions)), actions]
     return [dataclasses.replace(t, log_prob=float(lp))
             for t, lp in zip(transitions, logp)]
 
@@ -176,7 +183,7 @@ def log_softmax_ref(logits):
 def policy(agent, obs):
     """An actor-critic agent's action distribution at one observation,
     computed in float64 from the net's logits, as ``act`` computes it."""
-    logits = agent.actor(np.asarray(obs, DTYPE) * agent._obs_scale)
+    logits = agent.actor.run(np.asarray(obs, DTYPE) * agent._obs_scale)
     return np.exp(log_softmax_ref(logits.astype(np.float64)))
 
 
@@ -199,10 +206,11 @@ def td_step_on(agent, transition):
 
 def array_act(agent, obs, explore=False):
     """The actor-critic ``act`` before its scalar head: the same choice
-    made on numpy arrays through the cached forward pass. The oracle for
+    made on numpy arrays through the generic forward. The oracle for
     the actions, log-probs and generator draws of the scalar head, which
     works on the net's logits as Python floats: float64."""
-    logits = agent.actor.forward(np.asarray(obs, DTYPE) * agent._obs_scale)[0]
+    logits = nn_reference.forward(
+        agent.actor, np.asarray(obs, DTYPE) * agent._obs_scale)[0]
     logp = _log_softmax(logits.astype(np.float64))
     if explore:
         floor = agent.config.explore_floor
@@ -916,7 +924,7 @@ def test_a_write_to_a_copied_dql_nets_params_shows_in_its_next_step(copier):
     twin = copier(agent)
     twin.q_net.params[...] = 0.0
     twin.target_net.params[...] = 0.0
-    assert twin.q_net(np.ones(4, DTYPE)).tolist() == [0.0, 0.0]
+    assert twin.q_net.run(np.ones(4, DTYPE)).tolist() == [0.0, 0.0]
     # every q-value and target is 0, so the loss is the mean squared reward
     draw = copy.deepcopy(twin._rng)
     idx = draw.integers(0, len(twin.replay), size=4)
@@ -934,11 +942,11 @@ def compute_advantage(r_t, v_next, v_now, gamma):
     from an all-zero observation to an all-one one, under a critic that
     values them ``v_now`` and ``v_next``."""
     agent = make_agent(config_for("a2c", gamma=gamma), OBS_DIM)
-    agent.critic = lambda x: np.where(x[:, :1] == 0.0, DTYPE(v_now),
-                                      DTYPE(v_next))
+    agent.critic.run = lambda x: np.where(x[:, :1] == 0.0, DTYPE(v_now),
+                                          DTYPE(v_next))
     batch = [Transition(np.zeros(OBS_DIM), 0, r_t, np.ones(OBS_DIM))]
     obs, targets = agent._targets(as_rollout(batch))
-    advantages = _advantages(targets, agent.critic(obs).ravel())
+    advantages = _advantages(targets, agent.critic.run(obs).ravel())
     assert advantages.shape == (1,)
     return advantages[0]
 
@@ -1026,7 +1034,7 @@ def test_critic_target_of_an_episodes_last_transition_bootstraps(algorithm):
     agent.critic.layers[-1].b[:] = 50.0
     full, _, _ = batch_across_an_episode_end(agent)
     last = transitions_of(full)[EPISODE_STEPS - 1]
-    v_next = agent.critic(last.next_obs * agent._obs_scale)
+    v_next = call(agent.critic, last.next_obs * agent._obs_scale)
     expected = DTYPE(last.reward) + DTYPE(agent.config.gamma) * v_next[0]
     _, targets = agent._targets(full)
     assert targets[EPISODE_STEPS - 1] == pytest.approx(float(expected),
@@ -1040,8 +1048,8 @@ def test_dql_target_of_an_episodes_last_transition_bootstraps():
     agent.target_net.layers[-1].b[:] = [30.0, 70.0]
     full, _, _ = batch_across_an_episode_end(agent)
     last = transitions_of(full)[EPISODE_STEPS - 1]
-    q = agent.q_net(last.obs * agent._obs_scale)[last.action]
-    next_q = agent.target_net(last.next_obs * agent._obs_scale)
+    q = call(agent.q_net, last.obs * agent._obs_scale)[last.action]
+    next_q = call(agent.target_net, last.next_obs * agent._obs_scale)
     target = DTYPE(last.reward) + DTYPE(agent.config.gamma) * next_q.max()
     assert target > 60.0
     # a replay of this one transition: the step regresses onto it alone
@@ -1152,25 +1160,25 @@ def test_act_on_a_float64_observation_equals_act_on_its_float32_row(
     ("a2c", 1), ("acktr", 1), ("ppo", 2)])
 def test_critic_forwards_of_an_update(monkeypatch, algorithm, critic_calls):
     """A single pass takes V(s) from its first critic epoch's forward:
-    ``critic_epochs`` pass forwards plus the one call on the next
-    observations. PPO's critic steps run on minibatches, so it also calls
+    ``critic_epochs`` pass forwards plus the one ``run`` on the next
+    observations. PPO's critic steps run on minibatches, so it also runs
     the critic once on the rollout's observations."""
     agent = make_agent(default_agent_config(algorithm, seed=3), OBS_DIM)
     batch = as_rollout(recorded(agent, make_transitions(
         np.random.default_rng(7), 48)))
     forwards, calls = [], []
-    pass_forward, net_call = StackPass.forward, Mlp.__call__
+    pass_forward, net_run = StackPass.forward, Mlp.run
 
     def counted_forward(run):
         forwards.append(run)
         return pass_forward(run)
 
-    def counted_call(net, x):
+    def counted_run(net, x):
         calls.append((net, len(x)))
-        return net_call(net, x)
+        return net_run(net, x)
 
     monkeypatch.setattr(StackPass, "forward", counted_forward)
-    monkeypatch.setattr(Mlp, "__call__", counted_call)
+    monkeypatch.setattr(Mlp, "run", counted_run)
     agent.update(batch)
     critic = agent._workspace.passes(agent._workspace.rows)[1]
     critic_forwards = sum(run._plan is critic._plan for run in forwards)
@@ -1265,7 +1273,7 @@ def zero_advantage_rollout(agent, rng):
     rollout = [Transition(obs, int(rng.integers(2)), reward, nxt)
                for _ in range(16)]
     obs, targets = agent._targets(as_rollout(rollout))
-    assert not _advantages(targets, agent.critic(obs).ravel()).any()
+    assert not _advantages(targets, agent.critic.run(obs).ravel()).any()
     return rollout
 
 
@@ -1315,14 +1323,14 @@ def test_a2c_actor_gradient_matches_finite_differences():
     obs = np.stack([t.obs for t in rollout]) * agent._obs_scale
     actions = np.array([t.action for t in rollout])
     # freeze the advantages the update will use
-    v_now = agent.critic(obs).ravel()
+    v_now = call(agent.critic, obs).ravel()
     nxt = np.stack([t.next_obs for t in rollout]) * agent._obs_scale
-    v_next = agent.critic(nxt).ravel()
+    v_next = call(agent.critic, nxt).ravel()
     adv = np.array([t.reward for t in rollout]) + cfg.gamma * v_next - v_now
     adv -= adv.mean()  # the batch-mean baseline
 
     def surrogate(actor):
-        logp = log_softmax_ref(actor(obs))
+        logp = log_softmax_ref(call(actor, obs))
         return float(np.mean(logp[np.arange(len(actions)), actions] * adv))
 
     numeric = fd_gradient(surrogate, agent.actor)
@@ -1343,9 +1351,9 @@ def test_ppo_objective_at_snapshot_policy_is_mean_advantage():
     rollout = recorded(agent, make_transitions(rng, 8))
     obs = np.stack([t.obs for t in rollout]) * agent._obs_scale
     actions = np.array([t.action for t in rollout])
-    v_now = agent.critic(obs).ravel()
+    v_now = call(agent.critic, obs).ravel()
     nxt = np.stack([t.next_obs for t in rollout]) * agent._obs_scale
-    v_next = agent.critic(nxt).ravel()
+    v_next = call(agent.critic, nxt).ravel()
     adv = np.array([t.reward for t in rollout]) + cfg.gamma * v_next - v_now
     adv -= adv.mean()
     last = copy.deepcopy(agent._rng).permutation(8)[4:]  # the update's draw
@@ -1361,11 +1369,11 @@ def test_ppo_clipped_term_arithmetic():
     obs = rand_obs(rng)
     nxt = rand_obs(rng)
     # force advantage exactly 1
-    v_now = float(agent.critic(obs * agent._obs_scale)[0])
-    v_next = float(agent.critic(nxt * agent._obs_scale)[0])
+    v_now = float(call(agent.critic, obs * agent._obs_scale)[0])
+    v_next = float(call(agent.critic, nxt * agent._obs_scale)[0])
     r = 1.0 + v_now - cfg.gamma * v_next
     # store an old log-prob that makes the ratio exactly 1.5
-    logp_now = log_softmax_ref(agent.actor(obs * agent._obs_scale))[0]
+    logp_now = log_softmax_ref(call(agent.actor, obs * agent._obs_scale))[0]
     t = Transition(obs, 0, r, nxt, log_prob=float(logp_now - np.log(1.5)))
     actor_loss = agent.update(as_rollout([t]))["actor_loss"]
     # the objective is the nets' float32: 1.2 to within its rounding
@@ -1381,18 +1389,18 @@ def test_ppo_surrogate_gradient_matches_finite_differences():
     obs = np.stack([t.obs for t in rollout]) * agent._obs_scale
     actions = np.array([t.action for t in rollout])
     # old policy = slightly perturbed current one, so some ratios clip
-    logp_now = log_softmax_ref(agent.actor(obs))[np.arange(8), actions]
+    logp_now = log_softmax_ref(call(agent.actor, obs))[np.arange(8), actions]
     old_logp = logp_now - rng.uniform(-0.4, 0.4, size=8)
     for t, lp in zip(rollout, old_logp):
         t.log_prob = float(lp)
-    v_now = agent.critic(obs).ravel()
+    v_now = call(agent.critic, obs).ravel()
     nxt = np.stack([t.next_obs for t in rollout]) * agent._obs_scale
-    v_next = agent.critic(nxt).ravel()
+    v_next = call(agent.critic, nxt).ravel()
     adv = np.array([t.reward for t in rollout]) + cfg.gamma * v_next - v_now
     adv -= adv.mean()  # the batch-mean baseline
 
     def clipped_surrogate(actor):
-        logp = log_softmax_ref(actor(obs))[np.arange(8), actions]
+        logp = log_softmax_ref(call(actor, obs))[np.arange(8), actions]
         ratio = np.exp(logp - old_logp)
         lo, hi = 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon
         return float(np.mean(np.minimum(ratio * adv,
@@ -1523,7 +1531,7 @@ def test_more_critic_epochs_fit_targets_closer():
                                     critic_lr=3e-3), OBS_DIM)
         agent.update(as_rollout(rollout))
         obs, targets = agent._targets(as_rollout(rollout))
-        v = agent.critic(obs).ravel()
+        v = call(agent.critic, obs).ravel()
         return float(np.mean((v - targets) ** 2))
 
     assert critic_loss_after(10) < critic_loss_after(1)
@@ -1588,11 +1596,11 @@ def check_single_layer_matches_dense_natural_gradient_oracle(nets):
     rewards = np.array([t.reward for t in rollout], dtype=DTYPE).astype(np.float64)
     nxt = np.stack([t.next_obs for t in rollout]).astype(DTYPE).astype(np.float64)
     critic, actor = wide(agent.critic), wide(agent.actor)
-    v_now = critic(obs).ravel()
-    v_next = critic(nxt).ravel()
+    v_now = call(critic, obs).ravel()
+    v_next = call(critic, nxt).ravel()
     adv = rewards + float(DTYPE(cfg.gamma)) * v_next - v_now
     adv -= adv.mean()  # the batch-mean baseline
-    logits = actor(obs)
+    logits = call(actor, obs)
     pi = np.exp(log_softmax_ref(logits))
     onehot = np.zeros_like(pi)
     onehot[np.arange(12), actions] = 1.0
@@ -1953,7 +1961,8 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     gradient vector of each pass over it; DQL's replay draw and TD error
     too), K-FAC's factors, inverses and preconditioned directions, DQL's
     replay, and every payload array of the agent's checkpoint and of the
-    agent loaded from it. No learner runs the generic passes. A stray
+    agent loaded from it. No learner runs ``Mlp.forward`` or
+    ``Mlp.backward``, the one-member passes the tracer times. A stray
     float64 array would upcast each operation it meets, silently, and
     cost float32's speed."""
     seen = defaultdict(set)
@@ -1971,12 +1980,11 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
 
         monkeypatch.setattr(cls, name, wrapped)
 
-    spy(Mlp, "__call__", lambda x, out: [("input", x), ("output", out)])
     spy(Mlp, "run", lambda x, out: [("input", x), ("output", out)])
     spy(Mlp, "forward", lambda x, pair: [
-        ("input", x), ("output", pair[0]), ("cache output", pair[1].output),
-        *[("cache input", a) for a in pair[1].inputs]])
-    # DQL's gradient steps run none of the generic passes: each is one TD
+        ("input", x), ("output", pair[0]), ("cache output", pair[1].acts[-1]),
+        *[("cache input", a) for a in pair[1].inputs[0]]])
+    # DQL's gradient steps run neither hook: each is one TD
     # step over its workspace, whose every float array is recorded after
     # the step, as is the loss it returns
     spy(DqlAgent, "_td_step", lambda loss: [
@@ -1986,8 +1994,6 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     # workspace, whose every float array is recorded after the update
     spy(_ActorCriticAgent, "update", lambda transitions, stats: [
         ("workspace", a) for a in ac_workspace_arrays(agent._workspace)])
-    spy(Mlp, "pre_activation_grads", lambda cache, g, chain: [
-        ("output gradient", g), *[("gradient", ds) for ds in chain]])
     spy(Mlp, "backward", lambda cache, g, *out_and_grads: [
         ("output gradient", g), ("flat", out_and_grads[-1].flat)])
     spy(KfacStats, "precondition", lambda grads, nat: [("flat", nat.flat)])
@@ -1999,12 +2005,13 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
                        cfg.observation_size)
     train_agent(agent, TrafficSignalEnv(cfg, seed=5), 32)
     assert agent.train_steps == 32
-    # every act runs ``Mlp.run``; the generic passes never run
+    # every act, and the critic's inference of the targets, runs
+    # ``Mlp.run``; the hooks never run
     expected = {"run input", "run output"}
     if algorithm == "dql":
         expected |= {"_td_step loss", "_td_step workspace"}
-    else:  # the critic's inference of the targets is a call
-        expected |= {"__call__ input", "__call__ output", "update workspace"}
+    else:
+        expected.add("update workspace")
     if algorithm == "acktr":
         expected.add("precondition flat")
     assert set(seen) == expected

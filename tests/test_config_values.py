@@ -11,7 +11,7 @@ import math
 import pytest
 
 from trafficlab.adapt import DeploymentConfig, DetectionSchedule
-from trafficlab.agents import AgentConfig, make_agent
+from trafficlab.agents import AgentConfig, agent_to_bytes, make_agent
 from trafficlab.cli import build_parser
 from trafficlab.config import (_COERCERS, _SECTION_TYPES, ExperimentSpec,
                                load_config_file)
@@ -66,6 +66,8 @@ def test_the_generated_cases_cover_every_config():
     assert {cls for cls, _, _ in number_fields(TEXT_KINDS
                                                + tuple(CLASS_KINDS))} == (
         set(CONFIGS) - {SimConfig})
+    assert {param.values[0] for param in integral_numbers()} == set(
+        CONFIGS.values())
 
 
 @pytest.mark.parametrize("cls, name, value",
@@ -241,6 +243,47 @@ def test_schedule_refuses_a_breakpoint_that_is_no_pair_of_numbers(
 
 def test_schedule_takes_a_list_pair_as_a_breakpoint():
     assert DetectionSchedule([[0, 1], [10.0, 0.5]]).rate_at(5.0) == 0.75
+
+
+def integral_numbers():
+    """Each number field whose default is a whole number (each item, for
+    a list of numbers), with that default spelt as an int."""
+    params = []
+    for cls, make in CONFIGS.items():
+        base = make()
+        for f in dataclasses.fields(cls):
+            value = getattr(base, f.name)
+            values = value if f.type == "list[float]" else [value]
+            if f.type in NUMBER_KINDS and all(
+                    math.isfinite(v) and v == int(v) for v in values):
+                spelt = [int(v) for v in values]
+                params.append(pytest.param(
+                    make, f.name, spelt if f.type == "list[float]" else spelt[0],
+                    id=f"{cls.__name__}.{f.name}"))
+    return params
+
+
+@pytest.mark.parametrize("make, name, value", integral_numbers())
+def test_a_number_spelt_as_an_int_is_stored_as_a_float(make, name, value):
+    # it was stored as the int, which a CSV row, a timeline or a
+    # checkpoint header then wrote as 1 where 1.0 writes 1.0
+    stored = getattr(make(**{name: value}), name)
+    assert repr(stored) == repr(
+        [float(v) for v in value] if type(value) is list else float(value))
+
+
+def test_a_schedule_stores_its_breakpoints_as_float_pairs():
+    schedule = DetectionSchedule([(0, 1), [10, 0]])
+    assert repr(schedule.breakpoints) == "[(0.0, 1.0), (10.0, 0.0)]"
+    assert [repr(schedule.rate_at(t)) for t in (-1, 0, 10, 11)] == [
+        "1.0", "1.0", "0.0", "0.0"]
+
+
+def test_an_int_valued_agent_number_writes_the_checkpoint_of_its_float():
+    blobs = [agent_to_bytes(make_agent(
+        AgentConfig(algorithm="fixed_time", fixed_time_green=green), 11))
+        for green in (30, 30.0)]
+    assert blobs[0] == blobs[1]
 
 
 def test_every_file_key_parses_by_its_kind():

@@ -749,6 +749,35 @@ def test_adapt_missing_checkpoint_reports_error(tmp_path):
                                                          0.5, 0)))
 
 
+def test_adapt_refuses_rates_that_train_no_checkpoint_at_the_first_rate(
+        tmp_path):
+    # it used to run every cell into a missing checkpoint and write
+    # adapt_summary.csv; the CLI refuses the same grid by the same check
+    spec = tiny_spec(tmp_path, algorithms=["fixed_time"], rates=[0.5])
+    cmd_train(spec)
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    deploy = DeploymentConfig(schedule=DetectionSchedule([(0.0, 1.0)]),
+                              total_steps=10, update_period=None,
+                              instability_window=5)
+    with pytest.raises(ValueError, match=r"^rates \[0\.5\] train no r1\.00 "
+                       "checkpoint, which the schedule's first rate loads$"):
+        cmd_adapt(spec, deploy)
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+def test_an_int_rate_writes_the_sweep_rows_of_its_float(tmp_path):
+    # rates=[1] wrote the row fixed_time,medium,1,0,... where [1.0] writes
+    # fixed_time,medium,1.0,0,...
+    written = []
+    for k, rates in enumerate(([1], [1.0])):
+        spec = tiny_spec(tmp_path / f"run{k}", algorithms=["fixed_time"],
+                         rates=rates)
+        cmd_train(spec)
+        cmd_sweep(spec)
+        written.append((tmp_path / f"run{k}" / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_adapt_chart_equals_one_drawn_from_the_timeline_csvs(tmp_path):
     spec = tiny_spec(tmp_path, scenario="sparse",
                      algorithms=["fixed_time", "ppo"], seeds=[0, 1],

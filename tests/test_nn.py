@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfac_oracle import gradients_of, solve_precondition
+from nn_reference import backward, chain, forward
 from trafficlab.nn import (
     DTYPE,
     AdamOptimizer,
@@ -64,9 +65,8 @@ def numeric_gradient(net, x, target, h=1e-5):
 
 
 def call_reference(net, x):
-    """``Mlp.__call__`` as it was before it worked in place: a new array
-    for each operation, in the net's dtype. The oracle for the in-place
-    pass."""
+    """Inference as it was before it worked in place: a new array for
+    each operation, in the net's dtype. The oracle for ``Mlp.run``."""
     a = np.asarray(x, dtype=net.params.dtype)
     for idx, layer in enumerate(net.layers):
         s = a @ layer.w.T + layer.b
@@ -126,15 +126,38 @@ def test_forward_matches_dense_algebra_oracle():
     np.testing.assert_allclose(out, a, rtol=0, atol=1e-12)
 
 
-def test_forward_rejects_wrong_input_size():
-    with pytest.raises(ValueError, match="input size"):
-        small_net().forward(np.zeros(5))
-
-
 @pytest.mark.parametrize("shape", [(5,), (2,), (4, 5)])
-def test_call_rejects_wrong_input_size(shape):
+def test_forward_rejects_wrong_input_size(shape):
+    with pytest.raises(ValueError, match="input, got"):
+        small_net().forward(np.zeros(shape))
     with pytest.raises(ValueError, match="input size"):
-        small_net()(np.zeros(shape))
+        forward(small_net(), np.zeros(shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (1, 7), (5, 7)])
+def test_the_tracer_hooks_equal_the_reference_passes_bit_for_bit(
+        shape, dtype):
+    """``Mlp.forward`` and ``Mlp.backward``, a one-member pass over the
+    net, give what the generic passes give, leave the net as it was, and
+    hand out a new ``Gradients`` at each backward."""
+    rng = np.random.default_rng(len(shape) + 10 * shape[0])
+    net = Mlp([Layer(l.w.astype(dtype), l.b.astype(dtype))
+               for l in random_net(rng, 3, 7).layers])
+    values = net.params.tobytes()
+    x = rng.normal(size=shape) * 2.0
+    out, run = net.forward(x)
+    expected, cache = forward(net, x)
+    assert out.shape == expected.shape and out.dtype == dtype
+    assert out.tobytes() == expected.tobytes()
+    g = rng.normal(size=out.shape)
+    grads = net.backward(run, g)
+    assert grads.flat.dtype == dtype
+    assert grads.flat.tobytes() == backward(net, cache, g).flat.tobytes()
+    again = net.backward(run, g)
+    assert not np.shares_memory(again.flat, grads.flat)
+    assert again.flat.tobytes() == grads.flat.tobytes()
+    assert net.params.tobytes() == values
 
 
 @settings(max_examples=60)
@@ -145,9 +168,9 @@ def test_call_equals_forward_bit_for_bit(seed, batch, scale, depth):
     rng = np.random.default_rng(seed)
     net = random_net(rng, depth, 11)
     shape = (11,) if batch is None else (batch, 11)
-    x = scale * rng.normal(size=shape)
+    x = (scale * rng.normal(size=shape)).astype(DTYPE)
     x_before = x.copy()
-    out, expected = net(x), net.forward(x)[0]
+    out, expected = net.run(x), forward(net, x)[0]
     assert out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
     assert out.tobytes() == call_reference(net, x).tobytes()
@@ -166,10 +189,10 @@ def test_one_sample_call_equals_one_row_forward_and_matmul_bit_for_bit(
     rng = np.random.default_rng(seed)
     net = random_net(rng, depth, in_dim)
     net.params *= w_scale
-    x = x_scale * rng.normal(size=in_dim)
-    out = net(x)
+    x = (x_scale * rng.normal(size=in_dim)).astype(DTYPE)
+    out = net.run(x)
     assert out.shape == (net.layers[-1].w.shape[0],)
-    assert out.tobytes() == net.forward(x[None, :])[0][0].tobytes()
+    assert out.tobytes() == forward(net, x[None, :])[0][0].tobytes()
     assert out.tobytes() == call_reference(net, x).tobytes()
 
 
@@ -184,11 +207,11 @@ def test_call_on_stacked_rows_equals_one_row_calls_bit_for_bit(
     # (E, n) batch may take another BLAS kernel and round differently
     rng = np.random.default_rng(seed)
     net = random_net(rng, depth, in_dim)
-    x = rng.normal(size=(rows, in_dim))
-    out = net(x[:, None, :])
+    x = rng.normal(size=(rows, in_dim)).astype(DTYPE)
+    out = net.run(x[:, None, :])
     assert out.shape == (rows, 1, net.layers[-1].w.shape[0])
     for k in range(rows):
-        assert out[k, 0].tobytes() == net(x[k]).tobytes()
+        assert out[k, 0].tobytes() == net.run(x[k]).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -217,9 +240,9 @@ def test_stacked_forward_rows_equal_each_members_passes_bit_for_bit(
     assert out.shape == (size, batch, 2) and out.dtype == dtype
     for k, member in enumerate(stack.members):
         assert np.shares_memory(member.params, stack.params[k])
-        expected, cache = member.forward(x[k])
+        expected, cache = forward(member, x[k])
         assert out[k].tobytes() == expected.tobytes()
-        assert out[k].tobytes() == member(x[k]).tobytes()
+        assert out[k].tobytes() == member.run(x[k]).tobytes()
         assert [a[k].tobytes() for a in [x] + run.acts[:-1]] == [
             a.tobytes() for a in cache.inputs]
     for k, member in enumerate(stack.members):  # after every forward row
@@ -227,7 +250,7 @@ def test_stacked_forward_rows_equal_each_members_passes_bit_for_bit(
         run.dout[...] = g
         grads = run.backward(k)
         assert grads is run.grads
-        expected = member.backward(member.forward(x[k])[1], g).flat
+        expected = backward(member, forward(member, x[k])[1], g).flat
         assert grads.flat.tobytes() == expected.tobytes()
 
 
@@ -245,12 +268,12 @@ def test_stacked_backward_equals_the_generic_one_at_a_one_wide_layer(dtype):
         run.forward()
         run.dout[...] = rng.normal(size=(9, sizes[-1]))
         member = stack.members[0]
-        cache = member.forward(x[0])[1]
-        expected = member.backward(cache, run.dout).flat
+        cache = forward(member, x[0])[1]
+        expected = backward(member, cache, run.dout).flat
         assert run.backward(0).flat.tobytes() == expected.tobytes()
-        chain = member.pre_activation_grads(cache, run.dout)
+        pre_grads = chain(member, cache, run.dout)
         assert [ds.tobytes() for ds in run.chain(0)] == [
-            ds.tobytes() for ds in chain]
+            ds.tobytes() for ds in pre_grads]
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,8 +287,8 @@ def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
     """An actor-critic runs a two-output and a one-output net of the same
     hidden widths through one-member stacks over one scratch, at each row
     count its update meets: every pass, run after any other, writes what
-    the net's ``forward``, ``backward`` and ``pre_activation_grads`` give
-    on fresh arrays, bit for bit."""
+    the generic ``forward``, ``backward`` and ``chain`` give on fresh
+    arrays, bit for bit."""
     rng = np.random.default_rng(seed)
     nets = []
     for out in (2, 1):
@@ -283,20 +306,19 @@ def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
             run = passes.get((batch, k))
             if run is None:
                 run = passes[batch, k] = StackPass(
-                    MlpStack(net.layers, 1, net.params[None]), x[:, :batch],
-                    scratch)
-            out, cache = net.forward(x[0, :batch])
+                    MlpStack.over(net), x[:, :batch], scratch)
+            out, cache = forward(net, x[0, :batch])
             assert run.forward()[0].tobytes() == out.tobytes()
             assert [a.tobytes() for a in run.inputs[0]] == [
                 a.tobytes() for a in cache.inputs]
             g = rng.normal(size=out.shape).astype(dtype)
             run.dout[...] = g
             assert (run.backward(0).flat.tobytes()
-                    == net.backward(cache, g).flat.tobytes())
+                    == backward(net, cache, g).flat.tobytes())
             g = rng.normal(size=out.shape).astype(dtype)
             run.dout[...] = g
             assert [ds.tobytes() for ds in run.chain(0)] == [
-                ds.tobytes() for ds in net.pre_activation_grads(cache, g)]
+                ds.tobytes() for ds in chain(net, cache, g)]
             if hidden:  # both nets' hidden activations are one array's rows
                 other = passes.get((rows, 1 - k))
                 if other is not None:
@@ -306,14 +328,15 @@ def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
 def test_a_one_member_stack_over_a_nets_params_trains_the_net_in_place():
     net = small_net(seed=9)
     values = net.flatten()
-    stack = MlpStack(net.layers, 1, net.params[None])
+    stack = MlpStack.over(net)
     assert net.params.tobytes() == values.tobytes()
     assert np.shares_memory(stack.params, net.params)
     assert np.shares_memory(stack.members[0].layers[0].w, net.params)
     run = StackPass(stack, np.ones((1, 4, 3), DTYPE))
     before = run.forward().copy()
     net.layers[0].b[...] += 1.0  # in place, as an optimizer writes
-    assert run.forward()[0].tobytes() == net(np.ones((4, 3))).tobytes()
+    assert (run.forward()[0].tobytes()
+            == net.run(np.ones((4, 3), DTYPE)).tobytes())
     assert not np.array_equal(before, run.acts[-1])
     twin = copy.deepcopy(stack)  # a copy is a stack of its own
     assert twin.params.tobytes() == stack.params.tobytes()
@@ -338,9 +361,10 @@ def test_a_pass_scratch_hands_out_leading_rows_of_one_array_per_shape():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_the_unchecked_layer_loop_equals_the_call(dtype):
+def test_the_unchecked_layer_loop_reads_a_narrower_input_exactly(dtype):
     """``run`` on a ``DTYPE`` input, the form every ``act`` hands it,
-    equals the call at one sample, a batch and a stack of single rows."""
+    equals ``run`` on its exact cast to the net's dtype at one sample, a
+    batch and a stack of single rows."""
     rng = np.random.default_rng(12)
     net = Mlp([Layer(l.w.astype(dtype), l.b.astype(dtype))
                for l in random_net(rng, 3, 7).layers])
@@ -348,7 +372,7 @@ def test_the_unchecked_layer_loop_equals_the_call(dtype):
         x = rng.normal(size=shape).astype(DTYPE)
         got = net.run(x)
         assert got.dtype == dtype
-        assert got.tobytes() == net(x).tobytes()
+        assert got.tobytes() == net.run(x.astype(dtype)).tobytes()
 
 
 def test_stacked_pass_reads_a_narrower_input_dtype_exactly():
@@ -397,21 +421,23 @@ def test_a_write_to_one_member_shows_in_the_stacked_pass_only_for_it():
     (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
 def test_everything_of_a_net_follows_the_dtype_of_its_layers(dtype, net_dtype):
     """A net takes its dtype from the ``Layer``s it is built from (ints
-    make a float64 net); its passes, gradients, Adam state and K-FAC
-    factors, inverses and direction follow it, and a float64 input is
-    cast on the way in."""
+    make a float64 net); its inference, passes, gradients, Adam state and
+    K-FAC factors, inverses and direction follow it, and a float64 input
+    to ``forward`` is cast on the way in."""
     net = Mlp([Layer(np.ones((4, 3), dtype), np.zeros(4, dtype)),
                Layer(np.ones((2, 4), dtype), np.zeros(2, dtype))])
     x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
-    out, cache = net.forward(x)
-    chain = net.pre_activation_grads(cache, np.ones((2, 2)))
-    grads = net.backward(cache, np.ones((2, 2)))
+    out, run = net.forward(x)
+    grads = net.backward(run, np.ones((2, 2)))
+    pre_grads = run.chain(0)
     adam = AdamOptimizer(net)
     adam.step(net, grads, 0.1)
     stats = KfacStats(net, damping=1e-2, decay=0.9)
-    stats.update(cache.inputs, chain)
-    arrays = [net.params, out, net(x), net(x[0]), net(x[:, None, :]),
-              *cache.inputs, cache.output, *chain, grads.flat, *adam._moments,
+    stats.update(run.inputs[0], pre_grads)
+    x = x.astype(DTYPE)  # the form ``run`` takes whatever the net's dtype
+    arrays = [net.params, out, net.run(x), net.run(x[0]),
+              net.run(x[:, None, :]), *run.inputs[0], *run.acts, run.dout,
+              *pre_grads, grads.flat, *adam._moments,
               *adam._scratch, stats.precondition(grads).flat,
               *stats.a_factors, *stats.s_factors,
               *[inverse for pair in stats._inverses for inverse in pair]]
@@ -495,10 +521,10 @@ def test_backward_equals_per_layer_reference_bit_for_bit():
     rng = np.random.default_rng(41)
     net = Mlp.create([4, 6, 5, 3, 2], seed=41)
     x = rng.normal(size=(7, 4))
-    out, cache = net.forward(x)
+    out, cache = forward(net, x)
     dout = rng.normal(size=out.shape).astype(net.params.dtype)
-    grads = net.backward(cache, dout)
-    chain = net.pre_activation_grads(cache, dout)
+    grads = backward(net, cache, dout)
+    pre_grads = chain(net, cache, dout)
     da = dout
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
@@ -508,7 +534,7 @@ def test_backward_equals_per_layer_reference_bit_for_bit():
             ds = da * (1.0 - a * a)
         else:
             ds = da * np.ones_like(s)
-        np.testing.assert_array_equal(chain[idx], ds)
+        np.testing.assert_array_equal(pre_grads[idx], ds)
         np.testing.assert_array_equal(grads.dw[idx], ds.T @ cache.inputs[idx])
         np.testing.assert_array_equal(grads.db[idx], ds.sum(axis=0))
         da = ds @ layer.w
@@ -529,14 +555,14 @@ def test_one_column_chain_product_equals_matmul_bit_for_bit(batch, dtype):
     rng = np.random.default_rng(batch)
     for _ in range(5):
         x = rng.normal(size=(batch, 11)) * 3.0
-        out, cache = net.forward(x)
+        out, cache = forward(net, x)
         g = rng.normal(size=out.shape).astype(dtype)
         assert (g * w).tobytes() == (g @ w).tobytes()
         a = cache.inputs[-1]
         expected = (1.0 - a * a) * (g @ w)
-        chain = net.pre_activation_grads(cache, g)
-        assert chain[-2].dtype == dtype
-        assert chain[-2].tobytes() == expected.tobytes()
+        pre_grads = chain(net, cache, g)
+        assert pre_grads[-2].dtype == dtype
+        assert pre_grads[-2].tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40)
@@ -547,15 +573,15 @@ def test_repeated_backward_on_one_cache_is_pure(seed, batch, depth):
     both must see the cache forward left, and give equal results."""
     rng = np.random.default_rng(seed)
     net = random_net(rng, depth, 5)
-    out, cache = net.forward(rng.normal(size=(batch, 5)))
+    out, cache = forward(net, rng.normal(size=(batch, 5)))
     snapshot = [a.copy() for a in cache.inputs + [cache.output]]
     dout = rng.normal(size=out.shape)
     dout_before = dout.copy()
-    first = net.backward(cache, dout)
-    first_chain = net.pre_activation_grads(cache, dout)
-    second = net.backward(cache, dout)
+    first = backward(net, cache, dout)
+    first_chain = chain(net, cache, dout)
+    second = backward(net, cache, dout)
     assert first.flat.tobytes() == second.flat.tobytes()
-    for a, b in zip(first_chain, net.pre_activation_grads(cache, dout)):
+    for a, b in zip(first_chain, chain(net, cache, dout)):
         assert a.tobytes() == b.tobytes()
     for now, before in zip(cache.inputs + [cache.output], snapshot):
         assert now.tobytes() == before.tobytes()
@@ -568,7 +594,7 @@ def test_backward_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="output gradient"):
         net.backward(cache, np.zeros((2, 5)))
     with pytest.raises(ValueError, match="output gradient"):
-        net.pre_activation_grads(cache, np.zeros((2, 5)))
+        chain(net, forward(net, np.zeros(3))[1], np.zeros((2, 5)))
 
 
 @settings(max_examples=60)
@@ -580,13 +606,13 @@ def test_pre_activation_chain_leaves_what_backward_leaves(seed, batch, depth):
     bit, and writes nothing forward or the caller made."""
     rng = np.random.default_rng(seed)
     net = random_net(rng, depth, int(rng.integers(1, 20)))
-    out, cache = net.forward(rng.normal(size=(batch, net.input_size)))
+    out, cache = forward(net, rng.normal(size=(batch, net.input_size)))
     dout = rng.normal(size=out.shape) * rng.choice([1e-6, 1.0, 1e6])
     snapshot = [a.tobytes() for a in cache.inputs + [cache.output, dout]]
-    chain = net.pre_activation_grads(cache, dout)
-    grads = net.backward(cache, dout)
-    assert len(chain) == len(net.layers)
-    for ds, a, dw, db in zip(chain, cache.inputs, grads.dw, grads.db):
+    pre_grads = chain(net, cache, dout)
+    grads = backward(net, cache, dout)
+    assert len(pre_grads) == len(net.layers)
+    for ds, a, dw, db in zip(pre_grads, cache.inputs, grads.dw, grads.db):
         assert ds.shape == (batch, dw.shape[0])
         assert dw.tobytes() == np.dot(ds.T, a).tobytes()
         assert db.tobytes() == ds.sum(axis=0).tobytes()
@@ -632,11 +658,11 @@ def test_a_copied_net_runs_from_its_own_params(copier, dtype):
     assert twin.params.tobytes() == net.params.tobytes()
     assert not np.shares_memory(twin.params, net.params)
     assert_views_aliased(twin)
-    x = np.ones((4, 3))
-    before = net(x)
+    x = np.ones((4, 3), dtype)
+    before = net.run(x)
     twin.params[...] = 0.0
-    assert not twin(x).any() and not twin.forward(x)[0].any()
-    assert net(x).tobytes() == before.tobytes()
+    assert not twin.run(x).any() and not twin.forward(x)[0].any()
+    assert net.run(x).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("copier", COPIERS)
@@ -701,16 +727,16 @@ def test_layer_views_stay_aliased_to_params():
                          ids=["sgd", "adam"])
 def test_optimizer_step_shows_in_next_forward(optimizer_class):
     net = small_net(seed=5)
-    x = np.array([0.3, -0.2, 0.9])
+    x = np.array([0.3, -0.2, 0.9], DTYPE)
     out, cache = net.forward(x)
     grads = net.backward(cache, np.ones(2))
     optimizer_class(net).step(net, grads, 0.1)
     assert_views_aliased(net)
-    after = net(x)
+    after = net.run(x)
     assert not np.array_equal(after, out)
     fresh = small_net(seed=99)
     fresh.params[...] = net.params
-    np.testing.assert_array_equal(fresh(x), after)
+    np.testing.assert_array_equal(fresh.run(x), after)
 
 
 def test_seeded_init_is_deterministic():
@@ -978,9 +1004,9 @@ def check_update_after_precondition_refreshes_the_inverses(net, rtol):
 
     def feed():
         x = rng.normal(size=(8, 3))
-        _, cache = net.forward(x)
+        _, cache = forward(net, x)
         stats.update(cache.inputs,
-                     net.pre_activation_grads(cache, rng.normal(size=(8, 2))))
+                     chain(net, cache, rng.normal(size=(8, 2))))
 
     feed()
     first = stats.precondition(grads).flat
