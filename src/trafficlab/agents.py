@@ -283,6 +283,9 @@ class Agent:
     steps each ``Rollout`` it hands to update() holds (0 = never updates)."""
 
     needs_rollout = 0
+    # a learner's update arrays, built at its first update; they view its
+    # nets, so a copy takes none and builds its own
+    _workspace: _TdWorkspace | _AcWorkspace | None = None
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         check_value("obs_dim", "int", obs_dim)
@@ -297,6 +300,9 @@ class Agent:
         if obs_dim > PHASE_TIME_SLOT:
             scale[PHASE_TIME_SLOT] = 1.0 / config.phase_time_scale
         self._obs_scale = scale
+
+    def __getstate__(self) -> dict:
+        return dict(self.__dict__, _workspace=None)
 
     @property
     def algorithm(self) -> str:
@@ -466,7 +472,8 @@ class DqlAgent(Agent):
     training budget, then holds.
 
     The q net and the target net are the two members of one ``MlpStack``
-    (row 0 and row 1), and a target sync copies row 0 into row 1. Every
+    (row 0 and row 1), each a net over its row, and a target sync copies
+    row 0 into row 1. Every
     target bootstraps (see ``Rollout``). The replay holds scaled
     observations and is not checkpointed: a loaded agent takes no
     gradient step until it has gathered
@@ -479,9 +486,9 @@ class DqlAgent(Agent):
     error, the q net's backward in the same pass, and the Adam step; it
     equals, bit for bit, the step built from the generic forward and
     backward on fresh arrays of ``tests/nn_reference.py`` (the test suite
-    holds them equal). A copy (``copy.deepcopy``, ``pickle``) rebinds the
-    nets to the rows of its own stack and builds a workspace of its own at
-    its first step.
+    holds them equal). A copy (``copy.deepcopy``, ``pickle``) keeps its
+    nets the members of its own stack, as every copied member is, and
+    builds a workspace of its own at its first step.
     """
 
     needs_rollout = 1
@@ -493,18 +500,6 @@ class DqlAgent(Agent):
         self.q_net, self.target_net = self._pair.members
         self.optimizer = AdamOptimizer(self.q_net)
         self.replay = _ReplayBuffer(config.replay_capacity, self._obs_scale)
-        self._workspace: _TdWorkspace | None = None
-
-    def __getstate__(self) -> dict:
-        # the nets are the rows of ``_pair`` and the workspace views them:
-        # a copy takes neither, and rebinds or rebuilds its own
-        state = dict(self.__dict__, _workspace=None)
-        del state["q_net"], state["target_net"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.q_net, self.target_net = self._pair.members
 
     def epsilon(self) -> float:
         cfg = self.config
@@ -588,13 +583,13 @@ class DqlAgent(Agent):
 
 class _AcWorkspace:
     """The arrays of actor-critic updates of up to ``rows`` rows: the
-    ``(1, rows, obs_dim)`` input ``x`` and, per row count met, the
-    actor's and the critic's passes over its leading rows, over one
+    ``(1, rows, obs_dim)`` input ``x`` and, per row count met, passes of
+    the actor and of the critic over its leading rows, over one
     ``PassScratch`` (the nets share every array of equal width)."""
 
     def __init__(self, actor: Mlp, critic: Mlp, rows: int, obs_dim: int):
         self.rows = rows
-        self._one_member = [MlpStack.over(net) for net in (actor, critic)]
+        self.nets = actor, critic
         self._scratch = PassScratch(rows, actor.params.dtype)
         self.x = self._scratch.take("x", (1, rows, obs_dim))
         self._passes: dict[int, tuple[StackPass, StackPass]] = {}
@@ -605,7 +600,7 @@ class _AcWorkspace:
         if pair is None:
             x = self.x[:, :batch]
             pair = self._passes[batch] = tuple(
-                StackPass(net, x, self._scratch) for net in self._one_member)
+                StackPass(net, x, self._scratch) for net in self.nets)
         return pair
 
 
@@ -623,7 +618,7 @@ class _ActorCriticAgent(Agent):
     forward's own policy: the ratio is exactly 1, the clip never binds,
     and the step is A2C's, bit for bit (Huang et al., arXiv 2205.09123).
 
-    Each net trains through the ``StackPass`` of its one-member stack,
+    Each net, a stack of one, trains through a ``StackPass`` over itself,
     over a workspace (``_AcWorkspace``) built at the first update for its
     largest actor step (the rollout, or a PPO minibatch) and again for a
     larger one; a shorter step runs on its leading rows. The update
@@ -645,11 +640,6 @@ class _ActorCriticAgent(Agent):
         self.critic = Mlp.create([obs_dim] + hidden + [1], seed=config.seed + 1)
         self.actor_optimizer = self.optimizer_class(self.actor)
         self.critic_optimizer = self.optimizer_class(self.critic)
-        self._workspace: _AcWorkspace | None = None
-
-    def __getstate__(self) -> dict:
-        # the workspace views the nets: a copy builds its own
-        return dict(self.__dict__, _workspace=None)
 
     @property
     def needs_rollout(self) -> int:

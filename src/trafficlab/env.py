@@ -32,6 +32,7 @@ from trafficlab.sim import (
     SimConfig,
     SimState,
     check_fields,
+    check_seed,
     check_value,
     kinematics_step,
     metrics_snapshot,  # noqa: F401 (re-exported with the other step stages)
@@ -113,10 +114,9 @@ def compute_reward(census: RoadCensus) -> float:
 
 def episode_seeds(seed: int) -> Iterator[int]:
     """The episode seeds, in order, that ``reset()`` draws from the
-    master stream of an env built with ``seed``."""
-    master = np.random.default_rng(seed)
-    while True:
-        yield int(master.integers(0, 2**63))
+    master stream of an env built with ``seed``, checked at the call."""
+    master = np.random.default_rng(check_seed(seed))
+    return iter(lambda: int(master.integers(0, 2**63)), None)
 
 
 class TrafficSignalEnv:

@@ -44,7 +44,7 @@ from trafficlab.env import (
     TrafficSignalEnv,
     episode_seeds,
 )
-from trafficlab.sim import check_value, class_means, scenario_preset
+from trafficlab.sim import check_seed, check_value, class_means, scenario_preset
 
 SWEEP_HEADER = ["algorithm", "scenario", "detection_rate", "seed",
                 "wait_all", "wait_detected", "wait_undetected", "episodes"]
@@ -523,8 +523,9 @@ def cmd_eval(checkpoint: str, scenario: str, detection_rate: float,
              out_path: str | None = None) -> EvalStats:
     """Greedy evaluation of one checkpoint; raises ObservationShapeError if
     the checkpoint and environment disagree on the observation layout.
-    An ``out_path`` that names a directory, or lies in none, is refused
-    with a ValueError before the checkpoint is read."""
+    A bad ``seed``, and an ``out_path`` that names a directory or lies in
+    none, are refused with a ValueError before the checkpoint is read."""
+    check_seed(seed)
     if out_path and os.path.isdir(out_path):
         raise ValueError(f"output path {out_path} is a directory")
     if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):

@@ -10,16 +10,16 @@ it: inference, every array of a pass, ``Gradients``, the Adam moments and
 scratch, and the K-FAC factors, their damped inverses and the directions
 they precondition; an input of another dtype is cast once, on the way in.
 
-A network's parameters live in one flat vector, ``Mlp.params``, laid out
-per layer as the weight matrix row-major, then the bias; each layer's
-``w`` and ``b`` are views into it, so an optimizer step is a few
-whole-vector operations. Gradients use the same layout, with the same
-views, over a flat vector that ``Gradients`` cuts without a copy.
-
-A net has one inference entry, ``Mlp.run``, and one pass that caches,
-``StackPass``. ``run`` keeps nothing; it reads a per-layer plan built once
-with the net (weight, its transpose, bias, and tanh on every layer but
-the last), and takes three input shapes, each with one equality:
+There is one net type: a net (``Mlp``) is a stack of one. A stack
+(``MlpStack``) keeps ``S`` nets of one shape in one ``(S, P)`` buffer,
+each member a net over its row; a lone net owns a ``(1, P)`` buffer. A
+net's ``params`` is its row, laid out per layer as the weight matrix
+row-major, then the bias; each layer's ``w`` and ``b`` are views into it,
+so an optimizer step is a few whole-vector operations. ``Gradients`` use
+the same layout and views, over a flat vector cut without a copy. Each
+stack builds its plan of views once, and ``Mlp.run``, a net's one
+inference entry, reads row 0's views of it. ``run`` keeps nothing and
+takes three input shapes, each with one equality:
 
 - one sample, 1-D ``(n,)``: ``w.dot(a)`` per layer, the BLAS
   matrix-vector kernel that ``a @ w.T`` also reaches, without the matmul
@@ -32,30 +32,28 @@ the last), and takes three input shapes, each with one equality:
   1-D sample, so row ``k`` of the ``(E, 1, out)`` result is bit-equal to
   the one-sample call on ``x[k, 0]``, for every ``E``.
 
-A stack of nets (``MlpStack``) keeps ``S`` nets of one shape in one
-``(S, P)`` buffer, each member an ``Mlp`` over its row; ``MlpStack.over``
-is the one-member stack over a net's own ``params``. A ``StackPass`` runs
-the members' forwards as one pass, ``(S, B, n) @ (S, n, m)`` per layer,
-and then one member's backward, or its chain of pre-activation gradients
-alone (a curvature refresh), over arrays built once for a fixed ``B``
-from a ``PassScratch`` that passes run one after another share. Every
-learner trains through it: DQL's q and target nets as a stack of two,
-each actor-critic net as a one-member stack. ``Mlp.forward`` and
-``Mlp.backward`` are a one-member pass and its backward, in the
-signatures the benchmark's tracer times. In place, a pass writes only
-its own arrays and its scratch, and an Adam step writes ``m``, ``v``,
+The one pass that caches, ``StackPass``, takes a stack or a net as it is.
+It runs the members' forwards as one pass, ``(S, B, n) @ (S, n, m)`` per
+layer, then one member's backward, or its chain of pre-activation
+gradients alone (a curvature refresh), over arrays built once for a fixed
+``B`` from a ``PassScratch`` that passes run one after another share.
+Every learner trains through it: DQL's q and target nets as their stack,
+each actor-critic net as itself. ``Mlp.forward`` and ``Mlp.backward``, a
+pass over the net and its backward, are the benchmark tracer's hooks. A
+pass never writes its net: it reads ``params`` in place and writes only
+its own arrays and its scratch. An Adam step writes ``m``, ``v``,
 ``params`` and its scratch.
 
 The generic forward, backward and chain the pass replaced, each on fresh
 arrays, live on in the test suite (``tests/nn_reference.py``) as its
 reference; the suite checks these equalities on the BLAS build it runs
-on. Copies (``copy.deepcopy``, ``pickle``) of a net, a stack, a
-``Gradients`` and an optimizer hold views into their own arrays; a
+on. A copy (``copy.deepcopy``, ``pickle``) follows the buffer: a stack
+copies as its buffer and a member as its row of its copied stack; copies
+of a ``Gradients`` and an optimizer view their own arrays, and a
 ``StackPass`` refuses to be copied. An agent checkpoint (see
 ``trafficlab.agents``) stores each net's ``params`` and each optimizer's
-``state_arrays()``, the optimizer's live state, which a loader writes
-into in place; it holds the K-FAC factors but not their damped inverses
-(see ``KfacStats``).
+``state_arrays()``, the live state a loader writes into in place; it
+holds the K-FAC factors but not their damped inverses (see ``KfacStats``).
 """
 
 from __future__ import annotations
@@ -124,47 +122,94 @@ class Gradients:
         return bool(np.isfinite(self.flat).all())
 
 
-class Mlp:
-    """Fixed-topology feed-forward net: affine layers, tanh on each but
-    the last, which is linear.
+def _flat(layers: list[Layer]) -> np.ndarray:
+    """``layers``' values in a new vector, in their float dtype (ints make
+    a float64 net)."""
+    for prev, nxt in zip(layers, layers[1:]):
+        if nxt.w.shape[1] != prev.w.shape[0]:
+            raise ValueError("adjacent layer dimensions are incompatible")
+    parts = [part for l in layers for part in (l.w.ravel(), l.b)]
+    return np.concatenate(parts).astype(np.result_type(np.float32, *parts),
+                                        copy=False)
 
-    The net copies the given layers' values into its own flat ``params``
-    vector, or into ``params`` when one is given (a row of an
-    ``MlpStack``'s buffer, whose dtype it keeps), and keeps layers whose
-    ``w``/``b`` are views into it. Write parameters in place
-    (``layer.w[...] = ...``, ``params[...] = ...``); rebinding
-    ``layer.w``, or an agent's attribute that holds a stack member, would
-    cut it off from ``params``, the optimizers and the plan the passes run
-    from. ``Mlp(net.layers)`` is a copy of ``net``. ``run`` is inference;
-    ``forward`` and ``backward`` run a one-member ``StackPass``.
-    """
 
-    def __init__(self, layers: list[Layer], params: np.ndarray | None = None):
-        for prev, nxt in zip(layers, layers[1:]):
-            if nxt.w.shape[1] != prev.w.shape[0]:
-                raise ValueError("adjacent layer dimensions are incompatible")
-        parts = [part for l in layers for part in (l.w.ravel(), l.b)]
-        if params is None:
-            # the layers' float dtype; ints make a float64 net
-            params = np.concatenate(parts).astype(
-                np.result_type(np.float32, *parts), copy=False)
-        else:
-            params[...] = np.concatenate(parts)
-        self.params = params
-        ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
-        self.layers = [Layer(w, b) for w, b in zip(ws, bs)]
-        self.input_size = ws[0].shape[1]
-        # per layer, what ``run`` reads: the weight and its transpose
-        # (views into params), the bias view and the activation, np.tanh
-        # or None for the linear output layer
-        last = len(self.layers) - 1
-        self._plan = [(l.w, l.w.T, l.b, np.tanh if idx < last else None)
-                      for idx, l in enumerate(self.layers)]
+class MlpStack:
+    """``size`` nets of one shape over one ``(size, P)`` buffer,
+    ``params``, each row starting as a copy of ``layers``. ``members[k]``
+    is the net over row ``k``; copying one member into another is a row
+    copy. ``_plan``, what a ``StackPass`` reads, holds per layer the
+    stacked weights ``(S, out, in)``, their transposes, the biases ``(S,
+    1, out)`` and the activation (None for the linear output layer)."""
+
+    def __init__(self, layers: list[Layer], size: int):
+        shapes = [l.w.shape for l in layers]
+        self._over(np.tile(_flat(layers), (size, 1)), shapes)
+        self.members = [Mlp._member(self, k, shapes) for k in range(size)]
+
+    def _over(self, rows: np.ndarray, shapes) -> None:
+        """Take the ``(S, P)`` buffer ``rows`` as ``params``; plan over it."""
+        self.params = rows
+        ws, bs = _layer_views(rows, shapes)
+        last = len(ws) - 1
+        self._plan = [(w, w.transpose(0, 2, 1), b[:, None, :],
+                       np.tanh if idx < last else None)
+                      for idx, (w, b) in enumerate(zip(ws, bs))]
 
     def __reduce__(self):
-        # the layers and the plan are views into ``params``: a copy is
-        # ``Mlp(layers)`` over copies of them, with views of its own
-        return type(self), (self.layers,)
+        # the members and the plan view the buffer: a copy builds its own
+        return (type(self), (self.members[0].layers, len(self.members)),
+                self.params)
+
+    def __setstate__(self, params: np.ndarray) -> None:
+        self.params[...] = params
+
+
+def _member_of(stack: MlpStack, k: int) -> "Mlp":
+    """Member ``k`` of ``stack``: a copied member, of the copied stack."""
+    return stack.members[k]
+
+
+class Mlp(MlpStack):
+    """Fixed-topology feed-forward net: affine layers, tanh on each but
+    the last, which is linear; a stack of one, over a ``(1, P)`` buffer of
+    its own that copies the given layers' values, or over a row of a
+    larger stack's buffer.
+
+    ``params`` is that row, and each layer's ``w``/``b`` a view into it.
+    Write parameters in place (``layer.w[...] = ...``, ``params[...] =
+    ...``); rebinding ``layer.w``, or an agent's attribute that holds a
+    net, would cut it off from ``params``, the optimizers and the passes.
+    ``Mlp(net.layers)`` is a copy of ``net``. ``run`` is inference;
+    ``forward`` and ``backward`` run a ``StackPass`` over the net itself.
+    """
+
+    # (stack, k) for member k of a larger stack, which a copy follows
+    _parent = None
+
+    def __init__(self, layers: list[Layer]):
+        self._over(_flat(layers)[None], [l.w.shape for l in layers])
+
+    @classmethod
+    def _member(cls, stack: MlpStack, k: int, shapes) -> "Mlp":
+        """The net over row ``k`` of ``stack``'s buffer."""
+        net = cls.__new__(cls)
+        net._parent = stack, k
+        net._over(stack.params[k:k + 1], shapes)
+        return net
+
+    def _over(self, rows: np.ndarray, shapes) -> None:
+        super()._over(rows, shapes)
+        self.params = rows[0]
+        self._run_plan = [(w[0], wt[0], b[0, 0], act)
+                          for w, wt, b, act in self._plan]
+        self.layers = [Layer(w, b) for w, _, b, _ in self._run_plan]
+
+    def __reduce__(self):
+        # a lone net copies as ``Mlp(layers)`` over copies of its layers, a
+        # member as its row of its copied stack
+        if self._parent is None:
+            return type(self), (self.layers,)
+        return _member_of, self._parent
 
     @classmethod
     def create(cls, sizes: list[int], seed: int) -> "Mlp":
@@ -187,13 +232,13 @@ class Mlp:
         product casts it); the module docstring names the bit-equality
         each shape keeps. Nothing is cached."""
         if a.ndim == 1:
-            for w, _, b, act in self._plan:
+            for w, _, b, act in self._run_plan:
                 a = w.dot(a)
                 a += b
                 if act is not None:
                     act(a, out=a)
             return a
-        for _, wt, b, act in self._plan:
+        for _, wt, b, act in self._run_plan:
             a = a @ wt
             a += b
             if act is not None:
@@ -202,11 +247,10 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, StackPass]:
         """The output at one sample ``(n,)`` or a batch ``(B, n)``, run by
-        a fresh pass of the one-member stack over the net, and that pass,
-        which ``backward`` reads."""
+        a fresh pass over the net, and that pass, which ``backward``
+        reads."""
         x = np.asarray(x, dtype=self.params.dtype)
-        run = StackPass(MlpStack.over(self), x[None, None] if x.ndim == 1
-                        else x[None])
+        run = StackPass(self, x[None, None] if x.ndim == 1 else x[None])
         out = run.forward()[0]
         return (out[0] if x.ndim == 1 else out), run
 
@@ -228,57 +272,12 @@ class Mlp:
         return self.params.copy()
 
 
-class MlpStack:
-    """``size`` nets of one shape over one ``(size, P)`` buffer, each
-    starting as a copy of ``layers``.
-
-    ``members[k]`` is an ``Mlp`` whose ``params`` is row ``k`` of
-    ``params``, so an optimizer, inference and a checkpoint
-    treat it as any net; copying one member into another is a row copy.
-    A ``StackPass`` runs every member's forward as one pass, layer by
-    layer. ``params``, when given, is the buffer to build over: over a
-    net's ``params[None]``, a one-member stack reads and trains the net in
-    place. A copy of the stack is a stack over a copy of the buffer.
-    """
-
-    def __init__(self, layers: list[Layer], size: int,
-                 params: np.ndarray | None = None):
-        proto = Mlp(layers)  # the layers' values in the nets' dtype
-        if params is None:
-            params = np.empty((size, proto.params.size), proto.params.dtype)
-        self.params = params
-        self.members = [Mlp(proto.layers, row) for row in self.params]
-        self.input_size = proto.input_size
-        ws, bs = _layer_views(self.params, [l.w.shape for l in layers])
-        last = len(ws) - 1
-        # per layer, as ``Mlp._plan``: stacked weights (S, out, in), their
-        # transposes (S, in, out), biases (S, 1, out) and the activation
-        self._plan = [(w, w.transpose(0, 2, 1), b[:, None, :],
-                       np.tanh if idx < last else None)
-                      for idx, (w, b) in enumerate(zip(ws, bs))]
-
-    def __reduce__(self):
-        # the members and the plan are views into ``params``: a copy
-        # builds its own over the copied buffer
-        return (type(self), (self.members[0].layers, len(self.members)),
-                self.params)
-
-    def __setstate__(self, params: np.ndarray) -> None:
-        self.params[...] = params
-
-    @classmethod
-    def over(cls, net: Mlp) -> "MlpStack":
-        """The one-member stack over ``net``'s own ``params``, which reads
-        and trains the net in place."""
-        return cls(net.layers, 1, net.params[None])
-
-
 class PassScratch:
     """The arrays of ``StackPass``es of at most ``rows`` rows, in one
     dtype, that run one after another: one array per name and shape, whose
     leading rows every pass of fewer rows takes, so each pass overwrites
     what the last one left. The leading rows of an array with one leading
-    entry (a one-member stack's) are contiguous, as a fresh array is."""
+    entry (a net's) are contiguous, as a fresh array is."""
 
     def __init__(self, rows: int, dtype):
         self.rows = rows
@@ -296,8 +295,8 @@ class PassScratch:
 
 
 class StackPass:
-    """An ``MlpStack``'s forward and one member's ``backward`` or chain,
-    over arrays built once for a fixed batch of ``B`` rows.
+    """A stack's (or a net's) forward and one member's ``backward`` or
+    chain, over arrays built once for a fixed batch of ``B`` rows.
 
     ``x`` is the caller's ``(S, B, n)`` input, written in place before each
     ``forward``; its dtype is the stack's or one that casts to it exactly
@@ -317,18 +316,19 @@ class StackPass:
     ``backward(k)`` and ``chain(k)`` write, bit for bit, what the generic
     backward and chain on fresh arrays give from the same forward: those
     are their reference, in ``tests/nn_reference.py``, and the test suite
-    checks the equalities. The plan views the stack's ``params``, so the
-    pass reads every in-place write to it; a pass is not copied, as a copy
-    of the stack needs a pass of its own.
+    checks the equalities. The plan views the stack's buffer, so the pass
+    reads every in-place write to it and writes none; a pass is not
+    copied, as a copy of the stack needs a pass of its own.
     """
 
     def __init__(self, stack: MlpStack, x: np.ndarray,
                  scratch: PassScratch | None = None):
+        plan = self._plan = stack._plan
         dtype = stack.params.dtype
-        size = len(stack.members)
-        if x.ndim != 3 or x.shape[0] != size or x.shape[2] != stack.input_size:
-            raise ValueError(f"expected a ({size}, B, {stack.input_size}) "
-                             f"input, got {x.shape}")
+        size, _, n = plan[0][0].shape
+        if x.ndim != 3 or x.shape[0] != size or x.shape[2] != n:
+            raise ValueError(f"expected a ({size}, B, {n}) input, got "
+                             f"{x.shape}")
         batch = x.shape[1]
         if not np.can_cast(x.dtype, dtype, "safe"):
             raise ValueError(f"input dtype {x.dtype} does not cast exactly "
@@ -338,13 +338,12 @@ class StackPass:
         if scratch.dtype != dtype or scratch.rows < batch:
             raise ValueError(f"a scratch of {scratch.rows} {scratch.dtype} "
                              f"rows cannot hold {batch} {dtype} rows")
-        self._plan = stack._plan
         self.x = x
         self.acts = [scratch.take(("act", idx), (size, batch, wt.shape[2]))
-                     for idx, (_, wt, _, _) in enumerate(self._plan)]
+                     for idx, (_, wt, _, _) in enumerate(plan)]
         self.dout = scratch.take("dout", (batch, self.acts[-1].shape[2]))
-        shapes = [l.w.shape for l in stack.members[0].layers]
-        self.grads = Gradients(np.empty(stack.params.shape[1], dtype), shapes)
+        shapes = [w.shape[1:] for w, _, _, _ in plan]
+        self.grads = Gradients(np.empty(stack.params.shape[-1], dtype), shapes)
         self.inputs = [[x[k]] + [a[k] for a in self.acts[:-1]]
                        for k in range(size)]
         # the chain scratch, shared by the members: each layer's
@@ -358,15 +357,15 @@ class StackPass:
         # per member, the layers above the first, top down: the product
         # (the broadcast one below a one-column gradient: each element is
         # the same one rounded product, and numpy's K = 1 matmul is several
-        # times slower), the weight, the layer's
+        # times slower), the member's weight, the layer's
         # pre-activation gradient and input, the input's gradient and the
         # gradient below
         self._chains = [[
             (np.multiply if pre_grads[idx].shape[1] == 1 else np.matmul,
-             member.layers[idx].w, pre_grads[idx], self.inputs[k][idx],
+             plan[idx][0][k], pre_grads[idx], self.inputs[k][idx],
              input_grads[idx], pre_grads[idx - 1])
             for idx in range(len(shapes) - 1, 0, -1)]
-            for k, member in enumerate(stack.members)]
+            for k in range(size)]
 
     def __reduce__(self):
         raise TypeError("a StackPass is not copied: build one over the "

@@ -102,6 +102,14 @@ def check_value(name: str, kind: str, value, finite: bool = True) -> None:
         raise ValueError(f"{name} must be a {kind}, got {value!r}")
 
 
+def check_seed(seed) -> int:
+    """``seed``, refused by name unless it is an int of at least 0."""
+    check_value("seed", "int", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed!r}")
+    return seed
+
+
 def check_fields(config, infinite: tuple[str, ...] = ()) -> None:
     """``check_value`` on each field of ``config``; ``infinite`` may be inf.
     A number, and each item of a list of numbers, is stored as a float, so
@@ -288,7 +296,8 @@ class SimState:
             exited_n_detected=0,
             exited_wait_undetected=0.0,
             exited_n_undetected=0,
-            rng=np.random.default_rng(config.rng_seed if seed is None else seed),
+            rng=np.random.default_rng(
+                config.rng_seed if seed is None else check_seed(seed)),
             uniforms=[],
             uniform_index=UNIFORM_BLOCK,
             frozen=[None] * len(APPROACHES),

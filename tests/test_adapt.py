@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,18 @@ def test_zero_total_steps_yields_empty_timeline():
     result = run_deployment(fixed_time_agent(), env_config(), deploy, seed=1)
     assert result.timeline == []
     assert not result.aborted
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be at least 0, got -1"),
+    (1.5, "seed must be an int, got 1.5"),
+    ("3", "seed must be an int, got '3'"),
+    (True, "seed must be an int, got True")], ids=repr)
+def test_deployment_refuses_a_bad_seed_by_name(seed, message):
+    deploy = DeploymentConfig(schedule=ramp(), total_steps=5,
+                              instability_window=5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_deployment(fixed_time_agent(), env_config(), deploy, seed=seed)
 
 
 def test_fixed_agent_constant_rate_is_stationary():

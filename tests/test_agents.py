@@ -919,6 +919,19 @@ def test_a_copied_agent_is_attached_and_trains_as_the_original(copier,
 
 
 @pytest.mark.parametrize("copier", COPIERS)
+def test_a_copied_dql_agents_nets_are_the_members_of_its_copied_stack(
+        copier):
+    # no copy hook of DQL's own: each net copies as its row of the copied
+    # stack, whatever order the agent's attributes are copied in
+    assert not {"__getstate__", "__setstate__"} & set(vars(DqlAgent))
+    agent = warm_dql(target_sync_period=1000)
+    twin = copier(agent)
+    assert twin.q_net is twin._pair.members[0]
+    assert twin.target_net is twin._pair.members[1]
+    assert not np.shares_memory(twin._pair.params, agent._pair.params)
+
+
+@pytest.mark.parametrize("copier", COPIERS)
 def test_a_write_to_a_copied_dql_nets_params_shows_in_its_next_step(copier):
     agent = warm_dql(target_sync_period=1000)
     twin = copier(agent)
@@ -1962,7 +1975,7 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     too), K-FAC's factors, inverses and preconditioned directions, DQL's
     replay, and every payload array of the agent's checkpoint and of the
     agent loaded from it. No learner runs ``Mlp.forward`` or
-    ``Mlp.backward``, the one-member passes the tracer times. A stray
+    ``Mlp.backward``, the passes over a net the tracer times. A stray
     float64 array would upcast each operation it meets, silently, and
     cost float32's speed."""
     seen = defaultdict(set)

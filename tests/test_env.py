@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ def test_episode_seeds_are_the_seeds_unseeded_resets_draw():
         assert [r for _, r, _, _ in drawn] == [r for _, r, _, _ in again]
         assert env.state.rng.bit_generator.state == \
             seeded.state.rng.bit_generator.state
+
+
+# what numpy's own errors said named no seed, and True ran as seed 1
+BAD_SEEDS = [pytest.param(-1, "seed must be at least 0, got -1", id="-1"),
+             pytest.param(1.5, "seed must be an int, got 1.5", id="1.5"),
+             pytest.param("3", "seed must be an int, got '3'", id="'3'"),
+             pytest.param(True, "seed must be an int, got True", id="True")]
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_a_bad_seed_is_refused_by_name_where_its_stream_starts(seed, message):
+    config = EnvConfig(sim=SimConfig())
+    starts = [lambda: episode_seeds(seed),
+              lambda: TrafficSignalEnv(config, seed=seed),
+              lambda: TrafficSignalEnv(config).reset(seed=seed),
+              lambda: SimState.initial(config.sim, seed=seed)]
+    for start in starts:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            start()
+
+
+def test_episode_seeds_refuses_none_which_would_draw_os_entropy():
+    with pytest.raises(ValueError, match="^seed must be an int, got None$"):
+        episode_seeds(None)
 
 
 def test_build_observation_single_detected_vehicle():

@@ -850,6 +850,22 @@ def test_evaluate_agent_rejects_fewer_than_one_episode(episodes):
         evaluate_agent(agent, cfg, episodes)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be at least 0, got -1"),
+    (1.5, "seed must be an int, got 1.5"),
+    ("3", "seed must be an int, got '3'"),
+    (True, "seed must be an int, got True"),
+    (None, "seed must be an int, got None")], ids=repr)
+def test_evaluate_agent_refuses_a_bad_seed_by_name(seed, message):
+    # numpy raised its own errors, True ran as seed 1 and None drew OS
+    # entropy, so the stats could not be reproduced
+    cfg = build_env_config("medium", 0.5, 0, episode_length=120.0)
+    agent = make_agent(default_agent_config("fixed_time"),
+                       cfg.observation_size)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_agent(agent, cfg, 1, seed=seed)
+
+
 def test_eval_mean_queue_equals_a_per_step_metrics_loop():
     cfg = build_env_config("dense", 0.5, 6, episode_length=300.0)
     agent = make_agent(default_agent_config("ppo", seed=6,
@@ -1465,6 +1481,18 @@ def test_cli_eval_out_that_cannot_be_written_is_refused_before_any_work(
     assert captured.err.startswith("eval failed: ") and str(out) in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_eval_negative_seed_is_refused_by_name_before_the_checkpoint_is_read(
+        tmp_path, capsys):
+    # it said "rng_seed must be at least 0", a name no flag or key has; the
+    # checkpoint is missing, so reading it first would exit 1 on that
+    rc = cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"),
+                   "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "eval failed: seed must be at least 0, got -1\n"
 
 
 def test_workers_pool_matches_sequential(tmp_path):

@@ -138,8 +138,8 @@ def test_forward_rejects_wrong_input_size(shape):
 @pytest.mark.parametrize("shape", [(7,), (1, 7), (5, 7)])
 def test_the_tracer_hooks_equal_the_reference_passes_bit_for_bit(
         shape, dtype):
-    """``Mlp.forward`` and ``Mlp.backward``, a one-member pass over the
-    net, give what the generic passes give, leave the net as it was, and
+    """``Mlp.forward`` and ``Mlp.backward``, a pass over the net itself,
+    give what the generic passes give, leave the net as it was, and
     hand out a new ``Gradients`` at each backward."""
     rng = np.random.default_rng(len(shape) + 10 * shape[0])
     net = Mlp([Layer(l.w.astype(dtype), l.b.astype(dtype))
@@ -285,10 +285,10 @@ def test_stacked_backward_equals_the_generic_one_at_a_one_wide_layer(dtype):
 def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
         seed, hidden, in_dim, rows, batches, dtype):
     """An actor-critic runs a two-output and a one-output net of the same
-    hidden widths through one-member stacks over one scratch, at each row
-    count its update meets: every pass, run after any other, writes what
-    the generic ``forward``, ``backward`` and ``chain`` give on fresh
-    arrays, bit for bit."""
+    hidden widths through passes over each net that share one scratch, at
+    each row count its update meets: every pass, run after any other,
+    writes what the generic ``forward``, ``backward`` and ``chain`` give
+    on fresh arrays, bit for bit."""
     rng = np.random.default_rng(seed)
     nets = []
     for out in (2, 1):
@@ -305,8 +305,8 @@ def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
         for k, net in enumerate(nets):
             run = passes.get((batch, k))
             if run is None:
-                run = passes[batch, k] = StackPass(
-                    MlpStack.over(net), x[:, :batch], scratch)
+                run = passes[batch, k] = StackPass(net, x[:, :batch],
+                                                   scratch)
             out, cache = forward(net, x[0, :batch])
             assert run.forward()[0].tobytes() == out.tobytes()
             assert [a.tobytes() for a in run.inputs[0]] == [
@@ -325,22 +325,48 @@ def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
                     assert np.shares_memory(run.acts[0], other.acts[0])
 
 
-def test_a_one_member_stack_over_a_nets_params_trains_the_net_in_place():
+def test_a_nets_own_pass_trains_the_net_in_place():
+    # a net is a one-member stack: its pass runs the net's own plan, so
+    # every in-place write to its params shows in the next forward
     net = small_net(seed=9)
     values = net.flatten()
-    stack = MlpStack.over(net)
+    run = StackPass(net, np.ones((1, 4, 3), DTYPE))
     assert net.params.tobytes() == values.tobytes()
-    assert np.shares_memory(stack.params, net.params)
-    assert np.shares_memory(stack.members[0].layers[0].w, net.params)
-    run = StackPass(stack, np.ones((1, 4, 3), DTYPE))
+    assert all(np.shares_memory(w, net.params) for w, _, _, _ in run._plan)
     before = run.forward().copy()
     net.layers[0].b[...] += 1.0  # in place, as an optimizer writes
     assert (run.forward()[0].tobytes()
             == net.run(np.ones((4, 3), DTYPE)).tobytes())
     assert not np.array_equal(before, run.acts[-1])
-    twin = copy.deepcopy(stack)  # a copy is a stack of its own
-    assert twin.params.tobytes() == stack.params.tobytes()
+    run.dout[...] = 1.0
+    SgdOptimizer(net).step(net, run.backward(0), 0.1)
+    assert (run.forward()[0].tobytes()
+            == net.run(np.ones((4, 3), DTYPE)).tobytes())
+    twin = copy.deepcopy(net)  # a copy is a net of its own
+    assert twin.params.tobytes() == net.params.tobytes()
     assert not np.shares_memory(twin.params, net.params)
+
+
+def test_a_pass_over_a_net_whose_params_are_read_only_writes_nothing():
+    # building a pass over a net once wrote its params again, which a
+    # read-only view refused with "assignment destination is read-only"
+    net = small_net(seed=2)
+    net.params.flags.writeable = False
+    values = net.params.tobytes()
+    x = np.linspace(-1.0, 1.0, 12, dtype=DTYPE).reshape(1, 4, 3)
+    run = StackPass(net, x)
+    out, cache = forward(net, x[0])
+    assert run.forward()[0].tobytes() == out.tobytes()
+    g = np.linspace(-2.0, 2.0, 8, dtype=DTYPE).reshape(4, 2)
+    run.dout[...] = g
+    assert (run.backward(0).flat.tobytes()
+            == backward(net, cache, g).flat.tobytes())
+    assert [ds.tobytes() for ds in run.chain(0)] == [
+        ds.tobytes() for ds in chain(net, cache, g)]
+    hooked, hook = net.forward(x[0])
+    assert hooked.tobytes() == out.tobytes()
+    assert net.backward(hook, g).flat.tobytes() == run.grads.flat.tobytes()
+    assert net.params.tobytes() == values
 
 
 def test_a_pass_scratch_hands_out_leading_rows_of_one_array_per_shape():
@@ -606,7 +632,8 @@ def test_pre_activation_chain_leaves_what_backward_leaves(seed, batch, depth):
     bit, and writes nothing forward or the caller made."""
     rng = np.random.default_rng(seed)
     net = random_net(rng, depth, int(rng.integers(1, 20)))
-    out, cache = forward(net, rng.normal(size=(batch, net.input_size)))
+    x = rng.normal(size=(batch, net.layers[0].w.shape[1]))
+    out, cache = forward(net, x)
     dout = rng.normal(size=out.shape) * rng.choice([1e-6, 1.0, 1e6])
     snapshot = [a.tobytes() for a in cache.inputs + [cache.output, dout]]
     pre_grads = chain(net, cache, dout)
@@ -679,6 +706,25 @@ def test_a_copied_stack_keeps_its_members_on_its_own_rows(copier):
     twin.members[1].params[...] = 0.0
     assert not run.forward()[1].any()
     assert StackPass(stack, run.x).forward()[1].any()
+
+
+@pytest.mark.parametrize("copier", COPIERS)
+def test_a_copied_member_is_its_row_of_the_copied_stack(copier):
+    # copied with its stack, before or after it, a member is that copy's
+    # member; copied alone, it brings a copy of its stack along
+    stack = MlpStack(small_net(seed=6).layers, 2)
+    member = stack.members[1]
+    for order in (1, -1):
+        twin_member, twin = copier((member, stack)[::order])[::order]
+        assert twin_member is twin.members[1]
+        assert not np.shares_memory(twin.params, stack.params)
+    alone = copier(member)
+    assert alone.params.tobytes() == member.params.tobytes()
+    assert not np.shares_memory(alone.params, stack.params)
+    assert_views_aliased(alone)
+    alone.params[...] = 0.0
+    assert not alone.run(np.ones(3, DTYPE)).any()
+    assert member.params.any()
 
 
 @pytest.mark.parametrize("copier", COPIERS)
