@@ -15,7 +15,7 @@ from statistics import median
 
 from trafficlab.agents import Agent, rollout
 from trafficlab.env import EnvConfig, TrafficSignalEnv
-from trafficlab.sim import check_fields, check_value, class_means
+from trafficlab.sim import check_fields, check_seed, check_value, class_means
 
 
 @dataclass
@@ -138,8 +138,9 @@ def run_deployment(agent: Agent, env_config: EnvConfig,
     partial (detected-only) signal. A timeline point is recorded at every
     ``instability_window`` boundary; an update that raises (a non-finite
     loss, a singular curvature factor) aborts the run and returns the
-    timeline gathered so far.
+    timeline gathered so far. A bad ``seed`` is refused by name first.
     """
+    check_seed(seed)
     time_step = env_config.sim.time_step
     horizon = (deploy.total_steps + 1) * time_step
     env = TrafficSignalEnv(replace(

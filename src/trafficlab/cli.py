@@ -165,8 +165,8 @@ def main(argv: list[str] | None = None) -> int:
 
     results = cmd_adapt(spec, deploy)
     for r in results:
-        status = f"flags={r.instability_flags}"
-        if r.aborted:
+        status = f"flags={r.output.instability_flags if r.output else 0}"
+        if r.error:
             status += f" ABORTED ({r.error})"
         print(f"adapt {r.algorithm} s={r.seed}: {status}")
     return 1 if any(r.error for r in results) else 0

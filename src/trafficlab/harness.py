@@ -9,9 +9,13 @@ and picks every env's action of a tick with one ``agent.greedy_actions``
 call.
 
 Each grid cell is self-contained and seeded, so it can run in a worker
-pool; cells run in sorted order, and results and rows keep that order,
-which keeps every CSV byte-reproducible. A CSV row is its record's fields
-in order.
+pool. ``train``, ``sweep`` and ``adapt`` cells take one path: each
+command hands its worker and its cells to ``_run_cells``, and
+``_run_cell`` names a cell's checkpoint, calls the worker and is the one
+place a cell's error is caught. Every command returns one ``CellResult``
+per cell. Cells run in sorted order, and results and rows keep that
+order, which keeps every CSV byte-reproducible. A CSV row is its record's
+fields in order.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from trafficlab.adapt import DeploymentConfig, TimelinePoint, run_deployment
+from trafficlab.adapt import (DeploymentConfig, DeploymentResult,
+                              run_deployment)
 from trafficlab.agents import (
     Agent,
     ObservationShapeError,
@@ -121,6 +126,12 @@ class EvalStats:
         return dict(self.__dict__)
 
 
+def _check_episodes(episodes: int) -> None:
+    check_value("episodes", "int", episodes)
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
+
+
 def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
                    seed: int = 0) -> EvalStats:
     """Greedy evaluation over ``episodes`` fresh episodes, run in lockstep.
@@ -136,9 +147,7 @@ def evaluate_agent(agent: Agent, env_config: EnvConfig, episodes: int,
     20 KB each on the medium preset (a 20-episode evaluation peaks near
     410 KB of traced allocations).
     """
-    check_value("episodes", "int", episodes)
-    if episodes < 1:
-        raise ValueError(f"episodes must be at least 1, got {episodes}")
+    _check_episodes(episodes)
     if agent.obs_dim != env_config.observation_size:
         raise ObservationShapeError(
             f"checkpoint expects observations of length {agent.obs_dim}, "
@@ -257,29 +266,58 @@ def _grouped(pairs) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command: train
+# grid cells
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CellResult:
+    """One grid cell's outcome, the result type of every grid command.
+    ``checkpoint`` is the path the cell wrote or read, unset if it raised;
+    ``error`` is its one-line error; ``output`` is what the cell returned:
+    its ``SweepRecord`` in ``sweep``, its ``DeploymentResult`` in
+    ``adapt``."""
+
     algorithm: str
     rate: float
     seed: int
     checkpoint: str | None = None
     error: str | None = None
+    output: SweepRecord | DeploymentResult | None = None
 
 
-def _cell_error(exc: Exception) -> str:
-    """The one-line error of a failed grid cell: the exception type name,
-    then its message. A cell catches every ``Exception`` and reports it
-    this way, so one bad cell never ends the grid."""
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _checkpoint_path(spec: ExperimentSpec, algorithm: str, rate: float,
-                     seed: int) -> str:
-    return os.path.join(spec.out_dir, "checkpoints",
+def _run_cell(worker, spec: ExperimentSpec, cell: tuple[str, float, int],
+              *args) -> CellResult:
+    """Run ``worker(spec, checkpoint_path, *cell, *args)``, the one place a
+    cell's error is caught: every ``Exception`` it raises becomes the
+    cell's one-line error, the type name and then the message, so one bad
+    cell never ends the grid. A deployment that aborted is an errored cell
+    that keeps its output."""
+    algorithm, rate, seed = cell
+    path = os.path.join(spec.out_dir, "checkpoints",
                         checkpoint_name(algorithm, spec.scenario, rate, seed))
+    try:
+        output = worker(spec, path, *cell, *args)
+    except Exception as exc:
+        return CellResult(*cell, error=f"{type(exc).__name__}: {exc}")
+    error = (output.failure_message if isinstance(output, DeploymentResult)
+             else None)
+    return CellResult(*cell, checkpoint=path, error=error, output=output)
+
+
+def _run_cells(worker, spec: ExperimentSpec, cells, *args) -> list[CellResult]:
+    """``_run_cell`` over ``cells`` in order: in this process, or in a pool
+    of ``spec.workers`` processes; the results are the same either way."""
+    jobs = [(worker, spec, cell, *args) for cell in cells]
+    if spec.workers <= 1 or len(jobs) <= 1:
+        return [_run_cell(*job) for job in jobs]
+    # imported here: the pool machinery (multiprocessing and its helpers)
+    # costs every import of this module about 15 ms, and only a run with
+    # several workers needs it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        futures = [pool.submit(_run_cell, *job) for job in jobs]
+        return [f.result() for f in futures]
 
 
 def _load_cell_agent(spec: ExperimentSpec, path: str, algorithm: str) -> Agent:
@@ -300,82 +338,57 @@ def _load_cell_agent(spec: ExperimentSpec, path: str, algorithm: str) -> Agent:
     return agent
 
 
-def _train_cell(spec: ExperimentSpec,
-                cell: tuple[str, float, int]) -> CellResult:
-    algorithm, rate, seed = cell
-    ckpt_path = _checkpoint_path(spec, algorithm, rate, seed)
+# ---------------------------------------------------------------------------
+# command: train
+# ---------------------------------------------------------------------------
+
+def _train_cell(spec: ExperimentSpec, path: str, algorithm: str, rate: float,
+                seed: int) -> None:
     curve_dir = os.path.join(spec.out_dir, "curves")
-    try:
-        os.makedirs(os.path.dirname(ckpt_path), exist_ok=True)
-        os.makedirs(curve_dir, exist_ok=True)
-        env_cfg = build_env_config(spec.scenario, rate, seed,
-                                   episode_length=spec.episode_length)
-        agent = make_agent(spec.agent_config(algorithm, seed),
-                           env_cfg.observation_size)
-        env = TrafficSignalEnv(env_cfg, seed=seed)
-        curve = train_agent(agent, env, spec.steps_for(algorithm))
-        save_agent(agent, ckpt_path)
-        name = os.path.basename(ckpt_path)[:-5]
-        emit_csv(os.path.join(curve_dir, f"train_{name}.csv"), CURVE_HEADER,
-                 map(astuple, curve))
-        return CellResult(algorithm, rate, seed, checkpoint=ckpt_path)
-    except Exception as exc:
-        return CellResult(algorithm, rate, seed, error=_cell_error(exc))
-
-
-def _run_cells(worker, args_list: list, workers: int) -> list:
-    if workers <= 1 or len(args_list) <= 1:
-        return [worker(*args) for args in args_list]
-    # imported here: the pool machinery (multiprocessing and its helpers)
-    # costs every import of this module about 15 ms, and only a run with
-    # several workers needs it
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, *args) for args in args_list]
-        return [f.result() for f in futures]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    os.makedirs(curve_dir, exist_ok=True)
+    env_cfg = build_env_config(spec.scenario, rate, seed,
+                               episode_length=spec.episode_length)
+    agent = make_agent(spec.agent_config(algorithm, seed),
+                       env_cfg.observation_size)
+    env = TrafficSignalEnv(env_cfg, seed=seed)
+    curve = train_agent(agent, env, spec.steps_for(algorithm))
+    save_agent(agent, path)
+    name = os.path.basename(path)[:-5]
+    emit_csv(os.path.join(curve_dir, f"train_{name}.csv"), CURVE_HEADER,
+             map(astuple, curve))
 
 
 def cmd_train(spec: ExperimentSpec) -> list[CellResult]:
-    """Train one agent per grid cell; failed cells are recorded and the
-    rest continue."""
-    args = [(spec, cell) for cell in spec.cells()]
-    return _run_cells(_train_cell, args, spec.workers)
+    """Train one agent per grid cell and save its checkpoint and learning
+    curve; a failed cell is an errored result and the rest continue."""
+    return _run_cells(_train_cell, spec, spec.cells())
 
 
 # ---------------------------------------------------------------------------
 # command: sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(spec: ExperimentSpec,
-                cell: tuple[str, float, int]) -> tuple[SweepRecord | None,
-                                                       CellResult]:
-    algorithm, rate, seed = cell
-    ckpt_path = _checkpoint_path(spec, algorithm, rate, seed)
-    try:
-        agent = _load_cell_agent(spec, ckpt_path, algorithm)
-        env_cfg = build_env_config(spec.scenario, rate, seed + 10_000,
-                                   episode_length=spec.episode_length)
-        stats = evaluate_agent(agent, env_cfg, spec.eval_episodes,
-                               seed=seed + 10_000)
-        record = SweepRecord(
-            algorithm=algorithm, scenario=spec.scenario, detection_rate=rate,
-            seed=seed, wait_all=stats.wait_all,
-            wait_detected=stats.wait_detected,
-            wait_undetected=stats.wait_undetected, episodes=stats.episodes)
-        return record, CellResult(algorithm, rate, seed, checkpoint=ckpt_path)
-    except Exception as exc:
-        return None, CellResult(algorithm, rate, seed, error=_cell_error(exc))
+def _sweep_cell(spec: ExperimentSpec, path: str, algorithm: str, rate: float,
+                seed: int) -> SweepRecord:
+    agent = _load_cell_agent(spec, path, algorithm)
+    env_cfg = build_env_config(spec.scenario, rate, seed + 10_000,
+                               episode_length=spec.episode_length)
+    stats = evaluate_agent(agent, env_cfg, spec.eval_episodes,
+                           seed=seed + 10_000)
+    return SweepRecord(
+        algorithm=algorithm, scenario=spec.scenario, detection_rate=rate,
+        seed=seed, wait_all=stats.wait_all, wait_detected=stats.wait_detected,
+        wait_undetected=stats.wait_undetected, episodes=stats.episodes)
 
 
 def cmd_sweep(spec: ExperimentSpec
               ) -> tuple[list[SweepRecord], list[CellResult]]:
     """Evaluate each trained cell at its detection rate; emit the sweep CSV,
-    a cross-seed summary, and one waiting-time chart per algorithm."""
-    args = [(spec, cell) for cell in spec.cells()]
-    outcomes = _run_cells(_sweep_cell, args, spec.workers)
-    records = [rec for rec, _ in outcomes if rec is not None]
-    results = [res for _, res in outcomes]
+    a cross-seed summary, and one waiting-time chart per algorithm. Returns
+    the records of the cells that ran and every cell's result."""
+    results = _run_cells(_sweep_cell, spec, spec.cells())
+    records = [r.output for r in results if r.output is not None]
     os.makedirs(spec.out_dir, exist_ok=True)
     emit_csv(os.path.join(spec.out_dir, "sweep.csv"), SWEEP_HEADER,
              map(astuple, records))
@@ -427,73 +440,54 @@ def _write_sweep_charts(spec: ExperimentSpec,
 # command: adapt
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AdaptRunResult:
-    algorithm: str
-    seed: int
-    timeline_csv: str | None
-    instability_flags: int
-    error: str | None = None
-    timeline: list[TimelinePoint] | None = None  # what timeline_csv holds
-
-    @property
-    def aborted(self) -> bool:
-        return self.error is not None
-
-
-def _adapt_cell(spec: ExperimentSpec, deploy: DeploymentConfig,
-                start_rate: float,
-                cell: tuple[str, int]) -> AdaptRunResult:
-    algorithm, seed = cell
-    ckpt_path = _checkpoint_path(spec, algorithm, start_rate, seed)
-    try:
-        agent = _load_cell_agent(spec, ckpt_path, algorithm)
-        env_cfg = build_env_config(spec.scenario, start_rate, seed,
-                                   episode_length=spec.episode_length)
-        result = run_deployment(agent, env_cfg, deploy, seed=seed + 50_000)
-        csv_path = os.path.join(spec.out_dir,
-                                f"timeline_{algorithm}_s{seed}.csv")
-        emit_csv(csv_path, TIMELINE_HEADER, map(astuple, result.timeline))
-        return AdaptRunResult(
-            algorithm=algorithm, seed=seed, timeline_csv=csv_path,
-            instability_flags=result.instability_flags,
-            error=result.failure_message, timeline=result.timeline)
-    except Exception as exc:
-        return AdaptRunResult(algorithm=algorithm, seed=seed,
-                              timeline_csv=None, instability_flags=0,
-                              error=_cell_error(exc))
+def _adapt_cell(spec: ExperimentSpec, path: str, algorithm: str, rate: float,
+                seed: int, deploy: DeploymentConfig) -> DeploymentResult:
+    agent = _load_cell_agent(spec, path, algorithm)
+    env_cfg = build_env_config(spec.scenario, rate, seed,
+                               episode_length=spec.episode_length)
+    result = run_deployment(agent, env_cfg, deploy, seed=seed + 50_000)
+    emit_csv(os.path.join(spec.out_dir, f"timeline_{algorithm}_s{seed}.csv"),
+             TIMELINE_HEADER, map(astuple, result.timeline))
+    return result
 
 
 def check_adapt_rates(spec: ExperimentSpec, deploy: DeploymentConfig) -> None:
     """Refuse ``rates`` that train no checkpoint at the schedule's first
     rate, which every adapt cell loads, with a ValueError."""
-    name = f"r{deploy.schedule.breakpoints[0][1]:.2f}"
-    if all(f"r{rate:.2f}" != name for rate in spec.rates):
-        raise ValueError(f"rates {spec.rates} train no {name} checkpoint, "
+    def name(rate: float) -> str:
+        return checkpoint_name(spec.algorithms[0], spec.scenario, rate,
+                               spec.seeds[0])
+
+    first = name(deploy.schedule.breakpoints[0][1])
+    if all(name(rate) != first for rate in spec.rates):
+        tag = first.split("_")[-2]  # the name's rate part, "r1.00"
+        raise ValueError(f"rates {spec.rates} train no {tag} checkpoint, "
                          f"which the schedule's first rate loads")
 
 
 def cmd_adapt(spec: ExperimentSpec, deploy: DeploymentConfig
-              ) -> list[AdaptRunResult]:
+              ) -> list[CellResult]:
     """Deploy each pre-trained agent on the drifting-detection schedule;
     emit per-run timelines, an instability summary, and a comparison chart.
-    ``check_adapt_rates`` refuses the grid before any file is written."""
+    A cell is (algorithm, the schedule's first rate, seed): it loads that
+    rate's checkpoint. ``check_adapt_rates`` refuses the grid before any
+    file is written. An aborted deployment still writes its timeline, and
+    its failure message is the cell's error."""
     check_adapt_rates(spec, deploy)
-    start_rate = deploy.schedule.breakpoints[0][1]
-    args = [(spec, deploy, start_rate, (algo, seed))
-            for algo in sorted(spec.algorithms) for seed in sorted(spec.seeds)]
     os.makedirs(spec.out_dir, exist_ok=True)
-    results = _run_cells(_adapt_cell, args, spec.workers)
+    cells = replace(spec, rates=[deploy.schedule.breakpoints[0][1]]).cells()
+    results = _run_cells(_adapt_cell, spec, cells, deploy)
     emit_csv(os.path.join(spec.out_dir, "adapt_summary.csv"),
              ["algorithm", "seed", "instability_flags", "aborted", "error"],
-             [[r.algorithm, r.seed, r.instability_flags, r.aborted, r.error]
-              for r in results])
+             [[r.algorithm, r.seed,
+               r.output.instability_flags if r.output else 0,
+               r.error is not None, r.error] for r in results])
     _write_adapt_chart(spec, results)
     return results
 
 
 def _write_adapt_chart(spec: ExperimentSpec,
-                       results: list[AdaptRunResult]) -> None:
+                       results: list[CellResult]) -> None:
     """One series per algorithm, in sorted order: each step's mean
     ``wait_all`` over the seeds' timelines, skipping windows with no
     exits. The timelines are read in memory; their CSV round trip is
@@ -502,8 +496,8 @@ def _write_adapt_chart(spec: ExperimentSpec,
     for algorithm, runs in _grouped((r.algorithm, r) for r in results).items():
         per_step = _grouped(
             (point.step, point.wait_all) for res in runs
-            if res.timeline is not None
-            for point in res.timeline if point.wait_all is not None)
+            if res.output is not None
+            for point in res.output.timeline if point.wait_all is not None)
         if per_step:
             series.append(Series(
                 label=algorithm, xs=[float(x) for x in per_step],
@@ -523,16 +517,18 @@ def cmd_eval(checkpoint: str, scenario: str, detection_rate: float,
              out_path: str | None = None) -> EvalStats:
     """Greedy evaluation of one checkpoint; raises ObservationShapeError if
     the checkpoint and environment disagree on the observation layout.
-    A bad ``seed``, and an ``out_path`` that names a directory or lies in
-    none, are refused with a ValueError before the checkpoint is read."""
+    A bad ``seed``, ``scenario``, ``detection_rate`` or ``episodes``, and an
+    ``out_path`` that names a directory or lies in none, are refused with
+    a ValueError before the checkpoint is read."""
     check_seed(seed)
+    env_cfg = build_env_config(scenario, detection_rate, seed,
+                               episode_length=episode_length)
+    _check_episodes(episodes)
     if out_path and os.path.isdir(out_path):
         raise ValueError(f"output path {out_path} is a directory")
     if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
         raise ValueError(f"output path {out_path} is in no existing directory")
     agent = load_agent(checkpoint)
-    env_cfg = build_env_config(scenario, detection_rate, seed,
-                               episode_length=episode_length)
     stats = evaluate_agent(agent, env_cfg, episodes, seed=seed)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -189,7 +189,9 @@ def test_zero_total_steps_yields_empty_timeline():
     (-1, "seed must be at least 0, got -1"),
     (1.5, "seed must be an int, got 1.5"),
     ("3", "seed must be an int, got '3'"),
-    (True, "seed must be an int, got True")], ids=repr)
+    (True, "seed must be an int, got True"),
+    # None seeded the env from SimConfig.rng_seed and ran another deployment
+    (None, "seed must be an int, got None")], ids=repr)
 def test_deployment_refuses_a_bad_seed_by_name(seed, message):
     deploy = DeploymentConfig(schedule=ramp(), total_steps=5,
                               instability_window=5)

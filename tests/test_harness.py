@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import re
+import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -714,6 +715,61 @@ def test_every_cell_error_is_an_errored_row_naming_the_type(tmp_path):
     assert [r.error for r in adapted] == [missing, None]
 
 
+def test_every_command_gives_equal_results_and_files_on_one_and_two_workers(
+        tmp_path):
+    # the undamped ACKTR cells at rate 0 fail in train, so sweep and adapt
+    # find their checkpoints missing; both runs write into one out_dir, so
+    # the paths in the results and their errors are the same
+    singular = {**FAST_AGENT, "kfac_damping": 0.0, "kfac_decay": 0.0}
+    deploy = DeploymentConfig(
+        schedule=DetectionSchedule.ramp(0.0, 0.0, 200.0, 1.0),
+        total_steps=200, update_period=None, instability_window=50)
+    out = tmp_path / "grid"
+    runs = []
+    for workers in (1, 2):
+        spec = tiny_spec(out, algorithms=["acktr", "fixed_time"],
+                         rates=[0.0], seeds=[0, 1], agent=singular,
+                         workers=workers)
+        results = (cmd_train(spec), cmd_sweep(spec), cmd_adapt(spec, deploy))
+        files = {path.relative_to(out).as_posix(): path.read_bytes()
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+        runs.append((results, files))
+        shutil.rmtree(out)
+    trained, (records, swept), adapted = runs[0][0]
+    assert [r.error is None for r in trained + swept + adapted] == [
+        False, False, True, True] * 3
+    assert len(records) == 2 and "adapt_summary.csv" in runs[0][1]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_aborted_deployment_is_an_errored_cell_that_keeps_its_timeline(
+        tmp_path, capsys, workers):
+    # an update on a batch at rate 0 meets an exactly singular A factor
+    spec = tiny_spec(tmp_path, algorithms=["acktr"], rates=[0.0],
+                     seeds=[0, 1], train_steps=0, workers=workers,
+                     agent={**FAST_AGENT, "kfac_damping": 0.0,
+                            "kfac_decay": 0.0})
+    cmd_train(spec)
+    deploy = DeploymentConfig(schedule=DetectionSchedule([(0.0, 0.0)]),
+                              total_steps=200, update_period=64,
+                              instability_window=50)
+    results = cmd_adapt(spec, deploy)
+    _, summary = read_csv(tmp_path / "adapt_summary.csv")
+    for res, row in zip(results, summary, strict=True):
+        deployment = res.output
+        assert deployment.failure_step == 64
+        assert res.error == deployment.failure_message
+        assert res.error.startswith("SingularCurvatureError: ")
+        assert res.checkpoint == str(tmp_path / "checkpoints" / checkpoint_name(
+            "acktr", "medium", 0.0, res.seed))
+        _, rows = read_csv(tmp_path / f"timeline_acktr_s{res.seed}.csv")
+        assert [int(r[0]) for r in rows] == [50, 64]
+        assert [p.step for p in deployment.timeline] == [50, 64]
+        assert row == ["acktr", str(res.seed),
+                       str(deployment.instability_flags), "1", res.error]
+
+
 # ---------------------------------------------------------------------------
 # cmd_adapt
 # ---------------------------------------------------------------------------
@@ -730,11 +786,13 @@ def test_adapt_runs_and_emits_timelines(tmp_path):
     results = cmd_adapt(spec, adapt_deploy())
     assert len(results) == 1
     res = results[0]
-    assert not res.aborted
-    _, rows = read_csv(res.timeline_csv)
+    assert res.error is None
+    assert res.checkpoint == str(tmp_path / "checkpoints" / checkpoint_name(
+        "fixed_time", "medium", 0.5, 0))
+    _, rows = read_csv(tmp_path / "timeline_fixed_time_s0.csv")
     assert len(rows) == 4  # 800 steps / 200 window
     assert rows[0][0] == "200"
-    assert [p.step for p in res.timeline] == [200, 400, 600, 800]
+    assert [p.step for p in res.output.timeline] == [200, 400, 600, 800]
     assert (tmp_path / "adapt_summary.csv").exists()
     assert (tmp_path / "adapt_medium.svg").exists()
 
@@ -742,7 +800,7 @@ def test_adapt_runs_and_emits_timelines(tmp_path):
 def test_adapt_missing_checkpoint_reports_error(tmp_path):
     spec = tiny_spec(tmp_path, algorithms=["ppo"], rates=[0.5])
     results = cmd_adapt(spec, adapt_deploy())
-    assert results[0].aborted
+    assert results[0].output is None
     assert results[0].error == (
         "FileNotFoundError: missing checkpoint "
         + str(tmp_path / "checkpoints" / checkpoint_name("ppo", "medium",
@@ -798,7 +856,8 @@ def test_adapt_chart_equals_one_drawn_from_the_timeline_csvs(tmp_path):
         for res in results:
             if res.algorithm != algorithm:
                 continue
-            header, rows = read_csv(res.timeline_csv)
+            header, rows = read_csv(
+                tmp_path / f"timeline_{res.algorithm}_s{res.seed}.csv")
             wait_col = header.index("wait_all")
             for row in rows:
                 if row[wait_col] == "":
@@ -819,8 +878,8 @@ def test_adapt_timeline_reproducible(tmp_path):
     def run(where):
         spec = tiny_spec(where, algorithms=["fixed_time"], rates=[0.5])
         cmd_train(spec)
-        res = cmd_adapt(spec, adapt_deploy())
-        return Path(res[0].timeline_csv).read_bytes()
+        assert cmd_adapt(spec, adapt_deploy())[0].error is None
+        return (where / "timeline_fixed_time_s0.csv").read_bytes()
 
     assert run(tmp_path / "m") == run(tmp_path / "n")
 
@@ -1466,6 +1525,21 @@ def test_cli_eval_bad_value_is_one_line_error(tmp_path, capsys, flags):
     assert captured.err.startswith("eval failed: ")
 
 
+@pytest.mark.parametrize("flags", [["--episodes", "0"], ["--rate", "1.5"],
+                                   ["--scenario", "bogus"]], ids=" ".join)
+def test_cli_eval_bad_value_is_refused_before_the_checkpoint_is_read(
+        tmp_path, capsys, flags):
+    # each exited 1 on "[Errno 2] No such file", hiding the bad flag: the
+    # checkpoint is missing, so reading it first would exit 1 on that
+    rc = cli_main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"), *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("eval failed: ")
+    assert "No such file" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 def test_cli_eval_out_that_cannot_be_written_is_refused_before_any_work(
         tmp_path, capsys, where):
@@ -1493,14 +1567,3 @@ def test_cli_eval_negative_seed_is_refused_by_name_before_the_checkpoint_is_read
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "eval failed: seed must be at least 0, got -1\n"
-
-
-def test_workers_pool_matches_sequential(tmp_path):
-    spec_seq = tiny_spec(tmp_path / "seq", algorithms=["fixed_time"],
-                         seeds=[0, 1], workers=1)
-    spec_par = tiny_spec(tmp_path / "par", algorithms=["fixed_time"],
-                         seeds=[0, 1], workers=2)
-    res_seq = cmd_train(spec_seq)
-    res_par = cmd_train(spec_par)
-    for a, b in zip(res_seq, res_par):
-        assert Path(a.checkpoint).read_bytes() == Path(b.checkpoint).read_bytes()
