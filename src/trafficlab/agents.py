@@ -31,7 +31,6 @@ from trafficlab.nn import (
     KfacStats,
     Mlp,
     MlpStack,
-    PassScratch,
     SgdOptimizer,
     StackPass,
 )
@@ -283,9 +282,10 @@ class Agent:
     steps each ``Rollout`` it hands to update() holds (0 = never updates)."""
 
     needs_rollout = 0
-    # a learner's update arrays, built at its first update; they view its
-    # nets, so a copy takes none and builds its own
-    _workspace: _TdWorkspace | _AcWorkspace | None = None
+    # a learner's update arrays, built at its first update (an
+    # actor-critic's at the first of each row count); they view its nets,
+    # so a copy takes none and builds its own
+    _workspace: _TdWorkspace | dict[int, tuple[StackPass, StackPass]] | None = None
 
     def __init__(self, config: AgentConfig, obs_dim: int):
         check_value("obs_dim", "int", obs_dim)
@@ -581,29 +581,6 @@ class DqlAgent(Agent):
         return {"q": self.optimizer}
 
 
-class _AcWorkspace:
-    """The arrays of actor-critic updates of up to ``rows`` rows: the
-    ``(1, rows, obs_dim)`` input ``x`` and, per row count met, passes of
-    the actor and of the critic over its leading rows, over one
-    ``PassScratch`` (the nets share every array of equal width)."""
-
-    def __init__(self, actor: Mlp, critic: Mlp, rows: int, obs_dim: int):
-        self.rows = rows
-        self.nets = actor, critic
-        self._scratch = PassScratch(rows, actor.params.dtype)
-        self.x = self._scratch.take("x", (1, rows, obs_dim))
-        self._passes: dict[int, tuple[StackPass, StackPass]] = {}
-
-    def passes(self, batch: int) -> tuple[StackPass, StackPass]:
-        """The actor's and the critic's pass over ``x[:, :batch]``."""
-        pair = self._passes.get(batch)
-        if pair is None:
-            x = self.x[:, :batch]
-            pair = self._passes[batch] = tuple(
-                StackPass(net, x, self._scratch) for net in self.nets)
-        return pair
-
-
 class _ActorCriticAgent(Agent):
     """Shared machinery: softmax policy over two logits plus a value net,
     each with its own optimizer of the class's ``optimizer_class``, and the
@@ -618,14 +595,16 @@ class _ActorCriticAgent(Agent):
     forward's own policy: the ratio is exactly 1, the clip never binds,
     and the step is A2C's, bit for bit (Huang et al., arXiv 2205.09123).
 
-    Each net, a stack of one, trains through a ``StackPass`` over itself,
-    over a workspace (``_AcWorkspace``) built at the first update for its
-    largest actor step (the rollout, or a PPO minibatch) and again for a
-    larger one; a shorter step runs on its leading rows. The update
-    equals, bit for bit, its reference built from the generic forward,
-    backward and chain of ``tests/nn_reference.py`` (the test suite holds
-    them equal). The passes read the nets in place, so rebinding ``actor``
-    or ``critic`` after the first update cuts it off from them; a copy
+    Each net, a stack of one, trains through a ``StackPass`` over itself.
+    The workspace maps a row count to the actor's and the critic's pass
+    over one ``(1, rows, obs_dim)`` input, built at the first update step
+    of that many rows (the rollout, a PPO minibatch or its short last
+    one); the two passes share that input and no other array, so after an
+    update each holds its own net's last forward. The update equals, bit
+    for bit, its reference built from the generic forward, backward and
+    chain of ``tests/nn_reference.py`` (the test suite holds them equal).
+    The passes read the nets in place, so rebinding ``actor`` or
+    ``critic`` after the first update cuts it off from them; a copy
     builds its own workspace.
     """
 
@@ -690,16 +669,10 @@ class _ActorCriticAgent(Agent):
                              "action taken, which rollout records")
         cfg = self.config
         self.train_steps += steps
-        rows = steps if self.single_pass else min(steps, cfg.ppo_minibatch)
-        ws = self._workspace
-        if ws is None or ws.rows < rows:
-            ws = self._workspace = _AcWorkspace(self.actor, self.critic, rows,
-                                                self.obs_dim)
         obs, targets = self._targets(batch)
-        x = ws.x[0]
         if self.single_pass:
-            x[:steps] = obs
-            actor, critic = ws.passes(steps)
+            actor, critic = self._passes(steps)
+            actor.x[0] = obs
             critic_loss, values = self._critic_step(critic, targets)
             objective, entropy = self._actor_step(
                 actor, batch.actions, _advantages(targets, values), None)
@@ -709,14 +682,26 @@ class _ActorCriticAgent(Agent):
                 perm = self._rng.permutation(steps)
                 for start in range(0, steps, cfg.ppo_minibatch):
                     mb = perm[start:start + cfg.ppo_minibatch]
-                    x[:len(mb)] = obs[mb]
-                    actor, critic = ws.passes(len(mb))
+                    actor, critic = self._passes(len(mb))
+                    actor.x[0] = obs[mb]
                     objective, entropy = self._actor_step(
                         actor, batch.actions[mb], advantages[mb],
                         batch.log_probs[mb])
                     critic_loss, _ = self._critic_step(critic, targets[mb])
         return {"actor_loss": -objective, "critic_loss": critic_loss,
                 "entropy": float(entropy.sum()) / len(entropy)}
+
+    def _passes(self, rows: int) -> tuple[StackPass, StackPass]:
+        """The actor's and the critic's pass over one ``(1, rows,
+        obs_dim)`` input, built at the first step of ``rows`` rows."""
+        if self._workspace is None:
+            self._workspace = {}
+        pair = self._workspace.get(rows)
+        if pair is None:
+            x = np.zeros((1, rows, self.obs_dim), self.actor.params.dtype)
+            pair = self._workspace[rows] = (StackPass(self.actor, x),
+                                            StackPass(self.critic, x))
+        return pair
 
     def _targets(self, batch: Rollout) -> tuple[np.ndarray, np.ndarray]:
         """The scaled observations and each step's ``r + gamma * V(s')``."""

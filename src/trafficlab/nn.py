@@ -35,14 +35,14 @@ takes three input shapes, each with one equality:
 The one pass that caches, ``StackPass``, takes a stack or a net as it is.
 It runs the members' forwards as one pass, ``(S, B, n) @ (S, n, m)`` per
 layer, then one member's backward, or its chain of pre-activation
-gradients alone (a curvature refresh), over arrays built once for a fixed
-``B`` from a ``PassScratch`` that passes run one after another share.
+gradients alone (a curvature refresh), over arrays of its own built once
+for a fixed ``B``; two passes share no array but their input.
 Every learner trains through it: DQL's q and target nets as their stack,
 each actor-critic net as itself. ``Mlp.forward`` and ``Mlp.backward``, a
 pass over the net and its backward, are the benchmark tracer's hooks. A
 pass never writes its net: it reads ``params`` in place and writes only
-its own arrays and its scratch. An Adam step writes ``m``, ``v``,
-``params`` and its scratch.
+its own arrays. An Adam step writes ``m``, ``v``, ``params`` and its
+scratch.
 
 The generic forward, backward and chain the pass replaced, each on fresh
 arrays, live on in the test suite (``tests/nn_reference.py``) as its
@@ -272,28 +272,6 @@ class Mlp(MlpStack):
         return self.params.copy()
 
 
-class PassScratch:
-    """The arrays of ``StackPass``es of at most ``rows`` rows, in one
-    dtype, that run one after another: one array per name and shape, whose
-    leading rows every pass of fewer rows takes, so each pass overwrites
-    what the last one left. The leading rows of an array with one leading
-    entry (a net's) are contiguous, as a fresh array is."""
-
-    def __init__(self, rows: int, dtype):
-        self.rows = rows
-        self.dtype = np.dtype(dtype)
-        self._arrays: dict = {}
-
-    def take(self, name, shape: tuple[int, ...]) -> np.ndarray:
-        """The ``(..., B, width)`` leading rows of the ``(..., rows,
-        width)`` array kept for ``name``, made zeroed at the first take."""
-        full = shape[:-2] + (self.rows, shape[-1])
-        array = self._arrays.get((name, full))
-        if array is None:
-            array = self._arrays[name, full] = np.zeros(full, self.dtype)
-        return array[..., :shape[-2], :]
-
-
 class StackPass:
     """A stack's (or a net's) forward and one member's ``backward`` or
     chain, over arrays built once for a fixed batch of ``B`` rows.
@@ -301,14 +279,14 @@ class StackPass:
     ``x`` is the caller's ``(S, B, n)`` input, written in place before each
     ``forward``; its dtype is the stack's or one that casts to it exactly
     (a DQL agent's replay draws are ``DTYPE`` whatever its nets' dtype).
-    Every other array is in the stack's dtype, from ``scratch`` (one of
-    its own by default): ``acts[l]``, ``(S, B, out_l)``, is layer ``l``'s
-    output, the last one the stack's outputs; ``inputs[k]`` lists member
-    ``k``'s layer inputs; ``dout``, ``(B, out_L)``, is the output gradient
-    ``backward`` and ``chain`` read; the chain scratch is private. Only
-    ``grads``, the ``Gradients`` ``backward`` writes, is the pass's own.
-    Shapes are checked here, once, and never per pass. Each array is
-    overwritten by the next pass over the scratch.
+    Every other array is the pass's own, in the stack's dtype:
+    ``acts[l]``, ``(S, B, out_l)``, is layer ``l``'s output, the last one
+    the stack's outputs; ``inputs[k]`` lists member ``k``'s layer inputs;
+    ``dout``, ``(B, out_L)``, is the output gradient ``backward`` and
+    ``chain`` read; ``grads`` is the ``Gradients`` ``backward`` writes;
+    the chain scratch is private. Two passes over one ``x`` share only
+    ``x``, so each keeps what its last forward, backward and chain left.
+    Shapes are checked here, once, and never per pass.
 
     ``forward`` writes each layer as ``Mlp.run`` computes a batch, its
     product by ``np.matmul(..., out=)``, so row ``k`` of every activation
@@ -321,8 +299,7 @@ class StackPass:
     copied, as a copy of the stack needs a pass of its own.
     """
 
-    def __init__(self, stack: MlpStack, x: np.ndarray,
-                 scratch: PassScratch | None = None):
+    def __init__(self, stack: MlpStack, x: np.ndarray):
         plan = self._plan = stack._plan
         dtype = stack.params.dtype
         size, _, n = plan[0][0].shape
@@ -333,27 +310,23 @@ class StackPass:
         if not np.can_cast(x.dtype, dtype, "safe"):
             raise ValueError(f"input dtype {x.dtype} does not cast exactly "
                              f"to the stack's {dtype}")
-        if scratch is None:
-            scratch = PassScratch(batch, dtype)
-        if scratch.dtype != dtype or scratch.rows < batch:
-            raise ValueError(f"a scratch of {scratch.rows} {scratch.dtype} "
-                             f"rows cannot hold {batch} {dtype} rows")
         self.x = x
-        self.acts = [scratch.take(("act", idx), (size, batch, wt.shape[2]))
-                     for idx, (_, wt, _, _) in enumerate(plan)]
-        self.dout = scratch.take("dout", (batch, self.acts[-1].shape[2]))
+        self.acts = [np.zeros((size, batch, wt.shape[2]), dtype)
+                     for _, wt, _, _ in plan]
+        self.dout = np.zeros((batch, self.acts[-1].shape[2]), dtype)
         shapes = [w.shape[1:] for w, _, _, _ in plan]
         self.grads = Gradients(np.empty(stack.params.shape[-1], dtype), shapes)
         self.inputs = [[x[k]] + [a[k] for a in self.acts[:-1]]
                        for k in range(size)]
         # the chain scratch, shared by the members: each layer's
         # pre-activation gradient (``dout`` for the linear output layer),
-        # and its input's gradient, which layers of one width share
+        # and its input's gradient, one array per width
         pre_grads = self._pre_grads = [
-            scratch.take(("pre_grad", idx), (batch, out_dim))
-            for idx, (out_dim, _) in enumerate(shapes[:-1])] + [self.dout]
-        input_grads = [None] + [scratch.take("input_grad", (batch, in_dim))
-                                for _, in_dim in shapes[1:]]
+            np.zeros((batch, out_dim), dtype)
+            for out_dim, _ in shapes[:-1]] + [self.dout]
+        widths = {in_dim: np.zeros((batch, in_dim), dtype)
+                  for _, in_dim in shapes[1:]}
+        input_grads = [None] + [widths[in_dim] for _, in_dim in shapes[1:]]
         # per member, the layers above the first, top down: the product
         # (the broadcast one below a one-column gradient: each element is
         # the same one rounded product, and numpy's K = 1 matmul is several

@@ -754,8 +754,8 @@ def test_the_actor_critic_update_equals_its_reference_bit_for_bit(
         entropy_coef, events, seed):
     """``update`` over its workspace against the reference built from the
     generic passes, update by update, in both nets' dtypes: rollouts of
-    any length (so a workspace regrows, and a shorter rollout or PPO
-    minibatch runs on the leading rows of a longer one's arrays), after
+    any length (so the workspace gains a pair of passes at each row count
+    a rollout or a PPO minibatch meets first), after
     in-place writes to either net's ``params`` (which the passes must
     read, not a stale copy), after a checkpoint round trip and after a
     copy. The two agents must hold the same params, optimizer state,
@@ -771,10 +771,12 @@ def test_the_actor_critic_update_equals_its_reference_bit_for_bit(
             batch = recorded(agent, make_transitions(rng, event, dim=obs_dim))
             assert same_stats(agent.update(as_rollout(batch)),
                               ac_reference.reference_update(twin, batch))
-            ws = agent._workspace
-            assert ws.x.dtype == dtype
-            assert ws.rows >= (event if algorithm != "ppo"
-                               else min(event, minibatch))
+            assert (event if algorithm != "ppo"
+                    else min(event, minibatch)) in agent._workspace
+            for rows, (actor, critic) in agent._workspace.items():
+                assert critic.x is actor.x
+                assert actor.x.shape == (1, rows, obs_dim)
+                assert actor.x.dtype == dtype
         elif event.startswith("write"):
             values = rng.normal(size=agent.actor.params.size if event ==
                                 "write actor" else agent.critic.params.size)
@@ -794,7 +796,7 @@ def test_the_actor_critic_update_equals_its_reference_bit_for_bit(
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_a_ppo_update_with_a_short_last_minibatch_equals_its_reference(dtype):
     """A 100-row rollout in 64-row minibatches: each epoch ends on 36 rows,
-    which run on the leading rows of the 64-row pass's arrays."""
+    which run on a pair of passes of their own, over a 36-row input."""
     agent = ac_agent("ppo", dtype, rollout_length=100, ppo_minibatch=64)
     twin = copy.deepcopy(agent)
     rng = np.random.default_rng(41)
@@ -803,11 +805,44 @@ def test_a_ppo_update_with_a_short_last_minibatch_equals_its_reference(dtype):
         assert same_stats(agent.update(as_rollout(batch)),
                           ac_reference.reference_update(twin, batch))
         assert agent_to_bytes(agent) == agent_to_bytes(twin)
-    ws = agent._workspace
-    assert ws.rows == 64 and sorted(ws._passes) == [36, 64]
-    for pair in ws._passes.values():
-        for run in pair:
-            assert np.shares_memory(run.x, ws.x)
+    assert sorted(agent._workspace) == [36, 64]
+    for rows, (actor, critic) in agent._workspace.items():
+        assert critic.x is actor.x and actor.x.shape == (1, rows, OBS_DIM)
+
+
+@pytest.mark.parametrize("algorithm", ["a2c", "ppo", "acktr"])
+def test_the_passes_of_an_update_share_no_array_but_their_input(algorithm):
+    """After an update, each pass of the workspace keeps what it last
+    wrote: a forward and a backward of any pass leave every array of
+    every other pass as they were, so the critic's pass still holds the
+    critic's activations and not the actor's. Two passes share memory
+    only through the input of their row count, which the actor's and
+    the critic's pass of that count both read."""
+    agent = ac_agent(algorithm, rollout_length=48, ppo_minibatch=32)
+    rng = np.random.default_rng(47)
+    agent.update(as_rollout(recorded(agent, make_transitions(rng, 48))))
+    params = agent.actor.params, agent.critic.params
+    passes = [run for pair in agent._workspace.values() for run in pair]
+    assert len(passes) == (4 if algorithm == "ppo" else 2)
+
+    def own(run):
+        """The float arrays of ``run``, less the views of the nets."""
+        return [a for a in float_arrays_in(run)
+                if not any(np.shares_memory(a, p) for p in params)]
+
+    for run in passes:
+        others = [other for other in passes if other is not run]
+        for other in others:
+            for a in own(run):
+                for b in own(other):
+                    if np.shares_memory(a, b):
+                        assert other.x is run.x
+                        assert np.shares_memory(a, run.x)
+        before = [[a.tobytes() for a in own(other)] for other in others]
+        run.forward()
+        run.backward(0)
+        assert [[a.tobytes() for a in own(other)]
+                for other in others] == before
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -815,14 +850,14 @@ def test_a_ppo_update_with_a_short_last_minibatch_equals_its_reference(dtype):
 def test_deployment_updates_of_another_period_equal_the_reference(algorithm,
                                                                   dtype):
     """A learner trained on 256-step rollouts, deployed with an
-    ``update_period`` of 96: each online update runs on the leading rows
-    of the training workspace, and the deployment, step by step, is the
-    one the reference update gives."""
+    ``update_period`` of 96: the online updates add passes of their row
+    counts to the training workspace, and the deployment, step by step, is
+    the one the reference update gives."""
     cfg = build_env_config("sparse", 1.0, 9, episode_length=300.0)
     agent = ac_agent(algorithm, dtype, cfg.observation_size)
     train_agent(agent, TrafficSignalEnv(cfg, seed=9), 256)
     ws = agent._workspace
-    assert ws.rows == (64 if algorithm == "ppo" else 256)
+    assert sorted(ws) == ([64] if algorithm == "ppo" else [256])
     twin = copy.deepcopy(agent)
     # the reference reads the rollout's columns as transitions
     twin.update = lambda batch: ac_reference.reference_update(
@@ -836,8 +871,7 @@ def test_deployment_updates_of_another_period_equal_the_reference(algorithm,
     assert agent_to_bytes(agent) == agent_to_bytes(twin)
     assert agent._workspace is ws and agent.train_steps == 256 + 4 * 96
     # PPO's 96 rows are a 64-row minibatch and a 32-row one
-    assert sorted(ws._passes) == ([32, 64] if algorithm == "ppo"
-                                  else [96, 256])
+    assert sorted(ws) == ([32, 64] if algorithm == "ppo" else [96, 256])
 
 
 # ---------------------------------------------------------------------------
@@ -871,9 +905,9 @@ def test_a_copied_actor_critic_builds_a_workspace_of_its_own(copier,
     assert ws is not None and ws is not agent._workspace
     assert not any(np.shares_memory(a, b)
                    for a in ac_workspace_arrays(ws) for b in theirs)
-    for run, net in zip(ws.passes(ws.rows if algorithm != "ppo" else 32),
-                        (twin.actor, twin.critic)):
-        assert np.shares_memory(run._plan[0][0], net.params)
+    for pair in ws.values():
+        for run, net in zip(pair, (twin.actor, twin.critic)):
+            assert np.shares_memory(run._plan[0][0], net.params)
 
 
 @pytest.mark.parametrize("copier", COPIERS)
@@ -1193,7 +1227,7 @@ def test_critic_forwards_of_an_update(monkeypatch, algorithm, critic_calls):
     monkeypatch.setattr(StackPass, "forward", counted_forward)
     monkeypatch.setattr(Mlp, "run", counted_run)
     agent.update(batch)
-    critic = agent._workspace.passes(agent._workspace.rows)[1]
+    _, critic = next(iter(agent._workspace.values()))
     critic_forwards = sum(run._plan is critic._plan for run in forwards)
     cfg = agent.config
     passes = (1 if agent.single_pass else
@@ -1944,11 +1978,9 @@ def test_dql_checkpoint_round_trip_is_byte_exact_and_fits_as_the_live_agent():
 # ---------------------------------------------------------------------------
 
 def ac_workspace_arrays(ws):
-    """Every float array of an actor-critic workspace: those reachable
-    from it, every array its scratch keeps, and each of its passes'."""
-    yield from float_arrays_in(ws)
-    yield from ws._scratch._arrays.values()
-    yield from float_arrays_in(list(ws._passes.values()))
+    """Every float array of an actor-critic workspace: every array
+    reachable from each of its passes."""
+    yield from float_arrays_in(list(ws.values()))
 
 
 def float_arrays_in(value):
@@ -2071,8 +2103,8 @@ def test_no_float64_creeps_into_a_net(monkeypatch, algorithm):
     else:
         ws = agent._workspace
         found = list(ac_workspace_arrays(ws))
-        assert list(ws._passes) == [32]  # PPO's one minibatch is 32 rows
-        for actor, critic in ws._passes.values():
+        assert list(ws) == [32]  # PPO's one minibatch is 32 rows
+        for actor, critic in ws.values():
             for run, width in ((actor, 2), (critic, 1)):
                 assert [a.shape for a in run.acts] == [
                     (1, 32, 8), (1, 32, 8), (1, 32, width)]

@@ -18,7 +18,6 @@ from trafficlab.nn import (
     Layer,
     Mlp,
     MlpStack,
-    PassScratch,
     SgdOptimizer,
     SingularCurvatureError,
     StackPass,
@@ -282,13 +281,14 @@ def test_stacked_backward_equals_the_generic_one_at_a_one_wide_layer(dtype):
        in_dim=st.integers(1, 12), rows=st.integers(1, 80),
        batches=st.lists(st.integers(1, 80), min_size=1, max_size=6),
        dtype=st.sampled_from([np.float32, np.float64]))
-def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
+def test_one_member_passes_over_their_own_arrays_equal_the_generic_ones(
         seed, hidden, in_dim, rows, batches, dtype):
     """An actor-critic runs a two-output and a one-output net of the same
-    hidden widths through passes over each net that share one scratch, at
-    each row count its update meets: every pass, run after any other,
-    writes what the generic ``forward``, ``backward`` and ``chain`` give
-    on fresh arrays, bit for bit."""
+    hidden widths through a pair of passes over one input at each row
+    count its update meets: every pass, run after any other, writes what
+    the generic ``forward``, ``backward`` and ``chain`` give on fresh
+    arrays, bit for bit, and the two passes of a pair share no array but
+    their input."""
     rng = np.random.default_rng(seed)
     nets = []
     for out in (2, 1):
@@ -297,17 +297,16 @@ def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
                    for l in net.layers])
         net.params += rng.normal(size=net.params.size)
         nets.append(net)
-    scratch = PassScratch(rows, dtype)
-    x = scratch.take("x", (1, rows, in_dim))
     passes = {}
     for batch in [b for b in batches if b <= rows] + [rows]:
-        x[0, :batch] = rng.normal(size=(batch, in_dim)) * 2.0
-        for k, net in enumerate(nets):
-            run = passes.get((batch, k))
-            if run is None:
-                run = passes[batch, k] = StackPass(net, x[:, :batch],
-                                                   scratch)
-            out, cache = forward(net, x[0, :batch])
+        pair = passes.get(batch)
+        if pair is None:
+            x = np.zeros((1, batch, in_dim), dtype)
+            pair = passes[batch] = [StackPass(net, x) for net in nets]
+        x = pair[0].x
+        x[0] = rng.normal(size=(batch, in_dim)) * 2.0
+        for net, run in zip(nets, pair):
+            out, cache = forward(net, x[0])
             assert run.forward()[0].tobytes() == out.tobytes()
             assert [a.tobytes() for a in run.inputs[0]] == [
                 a.tobytes() for a in cache.inputs]
@@ -319,10 +318,11 @@ def test_one_member_passes_over_a_shared_scratch_equal_the_generic_ones(
             run.dout[...] = g
             assert [ds.tobytes() for ds in run.chain(0)] == [
                 ds.tobytes() for ds in chain(net, cache, g)]
-            if hidden:  # both nets' hidden activations are one array's rows
-                other = passes.get((rows, 1 - k))
-                if other is not None:
-                    assert np.shares_memory(run.acts[0], other.acts[0])
+        actor, critic = pair
+        assert critic.x is actor.x
+        assert not any(np.shares_memory(a, b)
+                       for a in [*actor.acts, *actor.chain(0)]
+                       for b in [*critic.acts, *critic.chain(0)])
 
 
 def test_a_nets_own_pass_trains_the_net_in_place():
@@ -367,23 +367,6 @@ def test_a_pass_over_a_net_whose_params_are_read_only_writes_nothing():
     assert hooked.tobytes() == out.tobytes()
     assert net.backward(hook, g).flat.tobytes() == run.grads.flat.tobytes()
     assert net.params.tobytes() == values
-
-
-def test_a_pass_scratch_hands_out_leading_rows_of_one_array_per_shape():
-    scratch = PassScratch(8, np.float32)
-    full = scratch.take("a", (1, 8, 5))
-    head = scratch.take("a", (1, 3, 5))
-    assert head.shape == (1, 3, 5) and head.flags.c_contiguous
-    assert head.ctypes.data == full.ctypes.data
-    assert not np.shares_memory(scratch.take("a", (1, 8, 4)), full)
-    assert not np.shares_memory(scratch.take("b", (1, 8, 5)), full)
-    assert scratch.take("c", (3, 6)).dtype == np.float32
-    stack = MlpStack(small_net().layers, 1)
-    with pytest.raises(ValueError, match="cannot hold"):
-        StackPass(stack, np.zeros((1, 9, 3), DTYPE), scratch)
-    with pytest.raises(ValueError, match="cannot hold"):
-        StackPass(stack, np.zeros((1, 4, 3), DTYPE),
-                  PassScratch(8, np.float64))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
